@@ -7,6 +7,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -25,6 +26,9 @@ var (
 	// ErrSizeMismatch reports a payload whose data length disagrees with
 	// the element count declared in its header.
 	ErrSizeMismatch = errors.New("compress: payload size mismatch")
+	// ErrNonFinite reports an encoder input containing NaN or ±Inf, which
+	// max-abs scaling cannot represent.
+	ErrNonFinite = errors.New("compress: non-finite input")
 )
 
 // SupportedBits lists the allowed quantization widths. Widths below 8 pack
@@ -59,7 +63,7 @@ func (c *Compressed) Size() int { return len(c.Data) + 8 /* MaxAbs */ + 8 /* bit
 
 // CompressedSize predicts the payload size for n values at the given width.
 func CompressedSize(n int, bits uint) int {
-	return (n*int(bits)+7)/8 + 16
+	return PackedSize(n, bits) + 16
 }
 
 // Encoder quantizes vectors. It carries its own RNG so that stochastic
@@ -86,6 +90,66 @@ func NewDeterministicEncoder() *Encoder {
 	return &Encoder{}
 }
 
+// Stats is what one pass over a vector tells an encoder before it commits
+// to a wire form: the scale for fixed-point quantization and the shape that
+// prices the sparse encoding. The vector may be given in parts (the planned
+// spans of a histogram shard); its logical value is their concatenation, so
+// a run of nonzeros continues across a part boundary.
+type Stats struct {
+	N      int     // elements
+	NNZ    int     // nonzero elements (negative zero counts as zero)
+	Runs   int     // maximal runs of consecutive nonzero elements
+	MaxAbs float64 // largest absolute value
+	// Finite is false when any element is NaN or ±Inf; such a vector has
+	// no fixed-point or sparse encoding.
+	Finite bool
+}
+
+// Scan computes a vector's Stats in one pass.
+func Scan(parts ...[]float64) Stats {
+	var st Stats
+	// sum stays zero over finite input (v-v is +0) and turns NaN at the
+	// first NaN or infinity, without a branch per element.
+	sum := 0.0
+	inRun := false
+	for _, part := range parts {
+		st.N += len(part)
+		for _, v := range part {
+			if a := math.Abs(v); a > st.MaxAbs {
+				st.MaxAbs = a
+			}
+			sum += v - v
+			if v != 0 {
+				st.NNZ++
+				if !inRun {
+					st.Runs++
+				}
+				inRun = true
+			} else {
+				inRun = false
+			}
+		}
+	}
+	st.Finite = sum == 0
+	return st
+}
+
+// MaxAbs computes only the fixed-point scale of a vector (Stats.MaxAbs and
+// Stats.Finite) — under half the cost of Scan, for encodings that never
+// consider the sparse form.
+func MaxAbs(parts ...[]float64) (maxAbs float64, finite bool) {
+	sum := 0.0
+	for _, part := range parts {
+		for _, v := range part {
+			if a := math.Abs(v); a > maxAbs {
+				maxAbs = a
+			}
+			sum += v - v
+		}
+	}
+	return maxAbs, sum == 0
+}
+
 // Encode quantizes values into a d-bit fixed-point representation:
 //
 //	q' = floor(q/|c| · (2^(d-1)-1)) + Bernoulli(frac)
@@ -96,60 +160,96 @@ func (e *Encoder) Encode(values []float64, bits uint) (*Compressed, error) {
 	if !validBits(bits) {
 		return nil, fmt.Errorf("%w: %d", ErrBadWidth, bits)
 	}
-	maxAbs := 0.0
-	for _, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, errors.New("compress: non-finite input")
-		}
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
+	maxAbs, finite := MaxAbs(values)
+	if !finite {
+		return nil, ErrNonFinite
 	}
 	c := &Compressed{Bits: bits, N: len(values), MaxAbs: maxAbs}
-	c.Data = make([]byte, (len(values)*int(bits)+7)/8)
+	c.Data = make([]byte, PackedSize(len(values), bits))
+	e.pack(c.Data, 0, values, bits, maxAbs)
+	return c, nil
+}
+
+// PackedSize returns the number of data bytes n values occupy at a
+// fixed-point width.
+func PackedSize(n int, bits uint) int { return (n*int(bits) + 7) / 8 }
+
+// Pack quantizes the concatenation of parts into data, which must be
+// zeroed and PackedSize(total, bits) long — Encode without the intermediate
+// Compressed, for callers that own the destination (a request buffer).
+// bits must be a supported width and maxAbs the vector's Stats.MaxAbs. One
+// rounding decision is drawn per element in order, none at all when maxAbs
+// is zero, exactly as Encode does on the concatenated vector.
+func (e *Encoder) Pack(data []byte, bits uint, maxAbs float64, parts ...[]float64) {
+	at := 0
+	for _, part := range parts {
+		e.pack(data, at, part, bits, maxAbs)
+		at += len(part)
+	}
+}
+
+// pack writes vals as elements [at, at+len(vals)) of the packed array. The
+// 8- and 16-bit widths are byte-aligned, so stochastic rounding — the push
+// path — stores whole bytes in a loop of its own; the sub-byte widths and
+// the deterministic encoder share the bit-cursor loop.
+//
+// No level is clamped: |v| ≤ maxAbs makes |v/maxAbs·levels| ≤ levels, and
+// rounding moves a value at most to the next integer, which is still a
+// level. Normalizing before scaling matters: v/maxAbs is always in [-1, 1],
+// whereas levels/maxAbs overflows to +Inf when maxAbs is denormal.
+func (e *Encoder) pack(data []byte, at int, vals []float64, bits uint, maxAbs float64) {
 	if maxAbs == 0 {
-		return c, nil
+		return
 	}
 	levels := float64(int64(1)<<(bits-1) - 1) // e.g. 127 for 8 bits
-	lo, hi := -(int64(1) << (bits - 1)), int64(1)<<(bits-1)-1
-	for i, v := range values {
-		// Normalize before scaling: v/maxAbs is always in [-1, 1], whereas
-		// levels/maxAbs overflows to +Inf when maxAbs is denormal.
-		t := v / maxAbs * levels
-		var q int64
-		if e.rng != nil {
+	rng := e.rng
+	switch {
+	case rng != nil && bits == 8:
+		out := data[at : at+len(vals)]
+		for i, v := range vals {
+			t := v / maxAbs * levels
 			f := math.Floor(t)
-			q = int64(f)
-			if e.rng.Float64() < t-f {
+			q := int64(f)
+			// One draw per element, exact levels (zeros) included: the
+			// stream position is part of the encoding's reproducibility.
+			if rng.Float64() < t-f {
 				q++
 			}
-		} else {
-			q = int64(math.Round(t))
+			out[i] = byte(q)
 		}
-		if q < lo {
-			q = lo
+	case rng != nil && bits == 16:
+		out := data[2*at : 2*(at+len(vals))]
+		for i, v := range vals {
+			t := v / maxAbs * levels
+			f := math.Floor(t)
+			q := int64(f)
+			if rng.Float64() < t-f {
+				q++
+			}
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(q))
 		}
-		if q > hi {
-			q = hi
+	default:
+		for i, v := range vals {
+			t := v / maxAbs * levels
+			var q int64
+			if rng != nil {
+				f := math.Floor(t)
+				q = int64(f)
+				if rng.Float64() < t-f {
+					q++
+				}
+			} else {
+				q = int64(math.Round(t))
+			}
+			putBits(data, at+i, bits, uint64(q)&((1<<bits)-1))
 		}
-		putBits(c.Data, i, bits, uint64(q)&((1<<bits)-1))
 	}
-	return c, nil
 }
 
 // Decode reconstructs the float64 vector: q” = q' / (2^(d-1)-1) · |c|.
 func Decode(c *Compressed) []float64 {
 	out := make([]float64, c.N)
-	if c.MaxAbs == 0 {
-		return out
-	}
-	levels := float64(int64(1)<<(c.Bits-1) - 1)
-	inv := c.MaxAbs / levels
-	for i := range out {
-		raw := getBits(c.Data, i, c.Bits)
-		q := signExtend(raw, c.Bits)
-		out[i] = float64(q) * inv
-	}
+	addPacked(out, c.Data, 0, c.Bits, c.MaxAbs)
 	return out
 }
 
@@ -160,16 +260,34 @@ func DecodeInto(dst []float64, c *Compressed) error {
 	if len(dst) != c.N {
 		return fmt.Errorf("compress: decode into %d values, payload has %d", len(dst), c.N)
 	}
-	if c.MaxAbs == 0 {
-		return nil
-	}
-	levels := float64(int64(1)<<(c.Bits-1) - 1)
-	inv := c.MaxAbs / levels
-	for i := range dst {
-		q := signExtend(getBits(c.Data, i, c.Bits), c.Bits)
-		dst[i] += float64(q) * inv
-	}
+	addPacked(dst, c.Data, 0, c.Bits, c.MaxAbs)
 	return nil
+}
+
+// addPacked adds elements [at, at+len(dst)) of a packed array onto dst,
+// the inverse of pack with the same byte-aligned fast paths.
+func addPacked(dst []float64, data []byte, at int, bits uint, maxAbs float64) {
+	if maxAbs == 0 {
+		return
+	}
+	levels := float64(int64(1)<<(bits-1) - 1)
+	inv := maxAbs / levels
+	switch bits {
+	case 8:
+		in := data[at : at+len(dst)]
+		for i := range dst {
+			dst[i] += float64(int8(in[i])) * inv
+		}
+	case 16:
+		in := data[2*at : 2*(at+len(dst))]
+		for i := range dst {
+			dst[i] += float64(int16(binary.LittleEndian.Uint16(in[2*i:]))) * inv
+		}
+	default:
+		for i := range dst {
+			dst[i] += float64(signExtend(getBits(data, at+i, bits), bits)) * inv
+		}
+	}
 }
 
 // Validate checks that a payload read off the wire is internally consistent
@@ -187,7 +305,7 @@ func (c *Compressed) Validate() error {
 	if math.IsNaN(c.MaxAbs) || math.IsInf(c.MaxAbs, 0) || c.MaxAbs < 0 {
 		return fmt.Errorf("%w: MaxAbs %v", ErrBadHeader, c.MaxAbs)
 	}
-	if want := (c.N*int(c.Bits) + 7) / 8; len(c.Data) != want {
+	if want := PackedSize(c.N, c.Bits); len(c.Data) != want {
 		return fmt.Errorf("%w: %d data bytes for %d %d-bit values (want %d)",
 			ErrSizeMismatch, len(c.Data), c.N, c.Bits, want)
 	}

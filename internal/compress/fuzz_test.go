@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
+
+	"dimboost/internal/wire"
 )
 
 // fuzzWidth maps a fuzzed selector byte onto a supported sparse width.
@@ -54,9 +57,10 @@ func FuzzSparseRoundTrip(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("encoder output invalid: %v", err)
 		}
-		nnz, spans := SpanStats(values)
+		st := Scan(values)
+		nnz, spans := st.NNZ, st.Runs
 		if s.NNZ() != nnz || len(s.Spans) != spans {
-			t.Fatalf("shape (%d,%d) != SpanStats (%d,%d)", s.NNZ(), len(s.Spans), nnz, spans)
+			t.Fatalf("shape (%d,%d) != Scan (%d,%d)", s.NNZ(), len(s.Spans), nnz, spans)
 		}
 		b := s.Marshal()
 		if len(b) != s.WireSize() || len(b) != SparseWireSize(nnz, spans, bits) {
@@ -148,6 +152,126 @@ func FuzzSparseDecode(f *testing.F) {
 		dst := make([]float64, s.N)
 		if err := s.DecodeInto(dst); err != nil {
 			t.Fatalf("validated payload failed decode: %v", err)
+		}
+	})
+}
+
+// genericEncode is the fixed-point quantizer as it was before the
+// byte-aligned kernels: one putBits per element at any width, every level
+// clamped. rng nil rounds to nearest.
+func genericEncode(rng *rand.Rand, values []float64, bits uint) (maxAbs float64, data []byte) {
+	for _, v := range values {
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	data = make([]byte, (len(values)*int(bits)+7)/8)
+	if maxAbs == 0 {
+		return
+	}
+	levels := float64(int64(1)<<(bits-1) - 1)
+	lo, hi := -(int64(1) << (bits - 1)), int64(1)<<(bits-1)-1
+	for i, v := range values {
+		t := v / maxAbs * levels
+		var q int64
+		if rng != nil {
+			f := math.Floor(t)
+			q = int64(f)
+			if rng.Float64() < t-f {
+				q++
+			}
+		} else {
+			q = int64(math.Round(t))
+		}
+		if q < lo {
+			q = lo
+		}
+		if q > hi {
+			q = hi
+		}
+		putBits(data, i, bits, uint64(q)&((1<<bits)-1))
+	}
+	return
+}
+
+// FuzzFixedKernelsAgree pins the byte-aligned 8- and 16-bit loops (and, for
+// completeness, the sub-byte cursor path they branch around) to the generic
+// bit-at-a-time codec: same bytes out of Encode for the same rounding
+// stream, same bytes when the vector arrives in two parts through Pack or
+// WriteSparse, and the same floats added by DecodeInto.
+func FuzzFixedKernelsAgree(f *testing.F) {
+	seed := make([]byte, 0, 128)
+	for _, v := range []float64{0, 1.5, -2.25, 0, 0, 1e300, -1e-300, 3, 0, 7, -7, 5e-324} {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	for sel := uint8(0); sel < 8; sel++ {
+		f.Add(sel, int64(sel)+1, uint16(5), seed)
+	}
+	f.Add(uint8(3), int64(9), uint16(0), []byte{})
+	f.Fuzz(func(t *testing.T, sel uint8, rngSeed int64, cut uint16, blob []byte) {
+		bits := []uint{16, 8, 4, 2}[sel&3]
+		values := fuzzValues(blob)
+		enc, ref := NewDeterministicEncoder(), (*rand.Rand)(nil)
+		if sel&4 == 0 {
+			enc, ref = NewEncoder(rngSeed), rand.New(rand.NewSource(rngSeed))
+		}
+		c, err := enc.Encode(values, bits)
+		if err != nil {
+			t.Fatalf("encode rejected finite input: %v", err)
+		}
+		wantMax, want := genericEncode(ref, values, bits)
+		if math.Float64bits(c.MaxAbs) != math.Float64bits(wantMax) || !bytes.Equal(c.Data, want) {
+			t.Fatalf("%d-bit Encode differs from the generic packer", bits)
+		}
+
+		// The same vector in two parts, straight into a caller's buffer.
+		k := 0
+		if len(values) > 0 {
+			k = int(cut) % (len(values) + 1)
+		}
+		parts := [][]float64{values[:k], values[k:]}
+		restart := func() *Encoder {
+			if sel&4 == 0 {
+				return NewEncoder(rngSeed)
+			}
+			return NewDeterministicEncoder()
+		}
+		packed := make([]byte, PackedSize(len(values), bits))
+		restart().Pack(packed, bits, wantMax, parts...)
+		if !bytes.Equal(packed, want) {
+			t.Fatalf("%d-bit Pack over parts [:%d],[%d:] differs from Encode", bits, k, k)
+		}
+		whole, err := EncodeSparse(restart(), values, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := wire.NewWriter(0)
+		if err := restart().WriteSparse(w, Scan(parts...), bits, parts...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.Bytes(), whole.Marshal()) {
+			t.Fatalf("%d-bit WriteSparse over parts differs from EncodeSparse", bits)
+		}
+
+		// Decode-into against the generic reader, onto a non-zero base.
+		got := make([]float64, len(values))
+		wantDec := make([]float64, len(values))
+		for i := range got {
+			got[i], wantDec[i] = float64(i)-3, float64(i)-3
+		}
+		if err := DecodeInto(got, c); err != nil {
+			t.Fatal(err)
+		}
+		if wantMax != 0 {
+			inv := wantMax / float64(int64(1)<<(bits-1)-1)
+			for i := range wantDec {
+				wantDec[i] += float64(signExtend(getBits(want, i, bits), bits)) * inv
+			}
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(wantDec[i]) {
+				t.Fatalf("%d-bit DecodeInto idx %d: %v, generic %v", bits, i, got[i], wantDec[i])
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -68,28 +69,8 @@ func dataSize(nnz int, bits uint) int {
 	case RawFloat64:
 		return 8 * nnz
 	default:
-		return (nnz*int(bits) + 7) / 8
+		return PackedSize(nnz, bits)
 	}
-}
-
-// SpanStats scans a vector and reports the number of nonzero entries and
-// the number of dense runs they form — enough to predict the sparse wire
-// size without encoding. Negative zero counts as zero (its decoded merge
-// contribution is identical).
-func SpanStats(values []float64) (nnz, spans int) {
-	inSpan := false
-	for _, v := range values {
-		if v != 0 {
-			nnz++
-			if !inSpan {
-				spans++
-				inSpan = true
-			}
-		} else {
-			inSpan = false
-		}
-	}
-	return nnz, spans
 }
 
 // SparseWireSize predicts the WriteTo size of a sparse payload with the
@@ -107,53 +88,83 @@ func (s *Sparse) WireSize() int {
 // widths draw rounding decisions from enc (required); raw widths never
 // consume randomness and accept a nil encoder. Inputs must be finite.
 func EncodeSparse(enc *Encoder, values []float64, bits uint) (*Sparse, error) {
+	st := Scan(values)
+	w := wire.NewWriter(SparseWireSize(st.NNZ, st.Runs, bits))
+	if err := enc.WriteSparse(w, st, bits, values); err != nil {
+		return nil, err
+	}
+	return ReadSparse(wire.NewReader(w.Bytes()))
+}
+
+// WriteSparse appends the sparse wire form of a vector — the bytes
+// EncodeSparse followed by WriteTo would produce — without materializing a
+// Sparse: the span table and the packed span values are written in place in
+// one pass over the nonzeros. The vector is the concatenation of parts and
+// st must be Scan(parts...). Fixed-point widths draw one rounding decision
+// per nonzero in order; raw widths draw none and accept a nil receiver.
+func (e *Encoder) WriteSparse(w *wire.Writer, st Stats, bits uint, parts ...[]float64) error {
 	if !validSparseBits(bits) {
-		return nil, fmt.Errorf("%w: %d", ErrBadWidth, bits)
+		return fmt.Errorf("%w: %d", ErrBadWidth, bits)
 	}
-	s := &Sparse{Bits: bits, N: len(values)}
-	var nz []float64
-	for i, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("compress: non-finite input at %d", i)
-		}
-		if a := math.Abs(v); a > s.MaxAbs {
-			s.MaxAbs = a
-		}
-		if v == 0 {
-			continue
-		}
-		if n := len(s.Spans); n > 0 && int(s.Spans[n-1].Start+s.Spans[n-1].Count) == i {
-			s.Spans[n-1].Count++
-		} else {
-			s.Spans = append(s.Spans, Span{Start: uint32(i), Count: 1})
-		}
-		nz = append(nz, v)
+	if !st.Finite {
+		return ErrNonFinite
 	}
-	switch bits {
-	case RawFloat32:
-		w := wire.NewWriter(4 * len(nz))
-		for _, v := range nz {
-			w.Float32(float32(v))
-		}
-		s.Data = w.Bytes()
-	case RawFloat64:
-		w := wire.NewWriter(8 * len(nz))
-		for _, v := range nz {
-			w.Float64(v)
-		}
-		s.Data = w.Bytes()
-	default:
-		if enc == nil {
-			return nil, fmt.Errorf("compress: nil encoder for %d-bit sparse encode", bits)
-		}
-		c, err := enc.Encode(nz, bits)
-		if err != nil {
-			return nil, err
-		}
-		s.MaxAbs = c.MaxAbs
-		s.Data = c.Data
+	raw := bits == RawFloat32 || bits == RawFloat64
+	if !raw && e == nil {
+		return fmt.Errorf("compress: nil encoder for %d-bit sparse encode", bits)
 	}
-	return s, nil
+	w.Uint8(uint8(bits))
+	w.Uint32(uint32(st.N))
+	w.Float64(st.MaxAbs)
+	// The span table (length-prefixed start/count pairs) and the
+	// length-prefixed data are reserved together: both sizes follow from
+	// st, and a second Extend could move the first region.
+	tabLen, dataLen := 8*st.Runs, dataSize(st.NNZ, bits)
+	region := w.Extend(4 + tabLen + 4 + dataLen)
+	binary.LittleEndian.PutUint32(region, uint32(2*st.Runs))
+	tab := region[4 : 4+tabLen]
+	binary.LittleEndian.PutUint32(region[4+tabLen:], uint32(dataLen))
+	data := region[4+tabLen+4:]
+
+	run, runStart, runEnd := -1, 0, -1 // the open run: its slot in tab and its extent
+	written := 0                       // span values stored so far
+	base := 0
+	for _, part := range parts {
+		for i := 0; i < len(part); {
+			if part[i] == 0 {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < len(part) && part[j] != 0 {
+				j++
+			}
+			vals := part[i:j]
+			if base+i != runEnd { // else the run continues from the previous part
+				run++
+				runStart = base + i
+				binary.LittleEndian.PutUint32(tab[8*run:], uint32(runStart))
+			}
+			runEnd = base + j
+			binary.LittleEndian.PutUint32(tab[8*run+4:], uint32(runEnd-runStart))
+			switch bits {
+			case RawFloat32:
+				for k, v := range vals {
+					binary.LittleEndian.PutUint32(data[4*(written+k):], math.Float32bits(float32(v)))
+				}
+			case RawFloat64:
+				for k, v := range vals {
+					binary.LittleEndian.PutUint64(data[8*(written+k):], math.Float64bits(v))
+				}
+			default:
+				e.pack(data, written, vals, bits, st.MaxAbs)
+			}
+			written += len(vals)
+			i = j
+		}
+		base += len(part)
+	}
+	return nil
 }
 
 // Validate checks an untrusted sparse payload: supported width, in-range
@@ -224,18 +235,10 @@ func (s *Sparse) DecodeInto(dst []float64) error {
 		}
 		return r.Err()
 	default:
-		if s.MaxAbs == 0 {
-			return nil
-		}
-		levels := float64(int64(1)<<(s.Bits-1) - 1)
-		inv := s.MaxAbs / levels
 		j := 0
 		for _, sp := range s.Spans {
-			for i := sp.Start; i < sp.Start+sp.Count; i++ {
-				q := signExtend(getBits(s.Data, j, s.Bits), s.Bits)
-				dst[i] += float64(q) * inv
-				j++
-			}
+			addPacked(dst[sp.Start:sp.Start+sp.Count], s.Data, j, s.Bits, s.MaxAbs)
+			j += int(sp.Count)
 		}
 		return nil
 	}
@@ -258,22 +261,27 @@ func (s *Sparse) WriteTo(w *wire.Writer) {
 // ReadSparse consumes one sparse payload from r and validates it. Hostile
 // input — truncated runs, overlapping spans, mismatched lengths — yields a
 // typed error (wire.ErrTruncated or one of this package's Err* values),
-// never a panic.
+// never a panic. Data aliases the reader's buffer: a receiver decodes
+// straight out of the message it was handed.
 func ReadSparse(r *wire.Reader) (*Sparse, error) {
 	s := &Sparse{Bits: uint(r.Uint8())}
 	s.N = int(r.Uint32())
 	s.MaxAbs = r.Float64()
-	flat := r.Uint32s()
-	s.Data = r.Bytes32()
+	flat := int(r.Uint32())
+	tab := r.Raw(4 * flat)
+	s.Data = r.Raw(int(r.Uint32()))
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if len(flat)%2 != 0 {
-		return nil, fmt.Errorf("%w: odd span array length %d", ErrBadHeader, len(flat))
+	if flat%2 != 0 {
+		return nil, fmt.Errorf("%w: odd span array length %d", ErrBadHeader, flat)
 	}
-	s.Spans = make([]Span, len(flat)/2)
+	s.Spans = make([]Span, flat/2)
 	for i := range s.Spans {
-		s.Spans[i] = Span{Start: flat[2*i], Count: flat[2*i+1]}
+		s.Spans[i] = Span{
+			Start: binary.LittleEndian.Uint32(tab[8*i:]),
+			Count: binary.LittleEndian.Uint32(tab[8*i+4:]),
+		}
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -289,7 +297,7 @@ func (s *Sparse) Marshal() []byte {
 }
 
 // UnmarshalSparse parses a standalone payload produced by Marshal,
-// rejecting trailing garbage.
+// rejecting trailing garbage. The result's Data aliases b.
 func UnmarshalSparse(b []byte) (*Sparse, error) {
 	r := wire.NewReader(b)
 	s, err := ReadSparse(r)

@@ -101,9 +101,10 @@ func TestSparseSpanStructure(t *testing.T) {
 			t.Fatalf("span %d: %v, want %v", i, s.Spans[i], want[i])
 		}
 	}
-	nnz, spans := SpanStats(values)
+	st := Scan(values)
+	nnz, spans := st.NNZ, st.Runs
 	if nnz != 6 || spans != 3 {
-		t.Fatalf("SpanStats = (%d,%d), want (6,3)", nnz, spans)
+		t.Fatalf("Scan = (%d,%d), want (6,3)", nnz, spans)
 	}
 	if s.NNZ() != 6 {
 		t.Fatalf("NNZ = %d", s.NNZ())
@@ -296,7 +297,8 @@ func TestChoosingSparseByPredictedSize(t *testing.T) {
 	// full density it must be larger (span + header overhead), which is
 	// what the auto-chooser in internal/ps relies on.
 	sparse := sparseVec(10000, 0.02, 13)
-	nnz, spans := SpanStats(sparse)
+	st := Scan(sparse)
+	nnz, spans := st.NNZ, st.Runs
 	if SparseWireSize(nnz, spans, 8) >= 10000 {
 		t.Fatalf("sparse %d bytes not smaller than dense %d", SparseWireSize(nnz, spans, 8), 10000)
 	}
@@ -304,9 +306,10 @@ func TestChoosingSparseByPredictedSize(t *testing.T) {
 	for i := range densev {
 		densev[i] = float64(i + 1)
 	}
-	nnz, spans = SpanStats(densev)
+	st = Scan(densev)
+	nnz, spans = st.NNZ, st.Runs
 	if nnz != 100 || spans != 1 {
-		t.Fatalf("SpanStats dense = (%d,%d)", nnz, spans)
+		t.Fatalf("Scan dense = (%d,%d)", nnz, spans)
 	}
 	if SparseWireSize(nnz, spans, 8) <= 100 {
 		t.Fatal("fully dense vector predicted smaller as sparse")

@@ -45,30 +45,59 @@ type Client struct {
 	// proto.go); a transport-level retry resends the same seq, which is
 	// what lets servers drop duplicates of mutating ops.
 	seq atomic.Uint64
+
+	// plan is the shard geometry of the layout last pushed or pulled — one
+	// per tree, since a tree's histograms share a layout.
+	plan *shardPlan
+	// pushReqs holds one reusable push request per server, and parts the
+	// span scratch they are encoded from. A request's bytes belong to the
+	// transport until Call returns — a RetryEndpoint resends them from
+	// inside Call — so a buffer is rewritten only by the next
+	// PushHistogram, which starts after every Call of this one returned.
+	pushReqs []*wire.Writer
+	parts    [][]float64
 }
 
 // NewClient binds a worker endpoint to the server fleet. serverNames is
 // indexed by server id.
 func NewClient(ep transport.Endpoint, part *Partition, serverNames []string, workerID int) *Client {
-	return &Client{
-		ep:      ep,
-		part:    part,
-		servers: serverNames,
-		worker:  int32(workerID),
-		enc:     compress.NewEncoder(int64(workerID) + 1),
+	c := &Client{
+		ep:       ep,
+		part:     part,
+		servers:  serverNames,
+		worker:   int32(workerID),
+		enc:      compress.NewEncoder(int64(workerID) + 1),
+		pushReqs: make([]*wire.Writer, len(serverNames)),
 	}
+	for sv := range c.pushReqs {
+		c.pushReqs[sv] = wire.NewWriter(0)
+	}
+	return c
 }
 
-// call sends one enveloped request to server sv. The envelope (and its seq)
-// is built once per logical request; retries inside the endpoint resend the
+// newRequest starts a request: a writer already holding the idempotency
+// envelope, ready for the op's own fields. capacity hints their size.
+func (c *Client) newRequest(capacity int) *wire.Writer {
+	w := wire.NewWriter(envelopeSize + capacity)
+	c.writeEnvelope(w)
+	return w
+}
+
+// writeEnvelope stamps a fresh seq. The envelope (and its seq) is written
+// once per logical request; retries inside the endpoint resend the
 // identical bytes.
-func (c *Client) call(sv int, op uint8, body []byte) (transport.Message, error) {
+func (c *Client) writeEnvelope(w *wire.Writer) {
+	w.Int32(c.worker)
+	w.Uint64(c.seq.Add(1))
+}
+
+// send delivers one enveloped request to server sv.
+func (c *Client) send(sv int, op uint8, req *wire.Writer) (transport.Message, error) {
 	_, m := psMetrics()
-	seq := c.seq.Add(1)
-	req := transport.Message{Op: op, Body: writeEnvelope(c.worker, seq, body)}
+	msg := transport.Message{Op: op, Body: req.Bytes()}
 	m.requests.Inc()
-	m.bytesOut.Add(req.Size())
-	resp, err := c.ep.Call(c.servers[sv], req)
+	m.bytesOut.Add(msg.Size())
+	resp, err := c.ep.Call(c.servers[sv], msg)
 	if err == nil {
 		m.bytesIn.Add(resp.Size())
 	}
@@ -76,8 +105,9 @@ func (c *Client) call(sv int, op uint8, body []byte) (transport.Message, error) 
 }
 
 // fanOut calls every server concurrently and collects responses in server
-// order.
-func (c *Client) fanOut(op uint8, body func(server int) []byte) ([]transport.Message, error) {
+// order. request builds server sv's enveloped request; nil skips the
+// server.
+func (c *Client) fanOut(op uint8, request func(server int) *wire.Writer) ([]transport.Message, error) {
 	resps := make([]transport.Message, len(c.servers))
 	errs := make([]error, len(c.servers))
 	var wg sync.WaitGroup
@@ -85,11 +115,11 @@ func (c *Client) fanOut(op uint8, body func(server int) []byte) ([]transport.Mes
 		wg.Add(1)
 		go func(sv int) {
 			defer wg.Done()
-			b := body(sv)
-			if b == nil {
+			req := request(sv)
+			if req == nil {
 				return
 			}
-			resps[sv], errs[sv] = c.call(sv, op, b)
+			resps[sv], errs[sv] = c.send(sv, op, req)
 		}(sv)
 	}
 	wg.Wait()
@@ -104,8 +134,8 @@ func (c *Client) fanOut(op uint8, body func(server int) []byte) ([]transport.Mes
 // PushSketches sends each server the sketch summaries of the features it
 // owns (CREATE_SKETCH).
 func (c *Client) PushSketches(set *sketch.Set) error {
-	_, err := c.fanOut(OpPushSketch, func(sv int) []byte {
-		w := wire.NewWriter(1024)
+	_, err := c.fanOut(OpPushSketch, func(sv int) *wire.Writer {
+		w := c.newRequest(1024)
 		count := 0
 		lenPos := w.Len()
 		w.Uint32(0) // patched below
@@ -122,7 +152,7 @@ func (c *Client) PushSketches(set *sketch.Set) error {
 			count++
 		}
 		patchUint32(w.Bytes(), lenPos, uint32(count))
-		return w.Bytes()
+		return w
 	})
 	return err
 }
@@ -139,10 +169,10 @@ func patchUint32(buf []byte, pos int, v uint32) {
 // per-feature table (PULL_SKETCH). Features without data get the trivial
 // zero-cut candidate set.
 func (c *Client) PullCandidates(k int) ([]sketch.Candidates, error) {
-	req := func(int) []byte {
-		w := wire.NewWriter(4)
+	req := func(int) *wire.Writer {
+		w := c.newRequest(4)
 		w.Uint32(uint32(k))
-		return w.Bytes()
+		return w
 	}
 	resps, err := c.fanOut(OpPullCandidates, req)
 	if err != nil {
@@ -170,17 +200,17 @@ func (c *Client) PullCandidates(k int) ([]sketch.Candidates, error) {
 // PushSampled stores the sampled feature list on every server; the leader
 // worker calls this once per tree.
 func (c *Client) PushSampled(features []int32) error {
-	_, err := c.fanOut(OpPushSampled, func(int) []byte {
-		w := wire.NewWriter(4 + 4*len(features))
+	_, err := c.fanOut(OpPushSampled, func(int) *wire.Writer {
+		w := c.newRequest(4 + 4*len(features))
 		w.Int32s(features)
-		return w.Bytes()
+		return w
 	})
 	return err
 }
 
 // PullSampled fetches the sampled feature list from server 0.
 func (c *Client) PullSampled() ([]int32, error) {
-	resp, err := c.call(0, OpPullSampled, nil)
+	resp, err := c.send(0, OpPullSampled, c.newRequest(0))
 	if err != nil {
 		return nil, err
 	}
@@ -191,26 +221,21 @@ func (c *Client) PullSampled() ([]int32, error) {
 
 // NewTree resets per-tree server state and installs the shard layouts.
 func (c *Client) NewTree(sampled []int32) error {
-	_, err := c.fanOut(OpNewTree, func(int) []byte {
-		w := wire.NewWriter(4 + 4*len(sampled))
+	_, err := c.fanOut(OpNewTree, func(int) *wire.Writer {
+		w := c.newRequest(4 + 4*len(sampled))
 		w.Int32s(sampled)
-		return w.Bytes()
+		return w
 	})
 	return err
 }
 
-// shardArrays extracts this server's bucket ranges from the worker's full
-// histogram, in the server's shard order (ascending feature id).
-func (c *Client) shardArrays(sv int, hist *histogram.Histogram) (g, h []float64) {
-	l := hist.Layout
-	mine := c.part.FeaturesOf(sv, l.Features)
-	for _, f := range mine {
-		p := l.Pos(f)
-		lo, hi := l.BucketRange(int(p))
-		g = append(g, hist.G[lo:hi]...)
-		h = append(h, hist.H[lo:hi]...)
+// planFor returns the shard plan of a layout, rebuilding it when the
+// layout changed (once per tree).
+func (c *Client) planFor(layout *histogram.Layout) *shardPlan {
+	if c.plan == nil || c.plan.layout != layout {
+		c.plan = newShardPlan(c.part, layout)
 	}
-	return
+	return c.plan
 }
 
 // pushEncoding is the vector encoding applied to outgoing histograms.
@@ -228,23 +253,25 @@ func (c *Client) pullEncoding() vecEncoding {
 // G/H vector is tagged per-vector, so a sparse shard rides next to a dense
 // one when only part of the feature space is populated.
 func (c *Client) PushHistogram(node int, hist *histogram.Histogram) error {
-	// Encoding happens inside fanOut bodies, but the stochastic compressor
-	// is not concurrency-safe; precompute bodies serially.
+	plan := c.planFor(hist.Layout)
 	ev := c.pushEncoding()
-	bodies := make([][]byte, len(c.servers))
-	for sv := range c.servers {
-		g, h := c.shardArrays(sv, hist)
-		w := wire.NewWriter(16 + 8*len(g))
+	// Requests are encoded serially, server by server and G before H: the
+	// stochastic compressor is not concurrency-safe, and its draw order is
+	// part of the run's reproducibility.
+	for sv, w := range c.pushReqs {
+		w.Reset()
+		c.writeEnvelope(w)
 		w.Int32(int32(node))
-		if err := writeHistVector(w, c.enc, g, ev); err != nil {
+		c.parts = plan.parts(c.parts, sv, hist.G)
+		if err := writeHistVector(w, c.enc, ev, c.parts...); err != nil {
 			return err
 		}
-		if err := writeHistVector(w, c.enc, h, ev); err != nil {
+		c.parts = plan.parts(c.parts, sv, hist.H)
+		if err := writeHistVector(w, c.enc, ev, c.parts...); err != nil {
 			return err
 		}
-		bodies[sv] = w.Bytes()
 	}
-	_, err := c.fanOut(OpPushHist, func(sv int) []byte { return bodies[sv] })
+	_, err := c.fanOut(OpPushHist, func(sv int) *wire.Writer { return c.pushReqs[sv] })
 	return err
 }
 
@@ -260,14 +287,14 @@ type SplitResult struct {
 // PullSplit asks every server for its shard-local best split and folds them
 // into the global best (two-phase split finding, §6.3).
 func (c *Client) PullSplit(node int, lambda, gamma, minChild float64) (SplitResult, error) {
-	req := func(int) []byte {
-		w := wire.NewWriter(36)
+	req := func(int) *wire.Writer {
+		w := c.newRequest(36)
 		w.Int32(int32(node))
 		w.Float64(lambda)
 		w.Float64(gamma)
 		w.Float64(minChild)
 		writeEncoding(w, c.pullEncoding())
-		return w.Bytes()
+		return w
 	}
 	resps, err := c.fanOut(OpPullSplit, req)
 	if err != nil {
@@ -294,43 +321,36 @@ func (c *Client) PullSplit(node int, lambda, gamma, minChild float64) (SplitResu
 // (the two-phase-disabled path), under the negotiated response encoding.
 // layout must be the worker's full layout.
 func (c *Client) PullHistogram(node int, layout *histogram.Layout) (*histogram.Histogram, error) {
-	req := func(int) []byte {
-		w := wire.NewWriter(8)
+	req := func(int) *wire.Writer {
+		w := c.newRequest(8)
 		w.Int32(int32(node))
 		writeEncoding(w, c.pullEncoding())
-		return w.Bytes()
+		return w
 	}
 	resps, err := c.fanOut(OpPullHistShard, req)
 	if err != nil {
 		return nil, err
 	}
+	plan := c.planFor(layout)
 	hist := histogram.New(layout)
 	for sv, resp := range resps {
-		// The expected shard length is derived from the client's own
-		// partition view, so a response shaped for a different layout is
-		// rejected with a typed ShapeError inside the vector read.
-		mine := c.part.FeaturesOf(sv, layout.Features)
-		wantN := 0
-		for _, f := range mine {
-			lo, hi := layout.BucketRange(int(layout.Pos(f)))
-			wantN += hi - lo
-		}
+		// The expected shard length comes from the client's own plan, so a
+		// response shaped for a different layout is rejected with a typed
+		// ShapeError inside the vector read.
 		r := wire.NewReader(resp.Body)
-		g, err := readHistVector(r, fmt.Sprintf("g shard from server %d", sv), wantN)
+		g, err := readHistVector(r, fmt.Sprintf("g shard from server %d", sv), plan.size[sv])
 		if err != nil {
 			return nil, err
 		}
-		h, err := readHistVector(r, fmt.Sprintf("h shard from server %d", sv), wantN)
+		h, err := readHistVector(r, fmt.Sprintf("h shard from server %d", sv), plan.size[sv])
 		if err != nil {
 			return nil, err
 		}
 		off := 0
-		for _, f := range mine {
-			p := layout.Pos(f)
-			lo, hi := layout.BucketRange(int(p))
-			n := hi - lo
-			copy(hist.G[lo:hi], g[off:off+n])
-			copy(hist.H[lo:hi], h[off:off+n])
+		for _, sp := range plan.spans[sv] {
+			n := sp.hi - sp.lo
+			copy(hist.G[sp.lo:sp.hi], g[off:off+n])
+			copy(hist.H[sp.lo:sp.hi], h[off:off+n])
 			off += n
 		}
 	}
@@ -340,13 +360,13 @@ func (c *Client) PullHistogram(node int, layout *histogram.Layout) (*histogram.H
 // PushSplitResult stores a node's global best split (plus its node totals,
 // needed by peers to weight unsplit leaves) on its owner server.
 func (c *Client) PushSplitResult(node int, res SplitResult) error {
-	w := wire.NewWriter(96)
+	w := c.newRequest(96)
 	w.Int32(int32(node))
 	// Stored split results are authoritative for tree construction; they
 	// always travel at full precision regardless of the pull encoding.
 	writeSplitRecord(w, splitRecord{Split: res.Split, HasTotals: res.HasTotals, NodeG: res.NodeG, NodeH: res.NodeH}, false)
 	owner := c.part.NodeOwner(node)
-	_, err := c.call(owner, OpPushSplitResult, w.Bytes())
+	_, err := c.send(owner, OpPushSplitResult, w)
 	return err
 }
 
@@ -359,15 +379,15 @@ func (c *Client) PullSplitResults(nodes []int) (map[int]SplitResult, error) {
 		byServer[owner] = append(byServer[owner], int32(n))
 	}
 	out := make(map[int]SplitResult, len(nodes))
-	resps, err := c.fanOut(OpPullSplitResults, func(sv int) []byte {
+	resps, err := c.fanOut(OpPullSplitResults, func(sv int) *wire.Writer {
 		ns := byServer[sv]
 		if len(ns) == 0 {
 			return nil // skip servers owning none of the nodes
 		}
-		w := wire.NewWriter(8 + 4*len(ns))
+		w := c.newRequest(8 + 4*len(ns))
 		w.Int32s(ns)
 		writeEncoding(w, c.pullEncoding())
-		return w.Bytes()
+		return w
 	})
 	if err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ package ps
 
 import (
 	"fmt"
-	"hash/fnv"
+	"sort"
 )
 
 // Partition maps features to parameter servers using range-hash
@@ -20,6 +20,10 @@ type Partition struct {
 	NumFeatures int
 	NumServers  int
 	NumRanges   int
+
+	// rangeServer[r] is the server range r hashes onto, fixed at
+	// construction.
+	rangeServer []int32
 }
 
 // NewPartition builds a partition. numRanges < 1 defaults to 8 ranges per
@@ -36,7 +40,18 @@ func NewPartition(numFeatures, numServers, numRanges int) (*Partition, error) {
 	if numRanges > numFeatures {
 		numRanges = numFeatures
 	}
-	return &Partition{NumFeatures: numFeatures, NumServers: numServers, NumRanges: numRanges}, nil
+	p := &Partition{NumFeatures: numFeatures, NumServers: numServers, NumRanges: numRanges}
+	p.rangeServer = make([]int32, numRanges)
+	for r := range p.rangeServer {
+		// FNV-1a over the range index's four little-endian bytes.
+		h := uint32(2166136261)
+		for shift := 0; shift < 32; shift += 8 {
+			h ^= uint32(r) >> shift & 0xff
+			h *= 16777619
+		}
+		p.rangeServer[r] = int32(h % uint32(numServers))
+	}
+	return p, nil
 }
 
 // rangeOf returns the range index of a feature. Ranges are the near-equal
@@ -71,17 +86,8 @@ func min(a, b int) int {
 	return b
 }
 
-// serverOfRange hashes a range index onto a server.
-func (p *Partition) serverOfRange(r int) int {
-	h := fnv.New32a()
-	var buf [4]byte
-	buf[0] = byte(r)
-	buf[1] = byte(r >> 8)
-	buf[2] = byte(r >> 16)
-	buf[3] = byte(r >> 24)
-	h.Write(buf[:])
-	return int(h.Sum32() % uint32(p.NumServers))
-}
+// serverOfRange returns the server range r hashes onto.
+func (p *Partition) serverOfRange(r int) int { return int(p.rangeServer[r]) }
 
 // ServerOf returns the server owning a feature.
 func (p *Partition) ServerOf(f int32) int {
@@ -91,15 +97,33 @@ func (p *Partition) ServerOf(f int32) int {
 	return p.serverOfRange(p.rangeOf(f))
 }
 
-// FeaturesOf filters the sorted feature list down to those owned by the
-// given server, preserving order.
+// runs is the one place shard geometry is derived: it cuts an ascending
+// feature list at the partition's range boundaries and calls visit(server,
+// lo, hi) for every non-empty piece features[lo:hi], in order. Ranges are
+// contiguous in feature id, so each piece is contiguous in the list — and in
+// any array laid out in list order, such as a histogram's buckets.
+func (p *Partition) runs(features []int32, visit func(server, lo, hi int)) {
+	lo := 0
+	for r := 0; r < p.NumRanges && lo < len(features); r++ {
+		_, end := p.RangeBounds(r)
+		rest := features[lo:]
+		hi := lo + sort.Search(len(rest), func(i int) bool { return rest[i] >= end })
+		if hi > lo {
+			visit(int(p.rangeServer[r]), lo, hi)
+		}
+		lo = hi
+	}
+}
+
+// FeaturesOf filters the ascending feature list (ids in [0, NumFeatures))
+// down to those owned by the given server, preserving order.
 func (p *Partition) FeaturesOf(server int, features []int32) []int32 {
 	var out []int32
-	for _, f := range features {
-		if p.ServerOf(f) == server {
-			out = append(out, f)
+	p.runs(features, func(sv, lo, hi int) {
+		if sv == server {
+			out = append(out, features[lo:hi]...)
 		}
-	}
+	})
 	return out
 }
 

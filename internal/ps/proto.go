@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -94,14 +95,8 @@ func mutatingOp(op uint8) bool {
 	return false
 }
 
-// writeEnvelope prepends the idempotency header to a request body.
-func writeEnvelope(worker int32, seq uint64, body []byte) []byte {
-	w := wire.NewWriter(12 + len(body))
-	w.Int32(worker)
-	w.Uint64(seq)
-	w.Raw(body)
-	return w.Bytes()
-}
+// envelopeSize is the byte length of the (worker, seq) request header.
+const envelopeSize = 4 + 8
 
 // Per-vector histogram wire tags. Every gradient/hessian vector on the wire
 // leads with one of these, so push and pull payloads are self-describing and
@@ -216,11 +211,13 @@ func denseVecSize(n int, ev vecEncoding) int {
 
 // writeHistVector appends one gradient/hessian vector under the encoding,
 // automatically switching to the sparse form when its exact predicted size
-// is smaller. Fixed-point widths draw rounding from enc; raw widths never
+// is smaller. The vector is the concatenation of parts — a pushed shard's
+// planned spans, or a single slice — and is encoded straight from them into
+// w's buffer. Fixed-point widths draw rounding from enc; raw widths never
 // touch it, so a nil enc is legal for exact/float32 encodings.
-func writeHistVector(w *wire.Writer, enc *compress.Encoder, vs []float64, ev vecEncoding) error {
+func writeHistVector(w *wire.Writer, enc *compress.Encoder, ev vecEncoding, parts ...[]float64) error {
 	start := w.Len()
-	tag, err := writeHistVectorBody(w, enc, vs, ev)
+	tag, err := writeHistVectorBody(w, enc, ev, parts)
 	if err != nil {
 		return err
 	}
@@ -228,191 +225,162 @@ func writeHistVector(w *wire.Writer, enc *compress.Encoder, vs []float64, ev vec
 	return nil
 }
 
-func writeHistVectorBody(w *wire.Writer, enc *compress.Encoder, vs []float64, ev vecEncoding) (uint8, error) {
+func writeHistVectorBody(w *wire.Writer, enc *compress.Encoder, ev vecEncoding, parts [][]float64) (uint8, error) {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	maxAbs, finite := 0.0, true
 	if ev.sparse {
-		nnz, spans := compress.SpanStats(vs)
-		if 1+compress.SparseWireSize(nnz, spans, ev.spanBits()) < denseVecSize(len(vs), ev) {
-			s, err := compress.EncodeSparse(enc, vs, ev.spanBits())
-			if err != nil {
-				return VecSparse, err
-			}
+		st := compress.Scan(parts...)
+		if 1+compress.SparseWireSize(st.NNZ, st.Runs, ev.spanBits()) < denseVecSize(n, ev) {
 			w.Uint8(VecSparse)
-			s.WriteTo(w)
-			return VecSparse, nil
+			return VecSparse, enc.WriteSparse(w, st, ev.spanBits(), parts...)
 		}
+		maxAbs, finite = st.MaxAbs, st.Finite
+	} else if ev.bits != 0 {
+		maxAbs, finite = compress.MaxAbs(parts...)
 	}
 	switch {
 	case ev.bits != 0:
-		c, err := enc.Encode(vs, ev.bits)
-		if err != nil {
-			return VecFixed, err
+		if !compress.ValidWidth(ev.bits) {
+			return VecFixed, fmt.Errorf("%w: %d", compress.ErrBadWidth, ev.bits)
 		}
+		if !finite {
+			return VecFixed, compress.ErrNonFinite
+		}
+		size := compress.PackedSize(n, ev.bits)
 		w.Uint8(VecFixed)
-		w.Uint8(uint8(c.Bits))
-		w.Uint32(uint32(c.N))
-		w.Float64(c.MaxAbs)
-		w.Bytes32(c.Data)
+		w.Uint8(uint8(ev.bits))
+		w.Uint32(uint32(n))
+		w.Float64(maxAbs)
+		w.Uint32(uint32(size))
+		enc.Pack(w.Extend(size), ev.bits, maxAbs, parts...)
 		return VecFixed, nil
 	case ev.exact:
 		w.Uint8(VecFloat64)
-		w.Float64s(vs)
+		w.Uint32(uint32(n))
+		for _, part := range parts {
+			for _, v := range part {
+				w.Float64(v)
+			}
+		}
 		return VecFloat64, nil
 	default:
 		w.Uint8(VecFloat32)
-		w.Float64sAs32(vs)
+		w.Uint32(uint32(n))
+		for _, part := range parts {
+			for _, v := range part {
+				w.Float32(float32(v))
+			}
+		}
 		return VecFloat32, nil
 	}
 }
 
-// readFixedVector consumes a dense fixed-point payload into a validated
-// compress.Compressed. what names the vector for error messages.
-func readFixedVector(r *wire.Reader, what string, wantN int) (*compress.Compressed, error) {
-	c := &compress.Compressed{Bits: uint(r.Uint8())}
-	c.N = int(r.Uint32())
-	c.MaxAbs = r.Float64()
-	c.Data = r.Bytes32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if c.N != wantN {
-		return nil, &ShapeError{What: what, Got: c.N, Want: wantN}
-	}
-	return c, nil
+// histVector is one tagged vector parsed in place: every header field is
+// validated — width, geometry against the receiver's bucket count, span
+// structure — but the bucket data stays where it arrived, aliased from the
+// message. A parsed vector can no longer fail to decode, which is what lets
+// a server check both vectors of a push before merging either.
+type histVector struct {
+	tag    uint8
+	size   int                 // bytes on the wire, tag included
+	raw    []byte              // VecFloat32 / VecFloat64 element bytes
+	fixed  compress.Compressed // VecFixed
+	sparse *compress.Sparse    // VecSparse
 }
 
-// readHistVectorInto consumes one tagged vector and merges (adds) it into
-// dst, which must already have the expected bucket count. Every payload is
-// validated — width, header geometry, span structure — before any decode
-// touches dst, so hostile or stale-layout messages yield typed errors, never
-// panics or partial merges.
-func readHistVectorInto(r *wire.Reader, what string, dst []float64) error {
+// parseHistVector consumes one tagged vector of wantN buckets. what names
+// it for error messages. Hostile or stale-layout payloads yield typed
+// errors, never panics.
+func parseHistVector(r *wire.Reader, what string, wantN int) (histVector, error) {
 	start := r.Remaining()
-	tag := r.Uint8()
+	v := histVector{tag: r.Uint8()}
 	if err := r.Err(); err != nil {
-		return err
+		return v, err
 	}
-	var err error
-	switch tag {
+	switch v.tag {
+	case VecFloat32, VecFloat64:
+		n := int(r.Uint32())
+		if err := r.Err(); err != nil {
+			return v, err
+		}
+		if n != wantN {
+			return v, &ShapeError{What: what, Got: n, Want: wantN}
+		}
+		elem := 4
+		if v.tag == VecFloat64 {
+			elem = 8
+		}
+		v.raw = r.Raw(n * elem)
+	case VecFixed:
+		v.fixed.Bits = uint(r.Uint8())
+		v.fixed.N = int(r.Uint32())
+		v.fixed.MaxAbs = r.Float64()
+		v.fixed.Data = r.Raw(int(r.Uint32()))
+		if err := r.Err(); err != nil {
+			return v, err
+		}
+		if err := v.fixed.Validate(); err != nil {
+			return v, err
+		}
+		if v.fixed.N != wantN {
+			return v, &ShapeError{What: what, Got: v.fixed.N, Want: wantN}
+		}
+	case VecSparse:
+		s, err := compress.ReadSparse(r)
+		if err != nil {
+			return v, err
+		}
+		if s.N != wantN {
+			return v, &ShapeError{What: what, Got: s.N, Want: wantN}
+		}
+		v.sparse = s
+	default:
+		return v, fmt.Errorf("ps: unknown histogram vector tag %d", v.tag)
+	}
+	v.size = start - r.Remaining()
+	return v, r.Err()
+}
+
+// addTo merges (adds) the vector into dst, which has the bucket count the
+// vector was parsed against, decoding directly out of the message bytes.
+func (v *histVector) addTo(dst []float64) error {
+	switch v.tag {
 	case VecFloat32:
-		vs := r.Float64sFrom32()
-		if err = r.Err(); err != nil {
-			return err
-		}
-		if len(vs) != len(dst) {
-			return &ShapeError{What: what, Got: len(vs), Want: len(dst)}
-		}
-		for i, v := range vs {
-			dst[i] += v
+		for i := range dst {
+			dst[i] += float64(math.Float32frombits(binary.LittleEndian.Uint32(v.raw[4*i:])))
 		}
 	case VecFloat64:
-		vs := r.Float64s()
-		if err = r.Err(); err != nil {
-			return err
-		}
-		if len(vs) != len(dst) {
-			return &ShapeError{What: what, Got: len(vs), Want: len(dst)}
-		}
-		for i, v := range vs {
-			dst[i] += v
+		for i := range dst {
+			dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(v.raw[8*i:]))
 		}
 	case VecFixed:
-		c, cerr := readFixedVector(r, what, len(dst))
-		if cerr != nil {
-			return cerr
-		}
-		if err = compress.DecodeInto(dst, c); err != nil {
+		if err := compress.DecodeInto(dst, &v.fixed); err != nil {
 			return err
 		}
 	case VecSparse:
-		s, serr := compress.ReadSparse(r)
-		if serr != nil {
-			return serr
-		}
-		if s.N != len(dst) {
-			return &ShapeError{What: what, Got: s.N, Want: len(dst)}
-		}
-		if err = s.DecodeInto(dst); err != nil {
+		if err := v.sparse.DecodeInto(dst); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("ps: unknown histogram vector tag %d", tag)
 	}
-	vectorBytes(tag, dirDecode, int64(start-r.Remaining()))
+	vectorBytes(v.tag, dirDecode, int64(v.size))
 	return nil
 }
 
 // readHistVector consumes one tagged vector into a fresh slice of wantN
 // values.
 func readHistVector(r *wire.Reader, what string, wantN int) ([]float64, error) {
+	v, err := parseHistVector(r, what, wantN)
+	if err != nil {
+		return nil, err
+	}
 	dst := make([]float64, wantN)
-	if err := readHistVectorInto(r, what, dst); err != nil {
+	if err := v.addTo(dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// checkHistVector validates one tagged vector from its headers and advances
-// past it without decoding values — the push path's admission check. The
-// cost is O(1) for dense payloads and O(spans) for sparse ones; bucket data
-// is never materialized.
-func checkHistVector(r *wire.Reader, what string, wantN int) error {
-	tag := r.Uint8()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	switch tag {
-	case VecFloat32, VecFloat64:
-		n := int(r.Uint32())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if n != wantN {
-			return &ShapeError{What: what, Got: n, Want: wantN}
-		}
-		elem := 4
-		if tag == VecFloat64 {
-			elem = 8
-		}
-		r.Skip(n * elem)
-		return r.Err()
-	case VecFixed:
-		bits := uint(r.Uint8())
-		n := int(r.Uint32())
-		maxAbs := r.Float64()
-		ln := int(r.Uint32())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if !compress.ValidWidth(bits) {
-			return fmt.Errorf("%w: %d", compress.ErrBadWidth, bits)
-		}
-		if math.IsNaN(maxAbs) || math.IsInf(maxAbs, 0) || maxAbs < 0 {
-			return fmt.Errorf("%w: MaxAbs %v", compress.ErrBadHeader, maxAbs)
-		}
-		if n != wantN {
-			return &ShapeError{What: what, Got: n, Want: wantN}
-		}
-		if want := (n*int(bits) + 7) / 8; ln != want {
-			return fmt.Errorf("%w: %d data bytes for %d %d-bit values (want %d)",
-				compress.ErrSizeMismatch, ln, n, bits, want)
-		}
-		r.Skip(ln)
-		return r.Err()
-	case VecSparse:
-		s, err := compress.ReadSparse(r)
-		if err != nil {
-			return err
-		}
-		if s.N != wantN {
-			return &ShapeError{What: what, Got: s.N, Want: wantN}
-		}
-		return nil
-	default:
-		return fmt.Errorf("ps: unknown histogram vector tag %d", tag)
-	}
 }
 
 // Split-record layouts. Full records carry every statistic as float64;

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -121,7 +122,7 @@ type psFixture struct {
 	clients []*Client
 }
 
-func newFixture(t *testing.T, numFeatures, p, w int) *psFixture {
+func newFixture(t testing.TB, numFeatures, p, w int) *psFixture {
 	t.Helper()
 	net := transport.NewMemNetwork()
 	part, err := NewPartition(numFeatures, p, 0)
@@ -403,6 +404,19 @@ func TestServerRejectsBadTraffic(t *testing.T) {
 	if _, err := ep.Call(serverName(0), transport.Message{Op: OpPushHist, Body: []byte{1, 2}}); err == nil {
 		t.Fatal("truncated body should fail")
 	}
+	// a second, non-duplicate push for a (node, worker) whose first one is
+	// already merged and read: the node used to restart from this one shard
+	hist := histogram.New(layout)
+	if err := c.PushHistogram(0, hist); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PullSplit(0, 1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	var repush *RepushError
+	if err := c.PushHistogram(0, hist); !errors.As(err, &repush) {
+		t.Fatalf("re-push after the merge got %v, want RepushError", err)
+	}
 }
 
 // recordingEndpoint captures the last request per op so tests can replay
@@ -424,6 +438,8 @@ func newRecordingEndpoint(ep transport.Endpoint) *recordingEndpoint {
 
 func (e *recordingEndpoint) Call(to string, req transport.Message) (transport.Message, error) {
 	e.lastTo[req.Op] = to
+	// Clients reuse request buffers once Call returns; keep a copy.
+	req.Body = append([]byte(nil), req.Body...)
 	e.lastReq[req.Op] = req
 	return e.Endpoint.Call(to, req)
 }

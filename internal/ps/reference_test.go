@@ -1,0 +1,415 @@
+package ps
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"dimboost/internal/compress"
+	"dimboost/internal/histogram"
+	"dimboost/internal/sketch"
+	"dimboost/internal/transport"
+	"dimboost/internal/wire"
+)
+
+// The reference push encoder: the per-feature scatter, the copy-per-stage
+// framing and the bit-at-a-time fixed-point packer the planned, in-place
+// path replaced, kept verbatim as the byte-identity oracle. Payloads are
+// part of the model's reproducibility (the stochastic rounder's stream
+// position decides every quantized bucket), so the fast path must produce
+// exactly these bytes.
+
+// refShardArrays extracts a server's buckets feature by feature.
+func refShardArrays(part *Partition, sv int, hist *histogram.Histogram) (g, h []float64) {
+	l := hist.Layout
+	for _, f := range l.Features {
+		if part.ServerOf(f) != sv {
+			continue
+		}
+		lo, hi := l.BucketRange(int(l.Pos(f)))
+		g = append(g, hist.G[lo:hi]...)
+		h = append(h, hist.H[lo:hi]...)
+	}
+	return
+}
+
+// refPutBits writes the low `bits` bits of v at element index i.
+func refPutBits(data []byte, i int, bits uint, v uint64) {
+	bitPos := i * int(bits)
+	for b := uint(0); b < bits; b += 8 {
+		byteIdx := (bitPos + int(b)) / 8
+		shift := uint(bitPos+int(b)) % 8
+		chunk := byte(v >> b)
+		if bits-b < 8 {
+			chunk &= (1 << (bits - b)) - 1
+		}
+		data[byteIdx] |= chunk << shift
+		if shift != 0 && int(8-shift) < int(bits-b) {
+			data[byteIdx+1] |= chunk >> (8 - shift)
+		}
+	}
+}
+
+// refEncode is the stochastic fixed-point quantizer with per-value clamping.
+func refEncode(rng *rand.Rand, values []float64, bits uint) (maxAbs float64, data []byte) {
+	for _, v := range values {
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	data = make([]byte, (len(values)*int(bits)+7)/8)
+	if maxAbs == 0 {
+		return
+	}
+	levels := float64(int64(1)<<(bits-1) - 1)
+	lo, hi := -(int64(1) << (bits - 1)), int64(1)<<(bits-1)-1
+	for i, v := range values {
+		t := v / maxAbs * levels
+		f := math.Floor(t)
+		q := int64(f)
+		if rng.Float64() < t-f {
+			q++
+		}
+		if q < lo {
+			q = lo
+		}
+		if q > hi {
+			q = hi
+		}
+		refPutBits(data, i, bits, uint64(q)&((1<<bits)-1))
+	}
+	return
+}
+
+// refWriteVector appends one tagged vector the way the old client did:
+// size-predict the sparse form, then encode into temporaries and copy.
+func refWriteVector(w *wire.Writer, rng *rand.Rand, vs []float64, ev vecEncoding) {
+	if ev.sparse {
+		nnz, runs := 0, 0
+		inRun := false
+		for _, v := range vs {
+			if v != 0 {
+				nnz++
+				if !inRun {
+					runs++
+				}
+				inRun = true
+			} else {
+				inRun = false
+			}
+		}
+		if 1+compress.SparseWireSize(nnz, runs, ev.spanBits()) < denseVecSize(len(vs), ev) {
+			s := &compress.Sparse{Bits: ev.spanBits(), N: len(vs)}
+			var nz []float64
+			for i, v := range vs {
+				if a := math.Abs(v); a > s.MaxAbs {
+					s.MaxAbs = a
+				}
+				if v == 0 {
+					continue
+				}
+				if n := len(s.Spans); n > 0 && int(s.Spans[n-1].Start+s.Spans[n-1].Count) == i {
+					s.Spans[n-1].Count++
+				} else {
+					s.Spans = append(s.Spans, compress.Span{Start: uint32(i), Count: 1})
+				}
+				nz = append(nz, v)
+			}
+			dw := wire.NewWriter(8 * len(nz))
+			switch s.Bits {
+			case compress.RawFloat32:
+				for _, v := range nz {
+					dw.Float32(float32(v))
+				}
+				s.Data = dw.Bytes()
+			case compress.RawFloat64:
+				for _, v := range nz {
+					dw.Float64(v)
+				}
+				s.Data = dw.Bytes()
+			default:
+				s.MaxAbs, s.Data = refEncode(rng, nz, s.Bits)
+			}
+			w.Uint8(VecSparse)
+			s.WriteTo(w)
+			return
+		}
+	}
+	switch {
+	case ev.bits != 0:
+		maxAbs, data := refEncode(rng, vs, ev.bits)
+		w.Uint8(VecFixed)
+		w.Uint8(uint8(ev.bits))
+		w.Uint32(uint32(len(vs)))
+		w.Float64(maxAbs)
+		w.Bytes32(data)
+	case ev.exact:
+		w.Uint8(VecFloat64)
+		w.Float64s(vs)
+	default:
+		w.Uint8(VecFloat32)
+		w.Float64sAs32(vs)
+	}
+}
+
+// capturingEndpoint keeps a copy of every request it forwards, per callee.
+type capturingEndpoint struct {
+	transport.Endpoint
+	mu   sync.Mutex // fan-outs call concurrently
+	sent map[string][][]byte
+}
+
+func (e *capturingEndpoint) Call(to string, req transport.Message) (transport.Message, error) {
+	if req.Op == OpPushHist {
+		e.mu.Lock()
+		e.sent[to] = append(e.sent[to], append([]byte(nil), req.Body...))
+		e.mu.Unlock()
+	}
+	return e.Endpoint.Call(to, req)
+}
+
+// shapedCands gives feature f between one and four buckets, so spans have
+// uneven widths.
+func shapedCands(m int) []sketch.Candidates {
+	cands := make([]sketch.Candidates, m)
+	for f := range cands {
+		cuts := []float64{0}
+		for k := 1; k <= f%4; k++ {
+			cuts = append(cuts, float64(k))
+		}
+		cands[f] = sketch.FromCuts(cuts)
+	}
+	return cands
+}
+
+// fillHist populates a histogram with runs of zeros and nonzeros of mixed
+// length, deterministically per (worker, node).
+func fillHist(h *histogram.Histogram, seed int64, density float64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := range h.G {
+		h.G[i], h.H[i] = 0, 0
+		if rng.Float64() < density {
+			h.G[i] = rng.NormFloat64()
+			h.H[i] = rng.Float64()
+		}
+	}
+}
+
+// pushGeometry is one partition/sampling shape of the identity matrix.
+type pushGeometry struct {
+	name              string
+	m, servers, nrang int
+	sampled           func(p *Partition) []int32
+}
+
+func everyKth(k int) func(*Partition) []int32 {
+	return func(p *Partition) []int32 {
+		var out []int32
+		for f := 0; f < p.NumFeatures; f += k {
+			out = append(out, int32(f))
+		}
+		return out
+	}
+}
+
+func allFeatures(p *Partition) []int32 { return histogram.AllFeatures(p.NumFeatures) }
+
+// notOnServer samples exactly the features server sv does not own, leaving
+// it an empty shard.
+func notOnServer(sv int) func(*Partition) []int32 {
+	return func(p *Partition) []int32 {
+		var out []int32
+		for f := int32(0); int(f) < p.NumFeatures; f++ {
+			if p.ServerOf(f) != sv {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+}
+
+var pushGeometries = []pushGeometry{
+	{"all features", 97, 3, 0, allFeatures},
+	{"sampled with gaps", 211, 3, 0, everyKth(3)},
+	{"more ranges than sampled features", 300, 2, 300, everyKth(17)},
+	{"ranges clamped to features", 13, 4, 1000, allFeatures},
+	{"empty server shard", 120, 3, 0, notOnServer(2)},
+}
+
+// TestPushPayloadsMatchReference: for every width × sparse × exact mode and
+// every shard geometry, each byte the client hands the transport — envelope
+// included — equals the reference encoder's, across consecutive pushes (so
+// the rounding stream stays in step), and the pushed shards reassemble.
+func TestPushPayloadsMatchReference(t *testing.T) {
+	type mode struct {
+		bits          uint
+		exact, sparse bool
+	}
+	var modes []mode
+	for _, bits := range []uint{0, 2, 4, 8, 16} {
+		modes = append(modes, mode{bits, false, false}, mode{bits, false, true})
+	}
+	modes = append(modes, mode{0, true, false}, mode{0, true, true})
+
+	for _, geo := range pushGeometries {
+		for _, md := range modes {
+			for _, density := range []float64{0.03, 0.6} {
+				name := fmt.Sprintf("%s/bits=%d exact=%v sparse=%v density=%v", geo.name, md.bits, md.exact, md.sparse, density)
+				t.Run(name, func(t *testing.T) {
+					checkPushIdentity(t, geo, md.bits, md.exact, md.sparse, density)
+				})
+			}
+		}
+	}
+}
+
+func checkPushIdentity(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool, density float64) {
+	const worker = 1
+	net := transport.NewMemNetwork()
+	defer net.Close()
+	part, err := NewPartition(geo.m, geo.servers, geo.nrang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := geo.sampled(part)
+	cands := shapedCands(geo.m)
+	names := make([]string, geo.servers)
+	servers := make([]*Server, geo.servers)
+	for i := range names {
+		names[i] = serverName(i)
+		ep, err := net.Endpoint(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = NewServer(i, part, 0.02)
+		for f := range cands {
+			servers[i].cands[int32(f)] = cands[f]
+		}
+		ep.Handle(servers[i].Handler())
+	}
+	ep, err := net.Endpoint(workerName(worker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capt := &capturingEndpoint{Endpoint: ep, sent: make(map[string][][]byte)}
+	c := NewClient(capt, part, names, worker)
+	c.Bits, c.Exact, c.Sparse = bits, exact, sparse
+	if err := c.NewTree(sampled); err != nil {
+		t.Fatal(err)
+	}
+	layout, err := histogram.NewLayout(sampled, cands, geo.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := rand.New(rand.NewSource(worker + 1)) // NewClient's encoder seed
+	ev := vecEncoding{bits: bits, exact: exact, sparse: sparse}
+	hist := histogram.New(layout)
+	const pushes = 3
+	want := make(map[string][][]byte)
+	for node := 0; node < pushes; node++ {
+		fillHist(hist, int64(100*node+7), density)
+		seq0 := c.seq.Load()
+		if err := c.PushHistogram(node, hist); err != nil {
+			t.Fatal(err)
+		}
+		for sv := range names {
+			g, h := refShardArrays(part, sv, hist)
+			body := wire.NewWriter(64)
+			body.Int32(int32(node))
+			refWriteVector(body, ref, g, ev)
+			refWriteVector(body, ref, h, ev)
+			env := wire.NewWriter(envelopeSize + body.Len())
+			env.Int32(worker)
+			env.Uint64(seq0 + uint64(sv) + 1)
+			env.Raw(body.Bytes())
+			want[names[sv]] = append(want[names[sv]], env.Bytes())
+		}
+	}
+	for sv, name := range names {
+		if len(capt.sent[name]) != pushes {
+			t.Fatalf("server %d saw %d pushes, want %d", sv, len(capt.sent[name]), pushes)
+		}
+		for node := range want[name] {
+			if !bytes.Equal(capt.sent[name][node], want[name][node]) {
+				t.Fatalf("server %d node %d: %d payload bytes differ from the reference's %d",
+					sv, node, len(capt.sent[name][node]), len(want[name][node]))
+			}
+		}
+	}
+
+	// The same geometry serves the pull: on an exact wire the reassembled
+	// histogram is the pushed one, bucket for bucket, gaps included.
+	if exact {
+		got, err := c.PullHistogram(pushes-1, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range hist.G {
+			if math.Float64bits(got.G[i]) != math.Float64bits(hist.G[i]) || math.Float64bits(got.H[i]) != math.Float64bits(hist.H[i]) {
+				t.Fatalf("bucket %d: pulled (%v,%v), pushed (%v,%v)", i, got.G[i], got.H[i], hist.G[i], hist.H[i])
+			}
+		}
+	}
+}
+
+// TestPartitionTableMatchesFNV pins the precomputed range→server table to
+// the FNV-1a assignment every recorded layout was produced with, and the
+// range-walking FeaturesOf to the per-feature filter it replaced.
+func TestPartitionTableMatchesFNV(t *testing.T) {
+	for _, tc := range []struct{ m, p, r int }{{100, 4, 0}, {330, 7, 0}, {5, 8, 0}, {100_000, 2, 0}, {1000, 3, 1 << 20}} {
+		part, err := NewPartition(tc.m, tc.p, tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < part.NumRanges; r++ {
+			// hash/fnv's New32a over the four little-endian index bytes.
+			h := uint32(2166136261)
+			for _, b := range []byte{byte(r), byte(r >> 8), byte(r >> 16), byte(r >> 24)} {
+				h ^= uint32(b)
+				h *= 16777619
+			}
+			if want := int(h % uint32(tc.p)); part.serverOfRange(r) != want {
+				t.Fatalf("m=%d p=%d: range %d on server %d, FNV-1a says %d", tc.m, tc.p, r, part.serverOfRange(r), want)
+			}
+		}
+		for _, features := range [][]int32{allFeatures(part), everyKth(7)(part), {int32(tc.m - 1)}, nil} {
+			for sv := 0; sv < tc.p; sv++ {
+				var want []int32
+				for _, f := range features {
+					if part.ServerOf(f) == sv {
+						want = append(want, f)
+					}
+				}
+				got := part.FeaturesOf(sv, features)
+				if len(got) != len(want) {
+					t.Fatalf("m=%d p=%d sv=%d: %d features, want %d", tc.m, tc.p, sv, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("m=%d p=%d sv=%d: feature %d is %d, want %d", tc.m, tc.p, sv, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNonFinitePushRejected: a NaN bucket has no fixed-point or sparse
+// encoding; the push fails on the client with the typed error instead of
+// shipping garbage levels.
+func TestNonFinitePushRejected(t *testing.T) {
+	pb := newPushBench(t, 50)
+	pb.hist.G[3] = math.NaN()
+	c := pb.fx.clients[0]
+	for _, sparse := range []bool{false, true} {
+		c.Sparse = sparse
+		if err := c.PushHistogram(0, pb.hist); !errors.Is(err, compress.ErrNonFinite) {
+			t.Fatalf("sparse=%v: got %v, want ErrNonFinite", sparse, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -17,8 +18,10 @@ import (
 // Server is one parameter-server shard. It owns the features of its hash
 // ranges: their quantile sketches, split candidates, histogram buckets of
 // every active tree node, and the split results of the nodes it is the
-// NodeOwner of. All state is guarded by one mutex; handlers are invoked
-// concurrently by the transport.
+// NodeOwner of. Handlers are invoked concurrently by the transport: mu
+// guards the maps and per-tree fields, and each node's histogram
+// accumulator has its own lock so pushes for different nodes merge in
+// parallel.
 type Server struct {
 	id   int
 	part *Partition
@@ -34,13 +37,13 @@ type Server struct {
 	cands           map[int32]sketch.Candidates
 	sampled         []int32
 	layout          *histogram.Layout // shard layout: owned ∩ sampled features
-	// pending holds per-node, per-worker pushed shards awaiting the
-	// deterministic worker-ordered merge. Shards stay in their wire format
-	// (tagged vectors: float32/float64/fixed/sparse) until the merge,
-	// keeping server memory at wire size rather than decoded float64 size.
-	pending map[int32]map[int32]*wireShard
-	merged  map[int32]*shard
-	splits  map[int32]splitRecord
+	// nodes holds the histogram accumulator of every tree node pushed this
+	// tree; NEW_TREE replaces the map.
+	nodes map[int32]*nodeShard
+	// spare holds the bucket arrays of the previous tree's accumulators
+	// for this tree's nodes to reuse; all have the current layout's length.
+	spare  [][]float64
+	splits map[int32]splitRecord
 	// applied is the highest request seq applied per worker (see the
 	// envelope notes in proto.go). A mutating request at or below it is a
 	// duplicate — a transport-level retry whose original did land — and is
@@ -49,16 +52,41 @@ type Server struct {
 	applied map[int32]uint64
 }
 
-// shard is the G/H bucket arrays of one node restricted to this server's
-// features, laid out per s.layout.
-type shard struct {
-	g, h []float64
+// nodeShard accumulates one node's G/H buckets restricted to this server's
+// features, laid out per the tree's shard layout. Float addition is not
+// associative, so worker shards are merged in ascending worker id whatever
+// order they arrive in: next is the frontier — every worker below it is
+// already in g/h. A push from worker == next decodes straight from the
+// request into g/h and advances the frontier through any parked successors;
+// a push from beyond the frontier is parked as a copy of its wire bytes
+// (compressed size, not decoded size). A pull folds whatever is still
+// parked in ascending worker id and seals the node.
+type nodeShard struct {
+	mu     sync.Mutex
+	g, h   []float64
+	next   int32
+	parked map[int32][]byte
+	// pushed records the request seq accepted from each worker, which tells
+	// a resent push (same seq: acknowledge) from a second one (reject).
+	pushed map[int32]uint64
+	sealed bool
 }
 
-// wireShard is a pushed histogram shard still in wire format: two tagged
-// G/H vectors, validated at push time, decoded at merge.
-type wireShard struct {
-	body []byte
+// RepushError rejects a histogram push the accumulator cannot take: the
+// worker already pushed this node under another request, or the node's
+// merge has already been read by a pull. Accepting either would silently
+// change a histogram other workers may have split on.
+type RepushError struct {
+	Node, Worker int32
+	// Sealed is true when the push arrived after a pull of the node.
+	Sealed bool
+}
+
+func (e *RepushError) Error() string {
+	if e.Sealed {
+		return fmt.Sprintf("ps: histogram push for node %d from worker %d after the node was pulled", e.Node, e.Worker)
+	}
+	return fmt.Sprintf("ps: worker %d already pushed a histogram for node %d this tree", e.Worker, e.Node)
 }
 
 // serverEnc encodes pull responses. It rounds to nearest (no RNG), so it is
@@ -76,8 +104,7 @@ func NewServer(id int, part *Partition, sketchEps float64) *Server {
 		pendingSketches: make(map[int32]map[int32]*sketch.GK),
 		sketches:        make(map[int32]*sketch.GK),
 		cands:           make(map[int32]sketch.Candidates),
-		pending:         make(map[int32]map[int32]*wireShard),
-		merged:          make(map[int32]*shard),
+		nodes:           make(map[int32]*nodeShard),
 		splits:          make(map[int32]splitRecord),
 		applied:         make(map[int32]uint64),
 	}
@@ -134,7 +161,7 @@ func (s *Server) Handler() transport.Handler {
 		case OpNewTree:
 			resp, err = s.newTree(r)
 		case OpPushHist:
-			resp, err = s.pushHist(worker, r)
+			resp, err = s.pushHist(worker, seq, r)
 		case OpPullSplit:
 			resp, err = s.pullSplit(r)
 		case OpPullHistShard:
@@ -274,6 +301,11 @@ func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	for i, f := range sampled {
+		if f < 0 || int(f) >= s.part.NumFeatures || (i > 0 && f <= sampled[i-1]) {
+			return nil, fmt.Errorf("bad sampled feature %d at position %d", f, i)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sampled = sampled
@@ -292,81 +324,173 @@ func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Retire the finished tree's accumulators: a straggling push finds its
+	// node sealed, a straggling pull finds it empty, and the arrays go to
+	// the next tree when the sampled layout kept its size.
+	s.spare = s.spare[:0]
+	for _, n := range s.nodes {
+		n.mu.Lock()
+		if len(n.g) == layout.TotalBuckets {
+			s.spare = append(s.spare, n.g, n.h)
+		}
+		n.g, n.h, n.sealed = nil, nil, true
+		n.mu.Unlock()
+	}
 	s.layout = layout
-	s.pending = make(map[int32]map[int32]*wireShard)
-	s.merged = make(map[int32]*shard)
+	s.nodes = make(map[int32]*nodeShard)
 	s.splits = make(map[int32]splitRecord)
 	return nil, nil
 }
 
-// pushHist stores one worker's shard of one node's histogram. Shards are
-// buffered in wire format and merged (decoded) in worker-id order at first
-// read, so the global histogram is independent of push arrival order and
-// server memory stays proportional to the compressed wire size.
-func (s *Server) pushHist(worker int32, r *wire.Reader) (*wire.Writer, error) {
+// buckets returns a zeroed bucket array for the current layout. Caller
+// holds s.mu.
+func (s *Server) buckets() []float64 {
+	if k := len(s.spare); k > 0 {
+		b := s.spare[k-1]
+		s.spare = s.spare[:k-1]
+		clear(b)
+		return b
+	}
+	return make([]float64, s.layout.TotalBuckets)
+}
+
+// pushHist merges one worker's shard of one node's histogram (see
+// nodeShard for the ordering discipline).
+func (s *Server) pushHist(worker int32, seq uint64, r *wire.Reader) (*wire.Writer, error) {
 	node := r.Int32()
-	body := make([]byte, len(r.Rest()))
-	copy(body, r.Rest())
+	body := r.Rest()
 	r.Skip(len(body))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.layout == nil {
+	if worker < 0 {
+		return nil, fmt.Errorf("push from negative worker id %d", worker)
+	}
+	layout, _ := s.tree(node)
+	if layout == nil {
 		return nil, fmt.Errorf("push before NEW_TREE")
 	}
-	// Validate the payload shape from headers only — every declared width
-	// and element count is checked against this server's layout before the
-	// shard is accepted, so a stale-partition client (or hostile peer)
-	// cannot mis-size the merge buffer or smuggle an undecodable width to
-	// the merge. Bucket data itself is decoded once, at the worker-ordered
-	// merge.
-	cr := wire.NewReader(body)
-	if err := checkHistVector(cr, "pushed g shard", s.layout.TotalBuckets); err != nil {
+	// Both vectors are parsed — every declared width and element count
+	// checked against this server's layout — before the accumulator is
+	// touched, so a stale-partition client (or hostile peer) can neither
+	// mis-size a merge nor leave one half applied.
+	g, h, err := parseShard(body, layout.TotalBuckets)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkHistVector(cr, "pushed h shard", s.layout.TotalBuckets); err != nil {
+	n, err := s.nodeShard(node, layout)
+	if err != nil {
 		return nil, err
 	}
-	if cr.Remaining() != 0 {
-		return nil, fmt.Errorf("push has %d trailing bytes", cr.Remaining())
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if prev, ok := n.pushed[worker]; ok && prev == seq {
+		return nil, nil // a resend that overtook its original's ack
+	} else if ok || n.sealed {
+		return nil, &RepushError{Node: node, Worker: worker, Sealed: !ok}
 	}
-	byWorker := s.pending[node]
-	if byWorker == nil {
-		byWorker = make(map[int32]*wireShard)
-		s.pending[node] = byWorker
+	n.pushed[worker] = seq
+	if worker != n.next {
+		// Beyond the frontier (a sealed node aside, nothing unpushed lies
+		// below it): park a copy, the request buffer is the caller's.
+		n.parked[worker] = append([]byte(nil), body...)
+		return nil, nil
 	}
-	byWorker[worker] = &wireShard{body: body}
-	delete(s.merged, node) // new data invalidates a previous merge
+	if err := n.add(&g, &h); err != nil {
+		return nil, err
+	}
+	n.next++
+	for ; n.parked[n.next] != nil; n.next++ {
+		if err := n.addParked(n.next); err != nil {
+			return nil, err
+		}
+	}
 	return nil, nil
 }
 
-// mergedShard folds pending pushes (worker-id order) into the node's global
-// shard. Caller holds s.mu.
-func (s *Server) mergedShard(node int32) (*shard, error) {
-	if m := s.merged[node]; m != nil {
-		return m, nil
+// parseShard parses a push body: exactly two tagged vectors of want
+// buckets.
+func parseShard(body []byte, want int) (g, h histVector, err error) {
+	r := wire.NewReader(body)
+	if g, err = parseHistVector(r, "pushed g shard", want); err != nil {
+		return
 	}
-	byWorker := s.pending[node]
-	if len(byWorker) == 0 {
-		return nil, fmt.Errorf("no histogram pushed for node %d", node)
+	if h, err = parseHistVector(r, "pushed h shard", want); err != nil {
+		return
 	}
-	workers := make([]int32, 0, len(byWorker))
-	for wk := range byWorker {
+	if r.Remaining() != 0 {
+		err = fmt.Errorf("push has %d trailing bytes", r.Remaining())
+	}
+	return
+}
+
+// tree returns the current tree's shard layout (nil before NEW_TREE) and
+// the node's accumulator (nil before its first push) as one consistent
+// pair: NEW_TREE replaces both under the same lock.
+func (s *Server) tree(node int32) (*histogram.Layout, *nodeShard) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.layout, s.nodes[node]
+}
+
+// nodeShard returns the node's accumulator, creating it on first push.
+// layout is what the push was validated against; if NEW_TREE replaced it
+// meanwhile the push belongs to a tree that no longer exists.
+func (s *Server) nodeShard(node int32, layout *histogram.Layout) (*nodeShard, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.layout != layout {
+		return nil, fmt.Errorf("push for node %d overtaken by NEW_TREE", node)
+	}
+	n := s.nodes[node]
+	if n == nil {
+		n = &nodeShard{
+			g:      s.buckets(),
+			h:      s.buckets(),
+			parked: make(map[int32][]byte),
+			pushed: make(map[int32]uint64),
+		}
+		s.nodes[node] = n
+	}
+	return n, nil
+}
+
+// add merges one parsed shard. Caller holds n.mu.
+func (n *nodeShard) add(g, h *histVector) error {
+	if err := g.addTo(n.g); err != nil {
+		return err
+	}
+	return h.addTo(n.h)
+}
+
+// addParked merges and releases a parked shard. Caller holds n.mu.
+func (n *nodeShard) addParked(worker int32) error {
+	g, h, err := parseShard(n.parked[worker], len(n.g))
+	if err != nil {
+		return err
+	}
+	delete(n.parked, worker)
+	return n.add(&g, &h)
+}
+
+// read hands f the merged arrays under the node's lock. First it folds in
+// what is still parked behind a gap in the worker ids, in ascending order,
+// so g/h hold every accepted push; from then on the node is sealed.
+func (n *nodeShard) read(f func(g, h []float64) error) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.g == nil {
+		return errors.New("pull overtaken by NEW_TREE")
+	}
+	n.sealed = true
+	workers := make([]int32, 0, len(n.parked))
+	for wk := range n.parked {
 		workers = append(workers, wk)
 	}
 	sort.Slice(workers, func(a, b int) bool { return workers[a] < workers[b] })
-	out := &shard{g: make([]float64, s.layout.TotalBuckets), h: make([]float64, s.layout.TotalBuckets)}
 	for _, wk := range workers {
-		r := wire.NewReader(byWorker[wk].body)
-		if err := readHistVectorInto(r, "pushed g shard", out.g); err != nil {
-			return nil, err
-		}
-		if err := readHistVectorInto(r, "pushed h shard", out.h); err != nil {
-			return nil, err
+		if err := n.addParked(wk); err != nil {
+			return err
 		}
 	}
-	delete(s.pending, node) // wire buffers are no longer needed
-	s.merged[node] = out
-	return out, nil
+	return f(n.g, n.h)
 }
 
 // pullSplit is the user-defined pull of §6.3: run Algorithm 1 over this
@@ -380,24 +504,25 @@ func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	layout, sh := s.tree(node)
 	w := wire.NewWriter(96)
-	if s.layout == nil || s.layout.NumFeatures() == 0 {
+	if layout == nil || layout.NumFeatures() == 0 {
 		writeSplitRecord(w, splitRecord{}, ev.compactSplits())
 		return w, nil
 	}
-	sh, err := s.mergedShard(node)
-	if err != nil {
-		return nil, err
+	if sh == nil {
+		return nil, fmt.Errorf("no histogram pushed for node %d", node)
 	}
-	hist := &histogram.Histogram{Layout: s.layout, G: sh.g, H: sh.h}
-	// Every feature's buckets sum to the node totals (Algorithm 2
-	// invariant), so the shard alone recovers them.
-	totalG, totalH := hist.FeatureTotals(0)
-	split := core.FindSplit(hist, totalG, totalH, lambda, gamma, minChild)
-	writeSplitRecord(w, splitRecord{Split: split, HasTotals: true, NodeG: totalG, NodeH: totalH}, ev.compactSplits())
-	return w, nil
+	err = sh.read(func(g, h []float64) error {
+		hist := &histogram.Histogram{Layout: layout, G: g, H: h}
+		// Every feature's buckets sum to the node totals (Algorithm 2
+		// invariant), so the shard alone recovers them.
+		totalG, totalH := hist.FeatureTotals(0)
+		split := core.FindSplit(hist, totalG, totalH, lambda, gamma, minChild)
+		writeSplitRecord(w, splitRecord{Split: split, HasTotals: true, NodeG: totalG, NodeH: totalH}, ev.compactSplits())
+		return nil
+	})
+	return w, err
 }
 
 // pullHistShard returns the merged shard under the encoding the client
@@ -409,30 +534,28 @@ func (s *Server) pullHistShard(r *wire.Reader) (*wire.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.layout == nil || s.layout.NumFeatures() == 0 {
+	layout, sh := s.tree(node)
+	if layout == nil || layout.NumFeatures() == 0 {
 		w := wire.NewWriter(16)
-		if err := writeHistVector(w, serverEnc, nil, ev); err != nil {
+		if err := writeHistVector(w, serverEnc, ev); err != nil {
 			return nil, err
 		}
-		if err := writeHistVector(w, serverEnc, nil, ev); err != nil {
+		if err := writeHistVector(w, serverEnc, ev); err != nil {
 			return nil, err
 		}
 		return w, nil
 	}
-	sh, err := s.mergedShard(node)
-	if err != nil {
-		return nil, err
+	if sh == nil {
+		return nil, fmt.Errorf("no histogram pushed for node %d", node)
 	}
-	w := wire.NewWriter(8 * len(sh.g))
-	if err := writeHistVector(w, serverEnc, sh.g, ev); err != nil {
-		return nil, err
-	}
-	if err := writeHistVector(w, serverEnc, sh.h, ev); err != nil {
-		return nil, err
-	}
-	return w, nil
+	w := wire.NewWriter(8 * layout.TotalBuckets)
+	err = sh.read(func(g, h []float64) error {
+		if err := writeHistVector(w, serverEnc, ev, g); err != nil {
+			return err
+		}
+		return writeHistVector(w, serverEnc, ev, h)
+	})
+	return w, err
 }
 
 func (s *Server) pushSplitResult(r *wire.Reader) (*wire.Writer, error) {

@@ -114,10 +114,10 @@ func TestHostileHistHeadersRejected(t *testing.T) {
 		}, compress.ErrSpanRange},
 	}
 	for _, tc := range cases {
-		w := wire.NewWriter(64)
+		w := c.newRequest(64)
 		w.Int32(0) // node
 		tc.build(w)
-		_, err := c.call(0, OpPushHist, w.Bytes())
+		_, err := c.send(0, OpPushHist, w)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
@@ -256,21 +256,21 @@ func TestBadPullEncodingRejected(t *testing.T) {
 	buildDistributedHistograms(t, fx, d, 0)
 	c := fx.clients[0]
 
-	w := wire.NewWriter(16)
+	w := c.newRequest(16)
 	w.Int32(0)
 	w.Uint8(3) // unsupported fixed-point width
 	w.Bool(false)
 	w.Bool(false)
-	if _, err := c.call(0, OpPullHistShard, w.Bytes()); !errors.Is(err, compress.ErrBadWidth) {
+	if _, err := c.send(0, OpPullHistShard, w); !errors.Is(err, compress.ErrBadWidth) {
 		t.Fatalf("width 3: %v", err)
 	}
 
-	w = wire.NewWriter(16)
+	w = c.newRequest(16)
 	w.Int32(0)
 	w.Uint8(8)
 	w.Bool(true) // exact + 8-bit: contradictory
 	w.Bool(false)
-	if _, err := c.call(0, OpPullHistShard, w.Bytes()); err == nil {
+	if _, err := c.send(0, OpPullHistShard, w); err == nil {
 		t.Fatal("exact+compressed encoding accepted")
 	}
 }
@@ -285,7 +285,7 @@ func TestVectorByteAccounting(t *testing.T) {
 	_, before := WireBytes()
 	w := wire.NewWriter(64)
 	ev := vecEncoding{exact: true, sparse: true}
-	if err := writeHistVector(w, nil, vs, ev); err != nil {
+	if err := writeHistVector(w, nil, ev, vs); err != nil {
 		t.Fatal(err)
 	}
 	if w.Bytes()[0] != VecSparse {
@@ -307,7 +307,7 @@ func TestVectorByteAccounting(t *testing.T) {
 	dense := []float64{1, 2, 3, 4}
 	_, before = WireBytes()
 	w = wire.NewWriter(64)
-	if err := writeHistVector(w, nil, dense, vecEncoding{sparse: true}); err != nil {
+	if err := writeHistVector(w, nil, vecEncoding{sparse: true}, dense); err != nil {
 		t.Fatal(err)
 	}
 	if w.Bytes()[0] != VecFloat32 {

@@ -125,15 +125,19 @@ func TestRetryEndpointExhaustion(t *testing.T) {
 
 // TestMemCallTimeout: a deadline on the in-memory transport returns
 // ErrTimeout while the handler keeps running — the "response lost, side
-// effects applied" hazard the PS idempotency envelope exists for.
+// effects applied" hazard the PS idempotency envelope exists for. The
+// abandoned handler reads its own copy of the request: the caller's buffer
+// is the caller's again the moment the call returns.
 func TestMemCallTimeout(t *testing.T) {
 	net := NewMemNetwork()
 	defer net.Close()
 	srv, _ := net.Endpoint("srv")
 	release := make(chan struct{})
 	done := make(chan struct{})
-	srv.Handle(func(string, Message) (Message, error) {
+	var seen []byte
+	srv.Handle(func(_ string, req Message) (Message, error) {
 		<-release
+		seen = append(seen, req.Body...)
 		close(done)
 		return Message{}, nil
 	})
@@ -142,15 +146,20 @@ func TestMemCallTimeout(t *testing.T) {
 	if !ok {
 		t.Fatal("mem endpoint lost CallTimeout support")
 	}
-	_, err := ct.CallTimeout("srv", Message{}, 20*time.Millisecond)
+	body := []byte("first request")
+	_, err := ct.CallTimeout("srv", Message{Body: body}, 20*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) || !IsRetryable(err) {
 		t.Fatalf("err = %v, want retryable ErrTimeout", err)
 	}
-	close(release) // the handler was still running; let it finish
+	copy(body, "next  request") // the caller reuses its buffer
+	close(release)              // the handler was still running; let it finish
 	select {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("handler did not keep running after the caller timed out")
+	}
+	if string(seen) != "first request" {
+		t.Fatalf("abandoned handler read %q from a buffer the caller had taken back", seen)
 	}
 }
 

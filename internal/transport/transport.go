@@ -27,7 +27,9 @@ func (m Message) Size() int64 { return int64(len(m.Body)) + 1 }
 
 // Handler processes one incoming request and produces a response. Handlers
 // run concurrently and must be safe for concurrent use; a handler may block
-// (the master's barrier does).
+// (the master's barrier does). req.Body is only the handler's for the
+// duration of the call — on the in-memory network it is the caller's own
+// buffer — so a handler that keeps request bytes copies them.
 type Handler func(from string, req Message) (Message, error)
 
 // Endpoint is one named node on a network.
@@ -38,6 +40,7 @@ type Endpoint interface {
 	// peer Calls this endpoint.
 	Handle(h Handler)
 	// Call sends a request to the named peer and waits for its response.
+	// req.Body is not read after Call returns, so callers may reuse it.
 	Call(to string, req Message) (Message, error)
 	// Close releases the endpoint.
 	Close() error
@@ -308,6 +311,10 @@ func (e *memEndpoint) callTimeout(to string, req Message, timeout time.Duration)
 		err  error
 	}
 	done := make(chan result, 1)
+	// The handler can outlive this call, and callers reuse a request's
+	// buffer once Call has returned — so it gets a copy, as it would from a
+	// real wire.
+	req.Body = append([]byte(nil), req.Body...)
 	go func() {
 		resp, err := h(e.name, req)
 		done <- result{resp, err}

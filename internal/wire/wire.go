@@ -32,6 +32,25 @@ func NewWriter(capacity int) *Writer {
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset empties the writer but keeps its storage, so one Writer can frame
+// a stream of messages without reallocating. Slices handed out by Bytes or
+// Extend earlier are overwritten by later appends.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Extend appends n zero bytes and returns them for the caller to fill in
+// place — how a codec writes packed data straight into the message instead
+// of through a temporary. The slice is only valid until the next append.
+func (w *Writer) Extend(n int) []byte {
+	start := len(w.buf)
+	if n <= cap(w.buf)-start {
+		w.buf = w.buf[:start+n]
+		clear(w.buf[start:])
+	} else {
+		w.buf = append(w.buf, make([]byte, n)...)
+	}
+	return w.buf[start:]
+}
+
 // Len returns the current encoded size.
 func (w *Writer) Len() int { return len(w.buf) }
 
@@ -168,6 +187,16 @@ func (r *Reader) take(n int) []byte {
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
+}
+
+// Raw reads n bytes verbatim, the inverse of Writer.Raw. The slice aliases
+// the reader's buffer; nil after an error.
+func (r *Reader) Raw(n int) []byte {
+	if n < 0 {
+		r.Skip(n) // records the truncation error
+		return nil
+	}
+	return r.take(n)
 }
 
 // Uint8 reads one byte.

@@ -222,3 +222,70 @@ func TestRestAliases(t *testing.T) {
 		t.Fatal("Rest consumed the buffer")
 	}
 }
+
+// TestResetExtendReuse: a reused Writer must hand out zeroed regions even
+// when its storage still holds an earlier message — codecs that OR bits into
+// an Extend region depend on it — and must not reallocate when the next
+// message fits.
+func TestResetExtendReuse(t *testing.T) {
+	w := NewWriter(0)
+	w.Uint32(0xffffffff)
+	first := w.Extend(64)
+	for i := range first {
+		first[i] = 0xff
+	}
+	base := &w.Bytes()[0]
+
+	w.Reset()
+	if w.Len() != 0 {
+		t.Fatalf("Reset left %d bytes", w.Len())
+	}
+	w.Uint8(7)
+	region := w.Extend(40)
+	if len(region) != 40 || w.Len() != 41 {
+		t.Fatalf("Extend(40) gave %d bytes, writer has %d", len(region), w.Len())
+	}
+	for i, b := range region {
+		if b != 0 {
+			t.Fatalf("reused byte %d not cleared: %#x", i, b)
+		}
+	}
+	if &w.Bytes()[0] != base {
+		t.Fatal("a smaller message reallocated the reused buffer")
+	}
+	region[39] = 9
+	if got := w.Bytes(); got[0] != 7 || got[40] != 9 {
+		t.Fatal("Extend region does not alias the message")
+	}
+	// growth path: past capacity, still zeroed and appended in place
+	big := w.Extend(1 << 12)
+	for _, b := range big {
+		if b != 0 {
+			t.Fatal("grown region not zeroed")
+		}
+	}
+	if w.Len() != 41+1<<12 || w.Bytes()[40] != 9 {
+		t.Fatal("growth lost the message so far")
+	}
+}
+
+func TestRawAliasesAndBounds(t *testing.T) {
+	w := NewWriter(0)
+	w.Raw([]byte{1, 2, 3, 4})
+	buf := w.Bytes()
+	r := NewReader(buf)
+	got := r.Raw(3)
+	if len(got) != 3 || &got[0] != &buf[0] {
+		t.Fatal("Raw must alias the reader's buffer")
+	}
+	if r.Raw(0) == nil || r.Err() != nil {
+		t.Fatal("empty Raw read failed")
+	}
+	if r.Raw(2) != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("overlong Raw: err = %v", r.Err())
+	}
+	r2 := NewReader(buf)
+	if r2.Raw(-1) != nil || r2.Err() == nil || r2.Remaining() != 4 {
+		t.Fatal("negative Raw length accepted")
+	}
+}
