@@ -4,7 +4,9 @@ package dimboost_test
 // (§7, Appendix A), at a reduced Scale so `go test -bench=.` completes in
 // minutes; `cmd/dimboost-bench` runs the same experiments at full laptop
 // scale. Additional micro-benchmarks cover the core data structures the
-// experiments build on.
+// experiments build on. These are for measuring while you work: numbers
+// that are recorded or compared come from `bash bench/run.sh`
+// (BENCHMARK.json, bench/README.md), nowhere else.
 
 import (
 	"fmt"
@@ -255,8 +257,8 @@ func BenchmarkSingleMachineTrain(b *testing.B) {
 
 // BenchmarkTrainParallel sweeps the shared pool size over the
 // BenchmarkSingleMachineTrain workload. The trained model is bit-identical
-// at every level (see TestModelIndependentOfParallelism); on a multi-core
-// host the sub-benchmarks separate, on a single core they time alike.
+// at every level (see TestModelIndependentOfParallelism); the sub-benchmarks
+// separate only up to the host's core count.
 func BenchmarkTrainParallel(b *testing.B) {
 	d := benchData(b, 2000, 10000, 50)
 	for _, p := range []int{1, 2, 4, 8} {
@@ -350,29 +352,5 @@ func BenchmarkWeightedCandidates(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkServeOverload is the CI smoke for the serving-tier overload
-// scenario: open-loop load past a small admission window, scores verified
-// before any throughput is recorded. The coalesce pass rides along: batches
-// must actually merge (mean occupancy > 1), the coalescer itself must shed
-// nothing, and every coalesced score must be bit-identical to solo.
-func BenchmarkServeOverload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ServeBench(io.Discard, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := res.Coalesce
-		if c == nil || !c.BitIdentical {
-			b.Fatal("coalesce pass missing or not bit-identical to solo")
-		}
-		if c.MeanOccupancy <= 1 {
-			b.Fatalf("mean batch occupancy %.2f, want > 1", c.MeanOccupancy)
-		}
-		if c.CoalesceShed != 0 {
-			b.Fatalf("%d requests shed by the coalescer", c.CoalesceShed)
-		}
 	}
 }

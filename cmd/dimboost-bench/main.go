@@ -1,23 +1,23 @@
 // Command dimboost-bench regenerates the paper's tables and figures at
 // laptop scale. Each subcommand corresponds to one table or figure of the
-// evaluation section; `all` runs everything in paper order.
+// evaluation section; `all` runs everything in paper order. It records no
+// performance numbers: `bash bench/run.sh` (BENCHMARK.json) is the one
+// place that does.
 //
 // Usage:
 //
 //	dimboost-bench table1
 //	dimboost-bench fig12 -dataset gender
 //	dimboost-bench all -scale 0.5
-//	dimboost-bench all -scale 0.1 -json timings.json -cpuprofile cpu.pprof
+//	dimboost-bench -cpuprofile cpu.pprof table3 -scale 0.1
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -25,80 +25,95 @@ import (
 	"dimboost/internal/cluster"
 	"dimboost/internal/experiments"
 	"dimboost/internal/faultinject"
-	"dimboost/internal/obs"
 	"dimboost/internal/transport"
 )
 
-// timing is one machine-readable per-experiment measurement (-json).
-// Parallelism and Phases are set only by the train-parallel scenario,
-// which emits one entry per pool size with its phase breakdown; Stats is
-// set only by the serve scenario (throughput, shed rate, latency
-// percentiles).
-type timing struct {
-	Name        string             `json:"name"`
-	Seconds     float64            `json:"seconds"`
-	Parallelism int                `json:"parallelism,omitempty"`
-	Phases      map[string]float64 `json:"phases,omitempty"`
-	Stats       map[string]float64 `json:"stats,omitempty"`
+// options is the one flag set of the command; flags are accepted before
+// and after the experiment name.
+type options struct {
+	scale       float64
+	parallelism int
+	dataset     string
+	faultSpec   string
+	cpuProfile  string
+	memProfile  string
 }
 
-// meta records the host execution environment of a run: timings are only
-// comparable between reports whose meta matches.
-type meta struct {
-	NumCPU     int   `json:"num_cpu"`
-	GOMAXPROCS int   `json:"gomaxprocs"`
-	GOMEMLIMIT int64 `json:"gomemlimit"`
-}
-
-// report is the -json output document; Scale makes runs comparable
-// run-over-run only when taken at the same scale. Metrics is the full
-// observability snapshot at exit — counters, gauges, and phase histograms
-// accumulated across every experiment of the run.
-type report struct {
-	Scale       float64        `json:"scale"`
-	GoVersion   string         `json:"go_version"`
-	Meta        meta           `json:"meta"`
-	Experiments []timing       `json:"experiments"`
-	Metrics     []obs.Snapshot `json:"metrics,omitempty"`
+func define(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.Float64Var(&o.scale, "scale", 1.0, "dataset row-count multiplier (smaller = quicker)")
+	fs.IntVar(&o.parallelism, "parallelism", 0, "training pool workers for every experiment (0 = per-experiment default); models stay bit-identical")
+	fs.StringVar(&o.dataset, "dataset", "rcv1", "fig12 dataset: rcv1 | synthesis | gender")
+	fs.StringVar(&o.faultSpec, "fault-spec", "", "fault-injection spec for distributed runs, e.g. 'seed=7;server-*:err=0.02'")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	return o
 }
 
 func main() {
-	scale := flag.Float64("scale", 1.0, "dataset row-count multiplier (smaller = quicker)")
-	par := flag.Int("parallelism", 0, "training pool workers for every experiment (0 = per-experiment default); models stay bit-identical")
-	ds := flag.String("dataset", "rcv1", "fig12 dataset: rcv1 | synthesis | gender")
-	faultSpec := flag.String("fault-spec", "", "fault-injection spec for distributed runs, e.g. 'seed=7;server-*:err=0.02'")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	jsonOut := flag.String("json", "", "write machine-readable per-experiment timings to this file")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
+	fs := flag.NewFlagSet("dimboost-bench", flag.ExitOnError)
+	fs.Usage = func() { usage(fs) }
+	o := define(fs)
+	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
+	if fs.NArg() < 1 {
+		fs.Usage()
 		os.Exit(2)
 	}
-	// Flags may follow the subcommand as well.
-	cmd := flag.Arg(0)
-	if flag.NArg() > 1 {
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		scale2 := fs.Float64("scale", *scale, "dataset row-count multiplier")
-		par2 := fs.Int("parallelism", *par, "training pool workers for every experiment")
-		ds2 := fs.String("dataset", *ds, "fig12 dataset")
-		fault2 := fs.String("fault-spec", *faultSpec, "fault-injection spec for distributed runs")
-		cpu2 := fs.String("cpuprofile", *cpuProfile, "write a CPU profile to this file")
-		mem2 := fs.String("memprofile", *memProfile, "write a heap profile to this file at exit")
-		json2 := fs.String("json", *jsonOut, "write per-experiment timings to this file")
-		if err := fs.Parse(flag.Args()[1:]); err != nil {
-			log.Fatal(err)
-		}
-		scale, par, ds, faultSpec = scale2, par2, ds2, fault2
-		cpuProfile, memProfile, jsonOut = cpu2, mem2, json2
+	cmd := fs.Arg(0)
+	// Flags may follow the experiment name as well: the same set parses
+	// the remainder, so a later value overrides an earlier one.
+	fs.Parse(fs.Args()[1:]) //nolint:errcheck // ExitOnError
+	if fs.NArg() > 0 {
+		fs.Usage()
+		os.Exit(2)
 	}
-	s := experiments.Scale(*scale)
-	experiments.Parallelism = *par
+	s := experiments.Scale(o.scale)
+	experiments.Parallelism = o.parallelism
 	out := os.Stdout
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	type experiment struct {
+		name string
+		run  func() error
+	}
+	fig12 := func(ds string) experiment {
+		return experiment{"fig12-" + ds, func() error {
+			_, err := experiments.Fig12(out, experiments.Fig12Dataset(ds), s)
+			return err
+		}}
+	}
+	// Paper order; `all` runs the list top to bottom.
+	index := []experiment{
+		{"fig1", func() error { _, err := experiments.Fig1(out, s); return err }},
+		{"table1", func() error { experiments.Table1(out); return nil }},
+		{"table3", func() error { _, err := experiments.Table3(out, s); return err }},
+		fig12("rcv1"), fig12("synthesis"), fig12("gender"),
+		{"table4", func() error { _, err := experiments.Table4(out, s); return err }},
+		{"table5", func() error { _, err := experiments.Table5(out, s); return err }},
+		{"table6", func() error { _, err := experiments.Table6(out, s); return err }},
+		{"fig13", func() error { _, err := experiments.Fig13(out, s); return err }},
+		{"fig14", func() error { _, err := experiments.Fig14(out, s); return err }},
+		{"a1", func() error { experiments.A1(out); return nil }},
+	}
+	var selected []experiment
+	switch cmd {
+	case "all":
+		selected = index
+	case "fig12":
+		selected = []experiment{fig12(o.dataset)}
+	default:
+		for _, e := range index {
+			if e.name == cmd {
+				selected = []experiment{e}
+			}
+		}
+	}
+	if len(selected) == 0 {
+		fs.Usage()
+		os.Exit(2)
+	}
+
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -110,9 +125,9 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memProfile != "" {
+	if o.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(o.memProfile)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -123,26 +138,9 @@ func main() {
 			}
 		}()
 	}
-	rep := report{Scale: *scale, GoVersion: runtime.Version(), Meta: meta{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GOMEMLIMIT: debug.SetMemoryLimit(-1),
-	}}
-	if *jsonOut != "" {
-		defer func() {
-			rep.Metrics = obs.Default().Snapshot()
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
 
-	if *faultSpec != "" {
-		spec, err := faultinject.ParseSpec(*faultSpec)
+	if o.faultSpec != "" {
+		spec, err := faultinject.ParseSpec(o.faultSpec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -180,211 +178,17 @@ func main() {
 		}()
 	}
 
-	run := func(name string, f func() error) {
+	for _, e := range selected {
 		start := time.Now()
-		if err := f(); err != nil {
-			log.Fatalf("%s: %v", name, err)
+		if err := e.run(); err != nil {
+			log.Fatalf("%s: %v", e.name, err)
 		}
-		elapsed := time.Since(start)
-		rep.Experiments = append(rep.Experiments, timing{Name: name, Seconds: elapsed.Seconds()})
-		fmt.Fprintf(out, "[%s completed in %s]\n", name, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(out, "[%s completed in %s]\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	dispatch := map[string]func(){
-		"fig1":   func() { run("fig1", func() error { _, err := experiments.Fig1(out, s); return err }) },
-		"table1": func() { run("table1", func() error { experiments.Table1(out); return nil }) },
-		"table3": func() { run("table3", func() error { _, err := experiments.Table3(out, s); return err }) },
-		"fig12": func() {
-			run("fig12-"+*ds, func() error {
-				_, err := experiments.Fig12(out, experiments.Fig12Dataset(*ds), s)
-				return err
-			})
-		},
-		"serve": func() {
-			start := time.Now()
-			res, err := experiments.ServeBench(out, s)
-			if err != nil {
-				log.Fatalf("serve: %v", err)
-			}
-			rep.Experiments = append(rep.Experiments, timing{
-				Name:    "serve-overload",
-				Seconds: time.Since(start).Seconds(),
-				Stats: map[string]float64{
-					"max_concurrent":     float64(res.MaxConcurrent),
-					"queue_depth":        float64(res.QueueDepth),
-					"service_time_ms":    float64(res.ServiceTime.Microseconds()) / 1000,
-					"capacity_rps":       res.CapacityRPS,
-					"offered_rps":        res.OfferedRPS,
-					"sent":               float64(res.Load.Sent),
-					"accepted":           float64(res.Load.Accepted),
-					"throughput_rps":     res.Load.Throughput,
-					"shed":               float64(res.Load.Shed),
-					"shed_rate":          res.Load.ShedRate,
-					"errors":             float64(res.Load.Errors),
-					"p50_ms":             float64(res.Load.P50.Microseconds()) / 1000,
-					"p95_ms":             float64(res.Load.P95.Microseconds()) / 1000,
-					"p99_ms":             float64(res.Load.P99.Microseconds()) / 1000,
-					"quota_shed_429":     float64(res.QuotaShed429),
-					"retry_after_always": boolStat(res.Load.RetryAfterOnAllSheds && res.QuotaRetryAfterOnAllShed),
-
-					"coalesce_trees":            float64(res.Coalesce.Trees),
-					"coalesce_solo_row_us":      float64(res.Coalesce.SoloRowCost.Nanoseconds()) / 1000,
-					"coalesce_tiled_row_us":     float64(res.Coalesce.TiledRowCost.Nanoseconds()) / 1000,
-					"coalesce_offered_rps":      res.Coalesce.OfferedRPS,
-					"coalesce_off_rps":          res.Coalesce.Off.Throughput,
-					"coalesce_on_rps":           res.Coalesce.On.Throughput,
-					"coalesce_off_p99_ms":       float64(res.Coalesce.Off.P99.Microseconds()) / 1000,
-					"coalesce_on_p99_ms":        float64(res.Coalesce.On.P99.Microseconds()) / 1000,
-					"coalesce_throughput_ratio": res.Coalesce.ThroughputRatio,
-					"coalesce_p99_ratio":        res.Coalesce.P99Ratio,
-					"coalesce_mean_occupancy":   res.Coalesce.MeanOccupancy,
-					"coalesce_sheds":            float64(res.Coalesce.CoalesceShed),
-					"coalesce_bit_identical":    boolStat(res.Coalesce.BitIdentical),
-				},
-			})
-			fmt.Fprintf(out, "[serve completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		},
-		"table4": func() { run("table4", func() error { _, err := experiments.Table4(out, s); return err }) },
-		"table5": func() { run("table5", func() error { _, err := experiments.Table5(out, s); return err }) },
-		"table6": func() { run("table6", func() error { _, err := experiments.Table6(out, s); return err }) },
-		"fig13":  func() { run("fig13", func() error { _, err := experiments.Fig13(out, s); return err }) },
-		"fig14":  func() { run("fig14", func() error { _, err := experiments.Fig14(out, s); return err }) },
-		"a1":     func() { run("a1", func() error { experiments.A1(out); return nil }) },
-		"predict": func() {
-			start := time.Now()
-			res, err := experiments.Predict(out, s)
-			if err != nil {
-				log.Fatalf("predict: %v", err)
-			}
-			rep.Experiments = append(rep.Experiments, timing{
-				Name:    "predict-engines",
-				Seconds: time.Since(start).Seconds(),
-				Stats: map[string]float64{
-					"rows":                  float64(res.Rows),
-					"trees":                 float64(res.Trees),
-					"engine_nodes":          float64(res.EngineNodes),
-					"engine_conditions":     float64(res.EngineConditions),
-					"auto_backend_bv":       boolStat(res.Backend == "bitvector"),
-					"compile_soa_ms":        float64(res.CompileSoA.Microseconds()) / 1000,
-					"compile_bitvector_ms":  float64(res.CompileBitvector.Microseconds()) / 1000,
-					"interpreted_ms":        float64(res.Interpreted.Microseconds()) / 1000,
-					"soa_serial_ms":         float64(res.SoASerial.Microseconds()) / 1000,
-					"soa_parallel_ms":       float64(res.SoAParallel.Microseconds()) / 1000,
-					"bitvector_serial_ms":   float64(res.BitvectorSerial.Microseconds()) / 1000,
-					"bitvector_parallel_ms": float64(res.BitvectorParallel.Microseconds()) / 1000,
-					"bitvector_vs_soa":      res.Speedup(),
-				},
-			})
-			fmt.Fprintf(out, "[predict completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		},
-		"ooc": func() {
-			start := time.Now()
-			res, err := experiments.OOC(out, s)
-			if err != nil {
-				log.Fatalf("ooc: %v", err)
-			}
-			for _, l := range res.Levels {
-				rep.Experiments = append(rep.Experiments, timing{
-					Name:    fmt.Sprintf("ooc-budget-%s", l.Budget),
-					Seconds: l.Wall.Seconds(),
-					Stats: map[string]float64{
-						"budget_bytes":       float64(l.Budget),
-						"tracker_peak_bytes": float64(l.TrackerPeak),
-						"rss_growth_bytes":   float64(l.RSSGrowth),
-						"min_budget_bytes":   float64(res.MinBudget),
-						"slack_bytes":        float64(experiments.OOCSlack),
-						"file_bytes":         float64(res.FileBytes),
-						"bit_identical":      boolStat(res.BitIdentical),
-					},
-				})
-			}
-			rep.Experiments = append(rep.Experiments, timing{
-				Name:    "ooc-inmemory-baseline",
-				Seconds: res.InMemoryWall.Seconds(),
-			})
-			fmt.Fprintf(out, "[ooc completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		},
-		"comm": func() {
-			start := time.Now()
-			res, err := experiments.Comm(out, s)
-			if err != nil {
-				log.Fatalf("comm: %v", err)
-			}
-			for _, l := range res.Levels {
-				rep.Experiments = append(rep.Experiments, timing{
-					Name:    fmt.Sprintf("comm-%s", l.Name),
-					Seconds: l.Wall.Seconds(),
-					Stats: map[string]float64{
-						"push_bits":       float64(l.Bits),
-						"pull_bits":       float64(l.PullBits),
-						"sparse":          boolStat(l.Sparse),
-						"hist_bytes":      float64(l.HistBytes),
-						"total_bytes":     float64(l.TotalBytes),
-						"ratio_vs_raw":    l.RatioVsRaw,
-						"val_error":       l.ValError,
-						"ref_val_error":   res.RefError,
-						"modeled_comm_ms": float64(l.ModeledComm.Microseconds()) / 1000,
-						"sparse_bytes":    float64(l.EncodingBytes["sparse/encode"]),
-						"exact_verified":  boolStat(res.ExactVerified),
-					},
-				})
-			}
-			fmt.Fprintf(out, "[comm completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		},
-		"train-parallel": func() {
-			start := time.Now()
-			res, err := experiments.TrainParallel(out, s)
-			if err != nil {
-				log.Fatalf("train-parallel: %v", err)
-			}
-			for _, l := range res.Levels {
-				rep.Experiments = append(rep.Experiments, timing{
-					Name:        fmt.Sprintf("train-parallel-p%d", l.Parallelism),
-					Seconds:     l.Total.Seconds(),
-					Parallelism: l.Parallelism,
-					Phases: map[string]float64{
-						"gradients":  l.Phases.Gradients.Seconds(),
-						"sketch":     l.Phases.Sketch.Seconds(),
-						"build_hist": l.Phases.BuildHist.Seconds(),
-						"find_split": l.Phases.FindSplit.Seconds(),
-						"split_tree": l.Phases.SplitTree.Seconds(),
-					},
-				})
-			}
-			fmt.Fprintf(out, "[train-parallel completed in %s]\n", time.Since(start).Round(time.Millisecond))
-		},
-	}
-	if cmd == "all" {
-		for _, name := range []string{"fig1", "table1", "table3", "fig12", "table4", "table5", "table6", "fig13", "fig14", "a1", "predict", "train-parallel", "ooc", "comm", "serve"} {
-			if name == "fig12" {
-				for _, d := range []string{"rcv1", "synthesis", "gender"} {
-					*ds = d
-					dispatch["fig12"]()
-				}
-				continue
-			}
-			dispatch[name]()
-		}
-		return
-	}
-	f, ok := dispatch[cmd]
-	if !ok {
-		usage()
-		os.Exit(2)
-	}
-	f()
 }
 
-// boolStat encodes a boolean into the numeric stats map.
-func boolStat(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dimboost-bench [flags] <experiment>
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintln(os.Stderr, `usage: dimboost-bench [flags] <experiment> [flags]
 
 experiments:
   fig1     run time vs #features, XGBoost vs DimBoost
@@ -397,16 +201,8 @@ experiments:
   fig13    scalability with time breakdown (load/compute/comm)
   fig14    comparison on a low-dimensional dataset
   a1       unbiasedness of low-precision histograms
-  predict  serving path: interpreted vs compiled inference engine
-  train-parallel  training pool at parallelism 1/2/4/8, per-phase times, bit-identity check
-  ooc      out-of-core training at three memory budgets: peak RSS vs budget, bit-identity check
-  comm     bytes-on-wire ladder: raw vs fixed8 vs fixed8+sparse, exact-wire differential gate
-  serve    overload admission: open-loop load past capacity, shed rate + latency percentiles
   all      everything, in paper order
 
--cpuprofile/-memprofile write pprof profiles; -json writes per-experiment
-timings for run-over-run perf comparisons (see BENCH_baseline.json).
-
 flags:`)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

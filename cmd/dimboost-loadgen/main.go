@@ -1,7 +1,9 @@
 // Command dimboost-loadgen drives open-loop load at a dimboost-serve
 // instance and reports throughput, shed rate, and accepted-request latency
 // percentiles — the tool for verifying an admission configuration sheds
-// overload instead of collapsing.
+// overload instead of collapsing. Response time runs from the instant each
+// arrival was due, so a stall shows the queue it causes; service time, from
+// the send, is printed next to it.
 //
 // Usage:
 //
@@ -125,7 +127,8 @@ func main() {
 
 	fmt.Printf("sent %d, accepted %d (%.1f req/s), shed %d (%.1f%%), errors %d\n",
 		res.Sent, res.Accepted, res.Throughput, res.Shed, 100*res.ShedRate, res.Errors)
-	fmt.Printf("accepted latency: p50 %s  p95 %s  p99 %s\n", res.P50, res.P95, res.P99)
+	fmt.Printf("response time (from due):  p50 %s  p95 %s  p99 %s\n", res.P50, res.P95, res.P99)
+	fmt.Printf("service time (from send):  p50 %s  p95 %s  p99 %s\n", res.ServiceP50, res.ServiceP95, res.ServiceP99)
 	for code, n := range res.Statuses {
 		fmt.Printf("  HTTP %d: %d\n", code, n)
 	}

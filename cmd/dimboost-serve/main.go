@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -152,8 +153,13 @@ func main() {
 		fmt.Println()
 	}
 
+	// Listen before announcing, so the printed address is the bound one
+	// (-listen 127.0.0.1:0 picks a free port).
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv := &http.Server{
-		Addr:              *listen,
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       60 * time.Second,
@@ -202,8 +208,8 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("listening on http://%s\n", *listen)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	fmt.Printf("listening on http://%s\n", ln.Addr())
+	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
 	<-done

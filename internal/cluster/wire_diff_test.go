@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dimboost/internal/core"
+	"dimboost/internal/dataset"
+	"dimboost/internal/ps"
 )
 
 // identicalModels is the strict comparator of the wire differential test:
@@ -193,5 +195,95 @@ func TestPullCompressionReducesTraffic(t *testing.T) {
 	}
 	if both.Stats.TotalBytes >= pushOnly.Stats.TotalBytes {
 		t.Fatalf("pull compression moved %d bytes, push-only %d", both.Stats.TotalBytes, pushOnly.Stats.TotalBytes)
+	}
+}
+
+// wireLadderMinRatio is the byte-reduction floor the fully compressed wire
+// must clear against the raw float32 encoding on the histogram ops. §6.1
+// promises roughly 4× from 8-bit fixed point alone; sparse payloads must not
+// give that back on a high-dimensional workload.
+const wireLadderMinRatio = 4.0
+
+// wireLadderQualitySlack bounds how far a compressed rung's held-out error
+// may stray from the raw-wire run ("equal model quality"). The effective
+// bound adds two binomial standard deviations of the test-set error
+// estimate, so a 30-row held-out split does not fail on counting noise.
+const wireLadderQualitySlack = 0.05
+
+// TestWireLadderBytesAndQuality is the bytes-on-wire gate of §6: the same
+// Gender-shaped high-dimensional workload (4000 features, ~107 nonzeros per
+// row, a fine candidate grid — wide dense histograms, few touched buckets)
+// trains on 3 workers and 2 servers under raw float32, 8-bit fixed point
+// both directions, and 8-bit fixed point with sparse payloads. The PS byte
+// counters attribute handler payload bytes to the histogram-carrying ops;
+// the full rung must cut them ≥ wireLadderMinRatio× against raw while every
+// compressed rung stays within the quality slack of the raw run, and sparse
+// vectors must appear on the wire exactly when SparseWire asks for them.
+func TestWireLadderBytesAndQuality(t *testing.T) {
+	d := dataset.Generate(dataset.SyntheticConfig{
+		NumRows: 200, NumFeatures: 4000, AvgNNZ: 107, NoiseStd: 0.3, Zipf: 1.4, Seed: 71,
+	})
+	train, test := d.Split(0.85)
+	base := smallCfg(3, 2)
+	base.MaxDepth = 5
+	// A finer candidate grid widens the dense histograms without touching
+	// the nonzero buckets sparse spans carry — the regime §6.1 targets.
+	base.NumCandidates = 20
+
+	// The "op/direction" keys of ps.WireBytes whose payloads carry histogram
+	// or split-statistic vectors — the bytes wire compression targets.
+	histOps := []string{"push_hist/in", "pull_split/out", "pull_hist_shard/out", "pull_split_results/out"}
+	type rung struct {
+		name           string
+		bits, pullBits uint
+		sparse         bool
+		histBytes      int64
+		sparseBytes    int64
+		valErr         float64
+	}
+	rungs := []rung{
+		{name: "raw"},
+		{name: "fixed8", bits: 8, pullBits: 8},
+		{name: "fixed8+sparse", bits: 8, pullBits: 8, sparse: true},
+	}
+	for i := range rungs {
+		r := &rungs[i]
+		cfg := base
+		cfg.Bits, cfg.PullBits, cfg.SparseWire = r.bits, r.pullBits, r.sparse
+		opsBefore, encBefore := ps.WireBytes()
+		res, err := Train(train, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		opsAfter, encAfter := ps.WireBytes()
+		for _, k := range histOps {
+			r.histBytes += opsAfter[k] - opsBefore[k]
+		}
+		r.sparseBytes = encAfter["sparse/encode"] - encBefore["sparse/encode"]
+		_, r.valErr = res.Model.Evaluate(test)
+		if r.histBytes <= 0 {
+			t.Fatalf("%s moved no histogram bytes", r.name)
+		}
+	}
+
+	raw, full := rungs[0], rungs[len(rungs)-1]
+	slack := wireLadderQualitySlack + 2*math.Sqrt(raw.valErr*(1-raw.valErr)/float64(test.NumRows()))
+	for _, r := range rungs {
+		t.Logf("%-14s hist bytes %9d (%.2fx vs raw), sparse-encoded %8d, held-out error %.4f",
+			r.name, r.histBytes, float64(raw.histBytes)/float64(r.histBytes), r.sparseBytes, r.valErr)
+		if delta := math.Abs(r.valErr - raw.valErr); delta > slack {
+			t.Fatalf("%s: held-out error %.4f strays %.4f from raw %.4f (slack %.3f)",
+				r.name, r.valErr, delta, raw.valErr, slack)
+		}
+	}
+	if ratio := float64(raw.histBytes) / float64(full.histBytes); ratio < wireLadderMinRatio {
+		t.Fatalf("%s cut histogram bytes only %.2fx vs raw (%d vs %d), need >= %.0fx",
+			full.name, ratio, full.histBytes, raw.histBytes, wireLadderMinRatio)
+	}
+	if raw.sparseBytes != 0 {
+		t.Fatalf("raw rung encoded %d bytes of sparse vectors", raw.sparseBytes)
+	}
+	if full.sparseBytes == 0 {
+		t.Fatal("fully compressed rung encoded no sparse vectors")
 	}
 }

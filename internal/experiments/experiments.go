@@ -46,7 +46,10 @@ func expConfig() core.Config {
 	cfg.NumTrees = 5
 	cfg.MaxDepth = 5
 	cfg.NumCandidates = 12
-	cfg.Parallelism = 1 // the experiment host has a single core
+	// One pool thread per trainer: the distributed experiments already run
+	// every worker in this process, and per-worker compute columns compare
+	// algorithms, not pool sizes. -parallelism overrides.
+	cfg.Parallelism = 1
 	cfg.LearningRate = 0.1
 	if Parallelism > 0 {
 		cfg.Parallelism = Parallelism

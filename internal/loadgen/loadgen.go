@@ -5,15 +5,25 @@
 // capacity is exactly the overload the admission layer exists to survive,
 // and the recorded shed rate + accepted-latency percentiles are the
 // evidence it does.
+//
+// Arrival i is due at start + i/Rate and its response time runs from that
+// due instant, not from whenever the generator got round to sending it: a
+// stall anywhere — a late timer, a connection pool that is full because the
+// server stopped answering — delays later sends, and timing from the send
+// would leave exactly that queue out (coordinated omission). Service time,
+// from the moment the request had a connection to write to, is reported
+// next to it; the gap between the two is the time requests spent waiting
+// to be sent.
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -57,10 +67,16 @@ type Result struct {
 	Throughput float64       `json:"throughput_rps"` // accepted per second of elapsed
 	ShedRate   float64       `json:"shed_rate"`      // shed / sent
 
-	// Latency percentiles over accepted (200) requests only.
+	// Response-time percentiles over accepted (200) requests only, each
+	// timed from the instant the arrival was due.
 	P50 time.Duration `json:"p50_ns"`
 	P95 time.Duration `json:"p95_ns"`
 	P99 time.Duration `json:"p99_ns"`
+	// Service-time percentiles over the same requests, each timed from the
+	// instant it obtained a connection to send on.
+	ServiceP50 time.Duration `json:"service_p50_ns"`
+	ServiceP95 time.Duration `json:"service_p95_ns"`
+	ServiceP99 time.Duration `json:"service_p99_ns"`
 }
 
 // Run drives cfg.URL at cfg.Rate for cfg.Duration and aggregates the
@@ -88,28 +104,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	res := &Result{Statuses: map[int]int{}, RetryAfterOnAllSheds: true}
 	var (
-		mu        sync.Mutex
-		wg        sync.WaitGroup
-		accepted  []time.Duration
-		interval  = time.Duration(float64(time.Second) / cfg.Rate)
-		start     = time.Now()
-		deadline  = start.Add(cfg.Duration)
-		arrivalCt = 0
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		response []time.Duration // accepted requests, from the due instant
+		service  []time.Duration // accepted requests, from the send
 	)
-	// Ticker granularity bottoms out around a millisecond; above ~1000 rps
-	// the loop fires the per-tick deficit in a burst instead, keeping the
-	// arrival *schedule* (rate × elapsed) exact even when individual ticks
-	// are late or coarser than the inter-arrival gap.
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
 
-	fire := func(body []byte) {
+	fire := func(due time.Time, body []byte) {
 		defer wg.Done()
-		reqStart := time.Now()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.URL, strings.NewReader(string(body)))
+		sent := time.Now()
+		// A request that waits for a pooled connection is sent when it gets
+		// one; a retried request counts from its last connection.
+		rctx := httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+			GotConn: func(httptrace.GotConnInfo) { sent = time.Now() },
+		})
+		req, err := http.NewRequestWithContext(rctx, http.MethodPost, cfg.URL, bytes.NewReader(body))
 		if err == nil {
 			req.Header.Set("Content-Type", ct)
 			if cfg.Tenant != "" {
@@ -120,7 +129,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err == nil {
 			resp, err = client.Do(req)
 		}
-		lat := time.Since(reqStart)
+		done := time.Now()
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -133,7 +142,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		switch resp.StatusCode {
 		case http.StatusOK:
 			res.Accepted++
-			accepted = append(accepted, lat)
+			response = append(response, done.Sub(due))
+			service = append(service, done.Sub(sent))
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			res.Shed++
 			if resp.Header.Get("Retry-After") == "" {
@@ -144,38 +154,32 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Open loop: arrivals follow the wall-clock schedule rate × elapsed,
-	// regardless of how many earlier requests are still outstanding. Each
-	// tick fires the accumulated deficit, so a late tick produces a burst
-	// rather than a lost arrival.
+	// Open loop: arrival i is due at start + i/Rate regardless of how many
+	// earlier requests are still outstanding. The loop sleeps until the next
+	// due instant and, when it wakes late, sends everything that has fallen
+	// due at once — a late wake-up produces a burst, never a lost arrival or
+	// a shifted schedule.
 	total := int(cfg.Rate*cfg.Duration.Seconds() + 0.5)
+	start := time.Now()
+	arrivals := 0
 loop:
-	for {
+	for ; arrivals < total; arrivals++ {
+		due := start.Add(time.Duration(float64(arrivals) / cfg.Rate * float64(time.Second)))
 		select {
 		case <-ctx.Done():
 			break loop
-		case now := <-tick.C:
-			target := int(cfg.Rate * now.Sub(start).Seconds())
-			if target > total {
-				target = total
-			}
-			for arrivalCt < target {
-				body := cfg.Body
-				if len(cfg.Bodies) > 0 {
-					body = cfg.Bodies[arrivalCt%len(cfg.Bodies)]
-				}
-				arrivalCt++
-				wg.Add(1)
-				go fire(body)
-			}
-			if now.After(deadline) || arrivalCt >= total {
-				break loop
-			}
+		case <-time.After(time.Until(due)): // at once when already due
 		}
+		body := cfg.Body
+		if len(cfg.Bodies) > 0 {
+			body = cfg.Bodies[arrivals%len(cfg.Bodies)]
+		}
+		wg.Add(1)
+		go fire(due, body)
 	}
 	wg.Wait()
 
-	res.Sent = arrivalCt
+	res.Sent = arrivals
 	res.Elapsed = time.Since(start)
 	if res.Elapsed > 0 {
 		res.Throughput = float64(res.Accepted) / res.Elapsed.Seconds()
@@ -183,9 +187,12 @@ loop:
 	if res.Sent > 0 {
 		res.ShedRate = float64(res.Shed) / float64(res.Sent)
 	}
-	res.P50 = percentile(accepted, 0.50)
-	res.P95 = percentile(accepted, 0.95)
-	res.P99 = percentile(accepted, 0.99)
+	res.P50 = percentile(response, 0.50)
+	res.P95 = percentile(response, 0.95)
+	res.P99 = percentile(response, 0.99)
+	res.ServiceP50 = percentile(service, 0.50)
+	res.ServiceP95 = percentile(service, 0.95)
+	res.ServiceP99 = percentile(service, 0.99)
 	return res, nil
 }
 

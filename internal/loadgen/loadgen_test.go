@@ -54,6 +54,46 @@ func TestRunCountsOutcomes(t *testing.T) {
 	}
 }
 
+// TestRunTimesFromDueInstant: one stalled response on a client that owns a
+// single connection holds up every arrival behind it. Those arrivals were
+// due on schedule and each is served in well under a millisecond once it
+// gets the connection, so service time stays flat while response time — the
+// wait a user arriving then would have seen — must show the stall.
+func TestRunTimesFromDueInstant(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	var n atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n.Add(1) == 20 {
+			time.Sleep(stall)
+		}
+	}))
+	defer srv.Close()
+
+	res, err := Run(context.Background(), Config{
+		URL:      srv.URL,
+		Rate:     1000, // a 1 ms schedule: ~200 arrivals fall due during the stall
+		Duration: 500 * time.Millisecond,
+		Body:     []byte(`{}`),
+		Client:   &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted != res.Sent || res.Sent != 500 {
+		t.Fatalf("sent %d accepted %d errors %d, want 500 accepted", res.Sent, res.Accepted, res.Errors)
+	}
+	t.Logf("response p50 %s p99 %s; service p50 %s p99 %s", res.P50, res.P99, res.ServiceP50, res.ServiceP99)
+	if res.P99 < stall/2 {
+		t.Fatalf("response p99 %s hides the %s stall: arrivals queued behind it were not timed from when they were due", res.P99, stall)
+	}
+	if res.ServiceP99 > stall/4 {
+		t.Fatalf("service p99 %s: one stalled request in 500 should not reach the 99th percentile", res.ServiceP99)
+	}
+	if res.ServiceP50 > res.P50 {
+		t.Fatalf("service p50 %s above response p50 %s: a request cannot be served before it was due", res.ServiceP50, res.P50)
+	}
+}
+
 func TestRunFlagsMissingRetryAfter(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTooManyRequests) // no Retry-After: contract violation

@@ -7,8 +7,8 @@ import (
 )
 
 // metrics is the package's obs instrument set: spill/read traffic, cache
-// effectiveness, and the resident-bytes gauges the bench harness compares
-// against the configured budget.
+// effectiveness, and the resident-bytes gauges read against the configured
+// budget.
 type metrics struct {
 	spillBytes   *obs.Counter
 	readSource   *obs.Counter

@@ -11,21 +11,11 @@ import (
 
 // PeakRSS returns the process's lifetime peak resident set size in bytes
 // (VmHWM from /proc/self/status). The second result is false where the
-// kernel interface is unavailable. The bench harness compares the *growth*
-// of this value across an out-of-core run against the configured budget plus
-// the documented slack, since the absolute value includes the Go runtime and
-// everything the process did before.
+// kernel interface is unavailable. The benchmark spine reports it as
+// peak_rss_mb; the absolute value includes the Go runtime and everything
+// the process did before.
 func PeakRSS() (int64, bool) {
-	return procStatusBytes("VmHWM:")
-}
-
-// CurrentRSS returns the process's current resident set size in bytes
-// (VmRSS), where available.
-func CurrentRSS() (int64, bool) {
-	return procStatusBytes("VmRSS:")
-}
-
-func procStatusBytes(field string) (int64, bool) {
+	const field = "VmHWM:"
 	f, err := os.Open("/proc/self/status")
 	if err != nil {
 		return 0, false

@@ -5,7 +5,3 @@ package ooc
 // PeakRSS returns the process's lifetime peak resident set size in bytes
 // where the platform exposes it; on this platform it does not.
 func PeakRSS() (int64, bool) { return 0, false }
-
-// CurrentRSS returns the process's current resident set size in bytes where
-// the platform exposes it; on this platform it does not.
-func CurrentRSS() (int64, bool) { return 0, false }

@@ -38,7 +38,7 @@ const (
 )
 
 // vecBytes[dir][tag] counts logical bytes-on-wire of histogram vectors by
-// encoding — the payload accounting behind `dimboost-bench comm`.
+// encoding — the payload accounting WireBytes snapshots.
 var vecBytes [2][4]*obs.Counter
 
 var (
@@ -118,7 +118,7 @@ func (m *serverMetrics) observe(op uint8, reqBytes, respBytes int64, secs float6
 // WireBytes snapshots the parameter server's logical bytes-on-wire: perOp
 // maps "op/direction" (e.g. "push_hist/in") to handler payload bytes,
 // perEncoding maps "encoding/direction" (e.g. "sparse/encode") to histogram
-// vector bytes. Benches difference two snapshots around a run to attribute
+// vector bytes. Callers difference two snapshots around a run to attribute
 // traffic to an encoding choice.
 func WireBytes() (perOp, perEncoding map[string]int64) {
 	m, _ := psMetrics()

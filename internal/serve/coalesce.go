@@ -104,8 +104,8 @@ type CoalesceStats struct {
 	Direct    int64 // Score calls served by direct scoring after Close
 }
 
-// MeanOccupancy is the average requests per scored batch — the number the
-// serve bench gates on (> 1 means coalescing actually merged requests).
+// MeanOccupancy is the average requests per scored batch (> 1 means
+// coalescing actually merged requests).
 func (s CoalesceStats) MeanOccupancy() float64 {
 	if s.Batches == 0 {
 		return 0

@@ -52,62 +52,129 @@ func registrySource(h *Handler) func() *core.Model {
 
 // TestCoalesceDifferentialConcurrent is the headline invariant (DESIGN
 // invariant 19): under concurrent load, every score a coalesced call
-// returns is Float64bits-identical to scoring the same instance alone.
-// Run under -race in CI.
+// returns is Float64bits-identical to scoring the same instance alone, no
+// request is refused by the pending bound, and concurrent requests really
+// are merged into shared engine calls.
+//
+// Free-running goroutines alone cannot prove the merge: on one core each
+// submission is claimed and flushed "solo" before the next goroutine runs.
+// So the first phase is deterministic — a primer request parks the scorer
+// inside its flush, a barrier releases a burst of goroutines into the
+// coalescer, and the scorer is let go only once the whole burst is queued
+// behind it, so its next gather claims the burst as one batch. The second
+// phase free-runs the workers for contention and -race coverage.
 func TestCoalesceDifferentialConcurrent(t *testing.T) {
 	m, _ := trainedModel(t)
 	eng, err := m.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoalescer(func() *core.Model { return m }, eng, CoalesceConfig{Window: 200 * time.Microsecond})
+	parked, release := make(chan struct{}), make(chan struct{})
+	unpark := sync.OnceFunc(func() { close(release) })
+	var first sync.Once
+	c := NewCoalescer(func() *core.Model {
+		first.Do(func() { close(parked); <-release })
+		return m
+	}, eng, CoalesceConfig{Window: 200 * time.Microsecond})
 	defer c.Close()
+	defer unpark() // a failed phase 1 must not leave Close waiting on a parked scorer
+
+	// scoreOne submits one request of 1..maxIns random instances and holds
+	// every returned score to the solo engine's bits.
+	scoreOne := func(rng *rand.Rand, maxIns int) error {
+		ins := make([]dataset.Instance, 1+rng.Intn(maxIns))
+		for j := range ins {
+			ins[j] = coalesceInstance(rng, 80)
+		}
+		out := make([]float64, len(ins))
+		bm, err := c.Score(ins, out)
+		if err != nil {
+			return fmt.Errorf("score: %w", err)
+		}
+		if bm != m {
+			return fmt.Errorf("wrong model returned")
+		}
+		for j, in := range ins {
+			want := eng.Predict(in)
+			if math.Float64bits(out[j]) != math.Float64bits(want) {
+				return fmt.Errorf("row %d: coalesced %v != solo %v", j, out[j], want)
+			}
+		}
+		return nil
+	}
 
 	const workers = 8
 	const perWorker = 300
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
+	errs := make(chan error, 1+workers)
+	// spawn starts a goroutine that, once start closes, scores the given
+	// number of random requests one after another.
+	spawn := func(seed int64, requests, maxIns int, start <-chan struct{}) {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			out := make([]float64, 4)
-			for i := 0; i < perWorker; i++ {
-				ins := make([]dataset.Instance, 1+rng.Intn(4))
-				for j := range ins {
-					ins[j] = coalesceInstance(rng, 80)
-				}
-				bm, err := c.Score(ins, out[:len(ins)])
-				if err != nil {
-					errs <- fmt.Errorf("score: %w", err)
+			<-start
+			for i := 0; i < requests; i++ {
+				if err := scoreOne(rng, maxIns); err != nil {
+					errs <- err
 					return
-				}
-				if bm != m {
-					errs <- fmt.Errorf("wrong model returned")
-					return
-				}
-				for j, in := range ins {
-					want := eng.Predict(in)
-					if math.Float64bits(out[j]) != math.Float64bits(want) {
-						errs <- fmt.Errorf("row %d: coalesced %v != solo %v", j, out[j], want)
-						return
-					}
 				}
 			}
-		}(int64(w) + 1)
+		}()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	wait := func() {
+		t.Helper()
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
 	}
+	now := make(chan struct{})
+	close(now)
+
+	// Phase 1: the primer pins the scorer, the barrier releases the burst.
+	spawn(1000, 1, 1, now)
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("scorer never reached its first flush")
+	}
+	barrier := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		spawn(2000+int64(w), 1, 1, barrier)
+	}
+	close(barrier)
+	for deadline := time.Now().Add(5 * time.Second); len(c.calls) < workers; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d burst requests queued behind the parked scorer", len(c.calls), workers)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	unpark()
+	wait()
 	st := c.Stats()
-	if st.Requests != workers*perWorker {
-		t.Fatalf("scored %d requests, want %d", st.Requests, workers*perWorker)
+	if st.Requests != 1+workers {
+		t.Fatalf("burst scored %d requests, want %d", st.Requests, 1+workers)
 	}
 	if st.MeanOccupancy() <= 1 {
-		t.Logf("mean occupancy %.2f (single-core host may serialize submissions)", st.MeanOccupancy())
+		t.Fatalf("mean batch occupancy %.2f (%d requests in %d batches), want > 1 — coalescing never merged anything",
+			st.MeanOccupancy(), st.Requests, st.Batches)
+	}
+
+	// Phase 2: free-running differential under real contention.
+	for w := 0; w < workers; w++ {
+		spawn(1+int64(w), perWorker, 4, now)
+	}
+	wait()
+	st = c.Stats()
+	if want := int64(1 + workers + workers*perWorker); st.Requests != want {
+		t.Fatalf("scored %d requests, want %d", st.Requests, want)
+	}
+	if st.Rejected != 0 {
+		t.Fatalf("%d requests refused by the coalescer's pending bound", st.Rejected)
 	}
 	if st.Full+st.Linger+st.Solo+st.Drain != st.Batches {
 		t.Fatalf("flush reasons %d+%d+%d+%d don't sum to %d batches", st.Full, st.Linger, st.Solo, st.Drain, st.Batches)
