@@ -15,6 +15,7 @@ import (
 
 	"dimboost"
 	"dimboost/internal/compress"
+	"dimboost/internal/core"
 	"dimboost/internal/experiments"
 	"dimboost/internal/histogram"
 	"dimboost/internal/sketch"
@@ -172,8 +173,55 @@ func BenchmarkHistogramBuildBinned(b *testing.B) {
 	b.ReportMetric(float64(bn.NNZ()), "nnz/op")
 }
 
-// BenchmarkBinnedConstruction times the once-per-tree quantization pass
-// that the per-node build savings have to amortize.
+// BenchmarkHistogramDeepNode is one deep-layer node of the resident trainer
+// on the paper's shape — 100K features, Zipf popularity, 1/32 of the rows:
+// Pool.Get → deferred build → split scan → Pool.Put. Every step walks what
+// the node's rows touched instead of the layout, and the steady state
+// allocates nothing.
+func BenchmarkHistogramDeepNode(b *testing.B) {
+	d := benchData(b, 4000, 100_000, 100)
+	set := sketch.NewSet(d.NumFeatures, 0.025)
+	set.AddDataset(d)
+	layout, err := histogram.NewLayout(histogram.AllFeatures(d.NumFeatures), set.Candidates(20), d.NumFeatures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bn := histogram.NewBinned(d, layout, 2)
+	grad := make([]float64, d.NumRows())
+	hess := make([]float64, d.NumRows())
+	var rows []int32
+	var totalG, totalH float64
+	for i := range grad {
+		grad[i] = float64(i%5) - 2
+		hess[i] = 0.25
+		if i%32 == 0 {
+			rows = append(rows, int32(i))
+			totalG += grad[i]
+			totalH += hess[i]
+		}
+	}
+	pool := histogram.NewPool(layout)
+	opts := histogram.BuildOptions{Parallelism: 1, BatchSize: 10000, Pool: pool}
+	pool.Put(pool.Get())
+	var split core.Split
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := pool.Get()
+		h.Defer()
+		histogram.BuildBinned(h, bn, rows, grad, hess, opts)
+		split = core.FindSplit(h, totalG, totalH, 1, 0, 1e-4)
+		pool.Put(h)
+	}
+	b.StopTimer()
+	if !split.Found {
+		b.Fatal("the deep node found no split")
+	}
+}
+
+// BenchmarkBinnedConstruction times the quantization pass (once per run, or
+// per tree under feature sampling) that the per-node build savings have to
+// amortize.
 func BenchmarkBinnedConstruction(b *testing.B) {
 	d := benchData(b, 5000, 20000, 100)
 	set := sketch.NewSet(d.NumFeatures, 0.04)

@@ -103,7 +103,7 @@ type BudgetError = ooc.BudgetError
 
 // TrainOutOfCore fits a GBDT model from a binary dataset file (see
 // WriteBinaryFile) while keeping resident data under cfg.MemoryBudget: the
-// dataset streams from disk through a bounded chunk cache and each tree's
+// dataset streams from disk through a bounded chunk cache and the
 // quantized mirror spills to scratch files. The trained model is
 // Float64bits-identical to Train on the same data. Budgets below the
 // minimum working set fail fast with a *BudgetError.

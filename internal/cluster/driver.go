@@ -85,10 +85,38 @@ func DefaultConfig(workers, servers int) Config {
 	}
 }
 
+// UnsupportedFieldError reports an embedded core.Config field set to
+// something only the single-process trainer implements. The cluster never
+// reads these fields, so accepting them would train a different model than
+// the one asked for without saying so.
+type UnsupportedFieldError struct {
+	// Field is the core.Config field name.
+	Field string
+}
+
+func (e *UnsupportedFieldError) Error() string {
+	return fmt.Sprintf("cluster: distributed training does not support core.Config.%s", e.Field)
+}
+
 // Validate extends core validation with topology checks.
 func (c Config) Validate() error {
 	if err := c.Config.Validate(); err != nil {
 		return err
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"InstanceSampleRatio", c.InstanceSampleRatio < 1},
+		{"WeightedCandidates", c.WeightedCandidates},
+		{"HistSubtraction", c.HistSubtraction},
+		{"EarlyStoppingRounds", c.EarlyStoppingRounds > 0},
+		{"MemoryBudget", c.MemoryBudget > 0},
+		{"NoNodeIndex", c.NoNodeIndex},
+	} {
+		if f.set {
+			return &UnsupportedFieldError{Field: f.name}
+		}
 	}
 	if c.NumWorkers < 1 {
 		return fmt.Errorf("cluster: NumWorkers %d < 1", c.NumWorkers)

@@ -28,7 +28,15 @@ type worker struct {
 	ep     transport.Endpoint
 	client *ps.Client
 
-	cands  []sketch.Candidates
+	cands []sketch.Candidates
+	// layout, binned, histPool and hist are the current tree's sampled
+	// layout, the shard's quantized mirror under it, and the partial and
+	// node histograms of that layout; see trainTree for their lifetime.
+	layout   *histogram.Layout
+	binned   *histogram.Binned
+	histPool *histogram.Pool
+	hist     *histogram.Histogram
+
 	preds  []float64
 	grad   []float64
 	hess   []float64
@@ -253,23 +261,29 @@ func (wk *worker) trainTree(t int) error {
 	if err != nil {
 		return err
 	}
-	layout, err := histogram.NewLayout(sampled, wk.cands, wk.shard.NumFeatures)
-	if err != nil {
-		return err
+	// Quantize the shard under the sampled layout: histogram construction
+	// and node splitting both run on bin ids (Config.NoBinning ablates back
+	// to the float path; models are bit-identical either way). With every
+	// feature sampled the layout is the same for every tree, so the first
+	// tree's serves the run.
+	if wk.layout == nil || cfg.FeatureSampleRatio < 1 {
+		layout, err := histogram.NewLayout(sampled, wk.cands, wk.shard.NumFeatures)
+		if err != nil {
+			return err
+		}
+		wk.layout, wk.binned = layout, nil
+		wk.histPool = histogram.NewPool(layout)
+		wk.hist = histogram.New(layout)
+		if !cfg.NoBinning {
+			bs := time.Now()
+			bd := wk.compute(func() {
+				wk.binned = histogram.NewBinned(wk.shard, layout, wk.pool.Workers())
+			})
+			wk.times.BuildHist += bd
+			m.spans.Record(wk.id, t, -1, "binning", bs, bd)
+		}
 	}
-
-	// Quantize the shard once per tree: histogram construction and node
-	// splitting both run on bin ids (Config.NoBinning ablates back to the
-	// float path; models are bit-identical either way).
-	var binned *histogram.Binned
-	if !cfg.NoBinning {
-		bs := time.Now()
-		bd := wk.compute(func() {
-			binned = histogram.NewBinned(wk.shard, layout, wk.pool.Workers())
-		})
-		wk.times.BuildHist += bd
-		m.spans.Record(wk.id, t, -1, "binning", bs, bd)
-	}
+	layout, binned := wk.layout, wk.binned
 
 	tn := tree.New(cfg.MaxDepth)
 	maxNodes := tree.MaxNodes(cfg.MaxDepth)
@@ -283,11 +297,11 @@ func (wk *worker) trainTree(t int) error {
 		Parallelism: wk.pool.Workers(),
 		BatchSize:   cfg.BatchSize,
 		Dense:       cfg.DenseBuild,
-		Pool:        histogram.NewPool(layout),
+		Pool:        wk.histPool,
 	}
-	// One reusable histogram buffer per tree: PushHistogram is synchronous,
-	// so the buffer is free again once the push returns.
-	hist := histogram.New(layout)
+	// One reusable histogram buffer: PushHistogram is synchronous, so the
+	// buffer is free again once the push returns.
+	hist := wk.hist
 
 	for depth := 0; depth < cfg.MaxDepth && len(active) > 0; depth++ {
 		layerStart := time.Now()

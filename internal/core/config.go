@@ -70,7 +70,7 @@ type Config struct {
 	// MemoryBudget bounds the bytes the out-of-core data path may keep
 	// resident (chunk caches + labels); 0 keeps the in-memory path. A
 	// non-zero budget routes training through internal/ooc: the dataset
-	// stays on disk in the chunked binary format and the per-tree binned
+	// stays on disk in the chunked binary format and the binned
 	// mirror spills to memory-mapped scratch files, with results
 	// bit-identical to in-memory training (see TrainOutOfCore).
 	MemoryBudget ooc.Budget
@@ -81,7 +81,7 @@ type Config struct {
 	// NoNodeIndex disables the node-to-instance index: each node's builder
 	// filters a full dataset scan instead (ablation, Table 3).
 	NoNodeIndex bool
-	// NoBinning disables the per-tree quantized (binned) dataset: histogram
+	// NoBinning disables the quantized (binned) dataset: histogram
 	// construction and node splitting fall back to the float path, paying a
 	// binary search per nonzero per layer (ablation; results are
 	// bit-identical either way).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"dimboost/internal/histogram"
 )
@@ -76,42 +77,78 @@ func FindSplit(h *histogram.Histogram, totalG, totalH, lambda, gamma, minChildHe
 // FindSplitRange restricts the scan to sampled positions [pLo, pHi). The
 // parameter-server shards use this to run Algorithm 1 on their own feature
 // range only (two-phase split finding, §6.3).
+//
+// On a deferred histogram only the touched positions of the range are
+// scanned. An untouched feature holds its whole mass in its zero bucket, so
+// each of its prefix splits leaves one child empty; skipping them cannot
+// change the answer whenever TouchedScanExact holds.
 func FindSplitRange(h *histogram.Histogram, pLo, pHi int, totalG, totalH, lambda, gamma, minChildHessian float64) Split {
 	l := h.Layout
 	parent := gainTerm(totalG, totalH, lambda)
 	best := Split{}
-	for p := pLo; p < pHi; p++ {
-		cands := l.Cands[p]
-		lo, hi := l.BucketRange(p)
-		nb := hi - lo
-		var gl, hl float64
-		// Splitting after the last bucket sends everything left; skip it.
-		for k := 0; k < nb-1; k++ {
-			gl += h.G[lo+k]
-			hl += h.H[lo+k]
-			gr := totalG - gl
-			hr := totalH - hl
-			if hl < minChildHessian || hr < minChildHessian {
-				continue
-			}
-			gain := 0.5*(gainTerm(gl, hl, lambda)+gainTerm(gr, hr, lambda)-parent) - gamma
-			if gain <= 0 {
-				continue
-			}
-			cand := Split{
-				Found:   true,
-				Feature: l.Features[p],
-				Value:   cands.SplitValue(k),
-				Gain:    gain,
-				LeftG:   gl, LeftH: hl,
-				RightG: gr, RightH: hr,
-			}
-			if cand.Better(best) {
-				best = cand
+	// rejectBelow is −tol of Better(·, best) for a candidate that gains less
+	// than best: both gains are positive, so tol depends on best alone.
+	var rejectBelow float64
+	for w := pLo >> 6; w<<6 < pHi; w++ {
+		set := h.ScanWord(w)
+		if first := w << 6; first < pLo {
+			set &^= 1<<(pLo-first) - 1
+		}
+		if rest := pHi - w<<6; rest < 64 {
+			set &= 1<<rest - 1
+		}
+		for ; set != 0; set &= set - 1 {
+			p := w<<6 + bits.TrailingZeros64(set)
+			lo, hi := l.BucketRange(p)
+			nb := hi - lo
+			var gl, hl float64
+			// Splitting after the last bucket sends everything left; skip it.
+			for k := 0; k < nb-1; k++ {
+				gl += h.G[lo+k]
+				hl += h.H[lo+k]
+				gr := totalG - gl
+				hr := totalH - hl
+				if hl < minChildHessian || hr < minChildHessian {
+					continue
+				}
+				gain := 0.5*(gainTerm(gl, hl, lambda)+gainTerm(gr, hr, lambda)-parent) - gamma
+				if gain <= 0 {
+					continue
+				}
+				// Better's own "clearly worse" test, before paying for a
+				// Split: with γ = 0 nearly every candidate reaches here.
+				if best.Found && gain-best.Gain < rejectBelow {
+					continue
+				}
+				cand := Split{
+					Found:   true,
+					Feature: l.Features[p],
+					Value:   l.Cands[p].SplitValue(k),
+					Gain:    gain,
+					LeftG:   gl, LeftH: hl,
+					RightG: gr, RightH: hr,
+				}
+				if cand.Better(best) {
+					best = cand
+					rejectBelow = -gainTol * (1 + gain)
+				}
 			}
 		}
 	}
 	return best
+}
+
+// TouchedScanExact reports whether scanning h's touched positions alone
+// finds the split the full scan of the materialised histogram would. An
+// untouched feature offers two prefix splits: everything right, which the
+// full scan rejects when 0 < minChildHessian, and everything left, whose
+// right child keeps only the rounding residue between the node total and
+// the builder's own running sum. When it does not hold the caller
+// materialises h first; a materialised histogram is scanned in full
+// whatever this returns.
+func TouchedScanExact(h *histogram.Histogram, totalH, minChildHessian float64) bool {
+	_, dh := h.DeferredMass()
+	return minChildHessian > 0 && (dh < minChildHessian || totalH-dh < minChildHessian)
 }
 
 // BestOf folds a set of per-shard splits into the global best, applying the

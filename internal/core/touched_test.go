@@ -1,0 +1,256 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"dimboost/internal/dataset"
+	"dimboost/internal/histogram"
+	"dimboost/internal/sketch"
+)
+
+// fullScanReference is Algorithm 1 as FindSplitRange ran it before the
+// touched scan: every sampled position, a Split built and compared with
+// Better for every candidate of positive gain. The oracle of invariant 20.
+func fullScanReference(h *histogram.Histogram, totalG, totalH, lambda, gamma, minChildHessian float64) Split {
+	l := h.Layout
+	parent := gainTerm(totalG, totalH, lambda)
+	best := Split{}
+	for p := 0; p < l.NumFeatures(); p++ {
+		lo, hi := l.BucketRange(p)
+		var gl, hl float64
+		for k := 0; k < hi-lo-1; k++ {
+			gl += h.G[lo+k]
+			hl += h.H[lo+k]
+			gr, hr := totalG-gl, totalH-hl
+			if hl < minChildHessian || hr < minChildHessian {
+				continue
+			}
+			gain := 0.5*(gainTerm(gl, hl, lambda)+gainTerm(gr, hr, lambda)-parent) - gamma
+			if gain <= 0 {
+				continue
+			}
+			cand := Split{
+				Found: true, Feature: l.Features[p], Value: l.Cands[p].SplitValue(k), Gain: gain,
+				LeftG: gl, LeftH: hl, RightG: gr, RightH: hr,
+			}
+			if cand.Better(best) {
+				best = cand
+			}
+		}
+	}
+	return best
+}
+
+// touchedCase is one input of the touched-scan property: a Zipf-sparse
+// matrix, a node's row subset cut into batches, and split-finding settings.
+type touchedCase struct {
+	seed                  int64
+	rows, features, nnz   int // nnz is the per-row maximum
+	wide                  bool
+	batches               int
+	lambda, gamma, minHes float64
+}
+
+// touchedCaseFrom decodes a case from raw fuzz/quick inputs, covering the
+// grid invariant 20 names.
+func touchedCaseFrom(seed int64, rows, features, nnz uint16, flags uint8) touchedCase {
+	c := touchedCase{
+		seed:     seed,
+		rows:     int(rows) % 200,
+		features: int(features)%300 + 1,
+		wide:     flags&1 != 0,
+		batches:  int(flags>>1)%5 + 1,
+		lambda:   float64(flags >> 4 & 1),
+		gamma:    0.1 * float64(flags>>5&1),
+		minHes:   []float64{1e-4, 1}[flags>>6&1],
+	}
+	c.nnz = int(nnz) % (c.features + 1)
+	return c
+}
+
+// sameSplit reports whether two splits agree in every field, bit for bit.
+func sameSplit(a, b Split) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Found == b.Found && a.Feature == b.Feature && eq(a.Value, b.Value) && eq(a.Gain, b.Gain) &&
+		eq(a.LeftG, b.LeftG) && eq(a.LeftH, b.LeftH) && eq(a.RightG, b.RightG) && eq(a.RightH, b.RightH)
+}
+
+// checkTouchedScan builds the case's node histogram deferred, and requires
+// that (a) materialising it gives the dense build — every batch built with
+// BuildSparseBinned into its own zeroed histogram, merged bucket by bucket in
+// ascending order — Float64bits-equal, and (b) the split found on the
+// deferred histogram is the full scan's of that dense build in every field.
+// The last column duplicates the most popular one, so the two tie at every
+// cut and the lower feature id has to win in both scans.
+func checkTouchedScan(c touchedCase) error {
+	rng := rand.New(rand.NewSource(c.seed))
+	dup := c.features // id of the duplicate of feature 0
+	cands := make([]sketch.Candidates, c.features+1)
+	for f := range cands {
+		shift := 0.25 * float64(f%3)
+		cands[f] = sketch.FromCuts([]float64{-1.5 - shift, -0.5, 0, 0.5 + shift, 1.5, 3})
+	}
+	if c.wide {
+		// 401 buckets: bin ids escalate to uint16.
+		var cuts []float64
+		for i := -200; i <= 200; i++ {
+			cuts = append(cuts, float64(i)*0.02)
+		}
+		cands[0] = sketch.FromCuts(cuts)
+	}
+	cands[dup] = cands[0]
+
+	var zipf *rand.Zipf
+	if c.features > 1 {
+		zipf = rand.NewZipf(rng, 1.4, 1, uint64(c.features-1))
+	}
+	bld := dataset.NewBuilder(c.features + 1)
+	for r := 0; r < c.rows; r++ {
+		vals := map[int32]float32{}
+		dense := c.nnz == c.features // the dense corner: every feature in every row
+		count := rng.Intn(c.nnz + 1)
+		if dense {
+			count = c.nnz
+		}
+		for i := 0; i < count; i++ {
+			f := int32(0)
+			switch {
+			case dense:
+				f = int32(i)
+			case zipf != nil:
+				f = int32(zipf.Uint64())
+			}
+			v := float32(rng.NormFloat64() * 1.5)
+			if v != 0 {
+				vals[f] = v
+			}
+		}
+		if v, ok := vals[0]; ok {
+			vals[int32(dup)] = v
+		}
+		var idxs []int32
+		for f := int32(0); f <= int32(dup); f++ {
+			if _, ok := vals[f]; ok {
+				idxs = append(idxs, f)
+			}
+		}
+		vs := make([]float32, len(idxs))
+		for i, f := range idxs {
+			vs[i] = vals[f]
+		}
+		if err := bld.Add(idxs, vs, 0); err != nil {
+			return err
+		}
+	}
+	d := bld.Build()
+	layout, err := histogram.NewLayout(histogram.AllFeatures(c.features+1), cands, c.features+1)
+	if err != nil {
+		return err
+	}
+	b := histogram.NewBinned(d, layout, 2)
+	if b.Wide() != c.wide {
+		return fmt.Errorf("bin width: wide=%v, want %v", b.Wide(), c.wide)
+	}
+
+	grad := make([]float64, c.rows)
+	hess := make([]float64, c.rows)
+	var sel []int32
+	var totalG, totalH float64
+	for i := range grad {
+		grad[i], hess[i] = rng.NormFloat64(), rng.Float64()
+		if rng.Float64() < 0.6 {
+			sel = append(sel, int32(i))
+			totalG += grad[i]
+			totalH += hess[i]
+		}
+	}
+	batch := max((len(sel)+c.batches-1)/c.batches, 1)
+
+	ref := histogram.New(layout)
+	if len(sel) <= batch {
+		histogram.BuildSparseBinned(ref, b, sel, grad, hess)
+	} else {
+		for lo := 0; lo < len(sel); lo += batch {
+			part := histogram.New(layout)
+			histogram.BuildSparseBinned(part, b, sel[lo:min(lo+batch, len(sel))], grad, hess)
+			for i := range ref.G {
+				ref.G[i] += part.G[i]
+				ref.H[i] += part.H[i]
+			}
+		}
+	}
+
+	h := histogram.New(layout)
+	h.Defer()
+	histogram.BuildBinned(h, b, sel, grad, hess, histogram.BuildOptions{Parallelism: 2, BatchSize: batch, Pool: histogram.NewPool(layout)})
+	if !TouchedScanExact(h, totalH, c.minHes) {
+		return fmt.Errorf("guard rejects a residue of %g under MinChildHessian %g", totalH, c.minHes)
+	}
+	got := FindSplit(h, totalG, totalH, c.lambda, c.gamma, c.minHes)
+	want := fullScanReference(ref, totalG, totalH, c.lambda, c.gamma, c.minHes)
+	if !sameSplit(got, want) {
+		return fmt.Errorf("touched scan chose %+v, full scan %+v", got, want)
+	}
+	if want.Found && want.Feature == int32(dup) {
+		return fmt.Errorf("tie between features 0 and %d went to the higher id", dup)
+	}
+	if full := FindSplit(ref, totalG, totalH, c.lambda, c.gamma, c.minHes); !sameSplit(full, want) {
+		return fmt.Errorf("FindSplit on the dense build chose %+v, reference %+v", full, want)
+	}
+
+	h.Materialize()
+	for i := range ref.G {
+		if math.Float64bits(h.G[i]) != math.Float64bits(ref.G[i]) || math.Float64bits(h.H[i]) != math.Float64bits(ref.H[i]) {
+			return fmt.Errorf("bucket %d: materialised (%v, %v), dense build (%v, %v)", i, h.G[i], h.H[i], ref.G[i], ref.H[i])
+		}
+	}
+	return nil
+}
+
+// touchedSeeds are the corners every run covers: all rows empty, one feature
+// only, every feature touched (narrow and wide bins, several batches).
+var touchedSeeds = []touchedCase{
+	{seed: 1, rows: 40, features: 30, nnz: 0, batches: 3, lambda: 1, minHes: 1e-4},
+	{seed: 2, rows: 60, features: 1, nnz: 1, batches: 2, lambda: 1, minHes: 1e-4},
+	{seed: 3, rows: 50, features: 12, nnz: 12, batches: 4, lambda: 0, gamma: 0.1, minHes: 1},
+	{seed: 4, rows: 50, features: 12, nnz: 12, wide: true, batches: 1, lambda: 1, minHes: 1e-4},
+	{seed: 5, rows: 0, features: 5, nnz: 2, batches: 1, lambda: 1, minHes: 1e-4},
+}
+
+// TestTouchedScanEqualsFullScan is DESIGN §9 invariant 20.
+func TestTouchedScanEqualsFullScan(t *testing.T) {
+	for _, c := range touchedSeeds {
+		if err := checkTouchedScan(c); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+	}
+	f := func(seed int64, rows, features, nnz uint16, flags uint8) bool {
+		c := touchedCaseFrom(seed, rows, features, nnz, flags)
+		if err := checkTouchedScan(c); err != nil {
+			t.Logf("%+v: %v", c, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(20))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzTouchedScanAgrees is the same property under the fuzzer.
+func FuzzTouchedScanAgrees(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint16(29), uint16(0), uint8(0b0001_0100))  // all rows empty
+	f.Add(int64(2), uint16(60), uint16(0), uint16(1), uint8(0b0001_0010))   // one feature only
+	f.Add(int64(3), uint16(50), uint16(11), uint16(12), uint8(0b0110_0110)) // every feature touched
+	f.Add(int64(4), uint16(50), uint16(11), uint16(12), uint8(0b0001_0001)) // the same, uint16 bins
+	f.Fuzz(func(t *testing.T, seed int64, rows, features, nnz uint16, flags uint8) {
+		c := touchedCaseFrom(seed, rows, features, nnz, flags)
+		if err := checkTouchedScan(c); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -232,6 +233,13 @@ func (tr *Trainer) Train() (*Model, error) {
 		eng.PredictBatchInto(tr.Validation, valPreds)
 	}
 
+	// With every feature sampled and the candidates fixed, the layout — and
+	// with it every bin id — is the same for every tree: quantize once per
+	// run. Otherwise once per tree. Nothing outlives this call.
+	perRun := tr.cfg.FeatureSampleRatio >= 1 && !tr.cfg.WeightedCandidates
+	var td *treeData
+	defer func() { td.close() }()
+
 	m := trainMetrics()
 	for t := 0; t < tr.cfg.NumTrees; t++ {
 		treeStart := time.Now()
@@ -253,12 +261,14 @@ func (tr *Trainer) Train() (*Model, error) {
 			tr.Times.Sketch += wd
 			m.spans.Record(-1, t, -1, "sketch", ws, wd)
 		}
-		features := tr.SampleFeatures()
-		layout, err := histogram.NewLayout(features, treeCands, tr.numFeatures())
-		if err != nil {
-			return nil, err
+		if td == nil || !perRun {
+			td.close()
+			var err error
+			if td, err = tr.newTreeData(t, treeCands); err != nil {
+				return nil, err
+			}
 		}
-		tn, err := tr.growTree(t, layout, grad, hess, preds)
+		tn, err := tr.growTree(t, td, grad, hess, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -370,6 +380,66 @@ func (tr *Trainer) weightedCandidates(hess []float64) []sketch.Candidates {
 	return out
 }
 
+// treeData is what growTree reads besides the gradients: the layout of the
+// sampled features, the quantized mirror of the dataset under it (resident,
+// spilled in out-of-core mode, neither under Config.NoBinning) and the
+// histogram pool of that layout.
+type treeData struct {
+	layout  *histogram.Layout
+	binned  *histogram.Binned
+	spilled *ooc.SpilledBinned
+	pool    *histogram.Pool
+}
+
+// newTreeData samples tree t's features and quantizes the dataset under
+// their layout: every nonzero's bin id, reused by every node of every layer
+// for both histogram construction and splitting.
+func (tr *Trainer) newTreeData(t int, cands []sketch.Candidates) (*treeData, error) {
+	layout, err := histogram.NewLayout(tr.SampleFeatures(), cands, tr.numFeatures())
+	if err != nil {
+		return nil, err
+	}
+	td := &treeData{layout: layout}
+	bs := time.Now()
+	switch {
+	case tr.src != nil:
+		// The mirror spills to a memory-mapped scratch file instead of
+		// materializing. Under a memory budget, cap the free list at the
+		// concurrent working set (one partial per builder plus one merge
+		// target) so idle histograms from wide layers cannot pile up;
+		// recycling is allocation-only, so the cap cannot affect results.
+		td.pool = histogram.NewPoolCap(layout, tr.pool.Workers()+1)
+		if td.spilled, err = tr.src.BuildBinned(layout, tr.pool); err != nil {
+			return nil, err
+		}
+	case tr.cfg.NoBinning:
+		td.pool = histogram.NewPool(layout)
+		return td, nil
+	default:
+		td.pool = histogram.NewPool(layout)
+		td.binned = histogram.NewBinned(tr.data, layout, tr.pool.Workers())
+	}
+	bd := time.Since(bs)
+	tr.Times.BuildHist += bd
+	trainMetrics().spans.Record(-1, t, -1, "binning", bs, bd)
+	return td, nil
+}
+
+// close releases the spill file, if any. Safe on nil.
+func (td *treeData) close() {
+	if td != nil && td.spilled != nil {
+		td.spilled.Close()
+	}
+}
+
+// findSplitChunk is how many scan units one FIND_SPLIT pool task takes. A
+// unit is one ScanWord, so PosChunk must be its width.
+const (
+	findSplitChunk      = 16
+	_              uint = parallel.PosChunk - 64
+	_              uint = 64 - parallel.PosChunk
+)
+
 // nodeState tracks the gradient sums of one active tree node.
 type nodeState struct {
 	g, h float64
@@ -386,9 +456,10 @@ type splitTask struct {
 
 // growTree builds one regression tree layer by layer (§4.4 BUILD_HISTOGRAM →
 // FIND_SPLIT → SPLIT_TREE) and updates preds with the new leaf weights.
-func (tr *Trainer) growTree(treeIdx int, layout *histogram.Layout, grad, hess, preds []float64) (*tree.Tree, error) {
+func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float64) (*tree.Tree, error) {
 	m := trainMetrics()
 	cfg := tr.cfg
+	layout, binned, spilled, pool := td.layout, td.binned, td.spilled, td.pool
 	n := tr.numRows()
 	tn := tree.New(cfg.MaxDepth)
 	maxNodes := tree.MaxNodes(cfg.MaxDepth)
@@ -440,43 +511,7 @@ func (tr *Trainer) growTree(treeIdx int, layout *histogram.Layout, grad, hess, p
 	}
 	states[0] = nodeState{rootG, rootH}
 
-	// Quantize the dataset once per tree: every nonzero's bin id under this
-	// tree's candidates, reused by every node of every layer for both
-	// histogram construction and splitting (Config.NoBinning ablates). In
-	// out-of-core mode the quantized mirror spills to a memory-mapped
-	// scratch file instead of materializing.
-	var binned *histogram.Binned
-	var spilled *ooc.SpilledBinned
-	if tr.src != nil {
-		bs := time.Now()
-		var err error
-		spilled, err = tr.src.BuildBinned(layout, tr.pool)
-		if err != nil {
-			return nil, err
-		}
-		defer spilled.Close()
-		bd := time.Since(bs)
-		tr.Times.BuildHist += bd
-		m.spans.Record(-1, treeIdx, -1, "binning", bs, bd)
-	} else if !cfg.NoBinning {
-		bs := time.Now()
-		binned = histogram.NewBinned(tr.data, layout, tr.pool.Workers())
-		bd := time.Since(bs)
-		tr.Times.BuildHist += bd
-		m.spans.Record(-1, treeIdx, -1, "binning", bs, bd)
-	}
-
 	active := []int{0}
-	// Under a memory budget, cap the free list at the concurrent working set
-	// (one partial per builder plus one merge target) so idle histograms from
-	// wide layers cannot pile up; recycling is allocation-only, so the cap
-	// cannot affect results.
-	var pool *histogram.Pool
-	if tr.src != nil {
-		pool = histogram.NewPoolCap(layout, tr.pool.Workers()+1)
-	} else {
-		pool = histogram.NewPool(layout)
-	}
 	buildOpts := histogram.BuildOptions{
 		Parallelism: tr.pool.Workers(),
 		BatchSize:   cfg.BatchSize,
@@ -494,8 +529,13 @@ func (tr *Trainer) growTree(treeIdx int, layout *histogram.Layout, grad, hess, p
 		curHists = map[int]*histogram.Histogram{}
 	}
 
+	// FIND_SPLIT scratch, reused by every layer: one unit per (node, non-empty
+	// ScanWord) — the PosChunk range of positions that word stands for.
 	numPos := layout.NumFeatures()
-	ranges := (numPos + parallel.PosChunk - 1) / parallel.PosChunk
+	words := (numPos + parallel.PosChunk - 1) / parallel.PosChunk
+	type scanUnit struct{ task, word int32 }
+	var units []scanUnit
+	var bests []Split
 
 	for depth := 0; depth < cfg.MaxDepth && len(active) > 0; depth++ {
 		var next []int
@@ -512,7 +552,10 @@ func (tr *Trainer) growTree(treeIdx int, layout *histogram.Layout, grad, hess, p
 				tn.SetLeaf(node, cfg.LearningRate*LeafWeight(st.g, st.h, cfg.Lambda))
 				continue
 			}
+			// Deferred: the sparse binned builds leave only what the node's
+			// rows touched for FIND_SPLIT to scan and the pool to clear.
 			h := pool.Get()
+			h.Defer()
 			derived := false
 			// Deriving costs O(TotalBuckets); only cheaper than a direct
 			// build when the node holds enough nonzeros.
@@ -545,21 +588,38 @@ func (tr *Trainer) growTree(treeIdx int, layout *histogram.Layout, grad, hess, p
 		buildD := time.Since(bs)
 		tr.Times.BuildHist += buildD
 
-		// FIND_SPLIT: Algorithm 1 fanned out over (node × feature-range)
-		// tasks; each node's partial bests fold in ascending range order
-		// (BestOf), so the chosen split is worker-count-independent.
+		// FIND_SPLIT: Algorithm 1 fanned out over (node × PosChunk range the
+		// node touched); each node's partial bests fold in ascending range
+		// order, so the chosen split is worker-count-independent. A range
+		// nothing touched has no candidate, so leaving it out of the fold
+		// changes nothing — unless the guard says the full scan would be
+		// fooled, and then the node is scanned in full.
 		fs := time.Now()
 		splits := make([]Split, len(tasks))
-		if len(tasks) > 0 && ranges > 0 {
-			bests := make([]Split, len(tasks)*ranges)
-			tr.pool.Tasks(len(bests), func(j int) {
-				t := &tasks[j/ranges]
-				pLo := (j % ranges) * parallel.PosChunk
+		units = units[:0]
+		for ti := range tasks {
+			t := &tasks[ti]
+			if !TouchedScanExact(t.h, t.st.h, cfg.MinChildHessian) {
+				t.h.Materialize()
+			}
+			for w := 0; w < words; w++ {
+				if t.h.ScanWord(w) != 0 {
+					units = append(units, scanUnit{int32(ti), int32(w)})
+				}
+			}
+		}
+		bests = slices.Grow(bests[:0], len(units))[:len(units)]
+		tr.pool.For(len(units), findSplitChunk, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				t := &tasks[units[j].task]
+				pLo := int(units[j].word) * parallel.PosChunk
 				pHi := min(pLo+parallel.PosChunk, numPos)
 				bests[j] = FindSplitRange(t.h, pLo, pHi, t.st.g, t.st.h, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
-			})
-			for ti := range tasks {
-				splits[ti] = BestOf(bests[ti*ranges : (ti+1)*ranges]...)
+			}
+		})
+		for j, u := range units {
+			if bests[j].Better(splits[u.task]) {
+				splits[u.task] = bests[j]
 			}
 		}
 		findD := time.Since(fs)
@@ -649,6 +709,10 @@ func (tr *Trainer) growTree(treeIdx int, layout *histogram.Layout, grad, hess, p
 		m.spans.Record(-1, treeIdx, depth, "find_split", layerStart, findD)
 		m.spans.Record(-1, treeIdx, depth, "split_tree", layerStart, splitD)
 		active = next
+	}
+
+	for _, h := range prevHists {
+		pool.Put(h) // the pool may serve the next tree
 	}
 
 	// A streaming I/O failure inside a pool worker records sticky state and

@@ -13,7 +13,7 @@ import (
 // NewTrainerFromSource prepares a trainer over a disk-resident dataset: the
 // out-of-core mode. Every training pass streams row chunks through the
 // source's bounded cache instead of touching a resident Dataset, and the
-// per-tree binned mirror spills to disk (ooc.SpilledBinned). The chunk grids
+// binned mirror spills to disk (ooc.SpilledBinned). The chunk grids
 // and ordered reductions are identical to the in-memory path, so the trained
 // model is Float64bits-identical to NewTrainer on the same data — at any
 // parallelism and any budget admitted by ooc.Open.

@@ -176,7 +176,11 @@ func validateRowPtr(rowPtr []int64, nnz uint64) error {
 
 // ReadBinary loads a full dataset from the binary format (the "memory"
 // storage level).
-func ReadBinary(r io.Reader) (*Dataset, error) {
+func ReadBinary(r io.Reader) (*Dataset, error) { return readBinary(r, 0) }
+
+// readBinary is ReadBinary over a source known to hold size bytes (0 when
+// unknown).
+func readBinary(r io.Reader, size int64) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	h, err := readHeader(br)
 	if err != nil {
@@ -185,20 +189,22 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	d := &Dataset{NumFeatures: int(h.features)}
 	// Arrays grow as bytes actually arrive (growU64s and friends), so a
 	// header promising petabytes fails with ErrTruncated instead of
-	// attempting the full allocation up front.
-	if d.RowPtr, err = growU64s(br, int(h.rows)+1); err != nil {
+	// attempting the full allocation up front. An array's first allocation
+	// may still be as large as the source itself could fill: a well-formed
+	// file is read into exactly-sized arrays, with no regrowth to copy.
+	if d.RowPtr, err = growU64s(br, int(h.rows)+1, firstCap(size, 8)); err != nil {
 		return nil, err
 	}
 	if err := validateRowPtr(d.RowPtr, h.nnz); err != nil {
 		return nil, err
 	}
-	if d.Labels, err = growF32s(br, int(h.rows)); err != nil {
+	if d.Labels, err = growF32s(br, int(h.rows), firstCap(size, 4)); err != nil {
 		return nil, err
 	}
-	if d.Indices, err = growI32s(br, int(h.nnz)); err != nil {
+	if d.Indices, err = growI32s(br, int(h.nnz), firstCap(size, 4)); err != nil {
 		return nil, err
 	}
-	if d.Values, err = growF32s(br, int(h.nnz)); err != nil {
+	if d.Values, err = growF32s(br, int(h.nnz), firstCap(size, 4)); err != nil {
 		return nil, err
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
@@ -217,7 +223,11 @@ func ReadBinaryFile(path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readBinary(f, fi.Size())
 }
 
 // ReadBinaryChunks streams a binary dataset file in row chunks of at most
@@ -251,10 +261,17 @@ func ReadBinaryChunks(path string, chunkRows int, fn func(lo, hi int, chunk *Dat
 // a giant allocation.
 const growSlab = 1 << 17
 
+// firstCap bounds an incremental reader's first allocation, in elements of
+// elem bytes: growSlab, or what a source of size bytes could hold if larger.
+func firstCap(size int64, elem int) int {
+	return max(growSlab, int(size/int64(elem)))
+}
+
 // growU64s reads n little-endian u64s, growing the destination as data
-// arrives so truncated streams fail before allocating the promised total.
-func growU64s(r io.Reader, n int) ([]int64, error) {
-	dst := make([]int64, 0, min(n, growSlab))
+// arrives so truncated streams fail before allocating the promised total;
+// first caps the initial allocation.
+func growU64s(r io.Reader, n, first int) ([]int64, error) {
+	dst := make([]int64, 0, min(n, first))
 	var buf [8 * 1024]byte
 	for len(dst) < n {
 		want := min(n-len(dst), len(buf)/8)
@@ -268,8 +285,8 @@ func growU64s(r io.Reader, n int) ([]int64, error) {
 	return dst, nil
 }
 
-func growI32s(r io.Reader, n int) ([]int32, error) {
-	dst := make([]int32, 0, min(n, growSlab))
+func growI32s(r io.Reader, n, first int) ([]int32, error) {
+	dst := make([]int32, 0, min(n, first))
 	var buf [4 * 2048]byte
 	for len(dst) < n {
 		want := min(n-len(dst), len(buf)/4)
@@ -283,8 +300,8 @@ func growI32s(r io.Reader, n int) ([]int32, error) {
 	return dst, nil
 }
 
-func growF32s(r io.Reader, n int) ([]float32, error) {
-	dst := make([]float32, 0, min(n, growSlab))
+func growF32s(r io.Reader, n, first int) ([]float32, error) {
+	dst := make([]float32, 0, min(n, first))
 	var buf [4 * 2048]byte
 	for len(dst) < n {
 		want := min(n-len(dst), len(buf)/4)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -220,6 +221,54 @@ func TestBinaryTypedErrors(t *testing.T) {
 	lying[24]++
 	if _, err := ReadBinary(bytes.NewReader(lying)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("lying nnz: err %v, want ErrCorrupt", err)
+	}
+}
+
+// ReadBinaryFile knows how many bytes the file holds, so it reads a
+// well-formed file into exactly-sized arrays, and a header that promises far
+// more than the file contains still costs no more than the file's own size.
+func TestReadBinaryFileAllocatesByFileSize(t *testing.T) {
+	dir := t.TempDir()
+	orig := Generate(SyntheticConfig{NumRows: 3000, NumFeatures: 500, AvgNNZ: 60, Seed: 47})
+	path := filepath.Join(dir, "d.bin")
+	if err := WriteBinaryFile(path, orig); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadBinaryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(orig, d) {
+		t.Fatal("ReadBinaryFile differs from the written dataset")
+	}
+	if len(d.Indices) <= growSlab {
+		t.Fatalf("%d nonzeros do not exercise the presized path (growSlab %d)", len(d.Indices), growSlab)
+	}
+	if cap(d.Indices) != len(d.Indices) || cap(d.Values) != len(d.Values) ||
+		cap(d.RowPtr) != len(d.RowPtr) || cap(d.Labels) != len(d.Labels) {
+		t.Errorf("arrays regrown: cap/len indices %d/%d values %d/%d rowPtr %d/%d labels %d/%d",
+			cap(d.Indices), len(d.Indices), cap(d.Values), len(d.Values),
+			cap(d.RowPtr), len(d.RowPtr), cap(d.Labels), len(d.Labels))
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying := append([]byte(nil), raw[:headerSize+64]...)
+	lying[8+4] = 0x40 // rows += 2^38: a 2 TiB row-pointer array is promised
+	short := filepath.Join(dir, "lying.bin")
+	if err := os.WriteFile(short, lying, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadBinaryFile(short); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("lying header: err %v, want ErrTruncated", err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("lying header made the reader allocate %d bytes for a %d-byte file", got, len(lying))
 	}
 }
 

@@ -250,6 +250,16 @@ func (d *Dataset) Subset(lo, hi int) *Dataset {
 		panic(fmt.Sprintf("dataset: bad subset [%d,%d) of %d rows", lo, hi, d.NumRows()))
 	}
 	b := NewBuilder(d.NumFeatures)
+	// The range's sizes are known: allocate once instead of growing (empty
+	// arrays stay nil, as appending nothing leaves them).
+	if nnz := int(d.RowPtr[hi] - d.RowPtr[lo]); nnz > 0 {
+		b.indices = make([]int32, 0, nnz)
+		b.values = make([]float32, 0, nnz)
+	}
+	if hi > lo {
+		b.rowPtr = append(make([]int64, 0, hi-lo+1), 0)
+		b.labels = make([]float32, 0, hi-lo)
+	}
 	for i := lo; i < hi; i++ {
 		in := d.Row(i)
 		b.indices = append(b.indices, in.Indices...)

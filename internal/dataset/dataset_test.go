@@ -164,6 +164,29 @@ func TestSubsetAndSplit(t *testing.T) {
 	}
 }
 
+// Subset copies a range whose sizes it knows: the arrays are allocated once,
+// and the copy is what gathering the same rows one by one produces.
+func TestSubsetIsExactlySized(t *testing.T) {
+	d := Generate(SyntheticConfig{NumRows: 300, NumFeatures: 40, AvgNNZ: 6, Seed: 5})
+	for _, r := range [][2]int{{0, 300}, {17, 211}, {299, 300}, {120, 120}} {
+		sub := d.Subset(r[0], r[1])
+		rows := make([]int32, 0, r[1]-r[0])
+		for i := r[0]; i < r[1]; i++ {
+			rows = append(rows, int32(i))
+		}
+		if want := d.Gather(rows); !reflect.DeepEqual(sub, want) {
+			t.Errorf("Subset(%d, %d) differs from Gather of the same rows", r[0], r[1])
+		}
+		if cap(sub.Indices) != len(sub.Indices) || cap(sub.Values) != len(sub.Values) ||
+			cap(sub.RowPtr) != len(sub.RowPtr) || cap(sub.Labels) != len(sub.Labels) {
+			t.Errorf("Subset(%d, %d) arrays were regrown", r[0], r[1])
+		}
+		if err := sub.Validate(); err != nil {
+			t.Errorf("Subset(%d, %d): %v", r[0], r[1], err)
+		}
+	}
+}
+
 func TestSubsetPanicsOnBadRange(t *testing.T) {
 	d := mustBuild(t, 3, [][2][]float32{{{0}, {1}}}, []float32{1})
 	defer func() {

@@ -199,7 +199,7 @@ func Table3(w io.Writer, scale Scale) (*Table3Result, error) {
 	fmt.Fprintf(w, "%-58s %12s   (%0.0fx)\n", "build root node: + sparsity-aware", fmtDur(res.RootSparse),
 		float64(res.RootDense)/float64(res.RootSparse))
 	fmt.Fprintf(w, "%-58s %12s\n", "build root node: + parallel batches (1-core machine)", fmtDur(res.RootSparseParallel))
-	fmt.Fprintf(w, "%-58s %12s   (amortized over all nodes of a tree)\n", "quantize dataset to bin ids (once per tree)", fmtDur(res.BinnedQuantize))
+	fmt.Fprintf(w, "%-58s %12s   (amortized over every node built under the layout)\n", "quantize dataset to bin ids (once per layout)", fmtDur(res.BinnedQuantize))
 	fmt.Fprintf(w, "%-58s %12s   (%0.1fx vs sparse float)\n", "build root node: + quantized bin ids", fmtDur(res.RootBinned),
 		float64(res.RootSparse)/float64(res.RootBinned))
 	fmt.Fprintf(w, "%-58s %12s\n", "build last layer: without node-to-instance index", fmtDur(res.LastLayerNoIndex))

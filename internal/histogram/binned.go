@@ -9,8 +9,8 @@ import (
 
 // Binned is a quantized CSR mirror of a dataset restricted to a Layout's
 // sampled features: every stored nonzero is reduced to its sampled position
-// and its histogram bin id, computed once per tree from the split-candidate
-// cuts. Histogram construction and node splitting then become pure integer
+// and its histogram bin id, computed once per layout from the
+// split-candidate cuts. Histogram construction and node splitting then become pure integer
 // arithmetic — no float comparisons and no per-nonzero binary searches —
 // which is how production histogram systems (XGBoost, LightGBM) spend the
 // dominant GBDT cost.
@@ -70,7 +70,7 @@ const maxNarrowBuckets = 256
 // bin under the layout, in parallel over row chunks (each row's entries are
 // computed independently, so the result is the same at any parallelism;
 // values < 1 mean runtime.GOMAXPROCS(0)). The result is reused across all
-// nodes and layers of one tree; the quantization pays the per-nonzero binary
+// nodes and layers of every tree grown under the layout; the quantization pays the per-nonzero binary
 // search exactly once instead of once per layer.
 func NewBinned(d *dataset.Dataset, l *Layout, parallelism int) *Binned {
 	n := d.NumRows()

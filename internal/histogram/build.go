@@ -1,6 +1,8 @@
 package histogram
 
 import (
+	"math/bits"
+
 	"dimboost/internal/dataset"
 	"dimboost/internal/parallel"
 )
@@ -12,6 +14,7 @@ import (
 // Row indices and Layout.Features are both sorted, so one merge-walk per
 // row replaces a per-feature binary search.
 func BuildDense(h *Histogram, d *dataset.Dataset, rows []int32, grad, hess []float64) {
+	h.Materialize()
 	l := h.Layout
 	for _, r := range rows {
 		in := d.Row(int(r))
@@ -37,6 +40,7 @@ func BuildDense(h *Histogram, d *dataset.Dataset, rows []int32, grad, hess []flo
 // are accumulated once into per-feature zero buckets, and only nonzero
 // entries are touched individually — O(z·N + M).
 func BuildSparse(h *Histogram, d *dataset.Dataset, rows []int32, grad, hess []float64) {
+	h.Materialize()
 	l := h.Layout
 	var sumG, sumH float64
 	for _, r := range rows {
@@ -83,6 +87,8 @@ func BuildSparseBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float
 // ids (callers slice them so local rows line up). Chaining calls and then
 // applying FinishSparseZeros once performs float operations in exactly the
 // order of BuildSparseBinned over the concatenated rows — bit-identical.
+// On a deferred histogram every accumulated entry also marks its position in
+// the touched set.
 func AccumSparseBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float64, sumG, sumH float64) (float64, float64) {
 	if b.Bins16 != nil {
 		return accumSparseBins(h, b, b.Bins16, rows, grad, hess, sumG, sumH)
@@ -90,19 +96,34 @@ func AccumSparseBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float
 	return accumSparseBins(h, b, b.Bins8, rows, grad, hess, sumG, sumH)
 }
 
-// FinishSparseZeros applies the accumulated gradient sums to every sampled
-// feature's zero bucket, completing a chain of AccumSparseBinned calls.
+// FinishSparseZeros completes a chain of AccumSparseBinned calls with the
+// accumulated gradient sums. On a materialised histogram they go to every
+// sampled feature's zero bucket; on a deferred one to the zero buckets of
+// the touched positions only, and into the deferred mass for the rest.
 func FinishSparseZeros(h *Histogram, sumG, sumH float64) {
-	for _, z := range h.Layout.zeroIdx {
-		h.G[z] += sumG
-		h.H[z] += sumH
+	zeros := h.Layout.zeroIdx
+	if !h.deferred {
+		for _, z := range zeros {
+			h.G[z] += sumG
+			h.H[z] += sumH
+		}
+		return
 	}
+	for w, set := range h.touched {
+		for b := set; b != 0; b &= b - 1 {
+			z := zeros[w<<6+bits.TrailingZeros64(b)]
+			h.G[z] += sumG
+			h.H[z] += sumH
+		}
+	}
+	h.defG += sumG
+	h.defH += sumH
 }
 
 func accumSparseBins[T uint8 | uint16](h *Histogram, b *Binned, bins []T, rows []int32, grad, hess []float64, sumG, sumH float64) (float64, float64) {
 	l := h.Layout
 	offs, zeros := l.Offsets, l.zeroIdx
-	pos := b.Pos
+	pos, touched, track := b.Pos, h.touched, h.deferred
 	for _, r := range rows {
 		g, hs := grad[r], hess[r]
 		sumG += g
@@ -110,6 +131,9 @@ func accumSparseBins[T uint8 | uint16](h *Histogram, b *Binned, bins []T, rows [
 		lo, hi := b.RowPtr[r], b.RowPtr[r+1]
 		for j := lo; j < hi; j++ {
 			p := pos[j]
+			if track {
+				touched[p>>6] |= 1 << (p & 63)
+			}
 			idx := int(offs[p]) + int(bins[j])
 			h.G[idx] += g
 			h.H[idx] += hs
@@ -125,6 +149,7 @@ func accumSparseBins[T uint8 | uint16](h *Histogram, b *Binned, bins []T, rows [
 // over the row's sampled entries supplies stored bins, every other sampled
 // position contributes its zero bucket. Bit-identical to BuildDense.
 func BuildDenseBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float64) {
+	h.Materialize()
 	if b.Bins16 != nil {
 		buildDenseBins(h, b, b.Bins16, rows, grad, hess)
 	} else {
@@ -170,11 +195,12 @@ type BuildOptions struct {
 	Pool *Pool
 }
 
-func (o BuildOptions) normalized() BuildOptions {
+// batchSize resolves the BatchSize default.
+func (o BuildOptions) batchSize() int {
 	if o.BatchSize < 1 {
-		o.BatchSize = 4096
+		return 4096
 	}
-	return o
+	return o.BatchSize
 }
 
 // Build constructs the histogram of one tree node over the given rows using
@@ -190,43 +216,56 @@ func Build(h *Histogram, d *dataset.Dataset, rows []int32, grad, hess []float64,
 	if opts.Dense {
 		build = BuildDense
 	}
-	buildParallel(h, rows, opts, func(part *Histogram, batch []int32) {
+	BuildBatches(h, rows, opts, func(part *Histogram, batch []int32) {
 		build(part, d, batch, grad, hess)
 	})
 }
 
 // BuildBinned is Build over the quantized matrix: same batching, same
 // deterministic merge order, but each batch accumulates straight from bin
-// ids.
+// ids. The result is in h's state: materialised unless the caller Deferred
+// h.
 func BuildBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float64, opts BuildOptions) {
 	build := BuildSparseBinned
 	if opts.Dense {
 		build = BuildDenseBinned
 	}
-	buildParallel(h, rows, opts, func(part *Histogram, batch []int32) {
+	if len(rows) <= opts.batchSize() {
+		// The deep-node path: no closure, no allocation.
+		build(h, b, rows, grad, hess)
+		return
+	}
+	BuildBatches(h, rows, opts, func(part *Histogram, batch []int32) {
 		build(part, b, batch, grad, hess)
 	})
 }
 
-// buildParallel runs the shared batching/merging machinery over any
-// per-batch builder. Partial histograms come from opts.Pool when set; eager
-// prefix merging recycles each partial as soon as it is folded in, so a
-// sequential run cycles a single pooled partial.
-func buildParallel(h *Histogram, rows []int32, opts BuildOptions, build func(part *Histogram, batch []int32)) {
-	opts = opts.normalized()
-	nBatches := (len(rows) + opts.BatchSize - 1) / opts.BatchSize
-	if nBatches <= 1 {
+// BuildBatches is the batching/merging driver under every Build*: it runs
+// the per-batch builder over the fixed batch grid and folds the partials
+// into h in ascending batch order. Partial histograms come from opts.Pool
+// when set; eager prefix merging recycles each partial as soon as it is
+// folded in, so a sequential run cycles a single pooled partial. Partials
+// are handed to build in h's state, so a deferred target's merge with a
+// sparse binned builder's partials walks touched positions only and a
+// materialised target's is the dense merge.
+func BuildBatches(h *Histogram, rows []int32, opts BuildOptions, build func(part *Histogram, batch []int32)) {
+	size := opts.batchSize()
+	if len(rows) <= size {
 		build(h, rows)
 		return
 	}
+	deferred := h.deferred // the merges below may change it while batches build
 	p := parallel.New(opts.Parallelism)
-	parallel.ReduceOrdered(p, len(rows), opts.BatchSize,
+	parallel.ReduceOrdered(p, len(rows), size,
 		func(_, lo, hi int) *Histogram {
 			var part *Histogram
 			if opts.Pool != nil {
 				part = opts.Pool.Get()
 			} else {
 				part = New(h.Layout)
+			}
+			if deferred {
+				part.Defer()
 			}
 			build(part, rows[lo:hi])
 			return part

@@ -10,6 +10,7 @@ package histogram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dimboost/internal/sketch"
 )
@@ -95,51 +96,197 @@ func (l *Layout) BucketRange(p int) (lo, hi int) {
 func (l *Layout) SizeBytes() int { return 2 * l.TotalBuckets * 4 }
 
 // Histogram is the G/H bucket arrays for one tree node under a Layout.
+//
+// A histogram is in one of two states. Materialised (the zero state: what
+// New, Reset, Pool.Get and a Histogram{Layout, G, H} literal give) means the
+// flat G/H arrays are complete and every feature's buckets sum to the node
+// totals; it is the only form the exported fields may be read in. Deferred
+// (entered with Defer, left with Materialize, Reset or SetSub) is the
+// trainer's private form between a node's accumulation and its split scan:
+// only the positions in the touched set hold anything, and every other
+// position is owed the deferred zero mass — the (ΣG, ΣH) Algorithm 2 would
+// have added to its zero bucket. Reset, the zero-bucket finish, Add and the
+// split scan of a deferred histogram walk the touched set alone, so a deep
+// node costs what its rows touched, not the layout.
 type Histogram struct {
 	Layout *Layout
 	G, H   []float64
+
+	// touched is a bitset over sampled positions: while the histogram is
+	// deferred the sparse binned builders set a position's bit with every
+	// nonzero they accumulate. Nil until the first Defer on a
+	// literal-constructed histogram.
+	touched []uint64
+	// deferred marks the deferred state; defG/defH are the zero mass owed
+	// to every untouched position.
+	deferred   bool
+	defG, defH float64
 }
 
 // New returns a zeroed histogram for the layout.
 func New(l *Layout) *Histogram {
-	return &Histogram{Layout: l, G: make([]float64, l.TotalBuckets), H: make([]float64, l.TotalBuckets)}
+	return &Histogram{
+		Layout:  l,
+		G:       make([]float64, l.TotalBuckets),
+		H:       make([]float64, l.TotalBuckets),
+		touched: make([]uint64, touchedWords(l)),
+	}
 }
 
-// Reset zeroes the histogram in place.
+// touchedWords returns the length of a layout's touched bitset.
+func touchedWords(l *Layout) int { return (len(l.Features) + 63) / 64 }
+
+// Defer switches a zeroed histogram (fresh from New, Reset or Pool.Get) to
+// the deferred state. The sparse binned builders then leave it deferred —
+// one build per Defer, since a second build could not replay the dense
+// float order — and every other builder materialises it first, so a caller
+// may Defer whatever build follows.
+func (h *Histogram) Defer() {
+	if h.touched == nil {
+		h.touched = make([]uint64, touchedWords(h.Layout))
+	}
+	h.deferred = true
+}
+
+// Materialize completes a deferred histogram in place: every untouched
+// position's zero bucket receives the deferred mass. It is a no-op on a
+// materialised histogram.
+func (h *Histogram) Materialize() {
+	if !h.deferred {
+		return
+	}
+	h.deferred = false
+	// Adding a zero mass is the identity: buckets start at +0 and are only
+	// ever added to or subtracted from, so none holds −0.
+	if h.defG != 0 || h.defH != 0 {
+		zeros := h.Layout.zeroIdx
+		for w, set := range h.touched {
+			for b := ^set & wordMask(w, len(zeros)); b != 0; b &= b - 1 {
+				z := zeros[w<<6+bits.TrailingZeros64(b)]
+				h.G[z] += h.defG
+				h.H[z] += h.defH
+			}
+		}
+	}
+	h.defG, h.defH = 0, 0
+}
+
+// wordMask returns the bits of bitset word w that are positions below n.
+func wordMask(w, n int) uint64 {
+	if rest := n - w<<6; rest < 64 {
+		return 1<<rest - 1
+	}
+	return ^uint64(0)
+}
+
+// ScanWord returns word w of the set of sampled positions a split scan has
+// to visit — bit i stands for position 64w+i: the touched set of a deferred
+// histogram, every position of a materialised one.
+func (h *Histogram) ScanWord(w int) uint64 {
+	if h.deferred {
+		return h.touched[w]
+	}
+	return wordMask(w, len(h.Layout.Features))
+}
+
+// DeferredMass returns the (ΣG, ΣH) a deferred histogram owes each untouched
+// position's zero bucket; zero for a materialised one.
+func (h *Histogram) DeferredMass() (g, hs float64) { return h.defG, h.defH }
+
+// Reset zeroes the histogram in place and leaves it materialised with an
+// empty touched set. A deferred histogram clears only what was touched.
 func (h *Histogram) Reset() {
-	for i := range h.G {
-		h.G[i] = 0
-		h.H[i] = 0
+	if h.deferred {
+		offs := h.Layout.Offsets
+		for w, set := range h.touched {
+			for b := set; b != 0; b &= b - 1 {
+				p := w<<6 + bits.TrailingZeros64(b)
+				clear(h.G[offs[p]:offs[p+1]])
+				clear(h.H[offs[p]:offs[p+1]])
+			}
+		}
+		h.deferred, h.defG, h.defH = false, 0, 0
+	} else {
+		clear(h.G)
+		clear(h.H)
 	}
+	clear(h.touched)
 }
 
-// Add accumulates other into h. Both must share a layout shape.
+// Add accumulates other into h. Both must share a layout shape. Unless both
+// are deferred this is the dense bucket-by-bucket merge of the two
+// materialised forms (other is materialised in place: cheaper than walking
+// its bitset once the target needs every zero bucket anyway). Two deferred
+// histograms merge over the union of their touched sets with the float
+// operations that dense merge would have performed on each bucket: a
+// position only other touched first receives h's deferred mass, a position
+// only h touched receives other's, and for the rest the two masses add.
 func (h *Histogram) Add(other *Histogram) {
-	for i, g := range other.G {
-		h.G[i] += g
+	if !h.deferred || !other.deferred {
+		h.Materialize()
+		other.Materialize()
+		for i, g := range other.G {
+			h.G[i] += g
+		}
+		for i, v := range other.H {
+			h.H[i] += v
+		}
+		return
 	}
-	for i, v := range other.H {
-		h.H[i] += v
+	l := h.Layout
+	for w, theirs := range other.touched {
+		ours := h.touched[w]
+		for b := theirs &^ ours; b != 0; b &= b - 1 {
+			z := l.zeroIdx[w<<6+bits.TrailingZeros64(b)]
+			h.G[z] += h.defG
+			h.H[z] += h.defH
+		}
+		for b := ours &^ theirs; b != 0; b &= b - 1 {
+			z := l.zeroIdx[w<<6+bits.TrailingZeros64(b)]
+			h.G[z] += other.defG
+			h.H[z] += other.defH
+		}
+		for b := theirs; b != 0; b &= b - 1 {
+			p := w<<6 + bits.TrailingZeros64(b)
+			lo, hi := l.Offsets[p], l.Offsets[p+1]
+			hg, og := h.G[lo:hi], other.G[lo:hi]
+			for i, g := range og {
+				hg[i] += g
+			}
+			hh, oh := h.H[lo:hi], other.H[lo:hi]
+			for i, v := range oh {
+				hh[i] += v
+			}
+		}
+		h.touched[w] = ours | theirs
 	}
+	h.defG += other.defG
+	h.defH += other.defH
 }
 
 // SetSub fills h with parent − child, the histogram-subtraction trick: a
 // split node's second child histogram equals its parent's minus its
-// sibling's, so only one child per split needs a data pass.
+// sibling's, so only one child per split needs a data pass. The operands are
+// materialised first; h ends materialised.
 func (h *Histogram) SetSub(parent, child *Histogram) {
+	parent.Materialize()
+	child.Materialize()
 	for i := range h.G {
 		h.G[i] = parent.G[i] - child.G[i]
 	}
 	for i := range h.H {
 		h.H[i] = parent.H[i] - child.H[i]
 	}
+	h.deferred, h.defG, h.defH = false, 0, 0
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy in the same state.
 func (h *Histogram) Clone() *Histogram {
 	c := New(h.Layout)
 	copy(c.G, h.G)
 	copy(c.H, h.H)
+	copy(c.touched, h.touched)
+	c.deferred, c.defG, c.defH = h.deferred, h.defG, h.defH
 	return c
 }
 

@@ -25,7 +25,7 @@ func poolMetrics() (*obs.Counter, *obs.Counter) {
 // per active node per layer plus one partial per builder goroutine per
 // Build call — would otherwise allocate a fresh 2×TotalBuckets float64
 // pair every time; the pool caps the working set at the peak number of
-// simultaneously live histograms per tree. It is safe for concurrent use.
+// simultaneously live histograms. It is safe for concurrent use.
 type Pool struct {
 	layout *Layout
 	cap    int

@@ -126,3 +126,159 @@ func TestConcurrentBuildsShareCappedPool(t *testing.T) {
 		t.Fatalf("Idle = %d exceeds cap 1", pool.Idle())
 	}
 }
+
+// requireClean fails unless h is what Pool.Get promises: every bucket zero,
+// an empty touched set, no deferred mass, materialised.
+func requireClean(t *testing.T, ctx string, h *Histogram) {
+	t.Helper()
+	for i := range h.G {
+		if h.G[i] != 0 || h.H[i] != 0 {
+			t.Fatalf("%s: bucket %d = (%v, %v) after Get", ctx, i, h.G[i], h.H[i])
+		}
+	}
+	for w, set := range h.touched {
+		if set != 0 {
+			t.Fatalf("%s: touched word %d = %#x after Get", ctx, w, set)
+		}
+	}
+	if h.deferred || h.defG != 0 || h.defH != 0 {
+		t.Fatalf("%s: deferred=%v mass=(%v, %v) after Get", ctx, h.deferred, h.defG, h.defH)
+	}
+}
+
+// TestPoolGetIsCleanWhateverWasPut recycles a histogram in every state the
+// trainer, the drivers and the servers leave one in. A deferred histogram is
+// cleared through its touched set alone, so a bucket outside it surviving
+// the round trip would be exactly the bug.
+func TestPoolGetIsCleanWhateverWasPut(t *testing.T) {
+	d, cands, grad, hess := buildFixture(t, 300, 200, 6, 31)
+	l, err := NewLayout(AllFeatures(200), cands, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBinned(d, l, 2)
+	rows := allRows(300)
+	some, rest := rows[:40], rows[40:]
+	ref := New(l)
+	BuildSparseBinned(ref, b, some, grad, hess)
+	opts := BuildOptions{Parallelism: 2, BatchSize: 16}
+
+	states := []struct {
+		name string
+		make func(p *Pool) *Histogram
+	}{
+		{"deferred single batch", func(p *Pool) *Histogram {
+			h := p.Get()
+			h.Defer()
+			BuildSparseBinned(h, b, some, grad, hess)
+			return h
+		}},
+		{"deferred Add target", func(p *Pool) *Histogram {
+			h := p.Get()
+			h.Defer()
+			BuildBinned(h, b, rows, grad, hess, opts)
+			return h
+		}},
+		{"deferred then materialised", func(p *Pool) *Histogram {
+			h := p.Get()
+			h.Defer()
+			BuildSparseBinned(h, b, some, grad, hess)
+			h.Materialize()
+			return h
+		}},
+		{"materialised Add target", func(p *Pool) *Histogram {
+			h := p.Get()
+			BuildBinned(h, b, rows, grad, hess, opts)
+			return h
+		}},
+		{"dense build into a deferred target", func(p *Pool) *Histogram {
+			h := p.Get()
+			h.Defer()
+			BuildDenseBinned(h, b, some, grad, hess)
+			return h
+		}},
+		{"SetSub result of deferred operands", func(p *Pool) *Histogram {
+			parent, child := New(l), New(l)
+			parent.Defer()
+			BuildSparseBinned(parent, b, rows, grad, hess)
+			child.Defer()
+			BuildSparseBinned(child, b, rest, grad, hess)
+			h := p.Get()
+			h.Defer()
+			h.SetSub(parent, child)
+			return h
+		}},
+		{"literal", func(p *Pool) *Histogram {
+			src := New(l)
+			BuildSparseBinned(src, b, rows, grad, hess)
+			return &Histogram{Layout: l, G: src.G, H: src.H}
+		}},
+	}
+	for _, st := range states {
+		p := NewPool(l)
+		h := st.make(p)
+		p.Put(h)
+		got := p.Get()
+		if got != h {
+			t.Fatalf("%s: pool did not recycle the histogram", st.name)
+		}
+		requireClean(t, st.name, got)
+		// And it builds like a fresh one, in either state.
+		BuildSparseBinned(got, b, some, grad, hess)
+		requireBitIdentical(t, st.name+": rebuilt", ref, got)
+		p.Put(got)
+		got = p.Get()
+		got.Defer()
+		BuildSparseBinned(got, b, some, grad, hess)
+		got.Materialize()
+		requireBitIdentical(t, st.name+": rebuilt deferred", ref, got)
+	}
+}
+
+// TestPoolDeferredRoundTripsConcurrently cycles deferred and materialised
+// builds of different row sets through one small pool from several
+// goroutines: whatever state the previous holder left, every build must
+// equal its unpooled reference.
+func TestPoolDeferredRoundTripsConcurrently(t *testing.T) {
+	d, cands, grad, hess := buildFixture(t, 400, 120, 5, 32)
+	l, err := NewLayout(AllFeatures(120), cands, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBinned(d, l, 2)
+	rows := allRows(400)
+	const workers = 6
+	refs := make([]*Histogram, workers)
+	for w := range refs {
+		refs[w] = New(l)
+		BuildSparseBinned(refs[w], b, rows[w*50:w*50+20+w*7], grad, hess)
+	}
+	p := NewPoolCap(l, 2)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				h := p.Get()
+				if (w+i)%2 == 0 {
+					h.Defer()
+				}
+				BuildSparseBinned(h, b, rows[w*50:w*50+20+w*7], grad, hess)
+				if i%3 == 0 {
+					h.Materialize()
+				}
+				c := h.Clone()
+				c.Materialize()
+				for j := range c.G {
+					if c.G[j] != refs[w].G[j] || c.H[j] != refs[w].H[j] {
+						t.Errorf("worker %d round %d: bucket %d differs from the unpooled build", w, i, j)
+						return
+					}
+				}
+				p.Put(h)
+			}
+		}(w)
+	}
+	wg.Wait()
+}

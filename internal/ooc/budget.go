@@ -1,7 +1,7 @@
 // Package ooc is the out-of-core training subsystem: it turns memory from a
 // ceiling into a config knob. A Source serves a disk-resident binary dataset
 // (internal/dataset's chunked format) through a bounded, pinned chunk cache;
-// a SpilledBinned writes the per-tree quantized CSR mirror to a memory-mapped
+// a SpilledBinned writes the quantized CSR mirror to a memory-mapped
 // spill file in parallel.RowChunk-aligned segments and streams histogram
 // builds and split classification over it. Every pass preserves the fixed
 // chunk grids and ordered reductions of internal/parallel, so training under

@@ -25,7 +25,7 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). It sets the deadlock-freedom floor
 	// (MinBudget), so it must not understate the true worker count.
 	Parallelism int
-	// SpillDir is where per-tree binned spill files are created; "" uses
+	// SpillDir is where binned spill files are created; "" uses
 	// the OS temp directory.
 	SpillDir string
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // SpilledBinned is the disk-resident counterpart of histogram.Binned: one
-// tree's quantized CSR mirror, written chunk by chunk to an unlinked spill
+// layout's quantized CSR mirror, written chunk by chunk to an unlinked spill
 // file in parallel.RowChunk-aligned (more precisely, Source.ChunkRows-
 // aligned) segments and read back through a bounded pinned cache —
 // memory-mapped where the platform allows, pread + decode otherwise.
@@ -74,7 +74,7 @@ func segBytes(rows int, nnz int64, wide bool) int64 {
 const maxNarrowBuckets = 256
 
 // BuildBinned quantizes the dataset under the layout and spills the result —
-// the out-of-core counterpart of histogram.NewBinned, run once per tree.
+// the out-of-core counterpart of histogram.NewBinned, run once per layout.
 // Chunks quantize in parallel through the pool; each worker pins one source
 // chunk, encodes its segment into a pooled buffer, and writes it at the
 // chunk's precomputed offset, so the file content is independent of worker
@@ -320,38 +320,15 @@ func (sb *SpilledBinned) localRows(run []int32, base int32) ([]int32, func()) {
 }
 
 // BuildHistogram is histogram.BuildBinned over the spilled matrix: the same
-// fixed batch grid and ascending-order merge, with each batch's rows walked
+// batch/merge driver (histogram.BuildBatches), with each batch's rows walked
 // run by run over pinned segments. The running zero-bucket gradient sums are
 // carried across run boundaries (histogram.AccumSparseBinned), so every
 // float lands in the same order as the in-memory build — bit-identical
 // results at any parallelism and any chunk size.
 func (sb *SpilledBinned) BuildHistogram(h *histogram.Histogram, rows []int32, grad, hess []float64, opts histogram.BuildOptions) {
-	if opts.BatchSize < 1 {
-		opts.BatchSize = 4096
-	}
-	nBatches := (len(rows) + opts.BatchSize - 1) / opts.BatchSize
-	if nBatches <= 1 {
-		sb.buildBatch(h, rows, grad, hess)
-		return
-	}
-	p := parallel.New(opts.Parallelism)
-	parallel.ReduceOrdered(p, len(rows), opts.BatchSize,
-		func(_, lo, hi int) *histogram.Histogram {
-			var part *histogram.Histogram
-			if opts.Pool != nil {
-				part = opts.Pool.Get()
-			} else {
-				part = histogram.New(h.Layout)
-			}
-			sb.buildBatch(part, rows[lo:hi], grad, hess)
-			return part
-		},
-		func(_ int, part *histogram.Histogram) {
-			h.Add(part)
-			if opts.Pool != nil {
-				opts.Pool.Put(part)
-			}
-		})
+	histogram.BuildBatches(h, rows, opts, func(part *histogram.Histogram, batch []int32) {
+		sb.buildBatch(part, batch, grad, hess)
+	})
 }
 
 // buildBatch accumulates one batch of rows into h, chaining the zero-bucket

@@ -230,7 +230,7 @@ func (c *Client) NewTree(sampled []int32) error {
 }
 
 // planFor returns the shard plan of a layout, rebuilding it when the
-// layout changed (once per tree).
+// layout changed (once per tree, or per run when workers reuse one layout).
 func (c *Client) planFor(layout *histogram.Layout) *shardPlan {
 	if c.plan == nil || c.plan.layout != layout {
 		c.plan = newShardPlan(c.part, layout)

@@ -31,6 +31,10 @@ type GK struct {
 	tuples  []tuple
 	buf     []float64
 	bufSize int
+	// spare is the tuple array the previous flush merged out of, kept as
+	// the next flush's destination so a hot feature's flushes stop
+	// allocating once the summary has reached its size.
+	spare []tuple
 }
 
 // NewGK returns an empty summary with rank error ε (0 < ε < 1). Typical ε
@@ -72,7 +76,10 @@ func (s *GK) flush() {
 		return
 	}
 	sort.Float64s(s.buf)
-	merged := make([]tuple, 0, len(s.tuples)+len(s.buf))
+	merged := s.spare[:0]
+	if need := len(s.tuples) + len(s.buf); cap(merged) < need {
+		merged = make([]tuple, 0, need)
+	}
 	i, j := 0, 0
 	for i < len(s.tuples) || j < len(s.buf) {
 		if j >= len(s.buf) || (i < len(s.tuples) && s.tuples[i].v <= s.buf[j]) {
@@ -94,7 +101,7 @@ func (s *GK) flush() {
 	}
 	s.n += uint64(len(s.buf))
 	s.buf = s.buf[:0]
-	s.tuples = merged
+	s.spare, s.tuples = s.tuples, merged
 	s.compress()
 }
 

@@ -141,6 +141,25 @@ func TestGKSpaceBound(t *testing.T) {
 	}
 }
 
+// A sketch that has reached its size flushes into the array its previous
+// flush merged out of: inserting into a hot feature stops allocating.
+func TestGKFlushReusesItsArrays(t *testing.T) {
+	s := NewGK(1.0 / 40)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 50000; i++ {
+		s.Insert(rng.Float64())
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 1000; i++ {
+			s.Insert(rng.Float64())
+		}
+	})
+	// The summary still creeps up by a tuple now and then (O(log εn)).
+	if allocs > 1 {
+		t.Errorf("%v allocations per 1000 inserts into a warm sketch, want at most 1", allocs)
+	}
+}
+
 func TestGKMergePreservesBound(t *testing.T) {
 	const eps = 0.02
 	rng := rand.New(rand.NewSource(4))
