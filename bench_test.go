@@ -219,6 +219,66 @@ func BenchmarkHistogramDeepNode(b *testing.B) {
 	}
 }
 
+// BenchmarkHistogramDerivedSibling obtains the same histogram — the larger
+// child (3/4 of the rows) of a deep node on the paper's shape, 100K features
+// and 1/16 of the rows — both ways: "derive" subtracts the built smaller child
+// from the parent in touched space and in place, which is what every trainer
+// does (the untimed part of each iteration rebuilds the parent it consumed);
+// "build" gives the larger child its own data pass, which none does any more.
+// Neither allocates.
+func BenchmarkHistogramDerivedSibling(b *testing.B) {
+	d := benchData(b, 4000, 100_000, 100)
+	set := sketch.NewSet(d.NumFeatures, 0.025)
+	set.AddDataset(d)
+	layout, err := histogram.NewLayout(histogram.AllFeatures(d.NumFeatures), set.Candidates(20), d.NumFeatures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bn := histogram.NewBinned(d, layout, 2)
+	grad := make([]float64, d.NumRows())
+	hess := make([]float64, d.NumRows())
+	var node, small, large []int32
+	for i := range grad {
+		grad[i] = float64(i%5) - 2
+		hess[i] = 0.25
+		if i%16 != 0 {
+			continue
+		}
+		node = append(node, int32(i))
+		if i%64 == 0 {
+			small = append(small, int32(i))
+		} else {
+			large = append(large, int32(i))
+		}
+	}
+	pool := histogram.NewPool(layout)
+	opts := histogram.BuildOptions{Parallelism: 1, BatchSize: 10000, Pool: pool}
+	build := func(rows []int32) *histogram.Histogram {
+		h := pool.Get()
+		h.Defer()
+		histogram.BuildBinned(h, bn, rows, grad, hess, opts)
+		return h
+	}
+	built := build(small)
+	pool.Put(pool.Get())
+	b.Run("derive", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h := build(node)
+			b.StartTimer()
+			h.SetSub(h, built)
+			pool.Put(h)
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pool.Put(build(large))
+		}
+	})
+}
+
 // BenchmarkBinnedConstruction times the quantization pass (once per run, or
 // per tree under feature sampling) that the per-node build savings have to
 // amortize.
@@ -358,28 +418,6 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // --- Ablation micro-benchmarks for extension features --------------------
-
-func BenchmarkHistSubtraction(b *testing.B) {
-	d := benchData(b, 6000, 500, 40)
-	for _, sub := range []bool{false, true} {
-		name := "off"
-		if sub {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := dimboost.DefaultConfig()
-			cfg.NumTrees = 3
-			cfg.MaxDepth = 6
-			cfg.Parallelism = 1
-			cfg.HistSubtraction = sub
-			for i := 0; i < b.N; i++ {
-				if _, err := dimboost.Train(d, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkWeightedCandidates(b *testing.B) {
 	d := benchData(b, 3000, 500, 30)

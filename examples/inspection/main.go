@@ -29,7 +29,6 @@ func main() {
 	cfg.LearningRate = 0.2
 	cfg.EarlyStoppingRounds = 8
 	cfg.InstanceSampleRatio = 0.8 // stochastic gradient boosting
-	cfg.HistSubtraction = true    // sibling histograms by subtraction
 
 	tr, err := dimboost.NewTrainer(train, cfg)
 	if err != nil {

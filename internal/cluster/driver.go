@@ -109,7 +109,6 @@ func (c Config) Validate() error {
 	}{
 		{"InstanceSampleRatio", c.InstanceSampleRatio < 1},
 		{"WeightedCandidates", c.WeightedCandidates},
-		{"HistSubtraction", c.HistSubtraction},
 		{"EarlyStoppingRounds", c.EarlyStoppingRounds > 0},
 		{"MemoryBudget", c.MemoryBudget > 0},
 		{"NoNodeIndex", c.NoNodeIndex},

@@ -18,7 +18,6 @@ func TestValidateRejectsFieldsTheClusterIgnores(t *testing.T) {
 	}{
 		{"InstanceSampleRatio", func(c *Config) { c.InstanceSampleRatio = 0.5 }},
 		{"WeightedCandidates", func(c *Config) { c.WeightedCandidates = true }},
-		{"HistSubtraction", func(c *Config) { c.HistSubtraction = true }},
 		{"EarlyStoppingRounds", func(c *Config) { c.EarlyStoppingRounds = 3 }},
 		{"MemoryBudget", func(c *Config) { c.MemoryBudget = 64 * ooc.MiB }},
 		{"NoNodeIndex", func(c *Config) { c.NoNodeIndex = true }},

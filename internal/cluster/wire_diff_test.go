@@ -68,22 +68,26 @@ func TestWireDifferential(t *testing.T) {
 	type combo struct {
 		bits, pullBits uint
 		exact, sparse  bool
+		// onePhase pulls whole histograms instead of server-side splits, so a
+		// derived node's marker rides on the histogram pull.
+		onePhase bool
 	}
 	var combos []combo
 	for _, bits := range []uint{0, 8} {
 		for _, pullBits := range []uint{0, 8} {
 			for _, sparse := range []bool{false, true} {
-				combos = append(combos, combo{bits, pullBits, false, sparse})
+				combos = append(combos, combo{bits, pullBits, false, sparse, false})
 			}
 		}
 	}
-	combos = append(combos, combo{0, 0, true, false}, combo{0, 0, true, true})
+	combos = append(combos, combo{0, 0, true, false, false}, combo{0, 0, true, true, false},
+		combo{0, 0, true, false, true}, combo{0, 0, true, true, true}, combo{8, 8, false, true, true})
 
 	maxDelta := 0.0
 	for _, c := range combos {
-		name := fmt.Sprintf("bits=%d pull=%d exact=%v sparse=%v", c.bits, c.pullBits, c.exact, c.sparse)
+		name := fmt.Sprintf("bits=%d pull=%d exact=%v sparse=%v one-phase=%v", c.bits, c.pullBits, c.exact, c.sparse, c.onePhase)
 		cfg := base
-		cfg.Bits, cfg.PullBits, cfg.ExactWire, cfg.SparseWire = c.bits, c.pullBits, c.exact, c.sparse
+		cfg.Bits, cfg.PullBits, cfg.ExactWire, cfg.SparseWire, cfg.DisableTwoPhase = c.bits, c.pullBits, c.exact, c.sparse, c.onePhase
 		res, err := Train(train, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

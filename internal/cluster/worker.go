@@ -292,7 +292,10 @@ func (wk *worker) trainTree(t int) error {
 	states := make(map[int]nodeState, maxNodes)
 	hasState := func(node int) (nodeState, bool) { s, ok := states[node]; return s, ok }
 
-	active := []int{0}
+	// derived is parallel to active: below the root every worker builds and
+	// pushes only the child of each split that core.Split.BuildLeft names,
+	// and the servers derive the other as parent − sibling when it is pulled.
+	active, derived := []int{0}, []bool{false}
 	buildOpts := histogram.BuildOptions{
 		Parallelism: wk.pool.Workers(),
 		BatchSize:   cfg.BatchSize,
@@ -319,9 +322,12 @@ func (wk *worker) trainTree(t int) error {
 			break
 		}
 
-		// Phase 4: BUILD_HISTOGRAM — local histograms for active nodes,
-		// pushed to the PS.
-		for _, node := range active {
+		// Phase 4: BUILD_HISTOGRAM — local histograms for the active nodes
+		// that are built, pushed to the PS.
+		for i, node := range active {
+			if derived[i] {
+				continue
+			}
 			bd := wk.compute(func() {
 				hist.Reset()
 				if binned != nil {
@@ -360,8 +366,12 @@ func (wk *worker) trainTree(t int) error {
 				// Pull the full histogram shards and run Algorithm 1
 				// locally (ablation; h/p bytes per server instead of one
 				// split record).
+				pull := wk.client.PullHistogram
+				if derived[i] {
+					pull = wk.client.PullDerivedHistogram
+				}
 				ps0 := time.Now()
-				hist, err := wk.client.PullHistogram(node, layout)
+				hist, err := pull(node, layout)
 				psD += time.Since(ps0)
 				if err != nil {
 					return err
@@ -374,8 +384,12 @@ func (wk *worker) trainTree(t int) error {
 					HasTotals: true,
 				}
 			} else {
+				pull := wk.client.PullSplit
+				if derived[i] {
+					pull = wk.client.PullDerivedSplit
+				}
 				ps0 := time.Now()
-				r, err := wk.client.PullSplit(node, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
+				r, err := pull(node, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
 				psD += time.Since(ps0)
 				if err != nil {
 					return err
@@ -405,6 +419,7 @@ func (wk *worker) trainTree(t int) error {
 			return err
 		}
 		var next []int
+		var nextDerived []bool
 		var splitErr error
 		sps := time.Now()
 		spd := wk.compute(func() {
@@ -430,6 +445,7 @@ func (wk *worker) trainTree(t int) error {
 				states[tree.Left(node)] = nodeState{sp.LeftG, sp.LeftH}
 				states[tree.Right(node)] = nodeState{sp.RightG, sp.RightH}
 				next = append(next, tree.Left(node), tree.Right(node))
+				nextDerived = append(nextDerived, !sp.BuildLeft(), sp.BuildLeft())
 			}
 		})
 		wk.times.SplitTree += spd
@@ -439,7 +455,7 @@ func (wk *worker) trainTree(t int) error {
 		if splitErr != nil {
 			return splitErr
 		}
-		active = next
+		active, derived = next, nextDerived
 		if err := wk.barrier("SPLIT_TREE"); err != nil {
 			return err
 		}

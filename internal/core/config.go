@@ -37,11 +37,6 @@ type Config struct {
 	// InstanceSampleRatio subsamples rows per tree (stochastic gradient
 	// boosting); 1 uses every row. Predictions still update for all rows.
 	InstanceSampleRatio float64
-	// HistSubtraction derives each split's larger child histogram by
-	// subtracting the smaller child's from the parent's, halving histogram
-	// construction work below the root (an optimization used by XGBoost
-	// and LightGBM; kept off by default to match the paper's DimBoost).
-	HistSubtraction bool
 	// EarlyStoppingRounds stops training when the validation loss (see
 	// Trainer.Validation) has not improved for this many consecutive
 	// trees, keeping the best prefix; 0 disables.
@@ -109,13 +104,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxTreeDepth bounds MaxDepth, in a configuration and in a model file
+// alike: a tree of depth d has 2^d − 1 node slots.
+const maxTreeDepth = 24
+
 // Validate rejects nonsensical configurations.
 func (c Config) Validate() error {
 	switch {
 	case c.NumTrees < 1:
 		return fmt.Errorf("core: NumTrees %d < 1", c.NumTrees)
-	case c.MaxDepth < 1 || c.MaxDepth > 24:
-		return fmt.Errorf("core: MaxDepth %d outside [1,24]", c.MaxDepth)
+	case c.MaxDepth < 1 || c.MaxDepth > maxTreeDepth:
+		return fmt.Errorf("core: MaxDepth %d outside [1,%d]", c.MaxDepth, maxTreeDepth)
 	case c.NumCandidates < 1:
 		return fmt.Errorf("core: NumCandidates %d < 1", c.NumCandidates)
 	case c.LearningRate <= 0 || c.LearningRate > 1:

@@ -7,24 +7,82 @@ import (
 
 	"dimboost/internal/dataset"
 	"dimboost/internal/loss"
+	"dimboost/internal/tree"
 )
 
-func TestHistSubtractionMatchesNormal(t *testing.T) {
-	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 500, NumFeatures: 80, AvgNNZ: 12, Seed: 101, Zipf: 1.2})
-	cfg := smallConfig()
-	cfg.NumTrees = 5
-	cfg.MaxDepth = 5
-	ref, err := Train(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.HistSubtraction = true
-	sub, err := Train(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameStructure(t, ref, sub) {
-		t.Fatal("histogram subtraction changed the model")
+// TestOneDataPassPerSplit counts what the trainer reads instead of timing
+// it: per tree, one data pass for the root plus one per split node whose
+// children get histograms — the child Split.BuildLeft names, or the only one
+// holding rows — and one derived histogram per split whose two children both
+// hold rows. Under squared loss h ≡ 1, so the built child is the one with
+// fewer rows (the left on a tie) and the rows read below the root are exactly
+// Σ min(left, right); under logistic loss that holds for the first tree,
+// whose hessians are all equal.
+func TestOneDataPassPerSplit(t *testing.T) {
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 6000, NumFeatures: 500, AvgNNZ: 40, Seed: 103, Zipf: 1.3})
+	for _, kind := range []loss.Kind{loss.Squared, loss.Logistic} {
+		for _, noBinning := range []bool{false, true} {
+			cfg := smallConfig()
+			cfg.NumTrees = 3
+			cfg.MaxDepth = 6
+			cfg.Loss = kind
+			cfg.Parallelism = 2
+			cfg.BatchSize = 1000
+			cfg.NoBinning = noBinning
+			tr, err := NewTrainer(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type counts struct{ passes, derived, rows int }
+			var after []counts
+			tr.OnTree = func(TreeEvent) { after = append(after, counts{tr.BuiltHists, tr.DerivedHists, tr.BuiltRows}) }
+			model, err := tr.Train()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prev counts
+			for ti, tn := range model.Trees {
+				got := counts{after[ti].passes - prev.passes, after[ti].derived - prev.derived, after[ti].rows - prev.rows}
+				prev = after[ti]
+
+				rowsIn := make([]int, len(tn.Nodes))
+				for i := 0; i < d.NumRows(); i++ {
+					for n := tn.PredictNode(d.Row(i)); ; n = tree.Parent(n) {
+						rowsIn[n]++
+						if n == 0 {
+							break
+						}
+					}
+				}
+				want := counts{passes: 1, rows: d.NumRows()}
+				for n, nd := range tn.Nodes {
+					// A split node's children get histograms unless they are
+					// the last layer.
+					if !nd.Used || nd.Leaf || tree.Depth(n)+2 >= cfg.MaxDepth {
+						continue
+					}
+					l, r := rowsIn[tree.Left(n)], rowsIn[tree.Right(n)]
+					want.passes++
+					if l > 0 && r > 0 {
+						want.derived++
+						want.rows += min(l, r)
+					} else {
+						want.rows += l + r
+					}
+				}
+				if want.derived < 5 {
+					t.Fatalf("%s tree %d: only %d splits to derive from; grow the fixture", kind, ti, want.derived)
+				}
+				if got.passes != want.passes || got.derived != want.derived {
+					t.Fatalf("%s noBinning=%v tree %d: %d data passes and %d derived histograms, want %d and %d",
+						kind, noBinning, ti, got.passes, got.derived, want.passes, want.derived)
+				}
+				if (kind == loss.Squared || ti == 0) && got.rows != want.rows {
+					t.Fatalf("%s noBinning=%v tree %d: data passes read %d rows, want %d (the root's plus every split's smaller child)",
+						kind, noBinning, ti, got.rows, want.rows)
+				}
+			}
+		}
 	}
 }
 
@@ -38,7 +96,6 @@ func TestBinnedMatchesNoBinning(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"default", func(c *Config) {}},
-		{"histsub", func(c *Config) { c.HistSubtraction = true }},
 		{"sampling", func(c *Config) { c.FeatureSampleRatio = 0.4; c.InstanceSampleRatio = 0.6 }},
 		{"dense", func(c *Config) { c.DenseBuild = true }},
 		{"no-index", func(c *Config) { c.NoNodeIndex = true }},
@@ -64,59 +121,6 @@ func TestBinnedMatchesNoBinning(t *testing.T) {
 				t.Fatal("binned training diverged from the float path")
 			}
 		})
-	}
-}
-
-// TestHistSubtractionMatchesNormalNoBinning re-runs the subtraction
-// equality on the float (ablation) path, so both sides of the NoBinning
-// switch keep the §5 invariants.
-func TestHistSubtractionMatchesNormalNoBinning(t *testing.T) {
-	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 500, NumFeatures: 80, AvgNNZ: 12, Seed: 101, Zipf: 1.2})
-	cfg := smallConfig()
-	cfg.NumTrees = 5
-	cfg.MaxDepth = 5
-	cfg.NoBinning = true
-	ref, err := Train(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.HistSubtraction = true
-	sub, err := Train(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameStructure(t, ref, sub) {
-		t.Fatal("histogram subtraction changed the model on the float path")
-	}
-}
-
-func TestHistSubtractionIsFaster(t *testing.T) {
-	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 6000, NumFeatures: 500, AvgNNZ: 40, Seed: 103, Zipf: 1.3})
-	cfg := smallConfig()
-	cfg.NumTrees = 3
-	cfg.MaxDepth = 6
-
-	tr1, _ := NewTrainer(d, cfg)
-	if _, err := tr1.Train(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.HistSubtraction = true
-	tr2, _ := NewTrainer(d, cfg)
-	if _, err := tr2.Train(); err != nil {
-		t.Fatal(err)
-	}
-	// subtraction must replace a substantial share of the child builds
-	// with O(T) subtractions (counted, so the assertion is immune to
-	// timer noise on a loaded machine)...
-	if tr2.DerivedHists < 5 {
-		t.Fatalf("only %d histograms derived by subtraction", tr2.DerivedHists)
-	}
-	if tr1.DerivedHists != 0 {
-		t.Fatalf("subtraction off but %d derived", tr1.DerivedHists)
-	}
-	// ...and must never be slower than the plain build beyond timer noise
-	if tr2.Times.BuildHist > tr1.Times.BuildHist*13/10 {
-		t.Fatalf("subtraction build time %v vs normal %v — slower", tr2.Times.BuildHist, tr1.Times.BuildHist)
 	}
 }
 

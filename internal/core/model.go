@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -148,6 +149,12 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(mw)
 }
 
+// ErrInvalidModel marks a model file that decodes but does not describe a
+// model: tree and depth lists of different lengths, a depth no trainer
+// produces, a tree whose node array does not fit its depth or is not a tree.
+// A truncated or crafted file is refused with it, never indexed into.
+var ErrInvalidModel = errors.New("core: invalid model file")
+
 // Load reads a model written by Save.
 func Load(r io.Reader) (*Model, error) {
 	var mw modelWire
@@ -157,11 +164,19 @@ func Load(r io.Reader) (*Model, error) {
 	if mw.Version != modelVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", mw.Version)
 	}
+	if len(mw.Nodes) != len(mw.MaxDepths) {
+		return nil, fmt.Errorf("%w: %d node arrays for %d trees", ErrInvalidModel, len(mw.Nodes), len(mw.MaxDepths))
+	}
 	m := &Model{Loss: mw.Loss, BaseScore: mw.BaseScore}
 	for i, d := range mw.MaxDepths {
+		// Config.Validate's range; it also keeps tree.MaxNodes from shifting
+		// by a negative or overflowing amount.
+		if d < 1 || d > maxTreeDepth {
+			return nil, fmt.Errorf("%w: tree %d has MaxDepth %d outside [1,%d]", ErrInvalidModel, i, d, maxTreeDepth)
+		}
 		t := &tree.Tree{MaxDepth: d, Nodes: mw.Nodes[i]}
 		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("core: tree %d invalid: %w", i, err)
+			return nil, fmt.Errorf("%w: tree %d: %v", ErrInvalidModel, i, err)
 		}
 		m.Trees = append(m.Trees, t)
 	}

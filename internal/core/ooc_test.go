@@ -49,10 +49,7 @@ func TestOutOfCoreBitIdentical(t *testing.T) {
 		levels []int
 	}{
 		{"plain", func(c *Config) {}, []int{1, 2, 4}},
-		{"weighted+subtraction", func(c *Config) {
-			c.WeightedCandidates = true
-			c.HistSubtraction = true
-		}, []int{1, 4}},
+		{"weighted", func(c *Config) { c.WeightedCandidates = true }, []int{1, 4}},
 	}
 
 	for _, v := range variants {

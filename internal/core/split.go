@@ -57,6 +57,13 @@ func (s Split) Better(t Split) bool {
 	return s.Value < t.Value
 }
 
+// BuildLeft is the one rule for which child of a split node gets a data pass:
+// the one with the smaller hessian sum — the row count, in practice — and the
+// left one on a tie. The other child's histogram is the parent's minus it.
+// Every trainer and every worker evaluates it on the same split record, so
+// they agree without a message.
+func (s Split) BuildLeft() bool { return s.LeftH <= s.RightH }
+
 // gainTerm is (ΣG)²/(ΣH+λ), the objective contribution of one child.
 func gainTerm(g, h, lambda float64) float64 {
 	return g * g / (h + lambda)

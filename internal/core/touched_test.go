@@ -79,14 +79,22 @@ func sameSplit(a, b Split) bool {
 		eq(a.LeftG, b.LeftG) && eq(a.LeftH, b.LeftH) && eq(a.RightG, b.RightG) && eq(a.RightH, b.RightH)
 }
 
-// checkTouchedScan builds the case's node histogram deferred, and requires
-// that (a) materialising it gives the dense build — every batch built with
-// BuildSparseBinned into its own zeroed histogram, merged bucket by bucket in
-// ascending order — Float64bits-equal, and (b) the split found on the
-// deferred histogram is the full scan's of that dense build in every field.
-// The last column duplicates the most popular one, so the two tie at every
-// cut and the lower feature id has to win in both scans.
-func checkTouchedScan(c touchedCase) error {
+// touchedFixture is a case's data: the matrix under its layout, per-row
+// gradients, and the row subset of the node with its gradient sums. dup is the
+// id of the last column, a duplicate of the most popular one, so the two tie
+// at every cut and the lower feature id has to win in every scan.
+type touchedFixture struct {
+	rng            *rand.Rand
+	layout         *histogram.Layout
+	b              *histogram.Binned
+	dup            int32
+	grad, hess     []float64
+	sel            []int32
+	totalG, totalH float64
+	batch          int
+}
+
+func newTouchedFixture(c touchedCase) (*touchedFixture, error) {
 	rng := rand.New(rand.NewSource(c.seed))
 	dup := c.features // id of the duplicate of feature 0
 	cands := make([]sketch.Candidates, c.features+1)
@@ -143,32 +151,55 @@ func checkTouchedScan(c touchedCase) error {
 			vs[i] = vals[f]
 		}
 		if err := bld.Add(idxs, vs, 0); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	d := bld.Build()
 	layout, err := histogram.NewLayout(histogram.AllFeatures(c.features+1), cands, c.features+1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b := histogram.NewBinned(d, layout, 2)
 	if b.Wide() != c.wide {
-		return fmt.Errorf("bin width: wide=%v, want %v", b.Wide(), c.wide)
+		return nil, fmt.Errorf("bin width: wide=%v, want %v", b.Wide(), c.wide)
 	}
 
-	grad := make([]float64, c.rows)
-	hess := make([]float64, c.rows)
-	var sel []int32
-	var totalG, totalH float64
-	for i := range grad {
-		grad[i], hess[i] = rng.NormFloat64(), rng.Float64()
+	fx := &touchedFixture{rng: rng, layout: layout, b: b, dup: int32(dup)}
+	fx.grad = make([]float64, c.rows)
+	fx.hess = make([]float64, c.rows)
+	for i := range fx.grad {
+		fx.grad[i], fx.hess[i] = rng.NormFloat64(), rng.Float64()
 		if rng.Float64() < 0.6 {
-			sel = append(sel, int32(i))
-			totalG += grad[i]
-			totalH += hess[i]
+			fx.sel = append(fx.sel, int32(i))
+			fx.totalG += fx.grad[i]
+			fx.totalH += fx.hess[i]
 		}
 	}
-	batch := max((len(sel)+c.batches-1)/c.batches, 1)
+	fx.batch = max((len(fx.sel)+c.batches-1)/c.batches, 1)
+	return fx, nil
+}
+
+// buildDeferred is the trainer's build of a node over rows: deferred, cut into
+// the case's batches.
+func (fx *touchedFixture) buildDeferred(rows []int32) *histogram.Histogram {
+	h := histogram.New(fx.layout)
+	h.Defer()
+	histogram.BuildBinned(h, fx.b, rows, fx.grad, fx.hess, histogram.BuildOptions{Parallelism: 2, BatchSize: fx.batch, Pool: histogram.NewPool(fx.layout)})
+	return h
+}
+
+// checkTouchedScan builds the case's node histogram deferred, and requires
+// that (a) materialising it gives the dense build — every batch built with
+// BuildSparseBinned into its own zeroed histogram, merged bucket by bucket in
+// ascending order — Float64bits-equal, and (b) the split found on the
+// deferred histogram is the full scan's of that dense build in every field.
+func checkTouchedScan(c touchedCase) error {
+	fx, err := newTouchedFixture(c)
+	if err != nil {
+		return err
+	}
+	layout, b, dup, grad, hess := fx.layout, fx.b, fx.dup, fx.grad, fx.hess
+	sel, totalG, totalH, batch := fx.sel, fx.totalG, fx.totalH, fx.batch
 
 	ref := histogram.New(layout)
 	if len(sel) <= batch {
@@ -184,9 +215,7 @@ func checkTouchedScan(c touchedCase) error {
 		}
 	}
 
-	h := histogram.New(layout)
-	h.Defer()
-	histogram.BuildBinned(h, b, sel, grad, hess, histogram.BuildOptions{Parallelism: 2, BatchSize: batch, Pool: histogram.NewPool(layout)})
+	h := fx.buildDeferred(sel)
 	if !TouchedScanExact(h, totalH, c.minHes) {
 		return fmt.Errorf("guard rejects a residue of %g under MinChildHessian %g", totalH, c.minHes)
 	}
@@ -195,7 +224,7 @@ func checkTouchedScan(c touchedCase) error {
 	if !sameSplit(got, want) {
 		return fmt.Errorf("touched scan chose %+v, full scan %+v", got, want)
 	}
-	if want.Found && want.Feature == int32(dup) {
+	if want.Found && want.Feature == dup {
 		return fmt.Errorf("tie between features 0 and %d went to the higher id", dup)
 	}
 	if full := FindSplit(ref, totalG, totalH, c.lambda, c.gamma, c.minHes); !sameSplit(full, want) {
@@ -203,10 +232,94 @@ func checkTouchedScan(c touchedCase) error {
 	}
 
 	h.Materialize()
-	for i := range ref.G {
-		if math.Float64bits(h.G[i]) != math.Float64bits(ref.G[i]) || math.Float64bits(h.H[i]) != math.Float64bits(ref.H[i]) {
-			return fmt.Errorf("bucket %d: materialised (%v, %v), dense build (%v, %v)", i, h.G[i], h.H[i], ref.G[i], ref.H[i])
+	if err := sameBuckets(h, ref); err != nil {
+		return fmt.Errorf("materialised against the dense build: %w", err)
+	}
+	return nil
+}
+
+// sameBuckets reports the first bucket in which two materialised histograms
+// differ in bits.
+func sameBuckets(got, want *histogram.Histogram) error {
+	for i := range want.G {
+		if math.Float64bits(got.G[i]) != math.Float64bits(want.G[i]) || math.Float64bits(got.H[i]) != math.Float64bits(want.H[i]) {
+			return fmt.Errorf("bucket %d: (%v, %v), want (%v, %v)", i, got.G[i], got.H[i], want.G[i], want.H[i])
 		}
+	}
+	return nil
+}
+
+// checkDerivedSibling is invariant 21: the case's node is a parent, a random
+// subset of its rows — none and all of them included — the child that was
+// built, and the sibling derived from the two deferred histograms has to be
+// the dense subtraction of their materialised forms: the same buckets once
+// materialised, over the parent's touched set and owing the difference of the
+// two deferred masses until then, and the same split either way.
+func checkDerivedSibling(c touchedCase) error {
+	fx, err := newTouchedFixture(c)
+	if err != nil {
+		return err
+	}
+	keep := []float64{0, 1, 0.2, 0.5, 0.8}[fx.rng.Intn(5)]
+	var built []int32
+	sibG, sibH := 0.0, 0.0 // the derived sibling's totals, summed as a split record's are: in row order
+	for _, r := range fx.sel {
+		if fx.rng.Float64() < keep {
+			built = append(built, r)
+		} else {
+			sibG += fx.grad[r]
+			sibH += fx.hess[r]
+		}
+	}
+	parent, child := fx.buildDeferred(fx.sel), fx.buildDeferred(built)
+
+	want := histogram.New(fx.layout)
+	mp, mc := parent.Clone(), child.Clone()
+	mp.Materialize()
+	mc.Materialize()
+	want.SetSub(mp, mc)
+
+	got := histogram.New(fx.layout)
+	got.SetSub(parent, child)
+	// In place, as the trainer subtracts: the same histogram.
+	inPlace := parent.Clone()
+	inPlace.SetSub(inPlace, child)
+	ig, ih := inPlace.DeferredMass()
+	if g, h := got.DeferredMass(); math.Float64bits(g) != math.Float64bits(ig) || math.Float64bits(h) != math.Float64bits(ih) {
+		return fmt.Errorf("in place the derived mass is (%v, %v), into a zeroed target (%v, %v)", ig, ih, g, h)
+	}
+	for w := 0; w*64 < fx.layout.NumFeatures(); w++ {
+		if inPlace.ScanWord(w) != got.ScanWord(w) {
+			return fmt.Errorf("in place the derived touched word %d is %#x, into a zeroed target %#x", w, inPlace.ScanWord(w), got.ScanWord(w))
+		}
+	}
+	inPlace.Materialize()
+	pg, ph := parent.DeferredMass()
+	cg, ch := child.DeferredMass()
+	if g, h := got.DeferredMass(); math.Float64bits(g) != math.Float64bits(pg-cg) || math.Float64bits(h) != math.Float64bits(ph-ch) {
+		return fmt.Errorf("derived mass (%v, %v), want (%v, %v)", g, h, pg-cg, ph-ch)
+	}
+	for w := 0; w*64 < fx.layout.NumFeatures(); w++ {
+		if got.ScanWord(w) != parent.ScanWord(w) {
+			return fmt.Errorf("derived touched word %d = %#x, the parent's is %#x", w, got.ScanWord(w), parent.ScanWord(w))
+		}
+	}
+	if !TouchedScanExact(got, sibH, c.minHes) {
+		return fmt.Errorf("guard rejects a residue of %g under MinChildHessian %g", sibH, c.minHes)
+	}
+	deferred := FindSplit(got, sibG, sibH, c.lambda, c.gamma, c.minHes)
+	got.Materialize()
+	if err := sameBuckets(got, want); err != nil {
+		return fmt.Errorf("derived then materialised: %w", err)
+	}
+	if err := sameBuckets(inPlace, want); err != nil {
+		return fmt.Errorf("derived in place then materialised: %w", err)
+	}
+	if full := FindSplit(got, sibG, sibH, c.lambda, c.gamma, c.minHes); !sameSplit(deferred, full) {
+		return fmt.Errorf("split on the deferred difference %+v, on the materialised one %+v", deferred, full)
+	}
+	if ref := fullScanReference(want, sibG, sibH, c.lambda, c.gamma, c.minHes); !sameSplit(deferred, ref) {
+		return fmt.Errorf("split on the deferred difference %+v, full scan of the dense one %+v", deferred, ref)
 	}
 	return nil
 }
@@ -241,7 +354,30 @@ func TestTouchedScanEqualsFullScan(t *testing.T) {
 	}
 }
 
-// FuzzTouchedScanAgrees is the same property under the fuzzer.
+// TestDerivedSiblingEqualsDenseSubtraction is DESIGN §9 invariant 21.
+func TestDerivedSiblingEqualsDenseSubtraction(t *testing.T) {
+	for _, c := range touchedSeeds {
+		for seed := int64(0); seed < 5; seed++ { // every share of the parent's rows
+			c.seed = 10*c.seed + seed
+			if err := checkDerivedSibling(c); err != nil {
+				t.Fatalf("%+v: %v", c, err)
+			}
+		}
+	}
+	f := func(seed int64, rows, features, nnz uint16, flags uint8) bool {
+		c := touchedCaseFrom(seed, rows, features, nnz, flags)
+		if err := checkDerivedSibling(c); err != nil {
+			t.Logf("%+v: %v", c, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(21))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzTouchedScanAgrees is the same two properties under the fuzzer.
 func FuzzTouchedScanAgrees(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint16(29), uint16(0), uint8(0b0001_0100))  // all rows empty
 	f.Add(int64(2), uint16(60), uint16(0), uint16(1), uint8(0b0001_0010))   // one feature only
@@ -251,6 +387,9 @@ func FuzzTouchedScanAgrees(f *testing.F) {
 		c := touchedCaseFrom(seed, rows, features, nnz, flags)
 		if err := checkTouchedScan(c); err != nil {
 			t.Fatalf("%+v: %v", c, err)
+		}
+		if err := checkDerivedSibling(c); err != nil {
+			t.Fatalf("derived sibling, %+v: %v", c, err)
 		}
 	})
 }

@@ -97,9 +97,10 @@ type Trainer struct {
 	// Times accumulates phase timings for the experiment harness.
 	Times PhaseTimes
 
-	// DerivedHists counts histograms obtained by subtraction instead of a
-	// data pass (Config.HistSubtraction).
-	DerivedHists int
+	// BuiltHists counts the node histograms accumulated in a data pass and
+	// BuiltRows the rows those passes read; DerivedHists counts the node
+	// histograms obtained as parent − sibling instead.
+	BuiltHists, BuiltRows, DerivedHists int
 
 	// BestValidationLoss reports the winning validation loss after a run
 	// with early stopping.
@@ -519,15 +520,43 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 		Pool:        pool,
 	}
 
-	// Histogram subtraction (Config.HistSubtraction): keep split nodes'
-	// histograms one layer back; a right child's histogram is then
-	// parent − left sibling, skipping one data pass per split.
-	var prevHists, curHists map[int]*histogram.Histogram
-	avgNNZ := tr.avgNNZ()
-	if cfg.HistSubtraction {
-		prevHists = map[int]*histogram.Histogram{}
-		curHists = map[int]*histogram.Histogram{}
+	leaf := func(node int) {
+		st := states[node]
+		tn.SetLeaf(node, cfg.LearningRate*LeafWeight(st.g, st.h, cfg.Lambda))
 	}
+	// build gives a node its data pass. Deferred: the sparse binned builds
+	// leave only what the node's rows touched for FIND_SPLIT to scan and the
+	// pool to clear, and a derived histogram only what its parent's rows
+	// touched.
+	build := func(node int) *histogram.Histogram {
+		h := pool.Get()
+		h.Defer()
+		rows := rowsFor(node)
+		switch {
+		case spilled != nil:
+			spilled.BuildHistogram(h, rows, grad, hess, buildOpts)
+		case binned != nil:
+			histogram.BuildBinned(h, binned, rows, grad, hess, buildOpts)
+		default:
+			histogram.Build(h, tr.data, rows, grad, hess, buildOpts)
+		}
+		tr.BuiltHists++
+		tr.BuiltRows += len(rows)
+		return h
+	}
+
+	// Below the root only one child of each split gets a data pass — the one
+	// Split.BuildLeft names — and its sibling is the parent's histogram minus
+	// it, subtracted in place. While a layer's children are going to be
+	// built, parents holds the parent's histogram of the i-th sibling pair
+	// of active until it becomes the derived child's: a split node's
+	// histogram outlives its FIND_SPLIT by less than a layer, and no second
+	// one is needed.
+	type pairParent struct {
+		h         *histogram.Histogram
+		buildLeft bool
+	}
+	var parents []pairParent
 
 	// FIND_SPLIT scratch, reused by every layer: one unit per (node, non-empty
 	// ScanWord) — the PosChunk range of positions that word stands for.
@@ -546,45 +575,47 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 		// batches internally (histogram.Build* through the shared machinery).
 		bs := time.Now()
 		var tasks []splitTask
-		for _, node := range active {
-			st := states[node]
-			if atMax || idxCount(idx, nodeOf, node) == 0 {
-				tn.SetLeaf(node, cfg.LearningRate*LeafWeight(st.g, st.h, cfg.Lambda))
+		// direct gives a node its own data pass, or makes it a leaf when it
+		// has no rows to split.
+		direct := func(node int) {
+			if idxCount(idx, nodeOf, node) == 0 {
+				leaf(node)
+				return
+			}
+			tasks = append(tasks, splitTask{node, states[node], build(node)})
+		}
+		switch {
+		case atMax:
+			for _, node := range active {
+				leaf(node)
+			}
+		case depth == 0:
+			direct(0)
+		}
+		for i, pp := range parents {
+			left, right := active[2*i], active[2*i+1]
+			if idxCount(idx, nodeOf, left) == 0 || idxCount(idx, nodeOf, right) == 0 {
+				// Nothing to subtract: one child holds all of the parent's
+				// rows.
+				pool.Put(pp.h)
+				direct(left)
+				direct(right)
 				continue
 			}
-			// Deferred: the sparse binned builds leave only what the node's
-			// rows touched for FIND_SPLIT to scan and the pool to clear.
-			h := pool.Get()
-			h.Defer()
-			derived := false
-			// Deriving costs O(TotalBuckets); only cheaper than a direct
-			// build when the node holds enough nonzeros.
-			worthDeriving := float64(idx.Count(node))*avgNNZ > float64(layout.TotalBuckets)
-			if cfg.HistSubtraction && worthDeriving && node != 0 && node == tree.Right(tree.Parent(node)) {
-				parent := prevHists[tree.Parent(node)]
-				left := curHists[tree.Left(tree.Parent(node))]
-				if parent != nil && left != nil {
-					h.SetSub(parent, left)
-					derived = true
-					tr.DerivedHists++
-					m.subtraction.Inc()
-				}
+			// The parent's histogram becomes the derived child's, in place.
+			hl, hr := pp.h, pp.h
+			if pp.buildLeft {
+				hl = build(left)
+				pp.h.SetSub(pp.h, hl)
+			} else {
+				hr = build(right)
+				pp.h.SetSub(pp.h, hr)
 			}
-			if !derived {
-				switch {
-				case spilled != nil:
-					spilled.BuildHistogram(h, rowsFor(node), grad, hess, buildOpts)
-				case binned != nil:
-					histogram.BuildBinned(h, binned, rowsFor(node), grad, hess, buildOpts)
-				default:
-					histogram.Build(h, tr.data, rowsFor(node), grad, hess, buildOpts)
-				}
-			}
-			if cfg.HistSubtraction {
-				curHists[node] = h
-			}
-			tasks = append(tasks, splitTask{node, st, h})
+			tr.DerivedHists++
+			m.subtraction.Inc()
+			tasks = append(tasks, splitTask{left, states[left], hl}, splitTask{right, states[right], hr})
 		}
+		parents = parents[:0]
 		buildD := time.Since(bs)
 		tr.Times.BuildHist += buildD
 
@@ -624,11 +655,6 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 		}
 		findD := time.Since(fs)
 		tr.Times.FindSplit += findD
-		if !cfg.HistSubtraction {
-			for _, t := range tasks {
-				pool.Put(t.h) // dead past FIND_SPLIT; recycle immediately
-			}
-		}
 
 		// SPLIT_TREE: apply the winning splits; each node's partition fans
 		// out over row chunks (stable concatenation, see Index.SplitStable).
@@ -637,7 +663,8 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 			t := &tasks[ti]
 			split := splits[ti]
 			if !split.Found {
-				tn.SetLeaf(t.node, cfg.LearningRate*LeafWeight(t.st.g, t.st.h, cfg.Lambda))
+				leaf(t.node)
+				pool.Put(t.h)
 				continue
 			}
 			tn.SetSplit(t.node, split.Feature, split.Value, split.Gain)
@@ -677,42 +704,23 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 			states[tree.Left(t.node)] = nodeState{split.LeftG, split.LeftH}
 			states[tree.Right(t.node)] = nodeState{split.RightG, split.RightH}
 			next = append(next, tree.Left(t.node), tree.Right(t.node))
+			// The histogram lives on as the children's parent unless they are
+			// the last layer, which is never built.
+			if depth+2 < cfg.MaxDepth {
+				parents = append(parents, pairParent{t.h, split.BuildLeft()})
+			} else {
+				pool.Put(t.h)
+			}
 		}
 		splitD := time.Since(ss)
 		tr.Times.SplitTree += splitD
 
-		if cfg.HistSubtraction {
-			// keep only the histograms of nodes that actually split — the
-			// next layer subtracts against them; everything evicted goes
-			// back to the pool
-			for _, h := range prevHists {
-				pool.Put(h)
-			}
-			kept := map[int]*histogram.Histogram{}
-			for _, child := range next {
-				p := tree.Parent(child)
-				if h := curHists[p]; h != nil {
-					kept[p] = h
-				}
-			}
-			for node, h := range curHists {
-				if kept[node] != h {
-					pool.Put(h)
-				}
-			}
-			prevHists = kept
-			curHists = map[int]*histogram.Histogram{}
-		}
 		// Per-layer aggregates: one span per phase per layer, summed over
 		// the layer's nodes, anchored at the layer's start.
 		m.spans.Record(-1, treeIdx, depth, "build_hist", layerStart, buildD)
 		m.spans.Record(-1, treeIdx, depth, "find_split", layerStart, findD)
 		m.spans.Record(-1, treeIdx, depth, "split_tree", layerStart, splitD)
 		active = next
-	}
-
-	for _, h := range prevHists {
-		pool.Put(h) // the pool may serve the next tree
 	}
 
 	// A streaming I/O failure inside a pool worker records sticky state and

@@ -81,18 +81,6 @@ func (tr *Trainer) numFeatures() int {
 	return tr.data.NumFeatures
 }
 
-// avgNNZ returns the mean nonzeros per row of either data path.
-func (tr *Trainer) avgNNZ() float64 {
-	if tr.src != nil {
-		n := tr.src.NumRows()
-		if n == 0 {
-			return 0
-		}
-		return float64(tr.src.NNZ()) / float64(n)
-	}
-	return tr.data.AvgNNZ()
-}
-
 // srcErr surfaces the out-of-core source's sticky I/O error, if any. The
 // training loop checks it at phase boundaries: streaming passes that hit an
 // I/O failure skip work and record here rather than panicking inside pool

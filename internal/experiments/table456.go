@@ -29,7 +29,11 @@ func Table4(w io.Writer, scale Scale) ([]Table4Row, error) {
 	})
 	cfg := expConfig()
 	cfg.NumTrees = 3
-	cfg.MaxDepth = 4
+	// Depth 5 pushes 1+1+2+4 = 8 node histograms per worker per tree (only
+	// the smaller child of a split is pushed). Any shallower and the leader's
+	// NEW_TREE fan-out of the sampled feature list — p copies per tree,
+	// growing with p — outweighs the histogram traffic this table is about.
+	cfg.MaxDepth = 5
 
 	section(w, fmt.Sprintf("Table 4 — impact of parameter servers (Gender-like %d×%d, w=10)", d.NumRows(), d.NumFeatures))
 	fmt.Fprintf(w, "%10s %16s %16s\n", "#servers", "modeled total", "modeled comm")

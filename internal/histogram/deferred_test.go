@@ -57,4 +57,58 @@ func TestAddAndSetSubAcrossStates(t *testing.T) {
 			requireBitIdentical(t, "SetSub, "+name, diff, sub)
 		}
 	}
+
+	// The state the trainers subtract in: both deferred and the child's rows
+	// among the parent's. The difference stays deferred, over the parent's
+	// touched set, owing the difference of the two masses; the operands are
+	// left as they were.
+	rowsP, rowsC := rows[:60], rows[20:35]
+	p, c := build(rowsP, false), build(rowsC, false)
+	for i := range diff.G {
+		diff.G[i], diff.H[i] = p.G[i]-c.G[i], p.H[i]-c.H[i]
+	}
+	parent, child := build(rowsP, true), build(rowsC, true)
+	sub := New(l)
+	sub.SetSub(parent, child)
+	if !sub.deferred || !parent.deferred || !child.deferred {
+		t.Fatalf("SetSub of a deferred child within a deferred parent: deferred = %v (parent %v, child %v)", sub.deferred, parent.deferred, child.deferred)
+	}
+	for w := range sub.touched {
+		if sub.touched[w] != parent.touched[w] {
+			t.Fatalf("touched word %d = %#x, parent's is %#x", w, sub.touched[w], parent.touched[w])
+		}
+	}
+	if sub.defG != parent.defG-child.defG || sub.defH != parent.defH-child.defH {
+		t.Fatalf("deferred mass (%v, %v), want (%v, %v)", sub.defG, sub.defH, parent.defG-child.defG, parent.defH-child.defH)
+	}
+	clone := sub.Clone()
+	sub.Materialize()
+	requireBitIdentical(t, "SetSub in touched space", diff, sub)
+	clone.Materialize()
+	requireBitIdentical(t, "SetSub in touched space then Clone", diff, clone)
+	// In place — the target is the parent — gives the same histogram.
+	wantG, wantH := parent.defG-child.defG, parent.defH-child.defH
+	parent.SetSub(parent, child)
+	if !parent.deferred || parent.defG != wantG || parent.defH != wantH {
+		t.Fatalf("SetSub in place: deferred = %v, mass (%v, %v)", parent.deferred, parent.defG, parent.defH)
+	}
+	parent.Materialize()
+	requireBitIdentical(t, "SetSub in touched space, in place", diff, parent)
+	dense := build(rowsP, false)
+	dense.SetSub(dense, build(rowsC, true))
+	requireBitIdentical(t, "dense SetSub in place", diff, dense)
+	// An empty child and the whole parent are the two ends of the subset.
+	for name, rowsC := range map[string][]int32{"empty child": nil, "child = parent": rowsP} {
+		c := build(rowsC, false)
+		for i := range diff.G {
+			diff.G[i], diff.H[i] = p.G[i]-c.G[i], p.H[i]-c.H[i]
+		}
+		sub := New(l)
+		sub.SetSub(build(rowsP, true), build(rowsC, true))
+		if !sub.deferred {
+			t.Fatalf("%s: result not deferred", name)
+		}
+		sub.Materialize()
+		requireBitIdentical(t, "SetSub in touched space, "+name, diff, sub)
+	}
 }

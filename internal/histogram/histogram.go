@@ -101,8 +101,9 @@ func (l *Layout) SizeBytes() int { return 2 * l.TotalBuckets * 4 }
 // New, Reset, Pool.Get and a Histogram{Layout, G, H} literal give) means the
 // flat G/H arrays are complete and every feature's buckets sum to the node
 // totals; it is the only form the exported fields may be read in. Deferred
-// (entered with Defer, left with Materialize, Reset or SetSub) is the
-// trainer's private form between a node's accumulation and its split scan:
+// (entered with Defer or as the difference of two deferred histograms, left
+// with Materialize or Reset) is the trainer's private form between a node's
+// accumulation and its split scan:
 // only the positions in the touched set hold anything, and every other
 // position is owed the deferred zero mass — the (ΣG, ΣH) Algorithm 2 would
 // have added to its zero bucket. Reset, the zero-bucket finish, Add and the
@@ -264,20 +265,74 @@ func (h *Histogram) Add(other *Histogram) {
 	h.defH += other.defH
 }
 
-// SetSub fills h with parent − child, the histogram-subtraction trick: a
-// split node's second child histogram equals its parent's minus its
-// sibling's, so only one child per split needs a data pass. The operands are
-// materialised first; h ends materialised.
+// SetSub fills h with parent − child, the histogram-subtraction trick: a split
+// node's children partition its rows, so one child's histogram is the
+// parent's minus its sibling's and only one child per split needs a data
+// pass. h is zeroed, as for Defer, or is parent itself: subtracting in place
+// is how the trainer turns a split node's histogram into its derived child's.
+//
+// Two deferred operands subtract in touched space when the child touched
+// nothing the parent did not (its rows are a subset of the parent's): over the
+// parent's touched set, a position the child touched too is subtracted bucket
+// by bucket, and any other keeps the parent's buckets — copied, unless in
+// place — less the child's deferred mass on its zero bucket. h ends deferred,
+// with the parent's touched set and the difference of the two masses, and
+// materialising it gives the dense subtraction's buckets bit for bit
+// (x − (+0) = x). In every other state the operands are materialised in place
+// and subtracted bucket by bucket; h ends materialised.
 func (h *Histogram) SetSub(parent, child *Histogram) {
-	parent.Materialize()
-	child.Materialize()
-	for i := range h.G {
-		h.G[i] = parent.G[i] - child.G[i]
+	if !parent.deferred || !child.deferred || !subset(child.touched, parent.touched) {
+		parent.Materialize()
+		child.Materialize()
+		for i := range h.G {
+			h.G[i] = parent.G[i] - child.G[i]
+		}
+		for i := range h.H {
+			h.H[i] = parent.H[i] - child.H[i]
+		}
+		h.deferred, h.defG, h.defH = false, 0, 0
+		return
 	}
-	for i := range h.H {
-		h.H[i] = parent.H[i] - child.H[i]
+	h.Defer()
+	l := h.Layout
+	for w, ours := range parent.touched {
+		theirs := child.touched[w]
+		for b := ours &^ theirs; b != 0; b &= b - 1 {
+			p := w<<6 + bits.TrailingZeros64(b)
+			if h != parent {
+				lo, hi := l.Offsets[p], l.Offsets[p+1]
+				copy(h.G[lo:hi], parent.G[lo:hi])
+				copy(h.H[lo:hi], parent.H[lo:hi])
+			}
+			z := l.zeroIdx[p]
+			h.G[z] = parent.G[z] - child.defG
+			h.H[z] = parent.H[z] - child.defH
+		}
+		for b := theirs; b != 0; b &= b - 1 {
+			p := w<<6 + bits.TrailingZeros64(b)
+			lo, hi := l.Offsets[p], l.Offsets[p+1]
+			hg, pg, cg := h.G[lo:hi], parent.G[lo:hi], child.G[lo:hi]
+			for i, g := range pg {
+				hg[i] = g - cg[i]
+			}
+			hh, ph, ch := h.H[lo:hi], parent.H[lo:hi], child.H[lo:hi]
+			for i, v := range ph {
+				hh[i] = v - ch[i]
+			}
+		}
+		h.touched[w] = ours
 	}
-	h.deferred, h.defG, h.defH = false, 0, 0
+	h.defG, h.defH = parent.defG-child.defG, parent.defH-child.defH
+}
+
+// subset reports whether every bit of a is set in b.
+func subset(a, b []uint64) bool {
+	for w, set := range a {
+		if set&^b[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy in the same state.

@@ -65,7 +65,7 @@ func (p *Pool) Get() *Histogram {
 
 // Put returns a histogram to the pool for reuse. The caller must not touch
 // h afterwards. nil histograms and histograms of a different layout are
-// ignored, so subtraction caches can evict unconditionally.
+// ignored, so callers can hand back whatever they hold unconditionally.
 func (p *Pool) Put(h *Histogram) {
 	if h == nil || h.Layout != p.layout {
 		return

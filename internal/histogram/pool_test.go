@@ -208,6 +208,50 @@ func TestPoolGetIsCleanWhateverWasPut(t *testing.T) {
 			h.SetSub(parent, child)
 			return h
 		}},
+		{"deferred difference of a deep node", func(p *Pool) *Histogram {
+			// Few rows: most positions are outside the parent's touched set,
+			// some inside it are the child's too.
+			parent, child := p.Get(), p.Get()
+			parent.Defer()
+			BuildSparseBinned(parent, b, some, grad, hess)
+			child.Defer()
+			BuildSparseBinned(child, b, some[:10], grad, hess)
+			h := p.Get()
+			h.SetSub(parent, child)
+			if !h.deferred {
+				t.Fatal("difference of two deferred histograms is not deferred")
+			}
+			return h
+		}},
+		{"deferred difference in place", func(p *Pool) *Histogram {
+			parent, child := p.Get(), p.Get()
+			parent.Defer()
+			BuildSparseBinned(parent, b, some, grad, hess)
+			child.Defer()
+			BuildSparseBinned(child, b, some[25:], grad, hess)
+			parent.SetSub(parent, child)
+			return parent
+		}},
+		{"deferred difference, materialised", func(p *Pool) *Histogram {
+			parent, child := p.Get(), p.Get()
+			parent.Defer()
+			BuildSparseBinned(parent, b, some, grad, hess)
+			child.Defer()
+			BuildSparseBinned(child, b, some[30:], grad, hess)
+			h := p.Get()
+			h.SetSub(parent, child)
+			h.Materialize()
+			return h
+		}},
+		{"dense difference of a deferred and a materialised operand", func(p *Pool) *Histogram {
+			parent, child := p.Get(), p.Get()
+			parent.Defer()
+			BuildSparseBinned(parent, b, some, grad, hess)
+			BuildSparseBinned(child, b, some[:10], grad, hess)
+			h := p.Get()
+			h.SetSub(parent, child)
+			return h
+		}},
 		{"literal", func(p *Pool) *Histogram {
 			src := New(l)
 			BuildSparseBinned(src, b, rows, grad, hess)

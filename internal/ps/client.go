@@ -287,13 +287,25 @@ type SplitResult struct {
 // PullSplit asks every server for its shard-local best split and folds them
 // into the global best (two-phase split finding, §6.3).
 func (c *Client) PullSplit(node int, lambda, gamma, minChild float64) (SplitResult, error) {
+	return c.pullSplit(node, false, lambda, gamma, minChild)
+}
+
+// PullDerivedSplit is PullSplit for a node no worker pushed: every server
+// first derives its shard of the node as parent − sibling from the merged
+// shards it holds, and keeps it as if it had been pushed.
+func (c *Client) PullDerivedSplit(node int, lambda, gamma, minChild float64) (SplitResult, error) {
+	return c.pullSplit(node, true, lambda, gamma, minChild)
+}
+
+func (c *Client) pullSplit(node int, derive bool, lambda, gamma, minChild float64) (SplitResult, error) {
 	req := func(int) *wire.Writer {
-		w := c.newRequest(36)
+		w := c.newRequest(37)
 		w.Int32(int32(node))
 		w.Float64(lambda)
 		w.Float64(gamma)
 		w.Float64(minChild)
 		writeEncoding(w, c.pullEncoding())
+		w.Bool(derive)
 		return w
 	}
 	resps, err := c.fanOut(OpPullSplit, req)
@@ -321,10 +333,21 @@ func (c *Client) PullSplit(node int, lambda, gamma, minChild float64) (SplitResu
 // (the two-phase-disabled path), under the negotiated response encoding.
 // layout must be the worker's full layout.
 func (c *Client) PullHistogram(node int, layout *histogram.Layout) (*histogram.Histogram, error) {
+	return c.pullHistogram(node, false, layout)
+}
+
+// PullDerivedHistogram is PullHistogram for a node no worker pushed; see
+// PullDerivedSplit.
+func (c *Client) PullDerivedHistogram(node int, layout *histogram.Layout) (*histogram.Histogram, error) {
+	return c.pullHistogram(node, true, layout)
+}
+
+func (c *Client) pullHistogram(node int, derive bool, layout *histogram.Layout) (*histogram.Histogram, error) {
 	req := func(int) *wire.Writer {
 		w := c.newRequest(8)
 		w.Int32(int32(node))
 		writeEncoding(w, c.pullEncoding())
+		w.Bool(derive)
 		return w
 	}
 	resps, err := c.fanOut(OpPullHistShard, req)

@@ -1,0 +1,289 @@
+package ps
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"dimboost/internal/core"
+	"dimboost/internal/faultinject"
+	"dimboost/internal/histogram"
+	"dimboost/internal/transport"
+)
+
+// deriveFixture is one split of one tree as the workers drive it: every
+// worker pushes the root, the root is pulled, every worker pushes the root's
+// left child — the built one — and the right child is left to be derived.
+// Every push body is captured on its way out.
+type deriveFixture struct {
+	fx       *psFixture
+	layout   *histogram.Layout
+	captured []*capturingEndpoint // per worker
+}
+
+const (
+	deriveParent  = 0
+	deriveBuilt   = 1
+	deriveDerived = 2
+)
+
+func newDeriveFixture(t *testing.T, workers int, wrap func(worker int, ep transport.Endpoint) transport.Endpoint) *deriveFixture {
+	t.Helper()
+	const m, p = 150, 2
+	fx := newFixture(t, m, p, workers)
+	cands := shapedCands(m)
+	for _, srv := range fx.servers {
+		for f := range cands {
+			srv.cands[int32(f)] = cands[f]
+		}
+	}
+	sampled := everyKth(2)(fx.part)
+	layout, err := histogram.NewLayout(sampled, cands, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	df := &deriveFixture{fx: fx, layout: layout}
+	for w, c := range fx.clients {
+		c.Exact = true
+		if wrap != nil {
+			c.ep = wrap(w, c.ep)
+		}
+		ce := &capturingEndpoint{Endpoint: c.ep, sent: map[string][][]byte{}}
+		c.ep = ce
+		df.captured = append(df.captured, ce)
+	}
+	if err := fx.clients[0].NewTree(sampled); err != nil {
+		t.Fatal(err)
+	}
+	df.pushFromAll(t, deriveParent)
+	if _, err := fx.clients[0].PullSplit(deriveParent, 1.0, 0.0, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	df.pushFromAll(t, deriveBuilt)
+	return df
+}
+
+// pushFromAll pushes a node from every worker, the highest id first so the
+// server parks and folds as well as decoding in place.
+func (df *deriveFixture) pushFromAll(t *testing.T, node int) {
+	t.Helper()
+	for w := len(df.fx.clients) - 1; w >= 0; w-- {
+		h := histogram.New(df.layout)
+		fillHist(h, int64(1000*w+node), 0.5)
+		if err := df.fx.clients[w].PushHistogram(node, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// mergedFromPayloads decodes what the workers sent server sv for their
+// push-th push and adds it up in ascending worker id: the merged shard as the
+// wire defines it, computed without the server.
+func (df *deriveFixture) mergedFromPayloads(t *testing.T, sv, push int) *histogram.Histogram {
+	t.Helper()
+	layout := df.fx.servers[sv].layout
+	out := histogram.New(layout)
+	for w, ce := range df.captured {
+		body := ce.sent[serverName(sv)][push][envelopeSize+4:] // envelope, node id
+		g, h, err := parseShard(body, layout.TotalBuckets)
+		if err != nil {
+			t.Fatalf("worker %d push %d to server %d: %v", w, push, sv, err)
+		}
+		if err := g.addTo(out.G); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.addTo(out.H); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// shardBits is a server's accumulator for a node, bit for bit.
+func shardBits(t *testing.T, srv *Server, node int32) []uint64 {
+	t.Helper()
+	_, n := srv.tree(node)
+	if n == nil {
+		t.Fatalf("server %d holds no shard of node %d", srv.id, node)
+	}
+	var out []uint64
+	for _, v := range append(append([]float64(nil), n.g...), n.h...) {
+		out = append(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// TestDerivedShardIsParentMinusSibling: on the exact wire, with two and with
+// three workers, the shard every server derives for the node nobody pushed is
+// Float64bits-equal to histogram.SetSub of the merged parent and the merged
+// sibling — both recomputed here from the captured push payloads — and the
+// split it answers with is Algorithm 1's on that difference.
+func TestDerivedShardIsParentMinusSibling(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		df := newDeriveFixture(t, workers, nil)
+		m, _ := psMetrics()
+		derived0 := m.derived.Value()
+		got, err := df.fx.clients[workers-1].PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m.derived.Value() - derived0; n != int64(len(df.fx.servers)) {
+			t.Fatalf("w=%d: %d shards derived, want one per server", workers, n)
+		}
+		var want core.Split
+		for sv, srv := range df.fx.servers {
+			diff := histogram.New(srv.layout)
+			diff.SetSub(df.mergedFromPayloads(t, sv, 0), df.mergedFromPayloads(t, sv, 1))
+			bits := shardBits(t, srv, deriveDerived)
+			for i, v := range append(append([]float64(nil), diff.G...), diff.H...) {
+				if bits[i] != math.Float64bits(v) {
+					t.Fatalf("w=%d server %d bucket %d: derived %x, parent − sibling %x", workers, sv, i, bits[i], math.Float64bits(v))
+				}
+			}
+			tg, th := diff.FeatureTotals(0)
+			if s := core.FindSplit(diff, tg, th, 1.0, 0.0, 1e-6); s.Better(want) {
+				want = s
+			}
+		}
+		if got.Split != want {
+			t.Fatalf("w=%d: derived node split %+v, want %+v", workers, got.Split, want)
+		}
+		// The derived shard is a sealed node like any other: a second pull,
+		// with or without the marker, reads it, and a push is too late.
+		again, err := df.fx.clients[0].PullSplit(deriveDerived, 1.0, 0.0, 1e-6)
+		if err != nil || again != got {
+			t.Fatalf("w=%d: second pull %+v (%v), want %+v", workers, again, err, got)
+		}
+		var repush *RepushError
+		h := histogram.New(df.layout)
+		if err := df.fx.clients[0].PushHistogram(deriveDerived, h); !errors.As(err, &repush) || !repush.Sealed {
+			t.Fatalf("w=%d: push for a derived node: %v, want a sealed RepushError", workers, err)
+		}
+		// And it is the next layer's parent.
+		df.pushFromAll(t, 5)
+		if _, err := df.fx.clients[0].PullDerivedSplit(6, 1.0, 0.0, 1e-6); err != nil {
+			t.Fatalf("w=%d: deriving a child of the derived node: %v", workers, err)
+		}
+		if n := m.derived.Value() - derived0; n != 2*int64(len(df.fx.servers)) {
+			t.Fatalf("w=%d: %d shards derived after the second layer and two repeat pulls, want two per server", workers, n)
+		}
+	}
+}
+
+// TestDerivedHistogramPull: with two-phase split finding off the marker rides
+// on the histogram pull, and the reassembled histogram is parent − sibling.
+func TestDerivedHistogramPull(t *testing.T) {
+	df := newDeriveFixture(t, 2, nil)
+	got, err := df.fx.clients[0].PullDerivedHistogram(deriveDerived, df.layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := df.fx.clients[0].PullHistogram(deriveParent, df.layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := df.fx.clients[1].PullHistogram(deriveBuilt, df.layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := histogram.New(df.layout)
+	want.SetSub(parent, sibling)
+	for i := range want.G {
+		if math.Float64bits(got.G[i]) != math.Float64bits(want.G[i]) || math.Float64bits(got.H[i]) != math.Float64bits(want.H[i]) {
+			t.Fatalf("bucket %d: (%v, %v), want (%v, %v)", i, got.G[i], got.H[i], want.G[i], want.H[i])
+		}
+	}
+}
+
+// TestLostDeriveReplyIsIdempotent: the reply to a derive pull is dropped
+// after the server derived and stored the shard; the retry finds the stored
+// shard instead of deriving again, and shard and answer equal the fault-free
+// run's bit for bit.
+func TestLostDeriveReplyIsIdempotent(t *testing.T) {
+	clean := newDeriveFixture(t, 3, nil)
+	want, err := clean.fx.clients[1].PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var faults *faultinject.Network
+	retries := 0
+	faulty := newDeriveFixture(t, 3, func(w int, ep transport.Endpoint) transport.Endpoint {
+		if w != 1 {
+			return ep
+		}
+		faults = faultinject.New(singleEndpointNetwork{ep}, faultinject.Spec{Rules: []faultinject.Rule{
+			{Endpoint: serverName(1), Op: OpPullSplit, Count: 1, RespLossRate: 1},
+		}})
+		fep, err := faults.Endpoint(ep.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := transport.NewRetryEndpoint(fep, transport.RetryPolicy{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 1})
+		re.OnRetry = func(string, int, error) { retries++ }
+		return re
+	})
+	m, _ := psMetrics()
+	derived0 := m.derived.Value()
+	got, err := faulty.fx.clients[1].PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost := faults.Stats().RespLosses; lost != 1 || retries != 1 {
+		t.Fatalf("%d replies lost, %d retries; want one of each", lost, retries)
+	}
+	if n := m.derived.Value() - derived0; n != int64(len(faulty.fx.servers)) {
+		t.Fatalf("%d shards derived across a retried pull, want one per server", n)
+	}
+	if got != want {
+		t.Fatalf("after a lost reply: %+v, fault-free %+v", got, want)
+	}
+	for sv := range faulty.fx.servers {
+		a, b := shardBits(t, faulty.fx.servers[sv], deriveDerived), shardBits(t, clean.fx.servers[sv], deriveDerived)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("server %d bucket %d: %x after a lost reply, %x fault-free", sv, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// TestDeriveWithoutOperandsIsTypedError: a derive pull for a node whose
+// sibling was never pushed — or whose parent the server never saw — names the
+// missing node in a DeriveError; it never answers from a zero histogram, and
+// it leaves nothing behind that a later pull could read.
+func TestDeriveWithoutOperandsIsTypedError(t *testing.T) {
+	df := newDeriveFixture(t, 2, nil)
+	c := df.fx.clients[0]
+	var de *DeriveError
+	// Node 4's sibling (3) was never pushed; its parent (1) was.
+	if _, err := c.PullDerivedSplit(4, 1.0, 0.0, 1e-6); !errors.As(err, &de) || de.Node != 4 || de.Missing != 3 {
+		t.Fatalf("derive without a sibling: %v, want a DeriveError naming node 3", err)
+	}
+	if _, err := c.PullDerivedHistogram(4, df.layout); !errors.As(err, &de) || de.Missing != 3 {
+		t.Fatalf("derive (histogram pull) without a sibling: %v, want a DeriveError naming node 3", err)
+	}
+	// Node 12's parent (5) does not exist at all.
+	if _, err := c.PullDerivedSplit(12, 1.0, 0.0, 1e-6); !errors.As(err, &de) || de.Missing != 5 {
+		t.Fatalf("derive without a parent: %v, want a DeriveError naming node 5", err)
+	}
+	// The root has no parent to derive from.
+	df2 := newFixture(t, 150, 2, 1)
+	if err := df2.clients[0].NewTree(everyKth(2)(df2.part)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := df2.clients[0].PullDerivedSplit(0, 1.0, 0.0, 1e-6); err == nil {
+		t.Fatal("derive for the root answered")
+	}
+	for _, srv := range df.fx.servers {
+		for _, node := range []int32{4, 12} {
+			if _, n := srv.tree(node); n != nil {
+				t.Fatalf("server %d kept a shard for node %d after refusing to derive it", srv.id, node)
+			}
+		}
+	}
+	// An unmarked pull of the same node is the old error, not a derivation.
+	if _, err := c.PullSplit(4, 1.0, 0.0, 1e-6); err == nil || errors.As(err, &de) {
+		t.Fatalf("unmarked pull of an unpushed node: %v, want the plain no-histogram error", err)
+	}
+}

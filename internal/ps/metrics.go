@@ -19,6 +19,11 @@ type serverMetrics struct {
 	dedupHits  *obs.Counter
 	bytesIn    *obs.Counter
 	bytesOut   *obs.Counter
+	// derived counts the node shards computed as parent − sibling instead of
+	// merged from pushes; deriveSeconds times each one (it is also part of
+	// the pull's request latency).
+	derived       *obs.Counter
+	deriveSeconds *obs.Histogram
 }
 
 // clientMetrics instrument the worker-side client.
@@ -59,6 +64,9 @@ func psMetrics() (*serverMetrics, *clientMetrics) {
 			dedupHits:  r.Counter("dimboost_ps_dedup_hits_total", "Duplicate mutating requests acknowledged without re-applying (idempotency envelope)."),
 			bytesIn:    r.Counter("dimboost_ps_bytes_total", "Request/response payload bytes through the PS handler.", obs.L("direction", "in")),
 			bytesOut:   r.Counter("dimboost_ps_bytes_total", "", obs.L("direction", "out")),
+
+			derived:       r.Counter("dimboost_ps_hist_derived_total", "Node histogram shards a server derived as parent minus sibling instead of merging pushes."),
+			deriveSeconds: r.Histogram("dimboost_ps_hist_derive_seconds", "Server-side time to derive one node shard as parent minus sibling.", nil),
 		}
 		for op := OpPushSketch; op <= OpPullSplitResults; op++ {
 			l := obs.L("op", OpName(op))

@@ -89,6 +89,18 @@ func (e *RepushError) Error() string {
 	return fmt.Sprintf("ps: worker %d already pushed a histogram for node %d this tree", e.Worker, e.Node)
 }
 
+// DeriveError rejects a pull that asked for a node's shard to be derived as
+// parent − sibling when the server holds no shard of Missing, the parent or
+// the sibling. Answering with whatever a missing operand would leave — the
+// parent's histogram, or zeros — would split the node on another node's data.
+type DeriveError struct {
+	Node, Missing int32
+}
+
+func (e *DeriveError) Error() string {
+	return fmt.Sprintf("ps: cannot derive node %d: no histogram shard for node %d this tree", e.Node, e.Missing)
+}
+
 // serverEnc encodes pull responses. It rounds to nearest (no RNG), so it is
 // safe under concurrent handlers and — critically — a retried pull or a
 // pull from a different worker produces byte-identical responses; stochastic
@@ -342,13 +354,15 @@ func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
 	return nil, nil
 }
 
-// buckets returns a zeroed bucket array for the current layout. Caller
-// holds s.mu.
-func (s *Server) buckets() []float64 {
+// buckets returns a bucket array for the current layout, zeroed unless the
+// caller is about to overwrite all of it. Caller holds s.mu.
+func (s *Server) buckets(zeroed bool) []float64 {
 	if k := len(s.spare); k > 0 {
 		b := s.spare[k-1]
 		s.spare = s.spare[:k-1]
-		clear(b)
+		if zeroed {
+			clear(b)
+		}
 		return b
 	}
 	return make([]float64, s.layout.TotalBuckets)
@@ -442,8 +456,8 @@ func (s *Server) nodeShard(node int32, layout *histogram.Layout) (*nodeShard, er
 	n := s.nodes[node]
 	if n == nil {
 		n = &nodeShard{
-			g:      s.buckets(),
-			h:      s.buckets(),
+			g:      s.buckets(true),
+			h:      s.buckets(true),
 			parked: make(map[int32][]byte),
 			pushed: make(map[int32]uint64),
 		}
@@ -468,6 +482,89 @@ func (n *nodeShard) addParked(worker int32) error {
 	}
 	delete(n.parked, worker)
 	return n.add(&g, &h)
+}
+
+// derive computes node's shard as parent − sibling from the two merged
+// accumulators this server already holds (the sibling is the child every
+// worker pushed, see core.Split.BuildLeft) and installs it as the node's
+// sealed shard, so a retried pull finds it like any pushed node and the next
+// layer finds its parent. One float subtraction per bucket: the dense
+// histogram.SetSub over the server's own features. The sibling is read under
+// the parent's lock; nothing else holds two node locks, and this order only
+// ever goes down the tree, so it cannot cycle.
+func (s *Server) derive(node int32, layout *histogram.Layout) (*nodeShard, error) {
+	if node < 1 {
+		return nil, fmt.Errorf("node %d has no parent to be derived from", node)
+	}
+	start := time.Now()
+	parentID := (node - 1) / 2
+	siblingID := 4*parentID + 3 - node // the children are 2p+1 and 2p+2
+	s.mu.Lock()
+	parent, sibling := s.nodes[parentID], s.nodes[siblingID]
+	var g, h []float64
+	if s.layout == layout && parent != nil && sibling != nil {
+		g, h = s.buckets(false), s.buckets(false)
+	}
+	s.mu.Unlock()
+	switch {
+	case parent == nil:
+		return nil, &DeriveError{Node: node, Missing: parentID}
+	case sibling == nil:
+		return nil, &DeriveError{Node: node, Missing: siblingID}
+	case g == nil:
+		return nil, fmt.Errorf("pull for node %d overtaken by NEW_TREE", node)
+	}
+	err := parent.read(func(pg, ph []float64) error {
+		return sibling.read(func(sg, sh []float64) error {
+			for i, v := range pg {
+				g[i] = v - sg[i]
+			}
+			for i, v := range ph {
+				h[i] = v - sh[i]
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.layout != layout {
+		return nil, fmt.Errorf("pull for node %d overtaken by NEW_TREE", node)
+	}
+	if n := s.nodes[node]; n != nil {
+		// A concurrent pull derived it first: same operands, same bits.
+		s.spare = append(s.spare, g, h)
+		return n, nil
+	}
+	n := &nodeShard{g: g, h: h, sealed: true, pushed: map[int32]uint64{}}
+	s.nodes[node] = n
+	m, _ := psMetrics()
+	m.derived.Inc()
+	m.deriveSeconds.Observe(time.Since(start).Seconds())
+	return n, nil
+}
+
+// pullShard resolves a pull's node: the current layout and the node's
+// accumulator, derived first when the pull asks for that and the server holds
+// none. The accumulator is nil, without error, only when this server owns no
+// sampled feature and has nothing to answer from.
+func (s *Server) pullShard(node int32, derive bool) (*histogram.Layout, *nodeShard, error) {
+	layout, sh := s.tree(node)
+	if layout == nil || layout.NumFeatures() == 0 {
+		return layout, nil, nil
+	}
+	if sh == nil && derive {
+		var err error
+		if sh, err = s.derive(node, layout); err != nil {
+			return nil, nil, err
+		}
+	}
+	if sh == nil {
+		return nil, nil, fmt.Errorf("no histogram pushed for node %d", node)
+	}
+	return layout, sh, nil
 }
 
 // read hands f the merged arrays under the node's lock. First it folds in
@@ -504,14 +601,14 @@ func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, sh := s.tree(node)
+	layout, sh, err := s.pullShard(node, r.Bool())
+	if err != nil {
+		return nil, err
+	}
 	w := wire.NewWriter(96)
-	if layout == nil || layout.NumFeatures() == 0 {
+	if sh == nil {
 		writeSplitRecord(w, splitRecord{}, ev.compactSplits())
 		return w, nil
-	}
-	if sh == nil {
-		return nil, fmt.Errorf("no histogram pushed for node %d", node)
 	}
 	err = sh.read(func(g, h []float64) error {
 		hist := &histogram.Histogram{Layout: layout, G: g, H: h}
@@ -534,8 +631,11 @@ func (s *Server) pullHistShard(r *wire.Reader) (*wire.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, sh := s.tree(node)
-	if layout == nil || layout.NumFeatures() == 0 {
+	layout, sh, err := s.pullShard(node, r.Bool())
+	if err != nil {
+		return nil, err
+	}
+	if sh == nil {
 		w := wire.NewWriter(16)
 		if err := writeHistVector(w, serverEnc, ev); err != nil {
 			return nil, err
@@ -544,9 +644,6 @@ func (s *Server) pullHistShard(r *wire.Reader) (*wire.Writer, error) {
 			return nil, err
 		}
 		return w, nil
-	}
-	if sh == nil {
-		return nil, fmt.Errorf("no histogram pushed for node %d", node)
 	}
 	w := wire.NewWriter(8 * layout.TotalBuckets)
 	err = sh.read(func(g, h []float64) error {
