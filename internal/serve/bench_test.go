@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -27,11 +30,43 @@ func benchModel(b *testing.B) *core.Model {
 	return m
 }
 
-// BenchmarkPredictHandler measures the single-instance /predict hot path
-// end to end (mux, admission, pooled JSON decode, scoring, encode) without
-// a network in between. ReportAllocs tracks the decode-buffer pooling: the
-// request-scoped instance/score/probability slices must come from the pool,
-// not fresh per request.
+// spineBody is a /predict body shaped like the benchmark's serve_predict
+// requests: instances rows of nnz distinct ascending features drawn from
+// features, values |N(0,1)| + 0.1 written as the shortest float32 decimal.
+func spineBody(rng *rand.Rand, instances, nnz, features int) []byte {
+	buf := []byte(`{"instances":[`)
+	for j := 0; j < instances; j++ {
+		if j > 0 {
+			buf = append(buf, ',')
+		}
+		idx := rng.Perm(features)[:nnz]
+		slices.Sort(idx)
+		buf = append(buf, `{"indices":[`...)
+		for k, f := range idx {
+			if k > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendInt(buf, int64(f), 10)
+		}
+		buf = append(buf, `],"values":[`...)
+		for k := range idx {
+			if k > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendFloat(buf, float64(float32(math.Abs(rng.NormFloat64())+0.1)), 'g', -1, 32)
+		}
+		buf = append(buf, `]}`...)
+	}
+	return append(buf, `]}`...)
+}
+
+// BenchmarkPredictHandler measures the /predict hot path end to end (mux,
+// admission, body read, pooled JSON decode, scoring, encode) without a
+// network in between, for a single-instance body and for a body shaped like
+// the benchmark's serve_predict requests (16 instances × 100 nonzeros).
+// ReportAllocs tracks the pooling: the body buffer and the request-scoped
+// instance/score/probability slices must come from the pool, not fresh per
+// request.
 func BenchmarkPredictHandler(b *testing.B) {
 	m := benchModel(b)
 	rng := rand.New(rand.NewSource(7))
@@ -43,7 +78,7 @@ func BenchmarkPredictHandler(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	run := func(b *testing.B, h *Handler) {
+	run := func(b *testing.B, h *Handler, body []byte) {
 		b.Helper()
 		req := httptest.NewRequest("POST", "/predict", nil)
 		req.Header.Set("Content-Type", "application/json")
@@ -65,13 +100,16 @@ func BenchmarkPredictHandler(b *testing.B) {
 	}
 
 	b.Run("uncoalesced", func(b *testing.B) {
-		run(b, New(m))
+		run(b, New(m), body)
 	})
 	b.Run("coalesced", func(b *testing.B) {
 		h := New(m)
 		h.EnableCoalescing(CoalesceConfig{Window: 200 * time.Microsecond})
 		defer h.Close()
-		run(b, h)
+		run(b, h, body)
+	})
+	b.Run("spine16x100", func(b *testing.B) {
+		run(b, New(m), spineBody(rand.New(rand.NewSource(1)), 16, 100, 33_000))
 	})
 }
 

@@ -23,11 +23,28 @@ type serveObs struct {
 	queueWait         *obs.Histogram
 	coalesceWait      *obs.Histogram
 	coalesceOccupancy *obs.Histogram
+	stage             [numStages]*obs.Histogram
 }
 
-// waitBuckets resolves admission and coalesce waits down to 10µs: both are
-// routinely sub-millisecond (the coalesce linger window defaults to 500µs),
-// and the default bucket ladder's 250µs→1ms gap hid every p99 of interest.
+// The stages of one /predict request, the closed label set of
+// dimboost_serve_stage_seconds: reading the body, decoding and validating
+// it, scoring (a coalesced request's wait for its batch included), and
+// encoding the response. A LibSVM body is parsed as it is read and records
+// no read stage.
+const (
+	stageRead = iota
+	stageDecode
+	stageScore
+	stageEncode
+	numStages
+)
+
+var stageNames = [numStages]string{"read", "decode", "score", "encode"}
+
+// waitBuckets resolves admission and coalesce waits and request stages down
+// to 10µs: all are routinely sub-millisecond (the coalesce linger window
+// defaults to 500µs), and the default bucket ladder's 250µs→1ms gap hid
+// every p99 of interest.
 var waitBuckets = []float64{
 	10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 0.1, 0.25, 1, 2.5,
@@ -58,6 +75,11 @@ func serveMetrics() *serveObs {
 				"Time requests spent parked in the coalescer before their batch was scored.", waitBuckets),
 			coalesceOccupancy: r.Histogram("dimboost_serve_coalesce_batch_occupancy",
 				"Requests merged into each coalesced scoring batch.", occupancyBuckets),
+		}
+		for i, name := range stageNames {
+			soInst.stage[i] = r.Histogram("dimboost_serve_stage_seconds",
+				"Time /predict requests spent in each stage: read, decode, score, encode.",
+				waitBuckets, obs.L("stage", name))
 		}
 	})
 	return soInst

@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
@@ -312,13 +314,14 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) (release func(),
 	return nil, false
 }
 
-// predictBuf is the pooled per-request scoring state: the JSON decode
-// target (whose per-instance Indices/Values slices are reused across
-// requests), the validated instances, and the score/probability buffers.
-// One request checks a buf out for its whole lifetime — decode through
-// response encode — and returns it afterwards, so the steady-state JSON
-// path stops allocating per request.
+// predictBuf is the pooled per-request scoring state: the body bytes, the
+// JSON decode target (whose per-instance Indices/Values slices are reused
+// across requests), the validated instances, and the score/probability
+// buffers. One request checks a buf out for its whole lifetime — read
+// through response encode — and returns it afterwards, so the steady-state
+// JSON path stops allocating per request.
 type predictBuf struct {
+	body      bytes.Buffer
 	req       predictRequest
 	instances []dataset.Instance
 	scores    []float64
@@ -327,6 +330,35 @@ type predictBuf struct {
 }
 
 var predictBufPool = sync.Pool{New: func() any { return new(predictBuf) }}
+
+// maxPooledBytes caps what a predictBuf may keep between requests — about
+// what a 1 MiB JSON body leaves behind, where a 16-instance body of 100
+// nonzeros each leaves ≈ 60 KB. A buf grown past it by a rare huge request
+// goes to the garbage collector instead of back to the pool, so that request
+// does not pin its arrays in a pool slot for as long as the process runs.
+const maxPooledBytes = 4 << 20
+
+// putPredictBuf returns b to the pool unless it has grown past
+// maxPooledBytes.
+func putPredictBuf(b *predictBuf) {
+	if b.retained() <= maxPooledBytes {
+		predictBufPool.Put(b)
+	}
+}
+
+// retained is the bytes b's buffers hold, counted up to their capacities.
+func (b *predictBuf) retained() int {
+	n := b.body.Cap() + 8*(cap(b.scores)+cap(b.probs)+cap(b.pairs)) +
+		int(unsafe.Sizeof(jsonInstance{}))*cap(b.req.Instances) +
+		int(unsafe.Sizeof(dataset.Instance{}))*cap(b.instances)
+	for _, ji := range b.req.Instances[:cap(b.req.Instances)] {
+		n += 4 * (cap(ji.Indices) + cap(ji.Values))
+	}
+	for _, in := range b.instances[:cap(b.instances)] {
+		n += 4 * (cap(in.Indices) + cap(in.Values))
+	}
+	return n
+}
 
 // resetReq prepares the decode target for reuse: every element within
 // capacity gets its inner slices truncated (capacity retained). Decoding
@@ -360,43 +392,43 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request) {
 	defer body.Close()
 
 	buf := predictBufPool.Get().(*predictBuf)
-	defer predictBufPool.Put(buf)
+	defer putPredictBuf(buf)
 
-	instances := buf.instances[:0]
+	stages := &serveMetrics().stage
+	mark := time.Now()
+	lap := func(stage int) {
+		now := time.Now()
+		stages[stage].Observe(now.Sub(mark).Seconds())
+		mark = now
+	}
+
+	var instances []dataset.Instance
+	var err error
 	ct := r.Header.Get("Content-Type")
 	switch {
 	case strings.HasPrefix(ct, "application/json"), ct == "":
-		buf.resetReq()
-		if err := json.NewDecoder(body).Decode(&buf.req); err != nil {
+		// The whole body is read before decoding, so a body over MaxBodyBytes
+		// is a 413 even when a complete JSON value ends before the limit.
+		buf.body.Reset()
+		_, err = buf.body.ReadFrom(body)
+		lap(stageRead)
+		if err != nil {
 			httpError(w, bodyErrStatus(err), "bad JSON: %v", err)
 			return
 		}
-		for i, ji := range buf.req.Instances {
-			var dst dataset.Instance
-			if i < len(buf.instances) {
-				dst = buf.instances[i] // reuse the prior request's backing slices
-			}
-			in, err := jsonToInstanceInto(ji, dst, buf)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "instance %d: %v", i, err)
-				return
-			}
-			instances = append(instances, in)
-		}
+		instances, err = buf.decodeJSON()
 	case strings.HasPrefix(ct, "text/libsvm"):
-		d, err := dataset.ReadLibSVM(body, 0)
-		if err != nil {
-			httpError(w, bodyErrStatus(err), "bad LibSVM body: %v", err)
-			return
-		}
-		for i := 0; i < d.NumRows(); i++ {
-			instances = append(instances, d.Row(i))
-		}
+		// Parsed as it is read, so the whole parse is the decode stage.
+		instances, err = readLibSVM(body)
 	default:
 		httpError(w, http.StatusUnsupportedMediaType, "use application/json or text/libsvm")
 		return
 	}
-	buf.instances = instances
+	lap(stageDecode)
+	if err != nil {
+		httpError(w, bodyErrStatus(err), "%v", err)
+		return
+	}
 	if len(instances) == 0 {
 		httpError(w, http.StatusBadRequest, "no instances")
 		return
@@ -446,7 +478,52 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request) {
 			resp.Probabilities[i] = loss.Sigmoid(s)
 		}
 	}
+	lap(stageScore)
 	writeJSON(w, http.StatusOK, resp)
+	lap(stageEncode)
+}
+
+// decodeJSON decodes the body in b.body into validated instances held in
+// b's pooled slices: the one-pass decoder, or encoding/json over the same
+// bytes for anything it does not take.
+func (b *predictBuf) decodeJSON() ([]dataset.Instance, error) {
+	b.resetReq()
+	if !decodePredict(b.body.Bytes(), &b.req) {
+		b.resetReq()
+		if err := json.NewDecoder(bytes.NewReader(b.body.Bytes())).Decode(&b.req); err != nil {
+			return nil, fmt.Errorf("bad JSON: %w", err)
+		}
+	}
+	instances := b.instances[:0]
+	for i, ji := range b.req.Instances {
+		var dst dataset.Instance
+		if i < len(b.instances) {
+			dst = b.instances[i] // reuse the prior request's backing slices
+		}
+		in, err := jsonToInstanceInto(ji, dst, b)
+		if err != nil {
+			return nil, fmt.Errorf("instance %d: %w", i, err)
+		}
+		instances = append(instances, in)
+	}
+	b.instances = instances
+	return instances, nil
+}
+
+// readLibSVM parses a LibSVM body. Its rows stay in the parsed dataset's
+// arrays and out of the pooled instance slots, which the JSON path writes
+// into: a slot aliasing one row of a dataset has capacity to the end of it,
+// and writing there would overwrite the next slot's row.
+func readLibSVM(body io.Reader) ([]dataset.Instance, error) {
+	d, err := dataset.ReadLibSVM(body, 0)
+	if err != nil {
+		return nil, fmt.Errorf("bad LibSVM body: %w", err)
+	}
+	instances := make([]dataset.Instance, d.NumRows())
+	for i := range instances {
+		instances[i] = d.Row(i)
+	}
+	return instances, nil
 }
 
 // featPair is a (feature, value) entry, used only when an instance arrives

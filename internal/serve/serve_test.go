@@ -22,7 +22,7 @@ import (
 	"dimboost/internal/obs"
 )
 
-func trainedModel(t *testing.T) (*core.Model, *dataset.Dataset) {
+func trainedModel(t testing.TB) (*core.Model, *dataset.Dataset) {
 	t.Helper()
 	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 400, NumFeatures: 60, AvgNNZ: 8, Seed: 5, Zipf: 1.2})
 	cfg := core.DefaultConfig()
