@@ -103,12 +103,13 @@ func (wk *worker) run() error {
 		wk.restoreFrom(wk.resume)
 	}
 
-	// Phase 1: CREATE_SKETCH — local sketches pushed to the PS.
+	// Phase 1: CREATE_SKETCH — local sketches, one feature range per pool
+	// worker (the single-process trainer's driver), pushed to the PS.
 	var set *sketch.Set
 	ss := time.Now()
 	sd := wk.compute(func() {
 		set = sketch.NewSet(wk.shard.NumFeatures, wk.cfg.sketchEps())
-		set.AddDataset(wk.shard)
+		set.AddRows(wk.pool, n, sketch.Resident(wk.shard))
 	})
 	wk.times.Sketch += sd
 	clusterMetrics().spans.Record(wk.id, -1, -1, "sketch", ss, sd)

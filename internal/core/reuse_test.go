@@ -242,7 +242,7 @@ func TestOutOfCoreSpillsOncePerRunAndAlwaysCloses(t *testing.T) {
 			if err := os.Truncate(path, 4096); err != nil {
 				t.Error(err)
 			}
-			src.ForEachChunkSeq(func(int, int, int, *dataset.Dataset) error { return nil })
+			src.ForRowRange(0, src.NumRows(), func(*dataset.Dataset, int, int, int) {})
 		}
 	})
 	if err == nil {

@@ -72,8 +72,9 @@ type Trainer struct {
 	labels []float32
 
 	// splitMask is the out-of-core split scratch: per-row goLeft verdicts,
-	// precomputed chunk by chunk so SplitStable's predicate never touches
-	// disk (one bool per row, part of the documented fixed working set).
+	// precomputed for a whole layer in one walk over the spill so
+	// SplitStable's predicate never touches disk (one bool per row, part of
+	// the documented fixed working set).
 	splitMask []bool
 
 	// predScratch is the reusable per-tree scoring buffer of the
@@ -126,23 +127,15 @@ func NewTrainer(d *dataset.Dataset, cfg Config) (*Trainer, error) {
 }
 
 // Candidates returns the per-feature split candidates, computing them on
-// first use (CREATE_SKETCH + PULL_SKETCH phases).
+// first use (CREATE_SKETCH + PULL_SKETCH phases) on the trainer's pool: one
+// feature range per worker, every sketch fed in row order, so the
+// candidates are one serial AddDataset pass's at any parallelism.
 func (tr *Trainer) Candidates() []sketch.Candidates {
 	if tr.cands == nil {
 		start := time.Now()
 		set := sketch.NewSet(tr.numFeatures(), tr.cfg.sketchEps())
-		if tr.src != nil {
-			// Chunks stream sequentially in ascending order, so every value
-			// inserts in global row order — the same sketch state as one
-			// AddDataset pass over the resident dataset.
-			tr.src.ForEachChunkSeq(func(_, _, _ int, d *dataset.Dataset) error {
-				set.AddDataset(d)
-				return nil
-			})
-		} else {
-			set.AddDataset(tr.data)
-		}
-		tr.cands = set.Candidates(tr.cfg.NumCandidates)
+		set.AddRows(tr.pool, tr.numRows(), tr.rows())
+		tr.cands = set.CandidatesOn(tr.pool, tr.cfg.NumCandidates)
 		d := time.Since(start)
 		tr.Times.Sketch += d
 		trainMetrics().spans.Record(-1, -1, -1, "sketch", start, d)
@@ -330,34 +323,26 @@ func (tr *Trainer) weightedCandidates(hess []float64) []sketch.Candidates {
 	n := tr.numRows()
 	eps := tr.cfg.sketchEps()
 	sketches := make([]*sketch.WeightedGK, m)
+	// Out of core the sketch grid (parallel.SketchChunk) is coarser than the
+	// storage grid; walking a range chunk run by chunk run inserts the same
+	// values in the same order as one resident pass.
+	rows := tr.rows()
 	parallel.ReduceOrdered(tr.pool, n, parallel.SketchChunk,
 		func(_, lo, hi int) []*sketch.WeightedGK {
 			part := make([]*sketch.WeightedGK, m)
-			addRow := func(in dataset.Instance, w float64) {
-				for j, f := range in.Indices {
-					s := part[f]
-					if s == nil {
-						s = sketch.NewWeightedGK(eps)
-						part[f] = s
+			rows(lo, hi, func(d *dataset.Dataset, base, rlo, rhi int) {
+				for i := rlo; i < rhi; i++ {
+					in := d.Row(i - base)
+					for j, f := range in.Indices {
+						s := part[f]
+						if s == nil {
+							s = sketch.NewWeightedGK(eps)
+							part[f] = s
+						}
+						s.Insert(float64(in.Values[j]), hess[i])
 					}
-					s.Insert(float64(in.Values[j]), w)
 				}
-			}
-			if tr.src != nil {
-				// The sketch grid (parallel.SketchChunk) is coarser than the
-				// storage grid; walking the range chunk run by chunk run
-				// inserts the same values in the same order as the resident
-				// loop below.
-				tr.src.ForRowRange(lo, hi, func(d *dataset.Dataset, base, rlo, rhi int) {
-					for i := rlo; i < rhi; i++ {
-						addRow(d.Row(i-base), hess[i])
-					}
-				})
-			} else {
-				for i := lo; i < hi; i++ {
-					addRow(tr.data.Row(i), hess[i])
-				}
-			}
+			})
 			return part
 		},
 		func(_ int, part []*sketch.WeightedGK) {
@@ -565,6 +550,9 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 	type scanUnit struct{ task, word int32 }
 	var units []scanUnit
 	var bests []Split
+	// SPLIT_TREE scratch out of core: the layer's splits, classified in one
+	// walk over the spill.
+	var layerSplits []ooc.NodeSplit
 
 	for depth := 0; depth < cfg.MaxDepth && len(active) > 0; depth++ {
 		var next []int
@@ -659,6 +647,29 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 		// SPLIT_TREE: apply the winning splits; each node's partition fans
 		// out over row chunks (stable concatenation, see Index.SplitStable).
 		ss := time.Now()
+		var maskLeft func(int32) bool
+		if spilled != nil {
+			// Out of core, one walk over the spill writes every split node's
+			// verdicts into the row mask before any node is partitioned; the
+			// predicate is then a pure array read — identical to
+			// SplitPredicate on the resident binned matrix, and safe from
+			// every SplitStable worker.
+			layerSplits = layerSplits[:0]
+			for ti, split := range splits {
+				if split.Found {
+					p := layout.Pos(split.Feature)
+					layerSplits = append(layerSplits, ooc.NodeSplit{
+						Rows: idx.Rows(tasks[ti].node), Pos: p, Bucket: layout.Cands[p].Bucket(split.Value),
+					})
+				}
+			}
+			if tr.splitMask == nil {
+				tr.splitMask = make([]bool, n)
+			}
+			spilled.Classify(tr.pool, layerSplits, tr.splitMask)
+			mask := tr.splitMask
+			maskLeft = func(r int32) bool { return mask[r] }
+		}
 		for ti := range tasks {
 			t := &tasks[ti]
 			split := splits[ti]
@@ -668,21 +679,8 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 				continue
 			}
 			tn.SetSplit(t.node, split.Feature, split.Value, split.Gain)
-			var goLeft func(int32) bool
-			if spilled != nil {
-				// Precompute the verdicts chunk by chunk into the row mask;
-				// the predicate itself is then a pure array read — identical
-				// to SplitPredicate on the resident binned matrix, and safe
-				// from every SplitStable worker.
-				p := layout.Pos(split.Feature)
-				k := layout.Cands[p].Bucket(split.Value)
-				if tr.splitMask == nil {
-					tr.splitMask = make([]bool, n)
-				}
-				spilled.Classify(tr.pool, idx.Rows(t.node), p, k, tr.splitMask)
-				mask := tr.splitMask
-				goLeft = func(r int32) bool { return mask[r] }
-			} else {
+			goLeft := maskLeft
+			if spilled == nil {
 				goLeft = SplitPredicate(tr.data, binned, layout, split)
 			}
 			idx.SplitStable(t.node, goLeft, tr.pool)

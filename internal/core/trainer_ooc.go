@@ -8,6 +8,7 @@ import (
 	"dimboost/internal/ooc"
 	"dimboost/internal/parallel"
 	"dimboost/internal/predict"
+	"dimboost/internal/sketch"
 )
 
 // NewTrainerFromSource prepares a trainer over a disk-resident dataset: the
@@ -79,6 +80,14 @@ func (tr *Trainer) numFeatures() int {
 		return tr.src.NumFeatures()
 	}
 	return tr.data.NumFeatures
+}
+
+// rows walks the training rows of either data path in ascending order.
+func (tr *Trainer) rows() sketch.Rows {
+	if tr.src != nil {
+		return tr.src.ForRowRange
+	}
+	return sketch.Resident(tr.data)
 }
 
 // srcErr surfaces the out-of-core source's sticky I/O error, if any. The

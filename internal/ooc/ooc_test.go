@@ -287,17 +287,96 @@ func TestSpilledBinnedMatchesInMemory(t *testing.T) {
 	}
 
 	// Classification must agree with the in-memory predicate.
-	mask := make([]bool, n)
-	p := int32(3)
-	k := l.Cands[p].NumBuckets() / 2
-	sb.Classify(pool, rows, p, k, mask)
-	for _, r := range rows {
-		if want := ref.Bin(int(r), p) <= k; mask[r] != want {
-			t.Fatalf("row %d classify %v want %v", r, mask[r], want)
+	checkClassify(t, pool, sb, ref, n)
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// layerOf returns a layer of split nodes over rows [0, n) the way a tree
+// holds them: disjoint, ascending, four of them interleaving across every
+// segment (rows r ≡ node mod 5), one inside a single stretch of rows, and
+// rows that belong to no split node (leaves).
+func layerOf(l *histogram.Layout, n int) []NodeSplit {
+	splits := make([]NodeSplit, 5)
+	for i := range splits {
+		p := int32(3 + 7*i)
+		splits[i] = NodeSplit{Pos: p, Bucket: l.Cands[p].NumBuckets() / 2}
+	}
+	for r := 0; r < n; r++ {
+		switch node := r % 5; {
+		case node < 4:
+			splits[node].Rows = append(splits[node].Rows, int32(r))
+		case r >= 200 && r < 250:
+			splits[4].Rows = append(splits[4].Rows, int32(r))
 		}
+	}
+	return splits
+}
+
+// checkClassify runs one layer's Classify and compares every verdict with
+// the in-memory predicate; rows of no split node must keep their mask entry.
+func checkClassify(t *testing.T, pool *parallel.Pool, sb *SpilledBinned, ref *histogram.Binned, n int) {
+	t.Helper()
+	splits := layerOf(ref.Layout, n)
+	mask := make([]bool, n)
+	for r := range mask {
+		mask[r] = r%2 == 0
+	}
+	untouched := append([]bool(nil), mask...)
+	sb.Classify(pool, splits, mask)
+	split := make([]bool, n)
+	for _, s := range splits {
+		for _, r := range s.Rows {
+			split[r] = true
+			if want := ref.Bin(int(r), s.Pos) <= s.Bucket; mask[r] != want {
+				t.Fatalf("row %d classify %v want %v", r, mask[r], want)
+			}
+		}
+	}
+	for r := range mask {
+		if !split[r] && mask[r] != untouched[r] {
+			t.Fatalf("row %d belongs to no split but its verdict changed", r)
+		}
+	}
+}
+
+// TestClassifyReadsTheSpillOncePerLayer: under the tightest budget, where the
+// spill cache holds a few segments, one layer's classification still reads
+// no more than the spill's bytes — every segment at most once, however many
+// nodes hold rows in it.
+func TestClassifyReadsTheSpillOncePerLayer(t *testing.T) {
+	path, full := writeTestFile(t, dataset.SyntheticConfig{NumRows: 1500, NumFeatures: 50, AvgNNZ: 9, Seed: 7, Zipf: 1.2})
+	probe, err := Open(path, Options{ChunkRows: 64, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := probe.MinBudget()
+	probe.Close()
+	src, err := Open(path, Options{Budget: budget, ChunkRows: 64, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	l := layoutFor(t, full, 12)
+	pool := parallel.New(2)
+	sb, err := src.BuildBinned(l, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+
+	read := oocMetrics().readBinned
+	before := read.Value()
+	checkClassify(t, pool, sb, histogram.NewBinned(full, l, 1), full.NumRows())
+	if got := read.Value() - before; got > sb.SpillBytes() {
+		t.Errorf("one layer read %d bytes of a %d-byte spill", got, sb.SpillBytes())
 	}
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if peak := src.Tracker().Peak(); peak > int64(budget) {
+		t.Fatalf("tracker peak %d exceeds budget %d", peak, budget)
 	}
 }
 

@@ -228,34 +228,14 @@ func (s *Source) ForEachChunk(pool *parallel.Pool, fn func(c, lo, hi int, d *dat
 	return s.Err()
 }
 
-// ForEachChunkSeq streams every chunk sequentially in ascending order —
-// the out-of-core replacement for a single in-row-order pass over the whole
-// dataset (e.g. sketch construction, which must insert in row order to stay
-// bit-identical to the in-memory path).
-func (s *Source) ForEachChunkSeq(fn func(c, lo, hi int, d *dataset.Dataset) error) error {
-	for c := 0; c < s.NumChunks(); c++ {
-		d, release, err := s.Chunk(c)
-		if err != nil {
-			s.fail(err)
-			return err
-		}
-		lo, hi := s.ChunkBounds(c)
-		err = fn(c, lo, hi, d)
-		release()
-		if err != nil {
-			return err
-		}
-	}
-	return s.Err()
-}
-
-// ForRowRange walks global rows [lo, hi) chunk run by chunk run, pinning one
-// chunk at a time: fn sees the pinned chunk, its base row, and the global
-// sub-range [rlo, rhi) it covers (local row = global - base). It is the
-// building block for passes whose accumulation grid (e.g.
-// parallel.SketchChunk) is coarser than the storage grid. Safe for
-// concurrent use from pool workers; each call pins at most one chunk at a
-// time. Load failures record a sticky error and stop the walk.
+// ForRowRange walks global rows [lo, hi) chunk run by chunk run, in
+// ascending order, pinning one chunk at a time: fn sees the pinned chunk,
+// its base row, and the global sub-range [rlo, rhi) it covers (local row =
+// global - base). It serves passes whose grid is not the storage grid — the
+// weighted sketch's parallel.SketchChunk rows, and the unweighted sketch's
+// per-worker walk over every row (it is a sketch.Rows). Safe for concurrent
+// use from pool workers; each call pins at most one chunk at a time. Load
+// failures record a sticky error and stop the walk.
 func (s *Source) ForRowRange(lo, hi int, fn func(d *dataset.Dataset, base, rlo, rhi int)) {
 	for at := lo; at < hi; {
 		c := at / s.cf.ChunkRows()

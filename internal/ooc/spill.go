@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"dimboost/internal/histogram"
@@ -22,11 +23,11 @@ import (
 //	pos    nnz×i32        sampled position of each kept nonzero
 //	bins   nnz×u8|u16     bin id (u16 iff any sampled feature has >256 buckets)
 //
-// Streaming histogram builds (BuildHistogram) and split classification
-// (Classify) walk node rows run by run over these segments using exactly the
-// in-memory accumulation grid and merge order, so every result is
-// Float64bits-identical to histogram.BuildBinned / Binned.Bin on the full
-// matrix.
+// Streaming histogram builds (BuildHistogram) walk node rows run by run over
+// these segments using exactly the in-memory accumulation grid and merge
+// order, and split classification (Classify) walks the segments once per
+// layer, so every result is Float64bits-identical to histogram.BuildBinned /
+// Binned.Bin on the full matrix.
 type SpilledBinned struct {
 	src    *Source
 	layout *histogram.Layout
@@ -354,29 +355,46 @@ func (sb *SpilledBinned) buildBatch(h *histogram.Histogram, batch []int32, grad,
 	histogram.FinishSparseZeros(h, sumG, sumH)
 }
 
-// Classify evaluates the split predicate bin(row, p) <= k for every given
-// row (ascending global ids), writing the verdict into mask indexed by
-// global row. The mask then backs a trivially concurrency-safe goLeft for
-// tree.Index.SplitStable — identical to histogram.Binned.Bin on the full
-// matrix, so out-of-core splits partition rows exactly like in-memory ones.
-func (sb *SpilledBinned) Classify(pool *parallel.Pool, rows []int32, p int32, k int, mask []bool) {
-	chunkRows := sb.src.ChunkRows()
-	pool.For(len(rows), parallel.RowChunk, func(lo, hi int) {
-		part := rows[lo:hi]
-		for i := 0; i < len(part); {
-			c := int(part[i]) / chunkRows
-			j := runEnd(part, i, chunkRows)
-			view, release, err := sb.Seg(c)
-			if err != nil {
-				sb.src.fail(err)
-				return
+// NodeSplit is one split node of a layer as Classify takes it: the node's
+// rows (ascending global ids) and its split, bin(row, Pos) <= Bucket going
+// left.
+type NodeSplit struct {
+	Rows   []int32
+	Pos    int32
+	Bucket int
+}
+
+// Classify evaluates a whole layer's splits into mask, indexed by global
+// row: mask[r] = bin(r, Pos) <= Bucket for every row r of every split. The
+// pool's workers take one segment at a time and pin it once, however many
+// nodes hold rows in it — a segment no split row lives in is not pinned —
+// and find each node's rows inside it by binary search. A layer's nodes
+// hold disjoint rows, so one mask takes every verdict. It then backs a
+// trivially concurrency-safe goLeft for tree.Index.SplitStable — identical
+// to histogram.Binned.Bin on the full matrix, so out-of-core splits
+// partition rows exactly like in-memory ones.
+func (sb *SpilledBinned) Classify(pool *parallel.Pool, splits []NodeSplit, mask []bool) {
+	pool.Tasks(len(sb.segs), func(c int) {
+		lo, hi := sb.src.ChunkBounds(c)
+		var view *histogram.Binned
+		for _, s := range splits {
+			a, _ := slices.BinarySearch(s.Rows, int32(lo))
+			b, _ := slices.BinarySearch(s.Rows, int32(hi))
+			if a == b {
+				continue
 			}
-			base, _ := sb.src.ChunkBounds(c)
-			for _, r := range part[i:j] {
-				mask[r] = view.Bin(int(r)-base, p) <= k
+			if view == nil {
+				v, release, err := sb.Seg(c)
+				if err != nil {
+					sb.src.fail(err)
+					return
+				}
+				defer release()
+				view = v
 			}
-			release()
-			i = j
+			for _, r := range s.Rows[a:b] {
+				mask[r] = view.Bin(int(r)-lo, s.Pos) <= s.Bucket
+			}
 		}
 	})
 }

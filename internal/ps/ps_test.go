@@ -417,6 +417,57 @@ func TestServerRejectsBadTraffic(t *testing.T) {
 	if err := c.PushHistogram(0, hist); !errors.As(err, &repush) {
 		t.Fatalf("re-push after the merge got %v, want RepushError", err)
 	}
+
+	// Sketch summaries no GK produces, or for features the server does not
+	// own, fail the whole batch — a valid summary ahead of the bad one
+	// included — before anything reaches candidate proposal.
+	type summary struct {
+		f      int32
+		values []float64
+		gs     []uint64
+	}
+	var owned []int32
+	for f := int32(0); f < 20; f++ {
+		if fx.part.ServerOf(f) == 0 {
+			owned = append(owned, f)
+		}
+	}
+	pushSketches := func(batch ...summary) error {
+		w := c.newRequest(64)
+		w.Uint32(uint32(len(batch)))
+		for _, s := range batch {
+			w.Int32(s.f)
+			w.Float64s(s.values)
+			w.Uint64s(s.gs)
+			w.Uint64s(make([]uint64, len(s.values)))
+		}
+		_, err := c.send(0, OpPushSketch, w)
+		return err
+	}
+	valid := summary{owned[0], []float64{-1, 0, 2}, []uint64{1, 2, 1}}
+	nan := math.NaN()
+	for _, bad := range []summary{
+		{owned[1], []float64{nan, 1}, []uint64{1, 1}},
+		{owned[1], []float64{1, nan, 0}, []uint64{1, 1, 1}},
+		{owned[1], []float64{0, math.Inf(1)}, []uint64{1, 1}},
+		{owned[1], []float64{math.Inf(-1), 0}, []uint64{1, 1}},
+		{owned[1], []float64{0, 1}, []uint64{1, 0}},
+	} {
+		if err := pushSketches(valid, bad); !errors.Is(err, sketch.ErrInvalidSummary) {
+			t.Errorf("sketch push %v/%v got %v, want sketch.ErrInvalidSummary", bad.values, bad.gs, err)
+		}
+	}
+	for _, f := range []int32{-1, 20} {
+		if err := pushSketches(summary{f, []float64{1}, []uint64{1}}); err == nil {
+			t.Errorf("sketch push for feature %d outside the partition accepted", f)
+		}
+	}
+	if n := len(fx.servers[0].pendingSketches); n != 0 {
+		t.Fatalf("rejected sketch pushes left %d features buffered", n)
+	}
+	if err := pushSketches(valid); err != nil {
+		t.Fatalf("valid sketch push: %v", err)
+	}
 }
 
 // recordingEndpoint captures the last request per op so tests can replay

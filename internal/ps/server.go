@@ -208,12 +208,16 @@ func (s *Server) Handler() transport.Handler {
 }
 
 // pushSketch buffers a batch of per-feature sketch summaries from one
-// worker.
+// worker. The batch is all or nothing: a summary sketch.Restore rejects
+// (sketch.ErrInvalidSummary) fails the request before any feature of it
+// reaches candidate proposal.
 func (s *Server) pushSketch(worker int32, r *wire.Reader) (*wire.Writer, error) {
-	n := int(r.Uint32())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < n; i++ {
+	type pushed struct {
+		f  int32
+		gk *sketch.GK
+	}
+	var batch []pushed
+	for i, n := 0, int(r.Uint32()); i < n; i++ {
 		f := r.Int32()
 		values := r.Float64s()
 		gs := r.Uint64s()
@@ -221,19 +225,24 @@ func (s *Server) pushSketch(worker int32, r *wire.Reader) (*wire.Writer, error) 
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if s.part.ServerOf(f) != s.id {
+		if f < 0 || int(f) >= s.part.NumFeatures || s.part.ServerOf(f) != s.id {
 			return nil, fmt.Errorf("feature %d pushed to wrong server", f)
 		}
 		in, err := sketch.Restore(s.eps, values, gs, deltas)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("feature %d: %w", f, err)
 		}
-		byWorker := s.pendingSketches[f]
+		batch = append(batch, pushed{f, in})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range batch {
+		byWorker := s.pendingSketches[p.f]
 		if byWorker == nil {
 			byWorker = make(map[int32]*sketch.GK)
-			s.pendingSketches[f] = byWorker
+			s.pendingSketches[p.f] = byWorker
 		}
-		byWorker[worker] = in
+		byWorker[worker] = p.gk
 	}
 	return nil, nil
 }

@@ -1,9 +1,11 @@
 package sketch
 
 import (
+	"slices"
 	"sort"
 
 	"dimboost/internal/dataset"
+	"dimboost/internal/parallel"
 )
 
 // Candidates holds the split cut points of one feature in ascending order.
@@ -119,6 +121,85 @@ func (t *Set) AddDataset(d *dataset.Dataset) {
 	}
 }
 
+// Rows walks global rows [lo, hi) of a row store in ascending order: fn sees
+// a dataset whose local row i is global row base+i, and the global sub-range
+// [rlo, rhi) of it to read. ooc.Source.ForRowRange is one; Resident adapts an
+// in-memory dataset. It must be safe to call from several goroutines.
+type Rows func(lo, hi int, fn func(d *dataset.Dataset, base, rlo, rhi int))
+
+// Resident returns the Rows of an in-memory dataset.
+func Resident(d *dataset.Dataset) Rows {
+	return func(lo, hi int, fn func(*dataset.Dataset, int, int, int)) { fn(d, 0, lo, hi) }
+}
+
+// balanceRows is how many leading rows AddRows counts nonzeros over to cut
+// its feature ranges: enough to see the heavy features, few enough that the
+// extra pass is negligible beside the sketch (out of core it pins the chunks
+// holding those rows one extra time).
+const balanceRows = 1024
+
+// AddRows inserts every nonzero of the n rows that rows walks — AddDataset's
+// summaries, built on pool's workers. [0, M) is cut into one contiguous
+// feature range per worker, balanced by the nonzero counts of the leading
+// rows; every worker walks all rows in ascending order and inserts only its
+// own range's values, found by binary search in each row's sorted indices.
+// Each GK therefore sees exactly the value sequence AddDataset feeds it, so
+// every summary, and every cut proposed from it, is the same at any worker
+// count and under any partition: the partition moves the balance, never a
+// result.
+func (t *Set) AddRows(pool *parallel.Pool, n int, rows Rows) {
+	bounds := t.featureRanges(pool.Workers(), min(n, balanceRows), rows)
+	pool.Tasks(len(bounds)-1, func(w int) {
+		lo, hi := bounds[w], bounds[w+1]
+		if lo == hi {
+			return
+		}
+		rows(0, n, func(d *dataset.Dataset, base, rlo, rhi int) {
+			for i := rlo; i < rhi; i++ {
+				in := d.Row(i - base)
+				j, _ := slices.BinarySearch(in.Indices, lo)
+				for ; j < len(in.Indices) && in.Indices[j] < hi; j++ {
+					t.Add(int(in.Indices[j]), float64(in.Values[j]))
+				}
+			}
+		})
+	})
+}
+
+// featureRanges cuts [0, M) into p contiguous ranges, range w being
+// [bounds[w], bounds[w+1]), of about equal weight: a feature weighs one plus
+// its nonzeros in rows [0, sample). Ranges may be empty.
+func (t *Set) featureRanges(p, sample int, rows Rows) []int32 {
+	m := len(t.sketches)
+	bounds := make([]int32, p+1)
+	bounds[p] = int32(m)
+	if p == 1 {
+		return bounds
+	}
+	weight := make([]int64, m)
+	total := int64(m)
+	rows(0, sample, func(d *dataset.Dataset, base, rlo, rhi int) {
+		for i := rlo; i < rhi; i++ {
+			for _, f := range d.Row(i - base).Indices {
+				weight[f]++
+				total++
+			}
+		}
+	})
+	// The running weight reaches total at the last feature, so every bound
+	// is set by then.
+	var acc int64
+	w := 1
+	for f := 0; f < m && w < p; f++ {
+		acc += 1 + weight[f]
+		for w < p && acc*int64(p) >= total*int64(w) {
+			bounds[w] = int32(f + 1)
+			w++
+		}
+	}
+	return bounds
+}
+
 // Merge folds other into t feature by feature.
 func (t *Set) Merge(other *Set) {
 	for f, os := range other.sketches {
@@ -135,8 +216,24 @@ func (t *Set) Merge(other *Set) {
 // Candidates proposes k split candidates per feature.
 func (t *Set) Candidates(k int) []Candidates {
 	out := make([]Candidates, len(t.sketches))
-	for f, s := range t.sketches {
-		out[f] = Propose(s, k)
-	}
+	t.propose(out, 0, len(out), k)
 	return out
+}
+
+// proposeChunk is how many features one CandidatesOn pool task proposes.
+const proposeChunk = 256
+
+// CandidatesOn is Candidates with the features proposed on pool's workers.
+// Every feature's proposal reads only its own sketch, so the result is
+// Candidates(k)'s.
+func (t *Set) CandidatesOn(pool *parallel.Pool, k int) []Candidates {
+	out := make([]Candidates, len(t.sketches))
+	pool.For(len(out), proposeChunk, func(lo, hi int) { t.propose(out, lo, hi, k) })
+	return out
+}
+
+func (t *Set) propose(out []Candidates, lo, hi, k int) {
+	for f := lo; f < hi; f++ {
+		out[f] = Propose(t.sketches[f], k)
+	}
 }

@@ -8,6 +8,7 @@ package sketch
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -70,43 +71,60 @@ func (s *GK) Insert(v float64) {
 	}
 }
 
-// flush merges the buffered values into the summary and compresses it.
+// flush merges the buffered values into the summary and compresses it in
+// the same pass. Each merged tuple is held back one step, until the next one
+// shows whether it can absorb it: compress's rule with a lookahead of one,
+// so the summary is exactly what merging and then compressing would leave.
 func (s *GK) flush() {
 	if len(s.buf) == 0 {
 		return
 	}
 	sort.Float64s(s.buf)
-	merged := s.spare[:0]
-	if need := len(s.tuples) + len(s.buf); cap(merged) < need {
-		merged = make([]tuple, 0, need)
+	n := s.n + uint64(len(s.buf))
+	limit := uint64(2 * s.eps * float64(n))
+	out := s.spare[:0]
+	if need := len(s.tuples) + len(s.buf); cap(out) < need {
+		out = make([]tuple, 0, need)
 	}
+	var cur tuple // the last merged tuple, not yet emitted
+	merged := 0   // tuples merged so far, cur included
 	i, j := 0, 0
 	for i < len(s.tuples) || j < len(s.buf) {
+		var next tuple
 		if j >= len(s.buf) || (i < len(s.tuples) && s.tuples[i].v <= s.buf[j]) {
-			merged = append(merged, s.tuples[i])
+			next = s.tuples[i]
 			i++
-			continue
-		}
-		v := s.buf[j]
-		j++
-		var delta uint64
-		// New elements inserted strictly inside the summary get
-		// delta = floor(2εn) - 1; extremes are exact.
-		if len(merged) > 0 && (i < len(s.tuples)) {
-			if d := uint64(2 * s.eps * float64(s.n+uint64(j))); d > 0 {
-				delta = d - 1
+		} else {
+			v := s.buf[j]
+			j++
+			next = tuple{v: v, g: 1}
+			// New elements inserted strictly inside the summary get
+			// delta = floor(2εn) - 1; extremes are exact.
+			if merged > 0 && i < len(s.tuples) {
+				if d := uint64(2 * s.eps * float64(s.n+uint64(j))); d > 0 {
+					next.delta = d - 1
+				}
 			}
 		}
-		merged = append(merged, tuple{v: v, g: 1, delta: delta})
+		switch {
+		case merged == 0:
+		case merged > 1 && cur.g+next.g+next.delta <= limit:
+			// cur is interior: next absorbs it.
+			next.g += cur.g
+		default:
+			out = append(out, cur)
+		}
+		cur = next
+		merged++
 	}
-	s.n += uint64(len(s.buf))
+	s.n = n
 	s.buf = s.buf[:0]
-	s.spare, s.tuples = s.tuples, merged
-	s.compress()
+	s.spare, s.tuples = s.tuples, append(out, cur)
 }
 
 // compress removes tuples whose neighbour can absorb them without violating
-// the g + delta <= 2εn invariant.
+// the g + delta <= 2εn invariant. Merge runs it; flush applies the same rule
+// while it merges.
 func (s *GK) compress() {
 	if len(s.tuples) < 3 {
 		return
@@ -202,19 +220,35 @@ func (s *GK) Summary() (values []float64, gs, deltas []uint64) {
 	return
 }
 
-// Restore rebuilds a sketch from Summary output. count must equal the sum of
-// gs; eps must match the producer's eps for the error bound to hold.
+// ErrInvalidSummary is what Restore returns, wrapped with the offending
+// entry, for arrays no GK summary can be: of different lengths, holding a
+// NaN or infinite value, a value below its predecessor, a tuple that absorbs
+// no observation (g == 0), or counts whose sum overflows.
+var ErrInvalidSummary = errors.New("sketch: invalid summary")
+
+// Restore rebuilds a sketch from Summary output, which may have crossed the
+// wire, so the values and counts candidate proposal relies on are checked
+// first (ErrInvalidSummary). The restored count is the sum of gs; eps must
+// match the producer's eps for the error bound to hold.
 func Restore(eps float64, values []float64, gs, deltas []uint64) (*GK, error) {
 	if len(values) != len(gs) || len(values) != len(deltas) {
-		return nil, errors.New("sketch: mismatched summary arrays")
+		return nil, fmt.Errorf("%w: %d values, %d gs, %d deltas", ErrInvalidSummary, len(values), len(gs), len(deltas))
 	}
 	s := NewGK(eps)
+	s.tuples = make([]tuple, len(values))
 	var n uint64
-	for i := range values {
-		if i > 0 && values[i] < values[i-1] {
-			return nil, errors.New("sketch: summary values not sorted")
+	for i, v := range values {
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return nil, fmt.Errorf("%w: value %d is %v", ErrInvalidSummary, i, v)
+		case i > 0 && v < values[i-1]:
+			return nil, fmt.Errorf("%w: value %d (%v) is below value %d (%v)", ErrInvalidSummary, i, v, i-1, values[i-1])
+		case gs[i] == 0:
+			return nil, fmt.Errorf("%w: tuple %d absorbs no observation", ErrInvalidSummary, i)
+		case n+gs[i] < n:
+			return nil, fmt.Errorf("%w: counts overflow at tuple %d", ErrInvalidSummary, i)
 		}
-		s.tuples = append(s.tuples, tuple{v: values[i], g: gs[i], delta: deltas[i]})
+		s.tuples[i] = tuple{v: v, g: gs[i], delta: deltas[i]}
 		n += gs[i]
 	}
 	s.n = n

@@ -1,6 +1,9 @@
 package sketch
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -208,6 +211,147 @@ func TestGKMergeIntoEmpty(t *testing.T) {
 	}
 }
 
+// refFlush is the two-pass flush the fused one replaced, kept as its
+// reference: merge the sorted buffer into a fresh array, then compress.
+func refFlush(s *GK) {
+	if len(s.buf) == 0 {
+		return
+	}
+	sort.Float64s(s.buf)
+	merged := make([]tuple, 0, len(s.tuples)+len(s.buf))
+	i, j := 0, 0
+	for i < len(s.tuples) || j < len(s.buf) {
+		if j >= len(s.buf) || (i < len(s.tuples) && s.tuples[i].v <= s.buf[j]) {
+			merged = append(merged, s.tuples[i])
+			i++
+			continue
+		}
+		v := s.buf[j]
+		j++
+		var delta uint64
+		if len(merged) > 0 && (i < len(s.tuples)) {
+			if d := uint64(2 * s.eps * float64(s.n+uint64(j))); d > 0 {
+				delta = d - 1
+			}
+		}
+		merged = append(merged, tuple{v: v, g: 1, delta: delta})
+	}
+	s.n += uint64(len(s.buf))
+	s.buf = s.buf[:0]
+	s.tuples = merged
+	s.compress()
+}
+
+// refInsert is Insert over refFlush.
+func refInsert(s *GK, v float64) {
+	if math.IsNaN(v) {
+		return
+	}
+	s.buf = append(s.buf, v)
+	if len(s.buf) >= s.bufSize {
+		refFlush(s)
+	}
+}
+
+// flushAgrees feeds xs to a GK and to a reference GK and fails unless their
+// summaries are bit-identical, after every checkEvery inserts (both sides
+// flushing the partial buffer there) and at the end.
+func flushAgrees(t *testing.T, eps float64, xs []float64, checkEvery int) {
+	t.Helper()
+	got, want := NewGK(eps), NewGK(eps)
+	compare := func(at int) {
+		t.Helper()
+		refFlush(want)
+		gv, gg, gd := got.Summary()
+		wv, wg, wd := want.Summary()
+		if len(gv) != len(wv) {
+			t.Fatalf("eps %v, after %d values: %d tuples, reference %d", eps, at, len(gv), len(wv))
+		}
+		for i := range gv {
+			if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) || gg[i] != wg[i] || gd[i] != wd[i] {
+				t.Fatalf("eps %v, after %d values: tuple %d is (%v, %d, %d), reference (%v, %d, %d)",
+					eps, at, i, gv[i], gg[i], gd[i], wv[i], wg[i], wd[i])
+			}
+		}
+		if got.Count() != want.Count() {
+			t.Fatalf("eps %v, after %d values: count %d, reference %d", eps, at, got.Count(), want.Count())
+		}
+	}
+	for i, x := range xs {
+		got.Insert(x)
+		refInsert(want, x)
+		if checkEvery > 0 && (i+1)%checkEvery == 0 {
+			compare(i + 1)
+		}
+	}
+	compare(len(xs))
+}
+
+// TestGKFlushMatchesTwoPass: the fused merge-and-compress leaves exactly the
+// summary the two-pass flush leaves, on duplicates, signed zeros, negatives
+// and stream lengths at and around multiples of the buffer size.
+func TestGKFlushMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, eps := range []float64{0.3, 1.0 / 40, 0.01, 0.002} {
+		bs := NewGK(eps).bufSize
+		var lengths []int
+		for _, m := range []int{1, 2, 3, 10, 50} {
+			lengths = append(lengths, m*bs-1, m*bs, m*bs+1)
+		}
+		lengths = append(lengths, 0, 5000)
+		for _, n := range lengths {
+			for _, g := range []struct {
+				name string
+				gen  func(i int) float64
+			}{
+				{"uniform", func(int) float64 { return rng.Float64()*200 - 100 }},
+				{"duplicates", func(int) float64 { return float64(rng.Intn(4)) - 1.5 }},
+				{"signed-zeros", func(int) float64 { return []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)] }},
+				{"ascending", func(i int) float64 { return float64(i) }},
+				{"descending", func(i int) float64 { return -float64(i) }},
+				{"heavy-tail", func(int) float64 { return math.Exp(rng.NormFloat64() * 4) }},
+			} {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = g.gen(i)
+				}
+				t.Run(fmt.Sprintf("eps=%v/n=%d/%s", eps, n, g.name), func(t *testing.T) {
+					flushAgrees(t, eps, xs, 0)
+					flushAgrees(t, eps, xs, 7*bs/3)
+				})
+			}
+		}
+	}
+}
+
+// FuzzGKFlushAgrees holds the fused flush to the two-pass reference on
+// arbitrary streams. Each input byte picks a value from a small palette —
+// signed zeros, duplicates, negatives — except 0xFF, which takes the next
+// eight bytes as raw float64 bits (NaN, ±Inf and subnormals included).
+func FuzzGKFlushAgrees(f *testing.F) {
+	f.Add(uint8(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
+	f.Add(uint8(0), make([]byte, 64))
+	f.Add(uint8(40), []byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"))
+	f.Add(uint8(99), append([]byte{0xFF, 0, 0, 0, 0, 0, 0, 0xF0, 0x7F}, make([]byte, 41)...))
+	f.Fuzz(func(t *testing.T, epsSel uint8, data []byte) {
+		eps := 0.004 + float64(epsSel%100)/200
+		var xs []float64
+		for i := 0; i < len(data); i++ {
+			b := data[i]
+			switch {
+			case b == 0xFF && i+8 < len(data):
+				xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data[i+1:])))
+				i += 8
+			case b%16 == 0:
+				xs = append(xs, math.Copysign(0, -1))
+			default:
+				xs = append(xs, float64(int(b)-128)/8)
+			}
+		}
+		flushAgrees(t, eps, xs, 5)
+	})
+}
+
 func TestGKSummaryRestore(t *testing.T) {
 	s := NewGK(0.02)
 	rng := rand.New(rand.NewSource(5))
@@ -232,5 +376,32 @@ func TestGKSummaryRestore(t *testing.T) {
 	}
 	if _, err := Restore(0.02, []float64{2, 1}, []uint64{1, 1}, []uint64{0, 0}); err == nil {
 		t.Fatal("expected unsorted error")
+	}
+
+	// Wire input no GK summary can be: every case is ErrInvalidSummary.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		values []float64
+		gs     []uint64
+	}{
+		{"mismatched", []float64{1, 2}, []uint64{1}},
+		{"unsorted", []float64{2, 1}, []uint64{1, 1}},
+		{"leading NaN", []float64{nan, 1}, []uint64{1, 1}},
+		{"NaN hiding an unsorted pair", []float64{1, nan, 0}, []uint64{1, 1, 1}},
+		{"trailing NaN", []float64{0, 1, nan}, []uint64{1, 1, 1}},
+		{"+Inf", []float64{0, inf}, []uint64{1, 1}},
+		{"-Inf", []float64{-inf, 0}, []uint64{1, 1}},
+		{"g = 0", []float64{0, 1, 2}, []uint64{1, 0, 1}},
+		{"count overflow", []float64{0, 1}, []uint64{math.MaxUint64, 1}},
+	} {
+		deltas := make([]uint64, len(c.values))
+		if _, err := Restore(0.02, c.values, c.gs, deltas); !errors.Is(err, ErrInvalidSummary) {
+			t.Errorf("%s: Restore returned %v, want ErrInvalidSummary", c.name, err)
+		}
+	}
+	// Equal neighbours and signed zeros are what Summary produces.
+	if _, err := Restore(0.02, []float64{math.Copysign(0, -1), 0, 0, 3}, []uint64{1, 2, 1, 1}, make([]uint64, 4)); err != nil {
+		t.Fatalf("valid summary rejected: %v", err)
 	}
 }

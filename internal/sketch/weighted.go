@@ -1,9 +1,10 @@
 package sketch
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // WeightedGK is a Greenwald–Khanna-style quantile summary over weighted
@@ -18,6 +19,9 @@ type WeightedGK struct {
 	tuples []wtuple
 	buf    []wpair
 	bufCap int
+	// spare is the tuple array the previous flush merged out of, reused as
+	// the next flush's destination.
+	spare []wtuple
 }
 
 type wtuple struct {
@@ -64,38 +68,57 @@ func (s *WeightedGK) Weight() float64 {
 	return w
 }
 
+// flush merges the buffered pairs into the summary and compresses it in one
+// pass, into the array the previous flush merged out of — GK.flush's scheme.
+// slices.SortFunc runs the same pattern-defeating quicksort as sort.Slice
+// did, comparison for comparison, so equal values keep their order and the
+// summary its bits.
 func (s *WeightedGK) flush() {
 	if len(s.buf) == 0 {
 		return
 	}
-	sort.Slice(s.buf, func(a, b int) bool { return s.buf[a].v < s.buf[b].v })
-	merged := make([]wtuple, 0, len(s.tuples)+len(s.buf))
-	i, j := 0, 0
+	slices.SortFunc(s.buf, func(a, b wpair) int { return cmp.Compare(a.v, b.v) })
 	var pending float64
 	for _, p := range s.buf {
 		pending += p.w
 	}
 	newTotal := s.weight + pending
+	// band is both the rank uncertainty of an interior insertion and
+	// compress's absorption limit.
+	band := 2 * s.eps * newTotal
+	out := s.spare[:0]
+	if need := len(s.tuples) + len(s.buf); cap(out) < need {
+		out = make([]wtuple, 0, need)
+	}
+	var cur wtuple // the last merged tuple, not yet emitted
+	merged := 0    // tuples merged so far, cur included
+	i, j := 0, 0
 	for i < len(s.tuples) || j < len(s.buf) {
+		var next wtuple
 		if j >= len(s.buf) || (i < len(s.tuples) && s.tuples[i].v <= s.buf[j].v) {
-			merged = append(merged, s.tuples[i])
+			next = s.tuples[i]
 			i++
-			continue
-		}
-		p := s.buf[j]
-		j++
-		var delta float64
-		if len(merged) > 0 && i < len(s.tuples) {
-			if d := 2 * s.eps * newTotal; d > p.w {
-				delta = d - p.w
+		} else {
+			p := s.buf[j]
+			j++
+			next = wtuple{v: p.v, g: p.w}
+			if merged > 0 && i < len(s.tuples) && band > p.w {
+				next.delta = band - p.w
 			}
 		}
-		merged = append(merged, wtuple{v: p.v, g: p.w, delta: delta})
+		switch {
+		case merged == 0:
+		case merged > 1 && cur.g+next.g+next.delta <= band:
+			next.g += cur.g
+		default:
+			out = append(out, cur)
+		}
+		cur = next
+		merged++
 	}
 	s.weight = newTotal
 	s.buf = s.buf[:0]
-	s.tuples = merged
-	s.compress()
+	s.spare, s.tuples = s.tuples, append(out, cur)
 }
 
 func (s *WeightedGK) compress() {

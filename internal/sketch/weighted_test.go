@@ -171,6 +171,100 @@ func TestProposeWeighted(t *testing.T) {
 	}
 }
 
+// refWeightedFlush is the two-pass WeightedGK flush the fused one replaced,
+// kept as its reference: sort.Slice, merge into a fresh array, compress.
+func refWeightedFlush(s *WeightedGK) {
+	if len(s.buf) == 0 {
+		return
+	}
+	sort.Slice(s.buf, func(a, b int) bool { return s.buf[a].v < s.buf[b].v })
+	merged := make([]wtuple, 0, len(s.tuples)+len(s.buf))
+	i, j := 0, 0
+	var pending float64
+	for _, p := range s.buf {
+		pending += p.w
+	}
+	newTotal := s.weight + pending
+	for i < len(s.tuples) || j < len(s.buf) {
+		if j >= len(s.buf) || (i < len(s.tuples) && s.tuples[i].v <= s.buf[j].v) {
+			merged = append(merged, s.tuples[i])
+			i++
+			continue
+		}
+		p := s.buf[j]
+		j++
+		var delta float64
+		if len(merged) > 0 && i < len(s.tuples) {
+			if d := 2 * s.eps * newTotal; d > p.w {
+				delta = d - p.w
+			}
+		}
+		merged = append(merged, wtuple{v: p.v, g: p.w, delta: delta})
+	}
+	s.weight = newTotal
+	s.buf = s.buf[:0]
+	s.tuples = merged
+	s.compress()
+}
+
+// TestWeightedGKFlushMatchesTwoPass: the fused, array-reusing flush leaves
+// the two-pass reference's summary bit for bit — equal values carrying
+// different weights included, whose order the sort must not change — and a
+// warm sketch's flushes stop allocating.
+func TestWeightedGKFlushMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, eps := range []float64{0.3, 0.02, 0.004} {
+		for _, c := range []struct {
+			name string
+			pair func() (float64, float64)
+		}{
+			{"uniform", func() (float64, float64) { return rng.NormFloat64(), rng.Float64() + 0.01 }},
+			// A few values, each arriving with many different weights: ties
+			// everywhere, and the fold order of their weights shows in the bits.
+			{"tied values", func() (float64, float64) { return float64(rng.Intn(5)), rng.ExpFloat64() }},
+			{"signed zeros", func() (float64, float64) {
+				return []float64{0, math.Copysign(0, -1)}[rng.Intn(2)], 0.1 + rng.Float64()
+			}},
+			{"hessian-like", func() (float64, float64) { return rng.Float64()*10 - 5, 0.25 * rng.Float64() * (1 - rng.Float64()) }},
+		} {
+			got, want := NewWeightedGK(eps), NewWeightedGK(eps)
+			for i := 0; i < 20000; i++ {
+				v, w := c.pair()
+				got.Insert(v, w)
+				if want.buf = append(want.buf, wpair{v, w}); len(want.buf) >= want.bufCap {
+					refWeightedFlush(want)
+				}
+			}
+			got.flush()
+			refWeightedFlush(want)
+			if math.Float64bits(got.weight) != math.Float64bits(want.weight) || len(got.tuples) != len(want.tuples) {
+				t.Fatalf("eps %v %s: weight %v over %d tuples, reference %v over %d",
+					eps, c.name, got.weight, len(got.tuples), want.weight, len(want.tuples))
+			}
+			for i, g := range got.tuples {
+				r := want.tuples[i]
+				if math.Float64bits(g.v) != math.Float64bits(r.v) || math.Float64bits(g.g) != math.Float64bits(r.g) ||
+					math.Float64bits(g.delta) != math.Float64bits(r.delta) {
+					t.Fatalf("eps %v %s: tuple %d is %+v, reference %+v", eps, c.name, i, g, r)
+				}
+			}
+		}
+	}
+
+	s := NewWeightedGK(1.0 / 40)
+	for i := 0; i < 50000; i++ {
+		s.Insert(rng.Float64(), rng.Float64()+0.01)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 1000; i++ {
+			s.Insert(rng.Float64(), rng.Float64()+0.01)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("%v allocations per 1000 inserts into a warm weighted sketch, want at most 1", allocs)
+	}
+}
+
 func TestWeightedExtremes(t *testing.T) {
 	s := NewWeightedGK(0.05)
 	for i := 1; i <= 100; i++ {
