@@ -7,6 +7,7 @@ import (
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
 	"dimboost/internal/loss"
+	"dimboost/internal/ps"
 )
 
 func testData(t *testing.T, rows int, seed int64) *dataset.Dataset {
@@ -308,19 +309,30 @@ func TestRegressionDistributed(t *testing.T) {
 
 func TestCompressedRunsAreDeterministic(t *testing.T) {
 	// stochastic rounding is seeded per worker and servers merge in worker
-	// order, so even 8-bit runs must reproduce exactly
+	// order, so even 8-bit runs must reproduce exactly — the model, and the
+	// bytes of every (mostly deferred) push
 	d := testData(t, 400, 77)
 	cfg := smallCfg(3, 2)
 	cfg.Bits = 8
-	a, err := Train(d, cfg)
-	if err != nil {
-		t.Fatal(err)
+	train := func() (*Result, int64, int64) {
+		_, enc0 := ps.WireBytes()
+		res, err := Train(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, enc1 := ps.WireBytes()
+		return res, enc1["deferred/encode"] - enc0["deferred/encode"], enc1["fixed/encode"] - enc0["fixed/encode"]
 	}
-	b, err := Train(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, aDeferred, aFixed := train()
+	b, bDeferred, bFixed := train()
 	if !sameStructure(t, a.Model, b.Model) {
 		t.Fatal("compressed training is not deterministic")
+	}
+	if a.Stats.TotalBytes != b.Stats.TotalBytes || aDeferred != bDeferred || aFixed != bFixed {
+		t.Fatalf("bytes moved differ between runs: %d vs %d in all, %d vs %d deferred, %d vs %d dense fixed-point",
+			a.Stats.TotalBytes, b.Stats.TotalBytes, aDeferred, bDeferred, aFixed, bFixed)
+	}
+	if aDeferred == 0 {
+		t.Fatal("no push travelled deferred")
 	}
 }

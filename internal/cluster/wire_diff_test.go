@@ -112,6 +112,45 @@ func TestWireDifferential(t *testing.T) {
 	t.Logf("max |Δ| validation error over lossy combos: %.4f", maxDelta)
 }
 
+// TestDeferredPushesLeaveTheModel is invariant 23 end to end: the binned
+// trainer pushes its node histograms deferred, the NoBinning ablation pushes
+// the same buckets materialised, and on the exact and the raw float32 wire the
+// two models are Float64bits-identical — for 1–3 workers, 1–3 servers, with
+// two-phase split finding on and off.
+func TestDeferredPushesLeaveTheModel(t *testing.T) {
+	d := testData(t, 400, 93)
+	for workers := 1; workers <= 3; workers++ {
+		for servers := 1; servers <= 3; servers++ {
+			for _, exact := range []bool{true, false} {
+				for _, onePhase := range []bool{false, true} {
+					cfg := smallCfg(workers, servers)
+					cfg.ExactWire, cfg.DisableTwoPhase = exact, onePhase
+					_, enc0 := ps.WireBytes()
+					deferred, err := Train(d, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, enc1 := ps.WireBytes()
+					cfg.NoBinning = true
+					dense, err := Train(d, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, enc2 := ps.WireBytes()
+					name := fmt.Sprintf("w=%d p=%d exact=%v one-phase=%v", workers, servers, exact, onePhase)
+					if enc1["deferred/encode"] == enc0["deferred/encode"] || enc2["deferred/encode"] != enc1["deferred/encode"] {
+						t.Fatalf("%s: deferred vectors %d binned, %d without binning; want some, and none",
+							name, enc1["deferred/encode"]-enc0["deferred/encode"], enc2["deferred/encode"]-enc1["deferred/encode"])
+					}
+					if !identicalModels(t, dense.Model, deferred.Model) {
+						t.Fatalf("%s: deferred pushes changed the model", name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSparseWireIsInvisible: on raw-width wires sparse is a pure size
 // optimization — flipping SparseWire must not change the model at all,
 // because span values carry the same float32/float64 narrowing as the dense
@@ -204,9 +243,17 @@ func TestPullCompressionReducesTraffic(t *testing.T) {
 
 // wireLadderMinRatio is the byte-reduction floor the fully compressed wire
 // must clear against the raw float32 encoding on the histogram ops. §6.1
-// promises roughly 4× from 8-bit fixed point alone; sparse payloads must not
-// give that back on a high-dimensional workload.
-const wireLadderMinRatio = 4.0
+// promises roughly 4× from 8-bit fixed point alone, which is what the
+// buckets get; the touched set a deferred push carries (one bit per shard
+// position) and the split records do not shrink with the width, so the whole
+// ops measure 3.87× — with both rungs 2.5–3× below what they moved when every
+// push was dense.
+const wireLadderMinRatio = 3.85
+
+// wireLadderMaxBytes caps each rung's histogram-op bytes at what it measures
+// with deferred pushes (+1 %); the dense wire moved 13 460 505, 3 387 045 and
+// 2 854 124.
+var wireLadderMaxBytes = map[string]int64{"raw": 4_533_000, "fixed8": 1_181_000, "fixed8+sparse": 1_171_000}
 
 // wireLadderQualitySlack bounds how far a compressed rung's held-out error
 // may stray from the raw-wire run ("equal model quality"). The effective
@@ -220,9 +267,11 @@ const wireLadderQualitySlack = 0.05
 // trains on 3 workers and 2 servers under raw float32, 8-bit fixed point
 // both directions, and 8-bit fixed point with sparse payloads. The PS byte
 // counters attribute handler payload bytes to the histogram-carrying ops;
-// the full rung must cut them ≥ wireLadderMinRatio× against raw while every
-// compressed rung stays within the quality slack of the raw run, and sparse
-// vectors must appear on the wire exactly when SparseWire asks for them.
+// the full rung must cut them ≥ wireLadderMinRatio× against raw, every rung
+// must stay under its wireLadderMaxBytes, and every compressed rung within the
+// quality slack of the raw run. Deferred vectors carry the pushes on every
+// rung, and sparse vectors appear on the wire exactly when SparseWire asks for
+// them.
 func TestWireLadderBytesAndQuality(t *testing.T) {
 	d := dataset.Generate(dataset.SyntheticConfig{
 		NumRows: 200, NumFeatures: 4000, AvgNNZ: 107, NoiseStd: 0.3, Zipf: 1.4, Seed: 71,
@@ -243,6 +292,7 @@ func TestWireLadderBytesAndQuality(t *testing.T) {
 		sparse         bool
 		histBytes      int64
 		sparseBytes    int64
+		deferredBytes  int64
 		valErr         float64
 	}
 	rungs := []rung{
@@ -264,6 +314,7 @@ func TestWireLadderBytesAndQuality(t *testing.T) {
 			r.histBytes += opsAfter[k] - opsBefore[k]
 		}
 		r.sparseBytes = encAfter["sparse/encode"] - encBefore["sparse/encode"]
+		r.deferredBytes = encAfter["deferred/encode"] - encBefore["deferred/encode"]
 		_, r.valErr = res.Model.Evaluate(test)
 		if r.histBytes <= 0 {
 			t.Fatalf("%s moved no histogram bytes", r.name)
@@ -273,11 +324,17 @@ func TestWireLadderBytesAndQuality(t *testing.T) {
 	raw, full := rungs[0], rungs[len(rungs)-1]
 	slack := wireLadderQualitySlack + 2*math.Sqrt(raw.valErr*(1-raw.valErr)/float64(test.NumRows()))
 	for _, r := range rungs {
-		t.Logf("%-14s hist bytes %9d (%.2fx vs raw), sparse-encoded %8d, held-out error %.4f",
-			r.name, r.histBytes, float64(raw.histBytes)/float64(r.histBytes), r.sparseBytes, r.valErr)
+		t.Logf("%-14s hist bytes %9d (%.2fx vs raw), sparse-encoded %8d, deferred-encoded %8d, held-out error %.4f",
+			r.name, r.histBytes, float64(raw.histBytes)/float64(r.histBytes), r.sparseBytes, r.deferredBytes, r.valErr)
 		if delta := math.Abs(r.valErr - raw.valErr); delta > slack {
 			t.Fatalf("%s: held-out error %.4f strays %.4f from raw %.4f (slack %.3f)",
 				r.name, r.valErr, delta, raw.valErr, slack)
+		}
+		if limit := wireLadderMaxBytes[r.name]; r.histBytes > limit {
+			t.Fatalf("%s moved %d histogram bytes, more than its %d", r.name, r.histBytes, limit)
+		}
+		if r.deferredBytes == 0 {
+			t.Fatalf("%s pushed no deferred vectors", r.name)
 		}
 	}
 	if ratio := float64(raw.histBytes) / float64(full.histBytes); ratio < wireLadderMinRatio {

@@ -304,7 +304,8 @@ func (wk *worker) trainTree(t int) error {
 		Pool:        wk.histPool,
 	}
 	// One reusable histogram buffer: PushHistogram is synchronous, so the
-	// buffer is free again once the push returns.
+	// buffer is free again once the push returns (it may have materialised
+	// the buffer, which Reset handles like any state).
 	hist := wk.hist
 
 	for depth := 0; depth < cfg.MaxDepth && len(active) > 0; depth++ {
@@ -330,7 +331,11 @@ func (wk *worker) trainTree(t int) error {
 				continue
 			}
 			bd := wk.compute(func() {
+				// Deferred, the build leaves what the node's rows touched for
+				// the push to send and the next Reset to clear; the dense and
+				// float builds materialise it as they always did.
 				hist.Reset()
+				hist.Defer()
 				if binned != nil {
 					histogram.BuildBinned(hist, binned, idx.Rows(node), wk.grad, wk.hess, buildOpts)
 				} else {

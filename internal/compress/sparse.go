@@ -147,24 +147,48 @@ func (e *Encoder) WriteSparse(w *wire.Writer, st Stats, bits uint, parts ...[]fl
 			}
 			runEnd = base + j
 			binary.LittleEndian.PutUint32(tab[8*run+4:], uint32(runEnd-runStart))
-			switch bits {
-			case RawFloat32:
-				for k, v := range vals {
-					binary.LittleEndian.PutUint32(data[4*(written+k):], math.Float32bits(float32(v)))
-				}
-			case RawFloat64:
-				for k, v := range vals {
-					binary.LittleEndian.PutUint64(data[8*(written+k):], math.Float64bits(v))
-				}
-			default:
-				e.pack(data, written, vals, bits, st.MaxAbs)
-			}
+			e.putValues(data, written, vals, bits, st.MaxAbs)
 			written += len(vals)
 			i = j
 		}
 		base += len(part)
 	}
 	return nil
+}
+
+// SpanDataSize returns the data bytes n span values occupy at a sparse width
+// (RawFloat32, RawFloat64 or a fixed-point width).
+func SpanDataSize(n int, bits uint) int { return dataSize(n, bits) }
+
+// PackSpans writes the concatenation of parts as span data at a sparse width
+// into data, which must be zeroed and SpanDataSize(total, bits) long: the data
+// half of WriteSparse, for a payload whose spans its receiver derives itself
+// instead of reading a span table. Zeros are written like any other value.
+// Raw widths store IEEE floats and accept a nil receiver; fixed-point widths
+// scale by maxAbs (the parts' largest absolute value) and draw one rounding
+// decision per value in order, none when maxAbs is zero.
+func (e *Encoder) PackSpans(data []byte, bits uint, maxAbs float64, parts ...[]float64) {
+	at := 0
+	for _, part := range parts {
+		e.putValues(data, at, part, bits, maxAbs)
+		at += len(part)
+	}
+}
+
+// putValues writes vals as span values [at, at+len(vals)) at a sparse width.
+func (e *Encoder) putValues(data []byte, at int, vals []float64, bits uint, maxAbs float64) {
+	switch bits {
+	case RawFloat32:
+		for k, v := range vals {
+			binary.LittleEndian.PutUint32(data[4*(at+k):], math.Float32bits(float32(v)))
+		}
+	case RawFloat64:
+		for k, v := range vals {
+			binary.LittleEndian.PutUint64(data[8*(at+k):], math.Float64bits(v))
+		}
+	default:
+		e.pack(data, at, vals, bits, maxAbs)
+	}
 }
 
 // Validate checks an untrusted sparse payload: supported width, in-range

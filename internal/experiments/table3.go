@@ -154,7 +154,10 @@ func Table3(w io.Writer, scale Scale) (*Table3Result, error) {
 	})
 
 	// --- Whole-tree distributed ablation --------------------------------
-	treeData := genderScaled(scale.rows(6_000), features, 33)
+	// At least 1 200 rows: the held-out tenth is what the 8-bit row's error
+	// is read on, and below ~100 rows one misclassified row moves it by more
+	// than the 8-bit run's own seed-to-seed spread.
+	treeData := genderScaled(max(scale.rows(6_000), 1_200), features, 33)
 	train, test := treeData.Split(0.9)
 	base := cluster.DefaultConfig(4, 4)
 	base.Config = expConfig()

@@ -24,15 +24,17 @@ type Table4Row struct {
 // Fewer servers concentrate histogram traffic on fewer nodes, inflating the
 // per-node β term of the cost model.
 func Table4(w io.Writer, scale Scale) ([]Table4Row, error) {
+	// At least 2 000 rows (200 per worker): node histograms travel in touched
+	// space, so with fewer rows they shrink until the α term of the extra
+	// messages more servers take, not bytes, sets the modeled comm.
 	d := dataset.Generate(dataset.SyntheticConfig{
-		NumRows: scale.rows(5_000), NumFeatures: 330_000, AvgNNZ: 107, NoiseStd: 0.3, Zipf: 1.4, Seed: 41,
+		NumRows: max(scale.rows(5_000), 2_000), NumFeatures: 330_000, AvgNNZ: 107, NoiseStd: 0.3, Zipf: 1.4, Seed: 41,
 	})
 	cfg := expConfig()
 	cfg.NumTrees = 3
 	// Depth 5 pushes 1+1+2+4 = 8 node histograms per worker per tree (only
-	// the smaller child of a split is pushed). Any shallower and the leader's
-	// NEW_TREE fan-out of the sampled feature list — p copies per tree,
-	// growing with p — outweighs the histogram traffic this table is about.
+	// the smaller child of a split is pushed), enough histogram traffic to
+	// outweigh the rest of a tree's messages.
 	cfg.MaxDepth = 5
 
 	section(w, fmt.Sprintf("Table 4 — impact of parameter servers (Gender-like %d×%d, w=10)", d.NumRows(), d.NumFeatures))

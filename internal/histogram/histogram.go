@@ -100,13 +100,14 @@ func (l *Layout) SizeBytes() int { return 2 * l.TotalBuckets * 4 }
 // A histogram is in one of two states. Materialised (the zero state: what
 // New, Reset, Pool.Get and a Histogram{Layout, G, H} literal give) means the
 // flat G/H arrays are complete and every feature's buckets sum to the node
-// totals; it is the only form the exported fields may be read in. Deferred
-// (entered with Defer or as the difference of two deferred histograms, left
-// with Materialize or Reset) is the trainer's private form between a node's
-// accumulation and its split scan:
+// totals. Deferred (entered with Defer, SetDeferred or as the difference of
+// two deferred histograms, left with Materialize or Reset) is the form a node
+// histogram keeps between its accumulation and its split scan — in the
+// trainer, on the parameter server's push wire and in a server's shard:
 // only the positions in the touched set hold anything, and every other
 // position is owed the deferred zero mass — the (ΣG, ΣH) Algorithm 2 would
-// have added to its zero bucket. Reset, the zero-bucket finish, Add and the
+// have added to its zero bucket. Its exported arrays are complete at the
+// touched positions only. Reset, the zero-bucket finish, Add, SetSub and the
 // split scan of a deferred histogram walk the touched set alone, so a deep
 // node costs what its rows touched, not the layout.
 type Histogram struct {
@@ -170,6 +171,21 @@ func (h *Histogram) Materialize() {
 		}
 	}
 	h.defG, h.defH = 0, 0
+}
+
+// Deferred reports whether h is in the deferred state.
+func (h *Histogram) Deferred() bool { return h.deferred }
+
+// SetDeferred puts a zeroed histogram (fresh from New, Reset or Pool.Get) in
+// the deferred state with the given touched set and deferred mass — the
+// receiving end of a deferred histogram built elsewhere, whose touched
+// positions' buckets the caller then fills. touched has the layout's bitset
+// length (one bit per sampled position, 64 to a word) and no bit at or past
+// the last sampled position.
+func (h *Histogram) SetDeferred(touched []uint64, g, hs float64) {
+	h.Defer()
+	copy(h.touched, touched)
+	h.defG, h.defH = g, hs
 }
 
 // wordMask returns the bits of bitset word w that are positions below n.
@@ -349,7 +365,12 @@ func (h *Histogram) Clone() *Histogram {
 // construction (Algorithm 2 and the dense build alike) every feature's
 // buckets sum to the node totals, which is what lets a parameter-server
 // shard recover node statistics from its own feature range alone (§6.3).
+// An untouched position of a deferred histogram yields the deferred mass,
+// exactly the sum its materialised buckets — zeros and 0 + mass — would give.
 func (h *Histogram) FeatureTotals(p int) (g, hs float64) {
+	if h.deferred && h.touched[p>>6]&(1<<(p&63)) == 0 {
+		return 0 + h.defG, 0 + h.defH
+	}
 	lo, hi := h.Layout.BucketRange(p)
 	for i := lo; i < hi; i++ {
 		g += h.G[i]

@@ -56,6 +56,9 @@ type Client struct {
 	// PushHistogram, which starts after every Call of this one returned.
 	pushReqs []*wire.Writer
 	parts    [][]float64
+	// touched holds each server's share of the deferred histogram being
+	// pushed.
+	touched []touchedShard
 }
 
 // NewClient binds a worker endpoint to the server fleet. serverNames is
@@ -68,6 +71,7 @@ func NewClient(ep transport.Endpoint, part *Partition, serverNames []string, wor
 		worker:   int32(workerID),
 		enc:      compress.NewEncoder(int64(workerID) + 1),
 		pushReqs: make([]*wire.Writer, len(serverNames)),
+		touched:  make([]touchedShard, len(serverNames)),
 	}
 	for sv := range c.pushReqs {
 		c.pushReqs[sv] = wire.NewWriter(0)
@@ -132,37 +136,37 @@ func (c *Client) fanOut(op uint8, request func(server int) *wire.Writer) ([]tran
 }
 
 // PushSketches sends each server the sketch summaries of the features it
-// owns (CREATE_SKETCH).
+// owns (CREATE_SKETCH). Each request is sized from its summaries' lengths
+// before any byte is written, so it is allocated once.
 func (c *Client) PushSketches(set *sketch.Set) error {
 	_, err := c.fanOut(OpPushSketch, func(sv int) *wire.Writer {
-		w := c.newRequest(1024)
-		count := 0
-		lenPos := w.Len()
-		w.Uint32(0) // patched below
-		for f := 0; f < set.NumFeatures(); f++ {
-			gk := set.Feature(f)
-			if gk == nil || c.part.ServerOf(int32(f)) != sv {
-				continue
+		owned := func(f int) *sketch.GK {
+			if gk := set.Feature(f); gk != nil && c.part.ServerOf(int32(f)) == sv {
+				return gk
 			}
-			values, gs, deltas := gk.Summary()
-			w.Int32(int32(f))
-			w.Float64s(values)
-			w.Uint64s(gs)
-			w.Uint64s(deltas)
-			count++
+			return nil
 		}
-		patchUint32(w.Bytes(), lenPos, uint32(count))
+		count, size := 0, 4 // the summary count
+		for f := 0; f < set.NumFeatures(); f++ {
+			if gk := owned(f); gk != nil {
+				count++
+				size += 4 + 3*(4+8*gk.SummaryLen()) // id, three length-prefixed arrays
+			}
+		}
+		w := c.newRequest(size)
+		w.Uint32(uint32(count))
+		for f := 0; f < set.NumFeatures(); f++ {
+			if gk := owned(f); gk != nil {
+				values, gs, deltas := gk.Summary()
+				w.Int32(int32(f))
+				w.Float64s(values)
+				w.Uint64s(gs)
+				w.Uint64s(deltas)
+			}
+		}
 		return w
 	})
 	return err
-}
-
-// patchUint32 overwrites a previously reserved length slot.
-func patchUint32(buf []byte, pos int, v uint32) {
-	buf[pos] = byte(v)
-	buf[pos+1] = byte(v >> 8)
-	buf[pos+2] = byte(v >> 16)
-	buf[pos+3] = byte(v >> 24)
 }
 
 // PullCandidates fetches every server's candidates and assembles the full
@@ -201,8 +205,8 @@ func (c *Client) PullCandidates(k int) ([]sketch.Candidates, error) {
 // worker calls this once per tree.
 func (c *Client) PushSampled(features []int32) error {
 	_, err := c.fanOut(OpPushSampled, func(int) *wire.Writer {
-		w := c.newRequest(4 + 4*len(features))
-		w.Int32s(features)
+		w := c.newRequest(5 + 4*len(features))
+		writeFeatures(w, features)
 		return w
 	})
 	return err
@@ -214,16 +218,14 @@ func (c *Client) PullSampled() ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := wire.NewReader(resp.Body)
-	feats := r.Int32s()
-	return feats, r.Err()
+	return readFeatures(wire.NewReader(resp.Body), c.part.NumFeatures)
 }
 
 // NewTree resets per-tree server state and installs the shard layouts.
 func (c *Client) NewTree(sampled []int32) error {
 	_, err := c.fanOut(OpNewTree, func(int) *wire.Writer {
-		w := c.newRequest(4 + 4*len(sampled))
-		w.Int32s(sampled)
+		w := c.newRequest(5 + 4*len(sampled))
+		writeFeatures(w, sampled)
 		return w
 	})
 	return err
@@ -249,12 +251,21 @@ func (c *Client) pullEncoding() vecEncoding {
 }
 
 // PushHistogram shards a node's local histogram across the fleet, applying
-// the configured low-precision compression (FIND_SPLIT, push half). Each
-// G/H vector is tagged per-vector, so a sparse shard rides next to a dense
-// one when only part of the feature space is populated.
+// the configured low-precision compression (FIND_SPLIT, push half). A
+// materialised histogram's G/H vectors are tagged per-vector, so a sparse
+// shard rides next to a dense one when only part of the feature space is
+// populated. A deferred one travels in touched space — each shard's touched
+// set, deferred mass and touched buckets (deferred.go) — unless that would
+// not be smaller than its materialised form; then it is materialised in
+// place and pushed like any other, so a push never grows.
 func (c *Client) PushHistogram(node int, hist *histogram.Histogram) error {
 	plan := c.planFor(hist.Layout)
 	ev := c.pushEncoding()
+	if hist.Deferred() && !c.deferredIsSmaller(plan, hist, ev) {
+		hist.Materialize()
+	}
+	deferred := hist.Deferred()
+	massG, massH := hist.DeferredMass()
 	// Requests are encoded serially, server by server and G before H: the
 	// stochastic compressor is not concurrency-safe, and its draw order is
 	// part of the run's reproducibility.
@@ -262,6 +273,18 @@ func (c *Client) PushHistogram(node int, hist *histogram.Histogram) error {
 		w.Reset()
 		c.writeEnvelope(w)
 		w.Int32(int32(node))
+		if deferred {
+			ts := &c.touched[sv]
+			c.parts = spanParts(c.parts, ts.runs, hist.G)
+			if err := writeDeferredVector(w, c.enc, ev.spanBits(), ts, plan.npos[sv], true, massG, c.parts); err != nil {
+				return err
+			}
+			c.parts = spanParts(c.parts, ts.runs, hist.H)
+			if err := writeDeferredVector(w, c.enc, ev.spanBits(), ts, plan.npos[sv], false, massH, c.parts); err != nil {
+				return err
+			}
+			continue
+		}
 		c.parts = plan.parts(c.parts, sv, hist.G)
 		if err := writeHistVector(w, c.enc, ev, c.parts...); err != nil {
 			return err
@@ -273,6 +296,26 @@ func (c *Client) PushHistogram(node int, hist *histogram.Histogram) error {
 	}
 	_, err := c.fanOut(OpPushHist, func(sv int) *wire.Writer { return c.pushReqs[sv] })
 	return err
+}
+
+// deferredIsSmaller splits a deferred histogram's touched set into c.touched,
+// one share per server, and reports whether pushing it in touched space puts
+// no more bytes on the wire than its materialised form would. A non-finite
+// deferred mass — as the wire would carry it — is never sent deferred: the
+// materialised push treats it as it always has.
+func (c *Client) deferredIsSmaller(plan *shardPlan, hist *histogram.Histogram, ev vecEncoding) bool {
+	massG, massH := hist.DeferredMass()
+	if !finite(wireMass(massG, ev.spanBits())) || !finite(wireMass(massH, ev.spanBits())) {
+		return false
+	}
+	deferred, materialised := 0, 0
+	for sv := range c.touched {
+		ts := &c.touched[sv]
+		plan.touched(ts, sv, hist)
+		deferred += deferredShardSize(plan.npos[sv], ts.buckets, ev.spanBits())
+		materialised += plan.materialisedSize(sv, ev, hist, hist.G, massG) + plan.materialisedSize(sv, ev, hist, hist.H, massH)
+	}
+	return deferred <= materialised
 }
 
 // SplitResult is a two-phase pull outcome: the global best split and the

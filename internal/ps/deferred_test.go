@@ -1,0 +1,605 @@
+package ps
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"dimboost/internal/compress"
+	"dimboost/internal/dataset"
+	"dimboost/internal/histogram"
+	"dimboost/internal/sketch"
+	"dimboost/internal/transport"
+	"dimboost/internal/wire"
+)
+
+// wireTree is one small tree's histograms as real workers build them — per
+// worker, nodes 0, 1 and 5 over the worker's rows with histogram.BuildBinned,
+// once deferred and once materialised — and the order its pushes and pulls
+// take: 2 is derived as 0 − 1, and 6 as the derived 2 − 5.
+type wireTree struct {
+	m               int
+	layout          *histogram.Layout
+	cands           []sketch.Candidates
+	deferred, dense [][]*histogram.Histogram // [worker][i] for wirePushed[i]
+}
+
+var wirePushed = []int{0, 1, 5}
+
+// wireRows are a node's rows among a worker's n: node 1 takes every third
+// row, node 5 every fourth row of node 2 (the rest).
+func wireRows(node, n int) []int32 {
+	var rows []int32
+	for r := 0; r < n; r++ {
+		in1 := r%3 == 0
+		if node == 0 || (node == 1 && in1) || (node == 5 && !in1 && r%4 == 1) {
+			rows = append(rows, int32(r))
+		}
+	}
+	return rows
+}
+
+func newWireTree(t *testing.T, workers int) *wireTree {
+	t.Helper()
+	const m = 240
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 600, NumFeatures: m, AvgNNZ: 8, Seed: 5, Zipf: 1.3})
+	set := sketch.NewSet(m, 0.02)
+	set.AddDataset(d)
+	wt := &wireTree{m: m, cands: set.Candidates(10)}
+	var err error
+	if wt.layout, err = histogram.NewLayout(histogram.AllFeatures(m), wt.cands, m); err != nil {
+		t.Fatal(err)
+	}
+	for w, sh := range dataset.PartitionRows(d, workers) {
+		n := sh.NumRows()
+		grad, hess := make([]float64, n), make([]float64, n)
+		for r := range grad {
+			grad[r] = math.Sin(float64(1000*w + r))
+			hess[r] = 0.3 + 0.05*float64(r%4)
+		}
+		binned := histogram.NewBinned(sh, wt.layout, 1)
+		// Batches of 64 rows: the deferred builds merge partials too.
+		opts := histogram.BuildOptions{Parallelism: 2, BatchSize: 64}
+		var def, dense []*histogram.Histogram
+		for _, node := range wirePushed {
+			a, b := histogram.New(wt.layout), histogram.New(wt.layout)
+			a.Defer()
+			histogram.BuildBinned(a, binned, wireRows(node, n), grad, hess, opts)
+			histogram.BuildBinned(b, binned, wireRows(node, n), grad, hess, opts)
+			if !a.Deferred() {
+				t.Fatalf("worker %d node %d: the build did not stay deferred", w, node)
+			}
+			if got, want := histBits(a), histBits(b); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("worker %d node %d: deferred build materialises to other buckets than the dense build", w, node)
+			}
+			def, dense = append(def, a), append(dense, b)
+		}
+		wt.deferred, wt.dense = append(wt.deferred, def), append(wt.dense, dense)
+	}
+	return wt
+}
+
+// wireOutcome is everything a tree's servers answered and hold, bit for bit:
+// per node in pull order the split record (or, one-phase, the reassembled
+// histogram), and every server's shard of every node.
+type wireOutcome struct {
+	reads  [][]uint64
+	shards [][]uint64
+}
+
+// run drives the tree through a fresh fleet of the given shape, the workers'
+// pushes of every node arriving in order, and pushing the deferred or the
+// dense builds.
+func (wt *wireTree) run(t *testing.T, servers int, exact, twoPhase bool, order []int, deferred bool) wireOutcome {
+	t.Helper()
+	fx := newFixture(t, wt.m, servers, len(order))
+	for _, srv := range fx.servers {
+		for f := range wt.cands {
+			srv.cands[int32(f)] = wt.cands[f]
+		}
+	}
+	for _, c := range fx.clients {
+		c.Exact = exact
+	}
+	if err := fx.clients[0].NewTree(histogram.AllFeatures(wt.m)); err != nil {
+		t.Fatal(err)
+	}
+	hists := wt.dense
+	if deferred {
+		hists = wt.deferred
+	}
+	_, enc0 := WireBytes()
+	var out wireOutcome
+	push := func(i int) {
+		for _, w := range order {
+			// A push may materialise its histogram in place: hand it a copy.
+			if err := fx.clients[w].PushHistogram(wirePushed[i], hists[w][i].Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read := func(node int, derive bool) {
+		c := fx.clients[node%len(order)]
+		if !twoPhase {
+			pull := c.PullHistogram
+			if derive {
+				pull = c.PullDerivedHistogram
+			}
+			h, err := pull(node, wt.layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.reads = append(out.reads, histBits(h))
+			return
+		}
+		pull := c.PullSplit
+		if derive {
+			pull = c.PullDerivedSplit
+		}
+		res, err := pull(node, 1.0, 0.0, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Split
+		rec := []uint64{b2u(s.Found), uint64(s.Feature), b2u(res.HasTotals)}
+		for _, v := range []float64{s.Value, s.Gain, s.LeftG, s.LeftH, s.RightG, s.RightH, res.NodeG, res.NodeH} {
+			rec = append(rec, math.Float64bits(v))
+		}
+		out.reads = append(out.reads, rec)
+	}
+	push(0)
+	read(0, false)
+	push(1)
+	read(1, false)
+	read(2, true)
+	push(2)
+	read(5, false)
+	read(6, true)
+	for _, srv := range fx.servers {
+		for _, node := range []int32{0, 1, 2, 5, 6} {
+			out.shards = append(out.shards, shardBits(t, srv, node))
+		}
+	}
+	if _, enc1 := WireBytes(); deferred && enc1["deferred/encode"] == enc0["deferred/encode"] {
+		t.Fatal("no push of the deferred builds travelled deferred")
+	}
+	return out
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// permutations returns every order of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int(nil), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestDeferredWireEqualsDenseWire is invariant 23: on the exact and the raw
+// float32 wire, pushing the workers' deferred histograms leaves the servers
+// holding — merged, derived from a pushed parent and from a derived one —
+// exactly the shards the dense pushes of the same builds leave, bucket for
+// bucket once materialised, and every pull answers the same: split records
+// in every field, two-phase, and reassembled histograms, one-phase. For 1–3
+// workers in every arrival order and 1–3 servers.
+func TestDeferredWireEqualsDenseWire(t *testing.T) {
+	for workers := 1; workers <= 3; workers++ {
+		wt := newWireTree(t, workers)
+		for servers := 1; servers <= 3; servers++ {
+			for _, exact := range []bool{true, false} {
+				for _, twoPhase := range []bool{true, false} {
+					for _, order := range permutations(workers) {
+						name := fmt.Sprintf("w=%d p=%d exact=%v two-phase=%v order=%v", workers, servers, exact, twoPhase, order)
+						dense := wt.run(t, servers, exact, twoPhase, order, false)
+						def := wt.run(t, servers, exact, twoPhase, order, true)
+						for i := range dense.reads {
+							if fmt.Sprint(dense.reads[i]) != fmt.Sprint(def.reads[i]) {
+								t.Fatalf("%s: pull %d answers differently after deferred pushes", name, i)
+							}
+						}
+						for i := range dense.shards {
+							for j := range dense.shards[i] {
+								if dense.shards[i][j] != def.shards[i][j] {
+									t.Fatalf("%s: shard %d (server %d, node %d) bucket %d: %x deferred, %x dense",
+										name, i, i/5, []int{0, 1, 2, 5, 6}[i%5], j, def.shards[i][j], dense.shards[i][j])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// deferredBody is a deferred shard push, field by field, so a test can write
+// what no client would.
+type deferredBody struct {
+	widthG, widthH uint8
+	npos           uint32
+	touched        []byte
+	massG, massH   float64
+	maxAbs         float64
+	countG, countH uint32
+	dataG, dataH   []byte
+	tagH           uint8
+}
+
+func (b deferredBody) bytes() []byte {
+	w := wire.NewWriter(64)
+	mass := func(width uint8, m float64) {
+		if uint(width) == compress.RawFloat32 {
+			w.Float32(float32(m))
+		} else {
+			w.Float64(m)
+		}
+	}
+	w.Uint8(VecDeferred)
+	w.Uint8(b.widthG)
+	w.Uint32(b.npos)
+	w.Raw(b.touched)
+	mass(b.widthG, b.massG)
+	w.Float64(b.maxAbs)
+	w.Uint32(b.countG)
+	w.Raw(b.dataG)
+	w.Uint8(b.tagH)
+	w.Uint8(b.widthH)
+	mass(b.widthH, b.massH)
+	w.Float64(b.maxAbs)
+	w.Uint32(b.countH)
+	w.Raw(b.dataH)
+	return w.Bytes()
+}
+
+// checkHostileDeferredPushes sends server sv deferred pushes no client
+// writes, as a worker whose push would be parked, for a node nobody pushed:
+// each must fail with a typed error before anything is merged or parked.
+// layout is every feature at one bucket. The touched set is a bitset and the
+// bucket runs follow from it and the shard layout, so unsorted or duplicated
+// positions and runs that do not tile them cannot be written at all.
+func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
+	t.Helper()
+	const node, worker = 9, 1
+	srv := fx.servers[sv]
+	npos := srv.tree.layout.NumFeatures()
+	if npos%8 == 0 || npos < 2 {
+		t.Fatalf("fixture shard has %d positions: need a partly used last byte", npos)
+	}
+	// Positions 0 and npos-1 touched, at float64: one bucket each.
+	valid := deferredBody{
+		widthG: uint8(compress.RawFloat64), widthH: uint8(compress.RawFloat64), tagH: VecDeferred,
+		npos: uint32(npos), touched: make([]byte, (npos+7)/8),
+		massG: -1.5, massH: 3, countG: 2, countH: 2,
+		dataG: make([]byte, 16), dataH: make([]byte, 16),
+	}
+	valid.touched[0] |= 1
+	valid.touched[(npos-1)/8] |= 1 << ((npos - 1) % 8)
+	var shape *ShapeError
+	send := func(body []byte) error {
+		w := wire.NewWriter(64)
+		w.Int32(worker)
+		w.Uint64(fx.clients[0].seq.Add(1)) // any fresh seq
+		w.Int32(node)
+		w.Raw(body)
+		_, err := fx.clients[0].ep.Call(serverName(sv), transport.Message{Op: OpPushHist, Body: w.Bytes()})
+		return err
+	}
+	cases := []struct {
+		name  string
+		edit  func(b *deferredBody)
+		check func(error) bool
+	}{
+		{"touched bit past the shard", func(b *deferredBody) {
+			b.touched = append([]byte(nil), b.touched...)
+			b.touched[len(b.touched)-1] |= 0x80
+		}, func(err error) bool { return errors.Is(err, ErrTouchedOutsideShard) }},
+		{"touched set of another shard size", func(b *deferredBody) { b.npos++ },
+			func(err error) bool { return errors.As(err, &shape) }},
+		{"g count mismatch", func(b *deferredBody) { b.countG = 3 }, func(err error) bool { return errors.As(err, &shape) }},
+		{"h count mismatch", func(b *deferredBody) { b.countH = 1 }, func(err error) bool { return errors.As(err, &shape) }},
+		{"NaN g mass", func(b *deferredBody) { b.massG = math.NaN() }, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"infinite h mass", func(b *deferredBody) { b.massH = math.Inf(-1) }, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"width 3", func(b *deferredBody) { b.widthG = 3 }, func(err error) bool { return errors.Is(err, compress.ErrBadWidth) }},
+		{"width 200", func(b *deferredBody) { b.widthH = 200 }, func(err error) bool { return errors.Is(err, compress.ErrBadWidth) }},
+		{"NaN scale", func(b *deferredBody) {
+			b.widthG, b.widthH, b.maxAbs = 8, 8, math.NaN()
+			b.dataG, b.dataH = make([]byte, 2), make([]byte, 2)
+		}, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"dense h after a deferred g", func(b *deferredBody) { b.tagH = VecFloat64 }, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+	}
+	for _, tc := range cases {
+		b := valid
+		tc.edit(&b)
+		if err := send(b.bytes()); !tc.check(err) {
+			t.Errorf("%s: got %v", tc.name, err)
+		}
+	}
+	body := valid.bytes()
+	for n := 0; n < len(body); n++ {
+		if err := send(body[:n]); err == nil {
+			t.Fatalf("a deferred push cut to %d of %d bytes was accepted", n, len(body))
+		}
+	}
+	if err := send(append(body, 0)); err == nil {
+		t.Fatal("a deferred push with a trailing byte was accepted")
+	}
+	dense := wire.NewWriter(64)
+	dense.Uint8(VecFloat64)
+	dense.Float64s(make([]float64, srv.tree.layout.TotalBuckets))
+	dense.Raw(body[1+1+4+len(valid.touched)+8+8+4+16:]) // valid's h vector
+	if err := send(dense.Bytes()); !errors.Is(err, compress.ErrBadHeader) {
+		t.Errorf("deferred h after a dense g: got %v", err)
+	}
+	if _, n := srv.current(node); n != nil {
+		t.Fatalf("server %d kept a shard of node %d after refusing every push for it", sv, node)
+	}
+	// The unedited body is a well-formed push: the rejections were about the
+	// edits.
+	if err := send(body); err != nil {
+		t.Fatalf("the valid deferred push: %v", err)
+	}
+}
+
+// deferredFuzz is FuzzDeferredVector's geometry: 150 features of one to four
+// buckets over two servers, all of them sampled.
+type deferredFuzz struct {
+	plan    *shardPlan
+	servers []*histogram.Layout
+}
+
+func newDeferredFuzz(t testing.TB) *deferredFuzz {
+	const m = 150
+	part, err := NewPartition(m, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := shapedCands(m)
+	all := histogram.AllFeatures(m)
+	layout, err := histogram.NewLayout(all, cands, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz := &deferredFuzz{plan: newShardPlan(part, layout)}
+	for sv := 0; sv < part.NumServers; sv++ {
+		l, err := histogram.NewLayout(part.FeaturesOf(sv, all), cands, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fz.servers = append(fz.servers, l)
+	}
+	return fz
+}
+
+// histogram draws a deferred worker histogram from fuzz bytes: a touched bit
+// per position from the first bytes, then the buckets of the touched
+// positions and the two masses from the 8-byte groups that follow (as
+// fuzzValues reads them), cycling when they run out.
+func (fz *deferredFuzz) histogram(blob []byte) *histogram.Histogram {
+	l := fz.plan.layout
+	h := histogram.New(l)
+	nb := min(len(blob), (l.NumFeatures()+7)/8)
+	touched := make([]uint64, (l.NumFeatures()+63)/64)
+	for p := 0; p < 8*nb && p < l.NumFeatures(); p++ {
+		if blob[p/8]&(1<<(p%8)) != 0 {
+			touched[p/64] |= 1 << (p % 64)
+		}
+	}
+	vals := fuzzValues(blob[nb:])
+	next := func() float64 {
+		if len(vals) == 0 {
+			return 0
+		}
+		v := vals[0]
+		vals = append(vals[1:], v)
+		return v
+	}
+	h.SetDeferred(touched, next(), next())
+	for p := range l.Features {
+		if touched[p/64]&(1<<(p%64)) != 0 {
+			lo, hi := l.BucketRange(p)
+			for i := lo; i < hi; i++ {
+				h.G[i], h.H[i] = next(), next()
+			}
+		}
+	}
+	return h
+}
+
+// fuzzValues reads 8-byte groups as float64 bit patterns, every non-finite
+// one and every group whose low three bits are zero as an exact zero.
+func fuzzValues(blob []byte) []float64 {
+	var out []float64
+	for i := 0; i+8 <= len(blob); i += 8 {
+		u := binary.LittleEndian.Uint64(blob[i:])
+		v := math.Float64frombits(u)
+		if !finite(v) || u&7 == 0 {
+			v = 0
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// fuzzWidths are the widths a deferred vector may carry.
+var fuzzWidths = []uint{compress.RawFloat32, compress.RawFloat64, 2, 4, 8, 16}
+
+// body encodes server sv's deferred shard of h at a width as a push body.
+func (fz *deferredFuzz) body(t testing.TB, sv int, h *histogram.Histogram, width uint) []byte {
+	var ts touchedShard
+	fz.plan.touched(&ts, sv, h)
+	w := wire.NewWriter(64)
+	mg, mh := h.DeferredMass()
+	enc := compress.NewEncoder(1)
+	parts := spanParts(nil, ts.runs, h.G)
+	if err := writeDeferredVector(w, enc, width, &ts, fz.plan.npos[sv], true, mg, parts); err != nil {
+		t.Fatal(err)
+	}
+	parts = spanParts(nil, ts.runs, h.H)
+	if err := writeDeferredVector(w, enc, width, &ts, fz.plan.npos[sv], false, mh, parts); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// FuzzDeferredVector: any bytes offered as a push body either fail to parse
+// with an error or parse into a shard that merges without one — never a
+// panic; and any deferred histogram, encoded at a raw width, decodes on the
+// server side to the same touched set, the same masses and the same touched
+// buckets, Float64bits-exact (narrowed to float32 on the float32 wire); at a
+// fixed-point width, within a step of them.
+func FuzzDeferredVector(f *testing.F) {
+	fz := newDeferredFuzz(f)
+	seed := make([]byte, 19)
+	for i := range seed {
+		seed[i] = byte(37 * i)
+	}
+	for _, v := range []float64{1.5, -2.25, 0, 3, 7, -1e-3, 1e6, 0.5} {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(uint8(0), []byte{})
+	for sel := range fuzzWidths {
+		f.Add(uint8(sel), seed)
+		f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(seed), fuzzWidths[sel]))
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, blob []byte) {
+		for sv, layout := range fz.servers {
+			if p, err := parseShard(blob, layout); err == nil {
+				n := &nodeShard{tree: &treeShards{layout: layout, pool: histogram.NewPool(layout)}, hist: histogram.New(layout)}
+				n.hist.Defer()
+				if err := n.add(&p); err != nil {
+					t.Fatalf("server %d: a parsed push failed to merge: %v", sv, err)
+				}
+			}
+		}
+
+		width := fuzzWidths[int(sel)%len(fuzzWidths)]
+		h := fz.histogram(blob)
+		mg, mh := h.DeferredMass()
+		for sv, layout := range fz.servers {
+			p, err := parseShard(fz.body(t, sv, h, width), layout)
+			if err != nil || p.deferred == nil {
+				t.Fatalf("server %d: own encoding at width %d did not parse as deferred: %v", sv, width, err)
+			}
+			got := histogram.New(layout)
+			if err := p.deferred.fill(got); err != nil {
+				t.Fatal(err)
+			}
+			if g, hs := got.DeferredMass(); g != wireMass(mg, width) || hs != wireMass(mh, width) {
+				t.Fatalf("server %d: mass (%v, %v), sent (%v, %v) at width %d", sv, g, hs, mg, mh, width)
+			}
+			q := 0 // the server's position of worker position p
+			for _, r := range fz.plan.pos[sv] {
+				for wp := r.lo; wp < r.hi; wp, q = wp+1, q+1 {
+					in := h.ScanWord(wp/64)&(1<<(wp%64)) != 0
+					if out := got.ScanWord(q/64)&(1<<(q%64)) != 0; in != out {
+						t.Fatalf("server %d position %d: touched %v, sent %v", sv, q, out, in)
+					}
+					if !in {
+						continue
+					}
+					wlo, whi := fz.plan.layout.BucketRange(wp)
+					slo, _ := layout.BucketRange(q)
+					for k := 0; k < whi-wlo; k++ {
+						checkDecoded(t, width, h.G[wlo+k], got.G[slo+k], p.deferred.g.values.MaxAbs)
+						checkDecoded(t, width, h.H[wlo+k], got.H[slo+k], p.deferred.h.values.MaxAbs)
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkDecoded compares one decoded bucket with the value sent.
+func checkDecoded(t *testing.T, width uint, sent, got, maxAbs float64) {
+	t.Helper()
+	switch width {
+	case compress.RawFloat64:
+		if math.Float64bits(got) != math.Float64bits(0+sent) {
+			t.Fatalf("float64 wire: %v decoded as %v", sent, got)
+		}
+	case compress.RawFloat32:
+		if math.Float64bits(got) != math.Float64bits(0+float64(float32(sent))) {
+			t.Fatalf("float32 wire: %v decoded as %v", sent, got)
+		}
+	default:
+		if step := maxAbs / float64(int64(1)<<(width-1)-1); math.Abs(got-sent) > step*(1+1e-9)+1e-300 {
+			t.Fatalf("%d-bit wire: %v decoded as %v, step %v", width, sent, got, step)
+		}
+	}
+}
+
+// TestQuantizedShardsKeepExactTotals: at a fixed-point width a deferred
+// shard's buckets carry rounding noise and its mass does not, so the node
+// totals a split pull reports are the workers' masses summed in worker
+// order, bit for bit — pushed and derived nodes alike — and the shards stay
+// in touched space through the scan instead of failing the guard on the
+// noise.
+func TestQuantizedShardsKeepExactTotals(t *testing.T) {
+	const workers = 3
+	wt := newWireTree(t, workers)
+	fx := newFixture(t, wt.m, 2, workers)
+	for _, srv := range fx.servers {
+		for f := range wt.cands {
+			srv.cands[int32(f)] = wt.cands[f]
+		}
+	}
+	for _, c := range fx.clients {
+		c.Bits = 16
+	}
+	if err := fx.clients[0].NewTree(histogram.AllFeatures(wt.m)); err != nil {
+		t.Fatal(err)
+	}
+	mass := func(i int) (g, h float64) {
+		for w := 0; w < workers; w++ {
+			mg, mh := wt.deferred[w][i].DeferredMass()
+			g, h = g+mg, h+mh
+		}
+		return g, h
+	}
+	check := func(node int, derive bool, wantG, wantH float64) {
+		t.Helper()
+		pull := fx.clients[0].PullSplit
+		if derive {
+			pull = fx.clients[0].PullDerivedSplit
+		}
+		res, err := pull(node, 1.0, 0.0, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.NodeG) != math.Float64bits(wantG) || math.Float64bits(res.NodeH) != math.Float64bits(wantH) {
+			t.Fatalf("node %d totals (%v, %v), the masses sum to (%v, %v)", node, res.NodeG, res.NodeH, wantG, wantH)
+		}
+		for _, srv := range fx.servers {
+			if _, n := srv.current(int32(node)); !n.hist.Deferred() {
+				t.Fatalf("server %d materialised node %d to scan it", srv.id, node)
+			}
+		}
+	}
+	for i, node := range wirePushed[:2] {
+		for w := 0; w < workers; w++ {
+			if err := fx.clients[w].PushHistogram(node, wt.deferred[w][i].Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g0, h0 := mass(0)
+	g1, h1 := mass(1)
+	check(0, false, g0, h0)
+	check(1, false, g1, h1)
+	check(2, true, g0-g1, h0-h1)
+}

@@ -81,33 +81,57 @@ func (df *deriveFixture) pushFromAll(t *testing.T, node int) {
 // wire defines it, computed without the server.
 func (df *deriveFixture) mergedFromPayloads(t *testing.T, sv, push int) *histogram.Histogram {
 	t.Helper()
-	layout := df.fx.servers[sv].layout
-	out := histogram.New(layout)
-	for w, ce := range df.captured {
-		body := ce.sent[serverName(sv)][push][envelopeSize+4:] // envelope, node id
-		g, h, err := parseShard(body, layout.TotalBuckets)
+	var bodies [][]byte
+	for _, ce := range df.captured {
+		bodies = append(bodies, ce.sent[serverName(sv)][push][envelopeSize+4:]) // envelope, node id
+	}
+	return mergePayloads(t, df.fx.servers[sv].tree.layout, bodies)
+}
+
+// mergePayloads folds push bodies, in order, into a fresh shard the way a
+// server's node accumulator does.
+func mergePayloads(t *testing.T, layout *histogram.Layout, bodies [][]byte) *histogram.Histogram {
+	t.Helper()
+	n := &nodeShard{tree: &treeShards{layout: layout, pool: histogram.NewPool(layout)}, hist: histogram.New(layout)}
+	n.hist.Defer()
+	for w, body := range bodies {
+		p, err := parseShard(body, layout)
 		if err != nil {
-			t.Fatalf("worker %d push %d to server %d: %v", w, push, sv, err)
+			t.Fatalf("payload %d: %v", w, err)
 		}
-		if err := g.addTo(out.G); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.addTo(out.H); err != nil {
+		if err := n.add(&p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return out
+	return n.hist
 }
 
-// shardBits is a server's accumulator for a node, bit for bit.
+// shardBits is a server's shard of a node, materialised, bit for bit. It
+// reads the shard as a pull does, so parked pushes are folded in first and
+// the node is sealed.
 func shardBits(t *testing.T, srv *Server, node int32) []uint64 {
 	t.Helper()
-	_, n := srv.tree(node)
+	_, n := srv.current(node)
 	if n == nil {
 		t.Fatalf("server %d holds no shard of node %d", srv.id, node)
 	}
+	var bits []uint64
+	if err := n.read(func(h *histogram.Histogram) error {
+		bits = histBits(h)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return bits
+}
+
+// histBits is a histogram's materialised buckets, G then H, bit for bit; h
+// itself is left as it was.
+func histBits(h *histogram.Histogram) []uint64 {
+	m := h.Clone()
+	m.Materialize()
 	var out []uint64
-	for _, v := range append(append([]float64(nil), n.g...), n.h...) {
+	for _, v := range append(append([]float64(nil), m.G...), m.H...) {
 		out = append(out, math.Float64bits(v))
 	}
 	return out
@@ -132,14 +156,15 @@ func TestDerivedShardIsParentMinusSibling(t *testing.T) {
 		}
 		var want core.Split
 		for sv, srv := range df.fx.servers {
-			diff := histogram.New(srv.layout)
+			diff := histogram.New(srv.tree.layout)
 			diff.SetSub(df.mergedFromPayloads(t, sv, 0), df.mergedFromPayloads(t, sv, 1))
 			bits := shardBits(t, srv, deriveDerived)
-			for i, v := range append(append([]float64(nil), diff.G...), diff.H...) {
-				if bits[i] != math.Float64bits(v) {
-					t.Fatalf("w=%d server %d bucket %d: derived %x, parent − sibling %x", workers, sv, i, bits[i], math.Float64bits(v))
+			for i, v := range histBits(diff) {
+				if bits[i] != v {
+					t.Fatalf("w=%d server %d bucket %d: derived %x, parent − sibling %x", workers, sv, i, bits[i], v)
 				}
 			}
+			diff.Materialize() // the full scan: the server's touched one must agree
 			tg, th := diff.FeatureTotals(0)
 			if s := core.FindSplit(diff, tg, th, 1.0, 0.0, 1e-6); s.Better(want) {
 				want = s
@@ -277,7 +302,7 @@ func TestDeriveWithoutOperandsIsTypedError(t *testing.T) {
 	}
 	for _, srv := range df.fx.servers {
 		for _, node := range []int32{4, 12} {
-			if _, n := srv.tree(node); n != nil {
+			if _, n := srv.current(node); n != nil {
 				t.Fatalf("server %d kept a shard for node %d after refusing to derive it", srv.id, node)
 			}
 		}

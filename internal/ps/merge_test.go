@@ -2,7 +2,6 @@ package ps
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,12 +80,7 @@ func (mf *mergeFixture) state(t *testing.T) mergedState {
 	}
 	for _, srv := range mf.fx.servers {
 		for node := int32(0); node < mergeNodes; node++ {
-			_, n := srv.tree(node)
-			var bits []uint64
-			for _, v := range append(append([]float64(nil), n.g...), n.h...) {
-				bits = append(bits, math.Float64bits(v))
-			}
-			st.buckets = append(st.buckets, bits)
+			st.buckets = append(st.buckets, shardBits(t, srv, node))
 		}
 	}
 	return st

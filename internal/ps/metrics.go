@@ -44,7 +44,7 @@ const (
 
 // vecBytes[dir][tag] counts logical bytes-on-wire of histogram vectors by
 // encoding — the payload accounting WireBytes snapshots.
-var vecBytes [2][4]*obs.Counter
+var vecBytes [2][numVecTags]*obs.Counter
 
 var (
 	pmOnce sync.Once
@@ -76,7 +76,7 @@ func psMetrics() (*serverMetrics, *clientMetrics) {
 			srvM.opBytesIn[op] = r.Counter("dimboost_ps_op_bytes_total", "Request/response payload bytes through the PS handler, by op and direction.", l, obs.L("direction", "in"))
 			srvM.opBytesOut[op] = r.Counter("dimboost_ps_op_bytes_total", "", l, obs.L("direction", "out"))
 		}
-		for tag := uint8(0); tag < 4; tag++ {
+		for tag := uint8(0); tag < numVecTags; tag++ {
 			l := obs.L("encoding", vecName(tag))
 			vecBytes[dirEncode][tag] = r.Counter("dimboost_ps_vector_bytes_total", "Logical bytes-on-wire of histogram vectors, by encoding and codec direction.", l, obs.L("direction", "encode"))
 			vecBytes[dirDecode][tag] = r.Counter("dimboost_ps_vector_bytes_total", "", l, obs.L("direction", "decode"))
@@ -93,7 +93,7 @@ func psMetrics() (*serverMetrics, *clientMetrics) {
 // vectorBytes records one encoded or decoded histogram vector's wire bytes.
 func vectorBytes(tag uint8, dir int, n int64) {
 	psMetrics()
-	if tag < 4 {
+	if tag < numVecTags {
 		vecBytes[dir][tag].Add(n)
 	}
 }
@@ -136,7 +136,7 @@ func WireBytes() (perOp, perEncoding map[string]int64) {
 		perOp[OpName(op)+"/out"] = m.opBytesOut[op].Value()
 	}
 	perEncoding = make(map[string]int64)
-	for tag := uint8(0); tag < 4; tag++ {
+	for tag := uint8(0); tag < numVecTags; tag++ {
 		perEncoding[vecName(tag)+"/encode"] = vecBytes[dirEncode][tag].Value()
 		perEncoding[vecName(tag)+"/decode"] = vecBytes[dirDecode][tag].Value()
 	}

@@ -1,6 +1,10 @@
 package ps
 
-import "dimboost/internal/histogram"
+import (
+	"math/bits"
+
+	"dimboost/internal/histogram"
+)
 
 // shardPlan is the geometry of one tree's histogram shards. Partition
 // ranges are contiguous in feature id and a layout's buckets follow its
@@ -15,9 +19,15 @@ type shardPlan struct {
 	spans [][]bucketSpan
 	// size[sv] is the bucket count of server sv's shard.
 	size []int
+	// pos[sv] lists the sampled-position ranges the spans hold, in the same
+	// order: the server's own positions number them consecutively, and
+	// npos[sv] is their count.
+	pos  [][]bucketSpan
+	npos []int
 }
 
-// bucketSpan is the flat bucket range [lo, hi).
+// bucketSpan is the flat bucket range [lo, hi) — or, in shardPlan.pos, the
+// sampled-position range.
 type bucketSpan struct{ lo, hi int }
 
 func newShardPlan(part *Partition, layout *histogram.Layout) *shardPlan {
@@ -25,25 +35,82 @@ func newShardPlan(part *Partition, layout *histogram.Layout) *shardPlan {
 		layout: layout,
 		spans:  make([][]bucketSpan, part.NumServers),
 		size:   make([]int, part.NumServers),
+		pos:    make([][]bucketSpan, part.NumServers),
+		npos:   make([]int, part.NumServers),
 	}
 	part.runs(layout.Features, func(sv, lo, hi int) {
+		pl.npos[sv] += hi - lo
+		pl.pos[sv] = appendSpan(pl.pos[sv], bucketSpan{lo, hi})
 		b := bucketSpan{int(layout.Offsets[lo]), int(layout.Offsets[hi])}
 		pl.size[sv] += b.hi - b.lo
-		if n := len(pl.spans[sv]); n > 0 && pl.spans[sv][n-1].hi == b.lo {
-			pl.spans[sv][n-1].hi = b.hi // neighbouring ranges on one server
-			return
-		}
-		pl.spans[sv] = append(pl.spans[sv], b)
+		pl.spans[sv] = appendSpan(pl.spans[sv], b) // neighbouring ranges on one server join
 	})
 	return pl
+}
+
+// appendSpan appends s, joining it to the last span when they touch.
+func appendSpan(spans []bucketSpan, s bucketSpan) []bucketSpan {
+	if n := len(spans); n > 0 && spans[n-1].hi == s.lo {
+		spans[n-1].hi = s.hi
+		return spans
+	}
+	return append(spans, s)
 }
 
 // parts appends server sv's shard of a flat bucket array to dst[:0] as one
 // slice per span, aliasing flat.
 func (pl *shardPlan) parts(dst [][]float64, sv int, flat []float64) [][]float64 {
+	return spanParts(dst, pl.spans[sv], flat)
+}
+
+// spanParts appends flat's slice of every span to dst[:0], aliasing flat.
+func spanParts(dst [][]float64, spans []bucketSpan, flat []float64) [][]float64 {
 	dst = dst[:0]
-	for _, sp := range pl.spans[sv] {
+	for _, sp := range spans {
 		dst = append(dst, flat[sp.lo:sp.hi])
 	}
 	return dst
+}
+
+// touchedShard is one server's share of a deferred histogram: the touched
+// set renumbered into the server's positions, and the bucket runs of those
+// positions in the worker's flat arrays — what a deferred push carries.
+type touchedShard struct {
+	touched []uint64     // bit q: server position q was touched
+	runs    []bucketSpan // ascending, touching runs joined
+	buckets int          // Σ run lengths
+}
+
+// touched fills ts with server sv's share of a deferred histogram's touched
+// set, walking the set bits only.
+func (pl *shardPlan) touched(ts *touchedShard, sv int, h *histogram.Histogram) {
+	words := (pl.npos[sv] + 63) / 64
+	if cap(ts.touched) < words {
+		ts.touched = make([]uint64, words)
+	}
+	ts.touched = ts.touched[:words]
+	clear(ts.touched)
+	ts.runs, ts.buckets = ts.runs[:0], 0
+	offs := pl.layout.Offsets
+	base := 0 // server position of the range's first position
+	for _, r := range pl.pos[sv] {
+		for w := r.lo >> 6; w<<6 < r.hi; w++ {
+			set := h.ScanWord(w)
+			if first := w << 6; first < r.lo {
+				set &^= 1<<(r.lo-first) - 1
+			}
+			if rest := r.hi - w<<6; rest < 64 {
+				set &= 1<<rest - 1
+			}
+			for ; set != 0; set &= set - 1 {
+				p := w<<6 + bits.TrailingZeros64(set)
+				q := base + p - r.lo
+				ts.touched[q>>6] |= 1 << (q & 63)
+				b := bucketSpan{int(offs[p]), int(offs[p+1])}
+				ts.runs = appendSpan(ts.runs, b)
+				ts.buckets += b.hi - b.lo
+			}
+		}
+		base += r.hi - r.lo
+	}
 }

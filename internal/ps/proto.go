@@ -98,6 +98,77 @@ func mutatingOp(op uint8) bool {
 // envelopeSize is the byte length of the (worker, seq) request header.
 const envelopeSize = 4 + 8
 
+// Sampled-feature lists (NEW_TREE, PUSH_SAMPLED, PULL_SAMPLED) travel in one
+// of two self-describing forms: the ids verbatim, or runs of consecutive ids
+// — one run when every feature is sampled — whichever is smaller.
+const (
+	featureIDs  uint8 = 0 // u32 count, int32 ids
+	featureRuns uint8 = 1 // u32 count, (int32 first, u32 length) runs
+)
+
+// writeFeatures appends an ascending feature list.
+func writeFeatures(w *wire.Writer, feats []int32) {
+	runs := 0
+	for i, f := range feats {
+		if i == 0 || f != feats[i-1]+1 {
+			runs++
+		}
+	}
+	if 8*runs >= 4*len(feats) {
+		w.Uint8(featureIDs)
+		w.Int32s(feats)
+		return
+	}
+	w.Uint8(featureRuns)
+	w.Uint32(uint32(runs))
+	for i := 0; i < len(feats); {
+		j := i + 1
+		for j < len(feats) && feats[j] == feats[j-1]+1 {
+			j++
+		}
+		w.Int32(feats[i])
+		w.Uint32(uint32(j - i))
+		i = j
+	}
+}
+
+// readFeatures consumes a feature list written by writeFeatures. Runs must
+// ascend inside [0, limit), so a hostile count can never expand past limit
+// ids; verbatim ids are returned as sent, for the caller to check.
+func readFeatures(r *wire.Reader, limit int) ([]int32, error) {
+	switch kind := r.Uint8(); kind {
+	case featureIDs:
+		feats := r.Int32s()
+		return feats, r.Err()
+	case featureRuns:
+		n := int(r.Uint32())
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if n > r.Remaining()/8 {
+			return nil, fmt.Errorf("%w: %d feature runs in %d bytes", wire.ErrTruncated, n, r.Remaining())
+		}
+		var feats []int32
+		next := int64(0)
+		for i := 0; i < n; i++ {
+			first, length := int64(r.Int32()), int64(r.Uint32())
+			if first < next || length == 0 || first+length > int64(limit) {
+				return nil, fmt.Errorf("ps: feature run %d [%d, %d) out of order or outside [0, %d)", i, first, first+length, limit)
+			}
+			for f := first; f < first+length; f++ {
+				feats = append(feats, int32(f))
+			}
+			next = first + length
+		}
+		return feats, r.Err()
+	default:
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("ps: unknown feature list form %d", kind)
+	}
+}
+
 // Per-vector histogram wire tags. Every gradient/hessian vector on the wire
 // leads with one of these, so push and pull payloads are self-describing and
 // each vector independently picks the cheapest encoding (a sparse shard next
@@ -114,6 +185,12 @@ const (
 	// VecSparse is a compress.Sparse payload: zero runs elided, span values
 	// at any of the above widths.
 	VecSparse uint8 = 3
+	// VecDeferred is a deferred histogram's shard in touched space: the
+	// touched set, the deferred zero mass and the touched positions' buckets
+	// at any of the above widths (see deferred.go). Push only.
+	VecDeferred uint8 = 4
+
+	numVecTags = 5
 )
 
 // vecName labels a vector tag for the per-encoding byte metrics.
@@ -127,6 +204,8 @@ func vecName(tag uint8) string {
 		return "float64"
 	case VecSparse:
 		return "sparse"
+	case VecDeferred:
+		return "deferred"
 	}
 	return "unknown"
 }
@@ -337,6 +416,8 @@ func parseHistVector(r *wire.Reader, what string, wantN int) (histVector, error)
 			return v, &ShapeError{What: what, Got: s.N, Want: wantN}
 		}
 		v.sparse = s
+	case VecDeferred:
+		return v, fmt.Errorf("%w: %s is a deferred vector outside a deferred shard push", compress.ErrBadHeader, what)
 	default:
 		return v, fmt.Errorf("ps: unknown histogram vector tag %d", v.tag)
 	}

@@ -1,8 +1,11 @@
 package ps
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"dimboost/internal/core"
@@ -10,6 +13,7 @@ import (
 	"dimboost/internal/histogram"
 	"dimboost/internal/sketch"
 	"dimboost/internal/transport"
+	"dimboost/internal/wire"
 )
 
 func TestPartitionCoversAllFeatures(t *testing.T) {
@@ -418,6 +422,12 @@ func TestServerRejectsBadTraffic(t *testing.T) {
 		t.Fatalf("re-push after the merge got %v, want RepushError", err)
 	}
 
+	// Deferred shard pushes no client writes — bits past the shard, another
+	// shard size, count mismatches, non-finite masses and scales, bad widths,
+	// mixed tags, every truncation — are refused, typed, before anything is
+	// merged or parked.
+	checkHostileDeferredPushes(t, fx, 0)
+
 	// Sketch summaries no GK produces, or for features the server does not
 	// own, fail the whole batch — a valid summary ahead of the bad one
 	// included — before anything reaches candidate proposal.
@@ -560,5 +570,118 @@ func TestNodeOwnerSpread(t *testing.T) {
 	}
 	if len(owners) != 4 {
 		t.Fatalf("node ownership uses %d servers, want 4", len(owners))
+	}
+}
+
+// sketchRecorder keeps each server's PUSH_SKETCH request body and the
+// capacity it arrived with.
+type sketchRecorder struct {
+	transport.Endpoint
+	mu     sync.Mutex
+	bodies map[string][]byte
+	caps   map[string]int
+}
+
+func (e *sketchRecorder) Call(to string, req transport.Message) (transport.Message, error) {
+	if req.Op == OpPushSketch {
+		e.mu.Lock()
+		e.bodies[to], e.caps[to] = append([]byte(nil), req.Body...), cap(req.Body)
+		e.mu.Unlock()
+	}
+	return e.Endpoint.Call(to, req)
+}
+
+// TestPushSketchesRequestIsSizedOnce: every server's CREATE_SKETCH request
+// carries the bytes the writer that grew from 1 KB by doubling wrote — count,
+// then per owned feature its id and three length-prefixed summary arrays, in
+// feature order — and is allocated at exactly that size.
+func TestPushSketchesRequestIsSizedOnce(t *testing.T) {
+	const m, p = 400, 3
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 500, NumFeatures: m, AvgNNZ: 20, Seed: 9, Zipf: 1.2})
+	set := sketch.NewSet(m, 0.02)
+	set.AddDataset(d)
+	fx := newFixture(t, m, p, 1)
+	rec := &sketchRecorder{Endpoint: fx.clients[0].ep, bodies: map[string][]byte{}, caps: map[string]int{}}
+	fx.clients[0].ep = rec
+	if err := fx.clients[0].PushSketches(set); err != nil {
+		t.Fatal(err)
+	}
+	for sv := 0; sv < p; sv++ {
+		want := wire.NewWriter(1024)
+		want.Uint32(0)
+		count := 0
+		for f := 0; f < m; f++ {
+			gk := set.Feature(f)
+			if gk == nil || fx.part.ServerOf(int32(f)) != sv {
+				continue
+			}
+			values, gs, deltas := gk.Summary()
+			want.Int32(int32(f))
+			want.Float64s(values)
+			want.Uint64s(gs)
+			want.Uint64s(deltas)
+			count++
+		}
+		binary.LittleEndian.PutUint32(want.Bytes(), uint32(count))
+		got := rec.bodies[serverName(sv)]
+		if len(got) < envelopeSize || !bytes.Equal(got[envelopeSize:], want.Bytes()) {
+			t.Fatalf("server %d: %d request bytes, want the envelope and %d bytes", sv, len(got), want.Len())
+		}
+		if c := rec.caps[serverName(sv)]; c != len(got) {
+			t.Fatalf("server %d: request buffer of capacity %d for %d bytes", sv, c, len(got))
+		}
+	}
+}
+
+// TestFeatureListForms: a sampled-feature list round-trips through whichever
+// form is smaller — every feature of 100 000 in 13 bytes — and run lists no
+// client writes are refused without expanding them.
+func TestFeatureListForms(t *testing.T) {
+	for _, feats := range [][]int32{nil, {1, 5, 9, 22}, {0, 1, 2, 10, 11, 12, 13, 40}, everyKth(3)(&Partition{NumFeatures: 500}), histogram.AllFeatures(100_000)} {
+		w := wire.NewWriter(0)
+		writeFeatures(w, feats)
+		got, err := readFeatures(wire.NewReader(w.Bytes()), 100_000)
+		if err != nil || len(got) != len(feats) {
+			t.Fatalf("%d features: read back %d (%v)", len(feats), len(got), err)
+		}
+		for i := range feats {
+			if got[i] != feats[i] {
+				t.Fatalf("%d features: position %d is %d, want %d", len(feats), i, got[i], feats[i])
+			}
+		}
+		if plain := 1 + 4 + 4*len(feats); w.Len() > plain {
+			t.Fatalf("%d features: %d bytes, more than the %d of the plain list", len(feats), w.Len(), plain)
+		}
+	}
+	w := wire.NewWriter(0)
+	writeFeatures(w, histogram.AllFeatures(100_000))
+	if w.Len() != 13 {
+		t.Fatalf("every feature of 100 000 in %d bytes, want one run (13)", w.Len())
+	}
+	runs := func(rs ...int64) []byte {
+		w := wire.NewWriter(0)
+		w.Uint8(featureRuns)
+		w.Uint32(uint32(len(rs) / 2))
+		for i := 0; i < len(rs); i += 2 {
+			w.Int32(int32(rs[i]))
+			w.Uint32(uint32(rs[i+1]))
+		}
+		return w.Bytes()
+	}
+	huge := runs(0, 1)
+	binary.LittleEndian.PutUint32(huge[1:], 1<<30)
+	for name, b := range map[string][]byte{
+		"past the limit":     runs(99_990, 20),
+		"overlapping":        runs(0, 10, 5, 3),
+		"descending":         runs(50, 2, 10, 2),
+		"empty run":          runs(3, 0),
+		"negative start":     runs(-4, 8),
+		"more runs than fit": huge,
+		"unknown form":       {7, 0, 0, 0, 0},
+		"truncated":          runs(0, 4)[:7],
+	} {
+		if _, err := readFeatures(wire.NewReader(b), 100_000); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -241,9 +241,12 @@ var pushGeometries = []pushGeometry{
 }
 
 // TestPushPayloadsMatchReference: for every width × sparse × exact mode and
-// every shard geometry, each byte the client hands the transport — envelope
-// included — equals the reference encoder's, across consecutive pushes (so
-// the rounding stream stays in step), and the pushed shards reassemble.
+// every shard geometry, each byte the client hands the transport for a
+// materialised histogram — envelope included — equals the reference
+// encoder's, across consecutive pushes (so the rounding stream stays in
+// step), and the pushed shards reassemble. The deferred arm pushes deferred
+// histograms over the same matrix: never more bytes than their materialised
+// form, and the same shards on the servers.
 func TestPushPayloadsMatchReference(t *testing.T) {
 	type mode struct {
 		bits          uint
@@ -261,6 +264,9 @@ func TestPushPayloadsMatchReference(t *testing.T) {
 				name := fmt.Sprintf("%s/bits=%d exact=%v sparse=%v density=%v", geo.name, md.bits, md.exact, md.sparse, density)
 				t.Run(name, func(t *testing.T) {
 					checkPushIdentity(t, geo, md.bits, md.exact, md.sparse, density)
+				})
+				t.Run("deferred/"+name, func(t *testing.T) {
+					checkDeferredPush(t, geo, md.bits, md.exact, md.sparse, density)
 				})
 			}
 		}
@@ -410,6 +416,125 @@ func TestNonFinitePushRejected(t *testing.T) {
 		c.Sparse = sparse
 		if err := c.PushHistogram(0, pb.hist); !errors.Is(err, compress.ErrNonFinite) {
 			t.Fatalf("sparse=%v: got %v, want ErrNonFinite", sparse, err)
+		}
+	}
+}
+
+// pushFleet is a fleet of servers with the shaped candidates installed and
+// one capturing client, ready for a tree's pushes.
+func pushFleet(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool) (*Client, *capturingEndpoint, []*Server, *histogram.Layout) {
+	t.Helper()
+	net := transport.NewMemNetwork()
+	t.Cleanup(func() { net.Close() })
+	part, err := NewPartition(geo.m, geo.servers, geo.nrang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := shapedCands(geo.m)
+	names := make([]string, geo.servers)
+	servers := make([]*Server, geo.servers)
+	for i := range names {
+		names[i] = serverName(i)
+		ep, err := net.Endpoint(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = NewServer(i, part, 0.02)
+		for f := range cands {
+			servers[i].cands[int32(f)] = cands[f]
+		}
+		ep.Handle(servers[i].Handler())
+	}
+	ep, err := net.Endpoint(workerName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capt := &capturingEndpoint{Endpoint: ep, sent: make(map[string][][]byte)}
+	c := NewClient(capt, part, names, 1)
+	c.Bits, c.Exact, c.Sparse = bits, exact, sparse
+	sampled := geo.sampled(part)
+	if err := c.NewTree(sampled); err != nil {
+		t.Fatal(err)
+	}
+	layout, err := histogram.NewLayout(sampled, cands, geo.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, capt, servers, layout
+}
+
+// fillDeferred makes h (zeroed) a deferred histogram touching each position
+// with probability density, with runs of zeros and nonzeros in the touched
+// positions' buckets and nonzero masses, deterministically per seed.
+func fillDeferred(h *histogram.Histogram, seed int64, density float64) {
+	rng := rand.New(rand.NewSource(seed))
+	l := h.Layout
+	touched := make([]uint64, (l.NumFeatures()+63)/64)
+	for p := range l.Features {
+		if rng.Float64() < density {
+			touched[p/64] |= 1 << (p % 64)
+		}
+	}
+	h.SetDeferred(touched, rng.NormFloat64(), 1+rng.Float64())
+	for p := range l.Features {
+		if touched[p/64]&(1<<(p%64)) == 0 {
+			continue
+		}
+		lo, hi := l.BucketRange(p)
+		for i := lo; i < hi; i++ {
+			if rng.Float64() < 0.7 {
+				h.G[i], h.H[i] = rng.NormFloat64(), rng.Float64()
+			}
+		}
+	}
+}
+
+func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool, density float64) {
+	cd, capD, srvD, layout := pushFleet(t, geo, bits, exact, sparse)
+	cm, capM, srvM, _ := pushFleet(t, geo, bits, exact, sparse)
+	sent := func(c *capturingEndpoint, node int) (n int) {
+		for sv := 0; sv < geo.servers; sv++ {
+			n += len(c.sent[serverName(sv)][node])
+		}
+		return n
+	}
+	const pushes = 3
+	for node := 0; node < pushes; node++ {
+		h := histogram.New(layout)
+		fillDeferred(h, int64(100*node+7), density)
+		m := h.Clone()
+		m.Materialize()
+		if err := cd.PushHistogram(node, h); err != nil {
+			t.Fatal(err)
+		}
+		if err := cm.PushHistogram(node, m); err != nil {
+			t.Fatal(err)
+		}
+		if d, mat := sent(capD, node), sent(capM, node); d > mat {
+			t.Fatalf("node %d: the deferred push put %d bytes on the wire, its materialised form %d", node, d, mat)
+		}
+		for sv := range srvD {
+			got, want := shardBits(t, srvD[sv], int32(node)), shardBits(t, srvM[sv], int32(node))
+			if bits == 0 {
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("node %d server %d bucket %d: %x after the deferred push, %x after the materialised one", node, sv, i, got[i], want[i])
+					}
+				}
+				continue
+			}
+			// Fixed point rounds the two pushes with other draws (and the
+			// deferred one over the touched buckets only): every bucket
+			// within a step of the histogram's, the untouched ones exact.
+			g, hs := refShardArrays(cd.part, sv, m)
+			vals := append(g, hs...)
+			maxAbs, _ := compress.MaxAbs(vals)
+			step := maxAbs / float64(int64(1)<<(bits-1)-1) * (1 + 1e-12)
+			for i, v := range vals {
+				if d := math.Abs(math.Float64frombits(got[i]) - v); d > step {
+					t.Fatalf("node %d server %d bucket %d: %v after the deferred push, %v pushed (step %v)", node, sv, i, math.Float64frombits(got[i]), v, step)
+				}
+			}
 		}
 	}
 }

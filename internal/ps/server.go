@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,13 +37,9 @@ type Server struct {
 	sketches        map[int32]*sketch.GK
 	cands           map[int32]sketch.Candidates
 	sampled         []int32
-	layout          *histogram.Layout // shard layout: owned ∩ sampled features
-	// nodes holds the histogram accumulator of every tree node pushed this
-	// tree; NEW_TREE replaces the map.
-	nodes map[int32]*nodeShard
-	// spare holds the bucket arrays of the previous tree's accumulators
-	// for this tree's nodes to reuse; all have the current layout's length.
-	spare  [][]float64
+	// tree is the current tree's histogram state, nil before the first
+	// NEW_TREE, which replaces it.
+	tree   *treeShards
 	splits map[int32]splitRecord
 	// applied is the highest request seq applied per worker (see the
 	// envelope notes in proto.go). A mutating request at or below it is a
@@ -52,24 +49,43 @@ type Server struct {
 	applied map[int32]uint64
 }
 
-// nodeShard accumulates one node's G/H buckets restricted to this server's
-// features, laid out per the tree's shard layout. Float addition is not
-// associative, so worker shards are merged in ascending worker id whatever
-// order they arrive in: next is the frontier — every worker below it is
-// already in g/h. A push from worker == next decodes straight from the
-// request into g/h and advances the frontier through any parked successors;
-// a push from beyond the frontier is parked as a copy of its wire bytes
-// (compressed size, not decoded size). A pull folds whatever is still
+// treeShards is one tree's histogram state on a server: the shard layout
+// (owned ∩ sampled features), the pool its node shards and push scratch come
+// from, and the node shards pushed or derived so far (guarded by Server.mu).
+// NEW_TREE replaces it whole — keeping layout and pool when the sampled
+// features did not change, so a run over all features allocates its shards
+// once — and a request holding the old one finds itself overtaken.
+type treeShards struct {
+	layout *histogram.Layout
+	pool   *histogram.Pool
+	nodes  map[int32]*nodeShard
+}
+
+// nodeShard accumulates one node's histogram restricted to this server's
+// features, under the tree's shard layout. It starts deferred, and stays so
+// while deferred pushes merge into it over the union of their touched sets
+// (histogram.Histogram.Add); a materialised push materialises it. Float
+// addition is not associative, so worker shards are merged in ascending
+// worker id whatever order they arrive in: next is the frontier — every
+// worker below it is already in hist. A push from worker == next merges
+// straight from the request and advances the frontier through any parked
+// successors; a push from beyond the frontier is parked as a copy of its wire
+// bytes (compressed size, not decoded size). A pull folds whatever is still
 // parked in ascending worker id and seals the node.
 type nodeShard struct {
 	mu     sync.Mutex
-	g, h   []float64
+	tree   *treeShards
+	hist   *histogram.Histogram // nil once NEW_TREE retired the node
 	next   int32
 	parked map[int32][]byte
 	// pushed records the request seq accepted from each worker, which tells
 	// a resent push (same seq: acknowledge) from a second one (reject).
 	pushed map[int32]uint64
 	sealed bool
+	// quantized is set once a merged push — or an operand of a derivation —
+	// carried fixed-point buckets: the deferred mass is then the one exact
+	// statistic the shard holds.
+	quantized bool
 }
 
 // RepushError rejects a histogram push the accumulator cannot take: the
@@ -116,7 +132,6 @@ func NewServer(id int, part *Partition, sketchEps float64) *Server {
 		pendingSketches: make(map[int32]map[int32]*sketch.GK),
 		sketches:        make(map[int32]*sketch.GK),
 		cands:           make(map[int32]sketch.Candidates),
-		nodes:           make(map[int32]*nodeShard),
 		splits:          make(map[int32]splitRecord),
 		applied:         make(map[int32]uint64),
 	}
@@ -296,9 +311,9 @@ func (s *Server) pullCandidates(r *wire.Reader) (*wire.Writer, error) {
 }
 
 func (s *Server) pushSampled(r *wire.Reader) (*wire.Writer, error) {
-	feats := r.Int32s()
-	if r.Err() != nil {
-		return nil, r.Err()
+	feats, err := readFeatures(r, s.part.NumFeatures)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,8 +324,8 @@ func (s *Server) pushSampled(r *wire.Reader) (*wire.Writer, error) {
 func (s *Server) pullSampled() (*wire.Writer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := wire.NewWriter(4 * len(s.sampled))
-	w.Int32s(s.sampled)
+	w := wire.NewWriter(5 + 4*len(s.sampled))
+	writeFeatures(w, s.sampled)
 	return w, nil
 }
 
@@ -318,9 +333,9 @@ func (s *Server) pullSampled() (*wire.Writer, error) {
 // (owned ∩ sampled) features. The sampled list travels in the request so
 // NEW_TREE is a single round trip.
 func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
-	sampled := r.Int32s()
-	if r.Err() != nil {
-		return nil, r.Err()
+	sampled, err := readFeatures(r, s.part.NumFeatures)
+	if err != nil {
+		return nil, err
 	}
 	for i, f := range sampled {
 		if f < 0 || int(f) >= s.part.NumFeatures || (i > 0 && f <= sampled[i-1]) {
@@ -331,50 +346,42 @@ func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
 	defer s.mu.Unlock()
 	s.sampled = sampled
 	mine := s.part.FeaturesOf(s.id, sampled)
-	candsByFeature := make([]sketch.Candidates, s.part.NumFeatures)
-	for _, f := range mine {
-		c, ok := s.cands[f]
-		if !ok {
-			// feature never saw a nonzero value anywhere: single zero cut
-			c = sketch.Propose(nil, 1)
-			s.cands[f] = c
+	next := &treeShards{nodes: make(map[int32]*nodeShard)}
+	if old := s.tree; old != nil && slices.Equal(old.layout.Features, mine) {
+		// A feature's candidates never change once proposed, so the same
+		// features make the same layout.
+		next.layout, next.pool = old.layout, old.pool
+	} else {
+		candsByFeature := make([]sketch.Candidates, s.part.NumFeatures)
+		for _, f := range mine {
+			c, ok := s.cands[f]
+			if !ok {
+				// feature never saw a nonzero value anywhere: single zero cut
+				c = sketch.Propose(nil, 1)
+				s.cands[f] = c
+			}
+			candsByFeature[f] = c
 		}
-		candsByFeature[f] = c
-	}
-	layout, err := histogram.NewLayout(mine, candsByFeature, s.part.NumFeatures)
-	if err != nil {
-		return nil, err
-	}
-	// Retire the finished tree's accumulators: a straggling push finds its
-	// node sealed, a straggling pull finds it empty, and the arrays go to
-	// the next tree when the sampled layout kept its size.
-	s.spare = s.spare[:0]
-	for _, n := range s.nodes {
-		n.mu.Lock()
-		if len(n.g) == layout.TotalBuckets {
-			s.spare = append(s.spare, n.g, n.h)
+		layout, err := histogram.NewLayout(mine, candsByFeature, s.part.NumFeatures)
+		if err != nil {
+			return nil, err
 		}
-		n.g, n.h, n.sealed = nil, nil, true
-		n.mu.Unlock()
+		next.layout, next.pool = layout, histogram.NewPool(layout)
 	}
-	s.layout = layout
-	s.nodes = make(map[int32]*nodeShard)
+	// Retire the finished tree's shards: a straggling push finds its node
+	// sealed, a straggling pull finds it empty, and the histograms go back to
+	// the pool — the next tree's, when the layout was kept.
+	if old := s.tree; old != nil {
+		for _, n := range old.nodes {
+			n.mu.Lock()
+			old.pool.Put(n.hist)
+			n.hist, n.sealed = nil, true
+			n.mu.Unlock()
+		}
+	}
+	s.tree = next
 	s.splits = make(map[int32]splitRecord)
 	return nil, nil
-}
-
-// buckets returns a bucket array for the current layout, zeroed unless the
-// caller is about to overwrite all of it. Caller holds s.mu.
-func (s *Server) buckets(zeroed bool) []float64 {
-	if k := len(s.spare); k > 0 {
-		b := s.spare[k-1]
-		s.spare = s.spare[:k-1]
-		if zeroed {
-			clear(b)
-		}
-		return b
-	}
-	return make([]float64, s.layout.TotalBuckets)
 }
 
 // pushHist merges one worker's shard of one node's histogram (see
@@ -386,19 +393,19 @@ func (s *Server) pushHist(worker int32, seq uint64, r *wire.Reader) (*wire.Write
 	if worker < 0 {
 		return nil, fmt.Errorf("push from negative worker id %d", worker)
 	}
-	layout, _ := s.tree(node)
-	if layout == nil {
+	t, _ := s.current(node)
+	if t == nil {
 		return nil, fmt.Errorf("push before NEW_TREE")
 	}
-	// Both vectors are parsed — every declared width and element count
-	// checked against this server's layout — before the accumulator is
-	// touched, so a stale-partition client (or hostile peer) can neither
-	// mis-size a merge nor leave one half applied.
-	g, h, err := parseShard(body, layout.TotalBuckets)
+	// Both vectors are parsed — every declared width, element count and
+	// touched set checked against this server's layout — before the
+	// accumulator is touched, so a stale-partition client (or hostile peer)
+	// can neither mis-size a merge nor leave one half applied.
+	shard, err := parseShard(body, t.layout)
 	if err != nil {
 		return nil, err
 	}
-	n, err := s.nodeShard(node, layout)
+	n, err := s.nodeShard(node, t)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +423,7 @@ func (s *Server) pushHist(worker int32, seq uint64, r *wire.Reader) (*wire.Write
 		n.parked[worker] = append([]byte(nil), body...)
 		return nil, nil
 	}
-	if err := n.add(&g, &h); err != nil {
+	if err := n.add(&shard); err != nil {
 		return nil, err
 	}
 	n.next++
@@ -428,80 +435,114 @@ func (s *Server) pushHist(worker int32, seq uint64, r *wire.Reader) (*wire.Write
 	return nil, nil
 }
 
-// parseShard parses a push body: exactly two tagged vectors of want
-// buckets.
-func parseShard(body []byte, want int) (g, h histVector, err error) {
+// pushedShard is a parsed push body: two dense vectors, or a deferred shard.
+type pushedShard struct {
+	g, h     histVector
+	deferred *deferredShard
+}
+
+// quantized reports whether the push is a deferred shard of fixed-point
+// buckets. (A dense push materialises the shard, whose totals are then its
+// bucket sums at any width.)
+func (p *pushedShard) quantized() bool {
+	if p.deferred == nil {
+		return false
+	}
+	width := p.deferred.g.values.Bits
+	return width != compress.RawFloat32 && width != compress.RawFloat64
+}
+
+// parseShard parses a push body under the server's shard layout: exactly
+// two tagged vectors of its bucket count, or one deferred shard.
+func parseShard(body []byte, layout *histogram.Layout) (p pushedShard, err error) {
 	r := wire.NewReader(body)
-	if g, err = parseHistVector(r, "pushed g shard", want); err != nil {
-		return
+	if len(body) > 0 && body[0] == VecDeferred {
+		p.deferred, err = parseDeferredShard(r, layout)
+	} else if p.g, err = parseHistVector(r, "pushed g shard", layout.TotalBuckets); err == nil {
+		p.h, err = parseHistVector(r, "pushed h shard", layout.TotalBuckets)
 	}
-	if h, err = parseHistVector(r, "pushed h shard", want); err != nil {
-		return
-	}
-	if r.Remaining() != 0 {
+	if err == nil && r.Remaining() != 0 {
 		err = fmt.Errorf("push has %d trailing bytes", r.Remaining())
 	}
 	return
 }
 
-// tree returns the current tree's shard layout (nil before NEW_TREE) and
-// the node's accumulator (nil before its first push) as one consistent
+// current returns the current tree's histogram state (nil before NEW_TREE)
+// and the node's shard in it (nil before its first push) as one consistent
 // pair: NEW_TREE replaces both under the same lock.
-func (s *Server) tree(node int32) (*histogram.Layout, *nodeShard) {
+func (s *Server) current(node int32) (*treeShards, *nodeShard) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.layout, s.nodes[node]
+	if s.tree == nil {
+		return nil, nil
+	}
+	return s.tree, s.tree.nodes[node]
 }
 
-// nodeShard returns the node's accumulator, creating it on first push.
-// layout is what the push was validated against; if NEW_TREE replaced it
-// meanwhile the push belongs to a tree that no longer exists.
-func (s *Server) nodeShard(node int32, layout *histogram.Layout) (*nodeShard, error) {
+// nodeShard returns the node's shard, creating it on first push. t is the
+// tree the push was validated against; if NEW_TREE replaced it meanwhile the
+// push belongs to a tree that no longer exists.
+func (s *Server) nodeShard(node int32, t *treeShards) (*nodeShard, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.layout != layout {
+	if s.tree != t {
 		return nil, fmt.Errorf("push for node %d overtaken by NEW_TREE", node)
 	}
-	n := s.nodes[node]
+	n := t.nodes[node]
 	if n == nil {
 		n = &nodeShard{
-			g:      s.buckets(true),
-			h:      s.buckets(true),
+			tree:   t,
+			hist:   t.pool.Get(),
 			parked: make(map[int32][]byte),
 			pushed: make(map[int32]uint64),
 		}
-		s.nodes[node] = n
+		n.hist.Defer()
+		t.nodes[node] = n
 	}
 	return n, nil
 }
 
-// add merges one parsed shard. Caller holds n.mu.
-func (n *nodeShard) add(g, h *histVector) error {
-	if err := g.addTo(n.g); err != nil {
+// add merges one parsed shard. A dense one decodes straight into the
+// materialised accumulator; a deferred one into pooled scratch, which
+// histogram.Add then merges over the touched sets. Caller holds n.mu.
+func (n *nodeShard) add(p *pushedShard) error {
+	n.quantized = n.quantized || p.quantized()
+	if p.deferred == nil {
+		n.hist.Materialize()
+		if err := p.g.addTo(n.hist.G); err != nil {
+			return err
+		}
+		return p.h.addTo(n.hist.H)
+	}
+	in := n.tree.pool.Get()
+	defer n.tree.pool.Put(in)
+	if err := p.deferred.fill(in); err != nil {
 		return err
 	}
-	return h.addTo(n.h)
+	n.hist.Add(in)
+	return nil
 }
 
 // addParked merges and releases a parked shard. Caller holds n.mu.
 func (n *nodeShard) addParked(worker int32) error {
-	g, h, err := parseShard(n.parked[worker], len(n.g))
+	p, err := parseShard(n.parked[worker], n.tree.layout)
 	if err != nil {
 		return err
 	}
 	delete(n.parked, worker)
-	return n.add(&g, &h)
+	return n.add(&p)
 }
 
 // derive computes node's shard as parent − sibling from the two merged
-// accumulators this server already holds (the sibling is the child every
-// worker pushed, see core.Split.BuildLeft) and installs it as the node's
-// sealed shard, so a retried pull finds it like any pushed node and the next
-// layer finds its parent. One float subtraction per bucket: the dense
-// histogram.SetSub over the server's own features. The sibling is read under
-// the parent's lock; nothing else holds two node locks, and this order only
-// ever goes down the tree, so it cannot cycle.
-func (s *Server) derive(node int32, layout *histogram.Layout) (*nodeShard, error) {
+// shards this server already holds (the sibling is the child every worker
+// pushed, see core.Split.BuildLeft) and installs it as the node's sealed
+// shard, so a retried pull finds it like any pushed node and the next layer
+// finds its parent. The subtraction is histogram.SetSub, the trainer's own:
+// over the parent's touched set when both shards are deferred, bucket by
+// bucket otherwise. The sibling is read under the parent's lock; nothing else
+// holds two node locks, and this order only ever goes down the tree, so it
+// cannot cycle.
+func (s *Server) derive(node int32, t *treeShards) (*nodeShard, error) {
 	if node < 1 {
 		return nil, fmt.Errorf("node %d has no parent to be derived from", node)
 	}
@@ -509,80 +550,75 @@ func (s *Server) derive(node int32, layout *histogram.Layout) (*nodeShard, error
 	parentID := (node - 1) / 2
 	siblingID := 4*parentID + 3 - node // the children are 2p+1 and 2p+2
 	s.mu.Lock()
-	parent, sibling := s.nodes[parentID], s.nodes[siblingID]
-	var g, h []float64
-	if s.layout == layout && parent != nil && sibling != nil {
-		g, h = s.buckets(false), s.buckets(false)
-	}
+	parent, sibling, overtaken := t.nodes[parentID], t.nodes[siblingID], s.tree != t
 	s.mu.Unlock()
 	switch {
 	case parent == nil:
 		return nil, &DeriveError{Node: node, Missing: parentID}
 	case sibling == nil:
 		return nil, &DeriveError{Node: node, Missing: siblingID}
-	case g == nil:
+	case overtaken:
 		return nil, fmt.Errorf("pull for node %d overtaken by NEW_TREE", node)
 	}
-	err := parent.read(func(pg, ph []float64) error {
-		return sibling.read(func(sg, sh []float64) error {
-			for i, v := range pg {
-				g[i] = v - sg[i]
-			}
-			for i, v := range ph {
-				h[i] = v - sh[i]
-			}
+	hist := t.pool.Get()
+	quantized := false
+	err := parent.read(func(ph *histogram.Histogram) error {
+		return sibling.read(func(sh *histogram.Histogram) error {
+			hist.SetSub(ph, sh)
+			quantized = parent.quantized || sibling.quantized
 			return nil
 		})
 	})
 	if err != nil {
+		t.pool.Put(hist)
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.layout != layout {
+	if s.tree != t {
+		t.pool.Put(hist)
 		return nil, fmt.Errorf("pull for node %d overtaken by NEW_TREE", node)
 	}
-	if n := s.nodes[node]; n != nil {
+	if n := t.nodes[node]; n != nil {
 		// A concurrent pull derived it first: same operands, same bits.
-		s.spare = append(s.spare, g, h)
+		t.pool.Put(hist)
 		return n, nil
 	}
-	n := &nodeShard{g: g, h: h, sealed: true, pushed: map[int32]uint64{}}
-	s.nodes[node] = n
+	n := &nodeShard{tree: t, hist: hist, sealed: true, pushed: map[int32]uint64{}, quantized: quantized}
+	t.nodes[node] = n
 	m, _ := psMetrics()
 	m.derived.Inc()
 	m.deriveSeconds.Observe(time.Since(start).Seconds())
 	return n, nil
 }
 
-// pullShard resolves a pull's node: the current layout and the node's
-// accumulator, derived first when the pull asks for that and the server holds
-// none. The accumulator is nil, without error, only when this server owns no
-// sampled feature and has nothing to answer from.
-func (s *Server) pullShard(node int32, derive bool) (*histogram.Layout, *nodeShard, error) {
-	layout, sh := s.tree(node)
-	if layout == nil || layout.NumFeatures() == 0 {
-		return layout, nil, nil
+// pullShard resolves a pull's node shard, derived first when the pull asks
+// for that and the server holds none. The shard is nil, without error, only
+// when this server owns no sampled feature and has nothing to answer from.
+func (s *Server) pullShard(node int32, derive bool) (*nodeShard, error) {
+	t, sh := s.current(node)
+	if t == nil || t.layout.NumFeatures() == 0 {
+		return nil, nil
 	}
 	if sh == nil && derive {
 		var err error
-		if sh, err = s.derive(node, layout); err != nil {
-			return nil, nil, err
+		if sh, err = s.derive(node, t); err != nil {
+			return nil, err
 		}
 	}
 	if sh == nil {
-		return nil, nil, fmt.Errorf("no histogram pushed for node %d", node)
+		return nil, fmt.Errorf("no histogram pushed for node %d", node)
 	}
-	return layout, sh, nil
+	return sh, nil
 }
 
-// read hands f the merged arrays under the node's lock. First it folds in
+// read hands f the merged histogram under the node's lock. First it folds in
 // what is still parked behind a gap in the worker ids, in ascending order,
-// so g/h hold every accepted push; from then on the node is sealed.
-func (n *nodeShard) read(f func(g, h []float64) error) error {
+// so it holds every accepted push; from then on the node is sealed.
+func (n *nodeShard) read(f func(h *histogram.Histogram) error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.g == nil {
+	if n.hist == nil {
 		return errors.New("pull overtaken by NEW_TREE")
 	}
 	n.sealed = true
@@ -596,11 +632,14 @@ func (n *nodeShard) read(f func(g, h []float64) error) error {
 			return err
 		}
 	}
-	return f(n.g, n.h)
+	return f(n.hist)
 }
 
 // pullSplit is the user-defined pull of §6.3: run Algorithm 1 over this
 // shard only and answer with one split record instead of the shard's bytes.
+// A deferred shard is scanned over its touched positions, behind the
+// trainer's guard: when core.TouchedScanExact fails it is materialised in
+// place and scanned in full.
 func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 	node := r.Int32()
 	lambda := r.Float64()
@@ -610,7 +649,7 @@ func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, sh, err := s.pullShard(node, r.Bool())
+	sh, err := s.pullShard(node, r.Bool())
 	if err != nil {
 		return nil, err
 	}
@@ -619,11 +658,20 @@ func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 		writeSplitRecord(w, splitRecord{}, ev.compactSplits())
 		return w, nil
 	}
-	err = sh.read(func(g, h []float64) error {
-		hist := &histogram.Histogram{Layout: layout, G: g, H: h}
+	err = sh.read(func(hist *histogram.Histogram) error {
 		// Every feature's buckets sum to the node totals (Algorithm 2
-		// invariant), so the shard alone recovers them.
+		// invariant), so the shard alone recovers them — exactly as the
+		// dense wire's shard did, on the raw wires. Fixed-point buckets sum
+		// to the totals plus rounding noise, while a deferred shard's mass
+		// is the exact sum of every worker's rows; it is the total there,
+		// and the guard holds instead of failing on the noise.
 		totalG, totalH := hist.FeatureTotals(0)
+		if sh.quantized && hist.Deferred() {
+			totalG, totalH = hist.DeferredMass()
+		}
+		if !core.TouchedScanExact(hist, totalH, minChild) {
+			hist.Materialize()
+		}
 		split := core.FindSplit(hist, totalG, totalH, lambda, gamma, minChild)
 		writeSplitRecord(w, splitRecord{Split: split, HasTotals: true, NodeG: totalG, NodeH: totalH}, ev.compactSplits())
 		return nil
@@ -640,7 +688,7 @@ func (s *Server) pullHistShard(r *wire.Reader) (*wire.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, sh, err := s.pullShard(node, r.Bool())
+	sh, err := s.pullShard(node, r.Bool())
 	if err != nil {
 		return nil, err
 	}
@@ -654,12 +702,15 @@ func (s *Server) pullHistShard(r *wire.Reader) (*wire.Writer, error) {
 		}
 		return w, nil
 	}
-	w := wire.NewWriter(8 * layout.TotalBuckets)
-	err = sh.read(func(g, h []float64) error {
-		if err := writeHistVector(w, serverEnc, ev, g); err != nil {
+	var w *wire.Writer
+	err = sh.read(func(hist *histogram.Histogram) error {
+		// Pull payloads are the materialised shard's, as they always were.
+		hist.Materialize()
+		w = wire.NewWriter(8 * hist.Layout.TotalBuckets)
+		if err := writeHistVector(w, serverEnc, ev, hist.G); err != nil {
 			return err
 		}
-		return writeHistVector(w, serverEnc, ev, h)
+		return writeHistVector(w, serverEnc, ev, hist.H)
 	})
 	return w, err
 }
@@ -712,8 +763,8 @@ func (s *Server) NumSketches() int {
 func (s *Server) ShardFeatures() []int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.layout == nil {
+	if s.tree == nil {
 		return nil
 	}
-	return s.layout.Features
+	return s.tree.layout.Features
 }

@@ -205,6 +205,13 @@ func (s *GK) Merge(other *GK) {
 	s.compress()
 }
 
+// SummaryLen returns the length of the arrays Summary would return, without
+// building them — what a serializer sizes its buffer from.
+func (s *GK) SummaryLen() int {
+	s.flush()
+	return len(s.tuples)
+}
+
 // Summary returns the stored values and cumulative min-ranks, primarily for
 // serialization. Values are in ascending order.
 func (s *GK) Summary() (values []float64, gs, deltas []uint64) {
