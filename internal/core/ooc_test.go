@@ -97,6 +97,65 @@ func TestOutOfCoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestOutOfCoreBitIdenticalAcrossChunkSizes is invariant 17 at the edges of
+// the storage grid: at the minimum budget, with segments of one row, of a
+// prime number of rows, and of more rows than a batch, at every
+// parallelism, the model is Float64bits-identical to in-memory training and
+// the accounted peak stays inside the budget. Small batches make the upper
+// layers' nodes span several, so the layer walk advances many (node, batch)
+// units per segment.
+func TestOutOfCoreBitIdenticalAcrossChunkSizes(t *testing.T) {
+	train := dataset.Generate(dataset.SyntheticConfig{NumRows: 3000, NumFeatures: 40, AvgNNZ: 8, Seed: 72, Zipf: 1.2, NoiseStd: 0.2})
+	path := filepath.Join(t.TempDir(), "train.bin")
+	if err := dataset.WriteBinaryFile(path, train); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.NumTrees = 2
+	cfg.MaxDepth = 5
+	cfg.NumCandidates = 12
+	cfg.BatchSize = 256
+	cfg.Parallelism = 1
+	want, err := Train(train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 4} {
+		for _, chunkRows := range []int{1, 7, 1024} {
+			probe, err := ooc.Open(path, ooc.Options{ChunkRows: chunkRows, Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := probe.MinBudget()
+			probe.Close()
+			cfg := cfg
+			cfg.Parallelism = p
+			cfg.MemoryBudget = budget
+			src, err := ooc.Open(path, ooc.Options{Budget: budget, ChunkRows: chunkRows, Parallelism: p})
+			if err != nil {
+				t.Fatalf("P=%d chunk=%d: %v", p, chunkRows, err)
+			}
+			tr, err := NewTrainerFromSource(src, cfg)
+			if err != nil {
+				src.Close()
+				t.Fatal(err)
+			}
+			got, err := tr.Train()
+			peak := src.Tracker().Peak()
+			src.Close()
+			if err != nil {
+				t.Fatalf("P=%d chunk=%d train: %v", p, chunkRows, err)
+			}
+			if peak > int64(budget) {
+				t.Errorf("P=%d chunk=%d: accounted peak %d exceeds budget %d", p, chunkRows, peak, int64(budget))
+			}
+			if !bitIdentical(t, want, got) {
+				t.Fatalf("P=%d chunk=%d: out-of-core model differs from in-memory model", p, chunkRows)
+			}
+		}
+	}
+}
+
 // TestOutOfCoreRejectsResidentOnlyModes pins the constructor contract: the
 // ablations that intrinsically require a resident dataset fail fast.
 func TestOutOfCoreRejectsResidentOnlyModes(t *testing.T) {

@@ -391,8 +391,9 @@ func (tr *Trainer) newTreeData(t int, cands []sketch.Candidates) (*treeData, err
 	case tr.src != nil:
 		// The mirror spills to a memory-mapped scratch file instead of
 		// materializing. Under a memory budget, cap the free list at the
-		// concurrent working set (one partial per builder plus one merge
-		// target) so idle histograms from wide layers cannot pile up;
+		// partials one build holds at most (parallel.ReduceOrdered's
+		// window of Workers+1) so idle histograms from wide layers cannot
+		// pile up;
 		// recycling is allocation-only, so the cap cannot affect results.
 		td.pool = histogram.NewPoolCap(layout, tr.pool.Workers()+1)
 		if td.spilled, err = tr.src.BuildBinned(layout, tr.pool); err != nil {
@@ -415,6 +416,25 @@ func (tr *Trainer) newTreeData(t int, cands []sketch.Candidates) (*treeData, err
 func (td *treeData) close() {
 	if td != nil && td.spilled != nil {
 		td.spilled.Close()
+	}
+}
+
+// buildLayer gives every node a layer lists its data pass. Out of core the
+// layer's one-batch nodes share one walk over the spill per pool worker
+// (ooc.SpilledBinned.BuildLayer); resident data builds node by node, each
+// build fanning out over its row batches. Both fill every histogram with
+// the same bits.
+func (tr *Trainer) buildLayer(td *treeData, builds []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions) {
+	if td.spilled != nil {
+		td.spilled.BuildLayer(tr.pool, builds, grad, hess, opts)
+		return
+	}
+	for _, b := range builds {
+		if td.binned != nil {
+			histogram.BuildBinned(b.H, td.binned, b.Rows, grad, hess, opts)
+		} else {
+			histogram.Build(b.H, tr.data, b.Rows, grad, hess, opts)
+		}
 	}
 }
 
@@ -509,22 +529,16 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 		st := states[node]
 		tn.SetLeaf(node, cfg.LearningRate*LeafWeight(st.g, st.h, cfg.Lambda))
 	}
-	// build gives a node its data pass. Deferred: the sparse binned builds
-	// leave only what the node's rows touched for FIND_SPLIT to scan and the
-	// pool to clear, and a derived histogram only what its parent's rows
-	// touched.
+	// builds lists the layer's data passes for one buildLayer call. Each
+	// goes into a deferred histogram: the sparse binned builds leave only
+	// what the node's rows touched for FIND_SPLIT to scan and the pool to
+	// clear, and a derived histogram only what its parent's rows touched.
+	var builds []ooc.NodeBuild
 	build := func(node int) *histogram.Histogram {
 		h := pool.Get()
 		h.Defer()
 		rows := rowsFor(node)
-		switch {
-		case spilled != nil:
-			spilled.BuildHistogram(h, rows, grad, hess, buildOpts)
-		case binned != nil:
-			histogram.BuildBinned(h, binned, rows, grad, hess, buildOpts)
-		default:
-			histogram.Build(h, tr.data, rows, grad, hess, buildOpts)
-		}
+		builds = append(builds, ooc.NodeBuild{H: h, Rows: rows})
 		tr.BuiltHists++
 		tr.BuiltRows += len(rows)
 		return h
@@ -532,16 +546,19 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 
 	// Below the root only one child of each split gets a data pass — the one
 	// Split.BuildLeft names — and its sibling is the parent's histogram minus
-	// it, subtracted in place. While a layer's children are going to be
-	// built, parents holds the parent's histogram of the i-th sibling pair
-	// of active until it becomes the derived child's: a split node's
-	// histogram outlives its FIND_SPLIT by less than a layer, and no second
-	// one is needed.
+	// it, subtracted in place once the layer is built. While a layer's
+	// children are going to be built, parents holds the parent's histogram
+	// of the i-th sibling pair of active until it becomes the derived
+	// child's: a split node's histogram outlives its FIND_SPLIT by less than
+	// a layer, and no second one is needed.
 	type pairParent struct {
 		h         *histogram.Histogram
 		buildLeft bool
 	}
 	var parents []pairParent
+	// derives pairs each such parent with its built child.
+	type derivation struct{ parent, child *histogram.Histogram }
+	var derives []derivation
 
 	// FIND_SPLIT scratch, reused by every layer: one unit per (node, non-empty
 	// ScanWord) — the PosChunk range of positions that word stands for.
@@ -559,10 +576,12 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 		layerStart := time.Now()
 		atMax := depth == cfg.MaxDepth-1
 
-		// BUILD_HISTOGRAM: nodes in order; each build fans out over its row
-		// batches internally (histogram.Build* through the shared machinery).
+		// BUILD_HISTOGRAM: list the layer's data passes in node order, make
+		// them in one buildLayer call, then derive each built child's
+		// sibling from the parent.
 		bs := time.Now()
 		var tasks []splitTask
+		builds, derives = builds[:0], derives[:0]
 		// direct gives a node its own data pass, or makes it a leaf when it
 		// has no rows to split.
 		direct := func(node int) {
@@ -594,16 +613,20 @@ func (tr *Trainer) growTree(treeIdx int, td *treeData, grad, hess, preds []float
 			hl, hr := pp.h, pp.h
 			if pp.buildLeft {
 				hl = build(left)
-				pp.h.SetSub(pp.h, hl)
+				derives = append(derives, derivation{pp.h, hl})
 			} else {
 				hr = build(right)
-				pp.h.SetSub(pp.h, hr)
+				derives = append(derives, derivation{pp.h, hr})
 			}
-			tr.DerivedHists++
-			m.subtraction.Inc()
 			tasks = append(tasks, splitTask{left, states[left], hl}, splitTask{right, states[right], hr})
 		}
 		parents = parents[:0]
+		tr.buildLayer(td, builds, grad, hess, buildOpts)
+		for _, d := range derives {
+			d.parent.SetSub(d.parent, d.child)
+			tr.DerivedHists++
+			m.subtraction.Inc()
+		}
 		buildD := time.Since(bs)
 		tr.Times.BuildHist += buildD
 

@@ -203,6 +203,11 @@ func (o BuildOptions) batchSize() int {
 	return o.BatchSize
 }
 
+// OneBatch reports whether a node of n rows is a single batch of the grid:
+// BuildBatches then builds it straight into the node's histogram, with no
+// partial and no merge.
+func (o BuildOptions) OneBatch(n int) bool { return n <= o.batchSize() }
+
 // Build constructs the histogram of one tree node over the given rows using
 // the parallel batch method: the row range is cut into batches of
 // opts.BatchSize forming a fixed grid, every batch accumulates into its own
@@ -230,7 +235,7 @@ func BuildBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float64, op
 	if opts.Dense {
 		build = BuildDenseBinned
 	}
-	if len(rows) <= opts.batchSize() {
+	if opts.OneBatch(len(rows)) {
 		// The deep-node path: no closure, no allocation.
 		build(h, b, rows, grad, hess)
 		return
@@ -244,19 +249,20 @@ func BuildBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float64, op
 // the per-batch builder over the fixed batch grid and folds the partials
 // into h in ascending batch order. Partial histograms come from opts.Pool
 // when set; eager prefix merging recycles each partial as soon as it is
-// folded in, so a sequential run cycles a single pooled partial. Partials
+// folded in, so a sequential run cycles a single pooled partial and a
+// parallel one holds at most Parallelism+1 (parallel.ReduceOrdered's
+// window), however many batches the node spans. Partials
 // are handed to build in h's state, so a deferred target's merge with a
 // sparse binned builder's partials walks touched positions only and a
 // materialised target's is the dense merge.
 func BuildBatches(h *Histogram, rows []int32, opts BuildOptions, build func(part *Histogram, batch []int32)) {
-	size := opts.batchSize()
-	if len(rows) <= size {
+	if opts.OneBatch(len(rows)) {
 		build(h, rows)
 		return
 	}
 	deferred := h.deferred // the merges below may change it while batches build
 	p := parallel.New(opts.Parallelism)
-	parallel.ReduceOrdered(p, len(rows), size,
+	parallel.ReduceOrdered(p, len(rows), opts.batchSize(),
 		func(_, lo, hi int) *Histogram {
 			var part *Histogram
 			if opts.Pool != nil {

@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -260,34 +261,9 @@ func TestSpilledBinnedMatchesInMemory(t *testing.T) {
 		release()
 	}
 
-	// Streaming histogram build must be bit-identical to the in-memory one,
-	// at both the direct (single-batch) and batched paths.
-	n := full.NumRows()
-	rows := make([]int32, n)
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-	for i := range rows {
-		rows[i] = int32(i)
-		grad[i] = math.Sin(float64(i)) * 0.7
-		hess[i] = 0.1 + 0.9*math.Abs(math.Cos(float64(i)))
-	}
-	for _, batch := range []int{0, 256} {
-		opts := histogram.BuildOptions{Parallelism: 2, BatchSize: batch}
-		want := histogram.New(l)
-		histogram.BuildBinned(want, ref, rows, grad, hess, opts)
-		got := histogram.New(l)
-		sb.BuildHistogram(got, rows, grad, hess, opts)
-		for i := range want.G {
-			if math.Float64bits(want.G[i]) != math.Float64bits(got.G[i]) ||
-				math.Float64bits(want.H[i]) != math.Float64bits(got.H[i]) {
-				t.Fatalf("batch %d: bucket %d G/H bits differ: %v/%v vs %v/%v",
-					batch, i, want.G[i], want.H[i], got.G[i], got.H[i])
-			}
-		}
-	}
-
-	// Classification must agree with the in-memory predicate.
-	checkClassify(t, pool, sb, ref, n)
+	// Classification must agree with the in-memory predicate; histogram
+	// builds are TestBuildLayerIsExactAndBounded's.
+	checkClassify(t, pool, sb, ref, full.NumRows())
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +353,149 @@ func TestClassifyReadsTheSpillOncePerLayer(t *testing.T) {
 	}
 	if peak := src.Tracker().Peak(); peak > int64(budget) {
 		t.Fatalf("tracker peak %d exceeds budget %d", peak, budget)
+	}
+}
+
+// buildLayerOf returns one layer of node builds over rows [0, n): layerOf's
+// nodes plus one with no rows, each into a fresh histogram, deferred or
+// materialised.
+func buildLayerOf(l *histogram.Layout, n int, deferred bool) []NodeBuild {
+	splits := layerOf(l, n)
+	nodes := make([]NodeBuild, len(splits)+1)
+	for i := range nodes {
+		nodes[i].H = histogram.New(l)
+		if deferred {
+			nodes[i].H.Defer()
+		}
+		if i < len(splits) {
+			nodes[i].Rows = splits[i].Rows
+		}
+	}
+	return nodes
+}
+
+// sameHistogram fails unless got holds want's state, deferred mass, touched
+// set and every bucket, bit for bit.
+func sameHistogram(t *testing.T, node int, want, got *histogram.Histogram) {
+	t.Helper()
+	if want.Deferred() != got.Deferred() {
+		t.Fatalf("node %d: deferred %v, want %v", node, got.Deferred(), want.Deferred())
+	}
+	wg, wh := want.DeferredMass()
+	gg, gh := got.DeferredMass()
+	if math.Float64bits(wg) != math.Float64bits(gg) || math.Float64bits(wh) != math.Float64bits(gh) {
+		t.Fatalf("node %d: deferred mass %v/%v, want %v/%v", node, gg, gh, wg, wh)
+	}
+	for w := 0; w*64 < want.Layout.NumFeatures(); w++ {
+		if want.ScanWord(w) != got.ScanWord(w) {
+			t.Fatalf("node %d: touched word %d is %x, want %x", node, w, got.ScanWord(w), want.ScanWord(w))
+		}
+	}
+	for i := range want.G {
+		if math.Float64bits(want.G[i]) != math.Float64bits(got.G[i]) ||
+			math.Float64bits(want.H[i]) != math.Float64bits(got.H[i]) {
+			t.Fatalf("node %d: bucket %d G/H %v/%v, want %v/%v", node, i, got.G[i], got.H[i], want.G[i], want.H[i])
+		}
+	}
+}
+
+// batchSpanBytes returns the bytes of every segment from the first row to
+// the last of each batch of the nodes that span several: what BuildLayer
+// may read for them besides its one walk per worker.
+func batchSpanBytes(sb *SpilledBinned, nodes []NodeBuild, opts histogram.BuildOptions) int64 {
+	chunkRows := sb.src.ChunkRows()
+	var total int64
+	for _, nd := range nodes {
+		if opts.OneBatch(len(nd.Rows)) {
+			continue
+		}
+		for lo := 0; lo < len(nd.Rows); lo += opts.BatchSize {
+			batch := nd.Rows[lo:min(lo+opts.BatchSize, len(nd.Rows))]
+			for c := int(batch[0]) / chunkRows; c <= int(batch[len(batch)-1])/chunkRows; c++ {
+				total += segBytes(sb.segs[c].rows, sb.segs[c].nnz, sb.wide)
+			}
+		}
+	}
+	return total
+}
+
+// TestBuildLayerIsExactAndBounded: at the tightest budget, one layer of
+// interleaved nodes built from the spill is Float64bits-equal to the
+// resident BuildBinned of every node, touched sets included, in both
+// histogram states and at every parallelism and chunk size. With 400-row
+// batches every node is one batch, and the layer reads at most one spill
+// per pool worker however many nodes hold rows in a segment; with 100-row
+// batches the four interleaved nodes span four batches each, read only
+// their batches' segments on top of that, and hold at most P+1 partials
+// from opts.Pool at once.
+func TestBuildLayerIsExactAndBounded(t *testing.T) {
+	path, full := writeTestFile(t, dataset.SyntheticConfig{NumRows: 1500, NumFeatures: 50, AvgNNZ: 9, Seed: 8, Zipf: 1.2})
+	l := layoutFor(t, full, 12)
+	ref := histogram.NewBinned(full, l, 1)
+	n := full.NumRows()
+	grad := make([]float64, n)
+	hess := make([]float64, n)
+	for i := range grad {
+		grad[i] = math.Sin(float64(i)) * 0.7
+		hess[i] = 0.1 + 0.9*math.Abs(math.Cos(float64(i)))
+	}
+	read := oocMetrics().readBinned
+	for _, p := range []int{1, 2, 4} {
+		for _, chunkRows := range []int{1, 7, 64} {
+			t.Run(fmt.Sprintf("P=%d/chunk=%d", p, chunkRows), func(t *testing.T) {
+				probe, err := Open(path, Options{ChunkRows: chunkRows, Parallelism: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				budget := probe.MinBudget()
+				probe.Close()
+				src, err := Open(path, Options{Budget: budget, ChunkRows: chunkRows, Parallelism: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer src.Close()
+				pool := parallel.New(p)
+				sb, err := src.BuildBinned(l, pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sb.Close()
+				for _, batch := range []int{100, 400} {
+					for _, deferred := range []bool{true, false} {
+						name := fmt.Sprintf("batch=%d deferred=%v", batch, deferred)
+						want := buildLayerOf(l, n, deferred)
+						for _, nd := range want {
+							histogram.BuildBinned(nd.H, ref, nd.Rows, grad, hess, histogram.BuildOptions{Parallelism: p, BatchSize: batch})
+						}
+						got := buildLayerOf(l, n, deferred)
+						// A fresh, unbounded pool allocates only when every
+						// partial it made is out, and gets all of them back:
+						// what it holds afterwards is the peak live at once.
+						parts := histogram.NewPool(l)
+						opts := histogram.BuildOptions{Parallelism: p, BatchSize: batch, Pool: parts}
+						before := read.Value()
+						sb.BuildLayer(pool, got, grad, hess, opts)
+						r := read.Value() - before
+						if limit := int64(p)*sb.SpillBytes() + batchSpanBytes(sb, got, opts); r > limit {
+							t.Errorf("%s: one layer read %d bytes, over %d × the %d-byte spill plus the batches' %d",
+								name, r, p, sb.SpillBytes(), batchSpanBytes(sb, got, opts))
+						}
+						if peak := parts.Idle(); peak > p+1 {
+							t.Errorf("%s: %d partials live at once, want at most %d", name, peak, p+1)
+						}
+						for i := range want {
+							sameHistogram(t, i, want[i].H, got[i].H)
+						}
+					}
+				}
+				if err := src.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if peak := src.Tracker().Peak(); peak > int64(budget) {
+					t.Fatalf("tracker peak %d exceeds budget %d", peak, budget)
+				}
+			})
+		}
 	}
 }
 

@@ -251,14 +251,3 @@ func (s *Source) ForRowRange(lo, hi int, fn func(d *dataset.Dataset, base, rlo, 
 		at = end
 	}
 }
-
-// runEnd returns the end of the maximal prefix of rows (ascending global row
-// ids, starting at i) that live in the same chunk as rows[i].
-func runEnd(rows []int32, i, chunkRows int) int {
-	c := int(rows[i]) / chunkRows
-	j := i + 1
-	for j < len(rows) && int(rows[j])/chunkRows == c {
-		j++
-	}
-	return j
-}

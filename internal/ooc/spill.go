@@ -23,11 +23,11 @@ import (
 //	pos    nnz×i32        sampled position of each kept nonzero
 //	bins   nnz×u8|u16     bin id (u16 iff any sampled feature has >256 buckets)
 //
-// Streaming histogram builds (BuildHistogram) walk node rows run by run over
-// these segments using exactly the in-memory accumulation grid and merge
-// order, and split classification (Classify) walks the segments once per
-// layer, so every result is Float64bits-identical to histogram.BuildBinned /
-// Binned.Bin on the full matrix.
+// Histogram builds (BuildLayer) and split classification (Classify) each
+// walk the segments once per layer and pool worker, using exactly the
+// in-memory accumulation grid and merge order, so every result is
+// Float64bits-identical to histogram.BuildBinned / Binned.Bin on the full
+// matrix.
 type SpilledBinned struct {
 	src    *Source
 	layout *histogram.Layout
@@ -40,11 +40,6 @@ type SpilledBinned struct {
 	written int64
 
 	cache *cache[*binnedSeg]
-
-	// rowScratch recycles the local-row translation buffers of streaming
-	// builds (≤ ChunkRows int32s per worker; part of the documented
-	// fixed working set, not budget-accounted).
-	rowScratch sync.Pool
 }
 
 type segMeta struct {
@@ -306,53 +301,123 @@ func (sb *SpilledBinned) Seg(c int) (*histogram.Binned, func(), error) {
 	return &seg.bin, release, nil
 }
 
-// localRows translates a run of ascending global rows into chunk-local ids
-// using a pooled scratch buffer.
-func (sb *SpilledBinned) localRows(run []int32, base int32) ([]int32, func()) {
-	buf, _ := sb.rowScratch.Get().([]int32)
-	if cap(buf) < len(run) {
-		buf = make([]int32, len(run))
-	}
-	buf = buf[:len(run)]
-	for i, r := range run {
-		buf[i] = r - base
-	}
-	return buf, func() { sb.rowScratch.Put(buf[:0]) }
+// NodeBuild is one node of a layer as BuildLayer takes it: the zeroed
+// histogram to fill, deferred or materialised, and the node's rows
+// (ascending global ids).
+type NodeBuild struct {
+	H    *histogram.Histogram
+	Rows []int32
 }
 
-// BuildHistogram is histogram.BuildBinned over the spilled matrix: the same
-// batch/merge driver (histogram.BuildBatches), with each batch's rows walked
-// run by run over pinned segments. The running zero-bucket gradient sums are
-// carried across run boundaries (histogram.AccumSparseBinned), so every
-// float lands in the same order as the in-memory build — bit-identical
-// results at any parallelism and any chunk size.
-func (sb *SpilledBinned) BuildHistogram(h *histogram.Histogram, rows []int32, grad, hess []float64, opts histogram.BuildOptions) {
-	histogram.BuildBatches(h, rows, opts, func(part *histogram.Histogram, batch []int32) {
-		sb.buildBatch(part, batch, grad, hess)
-	})
+// layerUnit is one node, or one batch of a node, as walk advances it: its
+// rows, the histogram it accumulates into, how far the walk has got, and
+// the running zero-bucket sums carried from segment to segment.
+type layerUnit struct {
+	h          *histogram.Histogram
+	rows       []int32
+	at         int
+	sumG, sumH float64
 }
 
-// buildBatch accumulates one batch of rows into h, chaining the zero-bucket
-// sums across chunk runs.
-func (sb *SpilledBinned) buildBatch(h *histogram.Histogram, batch []int32, grad, hess []float64) {
+// BuildLayer is histogram.BuildBinned for every node of a layer over the
+// spilled matrix. A node of several batches goes through
+// histogram.BuildBatches, the batch grid and ascending fold every resident
+// build uses: each batch walks only the segments its rows lie in, into a
+// partial from opts.Pool, so at most P+1 partials are live whatever the
+// row count. The nodes of one batch — every node below the top layers —
+// build straight into their histograms, with no partial, in one walk over
+// the spill per pool worker: they are dealt to the workers in contiguous
+// runs of about equal row count, and a worker walks the segments its nodes
+// have rows in once, in ascending order, pins each one once, and advances
+// every node with rows there. Either way each walk threads the zero-bucket
+// sums across segments (histogram.AccumSparseBinned), so every node sees
+// its rows in the order a resident build does, and every histogram is
+// Float64bits-equal to BuildBinned's on the resident mirror at any
+// parallelism, chunk size and budget. A layer reads at most P × SpillBytes
+// for its one-batch nodes, plus the segments of each batch of the others.
+// pool stands in for opts.Parallelism; opts.Dense is not supported
+// (out-of-core training rejects DenseBuild).
+func (sb *SpilledBinned) BuildLayer(pool *parallel.Pool, nodes []NodeBuild, grad, hess []float64, opts histogram.BuildOptions) {
+	var (
+		units []layerUnit
+		total int
+	)
+	for _, nd := range nodes {
+		if !opts.OneBatch(len(nd.Rows)) {
+			histogram.BuildBatches(nd.H, nd.Rows, opts, func(part *histogram.Histogram, batch []int32) {
+				sb.walk([]layerUnit{{h: part, rows: batch}}, grad, hess)
+			})
+			continue
+		}
+		units = append(units, layerUnit{h: nd.H, rows: nd.Rows})
+		total += len(nd.Rows)
+	}
+	runs := dealUnits(units, pool.Workers(), total)
+	pool.Tasks(len(runs)-1, func(w int) { sb.walk(units[runs[w]:runs[w+1]], grad, hess) })
+}
+
+// dealUnits cuts units into at most p contiguous runs of about equal row
+// count, run w being units[runs[w]:runs[w+1]]: each cut falls at the unit
+// boundary nearest its share of the total.
+func dealUnits(units []layerUnit, p, total int) []int {
+	p = min(p, len(units))
+	runs := make([]int, p+1)
+	runs[p] = len(units)
+	acc, w := 0, 1
+	for i, u := range units {
+		n := len(u.rows)
+		for w < p && 2*total*w <= p*(2*acc+n) {
+			runs[w] = i
+			w++
+		}
+		acc += n
+	}
+	for ; w < p; w++ {
+		runs[w] = len(units)
+	}
+	return runs
+}
+
+// walk advances units over the spill in one ascending pass. It pins each
+// segment any unit still has rows in once — never more than one at a
+// time — accumulates every such unit's run of rows there, and finishes
+// every unit's zero buckets at the end. The chunk-local row ids go through
+// one scratch buffer of ChunkRows int32s, part of the documented fixed
+// working set and not budget-accounted.
+func (sb *SpilledBinned) walk(units []layerUnit, grad, hess []float64) {
 	chunkRows := sb.src.ChunkRows()
-	var sumG, sumH float64
-	for i := 0; i < len(batch); {
-		c := int(batch[i]) / chunkRows
-		j := runEnd(batch, i, chunkRows)
+	local := make([]int32, 0, chunkRows)
+	for {
+		c := -1 // the lowest segment a unit still has rows in
+		for i := range units {
+			if u := &units[i]; u.at < len(u.rows) {
+				if s := int(u.rows[u.at]) / chunkRows; c < 0 || s < c {
+					c = s
+				}
+			}
+		}
+		if c < 0 {
+			break
+		}
 		view, release, err := sb.Seg(c)
 		if err != nil {
 			sb.src.fail(err)
 			return
 		}
-		base, _ := sb.src.ChunkBounds(c)
-		local, done := sb.localRows(batch[i:j], int32(base))
-		sumG, sumH = histogram.AccumSparseBinned(h, view, local, grad[base:], hess[base:], sumG, sumH)
-		done()
+		lo, hi := sb.src.ChunkBounds(c)
+		for i := range units {
+			u := &units[i]
+			local = local[:0]
+			for ; u.at < len(u.rows) && int(u.rows[u.at]) < hi; u.at++ {
+				local = append(local, u.rows[u.at]-int32(lo))
+			}
+			u.sumG, u.sumH = histogram.AccumSparseBinned(u.h, view, local, grad[lo:], hess[lo:], u.sumG, u.sumH)
+		}
 		release()
-		i = j
 	}
-	histogram.FinishSparseZeros(h, sumG, sumH)
+	for i := range units {
+		histogram.FinishSparseZeros(units[i].h, units[i].sumG, units[i].sumH)
+	}
 }
 
 // NodeSplit is one split node of a layer as Classify takes it: the node's

@@ -152,9 +152,12 @@ func (p *Pool) Tasks(k int, fn func(task int)) {
 // merge once per chunk in ascending chunk order. produce calls run
 // concurrently; merge calls are serialized and ordered, and may run
 // concurrently with later produce calls (eager prefix merging, so partials
-// can be recycled as soon as they are folded in). The merged result is
-// therefore a pure function of (n, chunk, produce, merge) — the worker
-// count cannot influence it.
+// can be recycled as soon as they are folded in). A chunk more than
+// workers past the merge frontier waits for it before producing, so at
+// most workers+1 partials are ever live, however many chunks the grid has
+// and however slow the frontier chunk is. The merged result is therefore a
+// pure function of (n, chunk, produce, merge) — the worker count cannot
+// influence it.
 func ReduceOrdered[T any](p *Pool, n, chunk int, produce func(c, lo, hi int) T, merge func(c int, part T)) {
 	chunks, size := grid(n, chunk)
 	if chunks == 0 {
@@ -176,6 +179,7 @@ func ReduceOrdered[T any](p *Pool, n, chunk int, produce func(c, lo, hi int) T, 
 	var (
 		next     atomic.Int64
 		mu       sync.Mutex
+		advanced = sync.NewCond(&mu) // signalled when frontier moves
 		ready    = make([]T, chunks)
 		done     = make([]bool, chunks)
 		frontier int
@@ -193,6 +197,13 @@ func ReduceOrdered[T any](p *Pool, n, chunk int, produce func(c, lo, hi int) T, 
 				if c%workers != w {
 					m.steals.Inc()
 				}
+				// Chunks are claimed in ascending order, so the frontier
+				// chunk is claimed, and its producer never waits here.
+				mu.Lock()
+				for c > frontier+workers {
+					advanced.Wait()
+				}
+				mu.Unlock()
 				lo, hi := bounds(c, size, n)
 				part := produce(c, lo, hi)
 				mu.Lock()
@@ -200,11 +211,15 @@ func ReduceOrdered[T any](p *Pool, n, chunk int, produce func(c, lo, hi int) T, 
 				// Drain the ready prefix: whoever finishes the chunk at the
 				// frontier merges everything contiguous behind it, so after
 				// the last chunk completes the fold is already finished.
+				from := frontier
 				for frontier < chunks && done[frontier] {
 					merge(frontier, ready[frontier])
 					var zero T
 					ready[frontier] = zero
 					frontier++
+				}
+				if frontier > from {
+					advanced.Broadcast()
 				}
 				mu.Unlock()
 			}

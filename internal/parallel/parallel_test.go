@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForChunksCoversRangeOnce(t *testing.T) {
@@ -105,6 +106,29 @@ func TestReduceOrderedMergesAscending(t *testing.T) {
 		}
 		if len(order) != 13 {
 			t.Fatalf("workers=%d: %d merges, want 13", workers, len(order))
+		}
+	}
+}
+
+// TestReduceOrderedBoundsLivePartials stalls the first chunk while the other
+// workers race ahead: a partial is live from its produce to its merge, and
+// at most workers+1 may be live at once, not one per chunk.
+func TestReduceOrderedBoundsLivePartials(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		var live, peak atomic.Int64
+		ReduceOrdered(New(workers), 200, 1,
+			func(c, _, _ int) int {
+				n := live.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if c == 0 {
+					time.Sleep(20 * time.Millisecond)
+				}
+				return c
+			},
+			func(int, int) { live.Add(-1) })
+		if got := peak.Load(); got > int64(workers+1) {
+			t.Fatalf("workers=%d: %d partials live at once, want at most %d", workers, got, workers+1)
 		}
 	}
 }

@@ -23,16 +23,29 @@ type Candidates struct {
 func (c Candidates) NumBuckets() int { return len(c.Cuts) }
 
 // Bucket maps a feature value to its histogram bucket: the smallest k with
-// v <= Cuts[k], or the last bucket when v exceeds every cut.
+// v <= Cuts[k], or the last bucket when v exceeds every cut (or is NaN).
+// That is sort.SearchFloat64s(Cuts, v) clamped to the last bucket, computed
+// by counting the cuts that are not >= v: the cuts are sorted ascending
+// (sort.Float64s order, NaNs first), so those form a prefix, and a NaN v
+// counts every cut. The negated compare compiles to UCOMISD + CMOVQCC, so a
+// value's bucket costs no branch mispredictions, which dominate a binary
+// search's time on short cut lists. BenchmarkBucket on a 2-core Xeon @
+// 2.10 GHz (go1.24.0), ns per value, count / binary search, by number of
+// cuts K:
+//
+//	K=2 3.5/4.2   8 6.7/14.0   20 10.9/21.1   32 17.4/20.3
+//	K=40 22.0/22.2   48 25.0/22.5   64 36.4/27.1   255 155/39
+//
+// The trainer's default 20 candidates give 21 cuts; the count only loses
+// past about 40.
 func (c Candidates) Bucket(v float64) int {
-	k := sort.SearchFloat64s(c.Cuts, v)
-	// SearchFloat64s finds the first cut >= v; bucket semantics are
-	// v <= cut, which is the same index except when v equals a cut —
-	// Search already returns that cut's index, which is correct.
-	if k >= len(c.Cuts) {
-		return len(c.Cuts) - 1
+	k := 0
+	for _, cut := range c.Cuts {
+		if !(cut >= v) {
+			k++
+		}
 	}
-	return k
+	return min(k, len(c.Cuts)-1)
 }
 
 // SplitValue returns the threshold of splitting after bucket k ("x <= value
