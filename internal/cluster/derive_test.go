@@ -67,9 +67,11 @@ func TestLostDeriveRepliesYieldTheFaultFreeModel(t *testing.T) {
 
 // TestOnlyBuiltChildrenArePushed: on a full depth-6 tree the five built
 // layers hold 31 nodes, and a worker pushes 16 of them — the root and one
-// child per split; the servers derive the other 15. On the dense float32 wire
-// every push has the same size, so the histogram bytes the servers take in
-// are exactly 16 root pushes' worth, where pushing every active node took 31.
+// child per split; the servers derive the other 15. On the float32 wire no
+// push is larger than the root's: a child touches no bucket its parent did
+// not, and its empty buckets stay behind the presence bitmap when that pays.
+// So the histogram bytes the servers take in are at most 16 root pushes'
+// worth, where pushing every active node took 31.
 func TestOnlyBuiltChildrenArePushed(t *testing.T) {
 	// Dense rows: every split is near a median, so no node runs out of rows.
 	d := dataset.Generate(dataset.SyntheticConfig{
@@ -112,7 +114,7 @@ func TestOnlyBuiltChildrenArePushed(t *testing.T) {
 	if want := int64(15 * trees * servers); derived != want {
 		t.Fatalf("%d shards derived, want %d (15 per server per tree)", derived, want)
 	}
-	if bytes != 16*rootBytes {
-		t.Fatalf("servers took in %d histogram bytes, want 16 × the root's %d = %d (31 × when every active node was pushed)", bytes, rootBytes, 16*rootBytes)
+	if bytes > 16*rootBytes {
+		t.Fatalf("servers took in %d histogram bytes, more than 16 × the root's %d = %d (31 × when every active node was pushed)", bytes, rootBytes, 16*rootBytes)
 	}
 }

@@ -175,6 +175,98 @@ func (e *Encoder) PackSpans(data []byte, bits uint, maxAbs float64, parts ...[]f
 	}
 }
 
+// PackPresent is PackSpans for a payload that leaves values out: only the
+// values whose bit in present is set — bit k, little-endian within each
+// byte, stands for value k of the concatenation of parts — are written, in
+// order, into data, which must be zeroed and SpanDataSize(set bits, bits)
+// long. Absent values must be zero. Fixed-point widths still draw one
+// rounding decision per value, absent ones included, and discard the absent
+// ones' (a zero rounds to zero whatever the draw), so every written value and
+// the stream's end are what PackSpans would give.
+func (e *Encoder) PackPresent(data []byte, bits uint, maxAbs float64, present []byte, parts ...[]float64) {
+	k, at := 0, 0 // values walked, values written
+	switch {
+	case bits == RawFloat32:
+		for _, part := range parts {
+			for _, v := range part {
+				if bitSet(present, k) {
+					binary.LittleEndian.PutUint32(data[4*at:], math.Float32bits(float32(v)))
+					at++
+				}
+				k++
+			}
+		}
+	case bits == RawFloat64:
+		for _, part := range parts {
+			for _, v := range part {
+				if bitSet(present, k) {
+					binary.LittleEndian.PutUint64(data[8*at:], math.Float64bits(v))
+					at++
+				}
+				k++
+			}
+		}
+	case maxAbs != 0: // every level is 0 otherwise, and nothing is drawn
+		levels := float64(int64(1)<<(bits-1) - 1)
+		rng := e.rng
+		for _, part := range parts {
+			for _, v := range part {
+				if !bitSet(present, k) {
+					if rng != nil {
+						rng.Float64()
+					}
+					k++
+					continue
+				}
+				t := v / maxAbs * levels
+				var q int64
+				if rng != nil {
+					f := math.Floor(t)
+					q = int64(f)
+					if rng.Float64() < t-f {
+						q++
+					}
+				} else {
+					q = int64(math.Round(t))
+				}
+				switch bits {
+				case 8:
+					data[at] = byte(q)
+				case 16:
+					binary.LittleEndian.PutUint16(data[2*at:], uint16(q))
+				default:
+					putBits(data, at, bits, uint64(q)&(1<<bits-1))
+				}
+				at++
+				k++
+			}
+		}
+	}
+}
+
+// bitSet reports whether bit k of a little-endian bitmap is set.
+func bitSet(bitmap []byte, k int) bool { return bitmap[k>>3]>>(k&7)&1 != 0 }
+
+// UnpackSpan stores the first len(dst) span values of data at a sparse
+// width into dst, overwriting it: the inverse of PackSpans, for a receiver
+// that places the values itself. A −0 sent on a raw width arrives as −0,
+// where DecodeInto, which adds, leaves +0. data must hold the values.
+func UnpackSpan(dst []float64, data []byte, bits uint, maxAbs float64) {
+	switch bits {
+	case RawFloat32:
+		for i := range dst {
+			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])))
+		}
+	case RawFloat64:
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	default:
+		clear(dst) // a level decodes to q·step, never −0
+		addPacked(dst, data, 0, bits, maxAbs)
+	}
+}
+
 // putValues writes vals as span values [at, at+len(vals)) at a sparse width.
 func (e *Encoder) putValues(data []byte, at int, vals []float64, bits uint, maxAbs float64) {
 	switch bits {

@@ -292,6 +292,48 @@ func TestSparseWriteToComposes(t *testing.T) {
 	}
 }
 
+// TestPackPresentKeepsTheStream: packing only the present values of a
+// vector in parts gives, value for value, what PackSpans gives for the whole
+// vector — the same stochastic rounding, since the absent values still draw —
+// and leaves the rounding stream where PackSpans leaves it. UnpackSpan reads
+// the packed values back, a raw −0 included.
+func TestPackPresentKeepsTheStream(t *testing.T) {
+	vals := sparseVec(300, 0.4, 17)
+	vals[5] = math.Copysign(0, -1) // present: not +0 bit for bit
+	present := make([]byte, (len(vals)+7)/8)
+	var kept []int
+	for i, v := range vals {
+		if math.Float64bits(v) != 0 {
+			present[i/8] |= 1 << (i % 8)
+			kept = append(kept, i)
+		}
+	}
+	parts := [][]float64{vals[:7], vals[7:8], vals[8:200], nil, vals[200:]}
+	maxAbs, _ := MaxAbs(vals)
+	for _, bits := range []uint{RawFloat32, RawFloat64, 2, 4, 8, 16} {
+		whole := make([]byte, SpanDataSize(len(vals), bits))
+		some := make([]byte, SpanDataSize(len(kept), bits))
+		a, b := NewEncoder(3), NewEncoder(3)
+		a.PackSpans(whole, bits, maxAbs, vals)
+		b.PackPresent(some, bits, maxAbs, present, parts...)
+		if bits != RawFloat32 && bits != RawFloat64 && a.rng.Int63() != b.rng.Int63() {
+			t.Fatalf("%d bits: the rounding stream ends elsewhere", bits)
+		}
+		all := make([]float64, len(vals))
+		UnpackSpan(all, whole, bits, maxAbs)
+		got := make([]float64, len(kept))
+		UnpackSpan(got, some, bits, maxAbs)
+		for j, i := range kept {
+			if math.Float64bits(got[j]) != math.Float64bits(all[i]) {
+				t.Fatalf("%d bits: value %d decodes to %v packed alone, %v packed whole", bits, i, got[j], all[i])
+			}
+		}
+		if bits == RawFloat64 && math.Float64bits(all[5]) != math.Float64bits(vals[5]) {
+			t.Fatalf("−0 unpacked as %v", all[5])
+		}
+	}
+}
+
 func TestChoosingSparseByPredictedSize(t *testing.T) {
 	// At 5% density the sparse form must be far smaller than dense; at
 	// full density it must be larger (span + header overhead), which is

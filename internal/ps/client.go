@@ -49,13 +49,13 @@ type Client struct {
 	// plan is the shard geometry of the layout last pushed or pulled — one
 	// per tree, since a tree's histograms share a layout.
 	plan *shardPlan
-	// pushReqs holds one reusable push request per server, and parts the
-	// span scratch they are encoded from. A request's bytes belong to the
-	// transport until Call returns — a RetryEndpoint resends them from
-	// inside Call — so a buffer is rewritten only by the next
+	// pushReqs holds one reusable push request per server, and parts and
+	// hparts the span scratch they are encoded from. A request's bytes
+	// belong to the transport until Call returns — a RetryEndpoint resends
+	// them from inside Call — so a buffer is rewritten only by the next
 	// PushHistogram, which starts after every Call of this one returned.
-	pushReqs []*wire.Writer
-	parts    [][]float64
+	pushReqs      []*wire.Writer
+	parts, hparts [][]float64
 	// touched holds each server's share of the deferred histogram being
 	// pushed.
 	touched []touchedShard
@@ -136,42 +136,37 @@ func (c *Client) fanOut(op uint8, request func(server int) *wire.Writer) ([]tran
 }
 
 // PushSketches sends each server the sketch summaries of the features it
-// owns (CREATE_SKETCH). Each request is sized from its summaries' lengths
-// before any byte is written, so it is allocated once.
+// owns (CREATE_SKETCH), written straight from each GK into a request sized
+// exactly before any byte is written, so it is allocated once.
 func (c *Client) PushSketches(set *sketch.Set) error {
 	_, err := c.fanOut(OpPushSketch, func(sv int) *wire.Writer {
-		owned := func(f int) *sketch.GK {
-			if gk := set.Feature(f); gk != nil && c.part.ServerOf(int32(f)) == sv {
-				return gk
-			}
-			return nil
-		}
-		count, size := 0, 4 // the summary count
-		for f := 0; f < set.NumFeatures(); f++ {
-			if gk := owned(f); gk != nil {
-				count++
-				size += 4 + 3*(4+8*gk.SummaryLen()) // id, three length-prefixed arrays
-			}
-		}
+		feats, gks, size := ownedSketches(set, c.part, sv)
 		w := c.newRequest(size)
-		w.Uint32(uint32(count))
-		for f := 0; f < set.NumFeatures(); f++ {
-			if gk := owned(f); gk != nil {
-				values, gs, deltas := gk.Summary()
-				w.Int32(int32(f))
-				w.Float64s(values)
-				w.Uint64s(gs)
-				w.Uint64s(deltas)
-			}
-		}
+		writeFeatureRecords(w, feats, func(i int) { gks[i].WriteWire(w) })
 		return w
 	})
 	return err
 }
 
+// ownedSketches lists the features of set that server sv owns and have a
+// sketch, ascending, with their sketches and the exact size of the
+// PUSH_SKETCH body that carries them.
+func ownedSketches(set *sketch.Set, part *Partition, sv int) (feats []int32, gks []*sketch.GK, size int) {
+	for f := 0; f < set.NumFeatures(); f++ {
+		if gk := set.Feature(f); gk != nil && part.ServerOf(int32(f)) == sv {
+			feats, gks = append(feats, int32(f)), append(gks, gk)
+			size += gk.WireSize()
+		}
+	}
+	return feats, gks, size + recordFramingSize(feats)
+}
+
 // PullCandidates fetches every server's candidates and assembles the full
 // per-feature table (PULL_SKETCH). Features without data get the trivial
-// zero-cut candidate set.
+// zero-cut candidate set. A reply naming a feature outside the partition, out
+// of ascending order or not owned by the replying server is refused with
+// ErrBadFeatureID, one whose cuts no proposal produces with
+// sketch.ErrInvalidCuts.
 func (c *Client) PullCandidates(k int) ([]sketch.Candidates, error) {
 	req := func(int) *wire.Writer {
 		w := c.newRequest(4)
@@ -186,19 +181,25 @@ func (c *Client) PullCandidates(k int) ([]sketch.Candidates, error) {
 	for f := range out {
 		out[f] = sketch.FromCuts([]float64{0})
 	}
-	for _, resp := range resps {
-		r := wire.NewReader(resp.Body)
-		n := int(r.Uint32())
-		for i := 0; i < n; i++ {
-			f := r.Int32()
-			cuts := r.Float64s()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			out[f] = sketch.FromCuts(cuts)
+	for sv, resp := range resps {
+		if err := readCandidates(resp.Body, c.part, sv, out); err != nil {
+			return nil, fmt.Errorf("ps: candidates from server %d: %w", sv, err)
 		}
 	}
 	return out, nil
+}
+
+// readCandidates stores the cut lists of a PULL_CANDIDATES reply from server
+// sv in out, indexed by feature.
+func readCandidates(body []byte, part *Partition, sv int, out []sketch.Candidates) error {
+	r := wire.NewReader(body)
+	return readFeatureRecords(r, part, sv, func(f int32) error {
+		c, err := sketch.ReadCuts(r)
+		if err == nil {
+			out[f] = c
+		}
+		return err
+	})
 }
 
 // PushSampled stores the sampled feature list on every server; the leader
@@ -276,11 +277,8 @@ func (c *Client) PushHistogram(node int, hist *histogram.Histogram) error {
 		if deferred {
 			ts := &c.touched[sv]
 			c.parts = spanParts(c.parts, ts.runs, hist.G)
-			if err := writeDeferredVector(w, c.enc, ev.spanBits(), ts, plan.npos[sv], true, massG, c.parts); err != nil {
-				return err
-			}
-			c.parts = spanParts(c.parts, ts.runs, hist.H)
-			if err := writeDeferredVector(w, c.enc, ev.spanBits(), ts, plan.npos[sv], false, massH, c.parts); err != nil {
+			c.hparts = spanParts(c.hparts, ts.runs, hist.H)
+			if err := writeDeferredShard(w, c.enc, ev.spanBits(), ts, plan.npos[sv], massG, massH, c.parts, c.hparts); err != nil {
 				return err
 			}
 			continue
@@ -312,7 +310,7 @@ func (c *Client) deferredIsSmaller(plan *shardPlan, hist *histogram.Histogram, e
 	for sv := range c.touched {
 		ts := &c.touched[sv]
 		plan.touched(ts, sv, hist)
-		deferred += deferredShardSize(plan.npos[sv], ts.buckets, ev.spanBits())
+		deferred += deferredShardSize(plan.npos[sv], ts.buckets, ts.present, ev.spanBits())
 		materialised += plan.materialisedSize(sv, ev, hist, hist.G, massG) + plan.materialisedSize(sv, ev, hist, hist.H, massH)
 	}
 	return deferred <= materialised

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"dimboost/internal/compress"
 	"dimboost/internal/histogram"
@@ -17,18 +18,32 @@ import (
 // shard is two VecDeferred vectors. The G vector is
 //
 //	tag u8 | width u8 | positions u32 | touched ⌈positions/8⌉ bytes |
-//	mass | maxAbs f64 | count u32 | data
+//	mass | maxAbs f64 | count u32 | [present u32 | presence ⌈count/8⌉ bytes] |
+//	data
 //
-// and the H vector the same without positions and touched set: it is read
-// against the G vector's. positions is the shard's sampled-position count and
-// bit q of the touched bytes (little-endian) stands for the server's position
-// q. mass is float32 on the raw float32 wire and float64 otherwise. count is
-// the number of buckets of the touched positions and data their values,
-// position by position, at the width: IEEE floats for the raw widths,
-// fixed point scaled by maxAbs otherwise (maxAbs is 0 on raw widths). The
-// bucket runs follow from the touched set and the receiver's shard layout, so
-// they never cross the wire; the receiver decodes them through compress's
-// span machinery.
+// and the H vector
+//
+//	tag u8 | width u8 | mass | maxAbs f64 | count u32 | data
+//
+// positions is the shard's sampled-position count and bit q of the touched
+// bytes (little-endian) stands for the server's position q. mass is float32
+// on the raw float32 wire and float64 otherwise. The G vector's count is the
+// number of buckets of the touched positions. A touched bucket is present
+// unless its G and its H are both +0, bit for bit, so a −0 is present. When
+// the G vector's width byte carries presentFlag, present and a presence
+// bitmap follow — bit k, little-endian, for touched bucket k, position by
+// position — and only the present buckets have values on the wire; without
+// it every touched bucket has. The H vector's count is the number of values
+// each vector carries, and data holds them at the width: IEEE floats for the
+// raw widths, fixed point scaled by maxAbs otherwise (maxAbs is 0 on raw
+// widths). The writer sets the flag exactly when the bitmap costs less than
+// the values it leaves out, so a push never grows. The bucket runs follow
+// from the touched set and the receiver's shard layout, so they never cross
+// the wire; the receiver walks the touched set and the presence bits.
+
+// presentFlag marks, in the G vector's width byte, a push that sends only its
+// present buckets, behind their bitmap.
+const presentFlag = 0x80
 
 // ErrTouchedOutsideShard reports a deferred push whose touched set names a
 // position past the end of the receiver's shard.
@@ -61,10 +76,24 @@ func wireMass(mass float64, width uint) float64 {
 }
 
 // deferredShardSize is the exact wire size of a deferred shard push — both
-// vectors — of npos positions whose touched ones hold count buckets.
-func deferredShardSize(npos, count int, width uint) int {
-	vec := 1 + 1 + massSize(width) + 8 + 4 + compress.SpanDataSize(count, width)
-	return 2*vec + 4 + (npos+7)/8
+// vectors — of npos positions whose touched ones hold count buckets, present
+// of them present.
+func deferredShardSize(npos, count, present int, width uint) int {
+	vec := 1 + 1 + massSize(width) + 8 + 4
+	return 2*vec + 4 + (npos+7)/8 + min(2*compress.SpanDataSize(count, width), presenceSize(count, present, width))
+}
+
+// presenceSize is what a deferred push spends past its headers when it sends
+// its present buckets behind their bitmap: the present count, the bitmap and
+// both vectors' values.
+func presenceSize(count, present int, width uint) int {
+	return 4 + (count+7)/8 + 2*compress.SpanDataSize(present, width)
+}
+
+// sendsPresence reports whether a deferred push of count touched buckets,
+// present of them present, sends the presence bitmap.
+func sendsPresence(count, present int, width uint) bool {
+	return presenceSize(count, present, width) < 2*compress.SpanDataSize(count, width)
 }
 
 // materialisedSize is the exact wire size of server sv's shard of one
@@ -110,55 +139,92 @@ func (pl *shardPlan) materialisedSize(sv int, ev vecEncoding, h *histogram.Histo
 	return min(size, 1+compress.SparseWireSize(nnz, runs, ev.spanBits()))
 }
 
-// writeDeferredVector appends one deferred vector of a server's shard; the G
-// vector (touched true) carries the shard's touched set.
-func writeDeferredVector(w *wire.Writer, enc *compress.Encoder, width uint, ts *touchedShard, npos int, touched bool, mass float64, parts [][]float64) error {
+// writeDeferredShard appends server shard ts of a deferred histogram as its G
+// and H vectors: the masses, and the touched buckets' values, gParts and
+// hParts. Both scales are taken before either vector is quantised, and the
+// G vector's rounding decisions are drawn before the H vector's.
+func writeDeferredShard(w *wire.Writer, enc *compress.Encoder, width uint, ts *touchedShard, npos int, massG, massH float64, gParts, hParts [][]float64) error {
 	if !validSpanWidth(width) {
 		return fmt.Errorf("%w: %d", compress.ErrBadWidth, width)
 	}
-	maxAbs := 0.0
+	var maxG, maxH float64
 	if width != compress.RawFloat32 && width != compress.RawFloat64 {
-		var finite bool
-		if maxAbs, finite = compress.MaxAbs(parts...); !finite {
+		var finG, finH bool
+		maxG, finG = compress.MaxAbs(gParts...)
+		maxH, finH = compress.MaxAbs(hParts...)
+		if !finG || !finH {
 			return compress.ErrNonFinite
 		}
 	}
+	presence := sendsPresence(ts.buckets, ts.present, width)
+	sent, flag := ts.buckets, uint8(0)
+	if presence {
+		sent, flag = ts.present, presentFlag
+	}
 	start := w.Len()
 	w.Uint8(VecDeferred)
-	w.Uint8(uint8(width))
-	if touched {
-		w.Uint32(uint32(npos))
-		b := w.Extend((npos + 7) / 8)
-		for i := range b {
-			b[i] = byte(ts.touched[i>>3] >> (8 * (i & 7)))
-		}
+	w.Uint8(uint8(width) | flag)
+	w.Uint32(uint32(npos))
+	b := w.Extend((npos + 7) / 8)
+	for i := range b {
+		b[i] = byte(ts.touched[i>>3] >> (8 * (i & 7)))
 	}
+	putMass(w, width, massG)
+	w.Float64(maxG)
+	w.Uint32(uint32(ts.buckets))
+	if presence {
+		w.Uint32(uint32(ts.present))
+		w.Raw(ts.presence)
+	}
+	packDeferred(w, enc, width, maxG, presence, ts, sent, gParts)
+	w.Uint8(VecDeferred)
+	w.Uint8(uint8(width))
+	putMass(w, width, massH)
+	w.Float64(maxH)
+	w.Uint32(uint32(sent))
+	packDeferred(w, enc, width, maxH, presence, ts, sent, hParts)
+	vectorBytes(VecDeferred, dirEncode, int64(w.Len()-start))
+	return nil
+}
+
+// putMass appends a deferred mass as a width carries it.
+func putMass(w *wire.Writer, width uint, mass float64) {
 	if width == compress.RawFloat32 {
 		w.Float32(float32(mass))
 	} else {
 		w.Float64(mass)
 	}
-	w.Float64(maxAbs)
-	w.Uint32(uint32(ts.buckets))
-	enc.PackSpans(w.Extend(compress.SpanDataSize(ts.buckets, width)), width, maxAbs, parts...)
-	vectorBytes(VecDeferred, dirEncode, int64(w.Len()-start))
-	return nil
 }
 
-// deferredShard is a parsed deferred push: its touched set and both vectors,
-// every header field checked against the receiver's shard layout and the
-// data aliased from the message, so it can no longer fail to merge.
+// packDeferred appends one vector's sent values: the present buckets' when
+// the push sends presence, every touched bucket's otherwise.
+func packDeferred(w *wire.Writer, enc *compress.Encoder, width uint, maxAbs float64, presence bool, ts *touchedShard, sent int, parts [][]float64) {
+	data := w.Extend(compress.SpanDataSize(sent, width))
+	if presence {
+		enc.PackPresent(data, width, maxAbs, ts.presence, parts...)
+	} else {
+		enc.PackSpans(data, width, maxAbs, parts...)
+	}
+}
+
+// deferredShard is a parsed deferred push: its touched set, its presence
+// bitmap and both vectors, every header field checked against the receiver's
+// shard layout and the data aliased from the message, so it can no longer
+// fail to merge.
 type deferredShard struct {
-	touched []uint64
-	g, h    deferredVector
+	touched  []uint64
+	presence []byte // nil when every touched bucket was sent
+	sent     int    // values each vector carries
+	g, h     deferredVector
 }
 
-// deferredVector is one parsed deferred vector: the mass and the touched
-// buckets as a compress.Sparse whose spans are the touched positions' bucket
-// runs.
+// deferredVector is one parsed deferred vector: the mass, and the values
+// sent at their width.
 type deferredVector struct {
+	width  uint
 	mass   float64
-	values compress.Sparse
+	maxAbs float64
+	data   []byte
 	size   int // bytes on the wire, tag included
 }
 
@@ -168,7 +234,7 @@ type deferredVector struct {
 func parseDeferredShard(r *wire.Reader, layout *histogram.Layout) (*deferredShard, error) {
 	start := r.Remaining()
 	r.Uint8() // VecDeferred, checked by the caller
-	width := uint(r.Uint8())
+	flags := r.Uint8()
 	npos := int(r.Uint32())
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -187,10 +253,22 @@ func parseDeferredShard(r *wire.Reader, layout *histogram.Layout) (*deferredShar
 	for i, b := range raw {
 		d.touched[i>>3] |= uint64(b) << (8 * (i & 7))
 	}
-	spans, count := touchedSpans(layout, d.touched)
+	count := touchedBuckets(layout, d.touched)
 	var err error
-	if d.g, err = parseDeferredBody(r, "pushed g shard", width, spans, count, layout.TotalBuckets); err != nil {
+	if d.g, err = parseDeferredHeader(r, "pushed g shard", uint(flags&^presentFlag)); err != nil {
 		return nil, err
+	}
+	if err := readCount(r, "pushed g shard touched buckets", count); err != nil {
+		return nil, err
+	}
+	sent := count
+	if flags&presentFlag != 0 {
+		if sent, err = d.parsePresence(r, count); err != nil {
+			return nil, err
+		}
+	}
+	if d.g.data = r.Raw(compress.SpanDataSize(sent, d.g.width)); r.Err() != nil {
+		return nil, r.Err()
 	}
 	d.g.size = start - r.Remaining()
 
@@ -201,19 +279,25 @@ func parseDeferredShard(r *wire.Reader, layout *histogram.Layout) (*deferredShar
 		}
 		return nil, fmt.Errorf("%w: deferred g shard followed by a vector tagged %d", compress.ErrBadHeader, tag)
 	}
-	width = uint(r.Uint8())
-	if d.h, err = parseDeferredBody(r, "pushed h shard", width, spans, count, layout.TotalBuckets); err != nil {
+	if d.h, err = parseDeferredHeader(r, "pushed h shard", uint(r.Uint8())); err != nil {
 		return nil, err
 	}
+	if err := readCount(r, "pushed h shard values", sent); err != nil {
+		return nil, err
+	}
+	if d.h.data = r.Raw(compress.SpanDataSize(sent, d.h.width)); r.Err() != nil {
+		return nil, r.Err()
+	}
 	d.h.size = start - r.Remaining()
+	d.sent = sent
 	return d, nil
 }
 
-// parseDeferredBody consumes a deferred vector after its width byte (and,
-// for the G vector, its touched set): count must equal the touched positions'
-// bucket count, the mass must be finite.
-func parseDeferredBody(r *wire.Reader, what string, width uint, spans []compress.Span, count, n int) (deferredVector, error) {
-	var v deferredVector
+// parseDeferredHeader consumes a deferred vector's mass and scale, after its
+// width byte (and, for the G vector, its touched set). The width must be a
+// span width, the mass finite and the scale finite and non-negative.
+func parseDeferredHeader(r *wire.Reader, what string, width uint) (deferredVector, error) {
+	v := deferredVector{width: width}
 	if !validSpanWidth(width) {
 		if err := r.Err(); err != nil {
 			return v, err
@@ -225,55 +309,109 @@ func parseDeferredBody(r *wire.Reader, what string, width uint, spans []compress
 	} else {
 		v.mass = r.Float64()
 	}
-	v.values = compress.Sparse{Bits: width, N: n, MaxAbs: r.Float64(), Spans: spans}
-	got := int(r.Uint32())
+	v.maxAbs = r.Float64()
 	if err := r.Err(); err != nil {
 		return v, err
 	}
 	if !finite(v.mass) {
 		return v, fmt.Errorf("%w: %s deferred mass %v", compress.ErrBadHeader, what, v.mass)
 	}
-	if got != count {
-		return v, &ShapeError{What: what + " touched buckets", Got: got, Want: count}
+	if !finite(v.maxAbs) || v.maxAbs < 0 {
+		return v, fmt.Errorf("%w: %s scale %v", compress.ErrBadHeader, what, v.maxAbs)
 	}
-	v.values.Data = r.Raw(compress.SpanDataSize(count, width))
-	if err := r.Err(); err != nil {
-		return v, err
-	}
-	return v, v.values.Validate()
+	return v, nil
 }
 
-// touchedSpans returns the bucket runs of a touched set under a layout —
-// touching positions' runs joined — and their bucket count.
-func touchedSpans(layout *histogram.Layout, touched []uint64) ([]compress.Span, int) {
-	var spans []compress.Span
+// readCount consumes a u32 count that must be want.
+func readCount(r *wire.Reader, what string, want int) error {
+	got := int(r.Uint32())
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if got != want {
+		return &ShapeError{What: what, Got: got, Want: want}
+	}
+	return nil
+}
+
+// parsePresence consumes the present count and the presence bitmap of count
+// touched buckets: no bit past them, and as many set as the count says,
+// which it returns.
+func (d *deferredShard) parsePresence(r *wire.Reader, count int) (int, error) {
+	present := int(r.Uint32())
+	d.presence = r.Raw((count + 7) / 8)
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if rest := count & 7; rest != 0 && d.presence[len(d.presence)-1]>>rest != 0 {
+		return 0, fmt.Errorf("%w: a presence bit past touched bucket %d", compress.ErrBadHeader, count-1)
+	}
+	set := 0
+	for _, b := range d.presence {
+		set += bits.OnesCount8(b)
+	}
+	if present != set {
+		return 0, &ShapeError{What: "pushed g shard present buckets", Got: present, Want: set}
+	}
+	return present, nil
+}
+
+// touchedBuckets returns the bucket count of a touched set's positions under
+// a layout.
+func touchedBuckets(layout *histogram.Layout, touched []uint64) int {
 	count := 0
 	offs := layout.Offsets
 	for w, set := range touched {
 		for ; set != 0; set &= set - 1 {
 			p := w<<6 + bits.TrailingZeros64(set)
-			lo, hi := uint32(offs[p]), uint32(offs[p+1])
-			if k := len(spans) - 1; k >= 0 && spans[k].Start+spans[k].Count == lo {
-				spans[k].Count += hi - lo
-			} else {
-				spans = append(spans, compress.Span{Start: lo, Count: hi - lo})
-			}
-			count += int(hi - lo)
+			count += int(offs[p+1] - offs[p])
 		}
 	}
-	return spans, count
+	return count
 }
 
 // fill writes the shard into a zeroed histogram of the receiver's layout,
-// leaving it deferred.
-func (d *deferredShard) fill(h *histogram.Histogram) error {
+// leaving it deferred: the masses, and every sent bucket's values where its
+// touched position lies. Absent buckets stay +0. Each vector's values are
+// decoded in one pass into scratch, then the touched set and the presence
+// bits are walked once, branch-free, to place them.
+func (d *deferredShard) fill(h *histogram.Histogram) {
 	h.SetDeferred(d.touched, d.g.mass, d.h.mass)
-	if err := d.g.values.DecodeInto(h.G); err != nil {
-		return err
+	sent := d.sent
+	sp := valueScratch.Get().(*[]float64)
+	defer valueScratch.Put(sp)
+	if cap(*sp) < 2*sent+2 {
+		*sp = make([]float64, 2*sent+2)
 	}
-	if err := d.h.values.DecodeInto(h.H); err != nil {
-		return err
+	// One slot past each vector's values: an absent bucket after the last
+	// present one reads it, and stores it masked to +0.
+	gv, hv := (*sp)[:sent+1], (*sp)[sent+1:2*sent+2]
+	compress.UnpackSpan(gv[:sent], d.g.data, d.g.width, d.g.maxAbs)
+	compress.UnpackSpan(hv[:sent], d.h.data, d.h.width, d.h.maxAbs)
+	offs := h.Layout.Offsets
+	k, at := 0, 0 // touched buckets walked, values stored
+	for w, set := range d.touched {
+		for ; set != 0; set &= set - 1 {
+			p := w<<6 + bits.TrailingZeros64(set)
+			lo, hi := int(offs[p]), int(offs[p+1])
+			if d.presence == nil {
+				copy(h.G[lo:hi], gv[at:])
+				copy(h.H[lo:hi], hv[at:])
+				at += hi - lo
+				continue
+			}
+			for b := lo; b < hi; b, k = b+1, k+1 {
+				bit := uint64(d.presence[k>>3]>>(k&7)) & 1
+				mask := -bit // every bit of a present bucket's value, none of an absent one's
+				h.G[b] = math.Float64frombits(math.Float64bits(gv[at]) & mask)
+				h.H[b] = math.Float64frombits(math.Float64bits(hv[at]) & mask)
+				at += int(bit)
+			}
+		}
 	}
 	vectorBytes(VecDeferred, dirDecode, int64(d.g.size+d.h.size))
-	return nil
 }
+
+// valueScratch holds the decoded values fill places, one slice per
+// concurrent push.
+var valueScratch = sync.Pool{New: func() any { return new([]float64) }}

@@ -236,8 +236,13 @@ type deferredBody struct {
 	massG, massH   float64
 	maxAbs         float64
 	countG, countH uint32
-	dataG, dataH   []byte
-	tagH           uint8
+	// presence sets presentFlag and sends present and bitmap after countG.
+	presence bool
+	present  uint32
+	bitmap   []byte
+	dataG    []byte
+	dataH    []byte
+	tagH     uint8
 }
 
 func (b deferredBody) bytes() []byte {
@@ -250,12 +255,20 @@ func (b deferredBody) bytes() []byte {
 		}
 	}
 	w.Uint8(VecDeferred)
-	w.Uint8(b.widthG)
+	if b.presence {
+		w.Uint8(b.widthG | presentFlag)
+	} else {
+		w.Uint8(b.widthG)
+	}
 	w.Uint32(b.npos)
 	w.Raw(b.touched)
 	mass(b.widthG, b.massG)
 	w.Float64(b.maxAbs)
 	w.Uint32(b.countG)
+	if b.presence {
+		w.Uint32(b.present)
+		w.Raw(b.bitmap)
+	}
 	w.Raw(b.dataG)
 	w.Uint8(b.tagH)
 	w.Uint8(b.widthH)
@@ -269,9 +282,10 @@ func (b deferredBody) bytes() []byte {
 // checkHostileDeferredPushes sends server sv deferred pushes no client
 // writes, as a worker whose push would be parked, for a node nobody pushed:
 // each must fail with a typed error before anything is merged or parked.
-// layout is every feature at one bucket. The touched set is a bitset and the
-// bucket runs follow from it and the shard layout, so unsorted or duplicated
-// positions and runs that do not tile them cannot be written at all.
+// layout is every feature at one bucket. The touched set and the presence
+// are bitsets and the bucket runs follow from them and the shard layout, so
+// unsorted or duplicated positions and runs that do not tile them cannot be
+// written at all.
 func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	t.Helper()
 	const node, worker = 9, 1
@@ -321,6 +335,18 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 			b.dataG, b.dataH = make([]byte, 2), make([]byte, 2)
 		}, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
 		{"dense h after a deferred g", func(b *deferredBody) { b.tagH = VecFloat64 }, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"presence bit past the touched buckets", func(b *deferredBody) {
+			b.presence, b.present, b.bitmap = true, 2, []byte{0b111}
+		}, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"present count other than the bitmap's", func(b *deferredBody) {
+			b.presence, b.present, b.bitmap = true, 2, []byte{0b10}
+		}, func(err error) bool { return errors.As(err, &shape) }},
+		{"h count other than the present count", func(b *deferredBody) {
+			b.presence, b.present, b.bitmap, b.dataG = true, 1, []byte{0b10}, make([]byte, 8)
+		}, func(err error) bool { return errors.As(err, &shape) }},
+		{"data for every touched bucket behind a bitmap of one", func(b *deferredBody) {
+			b.presence, b.present, b.bitmap, b.countH = true, 1, []byte{0b01}, 1
+		}, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
 	}
 	for _, tc := range cases {
 		b := valid
@@ -330,9 +356,14 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 		}
 	}
 	body := valid.bytes()
-	for n := 0; n < len(body); n++ {
-		if err := send(body[:n]); err == nil {
-			t.Fatalf("a deferred push cut to %d of %d bytes was accepted", n, len(body))
+	withPresence := valid
+	withPresence.presence, withPresence.present, withPresence.bitmap = true, 1, []byte{0b01}
+	withPresence.dataG, withPresence.countH, withPresence.dataH = make([]byte, 8), 1, make([]byte, 8)
+	for _, b := range [][]byte{body, withPresence.bytes()} {
+		for n := 0; n < len(b); n++ {
+			if err := send(b[:n]); err == nil {
+				t.Fatalf("a deferred push cut to %d of %d bytes was accepted", n, len(b))
+			}
 		}
 	}
 	if err := send(append(body, 0)); err == nil {
@@ -444,16 +475,24 @@ func (fz *deferredFuzz) body(t testing.TB, sv int, h *histogram.Histogram, width
 	fz.plan.touched(&ts, sv, h)
 	w := wire.NewWriter(64)
 	mg, mh := h.DeferredMass()
-	enc := compress.NewEncoder(1)
-	parts := spanParts(nil, ts.runs, h.G)
-	if err := writeDeferredVector(w, enc, width, &ts, fz.plan.npos[sv], true, mg, parts); err != nil {
-		t.Fatal(err)
-	}
-	parts = spanParts(nil, ts.runs, h.H)
-	if err := writeDeferredVector(w, enc, width, &ts, fz.plan.npos[sv], false, mh, parts); err != nil {
+	g, hs := spanParts(nil, ts.runs, h.G), spanParts(nil, ts.runs, h.H)
+	if err := writeDeferredShard(w, compress.NewEncoder(1), width, &ts, fz.plan.npos[sv], mg, mh, g, hs); err != nil {
 		t.Fatal(err)
 	}
 	return w.Bytes()
+}
+
+// fuzzSeed is touched-set bytes followed by the 8-byte groups of values, as
+// deferredFuzz.histogram reads them.
+func fuzzSeed(values ...float64) []byte {
+	seed := make([]byte, 19)
+	for i := range seed {
+		seed[i] = byte(37 * i)
+	}
+	for _, v := range values {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	return seed
 }
 
 // FuzzDeferredVector: any bytes offered as a push body either fail to parse
@@ -461,20 +500,19 @@ func (fz *deferredFuzz) body(t testing.TB, sv int, h *histogram.Histogram, width
 // panic; and any deferred histogram, encoded at a raw width, decodes on the
 // server side to the same touched set, the same masses and the same touched
 // buckets, Float64bits-exact (narrowed to float32 on the float32 wire); at a
-// fixed-point width, within a step of them.
+// fixed-point width, within a step of them. The seeds encode every width
+// with every touched bucket sent and, where its empty buckets pay for it,
+// behind the presence bitmap.
 func FuzzDeferredVector(f *testing.F) {
 	fz := newDeferredFuzz(f)
-	seed := make([]byte, 19)
-	for i := range seed {
-		seed[i] = byte(37 * i)
-	}
-	for _, v := range []float64{1.5, -2.25, 0, 3, 7, -1e-3, 1e6, 0.5} {
-		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
-	}
+	// fuzzValues reads groups with three low zero bits as 0: these have none.
+	full := fuzzSeed(1.1, -2.3, 0.7, 3.3, 5.7, -1e-3, 0.1, 0.3)
+	sparse := fuzzSeed(1.1, -2.3, 0, 0, 0, 0, 0, 0, 5.7, -1e-3)
 	f.Add(uint8(0), []byte{})
 	for sel := range fuzzWidths {
-		f.Add(uint8(sel), seed)
-		f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(seed), fuzzWidths[sel]))
+		f.Add(uint8(sel), full)
+		f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(full), fuzzWidths[sel]))
+		f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(sparse), fuzzWidths[sel]))
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, blob []byte) {
 		for sv, layout := range fz.servers {
@@ -490,15 +528,16 @@ func FuzzDeferredVector(f *testing.F) {
 		width := fuzzWidths[int(sel)%len(fuzzWidths)]
 		h := fz.histogram(blob)
 		mg, mh := h.DeferredMass()
+		if !finite(wireMass(mg, width)) || !finite(wireMass(mh, width)) {
+			return // never sent deferred: the client materialises it (deferredIsSmaller)
+		}
 		for sv, layout := range fz.servers {
 			p, err := parseShard(fz.body(t, sv, h, width), layout)
 			if err != nil || p.deferred == nil {
 				t.Fatalf("server %d: own encoding at width %d did not parse as deferred: %v", sv, width, err)
 			}
 			got := histogram.New(layout)
-			if err := p.deferred.fill(got); err != nil {
-				t.Fatal(err)
-			}
+			p.deferred.fill(got)
 			if g, hs := got.DeferredMass(); g != wireMass(mg, width) || hs != wireMass(mh, width) {
 				t.Fatalf("server %d: mass (%v, %v), sent (%v, %v) at width %d", sv, g, hs, mg, mh, width)
 			}
@@ -515,8 +554,8 @@ func FuzzDeferredVector(f *testing.F) {
 					wlo, whi := fz.plan.layout.BucketRange(wp)
 					slo, _ := layout.BucketRange(q)
 					for k := 0; k < whi-wlo; k++ {
-						checkDecoded(t, width, h.G[wlo+k], got.G[slo+k], p.deferred.g.values.MaxAbs)
-						checkDecoded(t, width, h.H[wlo+k], got.H[slo+k], p.deferred.h.values.MaxAbs)
+						checkDecoded(t, width, h.G[wlo+k], got.G[slo+k], p.deferred.g.maxAbs)
+						checkDecoded(t, width, h.H[wlo+k], got.H[slo+k], p.deferred.h.maxAbs)
 					}
 				}
 			}
@@ -529,16 +568,54 @@ func checkDecoded(t *testing.T, width uint, sent, got, maxAbs float64) {
 	t.Helper()
 	switch width {
 	case compress.RawFloat64:
-		if math.Float64bits(got) != math.Float64bits(0+sent) {
+		if math.Float64bits(got) != math.Float64bits(sent) {
 			t.Fatalf("float64 wire: %v decoded as %v", sent, got)
 		}
 	case compress.RawFloat32:
-		if math.Float64bits(got) != math.Float64bits(0+float64(float32(sent))) {
+		if math.Float64bits(got) != math.Float64bits(float64(float32(sent))) {
 			t.Fatalf("float32 wire: %v decoded as %v", sent, got)
 		}
 	default:
 		if step := maxAbs / float64(int64(1)<<(width-1)-1); math.Abs(got-sent) > step*(1+1e-9)+1e-300 {
 			t.Fatalf("%d-bit wire: %v decoded as %v, step %v", width, sent, got, step)
+		}
+	}
+}
+
+// TestNegativeZeroBucketTravels: presence is decided bit for bit, so on the
+// raw widths a touched bucket whose G is −0 and whose H is +0 is present and
+// arrives as −0, while the buckets whose statistics are both +0 stay behind
+// the presence bitmap.
+func TestNegativeZeroBucketTravels(t *testing.T) {
+	fz := newDeferredFuzz(t)
+	l := fz.plan.layout
+	p0, p1 := fz.plan.pos[0][0].lo, fz.plan.pos[0][0].lo+1 // server 0's positions 0 and 1
+	touched := make([]uint64, (l.NumFeatures()+63)/64)
+	for p := range l.Features {
+		touched[p/64] |= 1 << (p % 64)
+	}
+	h := histogram.New(l)
+	h.SetDeferred(touched, 1, 2)
+	lo0, _ := l.BucketRange(p0)
+	lo1, _ := l.BucketRange(p1)
+	h.G[lo0] = math.Copysign(0, -1)
+	h.G[lo1], h.H[lo1] = 1.5, 0.25
+	for _, width := range []uint{compress.RawFloat64, compress.RawFloat32} {
+		p, err := parseShard(fz.body(t, 0, h, width), fz.servers[0])
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if p.deferred.presence == nil {
+			t.Fatalf("width %d: two present buckets of %d were sent without the bitmap", width, touchedBuckets(fz.servers[0], p.deferred.touched))
+		}
+		got := histogram.New(fz.servers[0])
+		p.deferred.fill(got)
+		slo1, _ := fz.servers[0].BucketRange(1)
+		if g := got.G[0]; math.Float64bits(g) != math.Float64bits(math.Copysign(0, -1)) {
+			t.Fatalf("width %d: the −0 bucket arrived as %v (bits %x)", width, g, math.Float64bits(g))
+		}
+		if got.G[slo1] != 1.5 || got.H[slo1] != 0.25 {
+			t.Fatalf("width %d: bucket (1.5, 0.25) arrived as (%v, %v)", width, got.G[slo1], got.H[slo1])
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package ps
 
 import (
+	"encoding/binary"
+	"math"
 	"math/bits"
 
 	"dimboost/internal/histogram"
@@ -73,16 +75,21 @@ func spanParts(dst [][]float64, spans []bucketSpan, flat []float64) [][]float64 
 }
 
 // touchedShard is one server's share of a deferred histogram: the touched
-// set renumbered into the server's positions, and the bucket runs of those
-// positions in the worker's flat arrays — what a deferred push carries.
+// set renumbered into the server's positions, the bucket runs of those
+// positions in the worker's flat arrays, and which of their buckets are
+// present — what a deferred push carries.
 type touchedShard struct {
 	touched []uint64     // bit q: server position q was touched
 	runs    []bucketSpan // ascending, touching runs joined
 	buckets int          // Σ run lengths
+	// presence has bit k (little-endian) set when touched bucket k, in run
+	// order, has a G or an H that is not +0 bit for bit; present counts them.
+	presence []byte
+	present  int
 }
 
 // touched fills ts with server sv's share of a deferred histogram's touched
-// set, walking the set bits only.
+// set, walking the set bits only, and with the presence of its buckets.
 func (pl *shardPlan) touched(ts *touchedShard, sv int, h *histogram.Histogram) {
 	words := (pl.npos[sv] + 63) / 64
 	if cap(ts.touched) < words {
@@ -113,4 +120,30 @@ func (pl *shardPlan) touched(ts *touchedShard, sv int, h *histogram.Histogram) {
 		}
 		base += r.hi - r.lo
 	}
+	// Presence bits gather in a register, 64 buckets to a store.
+	pw := (ts.buckets + 63) / 64
+	if cap(ts.presence) < 8*pw {
+		ts.presence = make([]byte, 8*pw)
+	}
+	ts.presence = ts.presence[:8*pw]
+	var acc uint64
+	k := 0
+	for _, r := range ts.runs {
+		for i := r.lo; i < r.hi; i++ {
+			x := math.Float64bits(h.G[i]) | math.Float64bits(h.H[i])
+			acc |= (x | -x) >> 63 << (k & 63) // 1 unless x is 0
+			if k++; k&63 == 0 {
+				binary.LittleEndian.PutUint64(ts.presence[8*(k/64-1):], acc)
+				acc = 0
+			}
+		}
+	}
+	if k&63 != 0 {
+		binary.LittleEndian.PutUint64(ts.presence[8*(k/64):], acc)
+	}
+	ts.present = 0
+	for i := 0; i < pw; i++ {
+		ts.present += bits.OnesCount64(binary.LittleEndian.Uint64(ts.presence[8*i:]))
+	}
+	ts.presence = ts.presence[:(ts.buckets+7)/8]
 }

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -167,6 +168,85 @@ func readFeatures(r *wire.Reader, limit int) ([]int32, error) {
 		}
 		return nil, fmt.Errorf("ps: unknown feature list form %d", kind)
 	}
+}
+
+// Per-feature records — sketch summaries (PUSH_SKETCH) and cut lists (the
+// PULL_CANDIDATES reply) — make up a body as
+//
+//	count uvarint | (delta uvarint | record)×count
+//
+// in strictly ascending feature id, each id sent as its distance from the
+// previous one and the first from −1; the body ends with the last record.
+// The records are sketch's wire forms (sketch/wire.go).
+
+var (
+	// ErrBadFeatureID reports a feature record whose id repeats the previous
+	// one, lies outside the partition's feature space, or belongs to another
+	// server than the one it was pushed to or pulled from.
+	ErrBadFeatureID = errors.New("ps: bad feature id")
+	// ErrTrailingBytes reports a request or reply body with bytes past its
+	// last field.
+	ErrTrailingBytes = errors.New("ps: trailing bytes")
+)
+
+// recordFramingSize is the exact size of the count and the id deltas that
+// frame the records of the ascending feats.
+func recordFramingSize(feats []int32) int {
+	size, prev := wire.UvarintLen(uint64(len(feats))), int32(-1)
+	for _, f := range feats {
+		size += wire.UvarintLen(uint64(f - prev))
+		prev = f
+	}
+	return size
+}
+
+// writeFeatureRecords appends the records of the ascending feats, record(i)
+// writing feats[i]'s.
+func writeFeatureRecords(w *wire.Writer, feats []int32, record func(i int)) {
+	w.Uvarint(uint64(len(feats)))
+	prev := int32(-1)
+	for i, f := range feats {
+		w.Uvarint(uint64(f - prev))
+		prev = f
+		record(i)
+	}
+}
+
+// readFeatureRecords consumes a body of records for server sv under part,
+// checking every id (ErrBadFeatureID) before record consumes its record.
+func readFeatureRecords(r *wire.Reader, part *Partition, sv int, record func(f int32) error) error {
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if n > uint64(r.Remaining()) {
+		return fmt.Errorf("%w: %d records in %d bytes", wire.ErrTruncated, n, r.Remaining())
+	}
+	prev := int64(-1)
+	for i := uint64(0); i < n; i++ {
+		d := r.Uvarint()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if d == 0 {
+			return fmt.Errorf("%w: feature %d repeated", ErrBadFeatureID, prev)
+		}
+		if d > uint64(part.NumFeatures) || prev+int64(d) >= int64(part.NumFeatures) {
+			return fmt.Errorf("%w: feature %d + %d outside [0, %d)", ErrBadFeatureID, prev, d, part.NumFeatures)
+		}
+		f := int32(prev + int64(d))
+		if owner := part.ServerOf(f); owner != sv {
+			return fmt.Errorf("%w: feature %d belongs to server %d, not %d", ErrBadFeatureID, f, owner, sv)
+		}
+		if err := record(f); err != nil {
+			return fmt.Errorf("feature %d: %w", f, err)
+		}
+		prev = int64(f)
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%w: %d after the last record", ErrTrailingBytes, r.Remaining())
+	}
+	return nil
 }
 
 // Per-vector histogram wire tags. Every gradient/hessian vector on the wire

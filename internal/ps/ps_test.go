@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -423,33 +424,42 @@ func TestServerRejectsBadTraffic(t *testing.T) {
 	}
 
 	// Deferred shard pushes no client writes — bits past the shard, another
-	// shard size, count mismatches, non-finite masses and scales, bad widths,
+	// shard size, count mismatches, presence bits past the touched buckets,
+	// present counts that disagree, non-finite masses and scales, bad widths,
 	// mixed tags, every truncation — are refused, typed, before anything is
 	// merged or parked.
 	checkHostileDeferredPushes(t, fx, 0)
 
-	// Sketch summaries no GK produces, or for features the server does not
-	// own, fail the whole batch — a valid summary ahead of the bad one
-	// included — before anything reaches candidate proposal.
+	// Sketch summaries no GK produces, for features the server does not own,
+	// or repeating a feature fail the whole batch — a valid summary ahead of
+	// the bad one included — before anything reaches candidate proposal.
 	type summary struct {
-		f      int32
+		f      int64 // sent as its distance from the previous id
 		values []float64
 		gs     []uint64
 	}
-	var owned []int32
+	var owned []int64
 	for f := int32(0); f < 20; f++ {
 		if fx.part.ServerOf(f) == 0 {
-			owned = append(owned, f)
+			owned = append(owned, int64(f))
 		}
 	}
 	pushSketches := func(batch ...summary) error {
 		w := c.newRequest(64)
-		w.Uint32(uint32(len(batch)))
+		w.Uvarint(uint64(len(batch)))
+		prev := int64(-1)
 		for _, s := range batch {
-			w.Int32(s.f)
-			w.Float64s(s.values)
-			w.Uint64s(s.gs)
-			w.Uint64s(make([]uint64, len(s.values)))
+			w.Uvarint(uint64(s.f - prev))
+			prev = s.f
+			// The float64 form with (g, Δ) pairs: head n<<2 | 2.
+			w.Uvarint(uint64(len(s.values))<<2 | 2)
+			for _, v := range s.values {
+				w.Float64(v)
+			}
+			for _, g := range s.gs {
+				w.Uvarint(g)
+				w.Uvarint(0)
+			}
 		}
 		_, err := c.send(0, OpPushSketch, w)
 		return err
@@ -467,10 +477,27 @@ func TestServerRejectsBadTraffic(t *testing.T) {
 			t.Errorf("sketch push %v/%v got %v, want sketch.ErrInvalidSummary", bad.values, bad.gs, err)
 		}
 	}
-	for _, f := range []int32{-1, 20} {
-		if err := pushSketches(summary{f, []float64{1}, []uint64{1}}); err == nil {
-			t.Errorf("sketch push for feature %d outside the partition accepted", f)
+	// Ids cannot go below 0 any more; the id a delta would wrap to −1 as an
+	// int32 is past the partition like 20 is.
+	for _, f := range []int64{1<<32 - 1, 20} {
+		if err := pushSketches(summary{f, []float64{1}, []uint64{1}}); !errors.Is(err, ErrBadFeatureID) {
+			t.Errorf("sketch push for feature %d outside the partition got %v, want ErrBadFeatureID", f, err)
 		}
+	}
+	if err := pushSketches(summary{owned[1], []float64{1}, []uint64{1}}, summary{owned[0], []float64{2}, []uint64{1}}); !errors.Is(err, ErrBadFeatureID) {
+		t.Errorf("sketch push of %d, then %d got %v, want ErrBadFeatureID", owned[1], owned[0], err)
+	}
+	for _, f := range []int64{owned[0], owned[1]} {
+		if err := pushSketches(summary{f, []float64{1}, []uint64{1}}, summary{f, []float64{2}, []uint64{1}}); !errors.Is(err, ErrBadFeatureID) {
+			t.Errorf("sketch push repeating feature %d got %v, want ErrBadFeatureID", f, err)
+		}
+	}
+	var notOwned int64
+	for fx.part.ServerOf(int32(notOwned)) == 0 {
+		notOwned++
+	}
+	if err := pushSketches(summary{notOwned, []float64{1}, []uint64{1}}); !errors.Is(err, ErrBadFeatureID) {
+		t.Errorf("sketch push for server 1's feature %d got %v, want ErrBadFeatureID", notOwned, err)
 	}
 	if n := len(fx.servers[0].pendingSketches); n != 0 {
 		t.Fatalf("rejected sketch pushes left %d features buffered", n)
@@ -592,37 +619,69 @@ func (e *sketchRecorder) Call(to string, req transport.Message) (transport.Messa
 }
 
 // TestPushSketchesRequestIsSizedOnce: every server's CREATE_SKETCH request
-// carries the bytes the writer that grew from 1 KB by doubling wrote — count,
-// then per owned feature its id and three length-prefixed summary arrays, in
-// feature order — and is allocated at exactly that size.
+// carries the bytes a reference writer puts together from each summary's
+// arrays — the count, then per owned feature in order its id delta and its
+// summary: the head, the values as float32 when every one of them is a
+// float32, and the (g, Δ) pairs unless every tuple is (1, 0) — and is
+// allocated at exactly that size. Both summary forms and both value widths
+// occur.
 func TestPushSketchesRequestIsSizedOnce(t *testing.T) {
 	const m, p = 400, 3
 	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 500, NumFeatures: m, AvgNNZ: 20, Seed: 9, Zipf: 1.2})
 	set := sketch.NewSet(m, 0.02)
 	set.AddDataset(d)
+	for f := 0; f < m; f += 7 {
+		set.Add(f, 0.1) // no float32 equals 0.1
+	}
 	fx := newFixture(t, m, p, 1)
 	rec := &sketchRecorder{Endpoint: fx.clients[0].ep, bodies: map[string][]byte{}, caps: map[string]int{}}
 	fx.clients[0].ep = rec
 	if err := fx.clients[0].PushSketches(set); err != nil {
 		t.Fatal(err)
 	}
+	forms := map[string]int{}
 	for sv := 0; sv < p; sv++ {
-		want := wire.NewWriter(1024)
-		want.Uint32(0)
-		count := 0
+		var feats []int
 		for f := 0; f < m; f++ {
-			gk := set.Feature(f)
-			if gk == nil || fx.part.ServerOf(int32(f)) != sv {
-				continue
+			if set.Feature(f) != nil && fx.part.ServerOf(int32(f)) == sv {
+				feats = append(feats, f)
 			}
-			values, gs, deltas := gk.Summary()
-			want.Int32(int32(f))
-			want.Float64s(values)
-			want.Uint64s(gs)
-			want.Uint64s(deltas)
-			count++
 		}
-		binary.LittleEndian.PutUint32(want.Bytes(), uint32(count))
+		want := wire.NewWriter(1024)
+		want.Uvarint(uint64(len(feats)))
+		prev := -1
+		for _, f := range feats {
+			want.Uvarint(uint64(f - prev))
+			prev = f
+			values, gs, deltas := set.Feature(f).Summary()
+			f32, counts := true, false
+			for i, v := range values {
+				f32 = f32 && float64(float32(v)) == v
+				counts = counts || gs[i] != 1 || deltas[i] != 0
+			}
+			head := uint64(len(values)) << 2
+			if f32 {
+				head |= 1
+			}
+			if counts {
+				head |= 2
+			}
+			forms[fmt.Sprintf("float32=%v counts=%v", f32, counts)]++
+			want.Uvarint(head)
+			for _, v := range values {
+				if f32 {
+					want.Float32(float32(v))
+				} else {
+					want.Float64(v)
+				}
+			}
+			for i := range values {
+				if counts {
+					want.Uvarint(gs[i])
+					want.Uvarint(deltas[i])
+				}
+			}
+		}
 		got := rec.bodies[serverName(sv)]
 		if len(got) < envelopeSize || !bytes.Equal(got[envelopeSize:], want.Bytes()) {
 			t.Fatalf("server %d: %d request bytes, want the envelope and %d bytes", sv, len(got), want.Len())
@@ -630,6 +689,9 @@ func TestPushSketchesRequestIsSizedOnce(t *testing.T) {
 		if c := rec.caps[serverName(sv)]; c != len(got) {
 			t.Fatalf("server %d: request buffer of capacity %d for %d bytes", sv, c, len(got))
 		}
+	}
+	if len(forms) != 4 {
+		t.Fatalf("summary forms %v: want every value width with and without counts", forms)
 	}
 }
 

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -489,6 +490,143 @@ func fillDeferred(h *histogram.Histogram, seed int64, density float64) {
 	}
 }
 
+// refDeferredShard is the reference for server sv's shard of a deferred
+// push: the server's positions found feature by feature, every touched
+// bucket present unless its G and H are both +0 bit for bit, and encode
+// writing the two vectors field by field — the present buckets behind their
+// bitmap when that is smaller, every touched bucket otherwise — with one
+// rounding draw per touched bucket at fixed point. unbitmapped is the size
+// the push had before the bitmap existed, when every touched bucket was
+// sent.
+func refDeferredShard(part *Partition, sv int, h *histogram.Histogram, width uint) (encode func(rng *rand.Rand) []byte, unbitmapped int) {
+	l := h.Layout
+	var touched []bool
+	var g, hs []float64
+	for p, f := range l.Features {
+		if part.ServerOf(f) != sv {
+			continue
+		}
+		in := h.ScanWord(p/64)&(1<<(p%64)) != 0
+		touched = append(touched, in)
+		if in {
+			lo, hi := l.BucketRange(p)
+			g, hs = append(g, h.G[lo:hi]...), append(hs, h.H[lo:hi]...)
+		}
+	}
+	var present []bool
+	npresent := 0
+	for i := range g {
+		in := math.Float64bits(g[i])|math.Float64bits(hs[i]) != 0
+		present = append(present, in)
+		if in {
+			npresent++
+		}
+	}
+	raw := width == compress.RawFloat32 || width == compress.RawFloat64
+	dataSize := func(n int) int {
+		switch width {
+		case compress.RawFloat32:
+			return 4 * n
+		case compress.RawFloat64:
+			return 8 * n
+		}
+		return (n*int(width) + 7) / 8
+	}
+	massSize := 8
+	if width == compress.RawFloat32 {
+		massSize = 4
+	}
+	unbitmapped = 2*(1+1+massSize+8+4) + 4 + (len(touched)+7)/8 + 2*dataSize(len(g))
+	bitmap := 4+(len(g)+7)/8+2*dataSize(npresent) < 2*dataSize(len(g))
+	sent := len(g)
+	if bitmap {
+		sent = npresent
+	}
+	bitset := func(bs []bool) []byte {
+		b := make([]byte, (len(bs)+7)/8)
+		for i, in := range bs {
+			if in {
+				b[i/8] |= 1 << (i % 8)
+			}
+		}
+		return b
+	}
+	massG, massH := h.DeferredMass()
+	encode = func(rng *rand.Rand) []byte {
+		w := wire.NewWriter(64)
+		vector := func(vs []float64, mass float64, first bool) {
+			w.Uint8(VecDeferred)
+			if first && bitmap {
+				w.Uint8(uint8(width) | 0x80)
+			} else {
+				w.Uint8(uint8(width))
+			}
+			if first {
+				w.Uint32(uint32(len(touched)))
+				w.Raw(bitset(touched))
+			}
+			if width == compress.RawFloat32 {
+				w.Float32(float32(mass))
+			} else {
+				w.Float64(mass)
+			}
+			maxAbs := 0.0
+			if !raw {
+				for _, v := range vs {
+					maxAbs = math.Max(maxAbs, math.Abs(v))
+				}
+			}
+			w.Float64(maxAbs)
+			switch {
+			case first && bitmap:
+				w.Uint32(uint32(len(g)))
+				w.Uint32(uint32(npresent))
+				w.Raw(bitset(present))
+			case first:
+				w.Uint32(uint32(len(g)))
+			default:
+				w.Uint32(uint32(sent))
+			}
+			data := make([]byte, dataSize(sent))
+			j := 0
+			for i, v := range vs {
+				var q int64
+				if !raw && maxAbs != 0 {
+					t := v / maxAbs * float64(int64(1)<<(width-1)-1)
+					f := math.Floor(t)
+					q = int64(f)
+					if rng.Float64() < t-f {
+						q++
+					}
+				}
+				if bitmap && !present[i] {
+					continue
+				}
+				switch width {
+				case compress.RawFloat32:
+					binary.LittleEndian.PutUint32(data[4*j:], math.Float32bits(float32(v)))
+				case compress.RawFloat64:
+					binary.LittleEndian.PutUint64(data[8*j:], math.Float64bits(v))
+				default:
+					refPutBits(data, j, width, uint64(q)&((1<<width)-1))
+				}
+				j++
+			}
+			w.Raw(data)
+		}
+		vector(g, massG, true)
+		vector(hs, massH, false)
+		return w.Bytes()
+	}
+	return encode, unbitmapped
+}
+
+// checkDeferredPush pushes deferred histograms and their materialised forms
+// through two fleets. Every byte of every deferred push — envelope included,
+// deferred or, where that does not pay, materialised — equals the reference
+// encoders', across consecutive pushes; no push is larger than its
+// materialised form or than the push before the presence bitmap; and the
+// servers hold what the materialised pushes leave.
 func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool, density float64) {
 	cd, capD, srvD, layout := pushFleet(t, geo, bits, exact, sparse)
 	cm, capM, srvM, _ := pushFleet(t, geo, bits, exact, sparse)
@@ -498,20 +636,44 @@ func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact, sparse 
 		}
 		return n
 	}
+	ref := rand.New(rand.NewSource(2)) // pushFleet's client is worker 1
+	ev := vecEncoding{bits: bits, exact: exact, sparse: sparse}
 	const pushes = 3
 	for node := 0; node < pushes; node++ {
 		h := histogram.New(layout)
 		fillDeferred(h, int64(100*node+7), density)
+		pushed := h.Clone()
 		m := h.Clone()
 		m.Materialize()
-		if err := cd.PushHistogram(node, h); err != nil {
+		seq0 := cd.seq.Load()
+		if err := cd.PushHistogram(node, pushed); err != nil {
 			t.Fatal(err)
 		}
 		if err := cm.PushHistogram(node, m); err != nil {
 			t.Fatal(err)
 		}
-		if d, mat := sent(capD, node), sent(capM, node); d > mat {
-			t.Fatalf("node %d: the deferred push put %d bytes on the wire, its materialised form %d", node, d, mat)
+		before := 0
+		for sv := 0; sv < geo.servers; sv++ {
+			got := capD.sent[serverName(sv)][node]
+			want := wire.NewWriter(64)
+			want.Int32(1)
+			want.Uint64(seq0 + uint64(sv) + 1)
+			want.Int32(int32(node))
+			encode, unbitmapped := refDeferredShard(cd.part, sv, h, ev.spanBits())
+			before += envelopeSize + 4 + unbitmapped
+			if got[envelopeSize+4] == VecDeferred {
+				want.Raw(encode(ref))
+			} else {
+				g, hs := refShardArrays(cd.part, sv, m)
+				refWriteVector(want, ref, g, ev)
+				refWriteVector(want, ref, hs, ev)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("node %d server %d: %d payload bytes differ from the reference's %d", node, sv, len(got), want.Len())
+			}
+		}
+		if d, mat := sent(capD, node), sent(capM, node); d > mat || d > before {
+			t.Fatalf("node %d: the deferred push put %d bytes on the wire, its materialised form %d, the push before the presence bitmap %d", node, d, mat, before)
 		}
 		for sv := range srvD {
 			got, want := shardBits(t, srvD[sv], int32(node)), shardBits(t, srvM[sv], int32(node))

@@ -223,31 +223,14 @@ func (s *Server) Handler() transport.Handler {
 }
 
 // pushSketch buffers a batch of per-feature sketch summaries from one
-// worker. The batch is all or nothing: a summary sketch.Restore rejects
-// (sketch.ErrInvalidSummary) fails the request before any feature of it
+// worker. The batch is all or nothing: a summary sketch.Restore's rules
+// reject (sketch.ErrInvalidSummary) or a bad feature id (ErrBadFeatureID) —
+// a repeated one included — fails the request before any feature of it
 // reaches candidate proposal.
 func (s *Server) pushSketch(worker int32, r *wire.Reader) (*wire.Writer, error) {
-	type pushed struct {
-		f  int32
-		gk *sketch.GK
-	}
-	var batch []pushed
-	for i, n := 0, int(r.Uint32()); i < n; i++ {
-		f := r.Int32()
-		values := r.Float64s()
-		gs := r.Uint64s()
-		deltas := r.Uint64s()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if f < 0 || int(f) >= s.part.NumFeatures || s.part.ServerOf(f) != s.id {
-			return nil, fmt.Errorf("feature %d pushed to wrong server", f)
-		}
-		in, err := sketch.Restore(s.eps, values, gs, deltas)
-		if err != nil {
-			return nil, fmt.Errorf("feature %d: %w", f, err)
-		}
-		batch = append(batch, pushed{f, in})
+	batch, err := readSketchPush(r, s.part, s.id, s.eps)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -260,6 +243,23 @@ func (s *Server) pushSketch(worker int32, r *wire.Reader) (*wire.Writer, error) 
 		byWorker[worker] = p.gk
 	}
 	return nil, nil
+}
+
+// pushedSketch is one summary of a PUSH_SKETCH body, restored.
+type pushedSketch struct {
+	f  int32
+	gk *sketch.GK
+}
+
+// readSketchPush parses a PUSH_SKETCH body sent to server sv.
+func readSketchPush(r *wire.Reader, part *Partition, sv int, eps float64) ([]pushedSketch, error) {
+	var batch []pushedSketch
+	err := readFeatureRecords(r, part, sv, func(f int32) error {
+		gk, err := sketch.ReadSummary(r, eps)
+		batch = append(batch, pushedSketch{f, gk})
+		return err
+	})
+	return batch, err
 }
 
 // mergeSketches folds buffered per-worker sketches in worker-id order.
@@ -296,17 +296,19 @@ func (s *Server) pullCandidates(r *wire.Reader) (*wire.Writer, error) {
 		feats = append(feats, f)
 	}
 	sort.Slice(feats, func(a, b int) bool { return feats[a] < feats[b] })
-	w := wire.NewWriter(len(feats) * 64)
-	w.Uint32(uint32(len(feats)))
-	for _, f := range feats {
+	cands := make([]sketch.Candidates, len(feats))
+	size := recordFramingSize(feats)
+	for i, f := range feats {
 		c, ok := s.cands[f]
 		if !ok {
 			c = sketch.Propose(s.sketches[f], k)
 			s.cands[f] = c
 		}
-		w.Int32(f)
-		w.Float64s(c.Cuts)
+		cands[i] = c
+		size += c.WireSize()
 	}
+	w := wire.NewWriter(size)
+	writeFeatureRecords(w, feats, func(i int) { cands[i].WriteWire(w) })
 	return w, nil
 }
 
@@ -448,7 +450,7 @@ func (p *pushedShard) quantized() bool {
 	if p.deferred == nil {
 		return false
 	}
-	width := p.deferred.g.values.Bits
+	width := p.deferred.g.width
 	return width != compress.RawFloat32 && width != compress.RawFloat64
 }
 
@@ -462,7 +464,7 @@ func parseShard(body []byte, layout *histogram.Layout) (p pushedShard, err error
 		p.h, err = parseHistVector(r, "pushed h shard", layout.TotalBuckets)
 	}
 	if err == nil && r.Remaining() != 0 {
-		err = fmt.Errorf("push has %d trailing bytes", r.Remaining())
+		err = fmt.Errorf("%w: %d after the pushed shard", ErrTrailingBytes, r.Remaining())
 	}
 	return
 }
@@ -516,9 +518,7 @@ func (n *nodeShard) add(p *pushedShard) error {
 	}
 	in := n.tree.pool.Get()
 	defer n.tree.pool.Put(in)
-	if err := p.deferred.fill(in); err != nil {
-		return err
-	}
+	p.deferred.fill(in)
 	n.hist.Add(in)
 	return nil
 }

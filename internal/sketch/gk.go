@@ -205,15 +205,8 @@ func (s *GK) Merge(other *GK) {
 	s.compress()
 }
 
-// SummaryLen returns the length of the arrays Summary would return, without
-// building them — what a serializer sizes its buffer from.
-func (s *GK) SummaryLen() int {
-	s.flush()
-	return len(s.tuples)
-}
-
-// Summary returns the stored values and cumulative min-ranks, primarily for
-// serialization. Values are in ascending order.
+// Summary returns the stored values, in ascending order, and their (g, Δ)
+// counts as arrays: Restore's input.
 func (s *GK) Summary() (values []float64, gs, deltas []uint64) {
 	s.flush()
 	values = make([]float64, len(s.tuples))
@@ -243,21 +236,33 @@ func Restore(eps float64, values []float64, gs, deltas []uint64) (*GK, error) {
 	}
 	s := NewGK(eps)
 	s.tuples = make([]tuple, len(values))
-	var n uint64
 	for i, v := range values {
-		switch {
-		case math.IsNaN(v) || math.IsInf(v, 0):
-			return nil, fmt.Errorf("%w: value %d is %v", ErrInvalidSummary, i, v)
-		case i > 0 && v < values[i-1]:
-			return nil, fmt.Errorf("%w: value %d (%v) is below value %d (%v)", ErrInvalidSummary, i, v, i-1, values[i-1])
-		case gs[i] == 0:
-			return nil, fmt.Errorf("%w: tuple %d absorbs no observation", ErrInvalidSummary, i)
-		case n+gs[i] < n:
-			return nil, fmt.Errorf("%w: counts overflow at tuple %d", ErrInvalidSummary, i)
-		}
 		s.tuples[i] = tuple{v: v, g: gs[i], delta: deltas[i]}
-		n += gs[i]
+	}
+	if err := s.restore(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// restore checks tuples that may have crossed the wire against the rules
+// ErrInvalidSummary lists and sets the count from them: Restore's and
+// ReadSummary's validation.
+func (s *GK) restore() error {
+	var n uint64
+	for i, t := range s.tuples {
+		switch {
+		case math.IsNaN(t.v) || math.IsInf(t.v, 0):
+			return fmt.Errorf("%w: value %d is %v", ErrInvalidSummary, i, t.v)
+		case i > 0 && t.v < s.tuples[i-1].v:
+			return fmt.Errorf("%w: value %d (%v) is below value %d (%v)", ErrInvalidSummary, i, t.v, i-1, s.tuples[i-1].v)
+		case t.g == 0:
+			return fmt.Errorf("%w: tuple %d absorbs no observation", ErrInvalidSummary, i)
+		case n+t.g < n:
+			return fmt.Errorf("%w: counts overflow at tuple %d", ErrInvalidSummary, i)
+		}
+		n += t.g
 	}
 	s.n = n
-	return s, nil
+	return nil
 }

@@ -14,10 +14,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// ErrTruncated is returned when a Reader runs past the end of its buffer.
-var ErrTruncated = errors.New("wire: truncated message")
+var (
+	// ErrTruncated is returned when a Reader runs past the end of its buffer.
+	ErrTruncated = errors.New("wire: truncated message")
+	// ErrVarint is returned for a varint that overflows 64 bits.
+	ErrVarint = errors.New("wire: varint overflows 64 bits")
+)
 
 // Writer appends binary fields to a growing buffer.
 type Writer struct {
@@ -83,6 +88,13 @@ func (w *Writer) Float32(v float32) { w.Uint32(math.Float32bits(v)) }
 
 // Float64 appends an IEEE-754 float64.
 func (w *Writer) Float64(v float64) { w.Uint64(math.Float64bits(v)) }
+
+// Uvarint appends v as an unsigned varint (encoding/binary's format): seven
+// bits a byte, UvarintLen(v) bytes.
+func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
+// UvarintLen returns the number of bytes Uvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // String appends a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
@@ -240,6 +252,25 @@ func (r *Reader) Float32() float32 { return math.Float32frombits(r.Uint32()) }
 
 // Float64 reads a float64.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
+
+// Uvarint reads an unsigned varint. One that runs past the buffer is
+// ErrTruncated, one that overflows 64 bits ErrVarint.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	switch {
+	case n == 0:
+		r.err = fmt.Errorf("%w: varint at offset %d of %d", ErrTruncated, r.off, len(r.data))
+		return 0
+	case n < 0:
+		r.err = fmt.Errorf("%w at offset %d", ErrVarint, r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
 
 // length reads and sanity-checks a collection length against the bytes that
 // could possibly remain.

@@ -111,6 +111,41 @@ func TestTruncation(t *testing.T) {
 	}
 }
 
+// TestUvarint: varints round-trip at every length, UvarintLen counts what
+// Uvarint writes, and one cut short or past 64 bits is a typed error.
+func TestUvarint(t *testing.T) {
+	w := NewWriter(0)
+	var vs []uint64
+	for shift := 0; shift < 64; shift += 7 {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			vs = append(vs, v)
+			before := w.Len()
+			w.Uvarint(v)
+			if got := w.Len() - before; got != UvarintLen(v) {
+				t.Fatalf("%d: %d bytes written, UvarintLen %d", v, got, UvarintLen(v))
+			}
+		}
+	}
+	vs = append(vs, math.MaxUint64)
+	w.Uvarint(math.MaxUint64)
+	r := NewReader(w.Bytes())
+	for _, v := range vs {
+		if got := r.Uvarint(); got != v {
+			t.Fatalf("%d read back as %d", v, got)
+		}
+	}
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	if r := NewReader([]byte{0x80, 0x80}); r.Uvarint() != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("a cut varint: err %v", r.Err())
+	}
+	long := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}
+	if r := NewReader(long); r.Uvarint() != 0 || !errors.Is(r.Err(), ErrVarint) {
+		t.Fatalf("a varint past 64 bits: err %v", r.Err())
+	}
+}
+
 func TestHostileLengthPrefix(t *testing.T) {
 	// a declared element count far beyond the remaining bytes must fail
 	// cleanly instead of allocating gigabytes
