@@ -50,11 +50,20 @@ func TestAddAndSetSubAcrossStates(t *testing.T) {
 
 			sub := New(l)
 			sub.Defer()
-			sub.SetSub(build(rowsA, targetDeferred), build(rowsB, operandDeferred))
+			pa, ch := build(rowsA, targetDeferred), build(rowsB, operandDeferred)
+			sub.SetSub(pa, ch)
 			if sub.deferred {
 				t.Fatalf("SetSub, %s: result still deferred", name)
 			}
 			requireBitIdentical(t, "SetSub, "+name, diff, sub)
+			// Only the target changes, in place or not: another reader may
+			// be scanning an operand in the state it is in.
+			requireUnchanged(t, "SetSub parent, "+name, build(rowsA, targetDeferred), pa)
+			requireUnchanged(t, "SetSub child, "+name, build(rowsB, operandDeferred), ch)
+			pa.SetSub(pa, ch)
+			pa.Materialize()
+			requireBitIdentical(t, "SetSub in place, "+name, diff, pa)
+			requireUnchanged(t, "SetSub in place, child, "+name, build(rowsB, operandDeferred), ch)
 		}
 	}
 
@@ -111,4 +120,19 @@ func TestAddAndSetSubAcrossStates(t *testing.T) {
 		sub.Materialize()
 		requireBitIdentical(t, "SetSub in touched space, "+name, diff, sub)
 	}
+}
+
+// requireUnchanged fails unless got is want in both state and raw buckets,
+// bit for bit.
+func requireUnchanged(t *testing.T, ctx string, want, got *Histogram) {
+	t.Helper()
+	if got.deferred != want.deferred || got.defG != want.defG || got.defH != want.defH {
+		t.Fatalf("%s: state (deferred %v, mass %v, %v), want (%v, %v, %v)", ctx, got.deferred, got.defG, got.defH, want.deferred, want.defG, want.defH)
+	}
+	for w := range want.touched {
+		if got.touched[w] != want.touched[w] {
+			t.Fatalf("%s: touched word %d = %x, want %x", ctx, w, got.touched[w], want.touched[w])
+		}
+	}
+	requireBitIdentical(t, ctx, want, got)
 }

@@ -294,18 +294,22 @@ func (h *Histogram) Add(other *Histogram) {
 // place — less the child's deferred mass on its zero bucket. h ends deferred,
 // with the parent's touched set and the difference of the two masses, and
 // materialising it gives the dense subtraction's buckets bit for bit
-// (x − (+0) = x). In every other state the operands are materialised in place
-// and subtracted bucket by bucket; h ends materialised.
+// (x − (+0) = x). In every other state the operands are subtracted bucket by
+// bucket as if materialised, and h ends materialised. Only h changes: a
+// deferred operand other than h is read as its materialised form, not made
+// it, so an operand another reader scans keeps its state.
 func (h *Histogram) SetSub(parent, child *Histogram) {
 	if !parent.deferred || !child.deferred || !subset(child.touched, parent.touched) {
-		parent.Materialize()
-		child.Materialize()
+		if h == parent {
+			parent.Materialize()
+		}
 		for i := range h.G {
 			h.G[i] = parent.G[i] - child.G[i]
 		}
 		for i := range h.H {
 			h.H[i] = parent.H[i] - child.H[i]
 		}
+		h.subOwed(parent, child)
 		h.deferred, h.defG, h.defH = false, 0, 0
 		return
 	}
@@ -341,6 +345,50 @@ func (h *Histogram) SetSub(parent, child *Histogram) {
 	h.defG, h.defH = parent.defG-child.defG, parent.defH-child.defH
 }
 
+// subOwed finishes the bucket-by-bucket h = parent − child at the zero
+// buckets a deferred operand owes its mass to, applying Materialize's
+// operation (+0 + mass) to a copy of the bucket instead of to the operand.
+// An untouched bucket holds +0, so where only the child owes mass the
+// parent's bucket is still intact even when h is the parent (x − (+0) = x).
+func (h *Histogram) subOwed(parent, child *Histogram) {
+	owes := func(o *Histogram, w int) uint64 {
+		if !o.deferred || (o.defG == 0 && o.defH == 0) {
+			return 0
+		}
+		return ^o.touched[w] & wordMask(w, len(h.Layout.Features))
+	}
+	zeros := h.Layout.zeroIdx
+	for w := range touchedWords(h.Layout) {
+		pOwes, cOwes := owes(parent, w), owes(child, w)
+		for b := pOwes | cOwes; b != 0; b &= b - 1 {
+			bit := b & -b
+			z := zeros[w<<6+bits.TrailingZeros64(b)]
+			pg, ph, cg, ch := parent.G[z], parent.H[z], child.G[z], child.H[z]
+			if pOwes&bit != 0 {
+				pg, ph = pg+parent.defG, ph+parent.defH
+			}
+			if cOwes&bit != 0 {
+				cg, ch = cg+child.defG, ch+child.defH
+			}
+			h.G[z], h.H[z] = pg-cg, ph-ch
+		}
+	}
+}
+
+// Copy makes h a copy of src, state included. Both must share a layout
+// shape; unlike Clone it allocates nothing, so the copy can be pooled
+// scratch.
+func (h *Histogram) Copy(src *Histogram) {
+	copy(h.G, src.G)
+	copy(h.H, src.H)
+	if h.touched == nil {
+		h.touched = make([]uint64, touchedWords(h.Layout))
+	}
+	clear(h.touched)
+	copy(h.touched, src.touched)
+	h.deferred, h.defG, h.defH = src.deferred, src.defG, src.defH
+}
+
 // subset reports whether every bit of a is set in b.
 func subset(a, b []uint64) bool {
 	for w, set := range a {
@@ -354,10 +402,7 @@ func subset(a, b []uint64) bool {
 // Clone returns a deep copy in the same state.
 func (h *Histogram) Clone() *Histogram {
 	c := New(h.Layout)
-	copy(c.G, h.G)
-	copy(c.H, h.H)
-	copy(c.touched, h.touched)
-	c.deferred, c.defG, c.defH = h.deferred, h.defG, h.defH
+	c.Copy(h)
 	return c
 }
 

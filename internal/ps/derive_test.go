@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -310,5 +311,80 @@ func TestDeriveWithoutOperandsIsTypedError(t *testing.T) {
 	// An unmarked pull of the same node is the old error, not a derivation.
 	if _, err := c.PullSplit(4, 1.0, 0.0, 1e-6); err == nil || errors.As(err, &de) {
 		t.Fatalf("unmarked pull of an unpushed node: %v, want the plain no-histogram error", err)
+	}
+}
+
+// replyRecorder keeps a copy of every split-pull reply it forwards, in call
+// order.
+type replyRecorder struct {
+	transport.Endpoint
+	replies [][]byte
+}
+
+func (e *replyRecorder) Call(to string, req transport.Message) (transport.Message, error) {
+	resp, err := e.Endpoint.Call(to, req)
+	if err == nil && req.Op == OpPullSplit {
+		e.replies = append(e.replies, append([]byte(nil), resp.Body...))
+	}
+	return resp, err
+}
+
+// TestPullOrderDoesNotChangeReplies: a pull may not change the state of a
+// shard another request can read. One server takes identical pushes — a
+// materialised parent, and a deferred child at a fixed-point width, whose
+// exact mass is then the node total it reports — and the built child and its
+// derived sibling are pulled in both orders. Deriving the sibling first must
+// not materialise the built child under the later pull (which would report
+// the noisy bucket sums as its totals instead): every reply is byte-identical
+// whichever order the pulls arrive in.
+func TestPullOrderDoesNotChangeReplies(t *testing.T) {
+	const workers = 3
+	wt := newWireTree(t, workers)
+	pullBoth := func(derivedFirst bool) map[int][]byte {
+		fx := newFixture(t, wt.m, 1, workers)
+		for f := range wt.cands {
+			fx.servers[0].cands[int32(f)] = wt.cands[f]
+		}
+		for _, c := range fx.clients {
+			c.Bits = 8
+		}
+		if err := fx.clients[0].NewTree(histogram.AllFeatures(wt.m)); err != nil {
+			t.Fatal(err)
+		}
+		for w, c := range fx.clients {
+			if err := c.PushHistogram(deriveParent, wt.dense[w][0].Clone()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.PushHistogram(deriveBuilt, wt.deferred[w][1].Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, n := fx.servers[0].current(deriveBuilt); !n.hist.Deferred() {
+			t.Fatal("the built child's shard is not deferred: the fixture no longer pushes in touched space")
+		}
+		rec := &replyRecorder{Endpoint: fx.clients[0].ep}
+		fx.clients[0].ep = rec
+		order := []int{deriveBuilt, deriveDerived}
+		if derivedFirst {
+			order = []int{deriveDerived, deriveBuilt}
+		}
+		out := map[int][]byte{}
+		for _, node := range order {
+			pull := fx.clients[0].PullSplit
+			if node == deriveDerived {
+				pull = fx.clients[0].PullDerivedSplit
+			}
+			if _, err := pull(node, 1.0, 0.0, 1e-6); err != nil {
+				t.Fatal(err)
+			}
+			out[node] = rec.replies[len(rec.replies)-1]
+		}
+		return out
+	}
+	builtFirst, derivedFirst := pullBoth(false), pullBoth(true)
+	for _, node := range []int{deriveBuilt, deriveDerived} {
+		if !bytes.Equal(builtFirst[node], derivedFirst[node]) {
+			t.Errorf("node %d: the split reply depends on the pull order:\n built first   %x\n derived first %x", node, builtFirst[node], derivedFirst[node])
+		}
 	}
 }
