@@ -150,17 +150,29 @@ func trainMesh(d *dataset.Dataset, opts Options) (*core.Model, Stats, error) {
 	}
 	cands := probe.Candidates()
 
+	// Every compared system builds from the float rows, densely unless
+	// SparseBuild, and honours none of the single-process trainer's other
+	// switches.
+	rankCfg := opts.Core
+	rankCfg.NoBinning, rankCfg.DenseBuild = true, !opts.SparseBuild
+	rankCfg.InstanceSampleRatio, rankCfg.WeightedCandidates, rankCfg.NoNodeIndex = 1, false, false
+
 	shards := dataset.PartitionRows(d, w)
 	mesh := comm.NewMesh(w)
 	var computeLock sync.Mutex
 	workers := make([]*meshWorker, w)
 	for r := 0; r < w; r++ {
+		tr, err := core.NewTrainer(shards[r], rankCfg)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		tr.SetCandidates(cands)
 		workers[r] = &meshWorker{
 			rank:        r,
 			opts:        opts,
 			shard:       shards[r],
 			mesh:        mesh,
-			cands:       cands,
+			tr:          tr,
 			start:       start,
 			computeLock: &computeLock,
 		}
@@ -193,8 +205,7 @@ func trainMesh(d *dataset.Dataset, opts Options) (*core.Model, Stats, error) {
 		}
 	}
 	maxBytes, maxMsgs := mesh.MaxPerRank()
-	p := simnet.GigabitEthernet()
-	st.ModeledCommTime = time.Duration((p.Alpha*float64(maxMsgs) + p.Beta*float64(maxBytes)) * float64(time.Second))
+	st.ModeledCommTime = time.Duration(simnet.Cost(maxMsgs, maxBytes, simnet.GigabitEthernet()) * float64(time.Second))
 	st.ModeledTotalTime = st.MaxWorkerCompute + st.ModeledCommTime
 	return workers[0].model, st, nil
 }

@@ -7,6 +7,8 @@ import (
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
 	"dimboost/internal/loss"
+	"dimboost/internal/obs"
+	"dimboost/internal/tree"
 )
 
 func testCfg() core.Config {
@@ -217,6 +219,37 @@ func TestNonPowerOfTwoLightGBM(t *testing.T) {
 		}
 		if !modelsAgree(ref, model) {
 			t.Fatalf("w=%d: model differs", w)
+		}
+	}
+}
+
+// TestRankHoldsOneHistogramAtATime: a mesh rank hands each node histogram to
+// the collectives as soon as it is built and gets it back before the next
+// build, so however many nodes a layer has, the fresh, unbounded pool of each
+// rank's run allocates exactly one. (Every node is one batch, so no build
+// takes partials from the pool.)
+func TestRankHoldsOneHistogramAtATime(t *testing.T) {
+	train, _ := testData(t, 2000, 5)
+	cfg := testCfg()
+	cfg.MaxDepth = 6
+	allocs := obs.Default().Counter("dimboost_train_hist_pool_misses_total", "Histogram pool Gets that had to allocate.")
+	for _, w := range []int{1, 3} {
+		before := allocs.Value()
+		model, _, err := Train(train, Options{Core: cfg, System: XGBoostStyle, Workers: w, SparseBuild: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := map[int]int{}
+		for i, nd := range model.Trees[0].Nodes {
+			if nd.Used && tree.Depth(i) < cfg.MaxDepth-1 {
+				width[tree.Depth(i)]++
+			}
+		}
+		if width[cfg.MaxDepth-2] < 4 {
+			t.Fatalf("w=%d: the deepest built layer has %d nodes; grow the fixture", w, width[cfg.MaxDepth-2])
+		}
+		if got := allocs.Value() - before; got != int64(w) {
+			t.Errorf("w=%d: the ranks allocated %d node histograms, want one each", w, got)
 		}
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"dimboost/internal/core"
 	"dimboost/internal/faultinject"
 	"dimboost/internal/ps"
+	"dimboost/internal/tree"
 )
 
 // memSink captures checkpoints in memory.
@@ -232,6 +234,28 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		if len(res.Model.Trees) != cfg.NumTrees {
 			t.Fatalf("got %d trees, want %d", len(res.Model.Trees), cfg.NumTrees)
 		}
+	}
+}
+
+// TestResumeRejectsUncompilableTree: a checkpointed tree the compiled engine
+// cannot score fails the resume, with the engine's reason, instead of being
+// replayed some other way.
+func TestResumeRejectsUncompilableTree(t *testing.T) {
+	d := testData(t, 200, 98)
+	cfg := smallCfg(2, 2)
+	rootless := tree.New(cfg.MaxDepth)
+	rootless.Nodes[0].Used = false
+	cfg.Resume = &Checkpoint{
+		TreesDone:   1,
+		Model:       &core.Model{Loss: cfg.Loss, Trees: []*tree.Tree{rootless}},
+		Fingerprint: fingerprintOf(cfg),
+	}
+	_, err := Train(d, cfg)
+	if err == nil {
+		t.Fatal("resume from a tree without a root succeeded")
+	}
+	if !strings.Contains(err.Error(), "checkpointed tree 0") || !strings.Contains(err.Error(), "root missing") {
+		t.Fatalf("error does not name the tree and the engine's reason: %v", err)
 	}
 }
 

@@ -143,14 +143,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// sketchEps mirrors core.Config's default resolution.
-func (c Config) sketchEps() float64 {
-	if c.SketchEps > 0 {
-		return c.SketchEps
-	}
-	return 1 / (2 * float64(c.NumCandidates))
-}
-
 // Stats aggregates a distributed run's measurements.
 type Stats struct {
 	// WallTime is the end-to-end in-process duration.
@@ -231,15 +223,12 @@ func TrainOn(net transport.Network, meter *transport.Meter, d *dataset.Dataset, 
 	}
 
 	// Servers.
-	serverNames := make([]string, cfg.NumServers)
-	for i := range serverNames {
-		serverNames[i] = fmt.Sprintf("server-%d", i)
-		ep, err := net.Endpoint(serverNames[i])
+	for i := 0; i < cfg.NumServers; i++ {
+		ep, err := net.Endpoint(ServerName(i))
 		if err != nil {
 			return nil, err
 		}
-		srv := ps.NewServer(i, part, cfg.sketchEps())
-		ep.Handle(srv.Handler())
+		ep.Handle(ps.NewServer(i, part, cfg.ResolvedSketchEps()).Handler())
 	}
 
 	// Master.
@@ -256,18 +245,13 @@ func TrainOn(net transport.Network, meter *transport.Meter, d *dataset.Dataset, 
 	}
 	workers := make([]*worker, cfg.NumWorkers)
 	for i := range workers {
-		ep, err := net.Endpoint(fmt.Sprintf("worker-%d", i))
+		ep, err := net.Endpoint(WorkerName(i))
 		if err != nil {
 			return nil, err
 		}
-		client := ps.NewClient(clientEndpoint(ep, cfg), part, serverNames, i)
-		client.Bits = cfg.Bits
-		client.PullBits = cfg.PullBits
-		client.Exact = cfg.ExactWire
-		client.Sparse = cfg.SparseWire
-		workers[i] = &worker{id: i, cfg: cfg, shard: shards[i], ep: ep, client: client, computeLock: computeLock, resume: cfg.Resume}
+		workers[i] = newWorker(ep, i, shards[i], part, cfg)
+		workers[i].computeLock = computeLock
 	}
-	workers[0].checkpoint = cfg.Checkpoint
 
 	errs := make([]error, len(workers))
 	var wg sync.WaitGroup
@@ -296,12 +280,12 @@ func TrainOn(net transport.Network, meter *transport.Meter, d *dataset.Dataset, 
 	res.Stats.WallTime = time.Since(start)
 	res.Stats.LoadTime = loadTime
 	for _, wk := range workers {
-		res.Stats.Compute = maxPhases(res.Stats.Compute, wk.times)
+		res.Stats.Compute = maxPhases(res.Stats.Compute, wk.tr.Times)
 	}
 	if meter != nil {
 		mx := meter.MaxPerNode()
 		tot := meter.Totals()
-		res.Stats.MaxNodeBytes = maxInt64(mx.BytesSent, mx.BytesRecv)
+		res.Stats.MaxNodeBytes = max(mx.BytesSent, mx.BytesRecv)
 		res.Stats.MaxNodeMsgs = mx.MsgsSent
 		res.Stats.TotalBytes = tot.BytesSent
 		res.Stats.TotalMsgs = tot.MsgsSent
@@ -311,35 +295,37 @@ func TrainOn(net transport.Network, meter *transport.Meter, d *dataset.Dataset, 
 	return res, nil
 }
 
-// clientEndpoint applies the config's retry policy to a worker→server
-// endpoint. The worker's barrier calls keep using the raw endpoint.
-func clientEndpoint(ep transport.Endpoint, cfg Config) transport.Endpoint {
-	if cfg.Retry == nil {
-		return ep
+// newWorker sets up worker id on its endpoint: a parameter-server client
+// under the config's wire options — behind the config's retry policy, while
+// the worker's barrier calls keep using the raw endpoint — and, on the
+// leader, the config's checkpoint sink.
+func newWorker(ep transport.Endpoint, id int, shard *dataset.Dataset, part *ps.Partition, cfg Config) *worker {
+	cep := ep
+	if cfg.Retry != nil {
+		cep = transport.NewRetryEndpoint(ep, *cfg.Retry)
 	}
-	return transport.NewRetryEndpoint(ep, *cfg.Retry)
+	servers := make([]string, cfg.NumServers)
+	for i := range servers {
+		servers[i] = ServerName(i)
+	}
+	client := ps.NewClient(cep, part, servers, id)
+	client.Bits = cfg.Bits
+	client.PullBits = cfg.PullBits
+	client.Exact = cfg.ExactWire
+	client.Sparse = cfg.SparseWire
+	wk := &worker{id: id, cfg: cfg, shard: shard, ep: ep, client: client, resume: cfg.Resume}
+	if id == 0 {
+		wk.checkpoint = cfg.Checkpoint
+	}
+	return wk
 }
 
 func maxPhases(a, b core.PhaseTimes) core.PhaseTimes {
 	return core.PhaseTimes{
-		Sketch:    maxDur(a.Sketch, b.Sketch),
-		Gradients: maxDur(a.Gradients, b.Gradients),
-		BuildHist: maxDur(a.BuildHist, b.BuildHist),
-		FindSplit: maxDur(a.FindSplit, b.FindSplit),
-		SplitTree: maxDur(a.SplitTree, b.SplitTree),
+		Sketch:    max(a.Sketch, b.Sketch),
+		Gradients: max(a.Gradients, b.Gradients),
+		BuildHist: max(a.BuildHist, b.BuildHist),
+		FindSplit: max(a.FindSplit, b.FindSplit),
+		SplitTree: max(a.SplitTree, b.SplitTree),
 	}
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

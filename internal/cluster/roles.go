@@ -29,7 +29,7 @@ func ServeServer(ep transport.Endpoint, id, numFeatures int, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	ep.Handle(ps.NewServer(id, part, cfg.sketchEps()).Handler())
+	ep.Handle(ps.NewServer(id, part, cfg.ResolvedSketchEps()).Handler())
 	return nil
 }
 
@@ -65,24 +65,12 @@ func RunWorker(ep transport.Endpoint, id int, shard *dataset.Dataset, numFeature
 	if err != nil {
 		return nil, err
 	}
-	serverNames := make([]string, cfg.NumServers)
-	for i := range serverNames {
-		serverNames[i] = ServerName(i)
-	}
-	client := ps.NewClient(clientEndpoint(ep, cfg), part, serverNames, id)
-	client.Bits = cfg.Bits
-	client.PullBits = cfg.PullBits
-	client.Exact = cfg.ExactWire
-	client.Sparse = cfg.SparseWire
-	wk := &worker{id: id, cfg: cfg, shard: shard, ep: ep, client: client, resume: cfg.Resume}
-	if id == 0 {
-		wk.checkpoint = cfg.Checkpoint
-	}
+	wk := newWorker(ep, id, shard, part, cfg)
 	if err := wk.run(); err != nil {
 		if aerr := abortMaster(ep, err.Error()); aerr != nil {
 			err = errors.Join(err, fmt.Errorf("cluster: abort notification failed: %w", aerr))
 		}
 		return nil, err
 	}
-	return &WorkerResult{Model: wk.model, Events: wk.events, Times: wk.times}, nil
+	return &WorkerResult{Model: wk.model, Events: wk.events, Times: wk.tr.Times}, nil
 }

@@ -146,8 +146,9 @@ func (c Config) ResolvedParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// sketchEps resolves the default rank error.
-func (c Config) sketchEps() float64 {
+// ResolvedSketchEps returns the effective quantile-sketch rank error:
+// SketchEps, or 1/(2K) when unset.
+func (c Config) ResolvedSketchEps() float64 {
 	if c.SketchEps > 0 {
 		return c.SketchEps
 	}

@@ -316,29 +316,20 @@ func (c *Client) deferredIsSmaller(plan *shardPlan, hist *histogram.Histogram, e
 	return deferred <= materialised
 }
 
-// SplitResult is a two-phase pull outcome: the global best split and the
-// node's gradient totals.
-type SplitResult struct {
-	Split     core.Split
-	NodeG     float64
-	NodeH     float64
-	HasTotals bool
-}
-
 // PullSplit asks every server for its shard-local best split and folds them
 // into the global best (two-phase split finding, §6.3).
-func (c *Client) PullSplit(node int, lambda, gamma, minChild float64) (SplitResult, error) {
+func (c *Client) PullSplit(node int, lambda, gamma, minChild float64) (core.Decision, error) {
 	return c.pullSplit(node, false, lambda, gamma, minChild)
 }
 
 // PullDerivedSplit is PullSplit for a node no worker pushed: every server
 // first derives its shard of the node as parent − sibling from the merged
 // shards it holds, and keeps it as if it had been pushed.
-func (c *Client) PullDerivedSplit(node int, lambda, gamma, minChild float64) (SplitResult, error) {
+func (c *Client) PullDerivedSplit(node int, lambda, gamma, minChild float64) (core.Decision, error) {
 	return c.pullSplit(node, true, lambda, gamma, minChild)
 }
 
-func (c *Client) pullSplit(node int, derive bool, lambda, gamma, minChild float64) (SplitResult, error) {
+func (c *Client) pullSplit(node int, derive bool, lambda, gamma, minChild float64) (core.Decision, error) {
 	req := func(int) *wire.Writer {
 		w := c.newRequest(37)
 		w.Int32(int32(node))
@@ -351,20 +342,20 @@ func (c *Client) pullSplit(node int, derive bool, lambda, gamma, minChild float6
 	}
 	resps, err := c.fanOut(OpPullSplit, req)
 	if err != nil {
-		return SplitResult{}, err
+		return core.Decision{}, err
 	}
-	var out SplitResult
+	var out core.Decision
 	for _, resp := range resps {
 		r := wire.NewReader(resp.Body)
 		rec, err := readSplitRecord(r)
 		if err != nil {
-			return SplitResult{}, err
+			return core.Decision{}, err
 		}
 		if rec.Split.Better(out.Split) {
 			out.Split = rec.Split
 		}
 		if rec.HasTotals && !out.HasTotals {
-			out.NodeG, out.NodeH, out.HasTotals = rec.NodeG, rec.NodeH, true
+			out.G, out.H, out.HasTotals = rec.G, rec.H, true
 		}
 	}
 	return out, nil
@@ -423,12 +414,12 @@ func (c *Client) pullHistogram(node int, derive bool, layout *histogram.Layout) 
 
 // PushSplitResult stores a node's global best split (plus its node totals,
 // needed by peers to weight unsplit leaves) on its owner server.
-func (c *Client) PushSplitResult(node int, res SplitResult) error {
+func (c *Client) PushSplitResult(node int, res core.Decision) error {
 	w := c.newRequest(96)
 	w.Int32(int32(node))
 	// Stored split results are authoritative for tree construction; they
 	// always travel at full precision regardless of the pull encoding.
-	writeSplitRecord(w, splitRecord{Split: res.Split, HasTotals: res.HasTotals, NodeG: res.NodeG, NodeH: res.NodeH}, false)
+	writeSplitRecord(w, res, false)
 	owner := c.part.NodeOwner(node)
 	_, err := c.send(owner, OpPushSplitResult, w)
 	return err
@@ -436,13 +427,13 @@ func (c *Client) PushSplitResult(node int, res SplitResult) error {
 
 // PullSplitResults fetches the stored splits for a node set (SPLIT_TREE).
 // Nodes without a stored split are absent from the result map.
-func (c *Client) PullSplitResults(nodes []int) (map[int]SplitResult, error) {
+func (c *Client) PullSplitResults(nodes []int) (map[int]core.Decision, error) {
 	byServer := make(map[int][]int32)
 	for _, n := range nodes {
 		owner := c.part.NodeOwner(n)
 		byServer[owner] = append(byServer[owner], int32(n))
 	}
-	out := make(map[int]SplitResult, len(nodes))
+	out := make(map[int]core.Decision, len(nodes))
 	resps, err := c.fanOut(OpPullSplitResults, func(sv int) *wire.Writer {
 		ns := byServer[sv]
 		if len(ns) == 0 {
@@ -470,7 +461,7 @@ func (c *Client) PullSplitResults(nodes []int) (map[int]SplitResult, error) {
 				return nil, err
 			}
 			if ok {
-				out[int(node)] = SplitResult{Split: rec.Split, HasTotals: rec.HasTotals, NodeG: rec.NodeG, NodeH: rec.NodeH}
+				out[int(node)] = rec
 			}
 		}
 	}

@@ -144,7 +144,7 @@ func (wt *wireTree) run(t *testing.T, servers int, exact, twoPhase bool, order [
 		}
 		s := res.Split
 		rec := []uint64{b2u(s.Found), uint64(s.Feature), b2u(res.HasTotals)}
-		for _, v := range []float64{s.Value, s.Gain, s.LeftG, s.LeftH, s.RightG, s.RightH, res.NodeG, res.NodeH} {
+		for _, v := range []float64{s.Value, s.Gain, s.LeftG, s.LeftH, s.RightG, s.RightH, res.G, res.H} {
 			rec = append(rec, math.Float64bits(v))
 		}
 		out.reads = append(out.reads, rec)
@@ -658,8 +658,8 @@ func TestQuantizedShardsKeepExactTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(res.NodeG) != math.Float64bits(wantG) || math.Float64bits(res.NodeH) != math.Float64bits(wantH) {
-			t.Fatalf("node %d totals (%v, %v), the masses sum to (%v, %v)", node, res.NodeG, res.NodeH, wantG, wantH)
+		if math.Float64bits(res.G) != math.Float64bits(wantG) || math.Float64bits(res.H) != math.Float64bits(wantH) {
+			t.Fatalf("node %d totals (%v, %v), the masses sum to (%v, %v)", node, res.G, res.H, wantG, wantH)
 		}
 		for _, srv := range fx.servers {
 			if _, n := srv.current(int32(node)); !n.hist.Deferred() {

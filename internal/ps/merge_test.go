@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dimboost/internal/core"
 	"dimboost/internal/faultinject"
 	"dimboost/internal/histogram"
 	"dimboost/internal/transport"
@@ -65,7 +66,7 @@ func newMergeFixture(t *testing.T, exact bool, wrap func(worker int, ep transpor
 // and the split each node yields.
 type mergedState struct {
 	buckets [][]uint64 // [server*nodes+node] → g then h bits
-	splits  []SplitResult
+	splits  []core.Decision
 }
 
 func (mf *mergeFixture) state(t *testing.T) mergedState {

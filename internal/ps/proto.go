@@ -554,16 +554,10 @@ const (
 	splitCompact uint8 = 1
 )
 
-// splitRecord is the two-phase split response: a candidate split plus the
-// node totals the server derived from its own shard.
-type splitRecord struct {
-	Split     core.Split
-	HasTotals bool
-	NodeG     float64
-	NodeH     float64
-}
-
-func writeSplitRecord(w *wire.Writer, rec splitRecord, compact bool) {
+// writeSplitRecord writes a split record: a split plus the node totals
+// when the writer knows them — a two-phase split response, whose totals the
+// server derived from its own shard, or a stored split result.
+func writeSplitRecord(w *wire.Writer, rec core.Decision, compact bool) {
 	if compact {
 		w.Uint8(splitCompact)
 		w.Bool(rec.Split.Found)
@@ -575,8 +569,8 @@ func writeSplitRecord(w *wire.Writer, rec splitRecord, compact bool) {
 		w.Float32(float32(rec.Split.RightG))
 		w.Float32(float32(rec.Split.RightH))
 		w.Bool(rec.HasTotals)
-		w.Float32(float32(rec.NodeG))
-		w.Float32(float32(rec.NodeH))
+		w.Float32(float32(rec.G))
+		w.Float32(float32(rec.H))
 		return
 	}
 	w.Uint8(splitFull)
@@ -589,12 +583,12 @@ func writeSplitRecord(w *wire.Writer, rec splitRecord, compact bool) {
 	w.Float64(rec.Split.RightG)
 	w.Float64(rec.Split.RightH)
 	w.Bool(rec.HasTotals)
-	w.Float64(rec.NodeG)
-	w.Float64(rec.NodeH)
+	w.Float64(rec.G)
+	w.Float64(rec.H)
 }
 
-func readSplitRecord(r *wire.Reader) (splitRecord, error) {
-	var rec splitRecord
+func readSplitRecord(r *wire.Reader) (core.Decision, error) {
+	var rec core.Decision
 	layout := r.Uint8()
 	switch layout {
 	case splitFull:
@@ -607,8 +601,8 @@ func readSplitRecord(r *wire.Reader) (splitRecord, error) {
 		rec.Split.RightG = r.Float64()
 		rec.Split.RightH = r.Float64()
 		rec.HasTotals = r.Bool()
-		rec.NodeG = r.Float64()
-		rec.NodeH = r.Float64()
+		rec.G = r.Float64()
+		rec.H = r.Float64()
 	case splitCompact:
 		rec.Split.Found = r.Bool()
 		rec.Split.Feature = r.Int32()
@@ -619,8 +613,8 @@ func readSplitRecord(r *wire.Reader) (splitRecord, error) {
 		rec.Split.RightG = float64(r.Float32())
 		rec.Split.RightH = float64(r.Float32())
 		rec.HasTotals = r.Bool()
-		rec.NodeG = float64(r.Float32())
-		rec.NodeH = float64(r.Float32())
+		rec.G = float64(r.Float32())
+		rec.H = float64(r.Float32())
 	default:
 		if err := r.Err(); err != nil {
 			return rec, err

@@ -298,8 +298,8 @@ func TestTwoPhaseSplitMatchesLocal(t *testing.T) {
 		t.Fatal("no totals returned")
 	}
 	// float32 wire narrowing costs ~1e-7 relative precision
-	if math.Abs(res.NodeG-totalG) > 1e-3 || math.Abs(res.NodeH-totalH) > 1e-3 {
-		t.Fatalf("totals (%v,%v), want (%v,%v)", res.NodeG, res.NodeH, totalG, totalH)
+	if math.Abs(res.G-totalG) > 1e-3 || math.Abs(res.H-totalH) > 1e-3 {
+		t.Fatalf("totals (%v,%v), want (%v,%v)", res.G, res.H, totalG, totalH)
 	}
 	if !want.Found || !res.Split.Found {
 		t.Fatalf("splits not found: local %v remote %v", want.Found, res.Split.Found)
@@ -358,8 +358,8 @@ func TestCompressedPushStillFindsGoodSplit(t *testing.T) {
 
 func TestSplitResultStoreFetch(t *testing.T) {
 	fx := newFixture(t, 20, 3, 2)
-	s1 := SplitResult{Split: core.Split{Found: true, Feature: 3, Value: 1.5, Gain: 2.0, LeftG: 1, LeftH: 2, RightG: 3, RightH: 4}, HasTotals: true, NodeG: 4, NodeH: 6}
-	s2 := SplitResult{Split: core.Split{Found: true, Feature: 7, Value: -0.5, Gain: 1.0}}
+	s1 := core.Decision{Split: core.Split{Found: true, Feature: 3, Value: 1.5, Gain: 2.0, LeftG: 1, LeftH: 2, RightG: 3, RightH: 4}, HasTotals: true, G: 4, H: 6}
+	s2 := core.Decision{Split: core.Split{Found: true, Feature: 7, Value: -0.5, Gain: 1.0}}
 	if err := fx.clients[0].PushSplitResult(1, s1); err != nil {
 		t.Fatal(err)
 	}
@@ -562,9 +562,9 @@ func TestDuplicatePushDoesNotDoubleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.NodeG != res1.NodeG || res2.NodeH != res1.NodeH {
+	if res2.G != res1.G || res2.H != res1.H {
 		t.Fatalf("duplicate push changed totals: (%v,%v) vs (%v,%v)",
-			res2.NodeG, res2.NodeH, res1.NodeG, res1.NodeH)
+			res2.G, res2.H, res1.G, res1.H)
 	}
 	if res2.Split != res1.Split {
 		t.Fatalf("duplicate push changed the split: %+v vs %+v", res2.Split, res1.Split)
