@@ -150,12 +150,11 @@ func trainMesh(d *dataset.Dataset, opts Options) (*core.Model, Stats, error) {
 	}
 	cands := probe.Candidates()
 
-	// Every compared system builds from the float rows, densely unless
-	// SparseBuild, and honours none of the single-process trainer's other
-	// switches.
+	// Every compared system builds from the float rows (meshWorker.BuildNode)
+	// and honours none of the single-process trainer's row sampling or
+	// per-tree candidates.
 	rankCfg := opts.Core
-	rankCfg.NoBinning, rankCfg.DenseBuild = true, !opts.SparseBuild
-	rankCfg.InstanceSampleRatio, rankCfg.WeightedCandidates, rankCfg.NoNodeIndex = 1, false, false
+	rankCfg.InstanceSampleRatio, rankCfg.WeightedCandidates = 1, false
 
 	shards := dataset.PartitionRows(d, w)
 	mesh := comm.NewMesh(w)

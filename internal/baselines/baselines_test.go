@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dimboost/internal/cluster"
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
 	"dimboost/internal/loss"
@@ -81,6 +82,45 @@ func modelsAgree(a, b *core.Model) bool {
 		}
 	}
 	return true
+}
+
+// TestMeshRanksAreTheClusterFloatOracle: the mesh ranks build every node
+// from the float rows and derive nothing, so on the exact wire the cluster,
+// which builds from bin ids and derives siblings on its servers, must grow
+// their trees at the same worker count — for 1–3 servers, with two-phase
+// split finding on and off. The cluster merges per-shard sketches on its
+// servers while the mesh sketches the whole data; at a rank error below
+// 1/(2·rows) neither sketch drops a value, so both propose the same cuts.
+func TestMeshRanksAreTheClusterFloatOracle(t *testing.T) {
+	train, _ := testData(t, 400, 93)
+	cfg := testCfg()
+	cfg.SketchEps = 1e-4
+	for w := 1; w <= 3; w++ {
+		var meshes [2]*core.Model
+		for i, sparse := range []bool{false, true} {
+			m, _, err := Train(train, Options{Core: cfg, System: MLlibStyle, Workers: w, SparseBuild: sparse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meshes[i] = m
+		}
+		for p := 1; p <= 3; p++ {
+			for _, onePhase := range []bool{false, true} {
+				res, err := cluster.Train(train, cluster.Config{
+					Config: cfg, NumWorkers: w, NumServers: p, ExactWire: true, DisableTwoPhase: onePhase,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, mesh := range meshes {
+					if !modelsAgree(mesh, res.Model) {
+						t.Fatalf("w=%d p=%d one-phase=%v sparse=%v: the cluster model differs from the mesh's float build",
+							w, p, onePhase, i == 1)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestDenseDefaultStillCorrect(t *testing.T) {

@@ -106,6 +106,18 @@ func (mw *meshWorker) Splits(int, []core.LayerNode) ([]core.Decision, error) {
 	return recs, nil
 }
 
+// BuildNode is the compared systems' histogram construction: from the float
+// rows of the rank's shard, densely (§5.1) unless SparseBuild.
+func (mw *meshWorker) BuildNode(h *histogram.Histogram, rows []int32, grad, hess []float64, opts histogram.BuildOptions) {
+	build := histogram.BuildDense
+	if mw.opts.SparseBuild {
+		build = histogram.BuildSparse
+	}
+	histogram.BuildBatches(h, rows, opts, func(part *histogram.Histogram, batch []int32) {
+		build(part, mw.shard, batch, grad, hess)
+	})
+}
+
 // Compute serializes the gradients and the histogram builds and counts them
 // as the rank's compute time; the rest of the grower's work is not.
 func (mw *meshWorker) Compute(phase string, f func()) time.Duration {

@@ -43,6 +43,11 @@ type Fingerprint struct {
 	MaxDepth           int
 	NumCandidates      int
 	FeatureSampleRatio float64
+	LearningRate       float64
+	Lambda             float64
+	Gamma              float64
+	MinChildHessian    float64
+	SketchEps          float64
 	Bits               uint
 	PullBits           uint
 	ExactWire          bool
@@ -58,6 +63,11 @@ func fingerprintOf(cfg Config) Fingerprint {
 		MaxDepth:           cfg.MaxDepth,
 		NumCandidates:      cfg.NumCandidates,
 		FeatureSampleRatio: cfg.FeatureSampleRatio,
+		LearningRate:       cfg.LearningRate,
+		Lambda:             cfg.Lambda,
+		Gamma:              cfg.Gamma,
+		MinChildHessian:    cfg.MinChildHessian,
+		SketchEps:          cfg.SketchEps,
 		Bits:               cfg.Bits,
 		PullBits:           cfg.PullBits,
 		ExactWire:          cfg.ExactWire,
@@ -75,8 +85,9 @@ type CheckpointSink interface {
 // checkpoint wire format
 const (
 	checkpointMagic = "DBCK"
-	// Version 2 added the PullBits and SparseWire fingerprint fields.
-	checkpointVersion = 2
+	// Version 2 added the PullBits and SparseWire fingerprint fields, version
+	// 3 the LearningRate, Lambda, Gamma, MinChildHessian and SketchEps ones.
+	checkpointVersion = 3
 )
 
 // Encode serializes the checkpoint with the internal/wire codec.
@@ -91,6 +102,11 @@ func (c *Checkpoint) Encode() []byte {
 	w.Uint32(uint32(fp.MaxDepth))
 	w.Uint32(uint32(fp.NumCandidates))
 	w.Float64(fp.FeatureSampleRatio)
+	w.Float64(fp.LearningRate)
+	w.Float64(fp.Lambda)
+	w.Float64(fp.Gamma)
+	w.Float64(fp.MinChildHessian)
+	w.Float64(fp.SketchEps)
 	w.Uint32(uint32(fp.Bits))
 	w.Uint32(uint32(fp.PullBits))
 	w.Bool(fp.ExactWire)
@@ -138,6 +154,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Fingerprint.MaxDepth = int(r.Uint32())
 	c.Fingerprint.NumCandidates = int(r.Uint32())
 	c.Fingerprint.FeatureSampleRatio = r.Float64()
+	c.Fingerprint.LearningRate = r.Float64()
+	c.Fingerprint.Lambda = r.Float64()
+	c.Fingerprint.Gamma = r.Float64()
+	c.Fingerprint.MinChildHessian = r.Float64()
+	c.Fingerprint.SketchEps = r.Float64()
 	c.Fingerprint.Bits = uint(r.Uint32())
 	c.Fingerprint.PullBits = uint(r.Uint32())
 	c.Fingerprint.ExactWire = r.Bool()

@@ -93,30 +93,6 @@ func TestSingleWorkerMatchesLocalTrainer(t *testing.T) {
 	}
 }
 
-// TestDistributedBinnedMatchesNoBinning: the quantized histogram pipeline
-// must be invisible at the model level in the distributed trainer too —
-// split values travel the wire as float64, so workers recover the exact
-// bucket and partition identically either way.
-func TestDistributedBinnedMatchesNoBinning(t *testing.T) {
-	d := testData(t, 700, 57)
-	for _, workers := range []int{1, 3} {
-		cfg := smallCfg(workers, 2)
-		cfg.ExactWire = true
-		binned, err := Train(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.NoBinning = true
-		float, err := Train(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameStructure(t, float.Model, binned.Model) {
-			t.Fatalf("w=%d: binned distributed model differs from float path", workers)
-		}
-	}
-}
-
 func TestMultiWorkerProducesWorkingModel(t *testing.T) {
 	d := testData(t, 1200, 53)
 	train, test := d.Split(0.9)

@@ -111,7 +111,6 @@ func (c Config) Validate() error {
 		{"WeightedCandidates", c.WeightedCandidates},
 		{"EarlyStoppingRounds", c.EarlyStoppingRounds > 0},
 		{"MemoryBudget", c.MemoryBudget > 0},
-		{"NoNodeIndex", c.NoNodeIndex},
 	} {
 		if f.set {
 			return &UnsupportedFieldError{Field: f.name}

@@ -112,45 +112,6 @@ func TestWireDifferential(t *testing.T) {
 	t.Logf("max |Δ| validation error over lossy combos: %.4f", maxDelta)
 }
 
-// TestDeferredPushesLeaveTheModel is invariant 23 end to end: the binned
-// trainer pushes its node histograms deferred, the NoBinning ablation pushes
-// the same buckets materialised, and on the exact and the raw float32 wire the
-// two models are Float64bits-identical — for 1–3 workers, 1–3 servers, with
-// two-phase split finding on and off.
-func TestDeferredPushesLeaveTheModel(t *testing.T) {
-	d := testData(t, 400, 93)
-	for workers := 1; workers <= 3; workers++ {
-		for servers := 1; servers <= 3; servers++ {
-			for _, exact := range []bool{true, false} {
-				for _, onePhase := range []bool{false, true} {
-					cfg := smallCfg(workers, servers)
-					cfg.ExactWire, cfg.DisableTwoPhase = exact, onePhase
-					_, enc0 := ps.WireBytes()
-					deferred, err := Train(d, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, enc1 := ps.WireBytes()
-					cfg.NoBinning = true
-					dense, err := Train(d, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, enc2 := ps.WireBytes()
-					name := fmt.Sprintf("w=%d p=%d exact=%v one-phase=%v", workers, servers, exact, onePhase)
-					if enc1["deferred/encode"] == enc0["deferred/encode"] || enc2["deferred/encode"] != enc1["deferred/encode"] {
-						t.Fatalf("%s: deferred vectors %d binned, %d without binning; want some, and none",
-							name, enc1["deferred/encode"]-enc0["deferred/encode"], enc2["deferred/encode"]-enc1["deferred/encode"])
-					}
-					if !identicalModels(t, dense.Model, deferred.Model) {
-						t.Fatalf("%s: deferred pushes changed the model", name)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSparseWireIsInvisible: on raw-width wires sparse is a pure size
 // optimization — flipping SparseWire must not change the model at all,
 // because span values carry the same float32/float64 narrowing as the dense

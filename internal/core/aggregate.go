@@ -44,6 +44,15 @@ type Aggregator interface {
 	Done(phase string, depth int, start time.Time, d time.Duration) error
 }
 
+// NodeBuilder is an Aggregator that builds every resident node histogram
+// itself instead of the grower building it from the quantized rows: the mesh
+// baselines build the way the competitors do (§5.1). BuildNode fills h with
+// the gradient sums of rows under opts' batch grid. Out of core the grower
+// builds from the spill whatever the aggregator.
+type NodeBuilder interface {
+	BuildNode(h *histogram.Histogram, rows []int32, grad, hess []float64, opts histogram.BuildOptions)
+}
+
 // LayerNode is one node of a layer as the grower hands it to Splits. Derived
 // marks a histogram that is parent − sibling instead of built. G and H are
 // the node's gradient totals as far as this process knows them: zero at the

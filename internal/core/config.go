@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"dimboost/internal/loss"
@@ -69,18 +70,6 @@ type Config struct {
 	// mirror spills to memory-mapped scratch files, with results
 	// bit-identical to in-memory training (see TrainOutOfCore).
 	MemoryBudget ooc.Budget
-
-	// DenseBuild disables the sparsity-aware construction (ablation,
-	// Table 3 row 1).
-	DenseBuild bool
-	// NoNodeIndex disables the node-to-instance index: each node's builder
-	// filters a full dataset scan instead (ablation, Table 3).
-	NoNodeIndex bool
-	// NoBinning disables the quantized (binned) dataset: histogram
-	// construction and node splitting fall back to the float path, paying a
-	// binary search per nonzero per layer (ablation; results are
-	// bit-identical either way).
-	NoBinning bool
 }
 
 // DefaultConfig mirrors the paper's protocol: T=20, d=7, K=20, σ=1, η=0.1.
@@ -110,6 +99,23 @@ const maxTreeDepth = 24
 
 // Validate rejects nonsensical configurations.
 func (c Config) Validate() error {
+	// A NaN passes every range comparison below, and an infinity some.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"LearningRate", c.LearningRate},
+		{"Lambda", c.Lambda},
+		{"Gamma", c.Gamma},
+		{"MinChildHessian", c.MinChildHessian},
+		{"FeatureSampleRatio", c.FeatureSampleRatio},
+		{"InstanceSampleRatio", c.InstanceSampleRatio},
+		{"SketchEps", c.SketchEps},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %v is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.NumTrees < 1:
 		return fmt.Errorf("core: NumTrees %d < 1", c.NumTrees)

@@ -156,8 +156,9 @@ func TestOutOfCoreBitIdenticalAcrossChunkSizes(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreRejectsResidentOnlyModes pins the constructor contract: the
-// ablations that intrinsically require a resident dataset fail fast.
+// TestOutOfCoreRejectsResidentOnlyModes pins the constructor contract:
+// instance sampling, which intrinsically requires a resident dataset, fails
+// fast.
 func TestOutOfCoreRejectsResidentOnlyModes(t *testing.T) {
 	train := dataset.Generate(dataset.SyntheticConfig{NumRows: 500, NumFeatures: 20, AvgNNZ: 5, Seed: 9})
 	path := filepath.Join(t.TempDir(), "train.bin")
@@ -169,18 +170,11 @@ func TestOutOfCoreRejectsResidentOnlyModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	for _, mut := range []func(*Config){
-		func(c *Config) { c.InstanceSampleRatio = 0.5 },
-		func(c *Config) { c.NoNodeIndex = true },
-		func(c *Config) { c.NoBinning = true },
-		func(c *Config) { c.DenseBuild = true },
-	} {
-		cfg := DefaultConfig()
-		cfg.NumTrees = 1
-		mut(&cfg)
-		if _, err := NewTrainerFromSource(src, cfg); err == nil {
-			t.Errorf("config %+v: want error, got nil", cfg)
-		}
+	cfg := DefaultConfig()
+	cfg.NumTrees = 1
+	cfg.InstanceSampleRatio = 0.5
+	if _, err := NewTrainerFromSource(src, cfg); err == nil {
+		t.Error("instance sampling out of core: want error, got nil")
 	}
 }
 

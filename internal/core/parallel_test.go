@@ -75,7 +75,6 @@ func TestModelIndependentOfParallelism(t *testing.T) {
 		{"default", func(c *Config) {}, nil},
 		{"instance-sampling", func(c *Config) { c.InstanceSampleRatio = 0.6 }, nil},
 		{"weighted-candidates", func(c *Config) { c.WeightedCandidates = true }, nil},
-		{"no-node-index", func(c *Config) { c.NoNodeIndex = true }, nil},
 		{"validation-early-stop", func(c *Config) { c.NumTrees = 6; c.EarlyStoppingRounds = 2 },
 			func(tr *Trainer) { tr.Validation = val }},
 		{"warm-start", func(c *Config) {},

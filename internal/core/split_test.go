@@ -210,3 +210,59 @@ func TestLeafWeight(t *testing.T) {
 		t.Fatalf("LeafWeight(0,0,1) = %v, want 0", got)
 	}
 }
+
+// TestSplitPredicateMatchesFloatComparison: the grower partitions by bin id,
+// and the bucket recovery inside SplitPredicate is all that ties a split's
+// float threshold to those ids. For every row and every proposable cut of
+// every sampled feature the binned predicate must answer the float
+// comparison — over a uint8 mirror and a uint16 one (more than 256
+// buckets), with values on a cut, between cuts, above the last cut, below
+// the first, zero and negative.
+func TestSplitPredicateMatchesFloatComparison(t *testing.T) {
+	const features = 5
+	sampled := []int32{0, 2, 3}
+	for _, numCuts := range []int{12, 400} {
+		// Cuts at every half from -numCuts/4, so one of them is 0 and every
+		// one is exact in float32.
+		cuts := make([]float64, numCuts)
+		for i := range cuts {
+			cuts[i] = float64(i-numCuts/2) / 2
+		}
+		values := []float32{0, float32(cuts[0] - 1), float32(cuts[numCuts-1] + 1), float32(cuts[numCuts-1] + 0.25)}
+		for _, c := range cuts {
+			values = append(values, float32(c), float32(c+0.25))
+		}
+		b := dataset.NewBuilder(features)
+		for r := range values {
+			row := make([]float32, features)
+			for f := range row {
+				row[f] = values[(r+7*f)%len(values)]
+			}
+			b.AddDense(row, 0)
+		}
+		d := b.Build()
+		cands := make([]sketch.Candidates, features)
+		for f := range cands {
+			cands[f] = sketch.FromCuts(cuts)
+		}
+		layout, err := histogram.NewLayout(sampled, cands, features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binned := histogram.NewBinned(d, layout, 2)
+		if binned.Wide() != (numCuts > 256) {
+			t.Fatalf("%d cuts: Wide() = %v", numCuts, binned.Wide())
+		}
+		for _, f := range sampled {
+			for _, v := range cuts[:numCuts-1] {
+				goLeft := SplitPredicate(d, binned, layout, Split{Found: true, Feature: f, Value: v})
+				for r := 0; r < d.NumRows(); r++ {
+					x := d.Row(r).Feature(int(f))
+					if want := float64(x) <= v; goLeft(int32(r)) != want {
+						t.Fatalf("%d cuts: feature %d value %v split at %v: goLeft %v, want %v", numCuts, f, x, v, !want, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -118,9 +118,6 @@ func NewTrainer(d *dataset.Dataset, cfg Config) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.NoNodeIndex && cfg.InstanceSampleRatio < 1 {
-		return nil, fmt.Errorf("core: NoNodeIndex (ablation) does not support instance sampling")
-	}
 	return &Trainer{
 		cfg:    cfg,
 		data:   d,
@@ -340,9 +337,8 @@ func (tr *Trainer) weightedCandidates(hess []float64) []sketch.Candidates {
 }
 
 // treeData is what the grower reads besides the gradients: the layout of the
-// sampled features, the quantized mirror of the rows under it (resident,
-// spilled in out-of-core mode, neither under Config.NoBinning) and the
-// histogram pool of that layout.
+// sampled features, the quantized mirror of the rows under it (resident, or
+// spilled in out-of-core mode) and the histogram pool of that layout.
 type treeData struct {
 	layout  *histogram.Layout
 	binned  *histogram.Binned
@@ -378,9 +374,6 @@ func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeDat
 		td.pool = histogram.NewPoolCap(layout, tr.pool.Workers()+1)
 	}
 	tr.td = td
-	if tr.src == nil && tr.cfg.NoBinning {
-		return td, nil
-	}
 	bs := time.Now()
 	bd := agg.Compute("binning", func() {
 		if tr.src != nil {
@@ -413,12 +406,12 @@ func (tr *Trainer) closeTreeData() {
 // holds one at a time. Out of core the layer's one-batch nodes share one walk
 // over the spill per pool worker (ooc.SpilledBinned.BuildLayer), and the
 // layer is handed over once it is built. Both fill every histogram with the
-// same bits. Deferred, the sparse binned builds leave only what the node's
-// rows touched for FIND_SPLIT to scan and the pool to clear; the dense and
-// float builds materialise it as they always did. It returns the builds'
-// compute time.
+// same bits. Deferred, the binned builds leave only what the node's rows
+// touched for FIND_SPLIT to scan and the pool to clear. A resident agg that is
+// a NodeBuilder builds each node itself. It returns the builds' compute time.
 func (tr *Trainer) buildLayer(td *treeData, nodes []int, builds []ooc.NodeBuild, opts histogram.BuildOptions, agg Aggregator) (time.Duration, error) {
 	var d time.Duration
+	nb, own := agg.(NodeBuilder)
 	for i := range builds {
 		b := &builds[i]
 		b.H = td.pool.Get()
@@ -427,10 +420,10 @@ func (tr *Trainer) buildLayer(td *treeData, nodes []int, builds []ooc.NodeBuild,
 			continue
 		}
 		d += agg.Compute("build_hist", func() {
-			if td.binned != nil {
-				histogram.BuildBinned(b.H, td.binned, b.Rows, tr.grad, tr.hess, opts)
+			if own {
+				nb.BuildNode(b.H, b.Rows, tr.grad, tr.hess, opts)
 			} else {
-				histogram.Build(b.H, tr.data, b.Rows, tr.grad, tr.hess, opts)
+				histogram.BuildBinned(b.H, td.binned, b.Rows, tr.grad, tr.hess, opts)
 			}
 		})
 		if err := agg.Built(nodes[i], b.H, td.pool); err != nil {
@@ -519,25 +512,6 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		idx = tree.NewIndex(n, maxNodes)
 	}
 
-	// nodeOf supports the NoNodeIndex ablation: per-instance node ids so a
-	// node's rows can be recovered by a full scan.
-	var nodeOf []int32
-	if cfg.NoNodeIndex {
-		nodeOf = make([]int32, n)
-	}
-	rowsFor := func(node int) []int32 {
-		if !cfg.NoNodeIndex {
-			return idx.Rows(node)
-		}
-		var rows []int32
-		for i, nd := range nodeOf {
-			if nd == int32(node) {
-				rows = append(rows, int32(i))
-			}
-		}
-		return rows
-	}
-
 	// active lists the layer's nodes with their gradient totals. A shard
 	// learns its root's from the first layer's aggregation.
 	active := []LayerNode{{Node: 0}}
@@ -553,7 +527,6 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 	buildOpts := histogram.BuildOptions{
 		Parallelism: tr.pool.Workers(),
 		BatchSize:   cfg.BatchSize,
-		Dense:       cfg.DenseBuild,
 		Pool:        td.pool,
 	}
 	// Per-layer scratch: the nodes Splits decides, the data passes and the
@@ -582,13 +555,13 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		// derived ones.
 		layer, builds, built = layer[:0], builds[:0], built[:0]
 		for _, nd := range active {
-			if whole && !nd.Derived && idxCount(idx, nodeOf, nd.Node) == 0 {
+			if whole && !nd.Derived && idx.Count(nd.Node) == 0 {
 				leaf(nd) // no rows to split
 				continue
 			}
 			layer = append(layer, nd)
 			if !nd.Derived {
-				rows := rowsFor(nd.Node)
+				rows := idx.Rows(nd.Node)
 				builds = append(builds, ooc.NodeBuild{Rows: rows})
 				built = append(built, nd.Node)
 				tr.BuiltHists++
@@ -663,24 +636,11 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 				}
 				idx.SplitStable(nd.Node, goLeft, tr.pool)
 				l, r := tree.Left(nd.Node), tree.Right(nd.Node)
-				if cfg.NoNodeIndex {
-					tr.pool.For(n, parallel.RowChunk, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							if nodeOf[i] == int32(nd.Node) {
-								if goLeft(int32(i)) {
-									nodeOf[i] = int32(l)
-								} else {
-									nodeOf[i] = int32(r)
-								}
-							}
-						}
-					})
-				}
 				// Below the root only one child of each split gets a data
 				// pass and its sibling is derived, unless the children are
 				// the last layer, which is never built.
 				derive := depth+2 < cfg.MaxDepth && agg.Derives() &&
-					(!whole || (idxCount(idx, nodeOf, l) > 0 && idxCount(idx, nodeOf, r) > 0))
+					(!whole || (idx.Count(l) > 0 && idx.Count(r) > 0))
 				next = append(next,
 					LayerNode{Node: l, Derived: derive && !split.BuildLeft(), G: split.LeftG, H: split.LeftH},
 					LayerNode{Node: r, Derived: derive && split.BuildLeft(), G: split.RightG, H: split.RightH})
@@ -728,7 +688,7 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		if !nd.Used || !nd.Leaf || nd.Weight == 0 {
 			continue
 		}
-		rows := rowsFor(node)
+		rows := idx.Rows(node)
 		w := nd.Weight
 		tr.pool.For(len(rows), parallel.RowChunk, func(lo, hi int) {
 			for _, r := range rows[lo:hi] {
@@ -739,42 +699,20 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 	return tn, nil
 }
 
-// SplitPredicate returns the goLeft test of a split. With a binned matrix
-// the float comparison v <= SplitValue(k) becomes bin(v) <= k: the split
-// value is always a cut, Candidates.Bucket recovers its bucket index k
-// exactly, and by the bucket semantics (bucket k holds values <= Cuts[k],
-// values above every cut land in the last, never-proposed bucket) the two
-// predicates partition rows identically — so binned and float training
-// produce bit-identical models. The returned predicate only reads shared
-// state and is safe for concurrent use (SplitStable calls it from every
-// pool worker).
+// SplitPredicate returns the goLeft test of a split over d's rows quantized
+// as binned under layout. The float comparison v <= SplitValue(k) becomes
+// bin(v) <= k: the split value is always a cut, Candidates.Bucket recovers its
+// bucket index k exactly, and by the bucket semantics (bucket k holds values
+// <= Cuts[k], values above every cut land in the last, never-proposed bucket)
+// the two predicates partition rows identically. The returned predicate only
+// reads shared state and is safe for concurrent use (SplitStable calls it
+// from every pool worker).
 func SplitPredicate(d *dataset.Dataset, binned *histogram.Binned, layout *histogram.Layout, split Split) func(r int32) bool {
-	f, v := int(split.Feature), split.Value
-	if binned == nil {
-		return func(r int32) bool {
-			return float64(d.Row(int(r)).Feature(f)) <= v
-		}
-	}
 	p := layout.Pos(split.Feature)
-	k := layout.Cands[p].Bucket(v)
+	k := layout.Cands[p].Bucket(split.Value)
 	return func(r int32) bool {
 		return binned.Bin(int(r), p) <= k
 	}
-}
-
-// idxCount returns the instance count of a node under either row-tracking
-// scheme.
-func idxCount(idx *tree.Index, nodeOf []int32, node int) int {
-	if nodeOf == nil {
-		return idx.Count(node)
-	}
-	c := 0
-	for _, nd := range nodeOf {
-		if nd == int32(node) {
-			c++
-		}
-	}
-	return c
 }
 
 // Train is the one-call convenience API: sketch, train, return the model.

@@ -19,23 +19,14 @@ import (
 // model is Float64bits-identical to NewTrainer on the same data — at any
 // parallelism and any budget admitted by ooc.Open.
 //
-// Ablation modes that are intrinsically resident-data features are rejected:
-// instance sampling (per-tree engine scoring of the full dataset would spill
-// nothing), NoNodeIndex (full-scan row recovery), NoBinning (float-path
-// splitting reads raw values per layer), and DenseBuild.
+// Instance sampling is rejected: its per-tree engine scoring of the full
+// dataset is a resident-data feature.
 func NewTrainerFromSource(src *ooc.Source, cfg Config) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	switch {
-	case cfg.InstanceSampleRatio < 1:
+	if cfg.InstanceSampleRatio < 1 {
 		return nil, fmt.Errorf("core: out-of-core training does not support InstanceSampleRatio < 1")
-	case cfg.NoNodeIndex:
-		return nil, fmt.Errorf("core: out-of-core training does not support the NoNodeIndex ablation")
-	case cfg.NoBinning:
-		return nil, fmt.Errorf("core: out-of-core training does not support the NoBinning ablation")
-	case cfg.DenseBuild:
-		return nil, fmt.Errorf("core: out-of-core training does not support the DenseBuild ablation")
 	}
 	return &Trainer{
 		cfg:    cfg,

@@ -42,11 +42,6 @@ func TestBinnedMatchesFloatBitIdentical(t *testing.T) {
 	BuildSparseBinned(hb, b, rows, grad, hess)
 	requireBitIdentical(t, "sparse", hs, hb)
 
-	hd, hdb := New(l), New(l)
-	BuildDense(hd, d, rows, grad, hess)
-	BuildDenseBinned(hdb, b, rows, grad, hess)
-	requireBitIdentical(t, "dense", hd, hdb)
-
 	// Parallel: identical batching and merge order on both paths.
 	for _, par := range []int{2, 4} {
 		for _, batch := range []int{7, 64} {
@@ -178,10 +173,6 @@ func TestBinnedWideEscalation(t *testing.T) {
 	BuildSparse(hs, d, rows, grad, hess)
 	BuildSparseBinned(hb, b, rows, grad, hess)
 	requireBitIdentical(t, "wide sparse", hs, hb)
-	hd, hdb := New(l), New(l)
-	BuildDense(hd, d, rows, grad, hess)
-	BuildDenseBinned(hdb, b, rows, grad, hess)
-	requireBitIdentical(t, "wide dense", hd, hdb)
 }
 
 func TestBinnedConstructionParallelism(t *testing.T) {

@@ -145,37 +145,6 @@ func accumSparseBins[T uint8 | uint16](h *Histogram, b *Binned, bins []T, rows [
 	return sumG, sumH
 }
 
-// BuildDenseBinned is BuildDense over pre-quantized bin ids: one merge-walk
-// over the row's sampled entries supplies stored bins, every other sampled
-// position contributes its zero bucket. Bit-identical to BuildDense.
-func BuildDenseBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float64) {
-	h.Materialize()
-	if b.Bins16 != nil {
-		buildDenseBins(h, b, b.Bins16, rows, grad, hess)
-	} else {
-		buildDenseBins(h, b, b.Bins8, rows, grad, hess)
-	}
-}
-
-func buildDenseBins[T uint8 | uint16](h *Histogram, b *Binned, bins []T, rows []int32, grad, hess []float64) {
-	l := h.Layout
-	offs, zeros := l.Offsets, l.zeroIdx
-	m := len(l.Features)
-	for _, r := range rows {
-		g, hs := grad[r], hess[r]
-		j, hi := b.RowPtr[r], b.RowPtr[r+1]
-		for p := 0; p < m; p++ {
-			idx := int(zeros[p])
-			if j < hi && int(b.Pos[j]) == p {
-				idx = int(offs[p]) + int(bins[j])
-				j++
-			}
-			h.G[idx] += g
-			h.H[idx] += hs
-		}
-	}
-}
-
 // BuildOptions control the parallel batch construction of §5.2.
 type BuildOptions struct {
 	// Parallelism is the number of builder goroutines (the paper's q
@@ -186,8 +155,6 @@ type BuildOptions struct {
 	// BatchSize is the number of instances per batch (the paper's b).
 	// Values < 1 use a default of 4096.
 	BatchSize int
-	// Dense switches to the traditional O(N·M) build, for ablation.
-	Dense bool
 	// Pool, when non-nil, supplies the per-goroutine partial histograms
 	// instead of allocating fresh ones per Build call. The trainer shares
 	// one pool across a whole tree, making steady-state builds
@@ -215,14 +182,10 @@ func (o BuildOptions) OneBatch(n int) bool { return n <= o.batchSize() }
 // (parallel.ReduceOrdered). Both the grid and the merge order are functions
 // of (rows, BatchSize) alone, so the result is bit-identical for every
 // Parallelism; a single-batch range builds directly into h, which is then
-// bit-identical to BuildSparse/BuildDense.
+// bit-identical to BuildSparse.
 func Build(h *Histogram, d *dataset.Dataset, rows []int32, grad, hess []float64, opts BuildOptions) {
-	build := BuildSparse
-	if opts.Dense {
-		build = BuildDense
-	}
 	BuildBatches(h, rows, opts, func(part *Histogram, batch []int32) {
-		build(part, d, batch, grad, hess)
+		BuildSparse(part, d, batch, grad, hess)
 	})
 }
 
@@ -231,17 +194,13 @@ func Build(h *Histogram, d *dataset.Dataset, rows []int32, grad, hess []float64,
 // ids. The result is in h's state: materialised unless the caller Deferred
 // h.
 func BuildBinned(h *Histogram, b *Binned, rows []int32, grad, hess []float64, opts BuildOptions) {
-	build := BuildSparseBinned
-	if opts.Dense {
-		build = BuildDenseBinned
-	}
 	if opts.OneBatch(len(rows)) {
 		// The deep-node path: no closure, no allocation.
-		build(h, b, rows, grad, hess)
+		BuildSparseBinned(h, b, rows, grad, hess)
 		return
 	}
 	BuildBatches(h, rows, opts, func(part *Histogram, batch []int32) {
-		build(part, b, batch, grad, hess)
+		BuildSparseBinned(part, b, batch, grad, hess)
 	})
 }
 

@@ -194,12 +194,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestBuildDenseOption(t *testing.T) {
+// TestBuildDenseInBatches: the dense build over the parallel batch grid, as
+// the mesh baselines run it, sums what one sparse pass does.
+func TestBuildDenseInBatches(t *testing.T) {
 	d, cands, grad, hess := buildFixture(t, 100, 20, 5, 9)
 	l, _ := NewLayout(AllFeatures(20), cands, 20)
 	rows := allRows(100)
 	hd := New(l)
-	Build(hd, d, rows, grad, hess, BuildOptions{Dense: true, Parallelism: 3, BatchSize: 11})
+	BuildBatches(hd, rows, BuildOptions{Parallelism: 3, BatchSize: 11}, func(part *Histogram, batch []int32) {
+		BuildDense(part, d, batch, grad, hess)
+	})
 	hs := New(l)
 	BuildSparse(hs, d, rows, grad, hess)
 	for i := range hd.G {

@@ -194,7 +194,7 @@ func TestPoolGetIsCleanWhateverWasPut(t *testing.T) {
 		{"dense build into a deferred target", func(p *Pool) *Histogram {
 			h := p.Get()
 			h.Defer()
-			BuildDenseBinned(h, b, some, grad, hess)
+			BuildDense(h, d, some, grad, hess)
 			return h
 		}},
 		{"SetSub result of deferred operands", func(p *Pool) *Histogram {

@@ -121,12 +121,6 @@ func TestQuickBinnedEqualsFloat(t *testing.T) {
 		if !exact(hs, hb) {
 			return false
 		}
-		hd, hdb := New(layout), New(layout)
-		BuildDense(hd, d, sel, grad, hess)
-		BuildDenseBinned(hdb, b, sel, grad, hess)
-		if !exact(hd, hdb) {
-			return false
-		}
 		opts := BuildOptions{Parallelism: int(parRaw)%4 + 1, BatchSize: int(rowsRaw)%40 + 1, Pool: NewPool(layout)}
 		pf, pb := New(layout), New(layout)
 		Build(pf, d, sel, grad, hess, opts)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestKindString(t *testing.T) {
@@ -235,6 +236,25 @@ func TestAUCErrors(t *testing.T) {
 	}
 	if _, err := AUC([]float32{1}, []float64{0.1, 0.2}); err == nil {
 		t.Fatal("length mismatch should error")
+	}
+}
+
+// TestAUCNaNPredictionIsAnError: a NaN equals no score, so the midrank tie
+// loop never advanced past one. AUC runs under a deadline so a hang fails
+// the test instead of the package.
+func TestAUCNaNPredictionIsAnError(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := AUC([]float32{0, 1, 0, 1}, []float64{0.2, math.NaN(), 0.1, 0.7})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("AUC with a NaN prediction returned no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AUC with a NaN prediction did not return")
 	}
 }
 

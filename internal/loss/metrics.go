@@ -3,6 +3,7 @@ package loss
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -54,11 +55,14 @@ func RMSE(labels []float32, preds []float64) float64 {
 // AUC returns the area under the ROC curve for binary labels in {0,1} given
 // raw scores (any monotone transform of probability works). Ties are handled
 // by the standard midrank method. It returns an error when only one class is
-// present.
+// present or a prediction is NaN, which no score ranks against.
 func AUC(labels []float32, preds []float64) (float64, error) {
 	n := len(labels)
 	if n != len(preds) {
 		return 0, errors.New("loss: labels and predictions differ in length")
+	}
+	if slices.ContainsFunc(preds, math.IsNaN) {
+		return 0, errors.New("loss: AUC undefined with a NaN prediction")
 	}
 	order := make([]int, n)
 	for i := range order {

@@ -335,8 +335,7 @@ type layerUnit struct {
 // Float64bits-equal to BuildBinned's on the resident mirror at any
 // parallelism, chunk size and budget. A layer reads at most P × SpillBytes
 // for its one-batch nodes, plus the segments of each batch of the others.
-// pool stands in for opts.Parallelism; opts.Dense is not supported
-// (out-of-core training rejects DenseBuild).
+// pool stands in for opts.Parallelism.
 func (sb *SpilledBinned) BuildLayer(pool *parallel.Pool, nodes []NodeBuild, grad, hess []float64, opts histogram.BuildOptions) {
 	var (
 		units []layerUnit
