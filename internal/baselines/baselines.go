@@ -81,9 +81,12 @@ type Stats struct {
 	// machine the w workers time-slice one CPU, so WallTime approximates
 	// the cluster's total compute rather than its critical path.
 	WallTime time.Duration
-	// MaxWorkerCompute is the largest per-worker compute time (gradient,
-	// histogram building, split finding) — the per-machine critical path
-	// on a real cluster.
+	// MaxWorkerCompute is the largest per-worker compute time — the
+	// per-machine critical path on a real cluster. A mesh rank counts its
+	// gradients and histogram builds only: binning and split finding run
+	// uncounted. DimBoostStyle reports cluster Stats.Compute.Total(), which
+	// also counts sketching, split finding (PS round trips) and tree
+	// splitting, so the two kinds of system compare different sets.
 	MaxWorkerCompute time.Duration
 	// Bytes and Msgs are total traffic.
 	Bytes, Msgs int64
@@ -192,19 +195,23 @@ func trainMesh(d *dataset.Dataset, opts Options) (*core.Model, Stats, error) {
 		}
 	}
 
+	return workers[0].model, meshStats(workers, start), nil
+}
+
+// meshStats reports a finished mesh run from its ranks.
+func meshStats(ranks []*meshWorker, start time.Time) Stats {
+	mesh := ranks[0].mesh
 	st := Stats{
 		WallTime: time.Since(start),
 		Bytes:    mesh.BytesMoved(),
 		Msgs:     mesh.MsgsMoved(),
-		Events:   workers[0].events,
+		Events:   ranks[0].events,
 	}
-	for _, wk := range workers {
-		if wk.computeTime > st.MaxWorkerCompute {
-			st.MaxWorkerCompute = wk.computeTime
-		}
+	for _, r := range ranks {
+		st.MaxWorkerCompute = max(st.MaxWorkerCompute, r.compute)
 	}
 	maxBytes, maxMsgs := mesh.MaxPerRank()
 	st.ModeledCommTime = time.Duration(simnet.Cost(maxMsgs, maxBytes, simnet.GigabitEthernet()) * float64(time.Second))
 	st.ModeledTotalTime = st.MaxWorkerCompute + st.ModeledCommTime
-	return workers[0].model, st, nil
+	return st
 }

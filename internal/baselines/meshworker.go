@@ -30,11 +30,10 @@ type meshWorker struct {
 	// recs are the split records of the layer's nodes aggregated so far.
 	recs []core.Decision
 
-	// computeTime accumulates time spent in local computation (gradients,
-	// histogram building) excluding mesh waits. Compute sections serialize
-	// on computeLock so the timers measure each worker's own work even when
-	// workers outnumber cores.
-	computeTime time.Duration
+	// compute sums the rank's gradients and histogram builds from its
+	// record (Done). Their sections serialize on computeLock so their times
+	// measure each rank's own work even when ranks outnumber cores.
+	compute     time.Duration
 	computeLock *sync.Mutex
 }
 
@@ -118,24 +117,27 @@ func (mw *meshWorker) BuildNode(h *histogram.Histogram, rows []int32, grad, hess
 	})
 }
 
-// Compute serializes the gradients and the histogram builds and counts them
-// as the rank's compute time; the rest of the grower's work is not.
-func (mw *meshWorker) Compute(phase string, f func()) time.Duration {
-	counted := phase == "gradients" || phase == "build_hist"
-	if counted {
+// counted says whether a phase is the rank's compute: the gradients and the
+// histogram builds are; binning, split finding (inside Built) and the rest
+// of the grower's work are not.
+func counted(phase string) bool { return phase == "gradients" || phase == "build_hist" }
+
+// Compute serializes the counted phases.
+func (mw *meshWorker) Compute(phase string, f func()) {
+	if counted(phase) {
 		mw.computeLock.Lock()
 		defer mw.computeLock.Unlock()
 	}
-	start := time.Now()
 	f()
-	d := time.Since(start)
-	if counted {
-		mw.computeTime += d
-	}
-	return d
 }
 
-func (mw *meshWorker) Done(string, int, time.Time, time.Duration) error { return nil }
+// Done sums the counted phases into compute. Ranks record no spans.
+func (mw *meshWorker) Done(phase string, _ int, _ time.Time, d time.Duration) error {
+	if counted(phase) {
+		mw.compute += d
+	}
+	return nil
+}
 
 // aggregateAndSplit merges a node's local histogram across ranks with the
 // system's strategy and returns the agreed global split record. nodeIdx is

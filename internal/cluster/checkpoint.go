@@ -88,6 +88,16 @@ const (
 	// Version 2 added the PullBits and SparseWire fingerprint fields, version
 	// 3 the LearningRate, Lambda, Gamma, MinChildHessian and SketchEps ones.
 	checkpointVersion = 3
+
+	// Wire bytes of a tree header (depth, node count), a node and an event:
+	// DecodeCheckpoint refuses a count the rest of the file cannot hold
+	// before allocating for it.
+	treeWireBytes  = 8
+	nodeWireBytes  = 30
+	eventWireBytes = 20
+	// maxCheckpointDepth is the tree depth bound core.Load and
+	// core.Config.Validate enforce.
+	maxCheckpointDepth = 24
 )
 
 // Encode serializes the checkpoint with the internal/wire codec.
@@ -137,9 +147,17 @@ func (c *Checkpoint) Encode() []byte {
 }
 
 // DecodeCheckpoint parses a checkpoint written by Encode and validates the
-// embedded trees.
+// embedded trees. It accepts only Encode's own bytes: a flag other than 0 or
+// 1, a count the file cannot hold or trailing bytes are refused, and so is
+// a tree deeper than core.Load accepts.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	r := wire.NewReader(data)
+	badFlag := false
+	flag := func() bool {
+		b := r.Uint8()
+		badFlag = badFlag || b > 1
+		return b == 1
+	}
 	if len(data) < 8 || string(data[:4]) != checkpointMagic {
 		return nil, fmt.Errorf("cluster: not a checkpoint (bad magic)")
 	}
@@ -161,13 +179,16 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Fingerprint.SketchEps = r.Float64()
 	c.Fingerprint.Bits = uint(r.Uint32())
 	c.Fingerprint.PullBits = uint(r.Uint32())
-	c.Fingerprint.ExactWire = r.Bool()
-	c.Fingerprint.SparseWire = r.Bool()
+	c.Fingerprint.ExactWire = flag()
+	c.Fingerprint.SparseWire = flag()
 	c.TreesDone = int(r.Uint32())
 	c.Model = &core.Model{Loss: loss.Kind(r.Int32()), BaseScore: r.Float64()}
 	numTrees := int(r.Uint32())
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: decoding checkpoint: %w", r.Err())
+	}
+	if numTrees > r.Remaining()/(treeWireBytes+nodeWireBytes) {
+		return nil, fmt.Errorf("cluster: checkpoint declares %d trees in %d bytes", numTrees, r.Remaining())
 	}
 	for i := 0; i < numTrees; i++ {
 		depth := int(r.Uint32())
@@ -175,14 +196,20 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if r.Err() != nil {
 			return nil, fmt.Errorf("cluster: decoding checkpoint tree %d: %w", i, r.Err())
 		}
+		if depth < 1 || depth > maxCheckpointDepth {
+			return nil, fmt.Errorf("cluster: checkpoint tree %d has depth %d outside [1,%d]", i, depth, maxCheckpointDepth)
+		}
 		if numNodes != tree.MaxNodes(depth) {
 			return nil, fmt.Errorf("cluster: checkpoint tree %d has %d nodes for depth %d", i, numNodes, depth)
+		}
+		if numNodes > r.Remaining()/nodeWireBytes {
+			return nil, fmt.Errorf("cluster: checkpoint tree %d declares %d nodes in %d bytes", i, numNodes, r.Remaining())
 		}
 		t := &tree.Tree{MaxDepth: depth, Nodes: make([]tree.Node, numNodes)}
 		for j := range t.Nodes {
 			t.Nodes[j] = tree.Node{
-				Used:    r.Bool(),
-				Leaf:    r.Bool(),
+				Used:    flag(),
+				Leaf:    flag(),
 				Feature: r.Int32(),
 				Value:   r.Float64(),
 				Gain:    r.Float64(),
@@ -201,15 +228,23 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: decoding checkpoint: %w", r.Err())
 	}
-	for i := 0; i < numEvents; i++ {
+	if numEvents > r.Remaining()/eventWireBytes {
+		return nil, fmt.Errorf("cluster: checkpoint declares %d events in %d bytes", numEvents, r.Remaining())
+	}
+	for i := 0; i < numEvents && r.Err() == nil; i++ {
 		c.Events = append(c.Events, core.TreeEvent{
 			Tree:      int(r.Uint32()),
 			TrainLoss: r.Float64(),
 			Elapsed:   time.Duration(r.Int64()),
 		})
 	}
-	if r.Err() != nil {
+	switch {
+	case r.Err() != nil:
 		return nil, fmt.Errorf("cluster: decoding checkpoint: %w", r.Err())
+	case r.Remaining() != 0:
+		return nil, fmt.Errorf("cluster: %d trailing bytes after the checkpoint", r.Remaining())
+	case badFlag:
+		return nil, fmt.Errorf("cluster: checkpoint flag byte is neither 0 nor 1")
 	}
 	if c.TreesDone != len(c.Model.Trees) {
 		return nil, fmt.Errorf("cluster: checkpoint claims %d trees, holds %d", c.TreesDone, len(c.Model.Trees))

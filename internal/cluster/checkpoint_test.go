@@ -1,16 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"dimboost/internal/core"
+	"dimboost/internal/dataset"
 	"dimboost/internal/faultinject"
 	"dimboost/internal/ps"
 	"dimboost/internal/tree"
@@ -333,4 +336,100 @@ func TestDirSink(t *testing.T) {
 		}
 		t.Fatalf("checkpoint dir holds %v, want only %q", names, checkpointFile)
 	}
+}
+
+// TestDecodeCheckpointRefusesCountsItCannotHold: a short file declaring a
+// huge tree or event count is refused from its counts, before anything is
+// allocated for them: each case allocated from 537 MB (a depth-24 tree) to
+// tens of GB (2^26 events, a depth-31 tree) before failing on the missing
+// bytes.
+func TestDecodeCheckpointRefusesCountsItCannotHold(t *testing.T) {
+	empty := (&Checkpoint{Model: &core.Model{}}).Encode()
+	if len(empty) != 114 {
+		t.Fatalf("empty checkpoint is %d bytes, want 114", len(empty))
+	}
+	// withCounts replaces the tree and event counts that end an empty
+	// checkpoint by the given uint32 fields.
+	withCounts := func(fields ...uint32) []byte {
+		b := append([]byte(nil), empty[:len(empty)-8]...)
+		for _, v := range fields {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"one depth-26 tree":   withCounts(1, 26, 1<<26-1),
+		"one depth-24 tree":   withCounts(1, 24, 1<<24-1),
+		"one depth-25 tree":   withCounts(1, 25, 1<<25-1),
+		"one depth-31 tree":   withCounts(1, 31, 1<<31-1),
+		"one depth-0 tree":    withCounts(1, 0, 0),
+		"2^26 events":         withCounts(0, 1<<26),
+		"2^32-1 events":       withCounts(0, 1<<32-1),
+		"2^32-1 trees":        withCounts(1<<32 - 1),
+		"2^20 one-node trees": withCounts(1<<20, 1, 1),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeCheckpoint(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s (%d bytes) decoded without error", name, len(data))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s (%d bytes): decoding allocated %d bytes", name, len(data), grew)
+		}
+	}
+}
+
+// TestCheckpointDepthBoundIsCores: the checkpoint decoder's depth bound is
+// the one core enforces on a configuration (and on a model file).
+func TestCheckpointDepthBoundIsCores(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.MaxDepth = maxCheckpointDepth
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("core refuses depth %d: %v", maxCheckpointDepth, err)
+	}
+	cfg.MaxDepth++
+	if cfg.Validate() == nil {
+		t.Fatalf("core accepts depth %d, past the checkpoint bound", cfg.MaxDepth)
+	}
+}
+
+// checkpointSeeds are the checkpoints TestCheckpointEncodeDecodeRoundTrip's
+// run saves, one per tree, and an empty one.
+func checkpointSeeds(tb testing.TB) [][]byte {
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 300, NumFeatures: 120, AvgNNZ: 12, Seed: 91, Zipf: 1.2, NoiseStd: 0.2})
+	cfg := smallCfg(2, 2)
+	cfg.ExactWire = true
+	sink := &allSink{}
+	cfg.Checkpoint = sink
+	if _, err := Train(d, cfg); err != nil {
+		tb.Fatal(err)
+	}
+	return append(sink.saves, (&Checkpoint{Model: &core.Model{}}).Encode())
+}
+
+// allSink keeps every checkpoint it is handed.
+type allSink struct{ saves [][]byte }
+
+func (s *allSink) Save(_ int, data []byte) error {
+	s.saves = append(s.saves, append([]byte(nil), data...))
+	return nil
+}
+
+// FuzzDecodeCheckpoint: hostile bytes never panic the decoder, and every
+// checkpoint it accepts re-encodes to exactly its bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	for _, seed := range checkpointSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if enc := ck.Encode(); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(enc))
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"dimboost/internal/compress"
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
+	"dimboost/internal/obs"
 	"dimboost/internal/ps"
 	"dimboost/internal/simnet"
 	"dimboost/internal/transport"
@@ -148,8 +149,10 @@ type Stats struct {
 	WallTime time.Duration
 	// LoadTime covers dataset partitioning (the paper's "data loading").
 	LoadTime time.Duration
-	// Compute is the maximum per-worker compute time (sketch + gradients +
-	// histogram building + split finding + tree splitting).
+	// Compute is the per-phase maximum of the workers' Trainer.Times, so
+	// its Total() can exceed every worker's own total. Besides gradients and
+	// histogram building it holds sketching, tree splitting and a FindSplit
+	// made of PS round trips, which ModeledCommTime prices again.
 	Compute core.PhaseTimes
 	// Bytes/Msgs are per-node traffic maxima and totals from the meter.
 	MaxNodeBytes int64
@@ -211,10 +214,8 @@ func TrainOn(net transport.Network, meter *transport.Meter, d *dataset.Dataset, 
 		}
 	}
 	start := time.Now()
-
-	loadStart := time.Now()
 	shards := dataset.PartitionRows(d, cfg.NumWorkers)
-	loadTime := time.Since(loadStart)
+	loadTime := time.Since(start)
 
 	part, err := ps.NewPartition(d.NumFeatures, cfg.NumServers, cfg.NumRanges)
 	if err != nil {
@@ -312,7 +313,8 @@ func newWorker(ep transport.Endpoint, id int, shard *dataset.Dataset, part *ps.P
 	client.PullBits = cfg.PullBits
 	client.Exact = cfg.ExactWire
 	client.Sparse = cfg.SparseWire
-	wk := &worker{id: id, cfg: cfg, shard: shard, ep: ep, client: client, resume: cfg.Resume}
+	wk := &worker{id: id, cfg: cfg, shard: shard, ep: ep, client: client, resume: cfg.Resume,
+		t: -1, spans: obs.Default().SpanLog("train", 4096)}
 	if id == 0 {
 		wk.checkpoint = cfg.Checkpoint
 	}

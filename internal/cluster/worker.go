@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"dimboost/internal/dataset"
 	"dimboost/internal/histogram"
 	"dimboost/internal/loss"
+	"dimboost/internal/obs"
 	"dimboost/internal/parallel"
 	"dimboost/internal/predict"
 	"dimboost/internal/ps"
@@ -28,8 +30,8 @@ type worker struct {
 	ep     transport.Endpoint
 	client *ps.Client
 
-	// tr grows the trees over the shard and accumulates the worker's phase
-	// times (Trainer.Times).
+	// tr grows the trees over the shard and times the worker's phases
+	// (Trainer.Times).
 	tr    *core.Trainer
 	preds []float64
 	model *core.Model
@@ -43,8 +45,12 @@ type worker struct {
 	events []core.TreeEvent
 
 	// computeLock, when non-nil, serializes compute sections across
-	// workers so phase timers stay truthful on over-subscribed machines.
+	// workers so phase times stay truthful on over-subscribed machines.
 	computeLock *sync.Mutex
+
+	// spans is the "train" span log, shared with the single-process
+	// trainer; the Worker field of each span tells the runtimes apart.
+	spans *obs.SpanLog
 
 	// checkpoint, when non-nil, receives the encoded model after every
 	// finished tree; the driver sets it on the leader only.
@@ -52,8 +58,9 @@ type worker struct {
 	// resume, when non-nil, restarts boosting after the checkpointed trees.
 	resume *Checkpoint
 
-	// The tree and layer being grown: the tree index, the layout of its
-	// histograms, and the layer's start and time spent in PS round trips.
+	// The tree and layer being grown: the tree index (−1 before the first),
+	// the layout of its histograms, and the layer's start and time spent in
+	// PS round trips.
 	t          int
 	layout     *histogram.Layout
 	layerStart time.Time
@@ -63,20 +70,18 @@ type worker struct {
 func (wk *worker) barrier(phase string) error {
 	start := time.Now()
 	err := barrier(wk.ep, phase)
-	clusterMetrics().spans.Record(wk.id, -1, -1, "barrier", start, time.Since(start))
+	wk.spans.Record(wk.id, -1, -1, "barrier", start, time.Since(start))
 	return err
 }
 
-// Compute runs f inside the optional serialization lock and returns its
-// duration. Every compute section of the worker is one.
-func (wk *worker) Compute(_ string, f func()) time.Duration {
-	if wk.computeLock != nil {
+// Compute runs f inside the optional serialization lock. Every compute
+// section of the worker is one; FIND_SPLIT, PS round trips, takes no lock.
+func (wk *worker) Compute(phase string, f func()) {
+	if wk.computeLock != nil && phase != "find_split" {
 		wk.computeLock.Lock()
 		defer wk.computeLock.Unlock()
 	}
-	start := time.Now()
 	f()
-	return time.Since(start)
 }
 
 // rpc runs one parameter-server call and adds its time to the layer's
@@ -111,13 +116,12 @@ func (wk *worker) run() error {
 	// Phase 1: CREATE_SKETCH — local sketches, one feature range per pool
 	// worker (the single-process trainer's driver), pushed to the PS.
 	var set *sketch.Set
-	ss := time.Now()
-	sd := wk.Compute("sketch", func() {
+	if err := wk.tr.Time(wk, "sketch", -1, func() {
 		set = sketch.NewSet(wk.shard.NumFeatures, wk.cfg.ResolvedSketchEps())
 		set.AddRows(wk.pool, n, sketch.Resident(wk.shard))
-	})
-	wk.tr.Times.Sketch += sd
-	clusterMetrics().spans.Record(wk.id, -1, -1, "sketch", ss, sd)
+	}); err != nil {
+		return err
+	}
 	if err := wk.client.PushSketches(set); err != nil {
 		return err
 	}
@@ -137,7 +141,6 @@ func (wk *worker) run() error {
 
 	// NEW_TREE → (BUILD_HISTOGRAM → FIND_SPLIT → SPLIT_TREE)* per tree:
 	// core's grower, with the worker aggregating.
-	m := clusterMetrics()
 	for t := startTree; t < wk.cfg.NumTrees; t++ {
 		treeStart := time.Now()
 		wk.t = t
@@ -151,11 +154,11 @@ func (wk *worker) run() error {
 			TrainLoss: loss.MeanLoss(lf, wk.shard.Labels, wk.preds),
 			Elapsed:   time.Since(start),
 		})
-		m.spans.Record(wk.id, t, -1, "tree", treeStart, time.Since(treeStart))
+		wk.spans.Record(wk.id, t, -1, "tree", treeStart, time.Since(treeStart))
 		if wk.id == 0 {
 			// The leader alone counts finished trees so the cluster-wide
 			// total is not multiplied by the worker count.
-			m.trees.Inc()
+			obs.Default().Counter("dimboost_train_trees_total", "Trees finished by the boosting loop.").Inc()
 		}
 		if err := wk.saveCheckpoint(t + 1); err != nil {
 			return err
@@ -267,28 +270,27 @@ func (wk *worker) Splits(depth int, layer []core.LayerNode) ([]core.Decision, er
 	if err := wk.barrier("BUILD_HISTOGRAM"); err != nil {
 		return nil, err
 	}
-	fs := time.Now()
 	nodes := make([]int, len(layer))
-	for i, nd := range layer {
-		nodes[i] = nd.Node
-		owner := i % cfg.NumWorkers
-		if cfg.DisableScheduler {
-			owner = 0 // a single agent handles every node (ablation)
+	var err error
+	terr := wk.tr.Time(wk, "find_split", depth, func() {
+		for i, nd := range layer {
+			nodes[i] = nd.Node
+			owner := i % cfg.NumWorkers
+			if cfg.DisableScheduler {
+				owner = 0 // a single agent handles every node (ablation)
+			}
+			if owner != wk.id || err != nil {
+				continue
+			}
+			var res core.Decision
+			if res, err = wk.findSplit(nd); err == nil {
+				err = wk.rpc(func() error { return wk.client.PushSplitResult(nd.Node, res) })
+			}
 		}
-		if owner != wk.id {
-			continue
-		}
-		res, err := wk.findSplit(nd)
-		if err != nil {
-			return nil, err
-		}
-		if err := wk.rpc(func() error { return wk.client.PushSplitResult(nd.Node, res) }); err != nil {
-			return nil, err
-		}
+	})
+	if err = cmp.Or(err, terr); err != nil {
+		return nil, err
 	}
-	fd := time.Since(fs)
-	wk.tr.Times.FindSplit += fd
-	clusterMetrics().spans.Record(wk.id, wk.t, depth, "find_split", fs, fd)
 	if err := wk.barrier("FIND_SPLIT"); err != nil {
 		return nil, err
 	}
@@ -342,16 +344,15 @@ func (wk *worker) findSplit(nd core.LayerNode) (res core.Decision, err error) {
 	}, nil
 }
 
-// Done records the grower's phase spans; a finished SPLIT_TREE also records
+// Done records the worker's phase spans; a finished SPLIT_TREE also records
 // the layer's PS round trips and waits for every worker to finish it.
 func (wk *worker) Done(phase string, depth int, start time.Time, d time.Duration) error {
-	m := clusterMetrics()
-	m.spans.Record(wk.id, wk.t, depth, phase, start, d)
+	wk.spans.Record(wk.id, wk.t, depth, phase, start, d)
 	switch phase {
 	case "build_hist":
 		wk.layerStart = start
 	case "split_tree":
-		m.spans.Record(wk.id, wk.t, depth, "ps_round_trip", wk.layerStart, wk.psD)
+		wk.spans.Record(wk.id, wk.t, depth, "ps_round_trip", wk.layerStart, wk.psD)
 		wk.psD = 0
 		return wk.barrier("SPLIT_TREE")
 	}

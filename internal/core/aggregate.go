@@ -16,9 +16,9 @@ import (
 //
 // The grower calls it in phase order. Sample comes once per tree, after the
 // gradients. Each layer then hands every built node to Built as soon as its
-// build finishes, every derived node after them, asks Splits for the
-// decisions, and reports the layer's BUILD_HISTOGRAM and SPLIT_TREE to Done.
-// Compute wraps every compute section of the grower.
+// build finishes, every derived node after them, and asks Splits for the
+// decisions. Trainer.Time times each phase once, inside Compute, and hands
+// the record to Times and to Done.
 type Aggregator interface {
 	// Sample agrees on the tree's feature sample, given this process's own
 	// draw of it.
@@ -34,14 +34,61 @@ type Aggregator interface {
 	// Splits decides the layer: each node's best split, in layer order, and
 	// the node totals the aggregation knows.
 	Splits(depth int, layer []LayerNode) ([]Decision, error)
-	// Compute runs one compute section of the grower and returns its wall
-	// time. phase is "gradients", "binning", "build_hist" (one node's
-	// build, or out of core a whole layer's) or "split_tree".
-	Compute(phase string, f func()) time.Duration
-	// Done reports a finished phase: per tree (depth −1) "gradients", then
-	// "sketch" for weighted candidates and "binning" when the tree needs
-	// them; per layer "build_hist" then "split_tree".
+	// Compute runs f, a timed section of phase, holding whatever serializes
+	// the runtime's compute; it reads no clock, so lock waits go untimed.
+	Compute(phase string, f func())
+	// Done is the sink of every finished phase: per tree (depth −1)
+	// "gradients", then "sketch" for weighted candidates and "binning" when
+	// the tree needs them; per layer "build_hist", then "find_split" if
+	// Splits times it, "split_tree"; and the phases the aggregator times
+	// itself (the cluster's run-level "sketch"). d sums the phase's sections.
 	Done(phase string, depth int, start time.Time, d time.Duration) error
+}
+
+// phaseSpan is one phase in the record: its first section's start and the
+// wall time of all its sections.
+type phaseSpan struct {
+	start time.Time
+	d     time.Duration
+}
+
+// time runs f as a section of phase inside agg.Compute: the one clock read
+// of the grower and its aggregators.
+func (s *phaseSpan) time(agg Aggregator, phase string, f func()) {
+	agg.Compute(phase, func() {
+		start := time.Now()
+		f()
+		s.d += time.Since(start)
+		if s.start.IsZero() {
+			s.start = start
+		}
+	})
+}
+
+// record, the one writer of Times, adds a finished phase to them (binning
+// is histogram building) and hands it to agg.Done.
+func (tr *Trainer) record(agg Aggregator, phase string, depth int, s phaseSpan) error {
+	switch phase {
+	case "sketch":
+		tr.Times.Sketch += s.d
+	case "gradients":
+		tr.Times.Gradients += s.d
+	case "binning", "build_hist":
+		tr.Times.BuildHist += s.d
+	case "find_split":
+		tr.Times.FindSplit += s.d
+	case "split_tree":
+		tr.Times.SplitTree += s.d
+	}
+	return agg.Done(phase, depth, s.start, s.d)
+}
+
+// Time runs f as a phase's one section and records it: the grower times its
+// phases with it, an aggregator those it runs itself (FIND_SPLIT in Splits).
+func (tr *Trainer) Time(agg Aggregator, phase string, depth int, f func()) error {
+	var s phaseSpan
+	s.time(agg, phase, f)
+	return tr.record(agg, phase, depth, s)
 }
 
 // NodeBuilder is an Aggregator that builds every resident node histogram
@@ -130,72 +177,67 @@ func (la *localAggregator) Built(node int, h *histogram.Histogram, _ *histogram.
 func (la *localAggregator) Splits(depth int, layer []LayerNode) ([]Decision, error) {
 	tr, cfg := la.tr, la.tr.cfg
 	pool := tr.td.pool
-	fs := time.Now()
-	hists := make([]*histogram.Histogram, len(layer))
-	for i, nd := range layer {
-		hists[i] = la.hists[nd.Node]
-		delete(la.hists, nd.Node)
-	}
-	// What is left are split nodes whose children both had a data pass, one
-	// of them holding no rows.
-	for _, h := range la.hists {
-		pool.Put(h)
-	}
-	clear(la.hists)
-
-	numPos := tr.td.layout.NumFeatures()
-	words := (numPos + parallel.PosChunk - 1) / parallel.PosChunk
-	la.units = la.units[:0]
-	for i, h := range hists {
-		if !TouchedScanExact(h, layer[i].H, cfg.MinChildHessian) {
-			h.Materialize()
+	var decisions []Decision
+	err := tr.Time(la, "find_split", depth, func() {
+		hists := make([]*histogram.Histogram, len(layer))
+		for i, nd := range layer {
+			hists[i] = la.hists[nd.Node]
+			delete(la.hists, nd.Node)
 		}
-		for w := 0; w < words; w++ {
-			if h.ScanWord(w) != 0 {
-				la.units = append(la.units, scanUnit{int32(i), int32(w)})
+		// What is left are split nodes whose children both had a data pass,
+		// one of them holding no rows.
+		for _, h := range la.hists {
+			pool.Put(h)
+		}
+		clear(la.hists)
+
+		numPos := tr.td.layout.NumFeatures()
+		words := (numPos + parallel.PosChunk - 1) / parallel.PosChunk
+		la.units = la.units[:0]
+		for i, h := range hists {
+			if !TouchedScanExact(h, layer[i].H, cfg.MinChildHessian) {
+				h.Materialize()
+			}
+			for w := 0; w < words; w++ {
+				if h.ScanWord(w) != 0 {
+					la.units = append(la.units, scanUnit{int32(i), int32(w)})
+				}
 			}
 		}
-	}
-	units := la.units
-	la.bests = slices.Grow(la.bests[:0], len(units))[:len(units)]
-	bests := la.bests
-	tr.pool.For(len(units), findSplitChunk, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			nd := &layer[units[j].task]
-			pLo := int(units[j].word) * parallel.PosChunk
-			pHi := min(pLo+parallel.PosChunk, numPos)
-			bests[j] = FindSplitRange(hists[units[j].task], pLo, pHi, nd.G, nd.H, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
+		units := la.units
+		la.bests = slices.Grow(la.bests[:0], len(units))[:len(units)]
+		bests := la.bests
+		tr.pool.For(len(units), findSplitChunk, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				nd := &layer[units[j].task]
+				pLo := int(units[j].word) * parallel.PosChunk
+				pHi := min(pLo+parallel.PosChunk, numPos)
+				bests[j] = FindSplitRange(hists[units[j].task], pLo, pHi, nd.G, nd.H, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
+			}
+		})
+		decisions = make([]Decision, len(layer))
+		for i, nd := range layer {
+			decisions[i] = Decision{G: nd.G, H: nd.H, HasTotals: true}
+		}
+		for j, u := range units {
+			if bests[j].Better(decisions[u.task].Split) {
+				decisions[u.task].Split = bests[j]
+			}
+		}
+		// The histogram lives on as the children's parent unless they are
+		// the last layer, which is never built.
+		for i, nd := range layer {
+			if decisions[i].Split.Found && depth+2 < cfg.MaxDepth {
+				la.hists[nd.Node] = hists[i]
+			} else {
+				pool.Put(hists[i])
+			}
 		}
 	})
-	decisions := make([]Decision, len(layer))
-	for i, nd := range layer {
-		decisions[i] = Decision{G: nd.G, H: nd.H, HasTotals: true}
-	}
-	for j, u := range units {
-		if bests[j].Better(decisions[u.task].Split) {
-			decisions[u.task].Split = bests[j]
-		}
-	}
-	// The histogram lives on as the children's parent unless they are the
-	// last layer, which is never built.
-	for i, nd := range layer {
-		if decisions[i].Split.Found && depth+2 < cfg.MaxDepth {
-			la.hists[nd.Node] = hists[i]
-		} else {
-			pool.Put(hists[i])
-		}
-	}
-	d := time.Since(fs)
-	tr.Times.FindSplit += d
-	trainMetrics().spans.Record(-1, la.t, depth, "find_split", fs, d)
-	return decisions, nil
+	return decisions, err
 }
 
-func (la *localAggregator) Compute(_ string, f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
+func (la *localAggregator) Compute(_ string, f func()) { f() }
 
 func (la *localAggregator) Done(phase string, depth int, start time.Time, d time.Duration) error {
 	trainMetrics().spans.Record(-1, la.t, depth, phase, start, d)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,7 +19,7 @@ import (
 )
 
 // PhaseTimes accumulates wall time per training phase; the Table 3 and
-// Figure 13 experiments read these.
+// Figure 13 experiments read these. Trainer.Time is their one writer.
 type PhaseTimes struct {
 	Sketch    time.Duration
 	Gradients time.Duration
@@ -133,13 +134,12 @@ func NewTrainer(d *dataset.Dataset, cfg Config) (*Trainer, error) {
 // candidates are one serial AddDataset pass's at any parallelism.
 func (tr *Trainer) Candidates() []sketch.Candidates {
 	if tr.cands == nil {
-		start := time.Now()
-		set := sketch.NewSet(tr.numFeatures(), tr.cfg.ResolvedSketchEps())
-		set.AddRows(tr.pool, tr.numRows(), tr.rows())
-		tr.cands = set.CandidatesOn(tr.pool, tr.cfg.NumCandidates)
-		d := time.Since(start)
-		tr.Times.Sketch += d
-		trainMetrics().spans.Record(-1, -1, -1, "sketch", start, d)
+		// A run-level phase of the local sink, which never fails.
+		_ = tr.Time(&localAggregator{tr: tr, t: -1}, "sketch", -1, func() {
+			set := sketch.NewSet(tr.numFeatures(), tr.cfg.ResolvedSketchEps())
+			set.AddRows(tr.pool, tr.numRows(), tr.rows())
+			tr.cands = set.CandidatesOn(tr.pool, tr.cfg.NumCandidates)
+		})
 	}
 	return tr.cands
 }
@@ -374,8 +374,7 @@ func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeDat
 		td.pool = histogram.NewPoolCap(layout, tr.pool.Workers()+1)
 	}
 	tr.td = td
-	bs := time.Now()
-	bd := agg.Compute("binning", func() {
+	derr := tr.Time(agg, "binning", -1, func() {
 		if tr.src != nil {
 			// The mirror spills to a memory-mapped scratch file instead
 			// of materializing.
@@ -384,11 +383,7 @@ func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeDat
 			td.binned = histogram.NewBinned(tr.data, layout, tr.pool.Workers())
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	tr.Times.BuildHist += bd
-	return td, agg.Done("binning", -1, bs, bd)
+	return td, cmp.Or(err, derr)
 }
 
 // closeTreeData releases the current tree data's spill file, if any.
@@ -408,9 +403,10 @@ func (tr *Trainer) closeTreeData() {
 // layer is handed over once it is built. Both fill every histogram with the
 // same bits. Deferred, the binned builds leave only what the node's rows
 // touched for FIND_SPLIT to scan and the pool to clear. A resident agg that is
-// a NodeBuilder builds each node itself. It returns the builds' compute time.
-func (tr *Trainer) buildLayer(td *treeData, nodes []int, builds []ooc.NodeBuild, opts histogram.BuildOptions, agg Aggregator) (time.Duration, error) {
-	var d time.Duration
+// a NodeBuilder builds each node itself. The derived nodes go to agg last.
+// Every build, and the derived nodes' handover (the local trainer subtracts
+// there), is a section of the layer's build_hist span, which it returns.
+func (tr *Trainer) buildLayer(td *treeData, layer []LayerNode, nodes []int, builds []ooc.NodeBuild, opts histogram.BuildOptions, agg Aggregator) (build phaseSpan, err error) {
 	nb, own := agg.(NodeBuilder)
 	for i := range builds {
 		b := &builds[i]
@@ -419,7 +415,7 @@ func (tr *Trainer) buildLayer(td *treeData, nodes []int, builds []ooc.NodeBuild,
 		if td.spilled != nil {
 			continue
 		}
-		d += agg.Compute("build_hist", func() {
+		build.time(agg, "build_hist", func() {
 			if own {
 				nb.BuildNode(b.H, b.Rows, tr.grad, tr.hess, opts)
 			} else {
@@ -427,18 +423,25 @@ func (tr *Trainer) buildLayer(td *treeData, nodes []int, builds []ooc.NodeBuild,
 			}
 		})
 		if err := agg.Built(nodes[i], b.H, td.pool); err != nil {
-			return d, err
+			return build, err
 		}
 	}
 	if td.spilled != nil {
-		d = agg.Compute("build_hist", func() { td.spilled.BuildLayer(tr.pool, builds, tr.grad, tr.hess, opts) })
+		build.time(agg, "build_hist", func() { td.spilled.BuildLayer(tr.pool, builds, tr.grad, tr.hess, opts) })
 		for i, b := range builds {
 			if err := agg.Built(nodes[i], b.H, td.pool); err != nil {
-				return d, err
+				return build, err
 			}
 		}
 	}
-	return d, nil
+	build.time(agg, "build_hist", func() {
+		for _, nd := range layer {
+			if nd.Derived && err == nil {
+				err = agg.Built(nd.Node, nil, td.pool)
+			}
+		}
+	})
+	return build, err
 }
 
 // GrowTree grows the next tree over the trainer's rows — one shard of a
@@ -463,25 +466,18 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 	}
 	grad, hess := tr.grad, tr.hess
 	lf := loss.New(cfg.Loss)
-	gs := time.Now()
-	gd := agg.Compute("gradients", func() {
+	if err := tr.Time(agg, "gradients", -1, func() {
 		tr.pool.For(n, parallel.RowChunk, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				grad[i], hess[i] = lf.Gradients(float64(tr.labels[i]), preds[i])
 			}
 		})
-	})
-	tr.Times.Gradients += gd
-	if err := agg.Done("gradients", -1, gs, gd); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	cands := tr.cands
 	if cfg.WeightedCandidates {
-		ws := time.Now()
-		cands = tr.weightedCandidates(hess)
-		wd := time.Since(ws)
-		tr.Times.Sketch += wd
-		if err := agg.Done("sketch", -1, ws, wd); err != nil {
+		if err := tr.Time(agg, "sketch", -1, func() { cands = tr.weightedCandidates(hess) }); err != nil {
 			return nil, err
 		}
 	}
@@ -548,7 +544,6 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 			}
 			break
 		}
-		layerStart := time.Now()
 
 		// BUILD_HISTOGRAM: a data pass for every built node in node order,
 		// each handed to the aggregator as soon as it is built, then the
@@ -568,21 +563,13 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 				tr.BuiltRows += len(rows)
 			}
 		}
-		buildD, err := tr.buildLayer(td, built, builds, buildOpts, agg)
+		build, err := tr.buildLayer(td, layer, built, builds, buildOpts, agg)
+		if err == nil {
+			err = tr.record(agg, "build_hist", depth, build)
+		}
 		if err != nil {
 			return nil, err
 		}
-		for _, nd := range layer {
-			if nd.Derived {
-				start := time.Now()
-				err := agg.Built(nd.Node, nil, td.pool)
-				buildD += time.Since(start)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		tr.Times.BuildHist += buildD
 
 		// FIND_SPLIT is the aggregator's.
 		decisions, err := agg.Splits(depth, layer)
@@ -593,8 +580,7 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		// SPLIT_TREE: apply the winning splits; each node's partition fans
 		// out over row chunks (stable concatenation, see Index.SplitStable).
 		var next []LayerNode
-		ss := time.Now()
-		splitD := agg.Compute("split_tree", func() {
+		if err := tr.Time(agg, "split_tree", depth, func() {
 			var maskLeft func(int32) bool
 			if td.spilled != nil {
 				// Out of core, one walk over the spill writes every split
@@ -645,12 +631,7 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 					LayerNode{Node: l, Derived: derive && !split.BuildLeft(), G: split.LeftG, H: split.LeftH},
 					LayerNode{Node: r, Derived: derive && split.BuildLeft(), G: split.RightG, H: split.RightH})
 			}
-		})
-		tr.Times.SplitTree += splitD
-		if err := agg.Done("build_hist", depth, layerStart, buildD); err != nil {
-			return nil, err
-		}
-		if err := agg.Done("split_tree", depth, ss, splitD); err != nil {
+		}); err != nil {
 			return nil, err
 		}
 		active = next

@@ -269,3 +269,15 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("histogram round trip %+v", back[1])
 	}
 }
+
+// TestSpanRecordAllocatesNothing: every training phase of every runtime is
+// recorded through SpanLog.Record, so once a phase's histogram exists a span
+// costs no allocation.
+func TestSpanRecordAllocatesNothing(t *testing.T) {
+	l := New().SpanLog("alloc", 8)
+	base := time.Now()
+	l.Record(0, 0, -1, "p", base, time.Millisecond) // creates the phase histogram
+	if n := testing.AllocsPerRun(100, func() { l.Record(1, 2, 3, "p", base, time.Millisecond) }); n != 0 {
+		t.Fatalf("Record allocates %.1f times per span, want 0", n)
+	}
+}
