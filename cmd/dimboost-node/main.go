@@ -44,7 +44,6 @@ func main() {
 		depth    = flag.Int("depth", 7, "maximal tree depth")
 		bits     = flag.Uint("bits", 8, "compressed histogram bits (0 = float32)")
 		pullBits = flag.Uint("pull-bits", 0, "compressed pull-response bits (0 = raw floats)")
-		sparse   = flag.Bool("sparse", false, "sparse wire payloads: elide zero histogram buckets when smaller")
 		metrics  = flag.String("metrics-listen", "", "address for GET /metrics and /debug/obs (empty = disabled)")
 	)
 	flag.Parse()
@@ -62,7 +61,6 @@ func main() {
 	cfg.MaxDepth = *depth
 	cfg.Bits = *bits
 	cfg.PullBits = *pullBits
-	cfg.SparseWire = *sparse
 
 	name := ""
 	switch *role {

@@ -50,7 +50,6 @@ func main() {
 		servers  = flag.Int("servers", 0, "parameter server count (default = workers)")
 		bits     = flag.Uint("bits", 8, "compressed histogram bits (distributed; 0 = float32)")
 		pullBits = flag.Uint("pull-bits", 0, "compressed pull-response bits (distributed; 0 = raw floats)")
-		sparse   = flag.Bool("sparse", false, "sparse wire payloads: elide zero histogram buckets when smaller (distributed)")
 		valFrac  = flag.Float64("validate", 0.1, "held-out fraction for the final report")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for per-tree checkpoints (distributed mode)")
 		resume   = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir")
@@ -146,7 +145,6 @@ func main() {
 		ccfg.Config = cfg
 		ccfg.Bits = *bits
 		ccfg.PullBits = *pullBits
-		ccfg.SparseWire = *sparse
 		if *ckptDir != "" {
 			sink, err := dimboost.NewDirCheckpointSink(*ckptDir)
 			if err != nil {

@@ -51,7 +51,6 @@ type Fingerprint struct {
 	Bits               uint
 	PullBits           uint
 	ExactWire          bool
-	SparseWire         bool
 }
 
 // fingerprintOf derives the fingerprint of a config.
@@ -71,7 +70,6 @@ func fingerprintOf(cfg Config) Fingerprint {
 		Bits:               cfg.Bits,
 		PullBits:           cfg.PullBits,
 		ExactWire:          cfg.ExactWire,
-		SparseWire:         cfg.SparseWire,
 	}
 }
 
@@ -85,9 +83,10 @@ type CheckpointSink interface {
 // checkpoint wire format
 const (
 	checkpointMagic = "DBCK"
-	// Version 2 added the PullBits and SparseWire fingerprint fields, version
-	// 3 the LearningRate, Lambda, Gamma, MinChildHessian and SketchEps ones.
-	checkpointVersion = 3
+	// Version 2 added the PullBits and sparse-wire fingerprint fields, version
+	// 3 the LearningRate, Lambda, Gamma, MinChildHessian and SketchEps ones;
+	// version 4 dropped the sparse-wire flag with the sparse vector form.
+	checkpointVersion = 4
 
 	// Wire bytes of a tree header (depth, node count), a node and an event:
 	// DecodeCheckpoint refuses a count the rest of the file cannot hold
@@ -120,7 +119,6 @@ func (c *Checkpoint) Encode() []byte {
 	w.Uint32(uint32(fp.Bits))
 	w.Uint32(uint32(fp.PullBits))
 	w.Bool(fp.ExactWire)
-	w.Bool(fp.SparseWire)
 	w.Uint32(uint32(c.TreesDone))
 	w.Int32(int32(c.Model.Loss))
 	w.Float64(c.Model.BaseScore)
@@ -180,7 +178,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Fingerprint.Bits = uint(r.Uint32())
 	c.Fingerprint.PullBits = uint(r.Uint32())
 	c.Fingerprint.ExactWire = flag()
-	c.Fingerprint.SparseWire = flag()
 	c.TreesDone = int(r.Uint32())
 	c.Model = &core.Model{Loss: loss.Kind(r.Int32()), BaseScore: r.Float64()}
 	numTrees := int(r.Uint32())

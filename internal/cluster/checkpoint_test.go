@@ -105,7 +105,7 @@ func TestCheckpointRefusesOtherVersions(t *testing.T) {
 	if _, err := DecodeCheckpoint(enc); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint32{0, 1, 2, checkpointVersion + 1} {
+	for _, v := range []uint32{0, 1, 2, 3, checkpointVersion + 1} {
 		stamped := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint32(stamped[4:8], v)
 		if _, err := DecodeCheckpoint(stamped); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
@@ -345,8 +345,8 @@ func TestDirSink(t *testing.T) {
 // bytes.
 func TestDecodeCheckpointRefusesCountsItCannotHold(t *testing.T) {
 	empty := (&Checkpoint{Model: &core.Model{}}).Encode()
-	if len(empty) != 114 {
-		t.Fatalf("empty checkpoint is %d bytes, want 114", len(empty))
+	if len(empty) != 113 {
+		t.Fatalf("empty checkpoint is %d bytes, want 113", len(empty))
 	}
 	// withCounts replaces the tree and event counts that end an empty
 	// checkpoint by the given uint32 fields.

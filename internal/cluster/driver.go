@@ -24,9 +24,6 @@ type Config struct {
 	NumWorkers int
 	// NumServers is p, the parameter-server count (Table 4 varies this).
 	NumServers int
-	// NumRanges is the range-hash partition granularity; 0 uses the
-	// default.
-	NumRanges int
 	// Bits is the compressed histogram width r (§6.1); 0 sends float32.
 	Bits uint
 	// PullBits asks servers to fixed-point compress pull responses (merged
@@ -34,11 +31,6 @@ type Config struct {
 	PullBits uint
 	// ExactWire sends float64 histograms, for bit-reproducibility tests.
 	ExactWire bool
-	// SparseWire lets both wire directions elide zero histogram buckets
-	// with the run-length sparse encoding whenever it is smaller. Lossless
-	// (sparse spans keep the negotiated value width), so it composes with
-	// ExactWire.
-	SparseWire bool
 	// DisableTwoPhase pulls raw histogram shards instead of server-side
 	// splits (ablation, Table 3).
 	DisableTwoPhase bool
@@ -217,7 +209,7 @@ func TrainOn(net transport.Network, meter *transport.Meter, d *dataset.Dataset, 
 	shards := dataset.PartitionRows(d, cfg.NumWorkers)
 	loadTime := time.Since(start)
 
-	part, err := ps.NewPartition(d.NumFeatures, cfg.NumServers, cfg.NumRanges)
+	part, err := ps.NewPartition(d.NumFeatures, cfg.NumServers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +304,6 @@ func newWorker(ep transport.Endpoint, id int, shard *dataset.Dataset, part *ps.P
 	client.Bits = cfg.Bits
 	client.PullBits = cfg.PullBits
 	client.Exact = cfg.ExactWire
-	client.Sparse = cfg.SparseWire
 	wk := &worker{id: id, cfg: cfg, shard: shard, ep: ep, client: client, resume: cfg.Resume,
 		t: -1, spans: obs.Default().SpanLog("train", 4096)}
 	if id == 0 {

@@ -1,0 +1,143 @@
+package cluster
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"sort"
+	"strings"
+	"testing"
+
+	"dimboost/internal/dataset"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_models.txt from this build")
+
+const goldenFile = "testdata/golden_models.txt"
+
+// fmaFree reports whether this test binary was built for a target on which
+// the compiler never fuses a multiply and an add: amd64 below GOAMD64=v3.
+// Elsewhere a fused multiply-add may round a float once where the recorded
+// build rounded it twice, and a model can differ in its last bits.
+func fmaFree() bool {
+	if runtime.GOARCH != "amd64" {
+		return false
+	}
+	level := "v1"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "GOAMD64" {
+				level = s.Value
+			}
+		}
+	}
+	return level == "v1" || level == "v2"
+}
+
+// goldenRuns are the wire settings whose models TestGoldenModelHashes pins:
+// a 2×2 cluster at each push width — 0 (float32), 16, 8 — and on the exact
+// wire, each with two-phase split finding on and off, plus one 3×2 run.
+func goldenRuns() map[string]Config {
+	runs := map[string]Config{}
+	for _, w := range []struct {
+		name  string
+		bits  uint
+		exact bool
+	}{{"float32", 0, false}, {"bits16", 16, false}, {"bits8", 8, false}, {"exact", 0, true}} {
+		for _, onePhase := range []bool{false, true} {
+			cfg := smallCfg(2, 2)
+			cfg.NumTrees, cfg.MaxDepth = 3, 5
+			cfg.Bits, cfg.PullBits, cfg.ExactWire, cfg.DisableTwoPhase = w.bits, w.bits, w.exact, onePhase
+			name := "2x2/" + w.name
+			if onePhase {
+				name += "/one-phase"
+			}
+			runs[name] = cfg
+		}
+	}
+	cfg := smallCfg(3, 2)
+	cfg.NumTrees, cfg.MaxDepth = 3, 5
+	cfg.Bits, cfg.PullBits = 8, 8
+	runs["3x2/bits8"] = cfg
+	return runs
+}
+
+// TestGoldenModelHashes trains a small high-dimensional dataset under every
+// goldenRuns setting and compares the SHA-256 of each saved model with the
+// one recorded in testdata: a change to the wire, the servers or the
+// trainer that claims to leave models alone has to leave these bytes alone.
+// Regenerate with -update-golden only from a build whose models are known
+// to be right.
+func TestGoldenModelHashes(t *testing.T) {
+	if !fmaFree() {
+		t.Skip("hashes were recorded on amd64 below GOAMD64=v3; fused multiply-adds may change the last bits here")
+	}
+	d := dataset.Generate(dataset.SyntheticConfig{
+		NumRows: 300, NumFeatures: 3000, AvgNNZ: 30, NoiseStd: 0.3, Zipf: 1.3, Seed: 97,
+	})
+	runs := goldenRuns()
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	got := map[string]string{}
+	for _, name := range names {
+		cfg := runs[name]
+		res, err := Train(d, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := res.Model.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got[name] = hex.EncodeToString(sum[:])
+	}
+	if *updateGolden {
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s %s\n", name, got[name])
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, sum, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenFile, sc.Text())
+		}
+		want[name] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s records %d models, the test trains %d", goldenFile, len(want), len(got))
+	}
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s: model SHA-256 %s, recorded %s", name, got[name], want[name])
+		}
+	}
+}

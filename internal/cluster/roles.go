@@ -25,7 +25,7 @@ func ServeServer(ep transport.Endpoint, id, numFeatures int, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	part, err := ps.NewPartition(numFeatures, cfg.NumServers, cfg.NumRanges)
+	part, err := ps.NewPartition(numFeatures, cfg.NumServers, 0)
 	if err != nil {
 		return err
 	}
@@ -61,7 +61,7 @@ func RunWorker(ep transport.Endpoint, id int, shard *dataset.Dataset, numFeature
 			return nil, err
 		}
 	}
-	part, err := ps.NewPartition(numFeatures, cfg.NumServers, cfg.NumRanges)
+	part, err := ps.NewPartition(numFeatures, cfg.NumServers, 0)
 	if err != nil {
 		return nil, err
 	}

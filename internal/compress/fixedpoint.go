@@ -90,53 +90,9 @@ func NewDeterministicEncoder() *Encoder {
 	return &Encoder{}
 }
 
-// Stats is what one pass over a vector tells an encoder before it commits
-// to a wire form: the scale for fixed-point quantization and the shape that
-// prices the sparse encoding. The vector may be given in parts (the planned
-// spans of a histogram shard); its logical value is their concatenation, so
-// a run of nonzeros continues across a part boundary.
-type Stats struct {
-	N      int     // elements
-	NNZ    int     // nonzero elements (negative zero counts as zero)
-	Runs   int     // maximal runs of consecutive nonzero elements
-	MaxAbs float64 // largest absolute value
-	// Finite is false when any element is NaN or ±Inf; such a vector has
-	// no fixed-point or sparse encoding.
-	Finite bool
-}
-
-// Scan computes a vector's Stats in one pass.
-func Scan(parts ...[]float64) Stats {
-	var st Stats
-	// sum stays zero over finite input (v-v is +0) and turns NaN at the
-	// first NaN or infinity, without a branch per element.
-	sum := 0.0
-	inRun := false
-	for _, part := range parts {
-		st.N += len(part)
-		for _, v := range part {
-			if a := math.Abs(v); a > st.MaxAbs {
-				st.MaxAbs = a
-			}
-			sum += v - v
-			if v != 0 {
-				st.NNZ++
-				if !inRun {
-					st.Runs++
-				}
-				inRun = true
-			} else {
-				inRun = false
-			}
-		}
-	}
-	st.Finite = sum == 0
-	return st
-}
-
-// MaxAbs computes only the fixed-point scale of a vector (Stats.MaxAbs and
-// Stats.Finite) — under half the cost of Scan, for encodings that never
-// consider the sparse form.
+// MaxAbs computes the fixed-point scale of a vector given in parts — its
+// largest absolute value — and reports whether every element is finite; a
+// vector with a NaN or an infinity has no fixed-point encoding.
 func MaxAbs(parts ...[]float64) (maxAbs float64, finite bool) {
 	sum := 0.0
 	for _, part := range parts {
@@ -177,7 +133,7 @@ func PackedSize(n int, bits uint) int { return (n*int(bits) + 7) / 8 }
 // Pack quantizes the concatenation of parts into data, which must be
 // zeroed and PackedSize(total, bits) long — Encode without the intermediate
 // Compressed, for callers that own the destination (a request buffer).
-// bits must be a supported width and maxAbs the vector's Stats.MaxAbs. One
+// bits must be a supported width and maxAbs the vector's MaxAbs. One
 // rounding decision is drawn per element in order, none at all when maxAbs
 // is zero, exactly as Encode does on the concatenated vector.
 func (e *Encoder) Pack(data []byte, bits uint, maxAbs float64, parts ...[]float64) {

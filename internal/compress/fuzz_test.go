@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"dimboost/internal/wire"
 )
 
 // fuzzWidth maps a fuzzed selector byte onto a supported sparse width.
@@ -33,10 +31,10 @@ func fuzzValues(blob []byte) []float64 {
 	return out
 }
 
-// FuzzSparseRoundTrip checks the encode side: any finite vector, at any
-// width, must encode → marshal → unmarshal → re-marshal bit-exactly, decode
-// zeros as exact zeros, and decode span values within the width's error
-// bound (bit-exact for RawFloat64).
+// FuzzSparseRoundTrip checks the encoder: any finite vector, at any width,
+// must encode into one span per maximal run of nonzeros, with WireSize the
+// size of that shape, zeros outside the spans and span values within the
+// width's error bound (bit-exact for RawFloat64).
 func FuzzSparseRoundTrip(f *testing.F) {
 	f.Add(uint8(5), []byte{})
 	f.Add(uint8(0), bytes.Repeat([]byte{0}, 64))
@@ -54,26 +52,27 @@ func FuzzSparseRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode rejected finite input: %v", err)
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("encoder output invalid: %v", err)
+		nnz, spans := 0, 0
+		for i, v := range values {
+			if v != 0 {
+				nnz++
+				if i == 0 || values[i-1] == 0 {
+					spans++
+				}
+			}
 		}
-		st := Scan(values)
-		nnz, spans := st.NNZ, st.Runs
-		if s.NNZ() != nnz || len(s.Spans) != spans {
-			t.Fatalf("shape (%d,%d) != Scan (%d,%d)", s.NNZ(), len(s.Spans), nnz, spans)
+		if len(s.Spans) != spans || s.WireSize() != sparseWireSize(nnz, spans, bits) {
+			t.Fatalf("%d spans, WireSize %d; the vector has %d runs of %d nonzeros (%d bytes)",
+				len(s.Spans), s.WireSize(), spans, nnz, sparseWireSize(nnz, spans, bits))
 		}
-		b := s.Marshal()
-		if len(b) != s.WireSize() || len(b) != SparseWireSize(nnz, spans, bits) {
-			t.Fatalf("size %d, WireSize %d, predicted %d", len(b), s.WireSize(), SparseWireSize(nnz, spans, bits))
+		next := 0
+		for _, sp := range s.Spans {
+			if int(sp.Start) < next || sp.Count == 0 || int(sp.Start+sp.Count) > len(values) {
+				t.Fatalf("span %+v after %d in %d values", sp, next, len(values))
+			}
+			next = int(sp.Start + sp.Count)
 		}
-		s2, err := UnmarshalSparse(b)
-		if err != nil {
-			t.Fatalf("unmarshal of own output: %v", err)
-		}
-		if !bytes.Equal(s2.Marshal(), b) {
-			t.Fatal("re-marshal differs")
-		}
-		got := s2.Decode()
+		got := expand(s)
 		if len(got) != len(values) {
 			t.Fatalf("decoded %d values, want %d", len(got), len(values))
 		}
@@ -102,56 +101,6 @@ func FuzzSparseRoundTrip(f *testing.F) {
 					t.Fatalf("idx %d: error %v > step %v", i, math.Abs(got[i]-v), step)
 				}
 			}
-		}
-	})
-}
-
-// FuzzSparseDecode checks the hostile side: arbitrary bytes fed to the
-// sparse decoder must never panic — they either fail with a typed error or
-// yield a validated payload whose re-marshal reproduces the input exactly
-// and whose decode stays in bounds.
-func FuzzSparseDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{64, 0, 0, 0, 0})
-	// Well-formed payload to mutate from.
-	good, err := EncodeSparse(NewEncoder(1), []float64{0, 1.5, -2, 0, 0, 3, 0}, 8)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Marshal())
-	raw, err := EncodeSparse(nil, []float64{0, 0, 1e9, -1e-9, 0}, RawFloat64)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw.Marshal())
-	// Hostile shapes: truncated run, overlapping spans, N mismatch.
-	trunc := good.Marshal()
-	f.Add(trunc[:len(trunc)-3])
-	bad := *good
-	bad.Spans = []Span{{1, 2}, {2, 1}}
-	f.Add(bad.Marshal())
-	short := *good
-	short.N = 1
-	f.Add(short.Marshal())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := UnmarshalSparse(data)
-		if err != nil {
-			return
-		}
-		if verr := s.Validate(); verr != nil {
-			t.Fatalf("unmarshal accepted invalid payload: %v", verr)
-		}
-		if !bytes.Equal(s.Marshal(), data) {
-			t.Fatal("accepted payload does not re-marshal to itself")
-		}
-		if s.N > 1<<20 {
-			// Header-only giants (huge N, no spans) are valid but not worth
-			// materializing under fuzz.
-			return
-		}
-		dst := make([]float64, s.N)
-		if err := s.DecodeInto(dst); err != nil {
-			t.Fatalf("validated payload failed decode: %v", err)
 		}
 	})
 }
@@ -198,7 +147,7 @@ func genericEncode(rng *rand.Rand, values []float64, bits uint) (maxAbs float64,
 // completeness, the sub-byte cursor path they branch around) to the generic
 // bit-at-a-time codec: same bytes out of Encode for the same rounding
 // stream, same bytes when the vector arrives in two parts through Pack or
-// WriteSparse, and the same floats added by DecodeInto.
+// PackSpans, and the same floats added by DecodeInto.
 func FuzzFixedKernelsAgree(f *testing.F) {
 	seed := make([]byte, 0, 128)
 	for _, v := range []float64{0, 1.5, -2.25, 0, 0, 1e300, -1e-300, 3, 0, 7, -7, 5e-324} {
@@ -241,16 +190,10 @@ func FuzzFixedKernelsAgree(f *testing.F) {
 		if !bytes.Equal(packed, want) {
 			t.Fatalf("%d-bit Pack over parts [:%d],[%d:] differs from Encode", bits, k, k)
 		}
-		whole, err := EncodeSparse(restart(), values, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := wire.NewWriter(0)
-		if err := restart().WriteSparse(w, Scan(parts...), bits, parts...); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(w.Bytes(), whole.Marshal()) {
-			t.Fatalf("%d-bit WriteSparse over parts differs from EncodeSparse", bits)
+		spans := make([]byte, SpanDataSize(len(values), bits))
+		restart().PackSpans(spans, bits, wantMax, parts...)
+		if !bytes.Equal(spans, want) {
+			t.Fatalf("%d-bit PackSpans over parts [:%d],[%d:] differs from Encode", bits, k, k)
 		}
 
 		// Decode-into against the generic reader, onto a non-zero base.

@@ -1,14 +1,32 @@
 package compress
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
-
-	"dimboost/internal/wire"
 )
+
+// expand is the vector a sparse payload stands for: zeros outside its spans,
+// the span values unpacked inside them.
+func expand(s *Sparse) []float64 {
+	nnz := 0
+	for _, sp := range s.Spans {
+		nnz += int(sp.Count)
+	}
+	vals := make([]float64, nnz)
+	UnpackSpan(vals, s.Data, s.Bits, s.MaxAbs)
+	out := make([]float64, s.N)
+	for _, sp := range s.Spans {
+		vals = vals[copy(out[sp.Start:sp.Start+sp.Count], vals):]
+	}
+	return out
+}
+
+// sparseWireSize is Sparse.WireSize worked out from a payload's shape.
+func sparseWireSize(nnz, spans int, bits uint) int {
+	return 1 + 4 + 8 + 4 + 8*spans + 4 + SpanDataSize(nnz, bits)
+}
 
 // sparseWidths is every width the sparse codec accepts.
 var sparseWidths = []uint{RawFloat32, 2, 4, 8, 16, RawFloat64}
@@ -39,21 +57,16 @@ func TestSparseRoundTripAllWidths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("bits=%d: self-validate: %v", bits, err)
+		nnz := 0
+		for _, v := range values {
+			if v != 0 {
+				nnz++
+			}
 		}
-		b := s.Marshal()
-		if len(b) != s.WireSize() {
-			t.Fatalf("bits=%d: WireSize %d, marshal %d", bits, s.WireSize(), len(b))
+		if s.N != len(values) || s.WireSize() != sparseWireSize(nnz, len(s.Spans), bits) {
+			t.Fatalf("bits=%d: N %d, WireSize %d for %d values in %d spans", bits, s.N, s.WireSize(), nnz, len(s.Spans))
 		}
-		s2, err := UnmarshalSparse(b)
-		if err != nil {
-			t.Fatalf("bits=%d: unmarshal: %v", bits, err)
-		}
-		if !bytes.Equal(s2.Marshal(), b) {
-			t.Fatalf("bits=%d: remarshal differs", bits)
-		}
-		got := s2.Decode()
+		got := expand(s)
 		var bound float64
 		switch bits {
 		case RawFloat64:
@@ -101,16 +114,8 @@ func TestSparseSpanStructure(t *testing.T) {
 			t.Fatalf("span %d: %v, want %v", i, s.Spans[i], want[i])
 		}
 	}
-	st := Scan(values)
-	nnz, spans := st.NNZ, st.Runs
-	if nnz != 6 || spans != 3 {
-		t.Fatalf("Scan = (%d,%d), want (6,3)", nnz, spans)
-	}
-	if s.NNZ() != 6 {
-		t.Fatalf("NNZ = %d", s.NNZ())
-	}
-	if got := SparseWireSize(nnz, spans, RawFloat64); got != s.WireSize() {
-		t.Fatalf("SparseWireSize %d, WireSize %d", got, s.WireSize())
+	if want := sparseWireSize(6, 3, RawFloat64); s.WireSize() != want {
+		t.Fatalf("WireSize %d, want %d", s.WireSize(), want)
 	}
 }
 
@@ -123,34 +128,8 @@ func TestSparseNegativeZeroTreatedAsZero(t *testing.T) {
 	if len(s.Spans) != 1 || s.Spans[0] != (Span{1, 1}) {
 		t.Fatalf("spans %v, want [{1 1}]", s.Spans)
 	}
-	got := s.Decode()
-	// A merge of -0.0 into a +0.0 accumulator yields +0.0, so dropping the
-	// bucket is bit-identical to shipping it.
-	if math.Signbit(got[0]) || math.Signbit(got[2]) {
-		t.Fatal("decode resurrected a negative zero")
-	}
-}
-
-func TestSparseDecodeIntoMerges(t *testing.T) {
-	values := sparseVec(200, 0.1, 3)
-	s, err := EncodeSparse(nil, values, RawFloat64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 200)
-	for i := range dst {
-		dst[i] = 1
-	}
-	if err := s.DecodeInto(dst); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range values {
-		if dst[i] != 1+v {
-			t.Fatalf("idx %d: %v, want %v", i, dst[i], 1+v)
-		}
-	}
-	if err := s.DecodeInto(make([]float64, 3)); err == nil {
-		t.Fatal("length mismatch accepted")
+	if got := expand(s); math.Signbit(got[0]) || math.Signbit(got[2]) {
+		t.Fatal("the payload resurrected a negative zero")
 	}
 }
 
@@ -163,7 +142,7 @@ func TestSparseAllZeroAndEmpty(t *testing.T) {
 		if len(s.Spans) != 0 || len(s.Data) != 0 {
 			t.Fatalf("bits=%d: all-zero vector carries payload %v", bits, s)
 		}
-		for _, v := range s.Decode() {
+		for _, v := range expand(s) {
 			if v != 0 {
 				t.Fatalf("bits=%d: nonzero decode", bits)
 			}
@@ -172,7 +151,7 @@ func TestSparseAllZeroAndEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bits=%d empty: %v", bits, err)
 		}
-		if e.N != 0 || len(e.Decode()) != 0 {
+		if e.N != 0 || len(e.Spans) != 0 {
 			t.Fatalf("bits=%d: empty vector decoded %d values", bits, e.N)
 		}
 	}
@@ -190,105 +169,6 @@ func TestSparseRejectsBadInput(t *testing.T) {
 	}
 	if _, err := EncodeSparse(nil, []float64{1}, 8); err == nil {
 		t.Fatal("nil encoder accepted for fixed-point width")
-	}
-}
-
-func TestSparseValidateHostile(t *testing.T) {
-	base := func() *Sparse {
-		s, err := EncodeSparse(nil, []float64{0, 1, 2, 0, 3}, RawFloat32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	cases := []struct {
-		name   string
-		mutate func(*Sparse)
-		want   error
-	}{
-		{"bad width", func(s *Sparse) { s.Bits = 7 }, ErrBadWidth},
-		{"NaN MaxAbs", func(s *Sparse) { s.MaxAbs = math.NaN() }, ErrBadHeader},
-		{"negative MaxAbs", func(s *Sparse) { s.MaxAbs = -1 }, ErrBadHeader},
-		{"empty span", func(s *Sparse) { s.Spans[0].Count = 0 }, ErrSpanOrder},
-		{"overlap", func(s *Sparse) { s.Spans = []Span{{1, 2}, {2, 1}} }, ErrSpanOrder},
-		{"out of order", func(s *Sparse) { s.Spans = []Span{{4, 1}, {1, 2}} }, ErrSpanOrder},
-		{"past end", func(s *Sparse) { s.Spans[1].Count = 40 }, ErrSpanRange},
-		{"overflowing span", func(s *Sparse) { s.Spans = []Span{{math.MaxUint32, math.MaxUint32}} }, ErrSpanRange},
-		{"short data", func(s *Sparse) { s.Data = s.Data[:len(s.Data)-1] }, ErrSizeMismatch},
-		{"long data", func(s *Sparse) { s.Data = append(s.Data, 0) }, ErrSizeMismatch},
-	}
-	for _, tc := range cases {
-		s := base()
-		tc.mutate(s)
-		err := s.Validate()
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
-		}
-		// The wire path must reject it too, with the same typed error.
-		if _, werr := UnmarshalSparse(s.Marshal()); !errors.Is(werr, tc.want) {
-			t.Errorf("%s: unmarshal got %v, want %v", tc.name, werr, tc.want)
-		}
-	}
-	// Negative N never survives the wire (it marshals as a huge uint32),
-	// so it is a Validate-only rejection.
-	s0 := base()
-	s0.N = -1
-	if err := s0.Validate(); !errors.Is(err, ErrBadHeader) {
-		t.Errorf("negative N: %v", err)
-	}
-	// "overlapping span" case above mutates Spans without data; reconfirm the
-	// adjacent-but-not-overlapping layout is legal.
-	s := base()
-	s.Spans = []Span{{1, 2}, {3, 1}}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("adjacent spans rejected: %v", err)
-	}
-}
-
-func TestSparseReadTruncated(t *testing.T) {
-	s, err := EncodeSparse(NewEncoder(5), sparseVec(300, 0.1, 9), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := s.Marshal()
-	for cut := 0; cut < len(b); cut++ {
-		if _, err := UnmarshalSparse(b[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	if _, err := UnmarshalSparse(append(append([]byte(nil), b...), 0xff)); !errors.Is(err, ErrSizeMismatch) {
-		t.Fatalf("trailing byte: %v", err)
-	}
-}
-
-func TestSparseWriteToComposes(t *testing.T) {
-	// Sparse payloads embed in larger messages: fields around them must
-	// survive, and ReadSparse must consume exactly its own bytes.
-	s, err := EncodeSparse(nil, []float64{0, 0, 2.5, -1, 0}, RawFloat64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := wire.NewWriter(0)
-	w.Uint32(0xfeedface)
-	s.WriteTo(w)
-	w.Uint32(0xcafed00d)
-	r := wire.NewReader(w.Bytes())
-	if r.Uint32() != 0xfeedface {
-		t.Fatal("prefix lost")
-	}
-	s2, err := ReadSparse(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Uint32() != 0xcafed00d || r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("suffix lost: err=%v remaining=%d", r.Err(), r.Remaining())
-	}
-	got := s2.Decode()
-	want := []float64{0, 0, 2.5, -1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("idx %d: %v != %v", i, got[i], want[i])
-		}
 	}
 }
 
@@ -331,29 +211,5 @@ func TestPackPresentKeepsTheStream(t *testing.T) {
 		if bits == RawFloat64 && math.Float64bits(all[5]) != math.Float64bits(vals[5]) {
 			t.Fatalf("−0 unpacked as %v", all[5])
 		}
-	}
-}
-
-func TestChoosingSparseByPredictedSize(t *testing.T) {
-	// At 5% density the sparse form must be far smaller than dense; at
-	// full density it must be larger (span + header overhead), which is
-	// what the auto-chooser in internal/ps relies on.
-	sparse := sparseVec(10000, 0.02, 13)
-	st := Scan(sparse)
-	nnz, spans := st.NNZ, st.Runs
-	if SparseWireSize(nnz, spans, 8) >= 10000 {
-		t.Fatalf("sparse %d bytes not smaller than dense %d", SparseWireSize(nnz, spans, 8), 10000)
-	}
-	densev := make([]float64, 100)
-	for i := range densev {
-		densev[i] = float64(i + 1)
-	}
-	st = Scan(densev)
-	nnz, spans = st.NNZ, st.Runs
-	if nnz != 100 || spans != 1 {
-		t.Fatalf("Scan dense = (%d,%d)", nnz, spans)
-	}
-	if SparseWireSize(nnz, spans, 8) <= 100 {
-		t.Fatal("fully dense vector predicted smaller as sparse")
 	}
 }

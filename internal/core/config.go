@@ -117,6 +117,8 @@ func (c Config) Validate() error {
 		}
 	}
 	switch {
+	case !c.Loss.Valid():
+		return fmt.Errorf("core: Loss %v is not a loss kind", c.Loss)
 	case c.NumTrees < 1:
 		return fmt.Errorf("core: NumTrees %d < 1", c.NumTrees)
 	case c.MaxDepth < 1 || c.MaxDepth > maxTreeDepth:

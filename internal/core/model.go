@@ -150,8 +150,9 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // ErrInvalidModel marks a model file that decodes but does not describe a
-// model: tree and depth lists of different lengths, a depth no trainer
-// produces, a tree whose node array does not fit its depth or is not a tree.
+// model: a loss no trainer knows, tree and depth lists of different lengths,
+// a depth no trainer produces, a tree whose node array does not fit its depth
+// or is not a tree.
 // A truncated or crafted file is refused with it, never indexed into.
 var ErrInvalidModel = errors.New("core: invalid model file")
 
@@ -163,6 +164,9 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	if mw.Version != modelVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", mw.Version)
+	}
+	if !mw.Loss.Valid() {
+		return nil, fmt.Errorf("%w: loss %v", ErrInvalidModel, mw.Loss)
 	}
 	if len(mw.Nodes) != len(mw.MaxDepths) {
 		return nil, fmt.Errorf("%w: %d node arrays for %d trees", ErrInvalidModel, len(mw.Nodes), len(mw.MaxDepths))

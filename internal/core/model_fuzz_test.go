@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dimboost/internal/dataset"
+	"dimboost/internal/loss"
 	"dimboost/internal/tree"
 )
 
@@ -69,6 +70,26 @@ func TestLoadRefusesMalformedModels(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("the intact file: %v", err)
+	}
+}
+
+// TestLoadRefusesUnknownLoss: a model file whose loss names no loss function
+// is ErrInvalidModel. Load used to accept it, and Evaluate, or the serving
+// tier's hot-swap probe, then panicked in loss.New.
+func TestLoadRefusesUnknownLoss(t *testing.T) {
+	var mw modelWire
+	if err := gob.NewDecoder(bytes.NewReader(savedModel(t))).Decode(&mw); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []loss.Kind{-1, 2, 7} {
+		mw.Loss = k
+		if _, err := Load(bytes.NewReader(encodeWire(t, mw))); !errors.Is(err, ErrInvalidModel) {
+			t.Errorf("loss %d: Load returned %v, want ErrInvalidModel", int(k), err)
+		}
+	}
+	mw.Loss = loss.Squared
+	if _, err := Load(bytes.NewReader(encodeWire(t, mw))); err != nil {
+		t.Fatalf("squared loss: %v", err)
 	}
 }
 

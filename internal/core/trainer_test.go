@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dimboost/internal/dataset"
@@ -92,6 +93,23 @@ func TestConfigValidateRejectsNonFinite(t *testing.T) {
 			if err := c.Validate(); err == nil {
 				t.Errorf("%s = %v accepted", name, v)
 			}
+		}
+	}
+}
+
+// TestConfigValidateRejectsUnknownLoss: a Loss that names no loss function
+// is refused by Validate, naming the field, and Train returns that error —
+// it used to panic in loss.New inside the first tree.
+func TestConfigValidateRejectsUnknownLoss(t *testing.T) {
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 50, NumFeatures: 10, AvgNNZ: 4, Seed: 3})
+	for _, k := range []loss.Kind{-1, 2, 7} {
+		c := smallConfig()
+		c.Loss = k
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "Loss") {
+			t.Errorf("Loss %d: Validate returned %v, want an error naming Loss", int(k), err)
+		}
+		if _, err := Train(d, c); err == nil {
+			t.Errorf("Loss %d: Train accepted the config", int(k))
 		}
 	}
 }

@@ -24,18 +24,20 @@ type Table4Row struct {
 // Fewer servers concentrate histogram traffic on fewer nodes, inflating the
 // per-node β term of the cost model.
 func Table4(w io.Writer, scale Scale) ([]Table4Row, error) {
-	// At least 2 000 rows (200 per worker): node histograms travel in touched
-	// space, so with fewer rows they shrink until the α term of the extra
-	// messages more servers take, not bytes, sets the modeled comm.
+	// At least 20 000 rows (2 000 per worker): node histograms travel in
+	// touched space, their touched sets as gap lists when those are smaller
+	// than a bitmap, so with fewer rows they shrink until the α term of the
+	// extra messages more servers take, not bytes, sets the modeled comm.
 	d := dataset.Generate(dataset.SyntheticConfig{
-		NumRows: max(scale.rows(5_000), 2_000), NumFeatures: 330_000, AvgNNZ: 107, NoiseStd: 0.3, Zipf: 1.4, Seed: 41,
+		NumRows: max(scale.rows(20_000), 20_000), NumFeatures: 330_000, AvgNNZ: 107, NoiseStd: 0.3, Zipf: 1.4, Seed: 41,
 	})
 	cfg := expConfig()
 	cfg.NumTrees = 3
-	// Depth 5 pushes 1+1+2+4 = 8 node histograms per worker per tree (only
-	// the smaller child of a split is pushed), enough histogram traffic to
-	// outweigh the rest of a tree's messages.
-	cfg.MaxDepth = 5
+	// Depth 3 pushes the root and the smaller child of its split, 1+1 = 2
+	// node histograms per worker per tree — the heavy ones. Each deeper
+	// layer adds p messages per pushed node but few bytes, which moves the
+	// modeled comm toward the α term.
+	cfg.MaxDepth = 3
 
 	section(w, fmt.Sprintf("Table 4 — impact of parameter servers (Gender-like %d×%d, w=10)", d.NumRows(), d.NumFeatures))
 	fmt.Fprintf(w, "%10s %16s %16s\n", "#servers", "modeled total", "modeled comm")

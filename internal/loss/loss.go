@@ -33,6 +33,9 @@ func (k Kind) String() string {
 	}
 }
 
+// Valid reports whether k is one of the loss kinds New accepts.
+func (k Kind) Valid() bool { return k == Logistic || k == Squared }
+
 // ParseKind converts a string ("logistic" or "squared") to a Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
@@ -57,7 +60,7 @@ type Func interface {
 	Kind() Kind
 }
 
-// New returns the Func for a Kind.
+// New returns the Func for a Kind. It panics on a Kind that is not Valid.
 func New(k Kind) Func {
 	switch k {
 	case Logistic:

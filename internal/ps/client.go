@@ -34,11 +34,6 @@ type Client struct {
 	// used by tests needing bit-level agreement with single-process
 	// training. Mutually exclusive with Bits and PullBits.
 	Exact bool
-	// Sparse lets both directions elide zero buckets with the run-length
-	// sparse encoding whenever it is smaller than the dense form. Lossless
-	// under Exact (span values stay float64), so it composes with the
-	// determinism modes.
-	Sparse bool
 
 	enc *compress.Encoder
 	// seq numbers every outgoing request (see the envelope notes in
@@ -243,22 +238,21 @@ func (c *Client) planFor(layout *histogram.Layout) *shardPlan {
 
 // pushEncoding is the vector encoding applied to outgoing histograms.
 func (c *Client) pushEncoding() vecEncoding {
-	return vecEncoding{bits: c.Bits, exact: c.Exact, sparse: c.Sparse}
+	return vecEncoding{bits: c.Bits, exact: c.Exact}
 }
 
 // pullEncoding is the vector encoding requested for server responses.
 func (c *Client) pullEncoding() vecEncoding {
-	return vecEncoding{bits: c.PullBits, exact: c.Exact, sparse: c.Sparse}
+	return vecEncoding{bits: c.PullBits, exact: c.Exact}
 }
 
 // PushHistogram shards a node's local histogram across the fleet, applying
 // the configured low-precision compression (FIND_SPLIT, push half). A
-// materialised histogram's G/H vectors are tagged per-vector, so a sparse
-// shard rides next to a dense one when only part of the feature space is
-// populated. A deferred one travels in touched space — each shard's touched
-// set, deferred mass and touched buckets (deferred.go) — unless that would
-// not be smaller than its materialised form; then it is materialised in
-// place and pushed like any other, so a push never grows.
+// deferred histogram travels in touched space — each shard's touched set,
+// deferred mass and touched buckets (deferred.go) — unless that would not be
+// smaller than its materialised form; then it is materialised in place and
+// pushed as two dense vectors, like a materialised one, so a push never
+// grows.
 func (c *Client) PushHistogram(node int, hist *histogram.Histogram) error {
 	plan := c.planFor(hist.Layout)
 	ev := c.pushEncoding()
@@ -310,8 +304,8 @@ func (c *Client) deferredIsSmaller(plan *shardPlan, hist *histogram.Histogram, e
 	for sv := range c.touched {
 		ts := &c.touched[sv]
 		plan.touched(ts, sv, hist)
-		deferred += deferredShardSize(plan.npos[sv], ts.buckets, ts.present, ev.spanBits())
-		materialised += plan.materialisedSize(sv, ev, hist, hist.G, massG) + plan.materialisedSize(sv, ev, hist, hist.H, massH)
+		deferred += deferredShardSize(ts, plan.npos[sv], ev.spanBits())
+		materialised += 2 * denseVecSize(plan.size[sv], ev)
 	}
 	return deferred <= materialised
 }
@@ -331,7 +325,7 @@ func (c *Client) PullDerivedSplit(node int, lambda, gamma, minChild float64) (co
 
 func (c *Client) pullSplit(node int, derive bool, lambda, gamma, minChild float64) (core.Decision, error) {
 	req := func(int) *wire.Writer {
-		w := c.newRequest(37)
+		w := c.newRequest(31)
 		w.Int32(int32(node))
 		w.Float64(lambda)
 		w.Float64(gamma)
@@ -376,7 +370,7 @@ func (c *Client) PullDerivedHistogram(node int, layout *histogram.Layout) (*hist
 
 func (c *Client) pullHistogram(node int, derive bool, layout *histogram.Layout) (*histogram.Histogram, error) {
 	req := func(int) *wire.Writer {
-		w := c.newRequest(8)
+		w := c.newRequest(7)
 		w.Int32(int32(node))
 		writeEncoding(w, c.pullEncoding())
 		w.Bool(derive)

@@ -17,7 +17,7 @@ import (
 // histogram.Histogram — crosses the wire in touched space. Each server's
 // shard is two VecDeferred vectors. The G vector is
 //
-//	tag u8 | width u8 | positions u32 | touched ⌈positions/8⌉ bytes |
+//	tag u8 | width u8 | positions u32 | touched set |
 //	mass | maxAbs f64 | count u32 | [present u32 | presence ⌈count/8⌉ bytes] |
 //	data
 //
@@ -25,9 +25,17 @@ import (
 //
 //	tag u8 | width u8 | mass | maxAbs f64 | count u32 | data
 //
-// positions is the shard's sampled-position count and bit q of the touched
-// bytes (little-endian) stands for the server's position q. mass is float32
-// on the raw float32 wire and float64 otherwise. The G vector's count is the
+// positions is the shard's sampled-position count. The touched set names the
+// server's touched positions in one of two forms: a bitmap of ⌈positions/8⌉
+// bytes, bit q (little-endian) for position q, or, when the G vector's width
+// byte carries gapsFlag, a gap list
+//
+//	count uvarint | gap uvarint × count
+//
+// of the touched positions in ascending order, each gap measured from the
+// position before it and the first from −1, so no gap is 0. The writer sends
+// the gap list exactly when it is smaller than the bitmap. mass is float32 on
+// the raw float32 wire and float64 otherwise. The G vector's count is the
 // number of buckets of the touched positions. A touched bucket is present
 // unless its G and its H are both +0, bit for bit, so a −0 is present. When
 // the G vector's width byte carries presentFlag, present and a presence
@@ -36,14 +44,18 @@ import (
 // it every touched bucket has. The H vector's count is the number of values
 // each vector carries, and data holds them at the width: IEEE floats for the
 // raw widths, fixed point scaled by maxAbs otherwise (maxAbs is 0 on raw
-// widths). The writer sets the flag exactly when the bitmap costs less than
-// the values it leaves out, so a push never grows. The bucket runs follow
-// from the touched set and the receiver's shard layout, so they never cross
-// the wire; the receiver walks the touched set and the presence bits.
+// widths). The writer sets presentFlag exactly when the bitmap costs less
+// than the values it leaves out, so a push never grows. The bucket runs
+// follow from the touched set and the receiver's shard layout, so they never
+// cross the wire; the receiver walks the touched set and the presence bits.
 
 // presentFlag marks, in the G vector's width byte, a push that sends only its
-// present buckets, behind their bitmap.
-const presentFlag = 0x80
+// present buckets, behind their bitmap; gapsFlag one that sends its touched
+// set as gaps. No width has either bit set (RawFloat64 is 0x40).
+const (
+	presentFlag = 0x80
+	gapsFlag    = 0x20
+)
 
 // ErrTouchedOutsideShard reports a deferred push whose touched set names a
 // position past the end of the receiver's shard.
@@ -76,12 +88,16 @@ func wireMass(mass float64, width uint) float64 {
 }
 
 // deferredShardSize is the exact wire size of a deferred shard push — both
-// vectors — of npos positions whose touched ones hold count buckets, present
-// of them present.
-func deferredShardSize(npos, count, present int, width uint) int {
+// vectors — of a server's touched share ts of npos positions.
+func deferredShardSize(ts *touchedShard, npos int, width uint) int {
 	vec := 1 + 1 + massSize(width) + 8 + 4
-	return 2*vec + 4 + (npos+7)/8 + min(2*compress.SpanDataSize(count, width), presenceSize(count, present, width))
+	return 2*vec + 4 + min((npos+7)/8, ts.gaps) +
+		min(2*compress.SpanDataSize(ts.buckets, width), presenceSize(ts.buckets, ts.present, width))
 }
+
+// sendsGaps reports whether a deferred push sends the touched set ts of npos
+// positions as gaps: whenever they are smaller than the bitmap.
+func sendsGaps(ts *touchedShard, npos int) bool { return ts.gaps < (npos+7)/8 }
 
 // presenceSize is what a deferred push spends past its headers when it sends
 // its present buckets behind their bitmap: the present count, the bitmap and
@@ -94,49 +110,6 @@ func presenceSize(count, present int, width uint) int {
 // present of them present, sends the presence bitmap.
 func sendsPresence(count, present int, width uint) bool {
 	return presenceSize(count, present, width) < 2*compress.SpanDataSize(count, width)
-}
-
-// materialisedSize is the exact wire size of server sv's shard of one
-// deferred vector (flat, owing mass) once materialised: what writeHistVector
-// would put on the wire. The sparse encoding's shape is counted position by
-// position without materialising: a touched position's buckets as they are,
-// an untouched one's as zeros around a zero bucket holding 0 + mass.
-func (pl *shardPlan) materialisedSize(sv int, ev vecEncoding, h *histogram.Histogram, flat []float64, mass float64) int {
-	size := denseVecSize(pl.size[sv], ev)
-	if !ev.sparse {
-		return size
-	}
-	l := pl.layout
-	nnz, runs, inRun := 0, 0, false
-	nonzero := func(v bool) {
-		if v {
-			nnz++
-			if !inRun {
-				runs++
-			}
-		}
-		inRun = v
-	}
-	for _, r := range pl.pos[sv] {
-		for p := r.lo; p < r.hi; p++ {
-			lo, hi := l.BucketRange(p)
-			if h.ScanWord(p>>6)&(1<<(p&63)) != 0 {
-				for _, v := range flat[lo:hi] {
-					nonzero(v != 0)
-				}
-				continue
-			}
-			z := lo + l.Cands[p].ZeroBucket
-			if z > lo {
-				nonzero(false)
-			}
-			nonzero(mass != 0)
-			if z < hi-1 {
-				nonzero(false)
-			}
-		}
-	}
-	return min(size, 1+compress.SparseWireSize(nnz, runs, ev.spanBits()))
 }
 
 // writeDeferredShard appends server shard ts of a deferred histogram as its G
@@ -156,18 +129,33 @@ func writeDeferredShard(w *wire.Writer, enc *compress.Encoder, width uint, ts *t
 			return compress.ErrNonFinite
 		}
 	}
-	presence := sendsPresence(ts.buckets, ts.present, width)
-	sent, flag := ts.buckets, uint8(0)
+	presence, gaps := sendsPresence(ts.buckets, ts.present, width), sendsGaps(ts, npos)
+	sent, flags := ts.buckets, uint8(0)
 	if presence {
-		sent, flag = ts.present, presentFlag
+		sent, flags = ts.present, presentFlag
+	}
+	if gaps {
+		flags |= gapsFlag
 	}
 	start := w.Len()
 	w.Uint8(VecDeferred)
-	w.Uint8(uint8(width) | flag)
+	w.Uint8(uint8(width) | flags)
 	w.Uint32(uint32(npos))
-	b := w.Extend((npos + 7) / 8)
-	for i := range b {
-		b[i] = byte(ts.touched[i>>3] >> (8 * (i & 7)))
+	if gaps {
+		w.Uvarint(uint64(ts.positions))
+		prev := -1
+		for i, set := range ts.touched {
+			for ; set != 0; set &= set - 1 {
+				q := i<<6 + bits.TrailingZeros64(set)
+				w.Uvarint(uint64(q - prev))
+				prev = q
+			}
+		}
+	} else {
+		b := w.Extend((npos + 7) / 8)
+		for i := range b {
+			b[i] = byte(ts.touched[i>>3] >> (8 * (i & 7)))
+		}
 	}
 	putMass(w, width, massG)
 	w.Float64(maxG)
@@ -242,20 +230,18 @@ func parseDeferredShard(r *wire.Reader, layout *histogram.Layout) (*deferredShar
 	if want := layout.NumFeatures(); npos != want {
 		return nil, &ShapeError{What: "pushed touched set", Got: npos, Want: want}
 	}
-	raw := r.Raw((npos + 7) / 8)
-	if err := r.Err(); err != nil {
+	d := &deferredShard{touched: make([]uint64, (npos+63)/64)}
+	var err error
+	if flags&gapsFlag != 0 {
+		err = d.parseGaps(r, npos)
+	} else {
+		err = d.parseBitmap(r, npos)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if rest := npos & 7; rest != 0 && raw[len(raw)-1]>>rest != 0 {
-		return nil, fmt.Errorf("%w: a bit past position %d", ErrTouchedOutsideShard, npos-1)
-	}
-	d := &deferredShard{touched: make([]uint64, (npos+63)/64)}
-	for i, b := range raw {
-		d.touched[i>>3] |= uint64(b) << (8 * (i & 7))
-	}
 	count := touchedBuckets(layout, d.touched)
-	var err error
-	if d.g, err = parseDeferredHeader(r, "pushed g shard", uint(flags&^presentFlag)); err != nil {
+	if d.g, err = parseDeferredHeader(r, "pushed g shard", uint(flags&^(presentFlag|gapsFlag))); err != nil {
 		return nil, err
 	}
 	if err := readCount(r, "pushed g shard touched buckets", count); err != nil {
@@ -291,6 +277,54 @@ func parseDeferredShard(r *wire.Reader, layout *histogram.Layout) (*deferredShar
 	d.h.size = start - r.Remaining()
 	d.sent = sent
 	return d, nil
+}
+
+// parseBitmap consumes a touched set sent as a bitmap of npos positions: no
+// bit past them.
+func (d *deferredShard) parseBitmap(r *wire.Reader, npos int) error {
+	raw := r.Raw((npos + 7) / 8)
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if rest := npos & 7; rest != 0 && raw[len(raw)-1]>>rest != 0 {
+		return fmt.Errorf("%w: a bit past position %d", ErrTouchedOutsideShard, npos-1)
+	}
+	for i, b := range raw {
+		d.touched[i>>3] |= uint64(b) << (8 * (i & 7))
+	}
+	return nil
+}
+
+// parseGaps consumes a touched set sent as gaps over npos positions: a count
+// no larger than the positions or the bytes left (a gap takes at least one),
+// and gaps that are not 0 and reach no position past the last.
+func (d *deferredShard) parseGaps(r *wire.Reader, npos int) error {
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if n > uint64(npos) {
+		return fmt.Errorf("%w: %d touched positions in a shard of %d", ErrTouchedOutsideShard, n, npos)
+	}
+	if n > uint64(r.Remaining()) {
+		return fmt.Errorf("%w: %d touched positions in %d bytes", wire.ErrTruncated, n, r.Remaining())
+	}
+	prev := -1
+	for ; n > 0; n-- {
+		gap := r.Uvarint()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if gap == 0 {
+			return fmt.Errorf("%w: touched position %d repeated", compress.ErrBadHeader, prev)
+		}
+		if gap >= uint64(npos-prev) {
+			return fmt.Errorf("%w: position %d + %d", ErrTouchedOutsideShard, prev, gap)
+		}
+		prev += int(gap)
+		d.touched[prev>>6] |= 1 << (prev & 63)
+	}
+	return nil
 }
 
 // parseDeferredHeader consumes a deferred vector's mass and scale, after its

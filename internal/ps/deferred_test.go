@@ -190,8 +190,8 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// TestDeferredWireEqualsDenseWire is invariant 23: on the exact and the raw
-// float32 wire, pushing the workers' deferred histograms leaves the servers
+// TestDeferredWireEqualsDenseWire is part of invariant 18: on the exact and
+// the raw float32 wire, pushing the workers' deferred histograms leaves the servers
 // holding — merged, derived from a pushed parent and from a derived one —
 // exactly the shards the dense pushes of the same builds leave, bucket for
 // bucket once materialised, and every pull answers the same: split records
@@ -236,6 +236,8 @@ type deferredBody struct {
 	massG, massH   float64
 	maxAbs         float64
 	countG, countH uint32
+	// gaps, when not nil, sets gapsFlag and is sent in place of touched.
+	gaps []byte
 	// presence sets presentFlag and sends present and bitmap after countG.
 	presence bool
 	present  uint32
@@ -255,13 +257,20 @@ func (b deferredBody) bytes() []byte {
 		}
 	}
 	w.Uint8(VecDeferred)
+	flags := uint8(0)
 	if b.presence {
-		w.Uint8(b.widthG | presentFlag)
-	} else {
-		w.Uint8(b.widthG)
+		flags |= presentFlag
 	}
+	if b.gaps != nil {
+		flags |= gapsFlag
+	}
+	w.Uint8(b.widthG | flags)
 	w.Uint32(b.npos)
-	w.Raw(b.touched)
+	if b.gaps != nil {
+		w.Raw(b.gaps)
+	} else {
+		w.Raw(b.touched)
+	}
 	mass(b.widthG, b.massG)
 	w.Float64(b.maxAbs)
 	w.Uint32(b.countG)
@@ -282,10 +291,11 @@ func (b deferredBody) bytes() []byte {
 // checkHostileDeferredPushes sends server sv deferred pushes no client
 // writes, as a worker whose push would be parked, for a node nobody pushed:
 // each must fail with a typed error before anything is merged or parked.
-// layout is every feature at one bucket. The touched set and the presence
-// are bitsets and the bucket runs follow from them and the shard layout, so
-// unsorted or duplicated positions and runs that do not tile them cannot be
-// written at all.
+// layout is every feature at one bucket. The presence is a bitset and the
+// bucket runs follow from the touched set and the shard layout, so runs that
+// do not tile it cannot be written at all; a touched set sent as gaps cannot
+// be unsorted, since every gap counts forward, but it can repeat a position
+// (a zero gap), name more positions than the shard has, or run past it.
 func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	t.Helper()
 	const node, worker = 9, 1
@@ -303,6 +313,13 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	}
 	valid.touched[0] |= 1
 	valid.touched[(npos-1)/8] |= 1 << ((npos - 1) % 8)
+	// The same positions as gaps: two of them, at 0 − (−1) and npos−1 − 0.
+	gapList := func(count, first, second uint64) []byte {
+		b := binary.AppendUvarint(nil, count)
+		return binary.AppendUvarint(binary.AppendUvarint(b, first), second)
+	}
+	validGaps := valid
+	validGaps.gaps = gapList(2, 1, uint64(npos-1))
 	var shape *ShapeError
 	send := func(body []byte) error {
 		w := wire.NewWriter(64)
@@ -347,6 +364,14 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 		{"data for every touched bucket behind a bitmap of one", func(b *deferredBody) {
 			b.presence, b.present, b.bitmap, b.countH = true, 1, []byte{0b01}, 1
 		}, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"more gaps than the shard has positions", func(b *deferredBody) { b.gaps = binary.AppendUvarint(nil, uint64(npos+1)) },
+			func(err error) bool { return errors.Is(err, ErrTouchedOutsideShard) }},
+		{"a zero gap", func(b *deferredBody) { b.gaps = gapList(2, 1, 0) },
+			func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"a gap past the shard", func(b *deferredBody) { b.gaps = gapList(2, 1, uint64(npos)) },
+			func(err error) bool { return errors.Is(err, ErrTouchedOutsideShard) }},
+		{"a gap past every int", func(b *deferredBody) { b.gaps = gapList(2, 1, math.MaxUint64) },
+			func(err error) bool { return errors.Is(err, ErrTouchedOutsideShard) }},
 	}
 	for _, tc := range cases {
 		b := valid
@@ -359,7 +384,15 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	withPresence := valid
 	withPresence.presence, withPresence.present, withPresence.bitmap = true, 1, []byte{0b01}
 	withPresence.dataG, withPresence.countH, withPresence.dataH = make([]byte, 8), 1, make([]byte, 8)
-	for _, b := range [][]byte{body, withPresence.bytes()} {
+	// A gap count the bytes after it cannot hold: every gap takes one at least.
+	if err := send(binary.AppendUvarint(validGaps.bytes()[:6], uint64(npos))); !errors.Is(err, wire.ErrTruncated) {
+		t.Errorf("more gaps than the bytes left: got %v", err)
+	}
+	// The retired sparse tag in place of a deferred push's.
+	if err := send(append([]byte{3}, body[1:]...)); !errors.Is(err, compress.ErrBadHeader) {
+		t.Errorf("a push tagged 3: got %v", err)
+	}
+	for _, b := range [][]byte{body, withPresence.bytes(), validGaps.bytes()} {
 		for n := 0; n < len(b); n++ {
 			if err := send(b[:n]); err == nil {
 				t.Fatalf("a deferred push cut to %d of %d bytes was accepted", n, len(b))
@@ -379,8 +412,19 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	if _, n := srv.current(node); n != nil {
 		t.Fatalf("server %d kept a shard of node %d after refusing every push for it", sv, node)
 	}
-	// The unedited body is a well-formed push: the rejections were about the
-	// edits.
+	// The unedited bodies are well-formed, and name the same touched set: the
+	// rejections were about the edits.
+	fromBitmap, err := parseShard(body, srv.tree.layout)
+	if err != nil {
+		t.Fatalf("the valid deferred push: %v", err)
+	}
+	fromGaps, err := parseShard(validGaps.bytes(), srv.tree.layout)
+	if err != nil {
+		t.Fatalf("the valid deferred push, touched set as gaps: %v", err)
+	}
+	if fmt.Sprint(fromGaps.deferred.touched) != fmt.Sprint(fromBitmap.deferred.touched) {
+		t.Fatalf("touched set %x as gaps, %x as a bitmap", fromGaps.deferred.touched, fromBitmap.deferred.touched)
+	}
 	if err := send(body); err != nil {
 		t.Fatalf("the valid deferred push: %v", err)
 	}
@@ -469,7 +513,8 @@ func fuzzValues(blob []byte) []float64 {
 // fuzzWidths are the widths a deferred vector may carry.
 var fuzzWidths = []uint{compress.RawFloat32, compress.RawFloat64, 2, 4, 8, 16}
 
-// body encodes server sv's deferred shard of h at a width as a push body.
+// body encodes server sv's deferred shard of h at a width as a push body,
+// which must be as long as deferredShardSize says.
 func (fz *deferredFuzz) body(t testing.TB, sv int, h *histogram.Histogram, width uint) []byte {
 	var ts touchedShard
 	fz.plan.touched(&ts, sv, h)
@@ -479,16 +524,16 @@ func (fz *deferredFuzz) body(t testing.TB, sv int, h *histogram.Histogram, width
 	if err := writeDeferredShard(w, compress.NewEncoder(1), width, &ts, fz.plan.npos[sv], mg, mh, g, hs); err != nil {
 		t.Fatal(err)
 	}
+	if want := deferredShardSize(&ts, fz.plan.npos[sv], width); w.Len() != want {
+		t.Fatalf("server %d: a %d-byte push, deferredShardSize says %d", sv, w.Len(), want)
+	}
 	return w.Bytes()
 }
 
 // fuzzSeed is touched-set bytes followed by the 8-byte groups of values, as
 // deferredFuzz.histogram reads them.
-func fuzzSeed(values ...float64) []byte {
-	seed := make([]byte, 19)
-	for i := range seed {
-		seed[i] = byte(37 * i)
-	}
+func fuzzSeed(touched []byte, values ...float64) []byte {
+	seed := append([]byte(nil), touched...)
 	for _, v := range values {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
 	}
@@ -502,17 +547,26 @@ func fuzzSeed(values ...float64) []byte {
 // buckets, Float64bits-exact (narrowed to float32 on the float32 wire); at a
 // fixed-point width, within a step of them. The seeds encode every width
 // with every touched bucket sent and, where its empty buckets pay for it,
-// behind the presence bitmap.
+// behind the presence bitmap; and each with the touched set as a bitmap and,
+// for a few touched positions, as gaps.
 func FuzzDeferredVector(f *testing.F) {
 	fz := newDeferredFuzz(f)
+	many, few := make([]byte, 19), make([]byte, 19)
+	for i := range many {
+		many[i] = byte(37 * i)
+	}
+	few[0], few[3], few[7], few[12], few[18] = 0x01, 0x80, 0x04, 0x20, 0x02
 	// fuzzValues reads groups with three low zero bits as 0: these have none.
-	full := fuzzSeed(1.1, -2.3, 0.7, 3.3, 5.7, -1e-3, 0.1, 0.3)
-	sparse := fuzzSeed(1.1, -2.3, 0, 0, 0, 0, 0, 0, 5.7, -1e-3)
+	fullValues := []float64{1.1, -2.3, 0.7, 3.3, 5.7, -1e-3, 0.1, 0.3}
+	sparseValues := []float64{1.1, -2.3, 0, 0, 0, 0, 0, 0, 5.7, -1e-3}
 	f.Add(uint8(0), []byte{})
 	for sel := range fuzzWidths {
-		f.Add(uint8(sel), full)
-		f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(full), fuzzWidths[sel]))
-		f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(sparse), fuzzWidths[sel]))
+		for _, touched := range [][]byte{many, few} {
+			full, sparse := fuzzSeed(touched, fullValues...), fuzzSeed(touched, sparseValues...)
+			f.Add(uint8(sel), full)
+			f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(full), fuzzWidths[sel]))
+			f.Add(uint8(sel), fz.body(f, sel%2, fz.histogram(sparse), fuzzWidths[sel]))
+		}
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, blob []byte) {
 		for sv, layout := range fz.servers {

@@ -76,7 +76,7 @@ func psMetrics() (*serverMetrics, *clientMetrics) {
 			srvM.opBytesIn[op] = r.Counter("dimboost_ps_op_bytes_total", "Request/response payload bytes through the PS handler, by op and direction.", l, obs.L("direction", "in"))
 			srvM.opBytesOut[op] = r.Counter("dimboost_ps_op_bytes_total", "", l, obs.L("direction", "out"))
 		}
-		for tag := uint8(0); tag < numVecTags; tag++ {
+		for _, tag := range vecTags {
 			l := obs.L("encoding", vecName(tag))
 			vecBytes[dirEncode][tag] = r.Counter("dimboost_ps_vector_bytes_total", "Logical bytes-on-wire of histogram vectors, by encoding and codec direction.", l, obs.L("direction", "encode"))
 			vecBytes[dirDecode][tag] = r.Counter("dimboost_ps_vector_bytes_total", "", l, obs.L("direction", "decode"))
@@ -125,7 +125,7 @@ func (m *serverMetrics) observe(op uint8, reqBytes, respBytes int64, secs float6
 
 // WireBytes snapshots the parameter server's logical bytes-on-wire: perOp
 // maps "op/direction" (e.g. "push_hist/in") to handler payload bytes,
-// perEncoding maps "encoding/direction" (e.g. "sparse/encode") to histogram
+// perEncoding maps "encoding/direction" (e.g. "deferred/encode") to histogram
 // vector bytes. Callers difference two snapshots around a run to attribute
 // traffic to an encoding choice.
 func WireBytes() (perOp, perEncoding map[string]int64) {
@@ -136,7 +136,7 @@ func WireBytes() (perOp, perEncoding map[string]int64) {
 		perOp[OpName(op)+"/out"] = m.opBytesOut[op].Value()
 	}
 	perEncoding = make(map[string]int64)
-	for tag := uint8(0); tag < numVecTags; tag++ {
+	for _, tag := range vecTags {
 		perEncoding[vecName(tag)+"/encode"] = vecBytes[dirEncode][tag].Value()
 		perEncoding[vecName(tag)+"/decode"] = vecBytes[dirDecode][tag].Value()
 	}

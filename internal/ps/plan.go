@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"dimboost/internal/histogram"
+	"dimboost/internal/wire"
 )
 
 // shardPlan is the geometry of one tree's histogram shards. Partition
@@ -79,9 +80,11 @@ func spanParts(dst [][]float64, spans []bucketSpan, flat []float64) [][]float64 
 // positions in the worker's flat arrays, and which of their buckets are
 // present — what a deferred push carries.
 type touchedShard struct {
-	touched []uint64     // bit q: server position q was touched
-	runs    []bucketSpan // ascending, touching runs joined
-	buckets int          // Σ run lengths
+	touched   []uint64     // bit q: server position q was touched
+	positions int          // touched positions
+	gaps      int          // wire bytes of the touched set as a gap list
+	runs      []bucketSpan // ascending, touching runs joined
+	buckets   int          // Σ run lengths
 	// presence has bit k (little-endian) set when touched bucket k, in run
 	// order, has a G or an H that is not +0 bit for bit; present counts them.
 	presence []byte
@@ -89,7 +92,8 @@ type touchedShard struct {
 }
 
 // touched fills ts with server sv's share of a deferred histogram's touched
-// set, walking the set bits only, and with the presence of its buckets.
+// set, walking the set bits only, with the size of its gap list and with the
+// presence of its buckets.
 func (pl *shardPlan) touched(ts *touchedShard, sv int, h *histogram.Histogram) {
 	words := (pl.npos[sv] + 63) / 64
 	if cap(ts.touched) < words {
@@ -97,9 +101,9 @@ func (pl *shardPlan) touched(ts *touchedShard, sv int, h *histogram.Histogram) {
 	}
 	ts.touched = ts.touched[:words]
 	clear(ts.touched)
-	ts.runs, ts.buckets = ts.runs[:0], 0
+	ts.runs, ts.buckets, ts.positions, ts.gaps = ts.runs[:0], 0, 0, 0
 	offs := pl.layout.Offsets
-	base := 0 // server position of the range's first position
+	base, prev := 0, -1 // server position of the range's first position, of the last touched one
 	for _, r := range pl.pos[sv] {
 		for w := r.lo >> 6; w<<6 < r.hi; w++ {
 			set := h.ScanWord(w)
@@ -113,6 +117,9 @@ func (pl *shardPlan) touched(ts *touchedShard, sv int, h *histogram.Histogram) {
 				p := w<<6 + bits.TrailingZeros64(set)
 				q := base + p - r.lo
 				ts.touched[q>>6] |= 1 << (q & 63)
+				ts.positions++
+				ts.gaps += wire.UvarintLen(uint64(q - prev))
+				prev = q
 				b := bucketSpan{int(offs[p]), int(offs[p+1])}
 				ts.runs = appendSpan(ts.runs, b)
 				ts.buckets += b.hi - b.lo
@@ -120,6 +127,7 @@ func (pl *shardPlan) touched(ts *touchedShard, sv int, h *histogram.Histogram) {
 		}
 		base += r.hi - r.lo
 	}
+	ts.gaps += wire.UvarintLen(uint64(ts.positions))
 	// Presence bits gather in a register, 64 buckets to a store.
 	pw := (ts.buckets + 63) / 64
 	if cap(ts.presence) < 8*pw {

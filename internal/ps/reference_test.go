@@ -87,59 +87,8 @@ func refEncode(rng *rand.Rand, values []float64, bits uint) (maxAbs float64, dat
 }
 
 // refWriteVector appends one tagged vector the way the old client did:
-// size-predict the sparse form, then encode into temporaries and copy.
+// encode into temporaries and copy.
 func refWriteVector(w *wire.Writer, rng *rand.Rand, vs []float64, ev vecEncoding) {
-	if ev.sparse {
-		nnz, runs := 0, 0
-		inRun := false
-		for _, v := range vs {
-			if v != 0 {
-				nnz++
-				if !inRun {
-					runs++
-				}
-				inRun = true
-			} else {
-				inRun = false
-			}
-		}
-		if 1+compress.SparseWireSize(nnz, runs, ev.spanBits()) < denseVecSize(len(vs), ev) {
-			s := &compress.Sparse{Bits: ev.spanBits(), N: len(vs)}
-			var nz []float64
-			for i, v := range vs {
-				if a := math.Abs(v); a > s.MaxAbs {
-					s.MaxAbs = a
-				}
-				if v == 0 {
-					continue
-				}
-				if n := len(s.Spans); n > 0 && int(s.Spans[n-1].Start+s.Spans[n-1].Count) == i {
-					s.Spans[n-1].Count++
-				} else {
-					s.Spans = append(s.Spans, compress.Span{Start: uint32(i), Count: 1})
-				}
-				nz = append(nz, v)
-			}
-			dw := wire.NewWriter(8 * len(nz))
-			switch s.Bits {
-			case compress.RawFloat32:
-				for _, v := range nz {
-					dw.Float32(float32(v))
-				}
-				s.Data = dw.Bytes()
-			case compress.RawFloat64:
-				for _, v := range nz {
-					dw.Float64(v)
-				}
-				s.Data = dw.Bytes()
-			default:
-				s.MaxAbs, s.Data = refEncode(rng, nz, s.Bits)
-			}
-			w.Uint8(VecSparse)
-			s.WriteTo(w)
-			return
-		}
-	}
 	switch {
 	case ev.bits != 0:
 		maxAbs, data := refEncode(rng, vs, ev.bits)
@@ -241,40 +190,42 @@ var pushGeometries = []pushGeometry{
 	{"empty server shard", 120, 3, 0, notOnServer(2)},
 }
 
-// TestPushPayloadsMatchReference: for every width × sparse × exact mode and
-// every shard geometry, each byte the client hands the transport for a
+// TestPushPayloadsMatchReference: for every width × exact mode and every
+// shard geometry, each byte the client hands the transport for a
 // materialised histogram — envelope included — equals the reference
 // encoder's, across consecutive pushes (so the rounding stream stays in
 // step), and the pushed shards reassemble. The deferred arm pushes deferred
 // histograms over the same matrix: never more bytes than their materialised
-// form, and the same shards on the servers.
+// form, and the same shards on the servers. The densities run from an empty
+// push (a worker with no rows in the node), whose touched set goes as gaps,
+// past the point where the bitmap is the smaller form.
 func TestPushPayloadsMatchReference(t *testing.T) {
 	type mode struct {
-		bits          uint
-		exact, sparse bool
+		bits  uint
+		exact bool
 	}
 	var modes []mode
 	for _, bits := range []uint{0, 2, 4, 8, 16} {
-		modes = append(modes, mode{bits, false, false}, mode{bits, false, true})
+		modes = append(modes, mode{bits, false})
 	}
-	modes = append(modes, mode{0, true, false}, mode{0, true, true})
+	modes = append(modes, mode{0, true})
 
 	for _, geo := range pushGeometries {
 		for _, md := range modes {
-			for _, density := range []float64{0.03, 0.6} {
-				name := fmt.Sprintf("%s/bits=%d exact=%v sparse=%v density=%v", geo.name, md.bits, md.exact, md.sparse, density)
+			for _, density := range []float64{0, 0.03, 0.15, 0.6} {
+				name := fmt.Sprintf("%s/bits=%d exact=%v density=%v", geo.name, md.bits, md.exact, density)
 				t.Run(name, func(t *testing.T) {
-					checkPushIdentity(t, geo, md.bits, md.exact, md.sparse, density)
+					checkPushIdentity(t, geo, md.bits, md.exact, density)
 				})
 				t.Run("deferred/"+name, func(t *testing.T) {
-					checkDeferredPush(t, geo, md.bits, md.exact, md.sparse, density)
+					checkDeferredPush(t, geo, md.bits, md.exact, density)
 				})
 			}
 		}
 	}
 }
 
-func checkPushIdentity(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool, density float64) {
+func checkPushIdentity(t *testing.T, geo pushGeometry, bits uint, exact bool, density float64) {
 	const worker = 1
 	net := transport.NewMemNetwork()
 	defer net.Close()
@@ -304,7 +255,7 @@ func checkPushIdentity(t *testing.T, geo pushGeometry, bits uint, exact, sparse 
 	}
 	capt := &capturingEndpoint{Endpoint: ep, sent: make(map[string][][]byte)}
 	c := NewClient(capt, part, names, worker)
-	c.Bits, c.Exact, c.Sparse = bits, exact, sparse
+	c.Bits, c.Exact = bits, exact
 	if err := c.NewTree(sampled); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +265,7 @@ func checkPushIdentity(t *testing.T, geo pushGeometry, bits uint, exact, sparse 
 	}
 
 	ref := rand.New(rand.NewSource(worker + 1)) // NewClient's encoder seed
-	ev := vecEncoding{bits: bits, exact: exact, sparse: sparse}
+	ev := vecEncoding{bits: bits, exact: exact}
 	hist := histogram.New(layout)
 	const pushes = 3
 	want := make(map[string][][]byte)
@@ -406,24 +357,20 @@ func TestPartitionTableMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestNonFinitePushRejected: a NaN bucket has no fixed-point or sparse
-// encoding; the push fails on the client with the typed error instead of
-// shipping garbage levels.
+// TestNonFinitePushRejected: a NaN bucket has no fixed-point encoding; the
+// push fails on the client with the typed error instead of shipping garbage
+// levels.
 func TestNonFinitePushRejected(t *testing.T) {
 	pb := newPushBench(t, 50)
 	pb.hist.G[3] = math.NaN()
-	c := pb.fx.clients[0]
-	for _, sparse := range []bool{false, true} {
-		c.Sparse = sparse
-		if err := c.PushHistogram(0, pb.hist); !errors.Is(err, compress.ErrNonFinite) {
-			t.Fatalf("sparse=%v: got %v, want ErrNonFinite", sparse, err)
-		}
+	if err := pb.fx.clients[0].PushHistogram(0, pb.hist); !errors.Is(err, compress.ErrNonFinite) {
+		t.Fatalf("got %v, want ErrNonFinite", err)
 	}
 }
 
 // pushFleet is a fleet of servers with the shaped candidates installed and
 // one capturing client, ready for a tree's pushes.
-func pushFleet(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool) (*Client, *capturingEndpoint, []*Server, *histogram.Layout) {
+func pushFleet(t *testing.T, geo pushGeometry, bits uint, exact bool) (*Client, *capturingEndpoint, []*Server, *histogram.Layout) {
 	t.Helper()
 	net := transport.NewMemNetwork()
 	t.Cleanup(func() { net.Close() })
@@ -452,7 +399,7 @@ func pushFleet(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool) (*
 	}
 	capt := &capturingEndpoint{Endpoint: ep, sent: make(map[string][][]byte)}
 	c := NewClient(capt, part, names, 1)
-	c.Bits, c.Exact, c.Sparse = bits, exact, sparse
+	c.Bits, c.Exact = bits, exact
 	sampled := geo.sampled(part)
 	if err := c.NewTree(sampled); err != nil {
 		t.Fatal(err)
@@ -493,11 +440,12 @@ func fillDeferred(h *histogram.Histogram, seed int64, density float64) {
 // refDeferredShard is the reference for server sv's shard of a deferred
 // push: the server's positions found feature by feature, every touched
 // bucket present unless its G and H are both +0 bit for bit, and encode
-// writing the two vectors field by field — the present buckets behind their
-// bitmap when that is smaller, every touched bucket otherwise — with one
-// rounding draw per touched bucket at fixed point. unbitmapped is the size
-// the push had before the bitmap existed, when every touched bucket was
-// sent.
+// writing the two vectors field by field — the touched set as gaps when they
+// are smaller than its bitmap, the present buckets behind their bitmap when
+// that is smaller, every touched bucket otherwise — with one rounding draw
+// per touched bucket at fixed point. unbitmapped is the size the push had
+// before either bitmap had an alternative, when the touched set always went
+// as a bitmap and every touched bucket was sent.
 func refDeferredShard(part *Partition, sv int, h *histogram.Histogram, width uint) (encode func(rng *rand.Rand) []byte, unbitmapped int) {
 	l := h.Layout
 	var touched []bool
@@ -542,6 +490,16 @@ func refDeferredShard(part *Partition, sv int, h *histogram.Histogram, width uin
 	if bitmap {
 		sent = npresent
 	}
+	var gapList []byte
+	ntouched, prev := 0, -1
+	for q, in := range touched {
+		if in {
+			gapList = binary.AppendUvarint(gapList, uint64(q-prev))
+			ntouched, prev = ntouched+1, q
+		}
+	}
+	gapList = append(binary.AppendUvarint(nil, uint64(ntouched)), gapList...)
+	gaps := len(gapList) < (len(touched)+7)/8
 	bitset := func(bs []bool) []byte {
 		b := make([]byte, (len(bs)+7)/8)
 		for i, in := range bs {
@@ -556,14 +514,21 @@ func refDeferredShard(part *Partition, sv int, h *histogram.Histogram, width uin
 		w := wire.NewWriter(64)
 		vector := func(vs []float64, mass float64, first bool) {
 			w.Uint8(VecDeferred)
+			flags := uint8(0)
 			if first && bitmap {
-				w.Uint8(uint8(width) | 0x80)
-			} else {
-				w.Uint8(uint8(width))
+				flags |= 0x80
 			}
+			if first && gaps {
+				flags |= 0x20
+			}
+			w.Uint8(uint8(width) | flags)
 			if first {
 				w.Uint32(uint32(len(touched)))
-				w.Raw(bitset(touched))
+				if gaps {
+					w.Raw(gapList)
+				} else {
+					w.Raw(bitset(touched))
+				}
 			}
 			if width == compress.RawFloat32 {
 				w.Float32(float32(mass))
@@ -625,11 +590,12 @@ func refDeferredShard(part *Partition, sv int, h *histogram.Histogram, width uin
 // through two fleets. Every byte of every deferred push — envelope included,
 // deferred or, where that does not pay, materialised — equals the reference
 // encoders', across consecutive pushes; no push is larger than its
-// materialised form or than the push before the presence bitmap; and the
+// materialised form or than it would be with the touched bitmap and every
+// touched bucket; and the
 // servers hold what the materialised pushes leave.
-func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact, sparse bool, density float64) {
-	cd, capD, srvD, layout := pushFleet(t, geo, bits, exact, sparse)
-	cm, capM, srvM, _ := pushFleet(t, geo, bits, exact, sparse)
+func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact bool, density float64) {
+	cd, capD, srvD, layout := pushFleet(t, geo, bits, exact)
+	cm, capM, srvM, _ := pushFleet(t, geo, bits, exact)
 	sent := func(c *capturingEndpoint, node int) (n int) {
 		for sv := 0; sv < geo.servers; sv++ {
 			n += len(c.sent[serverName(sv)][node])
@@ -637,7 +603,7 @@ func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact, sparse 
 		return n
 	}
 	ref := rand.New(rand.NewSource(2)) // pushFleet's client is worker 1
-	ev := vecEncoding{bits: bits, exact: exact, sparse: sparse}
+	ev := vecEncoding{bits: bits, exact: exact}
 	const pushes = 3
 	for node := 0; node < pushes; node++ {
 		h := histogram.New(layout)
@@ -673,7 +639,7 @@ func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact, sparse 
 			}
 		}
 		if d, mat := sent(capD, node), sent(capM, node); d > mat || d > before {
-			t.Fatalf("node %d: the deferred push put %d bytes on the wire, its materialised form %d, the push before the presence bitmap %d", node, d, mat, before)
+			t.Fatalf("node %d: the deferred push put %d bytes on the wire, its materialised form %d, with the touched bitmap and every touched bucket %d", node, d, mat, before)
 		}
 		for sv := range srvD {
 			got, want := shardBits(t, srvD[sv], int32(node)), shardBits(t, srvM[sv], int32(node))

@@ -54,8 +54,8 @@ func TestStalePartitionPushRejected(t *testing.T) {
 }
 
 // TestHostileHistHeadersRejected drives raw crafted push bodies at the
-// server: undecodable widths, non-finite MaxAbs, short payloads, overflowing
-// sparse spans. Every one must come back as a typed error; before the header
+// server: undecodable widths, non-finite MaxAbs, short payloads. Every one
+// must come back as a typed error; before the header
 // admission check existed the bits=200 case reached the fixed-point decoder
 // at merge time.
 func TestHostileHistHeadersRejected(t *testing.T) {
@@ -105,13 +105,6 @@ func TestHostileHistHeadersRejected(t *testing.T) {
 			w.Bytes32(make([]byte, buckets/2))
 			goodF32(w)
 		}, compress.ErrSizeMismatch},
-		{"sparse span overflow", func(w *wire.Writer) {
-			w.Uint8(VecSparse)
-			s := &compress.Sparse{Bits: compress.RawFloat32, N: buckets,
-				Spans: []compress.Span{{Start: uint32(buckets - 1), Count: 1 << 30}}}
-			s.WriteTo(w)
-			goodF32(w)
-		}, compress.ErrSpanRange},
 	}
 	for _, tc := range cases {
 		w := c.newRequest(64)
@@ -124,22 +117,20 @@ func TestHostileHistHeadersRejected(t *testing.T) {
 	}
 }
 
-// sparseData generates a high-dimensional, mostly-empty workload — the
-// regime the sparse encoding exists for.
+// sparseData generates a high-dimensional, mostly-empty workload.
 func sparseData(m int) *dataset.Dataset {
 	return dataset.Generate(dataset.SyntheticConfig{NumRows: 300, NumFeatures: m, AvgNNZ: 6, Seed: 31, Zipf: 1.4})
 }
 
-// TestExactSparsePullBitIdentical: with Exact+Sparse the whole loop — push,
-// server merge, pull — must reproduce the worker-side union to the bit,
-// because sparse spans carry float64 verbatim and elided buckets are exact
-// zeros on both sides (invariant 18).
-func TestExactSparsePullBitIdentical(t *testing.T) {
+// TestExactPullBitIdentical: on the exact wire the whole loop — push, server
+// merge, pull — must reproduce the worker-side union to the bit, because
+// deferred pushes carry float64 verbatim and untouched buckets are exact
+// zeros plus the exact mass on both sides (invariant 18).
+func TestExactPullBitIdentical(t *testing.T) {
 	const m, p, w = 200, 3, 2
 	fx := newFixture(t, m, p, w)
 	for _, c := range fx.clients {
 		c.Exact = true
-		c.Sparse = true
 	}
 	union, layout := buildDistributedHistograms(t, fx, sparseData(m), 0)
 	perOpBefore, _ := WireBytes()
@@ -160,14 +151,13 @@ func TestExactSparsePullBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompressedSparsePullApproximates: fixed-point pushes and pulls with
-// sparse payloads stay within the quantization error bound of the union, and
-// buckets no row touched stay exactly zero through the round trip.
-func TestCompressedSparsePullApproximates(t *testing.T) {
+// TestCompressedPullApproximates: fixed-point pushes and pulls stay within
+// the quantization error bound of the union, and buckets no row touched stay
+// exactly zero through the round trip.
+func TestCompressedPullApproximates(t *testing.T) {
 	const m, p, w = 200, 3, 2
 	fx := newFixture(t, m, p, w)
 	for _, c := range fx.clients {
-		c.Sparse = true
 		c.PullBits = 8
 	}
 	union, layout := buildDistributedHistograms(t, fx, sparseData(m), 8)
@@ -247,7 +237,7 @@ func TestCompactSplitRecords(t *testing.T) {
 	}
 }
 
-// TestBadPullEncodingRejected: a malformed negotiation triple (unsupported
+// TestBadPullEncodingRejected: a malformed negotiation pair (unsupported
 // width, or exact+compressed) is rejected before any histogram work.
 func TestBadPullEncodingRejected(t *testing.T) {
 	const m = 20
@@ -279,48 +269,37 @@ func TestBadPullEncodingRejected(t *testing.T) {
 // exactly the payload sizes that cross the codec, attributed to the encoding
 // actually chosen.
 func TestVectorByteAccounting(t *testing.T) {
-	vs := make([]float64, 1000)
-	vs[10], vs[500], vs[501] = 1.5, -2.25, 3.0
-
-	_, before := WireBytes()
-	w := wire.NewWriter(64)
-	ev := vecEncoding{exact: true, sparse: true}
-	if err := writeHistVector(w, nil, ev, vs); err != nil {
-		t.Fatal(err)
-	}
-	if w.Bytes()[0] != VecSparse {
-		t.Fatalf("3-of-1000 vector encoded dense (tag %d)", w.Bytes()[0])
-	}
-	if _, err := readHistVector(wire.NewReader(w.Bytes()), "v", len(vs)); err != nil {
-		t.Fatal(err)
-	}
-	_, after := WireBytes()
-	n := int64(w.Len())
-	if got := after["sparse/encode"] - before["sparse/encode"]; got != n {
-		t.Fatalf("sparse/encode grew %d, want %d", got, n)
-	}
-	if got := after["sparse/decode"] - before["sparse/decode"]; got != n {
-		t.Fatalf("sparse/decode grew %d, want %d", got, n)
-	}
-
-	// A dense-favored vector must land on the dense counter instead.
-	dense := []float64{1, 2, 3, 4}
-	_, before = WireBytes()
-	w = wire.NewWriter(64)
-	if err := writeHistVector(w, nil, vecEncoding{sparse: true}, dense); err != nil {
-		t.Fatal(err)
-	}
-	if w.Bytes()[0] != VecFloat32 {
-		t.Fatalf("dense vector encoded as tag %d", w.Bytes()[0])
-	}
-	if _, err := readHistVector(wire.NewReader(w.Bytes()), "v", len(dense)); err != nil {
-		t.Fatal(err)
-	}
-	_, after = WireBytes()
-	if after["float32/encode"]-before["float32/encode"] != int64(w.Len()) {
-		t.Fatal("dense bytes not attributed to float32")
-	}
-	if after["sparse/encode"] != before["sparse/encode"] {
-		t.Fatal("sparse counter grew on a dense write")
+	for _, tc := range []struct {
+		ev  vecEncoding
+		tag uint8
+	}{
+		{vecEncoding{exact: true}, VecFloat64},
+		{vecEncoding{}, VecFloat32},
+		{vecEncoding{bits: 8}, VecFixed},
+	} {
+		vs := []float64{0, 1.5, -2.25, 3}
+		_, before := WireBytes()
+		w := wire.NewWriter(64)
+		if err := writeHistVector(w, compress.NewEncoder(1), tc.ev, vs); err != nil {
+			t.Fatal(err)
+		}
+		if w.Bytes()[0] != tc.tag {
+			t.Fatalf("%+v: encoded as tag %d, want %d", tc.ev, w.Bytes()[0], tc.tag)
+		}
+		if _, err := readHistVector(wire.NewReader(w.Bytes()), "v", len(vs)); err != nil {
+			t.Fatal(err)
+		}
+		_, after := WireBytes()
+		name, n := vecName(tc.tag), int64(w.Len())
+		for _, dir := range []string{"/encode", "/decode"} {
+			if got := after[name+dir] - before[name+dir]; got != n {
+				t.Fatalf("%s%s grew %d, want %d", name, dir, got, n)
+			}
+		}
+		for _, other := range vecTags {
+			if o := vecName(other); o != name && after[o+"/encode"] != before[o+"/encode"] {
+				t.Fatalf("%s/encode grew on a %s write", o, name)
+			}
+		}
 	}
 }
