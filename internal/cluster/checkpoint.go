@@ -184,6 +184,16 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: decoding checkpoint: %w", r.Err())
 	}
+	// A model with an unknown loss panics when it is evaluated; core.Load
+	// refuses one in a model file the same way.
+	switch {
+	case !c.Fingerprint.Loss.Valid():
+		return nil, fmt.Errorf("cluster: checkpoint Fingerprint.Loss is unknown loss %v", c.Fingerprint.Loss)
+	case !c.Model.Loss.Valid():
+		return nil, fmt.Errorf("cluster: checkpoint Model.Loss is unknown loss %v", c.Model.Loss)
+	case c.Model.Loss != c.Fingerprint.Loss:
+		return nil, fmt.Errorf("cluster: checkpoint Model.Loss %v differs from Fingerprint.Loss %v", c.Model.Loss, c.Fingerprint.Loss)
+	}
 	if numTrees > r.Remaining()/(treeWireBytes+nodeWireBytes) {
 		return nil, fmt.Errorf("cluster: checkpoint declares %d trees in %d bytes", numTrees, r.Remaining())
 	}

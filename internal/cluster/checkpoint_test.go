@@ -15,6 +15,7 @@ import (
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
 	"dimboost/internal/faultinject"
+	"dimboost/internal/loss"
 	"dimboost/internal/ps"
 	"dimboost/internal/tree"
 )
@@ -381,6 +382,42 @@ func TestDecodeCheckpointRefusesCountsItCannotHold(t *testing.T) {
 	}
 }
 
+// TestDecodeCheckpointRefusesUnknownLoss: a checkpoint whose model or
+// fingerprint names no loss kind, or whose two losses differ, is refused
+// with the field named. Such a model used to decode, and then panicked when
+// it was evaluated.
+func TestDecodeCheckpointRefusesUnknownLoss(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		model, finger    loss.Kind
+		wantErrSubstring string
+	}{
+		{"model loss 7", 7, loss.Logistic, "Model.Loss"},
+		{"fingerprint loss 9", loss.Logistic, 9, "Fingerprint.Loss"},
+		{"both unknown", 7, 9, "Fingerprint.Loss"},
+		{"negative model loss", -1, loss.Squared, "Model.Loss"},
+		{"losses differ", loss.Squared, loss.Logistic, "differs"},
+	} {
+		ck := &Checkpoint{Model: &core.Model{Loss: c.model}}
+		ck.Fingerprint.Loss = c.finger
+		got, err := DecodeCheckpoint(ck.Encode())
+		if err == nil {
+			t.Errorf("%s: decoded with model loss %v", c.name, got.Model.Loss)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.wantErrSubstring) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.wantErrSubstring)
+		}
+	}
+	for _, k := range []loss.Kind{loss.Logistic, loss.Squared} {
+		ck := &Checkpoint{Model: &core.Model{Loss: k}}
+		ck.Fingerprint.Loss = k
+		if _, err := DecodeCheckpoint(ck.Encode()); err != nil {
+			t.Errorf("loss %v: %v", k, err)
+		}
+	}
+}
+
 // TestCheckpointDepthBoundIsCores: the checkpoint decoder's depth bound is
 // the one core enforces on a configuration (and on a model file).
 func TestCheckpointDepthBoundIsCores(t *testing.T) {
@@ -396,7 +433,7 @@ func TestCheckpointDepthBoundIsCores(t *testing.T) {
 }
 
 // checkpointSeeds are the checkpoints TestCheckpointEncodeDecodeRoundTrip's
-// run saves, one per tree, and an empty one.
+// run saves, one per tree, an empty one and one with unknown losses.
 func checkpointSeeds(tb testing.TB) [][]byte {
 	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 300, NumFeatures: 120, AvgNNZ: 12, Seed: 91, Zipf: 1.2, NoiseStd: 0.2})
 	cfg := smallCfg(2, 2)
@@ -406,7 +443,10 @@ func checkpointSeeds(tb testing.TB) [][]byte {
 	if _, err := Train(d, cfg); err != nil {
 		tb.Fatal(err)
 	}
-	return append(sink.saves, (&Checkpoint{Model: &core.Model{}}).Encode())
+	// An unknown model loss, refused: it used to decode and then panic.
+	unknown := &Checkpoint{Model: &core.Model{Loss: 7}}
+	unknown.Fingerprint.Loss = 9
+	return append(sink.saves, (&Checkpoint{Model: &core.Model{}}).Encode(), unknown.Encode())
 }
 
 // allSink keeps every checkpoint it is handed.
@@ -417,8 +457,9 @@ func (s *allSink) Save(_ int, data []byte) error {
 	return nil
 }
 
-// FuzzDecodeCheckpoint: hostile bytes never panic the decoder, and every
-// checkpoint it accepts re-encodes to exactly its bytes.
+// FuzzDecodeCheckpoint: hostile bytes never panic the decoder, every
+// checkpoint it accepts re-encodes to exactly its bytes, and its model has a
+// loss it can be evaluated with.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, seed := range checkpointSeeds(f) {
 		f.Add(seed)
@@ -431,5 +472,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if enc := ck.Encode(); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(enc))
 		}
+		loss.New(ck.Model.Loss)
 	})
 }

@@ -116,3 +116,25 @@ func BenchmarkPredictHandler(b *testing.B) {
 type readCloser struct{ *bytes.Reader }
 
 func (readCloser) Close() error { return nil }
+
+// BenchmarkDecodePredict measures the decode stage alone — the one-pass
+// decoder and instance validation — on a body shaped like the benchmark's
+// serve_predict requests, in body bytes per second.
+func BenchmarkDecodePredict(b *testing.B) {
+	b.Run("spine16x100", func(b *testing.B) {
+		body := spineBody(rand.New(rand.NewSource(1)), 16, 100, 33_000)
+		var buf predictBuf
+		buf.body.Write(body)
+		if _, err := buf.decodeJSON(); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := buf.decodeJSON(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dimboost/internal/core"
+	"dimboost/internal/dataset"
 	"dimboost/internal/obs"
 )
 
@@ -49,6 +51,20 @@ var predictBodyCases = []struct {
 	{"value exponent forms", `{"instances":[{"indices":[1,2,3],"values":[1e+2,2.5E-1,0.0e0]}]}`, true},
 	{"value float32 max", `{"instances":[{"indices":[1],"values":[3.4028234663852886e38]}]}`, true},
 	{"trailing whitespace", canonicalBody + " \r\n\t", true},
+	// Numbers the exact float32 fast path leaves to strconv.ParseFloat, and
+	// numbers next to where it stops; all are taken.
+	{"value on a float32 midpoint", `{"instances":[{"indices":[1,2],"values":[16777217,-16777217.0]}]}`, true},
+	{"values either side of a midpoint, 16 digits", `{"instances":[{"indices":[1,2],"values":[16777217.00000001,16777216.99999999]}]}`, true},
+	{"values either side of a midpoint, 17 digits", `{"instances":[{"indices":[1,2],"values":[16777217.000000001,16777216.999999999]}]}`, true},
+	{"values either side of a midpoint, 18 digits", `{"instances":[{"indices":[1,2],"values":[16777217.0000000001,16777216.9999999999]}]}`, true},
+	{"values whose float64 is a float32 midpoint", `{"instances":[{"indices":[1,2,3,4,5],"values":[0.8741166293621063,89.89711380004883,8.56102587931673e-06,5.315642991922757e+27,1.282265678538462e24]}]}`, true},
+	{"value 19 significant digits", `{"instances":[{"indices":[1,2],"values":[1234567890123456789,0.1234567890123456789]}]}`, true},
+	{"value 20 significant digits", `{"instances":[{"indices":[1,2],"values":[12345678901234567891,0.12345678901234567891]}]}`, true},
+	{"value 2^53 and 2^53-1", `{"instances":[{"indices":[1,2],"values":[9007199254740992,9007199254740991]}]}`, true},
+	{"value 1e22 1e23 1e-22 1e-23", `{"instances":[{"indices":[1,2,3,4],"values":[1e22,1e23,1e-22,1e-23]}]}`, true},
+	{"value 25 fraction zeros", `{"instances":[{"indices":[1],"values":[0.00000000000000000000000001234]}]}`, true},
+	{"value -0.0e0", `{"instances":[{"indices":[1],"values":[-0.0e0]}]}`, true},
+	{"value 0e999", `{"instances":[{"indices":[1],"values":[0e999]}]}`, true},
 
 	{"unknown key", `{"instances":[{"indices":[1],"values":[1],"weight":3}]}`, false},
 	{"unknown top-level key", `{"model":"a","instances":[{"indices":[1],"values":[1]}]}`, false},
@@ -112,6 +128,11 @@ func referencePredict(m *core.Model, limit int64, body []byte) (status int, errT
 		scores = append(scores, m.Predict(in))
 	}
 	return http.StatusOK, "", scores
+}
+
+// jsonToInstance is jsonToInstanceInto into fresh slices.
+func jsonToInstance(ji jsonInstance) (dataset.Instance, error) {
+	return jsonToInstanceInto(ji, dataset.Instance{}, &predictBuf{})
 }
 
 // checkDecodersAgree runs the one-pass decoder on body, into a request that
@@ -220,6 +241,84 @@ func FuzzPredictBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecodersAgree(t, body)
 		checkHandlerMatchesReference(t, h, m, body)
+	})
+}
+
+// jsonNumber builds a number in the JSON grammar from fuzz input: digits
+// (each byte taken mod 10, at most 40) split at point into an integer part,
+// its leading zeros trimmed, and a fraction after fracZeros zeros, with a
+// minus sign by form bit 0 and an exponent of exp mod 401 by form bit 1,
+// written e or E by bit 2 and signed none, +, - or none by bits 3-4.
+func jsonNumber(digits []byte, point, fracZeros uint8, exp int16, form uint8) string {
+	if len(digits) > 40 {
+		digits = digits[:40]
+	}
+	ds := make([]byte, len(digits))
+	for k, d := range digits {
+		ds[k] = '0' + d%10
+	}
+	p := int(point) % (len(ds) + 1)
+	intPart := strings.TrimLeft(string(ds[:p]), "0")
+	if intPart == "" {
+		intPart = "0"
+	}
+	var sb strings.Builder
+	if form&1 != 0 {
+		sb.WriteByte('-')
+	}
+	sb.WriteString(intPart)
+	if frac := strings.Repeat("0", int(fracZeros%32)) + string(ds[p:]); frac != "" {
+		sb.WriteString("." + frac)
+	}
+	if form&2 != 0 {
+		sb.WriteString([]string{"e", "E"}[form>>2&1])
+		sb.WriteString([]string{"", "+", "-", ""}[form>>3&3])
+		x := int(exp) % 401
+		if x < 0 {
+			x = -x
+		}
+		sb.WriteString(strconv.Itoa(x))
+	}
+	return sb.String()
+}
+
+// FuzzFloat32Agrees is invariant 22 for one number: on numbers in the JSON
+// grammar — long mantissas, fraction zeros, signs, exponents up to ±400 —
+// scanner.float32 accepts exactly what strconv.ParseFloat(s, 32) accepts,
+// with the same Float32bits, and stops at the number's end.
+func FuzzFloat32Agrees(f *testing.F) {
+	f.Add([]byte{1, 6, 7, 7, 7, 2, 1, 7}, uint8(8), uint8(0), int16(0), uint8(0))                            // a float32 midpoint
+	f.Add([]byte{1, 6, 7, 7, 7, 2, 1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(8), uint8(0), int16(0), uint8(1)) // -16777217.000000001
+	// Two whose float64 is a float32 midpoint the number is not on.
+	f.Add([]byte{8, 7, 4, 1, 1, 6, 6, 2, 9, 3, 6, 2, 1, 0, 6, 3}, uint8(0), uint8(0), int16(0), uint8(0))
+	f.Add([]byte{5, 3, 1, 5, 6, 4, 2, 9, 9, 1, 9, 2, 2, 7, 5, 7}, uint8(1), uint8(0), int16(27), uint8(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1}, uint8(20), uint8(0), int16(0), uint8(0))
+	f.Add([]byte{1}, uint8(1), uint8(0), int16(22), uint8(2))
+	f.Add([]byte{1}, uint8(1), uint8(0), int16(23), uint8(2))
+	f.Add([]byte{1}, uint8(1), uint8(0), int16(22), uint8(2|2<<3))
+	f.Add([]byte{1}, uint8(1), uint8(0), int16(23), uint8(2|2<<3))
+	f.Add([]byte{1, 2, 3, 4}, uint8(0), uint8(25), int16(0), uint8(0))
+	f.Add([]byte{0}, uint8(1), uint8(1), int16(0), uint8(1|2))
+	f.Add([]byte{3, 4, 0, 2, 8, 2, 3, 5}, uint8(1), uint8(0), int16(38), uint8(2|4))
+	f.Add([]byte{1, 4}, uint8(1), uint8(0), int16(45), uint8(2|2<<3))
+	f.Fuzz(func(t *testing.T, digits []byte, point, fracZeros uint8, exp int16, form uint8) {
+		num := jsonNumber(digits, point, fracZeros, exp, form)
+		s := scanner{b: []byte(num + ",")}
+		got, ok := s.float32()
+		want, err := strconv.ParseFloat(num, 32)
+		if ok != (err == nil) {
+			t.Fatalf("%s: scanner accepts %v, strconv.ParseFloat error %v", num, ok, err)
+		}
+		if !ok {
+			return
+		}
+		if math.Float32bits(got) != math.Float32bits(float32(want)) {
+			t.Fatalf("%s: scanner %v (%#08x), strconv.ParseFloat %v (%#08x)",
+				num, got, math.Float32bits(got), float32(want), math.Float32bits(float32(want)))
+		}
+		if s.i != len(num) {
+			t.Fatalf("%s: scanner stopped at %d of %d bytes", num, s.i, len(num))
+		}
 	})
 }
 

@@ -533,16 +533,11 @@ type featPair struct {
 	v float32
 }
 
-// jsonToInstance validates and sorts a JSON instance into dataset form.
-// Non-finite values are refused so the JSON path agrees with the LibSVM
-// parser, which errors on NaN/±Inf.
-func jsonToInstance(ji jsonInstance) (dataset.Instance, error) {
-	return jsonToInstanceInto(ji, dataset.Instance{}, &predictBuf{})
-}
-
-// jsonToInstanceInto is jsonToInstance writing into dst's backing slices
-// (grown only when capacity runs out) with buf.pairs as sort scratch, so
-// the pooled request path validates without per-instance allocations.
+// jsonToInstanceInto validates and sorts a JSON instance into dataset form,
+// writing into dst's backing slices (grown only when capacity runs out) with
+// buf.pairs as sort scratch, so the pooled request path validates without
+// per-instance allocations. Non-finite values are refused so the JSON path
+// agrees with the LibSVM parser, which errors on NaN/±Inf.
 // Already-sorted indices — the overwhelmingly common client behavior —
 // take a copy-through path that never touches the pair scratch.
 func jsonToInstanceInto(ji jsonInstance, dst dataset.Instance, buf *predictBuf) (dataset.Instance, error) {
