@@ -43,7 +43,7 @@ func main() {
 		trees    = flag.Int("trees", 20, "number of trees")
 		depth    = flag.Int("depth", 7, "maximal tree depth")
 		bits     = flag.Uint("bits", 8, "compressed histogram bits (0 = float32)")
-		pullBits = flag.Uint("pull-bits", 0, "compressed pull-response bits (0 = raw floats)")
+		pullBits = flag.Uint("pull-bits", 0, "compact split records when nonzero, at a supported width (0 = full records)")
 		metrics  = flag.String("metrics-listen", "", "address for GET /metrics and /debug/obs (empty = disabled)")
 	)
 	flag.Parse()

@@ -49,7 +49,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "distributed worker count (0 = single process)")
 		servers  = flag.Int("servers", 0, "parameter server count (default = workers)")
 		bits     = flag.Uint("bits", 8, "compressed histogram bits (distributed; 0 = float32)")
-		pullBits = flag.Uint("pull-bits", 0, "compressed pull-response bits (distributed; 0 = raw floats)")
+		pullBits = flag.Uint("pull-bits", 0, "compact split records when nonzero, at a supported width (distributed; 0 = full records)")
 		valFrac  = flag.Float64("validate", 0.1, "held-out fraction for the final report")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for per-tree checkpoints (distributed mode)")
 		resume   = flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir")

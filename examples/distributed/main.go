@@ -1,7 +1,7 @@
 // Command distributed trains over an in-process parameter-server cluster
-// and demonstrates the paper's communication optimizations: it compares
-// full-precision vs 8-bit compressed histograms and two-phase vs raw-shard
-// split finding, printing the traffic each configuration moves.
+// and demonstrates the paper's low-precision histograms: it compares
+// full-precision with 8-bit compressed pushes, printing the traffic each
+// configuration moves. Split finding is two-phase in both.
 package main
 
 import (
@@ -31,10 +31,6 @@ func main() {
 	variants := []variant{
 		{"full-precision, two-phase", func(c *dimboost.ClusterConfig) { c.Bits = 0 }},
 		{"8-bit compressed, two-phase (DimBoost default)", func(c *dimboost.ClusterConfig) { c.Bits = 8 }},
-		{"full-precision, raw-shard pulls (no two-phase)", func(c *dimboost.ClusterConfig) {
-			c.Bits = 0
-			c.DisableTwoPhase = true
-		}},
 	}
 
 	fmt.Printf("%-48s %10s %12s %12s %9s\n", "configuration", "time", "bytes moved", "modeled-comm", "test-err")
@@ -58,6 +54,6 @@ func main() {
 			res.Stats.ModeledCommTime.Round(time.Microsecond),
 			dimboost.ErrorRate(test.Labels, preds))
 	}
-	fmt.Println("\ncompression cuts bytes ~4x with no accuracy loss; two-phase split finding")
-	fmt.Println("replaces histogram-sized pulls with one split record per server.")
+	fmt.Println("\ncompression cuts histogram bytes with no accuracy loss; two-phase split")
+	fmt.Println("finding answers each node with one split record per server.")
 }

@@ -87,8 +87,7 @@ func modelsAgree(a, b *core.Model) bool {
 // TestMeshRanksAreTheClusterFloatOracle: the mesh ranks build every node
 // from the float rows and derive nothing, so on the exact wire the cluster,
 // which builds from bin ids and derives siblings on its servers, must grow
-// their trees at the same worker count — for 1–3 servers, with two-phase
-// split finding on and off. The cluster merges per-shard sketches on its
+// their trees at the same worker count — for 1–3 servers. The cluster merges per-shard sketches on its
 // servers while the mesh sketches the whole data; at a rank error below
 // 1/(2·rows) neither sketch drops a value, so both propose the same cuts.
 func TestMeshRanksAreTheClusterFloatOracle(t *testing.T) {
@@ -105,18 +104,15 @@ func TestMeshRanksAreTheClusterFloatOracle(t *testing.T) {
 			meshes[i] = m
 		}
 		for p := 1; p <= 3; p++ {
-			for _, onePhase := range []bool{false, true} {
-				res, err := cluster.Train(train, cluster.Config{
-					Config: cfg, NumWorkers: w, NumServers: p, ExactWire: true, DisableTwoPhase: onePhase,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, mesh := range meshes {
-					if !modelsAgree(mesh, res.Model) {
-						t.Fatalf("w=%d p=%d one-phase=%v sparse=%v: the cluster model differs from the mesh's float build",
-							w, p, onePhase, i == 1)
-					}
+			res, err := cluster.Train(train, cluster.Config{
+				Config: cfg, NumWorkers: w, NumServers: p, ExactWire: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, mesh := range meshes {
+				if !modelsAgree(mesh, res.Model) {
+					t.Fatalf("w=%d p=%d sparse=%v: the cluster model differs from the mesh's float build", w, p, i == 1)
 				}
 			}
 		}

@@ -145,42 +145,6 @@ func TestAllWorkersAgreeOnModel(t *testing.T) {
 	}
 }
 
-func TestAblationsStillTrain(t *testing.T) {
-	d := testData(t, 500, 59)
-	base := smallCfg(3, 2)
-	base.ExactWire = true
-	ref, err := Train(d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, mutate := range map[string]func(*Config){
-		"no-two-phase": func(c *Config) { c.DisableTwoPhase = true },
-		"no-scheduler": func(c *Config) { c.DisableScheduler = true },
-		"both-off":     func(c *Config) { c.DisableTwoPhase = true; c.DisableScheduler = true },
-	} {
-		cfg := base
-		mutate(&cfg)
-		res, err := Train(d, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// two-phase and the scheduler are pure communication optimizations:
-		// the model must not change. (The no-two-phase pull narrows shards
-		// to float32, so compare with the float32-pull variant separately.)
-		if name == "no-scheduler" {
-			if !sameStructure(t, ref.Model, res.Model) {
-				t.Fatalf("%s: model changed", name)
-			}
-		} else {
-			_, e1 := ref.Model.Evaluate(d)
-			_, e2 := res.Model.Evaluate(d)
-			if math.Abs(e1-e2) > 0.05 {
-				t.Fatalf("%s: error %v vs %v", name, e2, e1)
-			}
-		}
-	}
-}
-
 func TestCompressedTrainingAccuracy(t *testing.T) {
 	// §7.2: 8-bit histograms should not significantly damage accuracy.
 	d := testData(t, 1500, 61)
@@ -206,24 +170,6 @@ func TestCompressedTrainingAccuracy(t *testing.T) {
 	// compression must reduce bytes moved
 	if resComp.Stats.TotalBytes >= resFull.Stats.TotalBytes {
 		t.Fatalf("compressed moved %d bytes, full %d", resComp.Stats.TotalBytes, resFull.Stats.TotalBytes)
-	}
-}
-
-func TestTwoPhaseReducesTraffic(t *testing.T) {
-	d := testData(t, 500, 63)
-	base := smallCfg(3, 3)
-	on, err := Train(d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := base
-	off.DisableTwoPhase = true
-	offRes, err := Train(d, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Stats.TotalBytes >= offRes.Stats.TotalBytes {
-		t.Fatalf("two-phase on moved %d bytes, off %d — should be less", on.Stats.TotalBytes, offRes.Stats.TotalBytes)
 	}
 }
 

@@ -26,17 +26,12 @@ type Config struct {
 	NumServers int
 	// Bits is the compressed histogram width r (§6.1); 0 sends float32.
 	Bits uint
-	// PullBits asks servers to fixed-point compress pull responses (merged
-	// histograms, split statistics) at this width; 0 pulls raw floats.
+	// PullBits, when nonzero, asks servers for compact split records: the
+	// statistics narrowed to float32, feature and value exact. It must be a
+	// supported fixed-point width; 0 pulls full records.
 	PullBits uint
 	// ExactWire sends float64 histograms, for bit-reproducibility tests.
 	ExactWire bool
-	// DisableTwoPhase pulls raw histogram shards instead of server-side
-	// splits (ablation, Table 3).
-	DisableTwoPhase bool
-	// DisableScheduler routes every split task to worker 0 (ablation,
-	// Table 3).
-	DisableScheduler bool
 	// SerializeCompute makes workers take a shared lock around their
 	// compute sections, so per-worker phase timers measure each worker's
 	// own work instead of including time-sliced interference — essential

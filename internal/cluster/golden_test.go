@@ -43,7 +43,7 @@ func fmaFree() bool {
 
 // goldenRuns are the wire settings whose models TestGoldenModelHashes pins:
 // a 2×2 cluster at each push width — 0 (float32), 16, 8 — and on the exact
-// wire, each with two-phase split finding on and off, plus one 3×2 run.
+// wire, plus one 3×2 run.
 func goldenRuns() map[string]Config {
 	runs := map[string]Config{}
 	for _, w := range []struct {
@@ -51,16 +51,10 @@ func goldenRuns() map[string]Config {
 		bits  uint
 		exact bool
 	}{{"float32", 0, false}, {"bits16", 16, false}, {"bits8", 8, false}, {"exact", 0, true}} {
-		for _, onePhase := range []bool{false, true} {
-			cfg := smallCfg(2, 2)
-			cfg.NumTrees, cfg.MaxDepth = 3, 5
-			cfg.Bits, cfg.PullBits, cfg.ExactWire, cfg.DisableTwoPhase = w.bits, w.bits, w.exact, onePhase
-			name := "2x2/" + w.name
-			if onePhase {
-				name += "/one-phase"
-			}
-			runs[name] = cfg
-		}
+		cfg := smallCfg(2, 2)
+		cfg.NumTrees, cfg.MaxDepth = 3, 5
+		cfg.Bits, cfg.PullBits, cfg.ExactWire = w.bits, w.bits, w.exact
+		runs["2x2/"+w.name] = cfg
 	}
 	cfg := smallCfg(3, 2)
 	cfg.NumTrees, cfg.MaxDepth = 3, 5

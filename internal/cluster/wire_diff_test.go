@@ -67,23 +67,20 @@ func TestWireDifferential(t *testing.T) {
 	type combo struct {
 		bits, pullBits uint
 		exact          bool
-		// onePhase pulls whole histograms instead of server-side splits, so a
-		// derived node's marker rides on the histogram pull.
-		onePhase bool
 	}
 	var combos []combo
 	for _, bits := range []uint{0, 8} {
 		for _, pullBits := range []uint{0, 8} {
-			combos = append(combos, combo{bits, pullBits, false, false})
+			combos = append(combos, combo{bits, pullBits, false})
 		}
 	}
-	combos = append(combos, combo{0, 0, true, false}, combo{0, 0, true, true}, combo{8, 8, false, true})
+	combos = append(combos, combo{0, 0, true})
 
 	maxDelta := 0.0
 	for _, c := range combos {
-		name := fmt.Sprintf("bits=%d pull=%d exact=%v one-phase=%v", c.bits, c.pullBits, c.exact, c.onePhase)
+		name := fmt.Sprintf("bits=%d pull=%d exact=%v", c.bits, c.pullBits, c.exact)
 		cfg := base
-		cfg.Bits, cfg.PullBits, cfg.ExactWire, cfg.DisableTwoPhase = c.bits, c.pullBits, c.exact, c.onePhase
+		cfg.Bits, cfg.PullBits, cfg.ExactWire = c.bits, c.pullBits, c.exact
 		res, err := Train(train, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -108,10 +105,10 @@ func TestWireDifferential(t *testing.T) {
 }
 
 // TestCompressedDeterministicMultiWorker: the fully compressed configuration
-// (8-bit both directions, several workers) must still be run-to-run
-// deterministic — stochastic rounding is seeded per worker, servers merge in
-// worker order, and pull responses use the deterministic server-side
-// encoder.
+// (8-bit pushes and compact split records, several workers) must still be
+// run-to-run deterministic — stochastic rounding is seeded per worker,
+// servers merge in worker order, and a split reply depends on the pushes
+// alone.
 func TestCompressedDeterministicMultiWorker(t *testing.T) {
 	d := testData(t, 400, 85)
 	cfg := smallCfg(3, 2)
@@ -129,13 +126,12 @@ func TestCompressedDeterministicMultiWorker(t *testing.T) {
 	}
 }
 
-// TestPullCompressionReducesTraffic: asking servers to compress their
-// responses must shrink total bytes moved relative to push-only compression.
+// TestPullCompressionReducesTraffic: asking servers for compact split
+// records must shrink total bytes moved relative to push-only compression.
 func TestPullCompressionReducesTraffic(t *testing.T) {
 	d := testData(t, 500, 89)
 	cfg := smallCfg(3, 2)
 	cfg.Bits = 8
-	cfg.DisableTwoPhase = true // make pull traffic dominant
 	pushOnly, err := Train(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +189,7 @@ func TestWireLadderBytesAndQuality(t *testing.T) {
 
 	// The "op/direction" keys of ps.WireBytes whose payloads carry histogram
 	// or split-statistic vectors — the bytes wire compression targets.
-	histOps := []string{"push_hist/in", "pull_split/out", "pull_hist_shard/out", "pull_split_results/out"}
+	histOps := []string{"push_hist/in", "pull_split/out", "pull_split_results/out"}
 	type rung struct {
 		name           string
 		bits, pullBits uint

@@ -59,10 +59,8 @@ type worker struct {
 	resume *Checkpoint
 
 	// The tree and layer being grown: the tree index (−1 before the first),
-	// the layout of its histograms, and the layer's start and time spent in
-	// PS round trips.
+	// and the layer's start and time spent in PS round trips.
 	t          int
-	layout     *histogram.Layout
 	layerStart time.Time
 	psD        time.Duration
 }
@@ -251,14 +249,12 @@ func (wk *worker) Derives() bool { return true }
 
 // Built is BUILD_HISTOGRAM's push: the node's local histogram goes to the PS
 // as soon as it is built, and back into the pool once the synchronous push
-// returns (which may have materialised it — Reset handles any state). A
-// derived node has nothing to push.
+// returns. A derived node has nothing to push.
 func (wk *worker) Built(node int, h *histogram.Histogram, pool *histogram.Pool) error {
 	if h == nil {
 		return nil
 	}
 	defer pool.Put(h)
-	wk.layout = h.Layout
 	return wk.rpc(func() error { return wk.client.PushHistogram(node, h) })
 }
 
@@ -275,11 +271,7 @@ func (wk *worker) Splits(depth int, layer []core.LayerNode) ([]core.Decision, er
 	terr := wk.tr.Time(wk, "find_split", depth, func() {
 		for i, nd := range layer {
 			nodes[i] = nd.Node
-			owner := i % cfg.NumWorkers
-			if cfg.DisableScheduler {
-				owner = 0 // a single agent handles every node (ablation)
-			}
-			if owner != wk.id || err != nil {
+			if i%cfg.NumWorkers != wk.id || err != nil {
 				continue
 			}
 			var res core.Decision
@@ -310,38 +302,19 @@ func (wk *worker) Splits(depth int, layer []core.LayerNode) ([]core.Decision, er
 	return decisions, nil
 }
 
-// findSplit finds one node's global split: two-phase, from the servers'
-// shard-local bests, or — DisableTwoPhase, the Table 3 ablation — by pulling
-// the full histogram shards (h/p bytes per server instead of one split
-// record) and running Algorithm 1 locally.
+// findSplit finds one node's global split, two-phase: every server answers
+// with its shard-local best and the client folds them.
 func (wk *worker) findSplit(nd core.LayerNode) (res core.Decision, err error) {
 	cfg := wk.cfg
-	if !cfg.DisableTwoPhase {
-		pull := wk.client.PullSplit
-		if nd.Derived {
-			pull = wk.client.PullDerivedSplit
-		}
-		err = wk.rpc(func() (err error) {
-			res, err = pull(nd.Node, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
-			return err
-		})
-		return res, err
-	}
-	pull := wk.client.PullHistogram
+	pull := wk.client.PullSplit
 	if nd.Derived {
-		pull = wk.client.PullDerivedHistogram
+		pull = wk.client.PullDerivedSplit
 	}
-	var hist *histogram.Histogram
-	if err := wk.rpc(func() (err error) { hist, err = pull(nd.Node, wk.layout); return err }); err != nil {
-		return res, err
-	}
-	tg, th := hist.FeatureTotals(0)
-	return core.Decision{
-		Split:     core.FindSplit(hist, tg, th, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian),
-		G:         tg,
-		H:         th,
-		HasTotals: true,
-	}, nil
+	err = wk.rpc(func() (err error) {
+		res, err = pull(nd.Node, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
+		return err
+	})
+	return res, err
 }
 
 // Done records the worker's phase spans; a finished SPLIT_TREE also records

@@ -13,8 +13,8 @@ import (
 
 func TestMaxAbsZeroShard(t *testing.T) {
 	// A shard whose buckets are all exactly zero (a worker saw no rows for
-	// the partition) must encode with MaxAbs=0, validate, and merge as a
-	// no-op regardless of what the payload bytes claim.
+	// the partition) must encode with MaxAbs=0 and merge as a no-op
+	// regardless of what the payload bytes claim.
 	for _, bits := range SupportedBits {
 		c, err := NewEncoder(1).Encode(make([]float64, 33), bits)
 		if err != nil {
@@ -22,9 +22,6 @@ func TestMaxAbsZeroShard(t *testing.T) {
 		}
 		if c.MaxAbs != 0 {
 			t.Fatalf("bits=%d: MaxAbs %v", bits, c.MaxAbs)
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
 		}
 		dst := []float64{1, 2, 3}
 		dst = append(dst, make([]float64, 30)...)
@@ -43,10 +40,6 @@ func TestOneBitWidthRejected(t *testing.T) {
 	if _, err := NewEncoder(1).Encode([]float64{1, -1}, 1); !errors.Is(err, ErrBadWidth) {
 		t.Fatalf("1-bit encode: %v", err)
 	}
-	c := &Compressed{Bits: 1, N: 2, Data: []byte{0x3}}
-	if err := c.Validate(); !errors.Is(err, ErrBadWidth) {
-		t.Fatalf("1-bit validate: %v", err)
-	}
 }
 
 func TestSixteenBitExtremes(t *testing.T) {
@@ -61,9 +54,6 @@ func TestSixteenBitExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	dec := Decode(c)
 	step := c.MaxError()
 	for i, v := range values {
@@ -76,59 +66,6 @@ func TestSixteenBitExtremes(t *testing.T) {
 func TestNegativeInfRejected(t *testing.T) {
 	if _, err := NewEncoder(3).Encode([]float64{math.Inf(-1)}, 8); err == nil {
 		t.Fatal("-Inf accepted")
-	}
-}
-
-func TestDeterministicEncoderHalfStepBound(t *testing.T) {
-	// Nearest rounding (the server-side pull encoder) halves the error
-	// bound: |decode(encode(v)) − v| ≤ MaxAbs/2^(bits−1) — tighter than
-	// the stochastic encoder's full step MaxAbs/(2^(bits−1)−1).
-	rng := rand.New(rand.NewSource(17))
-	values := make([]float64, 2000)
-	for i := range values {
-		values[i] = rng.NormFloat64() * 1e3
-	}
-	enc := NewDeterministicEncoder()
-	for _, bits := range SupportedBits {
-		c, err := enc.Encode(values, bits)
-		if err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
-		}
-		bound := c.MaxAbs / float64(int64(1)<<(bits-1))
-		dec := Decode(c)
-		for i, v := range values {
-			if math.Abs(dec[i]-v) > bound*(1+1e-12) {
-				t.Fatalf("bits=%d idx=%d: |%v − %v| = %v > MaxAbs/2^(bits−1) = %v",
-					bits, i, dec[i], v, math.Abs(dec[i]-v), bound)
-			}
-		}
-	}
-}
-
-func TestDeterministicEncoderIsReproducibleAndConcurrent(t *testing.T) {
-	values := []float64{0.3, -0.7, 12.5, 0}
-	a, err := NewDeterministicEncoder().Encode(values, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan *Compressed, 8)
-	shared := NewDeterministicEncoder()
-	for i := 0; i < 8; i++ {
-		go func() {
-			c, _ := shared.Encode(values, 8)
-			done <- c
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		c := <-done
-		if c == nil {
-			t.Fatal("concurrent encode failed")
-		}
-		for j := range a.Data {
-			if c.Data[j] != a.Data[j] {
-				t.Fatal("deterministic encodes differ")
-			}
-		}
 	}
 }
 
@@ -153,35 +90,6 @@ func TestStochasticQuantizationErrorBound(t *testing.T) {
 			if math.Abs(dec[i]-v) > step*(1+1e-12) {
 				t.Fatalf("bits=%d idx=%d: error %v exceeds step %v", bits, i, math.Abs(dec[i]-v), step)
 			}
-		}
-	}
-}
-
-func TestCompressedValidate(t *testing.T) {
-	c, err := NewEncoder(4).Encode([]float64{1, 2, 3}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*Compressed)
-		want   error
-	}{
-		{"width", func(c *Compressed) { c.Bits = 200 }, ErrBadWidth},
-		{"negative N", func(c *Compressed) { c.N = -1 }, ErrBadHeader},
-		{"Inf MaxAbs", func(c *Compressed) { c.MaxAbs = math.Inf(1) }, ErrBadHeader},
-		{"short data", func(c *Compressed) { c.Data = c.Data[:1] }, ErrSizeMismatch},
-		{"long data", func(c *Compressed) { c.Data = append(c.Data, 0, 0) }, ErrSizeMismatch},
-	}
-	for _, tc := range cases {
-		d := *c
-		d.Data = append([]byte(nil), c.Data...)
-		tc.mutate(&d)
-		if err := d.Validate(); !errors.Is(err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

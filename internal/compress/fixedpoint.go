@@ -20,12 +20,9 @@ import (
 var (
 	// ErrBadWidth reports a quantization width outside SupportedBits.
 	ErrBadWidth = errors.New("compress: unsupported bit width")
-	// ErrBadHeader reports an out-of-range header field (negative N,
-	// non-finite or negative MaxAbs).
+	// ErrBadHeader reports an out-of-range header field of a wire payload
+	// (an unknown tag, a non-finite or negative scale).
 	ErrBadHeader = errors.New("compress: invalid header")
-	// ErrSizeMismatch reports a payload whose data length disagrees with
-	// the element count declared in its header.
-	ErrSizeMismatch = errors.New("compress: payload size mismatch")
 	// ErrNonFinite reports an encoder input containing NaN or ±Inf, which
 	// max-abs scaling cannot represent.
 	ErrNonFinite = errors.New("compress: non-finite input")
@@ -68,9 +65,7 @@ func CompressedSize(n int, bits uint) int {
 
 // Encoder quantizes vectors. It carries its own RNG so that stochastic
 // rounding is deterministic given a seed — distributed tests rely on this.
-// An Encoder with an RNG is not safe for concurrent use; create one per
-// goroutine. A deterministic Encoder (nil RNG) is stateless and safe to
-// share.
+// An Encoder is not safe for concurrent use; create one per goroutine.
 type Encoder struct {
 	rng *rand.Rand
 }
@@ -78,16 +73,6 @@ type Encoder struct {
 // NewEncoder returns an Encoder seeded for reproducible stochastic rounding.
 func NewEncoder(seed int64) *Encoder {
 	return &Encoder{rng: rand.New(rand.NewSource(seed))}
-}
-
-// NewDeterministicEncoder returns an Encoder that rounds to nearest instead
-// of stochastically. Its output depends only on the input vector, so it is
-// safe for concurrent use and retried encodes are byte-identical — the
-// parameter server uses it for pull responses, where rounding that depends
-// on request arrival order would break run-to-run determinism. The error
-// bound tightens to half a quantization step.
-func NewDeterministicEncoder() *Encoder {
-	return &Encoder{}
 }
 
 // MaxAbs computes the fixed-point scale of a vector given in parts — its
@@ -130,24 +115,9 @@ func (e *Encoder) Encode(values []float64, bits uint) (*Compressed, error) {
 // fixed-point width.
 func PackedSize(n int, bits uint) int { return (n*int(bits) + 7) / 8 }
 
-// Pack quantizes the concatenation of parts into data, which must be
-// zeroed and PackedSize(total, bits) long — Encode without the intermediate
-// Compressed, for callers that own the destination (a request buffer).
-// bits must be a supported width and maxAbs the vector's MaxAbs. One
-// rounding decision is drawn per element in order, none at all when maxAbs
-// is zero, exactly as Encode does on the concatenated vector.
-func (e *Encoder) Pack(data []byte, bits uint, maxAbs float64, parts ...[]float64) {
-	at := 0
-	for _, part := range parts {
-		e.pack(data, at, part, bits, maxAbs)
-		at += len(part)
-	}
-}
-
 // pack writes vals as elements [at, at+len(vals)) of the packed array. The
-// 8- and 16-bit widths are byte-aligned, so stochastic rounding — the push
-// path — stores whole bytes in a loop of its own; the sub-byte widths and
-// the deterministic encoder share the bit-cursor loop.
+// 8- and 16-bit widths are byte-aligned, so they store whole bytes in loops
+// of their own; the sub-byte widths share the bit-cursor loop.
 //
 // No level is clamped: |v| ≤ maxAbs makes |v/maxAbs·levels| ≤ levels, and
 // rounding moves a value at most to the next integer, which is still a
@@ -159,8 +129,8 @@ func (e *Encoder) pack(data []byte, at int, vals []float64, bits uint, maxAbs fl
 	}
 	levels := float64(int64(1)<<(bits-1) - 1) // e.g. 127 for 8 bits
 	rng := e.rng
-	switch {
-	case rng != nil && bits == 8:
+	switch bits {
+	case 8:
 		out := data[at : at+len(vals)]
 		for i, v := range vals {
 			t := v / maxAbs * levels
@@ -173,7 +143,7 @@ func (e *Encoder) pack(data []byte, at int, vals []float64, bits uint, maxAbs fl
 			}
 			out[i] = byte(q)
 		}
-	case rng != nil && bits == 16:
+	case 16:
 		out := data[2*at : 2*(at+len(vals))]
 		for i, v := range vals {
 			t := v / maxAbs * levels
@@ -187,15 +157,10 @@ func (e *Encoder) pack(data []byte, at int, vals []float64, bits uint, maxAbs fl
 	default:
 		for i, v := range vals {
 			t := v / maxAbs * levels
-			var q int64
-			if rng != nil {
-				f := math.Floor(t)
-				q = int64(f)
-				if rng.Float64() < t-f {
-					q++
-				}
-			} else {
-				q = int64(math.Round(t))
+			f := math.Floor(t)
+			q := int64(f)
+			if rng.Float64() < t-f {
+				q++
 			}
 			putBits(data, at+i, bits, uint64(q)&((1<<bits)-1))
 		}
@@ -244,28 +209,6 @@ func addPacked(dst []float64, data []byte, at int, bits uint, maxAbs float64) {
 			dst[i] += float64(signExtend(getBits(data, at+i, bits), bits)) * inv
 		}
 	}
-}
-
-// Validate checks that a payload read off the wire is internally consistent
-// before any decode touches it: the width is supported, the header fields
-// are in range, and the data length matches the declared element count.
-// Decode and DecodeInto index Data by N and shift by Bits, so skipping this
-// on untrusted input risks a panic.
-func (c *Compressed) Validate() error {
-	if !validBits(c.Bits) {
-		return fmt.Errorf("%w: %d", ErrBadWidth, c.Bits)
-	}
-	if c.N < 0 {
-		return fmt.Errorf("%w: negative element count %d", ErrBadHeader, c.N)
-	}
-	if math.IsNaN(c.MaxAbs) || math.IsInf(c.MaxAbs, 0) || c.MaxAbs < 0 {
-		return fmt.Errorf("%w: MaxAbs %v", ErrBadHeader, c.MaxAbs)
-	}
-	if want := PackedSize(c.N, c.Bits); len(c.Data) != want {
-		return fmt.Errorf("%w: %d data bytes for %d %d-bit values (want %d)",
-			ErrSizeMismatch, len(c.Data), c.N, c.Bits, want)
-	}
-	return nil
 }
 
 // MaxError returns the worst-case absolute reconstruction error for this

@@ -155,22 +155,15 @@ func (e *Encoder) PackPresent(data []byte, bits uint, maxAbs float64, present []
 		for _, part := range parts {
 			for _, v := range part {
 				if !bitSet(present, k) {
-					if rng != nil {
-						rng.Float64()
-					}
+					rng.Float64()
 					k++
 					continue
 				}
 				t := v / maxAbs * levels
-				var q int64
-				if rng != nil {
-					f := math.Floor(t)
-					q = int64(f)
-					if rng.Float64() < t-f {
-						q++
-					}
-				} else {
-					q = int64(math.Round(t))
+				f := math.Floor(t)
+				q := int64(f)
+				if rng.Float64() < t-f {
+					q++
 				}
 				switch bits {
 				case 8:

@@ -7,8 +7,11 @@ import (
 
 	"dimboost/internal/cluster"
 	"dimboost/internal/core"
+	"dimboost/internal/dataset"
 	"dimboost/internal/histogram"
 	"dimboost/internal/loss"
+	"dimboost/internal/ps"
+	"dimboost/internal/simnet"
 	"dimboost/internal/sketch"
 	"dimboost/internal/tree"
 )
@@ -27,13 +30,18 @@ type Table3Result struct {
 	LastLayerNoIndex time.Duration
 	LastLayerIndexed time.Duration
 	// Building one full tree over the distributed runtime, optimizations
-	// consolidated cumulatively.
+	// consolidated cumulatively. The first two rows are priced from the
+	// two-phase float32 run (see onePhase), the last two are run.
 	TreeBase       time.Duration // no scheduler, no two-phase, float32
 	TreeScheduler  time.Duration // + round-robin scheduler
 	TreeTwoPhase   time.Duration // + two-phase split finding
 	TreeCompressed time.Duration // + 8-bit histograms
 	ErrFullPrec    float64       // test error, float32 histograms
 	ErrCompressed  float64       // test error, 8-bit histograms
+
+	// Bytes the float32 run moved, two-phase as run and one-phase as
+	// priced.
+	twoPhaseBytes, onePhaseBytes int64
 }
 
 // Table3 reproduces Table 3: the effect of each proposed optimization,
@@ -159,42 +167,48 @@ func Table3(w io.Writer, scale Scale) (*Table3Result, error) {
 	// than the 8-bit run's own seed-to-seed spread.
 	treeData := genderScaled(max(scale.rows(6_000), 1_200), features, 33)
 	train, test := treeData.Split(0.9)
-	base := cluster.DefaultConfig(4, 4)
-	base.Config = expConfig()
-	base.NumTrees = 3
-	base.Bits = 0
-	base.DisableScheduler = true
-	base.DisableTwoPhase = true
-	base.SerializeCompute = true
+	cfg := cluster.DefaultConfig(4, 4)
+	cfg.Config = expConfig()
+	cfg.NumTrees = 3
+	cfg.Bits = 0
+	cfg.SerializeCompute = true
 
-	perTree := func(cfg cluster.Config) (time.Duration, float64, error) {
-		r, err := cluster.Train(train, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		modeled := r.Stats.Compute.Total() + r.Stats.ModeledCommTime
-		preds := r.Model.PredictBatch(test)
-		errRate := loss.ErrorRate(test.Labels, preds)
-		return modeled / time.Duration(cfg.NumTrees), errRate, nil
+	perTree := func(compute, comm time.Duration) time.Duration {
+		return (compute + comm) / time.Duration(cfg.NumTrees)
 	}
-
-	var err2 error
-	if res.TreeBase, res.ErrFullPrec, err2 = perTree(base); err2 != nil {
-		return nil, err2
+	errRate := func(r *cluster.Result) float64 {
+		return loss.ErrorRate(test.Labels, r.Model.PredictBatch(test))
 	}
-	cfg := base
-	cfg.DisableScheduler = false
-	if res.TreeScheduler, _, err2 = perTree(cfg); err2 != nil {
-		return nil, err2
+	ops0, _ := ps.WireBytes()
+	full, err := cluster.Train(train, cfg)
+	if err != nil {
+		return nil, err
 	}
-	cfg.DisableTwoPhase = false
-	if res.TreeTwoPhase, _, err2 = perTree(cfg); err2 != nil {
-		return nil, err2
-	}
+	ops1, _ := ps.WireBytes()
+	res.TreeTwoPhase = perTree(full.Stats.Compute.Total(), full.Stats.ModeledCommTime)
+	res.ErrFullPrec = errRate(full)
 	cfg.Bits = 8
-	if res.TreeCompressed, res.ErrCompressed, err2 = perTree(cfg); err2 != nil {
-		return nil, err2
+	comp, err := cluster.Train(train, cfg)
+	if err != nil {
+		return nil, err
 	}
+	res.TreeCompressed = perTree(comp.Stats.Compute.Total(), comp.Stats.ModeledCommTime)
+	res.ErrCompressed = errRate(comp)
+
+	op := onePhase{
+		servers: cfg.NumServers,
+		replies: ops1["pull_split/out"] - ops0["pull_split/out"],
+		stats:   full.Stats,
+	}
+	op.nodes, op.busiest = splitTasks(full.Model, cfg.MaxDepth, cfg.NumWorkers)
+	if op.shard, err = histogramBytes(train, cfg.Config); err != nil {
+		return nil, err
+	}
+	compute, msgs, bytes := op.price(true)
+	res.TreeScheduler = perTree(compute, modeledComm(msgs, bytes))
+	compute, msgs, bytes = op.price(false)
+	res.TreeBase = perTree(compute, modeledComm(msgs, bytes))
+	res.twoPhaseBytes, res.onePhaseBytes = full.Stats.TotalBytes, op.totalBytes()
 
 	section(w, fmt.Sprintf("Table 3 — effect of proposed optimizations (Gender-like %d×%d)", rows, features))
 	fmt.Fprintf(w, "%-58s %12s\n", "configuration", "time")
@@ -215,5 +229,83 @@ func Table3(w io.Writer, scale Scale) (*Table3Result, error) {
 		fmtDur(res.TreeCompressed), float64(res.TreeBase)/float64(res.TreeCompressed))
 	fmt.Fprintf(w, "test error: full precision %.4f, 8-bit %.4f (paper: 0.2509 vs 0.2514)\n",
 		res.ErrFullPrec, res.ErrCompressed)
+	fmt.Fprintf(w, "(the first two tree rows are priced from the float32 run's counts: one-phase moves %.1f MB, two-phase %.1f MB)\n",
+		float64(res.onePhaseBytes)/1e6, float64(res.twoPhaseBytes)/1e6)
 	return res, nil
+}
+
+// onePhase prices one-phase FIND_SPLIT from a two-phase run's counts. It
+// sends the same messages, but each node's owner receives the node's full
+// merged shards — shard bytes, the float32 histogram — instead of one split
+// record per server. Without the task scheduler worker 0 owns every node,
+// sends every split task's messages and does every split scan.
+type onePhase struct {
+	nodes, busiest int64 // FIND_SPLIT nodes, and the most one worker owned
+	servers        int
+	shard          int64 // bytes of one node's merged shards, all servers
+	replies        int64 // bytes of every split reply of the run
+	stats          cluster.Stats
+}
+
+// price returns the compute, the per-node message maximum and the per-node
+// byte maximum of the run with one-phase FIND_SPLIT, with or without the
+// scheduler. The busiest owner's extra bytes are added to the run's per-node
+// byte maximum, which may be another node's: an upper estimate.
+func (o onePhase) price(scheduler bool) (compute time.Duration, msgs, bytes int64) {
+	owner := o.busiest
+	if !scheduler {
+		owner = o.nodes
+	}
+	perTask := int64(o.servers) + 1 // a split pull per server, one result push
+	extra := o.shard - o.replies/o.nodes
+	findSplit := o.stats.Compute.FindSplit
+	compute = o.stats.Compute.Total() - findSplit + findSplit*time.Duration(owner)/time.Duration(o.busiest)
+	return compute, o.stats.MaxNodeMsgs + (owner-o.busiest)*perTask, o.stats.MaxNodeBytes + owner*extra
+}
+
+// totalBytes is the one-phase run's total traffic.
+func (o onePhase) totalBytes() int64 {
+	return o.stats.TotalBytes + o.nodes*o.shard - o.replies
+}
+
+// splitTasks counts the FIND_SPLIT nodes of a model's trees, and the most
+// any of w workers owned under the round-robin scheduler: the i-th node of a
+// layer, in node order, goes to worker i mod w. Every node of a layer above
+// the last is in the model, as a split or as a leaf.
+func splitTasks(m *core.Model, maxDepth, w int) (nodes, busiest int64) {
+	owned := make([]int64, w)
+	for _, tn := range m.Trees {
+		for depth := 0; depth < maxDepth-1; depth++ {
+			lo, hi := tree.LayerRange(depth)
+			i := 0
+			for node := lo; node < hi && node < len(tn.Nodes); node++ {
+				if tn.Nodes[node].Used {
+					owned[i%w]++
+					i++
+				}
+			}
+		}
+	}
+	for _, n := range owned {
+		nodes, busiest = nodes+n, max(busiest, n)
+	}
+	return nodes, busiest
+}
+
+// histogramBytes is the float32 size of one node histogram over every
+// feature of d, under the candidates cfg proposes from d's sketches.
+func histogramBytes(d *dataset.Dataset, cfg core.Config) (int64, error) {
+	set := sketch.NewSet(d.NumFeatures, cfg.ResolvedSketchEps())
+	set.AddDataset(d)
+	layout, err := histogram.NewLayout(histogram.AllFeatures(d.NumFeatures), set.Candidates(cfg.NumCandidates), d.NumFeatures)
+	if err != nil {
+		return 0, err
+	}
+	return int64(layout.SizeBytes()), nil
+}
+
+// modeledComm prices per-node traffic maxima with the §3 cost model, as
+// cluster.TrainOn does.
+func modeledComm(msgs, bytes int64) time.Duration {
+	return time.Duration(simnet.Cost(msgs, bytes, simnet.GigabitEthernet()) * float64(time.Second))
 }

@@ -27,12 +27,12 @@ type Client struct {
 	// Bits selects the compressed histogram width for pushes; 0 sends
 	// float32.
 	Bits uint
-	// PullBits asks servers to fixed-point compress pull responses (merged
-	// histograms, split results) at this width; 0 pulls raw floats.
+	// PullBits, when nonzero, asks servers for compact split records: the
+	// statistics narrowed to float32, feature and value exact.
 	PullBits uint
-	// Exact sends and pulls float64 buckets (twice the paper's wire size);
-	// used by tests needing bit-level agreement with single-process
-	// training. Mutually exclusive with Bits and PullBits.
+	// Exact sends float64 buckets (twice the paper's wire size); used by
+	// tests needing bit-level agreement with single-process training.
+	// Mutually exclusive with Bits and PullBits.
 	Exact bool
 
 	enc *compress.Encoder
@@ -41,8 +41,8 @@ type Client struct {
 	// what lets servers drop duplicates of mutating ops.
 	seq atomic.Uint64
 
-	// plan is the shard geometry of the layout last pushed or pulled — one
-	// per tree, since a tree's histograms share a layout.
+	// plan is the shard geometry of the layout last pushed — one per tree,
+	// since a tree's histograms share a layout.
 	plan *shardPlan
 	// pushReqs holds one reusable push request per server, and parts and
 	// hparts the span scratch they are encoded from. A request's bytes
@@ -241,73 +241,45 @@ func (c *Client) pushEncoding() vecEncoding {
 	return vecEncoding{bits: c.Bits, exact: c.Exact}
 }
 
-// pullEncoding is the vector encoding requested for server responses.
+// pullEncoding is the encoding stated in pull requests: it decides the
+// split-record layout.
 func (c *Client) pullEncoding() vecEncoding {
 	return vecEncoding{bits: c.PullBits, exact: c.Exact}
 }
 
 // PushHistogram shards a node's local histogram across the fleet, applying
-// the configured low-precision compression (FIND_SPLIT, push half). A
-// deferred histogram travels in touched space — each shard's touched set,
-// deferred mass and touched buckets (deferred.go) — unless that would not be
-// smaller than its materialised form; then it is materialised in place and
-// pushed as two dense vectors, like a materialised one, so a push never
-// grows.
+// the configured low-precision compression (FIND_SPLIT, push half). Each
+// server's shard travels in touched space — its touched set, deferred mass
+// and touched buckets (deferred.go). A materialised histogram goes with every
+// position touched and its node totals as the mass. A mass the wire cannot
+// carry finite is refused with compress.ErrNonFinite.
 func (c *Client) PushHistogram(node int, hist *histogram.Histogram) error {
 	plan := c.planFor(hist.Layout)
-	ev := c.pushEncoding()
-	if hist.Deferred() && !c.deferredIsSmaller(plan, hist, ev) {
-		hist.Materialize()
-	}
-	deferred := hist.Deferred()
+	width := c.pushEncoding().spanBits()
 	massG, massH := hist.DeferredMass()
+	if !hist.Deferred() {
+		massG, massH = hist.FeatureTotals(0)
+	}
+	if !finite(wireMass(massG, width)) || !finite(wireMass(massH, width)) {
+		return compress.ErrNonFinite
+	}
 	// Requests are encoded serially, server by server and G before H: the
 	// stochastic compressor is not concurrency-safe, and its draw order is
 	// part of the run's reproducibility.
 	for sv, w := range c.pushReqs {
+		ts := &c.touched[sv]
+		plan.touched(ts, sv, hist)
+		c.parts = spanParts(c.parts, ts.runs, hist.G)
+		c.hparts = spanParts(c.hparts, ts.runs, hist.H)
 		w.Reset()
 		c.writeEnvelope(w)
 		w.Int32(int32(node))
-		if deferred {
-			ts := &c.touched[sv]
-			c.parts = spanParts(c.parts, ts.runs, hist.G)
-			c.hparts = spanParts(c.hparts, ts.runs, hist.H)
-			if err := writeDeferredShard(w, c.enc, ev.spanBits(), ts, plan.npos[sv], massG, massH, c.parts, c.hparts); err != nil {
-				return err
-			}
-			continue
-		}
-		c.parts = plan.parts(c.parts, sv, hist.G)
-		if err := writeHistVector(w, c.enc, ev, c.parts...); err != nil {
-			return err
-		}
-		c.parts = plan.parts(c.parts, sv, hist.H)
-		if err := writeHistVector(w, c.enc, ev, c.parts...); err != nil {
+		if err := writeDeferredShard(w, c.enc, width, ts, plan.npos[sv], massG, massH, c.parts, c.hparts); err != nil {
 			return err
 		}
 	}
 	_, err := c.fanOut(OpPushHist, func(sv int) *wire.Writer { return c.pushReqs[sv] })
 	return err
-}
-
-// deferredIsSmaller splits a deferred histogram's touched set into c.touched,
-// one share per server, and reports whether pushing it in touched space puts
-// no more bytes on the wire than its materialised form would. A non-finite
-// deferred mass — as the wire would carry it — is never sent deferred: the
-// materialised push treats it as it always has.
-func (c *Client) deferredIsSmaller(plan *shardPlan, hist *histogram.Histogram, ev vecEncoding) bool {
-	massG, massH := hist.DeferredMass()
-	if !finite(wireMass(massG, ev.spanBits())) || !finite(wireMass(massH, ev.spanBits())) {
-		return false
-	}
-	deferred, materialised := 0, 0
-	for sv := range c.touched {
-		ts := &c.touched[sv]
-		plan.touched(ts, sv, hist)
-		deferred += deferredShardSize(ts, plan.npos[sv], ev.spanBits())
-		materialised += 2 * denseVecSize(plan.size[sv], ev)
-	}
-	return deferred <= materialised
 }
 
 // PullSplit asks every server for its shard-local best split and folds them
@@ -353,57 +325,6 @@ func (c *Client) pullSplit(node int, derive bool, lambda, gamma, minChild float6
 		}
 	}
 	return out, nil
-}
-
-// PullHistogram reassembles the full merged histogram from server shards
-// (the two-phase-disabled path), under the negotiated response encoding.
-// layout must be the worker's full layout.
-func (c *Client) PullHistogram(node int, layout *histogram.Layout) (*histogram.Histogram, error) {
-	return c.pullHistogram(node, false, layout)
-}
-
-// PullDerivedHistogram is PullHistogram for a node no worker pushed; see
-// PullDerivedSplit.
-func (c *Client) PullDerivedHistogram(node int, layout *histogram.Layout) (*histogram.Histogram, error) {
-	return c.pullHistogram(node, true, layout)
-}
-
-func (c *Client) pullHistogram(node int, derive bool, layout *histogram.Layout) (*histogram.Histogram, error) {
-	req := func(int) *wire.Writer {
-		w := c.newRequest(7)
-		w.Int32(int32(node))
-		writeEncoding(w, c.pullEncoding())
-		w.Bool(derive)
-		return w
-	}
-	resps, err := c.fanOut(OpPullHistShard, req)
-	if err != nil {
-		return nil, err
-	}
-	plan := c.planFor(layout)
-	hist := histogram.New(layout)
-	for sv, resp := range resps {
-		// The expected shard length comes from the client's own plan, so a
-		// response shaped for a different layout is rejected with a typed
-		// ShapeError inside the vector read.
-		r := wire.NewReader(resp.Body)
-		g, err := readHistVector(r, fmt.Sprintf("g shard from server %d", sv), plan.size[sv])
-		if err != nil {
-			return nil, err
-		}
-		h, err := readHistVector(r, fmt.Sprintf("h shard from server %d", sv), plan.size[sv])
-		if err != nil {
-			return nil, err
-		}
-		off := 0
-		for _, sp := range plan.spans[sv] {
-			n := sp.hi - sp.lo
-			copy(hist.G[sp.lo:sp.hi], g[off:off+n])
-			copy(hist.H[sp.lo:sp.hi], h[off:off+n])
-			off += n
-		}
-	}
-	return hist, nil
 }
 
 // PushSplitResult stores a node's global best split (plus its node totals,

@@ -12,10 +12,12 @@ import (
 	"dimboost/internal/wire"
 )
 
-// The deferred shard push. A node histogram built deferred — a touched
-// bitset plus the zero mass every untouched position is owed, see
-// histogram.Histogram — crosses the wire in touched space. Each server's
-// shard is two VecDeferred vectors. The G vector is
+// The deferred shard push, the one form a histogram crosses the wire in. A
+// node histogram built deferred — a touched bitset plus the zero mass every
+// untouched position is owed, see histogram.Histogram — travels in touched
+// space; a materialised one travels with every position touched and its node
+// totals as the mass. Each server's shard is two VecDeferred vectors. The G
+// vector is
 //
 //	tag u8 | width u8 | positions u32 | touched set |
 //	mass | maxAbs f64 | count u32 | [present u32 | presence ⌈count/8⌉ bytes] |
@@ -70,14 +72,6 @@ func validSpanWidth(width uint) bool {
 // finite reports whether x is neither NaN nor an infinity.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// massSize is the wire size of a deferred mass at a width.
-func massSize(width uint) int {
-	if width == compress.RawFloat32 {
-		return 4
-	}
-	return 8
-}
-
 // wireMass is a deferred mass as a width carries it: narrowed to float32 on
 // the raw float32 wire, verbatim otherwise.
 func wireMass(mass float64, width uint) float64 {
@@ -85,14 +79,6 @@ func wireMass(mass float64, width uint) float64 {
 		return float64(float32(mass))
 	}
 	return mass
-}
-
-// deferredShardSize is the exact wire size of a deferred shard push — both
-// vectors — of a server's touched share ts of npos positions.
-func deferredShardSize(ts *touchedShard, npos int, width uint) int {
-	vec := 1 + 1 + massSize(width) + 8 + 4
-	return 2*vec + 4 + min((npos+7)/8, ts.gaps) +
-		min(2*compress.SpanDataSize(ts.buckets, width), presenceSize(ts.buckets, ts.present, width))
 }
 
 // sendsGaps reports whether a deferred push sends the touched set ts of npos
@@ -171,7 +157,7 @@ func writeDeferredShard(w *wire.Writer, enc *compress.Encoder, width uint, ts *t
 	w.Float64(maxH)
 	w.Uint32(uint32(sent))
 	packDeferred(w, enc, width, maxH, presence, ts, sent, hParts)
-	vectorBytes(VecDeferred, dirEncode, int64(w.Len()-start))
+	vectorBytes(dirEncode, int64(w.Len()-start))
 	return nil
 }
 
@@ -206,6 +192,11 @@ type deferredShard struct {
 	g, h     deferredVector
 }
 
+// quantized reports whether the shard's buckets travelled in fixed point.
+func (d *deferredShard) quantized() bool {
+	return d.g.width != compress.RawFloat32 && d.g.width != compress.RawFloat64
+}
+
 // deferredVector is one parsed deferred vector: the mass, and the values
 // sent at their width.
 type deferredVector struct {
@@ -218,10 +209,15 @@ type deferredVector struct {
 
 // parseDeferredShard consumes the two vectors of a deferred shard push under
 // the receiver's shard layout. Hostile or stale-layout payloads yield typed
-// errors, never panics.
+// errors, never panics; so does a push leading with any tag but VecDeferred.
 func parseDeferredShard(r *wire.Reader, layout *histogram.Layout) (*deferredShard, error) {
 	start := r.Remaining()
-	r.Uint8() // VecDeferred, checked by the caller
+	if tag := r.Uint8(); tag != VecDeferred {
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: a pushed shard tagged %d", compress.ErrBadHeader, tag)
+	}
 	flags := r.Uint8()
 	npos := int(r.Uint32())
 	if err := r.Err(); err != nil {
@@ -443,7 +439,7 @@ func (d *deferredShard) fill(h *histogram.Histogram) {
 			}
 		}
 	}
-	vectorBytes(VecDeferred, dirDecode, int64(d.g.size+d.h.size))
+	vectorBytes(dirDecode, int64(d.g.size+d.h.size))
 }
 
 // valueScratch holds the decoded values fill places, one slice per

@@ -82,8 +82,8 @@ func newWireTree(t *testing.T, workers int) *wireTree {
 }
 
 // wireOutcome is everything a tree's servers answered and hold, bit for bit:
-// per node in pull order the split record (or, one-phase, the reassembled
-// histogram), and every server's shard of every node.
+// per node in pull order the split record, and every server's shard of every
+// node.
 type wireOutcome struct {
 	reads  [][]uint64
 	shards [][]uint64
@@ -91,8 +91,8 @@ type wireOutcome struct {
 
 // run drives the tree through a fresh fleet of the given shape, the workers'
 // pushes of every node arriving in order, and pushing the deferred or the
-// dense builds.
-func (wt *wireTree) run(t *testing.T, servers int, exact, twoPhase bool, order []int, deferred bool) wireOutcome {
+// materialised builds.
+func (wt *wireTree) run(t *testing.T, servers int, exact bool, order []int, deferred bool) wireOutcome {
 	t.Helper()
 	fx := newFixture(t, wt.m, servers, len(order))
 	for _, srv := range fx.servers {
@@ -114,26 +114,13 @@ func (wt *wireTree) run(t *testing.T, servers int, exact, twoPhase bool, order [
 	var out wireOutcome
 	push := func(i int) {
 		for _, w := range order {
-			// A push may materialise its histogram in place: hand it a copy.
-			if err := fx.clients[w].PushHistogram(wirePushed[i], hists[w][i].Clone()); err != nil {
+			if err := fx.clients[w].PushHistogram(wirePushed[i], hists[w][i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	read := func(node int, derive bool) {
 		c := fx.clients[node%len(order)]
-		if !twoPhase {
-			pull := c.PullHistogram
-			if derive {
-				pull = c.PullDerivedHistogram
-			}
-			h, err := pull(node, wt.layout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.reads = append(out.reads, histBits(h))
-			return
-		}
 		pull := c.PullSplit
 		if derive {
 			pull = c.PullDerivedSplit
@@ -162,8 +149,8 @@ func (wt *wireTree) run(t *testing.T, servers int, exact, twoPhase bool, order [
 			out.shards = append(out.shards, shardBits(t, srv, node))
 		}
 	}
-	if _, enc1 := WireBytes(); deferred && enc1["deferred/encode"] == enc0["deferred/encode"] {
-		t.Fatal("no push of the deferred builds travelled deferred")
+	if _, enc1 := WireBytes(); enc1["deferred/encode"] == enc0["deferred/encode"] {
+		t.Fatal("no push travelled deferred")
 	}
 	return out
 }
@@ -190,34 +177,32 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// TestDeferredWireEqualsDenseWire is part of invariant 18: on the exact and
-// the raw float32 wire, pushing the workers' deferred histograms leaves the servers
-// holding — merged, derived from a pushed parent and from a derived one —
-// exactly the shards the dense pushes of the same builds leave, bucket for
-// bucket once materialised, and every pull answers the same: split records
-// in every field, two-phase, and reassembled histograms, one-phase. For 1–3
-// workers in every arrival order and 1–3 servers.
-func TestDeferredWireEqualsDenseWire(t *testing.T) {
+// TestDeferredAndMaterialisedPushesAgree is part of invariant 18: on the
+// exact and the raw float32 wire, pushing the workers' deferred histograms
+// leaves the servers holding — merged, derived from a pushed parent and from
+// a derived one — exactly the shards the materialised pushes of the same
+// builds leave (every position touched, the node totals as the mass), bucket
+// for bucket once materialised, and every split pull answers the same in
+// every field. For 1–3 workers in every arrival order and 1–3 servers.
+func TestDeferredAndMaterialisedPushesAgree(t *testing.T) {
 	for workers := 1; workers <= 3; workers++ {
 		wt := newWireTree(t, workers)
 		for servers := 1; servers <= 3; servers++ {
 			for _, exact := range []bool{true, false} {
-				for _, twoPhase := range []bool{true, false} {
-					for _, order := range permutations(workers) {
-						name := fmt.Sprintf("w=%d p=%d exact=%v two-phase=%v order=%v", workers, servers, exact, twoPhase, order)
-						dense := wt.run(t, servers, exact, twoPhase, order, false)
-						def := wt.run(t, servers, exact, twoPhase, order, true)
-						for i := range dense.reads {
-							if fmt.Sprint(dense.reads[i]) != fmt.Sprint(def.reads[i]) {
-								t.Fatalf("%s: pull %d answers differently after deferred pushes", name, i)
-							}
+				for _, order := range permutations(workers) {
+					name := fmt.Sprintf("w=%d p=%d exact=%v order=%v", workers, servers, exact, order)
+					mat := wt.run(t, servers, exact, order, false)
+					def := wt.run(t, servers, exact, order, true)
+					for i := range mat.reads {
+						if fmt.Sprint(mat.reads[i]) != fmt.Sprint(def.reads[i]) {
+							t.Fatalf("%s: pull %d answers differently after deferred pushes", name, i)
 						}
-						for i := range dense.shards {
-							for j := range dense.shards[i] {
-								if dense.shards[i][j] != def.shards[i][j] {
-									t.Fatalf("%s: shard %d (server %d, node %d) bucket %d: %x deferred, %x dense",
-										name, i, i/5, []int{0, 1, 2, 5, 6}[i%5], j, def.shards[i][j], dense.shards[i][j])
-								}
+					}
+					for i := range mat.shards {
+						for j := range mat.shards[i] {
+							if mat.shards[i][j] != def.shards[i][j] {
+								t.Fatalf("%s: shard %d (server %d, node %d) bucket %d: %x deferred, %x materialised",
+									name, i, i/5, []int{0, 1, 2, 5, 6}[i%5], j, def.shards[i][j], mat.shards[i][j])
 							}
 						}
 					}
@@ -351,7 +336,7 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 			b.widthG, b.widthH, b.maxAbs = 8, 8, math.NaN()
 			b.dataG, b.dataH = make([]byte, 2), make([]byte, 2)
 		}, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
-		{"dense h after a deferred g", func(b *deferredBody) { b.tagH = VecFloat64 }, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
+		{"retired dense h after a deferred g", func(b *deferredBody) { b.tagH = 2 }, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
 		{"presence bit past the touched buckets", func(b *deferredBody) {
 			b.presence, b.present, b.bitmap = true, 2, []byte{0b111}
 		}, func(err error) bool { return errors.Is(err, compress.ErrBadHeader) }},
@@ -388,9 +373,12 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	if err := send(binary.AppendUvarint(validGaps.bytes()[:6], uint64(npos))); !errors.Is(err, wire.ErrTruncated) {
 		t.Errorf("more gaps than the bytes left: got %v", err)
 	}
-	// The retired sparse tag in place of a deferred push's.
-	if err := send(append([]byte{3}, body[1:]...)); !errors.Is(err, compress.ErrBadHeader) {
-		t.Errorf("a push tagged 3: got %v", err)
+	// The retired dense (0–2) and sparse (3) tags in place of a deferred
+	// push's.
+	for tag := byte(0); tag <= 3; tag++ {
+		if err := send(append([]byte{tag}, body[1:]...)); !errors.Is(err, compress.ErrBadHeader) {
+			t.Errorf("a push tagged %d: got %v", tag, err)
+		}
 	}
 	for _, b := range [][]byte{body, withPresence.bytes(), validGaps.bytes()} {
 		for n := 0; n < len(b); n++ {
@@ -402,12 +390,13 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	if err := send(append(body, 0)); err == nil {
 		t.Fatal("a deferred push with a trailing byte was accepted")
 	}
+	// A push in the retired dense float64 form: tag 2, then the vector.
 	dense := wire.NewWriter(64)
-	dense.Uint8(VecFloat64)
+	dense.Uint8(2)
 	dense.Float64s(make([]float64, srv.tree.layout.TotalBuckets))
 	dense.Raw(body[1+1+4+len(valid.touched)+8+8+4+16:]) // valid's h vector
 	if err := send(dense.Bytes()); !errors.Is(err, compress.ErrBadHeader) {
-		t.Errorf("deferred h after a dense g: got %v", err)
+		t.Errorf("deferred h after a dense float64 g: got %v", err)
 	}
 	if _, n := srv.current(node); n != nil {
 		t.Fatalf("server %d kept a shard of node %d after refusing every push for it", sv, node)
@@ -422,8 +411,8 @@ func checkHostileDeferredPushes(t *testing.T, fx *psFixture, sv int) {
 	if err != nil {
 		t.Fatalf("the valid deferred push, touched set as gaps: %v", err)
 	}
-	if fmt.Sprint(fromGaps.deferred.touched) != fmt.Sprint(fromBitmap.deferred.touched) {
-		t.Fatalf("touched set %x as gaps, %x as a bitmap", fromGaps.deferred.touched, fromBitmap.deferred.touched)
+	if fmt.Sprint(fromGaps.touched) != fmt.Sprint(fromBitmap.touched) {
+		t.Fatalf("touched set %x as gaps, %x as a bitmap", fromGaps.touched, fromBitmap.touched)
 	}
 	if err := send(body); err != nil {
 		t.Fatalf("the valid deferred push: %v", err)
@@ -513,13 +502,33 @@ func fuzzValues(blob []byte) []float64 {
 // fuzzWidths are the widths a deferred vector may carry.
 var fuzzWidths = []uint{compress.RawFloat32, compress.RawFloat64, 2, 4, 8, 16}
 
-// body encodes server sv's deferred shard of h at a width as a push body,
-// which must be as long as deferredShardSize says.
+// massSize is the wire size of a deferred mass at a width.
+func massSize(width uint) int {
+	if width == compress.RawFloat32 {
+		return 4
+	}
+	return 8
+}
+
+// deferredShardSize is the exact wire size of a deferred shard push — both
+// vectors — of a server's touched share ts of npos positions.
+func deferredShardSize(ts *touchedShard, npos int, width uint) int {
+	vec := 1 + 1 + massSize(width) + 8 + 4
+	return 2*vec + 4 + min((npos+7)/8, ts.gaps) +
+		min(2*compress.SpanDataSize(ts.buckets, width), presenceSize(ts.buckets, ts.present, width))
+}
+
+// body encodes server sv's shard of h at a width as a push body, as
+// PushHistogram does — a materialised h with every position touched and its
+// node totals as the mass — which must be as long as deferredShardSize says.
 func (fz *deferredFuzz) body(t testing.TB, sv int, h *histogram.Histogram, width uint) []byte {
 	var ts touchedShard
 	fz.plan.touched(&ts, sv, h)
 	w := wire.NewWriter(64)
 	mg, mh := h.DeferredMass()
+	if !h.Deferred() {
+		mg, mh = h.FeatureTotals(0)
+	}
 	g, hs := spanParts(nil, ts.runs, h.G), spanParts(nil, ts.runs, h.H)
 	if err := writeDeferredShard(w, compress.NewEncoder(1), width, &ts, fz.plan.npos[sv], mg, mh, g, hs); err != nil {
 		t.Fatal(err)
@@ -541,14 +550,15 @@ func fuzzSeed(touched []byte, values ...float64) []byte {
 }
 
 // FuzzDeferredVector: any bytes offered as a push body either fail to parse
-// with an error or parse into a shard that merges without one — never a
-// panic; and any deferred histogram, encoded at a raw width, decodes on the
-// server side to the same touched set, the same masses and the same touched
-// buckets, Float64bits-exact (narrowed to float32 on the float32 wire); at a
+// with an error or parse into a shard that merges — never a panic; and any
+// deferred histogram, encoded at a raw width, decodes on the server side to
+// the same touched set, the same masses and the same touched buckets,
+// Float64bits-exact (narrowed to float32 on the float32 wire); at a
 // fixed-point width, within a step of them. The seeds encode every width
 // with every touched bucket sent and, where its empty buckets pay for it,
-// behind the presence bitmap; and each with the touched set as a bitmap and,
-// for a few touched positions, as gaps.
+// behind the presence bitmap; each with the touched set as a bitmap and,
+// for a few touched positions, as gaps; a materialised histogram's push, with
+// every position touched; and pushes in the retired dense forms, tags 0–2.
 func FuzzDeferredVector(f *testing.F) {
 	fz := newDeferredFuzz(f)
 	many, few := make([]byte, 19), make([]byte, 19)
@@ -560,6 +570,16 @@ func FuzzDeferredVector(f *testing.F) {
 	fullValues := []float64{1.1, -2.3, 0.7, 3.3, 5.7, -1e-3, 0.1, 0.3}
 	sparseValues := []float64{1.1, -2.3, 0, 0, 0, 0, 0, 0, 5.7, -1e-3}
 	f.Add(uint8(0), []byte{})
+	// Tag, count, values: the retired dense float32 and float64 vectors, and
+	// the fixed-point one with its width, count, scale and data length.
+	f.Add(uint8(0), []byte{0, 2, 0, 0, 0, 0, 0, 0x80, 0x3f, 0, 0, 0, 0})
+	f.Add(uint8(1), append(fuzzSeed([]byte{1, 8, 2, 0, 0, 0}, 1), 2, 0, 0, 0, 0x7f, 0))
+	f.Add(uint8(2), fuzzSeed([]byte{2, 1, 0, 0, 0}, 1.5))
+	for sv := range fz.servers {
+		m := fz.histogram(fuzzSeed(many, fullValues...))
+		m.Materialize()
+		f.Add(uint8(sv), fz.body(f, sv, m, compress.RawFloat64))
+	}
 	for sel := range fuzzWidths {
 		for _, touched := range [][]byte{many, few} {
 			full, sparse := fuzzSeed(touched, fullValues...), fuzzSeed(touched, sparseValues...)
@@ -569,13 +589,11 @@ func FuzzDeferredVector(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, blob []byte) {
-		for sv, layout := range fz.servers {
-			if p, err := parseShard(blob, layout); err == nil {
+		for _, layout := range fz.servers {
+			if d, err := parseShard(blob, layout); err == nil {
 				n := &nodeShard{tree: &treeShards{layout: layout, pool: histogram.NewPool(layout)}, hist: histogram.New(layout)}
 				n.hist.Defer()
-				if err := n.add(&p); err != nil {
-					t.Fatalf("server %d: a parsed push failed to merge: %v", sv, err)
-				}
+				n.add(d)
 			}
 		}
 
@@ -583,15 +601,15 @@ func FuzzDeferredVector(f *testing.F) {
 		h := fz.histogram(blob)
 		mg, mh := h.DeferredMass()
 		if !finite(wireMass(mg, width)) || !finite(wireMass(mh, width)) {
-			return // never sent deferred: the client materialises it (deferredIsSmaller)
+			return // never sent: PushHistogram refuses it
 		}
 		for sv, layout := range fz.servers {
-			p, err := parseShard(fz.body(t, sv, h, width), layout)
-			if err != nil || p.deferred == nil {
-				t.Fatalf("server %d: own encoding at width %d did not parse as deferred: %v", sv, width, err)
+			d, err := parseShard(fz.body(t, sv, h, width), layout)
+			if err != nil {
+				t.Fatalf("server %d: own encoding at width %d did not parse: %v", sv, width, err)
 			}
 			got := histogram.New(layout)
-			p.deferred.fill(got)
+			d.fill(got)
 			if g, hs := got.DeferredMass(); g != wireMass(mg, width) || hs != wireMass(mh, width) {
 				t.Fatalf("server %d: mass (%v, %v), sent (%v, %v) at width %d", sv, g, hs, mg, mh, width)
 			}
@@ -608,8 +626,8 @@ func FuzzDeferredVector(f *testing.F) {
 					wlo, whi := fz.plan.layout.BucketRange(wp)
 					slo, _ := layout.BucketRange(q)
 					for k := 0; k < whi-wlo; k++ {
-						checkDecoded(t, width, h.G[wlo+k], got.G[slo+k], p.deferred.g.maxAbs)
-						checkDecoded(t, width, h.H[wlo+k], got.H[slo+k], p.deferred.h.maxAbs)
+						checkDecoded(t, width, h.G[wlo+k], got.G[slo+k], d.g.maxAbs)
+						checkDecoded(t, width, h.H[wlo+k], got.H[slo+k], d.h.maxAbs)
 					}
 				}
 			}
@@ -655,15 +673,15 @@ func TestNegativeZeroBucketTravels(t *testing.T) {
 	h.G[lo0] = math.Copysign(0, -1)
 	h.G[lo1], h.H[lo1] = 1.5, 0.25
 	for _, width := range []uint{compress.RawFloat64, compress.RawFloat32} {
-		p, err := parseShard(fz.body(t, 0, h, width), fz.servers[0])
+		d, err := parseShard(fz.body(t, 0, h, width), fz.servers[0])
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
-		if p.deferred.presence == nil {
-			t.Fatalf("width %d: two present buckets of %d were sent without the bitmap", width, touchedBuckets(fz.servers[0], p.deferred.touched))
+		if d.presence == nil {
+			t.Fatalf("width %d: two present buckets of %d were sent without the bitmap", width, touchedBuckets(fz.servers[0], d.touched))
 		}
 		got := histogram.New(fz.servers[0])
-		p.deferred.fill(got)
+		d.fill(got)
 		slo1, _ := fz.servers[0].BucketRange(1)
 		if g := got.G[0]; math.Float64bits(g) != math.Float64bits(math.Copysign(0, -1)) {
 			t.Fatalf("width %d: the −0 bucket arrived as %v (bits %x)", width, g, math.Float64bits(g))

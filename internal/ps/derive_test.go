@@ -96,34 +96,56 @@ func mergePayloads(t *testing.T, layout *histogram.Layout, bodies [][]byte) *his
 	n := &nodeShard{tree: &treeShards{layout: layout, pool: histogram.NewPool(layout)}, hist: histogram.New(layout)}
 	n.hist.Defer()
 	for w, body := range bodies {
-		p, err := parseShard(body, layout)
+		d, err := parseShard(body, layout)
 		if err != nil {
 			t.Fatalf("payload %d: %v", w, err)
 		}
-		if err := n.add(&p); err != nil {
-			t.Fatal(err)
-		}
+		n.add(d)
 	}
 	return n.hist
 }
 
-// shardBits is a server's shard of a node, materialised, bit for bit. It
-// reads the shard as a pull does, so parked pushes are folded in first and
-// the node is sealed.
-func shardBits(t *testing.T, srv *Server, node int32) []uint64 {
+// serverShard is a copy of a server's shard of a node, materialised. It reads
+// the shard as a pull does, so parked pushes are folded in first and the node
+// is sealed.
+func serverShard(t *testing.T, srv *Server, node int32) *histogram.Histogram {
 	t.Helper()
 	_, n := srv.current(node)
 	if n == nil {
 		t.Fatalf("server %d holds no shard of node %d", srv.id, node)
 	}
-	var bits []uint64
+	var m *histogram.Histogram
 	if err := n.read(func(h *histogram.Histogram) error {
-		bits = histBits(h)
+		m = h.Clone()
+		m.Materialize()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return bits
+	return m
+}
+
+// shardBits is a server's shard of a node, materialised, bit for bit.
+func shardBits(t *testing.T, srv *Server, node int32) []uint64 {
+	t.Helper()
+	return histBits(serverShard(t, srv, node))
+}
+
+// mergedHistogram reassembles a node's merged histogram under the workers'
+// layout from every server's shard of it.
+func mergedHistogram(t *testing.T, servers []*Server, layout *histogram.Layout, node int32) *histogram.Histogram {
+	t.Helper()
+	h := histogram.New(layout)
+	for _, srv := range servers {
+		sh := serverShard(t, srv, node)
+		for p, f := range sh.Layout.Features {
+			lo, hi := sh.Layout.BucketRange(p)
+			at, _ := layout.BucketRange(int(layout.Pos(f)))
+			copy(h.G[at:], sh.G[lo:hi])
+			copy(h.H[at:], sh.H[lo:hi])
+		}
+	}
+	return h
 }
 
 // histBits is a histogram's materialised buckets, G then H, bit for bit; h
@@ -196,22 +218,16 @@ func TestDerivedShardIsParentMinusSibling(t *testing.T) {
 	}
 }
 
-// TestDerivedHistogramPull: with two-phase split finding off the marker rides
-// on the histogram pull, and the reassembled histogram is parent − sibling.
-func TestDerivedHistogramPull(t *testing.T) {
+// TestDerivedHistogramReassembles: the derived node's shards, reassembled
+// across the servers, are the reassembled parent − sibling, bucket for bucket.
+func TestDerivedHistogramReassembles(t *testing.T) {
 	df := newDeriveFixture(t, 2, nil)
-	got, err := df.fx.clients[0].PullDerivedHistogram(deriveDerived, df.layout)
-	if err != nil {
+	if _, err := df.fx.clients[0].PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6); err != nil {
 		t.Fatal(err)
 	}
-	parent, err := df.fx.clients[0].PullHistogram(deriveParent, df.layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sibling, err := df.fx.clients[1].PullHistogram(deriveBuilt, df.layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mergedHistogram(t, df.fx.servers, df.layout, deriveDerived)
+	parent := mergedHistogram(t, df.fx.servers, df.layout, deriveParent)
+	sibling := mergedHistogram(t, df.fx.servers, df.layout, deriveBuilt)
 	want := histogram.New(df.layout)
 	want.SetSub(parent, sibling)
 	for i := range want.G {
@@ -285,9 +301,6 @@ func TestDeriveWithoutOperandsIsTypedError(t *testing.T) {
 	// Node 4's sibling (3) was never pushed; its parent (1) was.
 	if _, err := c.PullDerivedSplit(4, 1.0, 0.0, 1e-6); !errors.As(err, &de) || de.Node != 4 || de.Missing != 3 {
 		t.Fatalf("derive without a sibling: %v, want a DeriveError naming node 3", err)
-	}
-	if _, err := c.PullDerivedHistogram(4, df.layout); !errors.As(err, &de) || de.Missing != 3 {
-		t.Fatalf("derive (histogram pull) without a sibling: %v, want a DeriveError naming node 3", err)
 	}
 	// Node 12's parent (5) does not exist at all.
 	if _, err := c.PullDerivedSplit(12, 1.0, 0.0, 1e-6); !errors.As(err, &de) || de.Missing != 5 {

@@ -33,18 +33,17 @@ type clientMetrics struct {
 	bytesIn  *obs.Counter
 }
 
-// Directions of a histogram-vector codec operation, as seen by whichever
-// side performs it (clients encode pushes and decode pulls; servers do the
-// reverse). Encoded and decoded logical bytes match because the wire is
-// lossless in transit.
+// Directions of a histogram-vector codec operation: clients encode pushes,
+// servers decode them. Encoded and decoded logical bytes match because the
+// wire is lossless in transit.
 const (
 	dirEncode = 0
 	dirDecode = 1
 )
 
-// vecBytes[dir][tag] counts logical bytes-on-wire of histogram vectors by
-// encoding — the payload accounting WireBytes snapshots.
-var vecBytes [2][numVecTags]*obs.Counter
+// vecBytes[dir] counts logical bytes-on-wire of histogram vectors — the
+// payload accounting WireBytes snapshots.
+var vecBytes [2]*obs.Counter
 
 var (
 	pmOnce sync.Once
@@ -68,7 +67,7 @@ func psMetrics() (*serverMetrics, *clientMetrics) {
 			derived:       r.Counter("dimboost_ps_hist_derived_total", "Node histogram shards a server derived as parent minus sibling instead of merging pushes."),
 			deriveSeconds: r.Histogram("dimboost_ps_hist_derive_seconds", "Server-side time to derive one node shard as parent minus sibling.", nil),
 		}
-		for op := OpPushSketch; op <= OpPullSplitResults; op++ {
+		for _, op := range ops {
 			l := obs.L("op", OpName(op))
 			srvM.requests[op] = r.Counter("dimboost_ps_requests_total", "Requests served by the parameter server, by op.", l)
 			srvM.errors[op] = r.Counter("dimboost_ps_request_errors_total", "Requests the parameter server failed, by op.", l)
@@ -76,11 +75,9 @@ func psMetrics() (*serverMetrics, *clientMetrics) {
 			srvM.opBytesIn[op] = r.Counter("dimboost_ps_op_bytes_total", "Request/response payload bytes through the PS handler, by op and direction.", l, obs.L("direction", "in"))
 			srvM.opBytesOut[op] = r.Counter("dimboost_ps_op_bytes_total", "", l, obs.L("direction", "out"))
 		}
-		for _, tag := range vecTags {
-			l := obs.L("encoding", vecName(tag))
-			vecBytes[dirEncode][tag] = r.Counter("dimboost_ps_vector_bytes_total", "Logical bytes-on-wire of histogram vectors, by encoding and codec direction.", l, obs.L("direction", "encode"))
-			vecBytes[dirDecode][tag] = r.Counter("dimboost_ps_vector_bytes_total", "", l, obs.L("direction", "decode"))
-		}
+		l := obs.L("encoding", "deferred")
+		vecBytes[dirEncode] = r.Counter("dimboost_ps_vector_bytes_total", "Logical bytes-on-wire of histogram vectors, by encoding and codec direction.", l, obs.L("direction", "encode"))
+		vecBytes[dirDecode] = r.Counter("dimboost_ps_vector_bytes_total", "", l, obs.L("direction", "decode"))
 		cliM = &clientMetrics{
 			requests: r.Counter("dimboost_ps_client_requests_total", "Requests issued by worker clients."),
 			bytesOut: r.Counter("dimboost_ps_client_bytes_total", "Payload bytes through worker clients.", obs.L("direction", "out")),
@@ -90,12 +87,10 @@ func psMetrics() (*serverMetrics, *clientMetrics) {
 	return srvM, cliM
 }
 
-// vectorBytes records one encoded or decoded histogram vector's wire bytes.
-func vectorBytes(tag uint8, dir int, n int64) {
+// vectorBytes records one encoded or decoded histogram shard's wire bytes.
+func vectorBytes(dir int, n int64) {
 	psMetrics()
-	if tag < numVecTags {
-		vecBytes[dir][tag].Add(n)
-	}
+	vecBytes[dir].Add(n)
 }
 
 // observe records one handled request. Unknown ops have no per-op
@@ -125,20 +120,19 @@ func (m *serverMetrics) observe(op uint8, reqBytes, respBytes int64, secs float6
 
 // WireBytes snapshots the parameter server's logical bytes-on-wire: perOp
 // maps "op/direction" (e.g. "push_hist/in") to handler payload bytes,
-// perEncoding maps "encoding/direction" (e.g. "deferred/encode") to histogram
-// vector bytes. Callers difference two snapshots around a run to attribute
-// traffic to an encoding choice.
+// perEncoding maps "encoding/direction" to histogram vector bytes — every
+// vector is deferred, so its keys are "deferred/encode" and
+// "deferred/decode". Callers difference two snapshots around a run.
 func WireBytes() (perOp, perEncoding map[string]int64) {
 	m, _ := psMetrics()
 	perOp = make(map[string]int64)
-	for op := OpPushSketch; op <= OpPullSplitResults; op++ {
+	for _, op := range ops {
 		perOp[OpName(op)+"/in"] = m.opBytesIn[op].Value()
 		perOp[OpName(op)+"/out"] = m.opBytesOut[op].Value()
 	}
-	perEncoding = make(map[string]int64)
-	for _, tag := range vecTags {
-		perEncoding[vecName(tag)+"/encode"] = vecBytes[dirEncode][tag].Value()
-		perEncoding[vecName(tag)+"/decode"] = vecBytes[dirDecode][tag].Value()
+	perEncoding = map[string]int64{
+		"deferred/encode": vecBytes[dirEncode].Value(),
+		"deferred/decode": vecBytes[dirDecode].Value(),
 	}
 	return perOp, perEncoding
 }

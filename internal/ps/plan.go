@@ -11,20 +11,16 @@ import (
 
 // shardPlan is the geometry of one tree's histogram shards. Partition
 // ranges are contiguous in feature id and a layout's buckets follow its
-// ascending feature list, so the shard a server owns is a handful of
-// contiguous spans of the worker's flat bucket arrays — at most NumRanges
-// in total — and shipping or reassembling it needs no per-feature work.
-// A plan is built once per (partition, layout) and is immutable.
+// ascending feature list, so the positions a server owns are a handful of
+// contiguous ranges of the worker's sampled positions — at most NumRanges in
+// total — and splitting a histogram's touched set among the servers needs no
+// per-feature lookup. A plan is built once per (partition, layout) and is
+// immutable.
 type shardPlan struct {
 	layout *histogram.Layout
-	// spans[sv] lists server sv's bucket spans in ascending order; their
-	// concatenation is the server's shard in its own layout order.
-	spans [][]bucketSpan
-	// size[sv] is the bucket count of server sv's shard.
-	size []int
-	// pos[sv] lists the sampled-position ranges the spans hold, in the same
-	// order: the server's own positions number them consecutively, and
-	// npos[sv] is their count.
+	// pos[sv] lists server sv's sampled-position ranges in ascending order:
+	// the server's own positions number them consecutively, and npos[sv] is
+	// their count.
 	pos  [][]bucketSpan
 	npos []int
 }
@@ -36,17 +32,12 @@ type bucketSpan struct{ lo, hi int }
 func newShardPlan(part *Partition, layout *histogram.Layout) *shardPlan {
 	pl := &shardPlan{
 		layout: layout,
-		spans:  make([][]bucketSpan, part.NumServers),
-		size:   make([]int, part.NumServers),
 		pos:    make([][]bucketSpan, part.NumServers),
 		npos:   make([]int, part.NumServers),
 	}
 	part.runs(layout.Features, func(sv, lo, hi int) {
 		pl.npos[sv] += hi - lo
-		pl.pos[sv] = appendSpan(pl.pos[sv], bucketSpan{lo, hi})
-		b := bucketSpan{int(layout.Offsets[lo]), int(layout.Offsets[hi])}
-		pl.size[sv] += b.hi - b.lo
-		pl.spans[sv] = appendSpan(pl.spans[sv], b) // neighbouring ranges on one server join
+		pl.pos[sv] = appendSpan(pl.pos[sv], bucketSpan{lo, hi}) // neighbouring ranges on one server join
 	})
 	return pl
 }
@@ -58,12 +49,6 @@ func appendSpan(spans []bucketSpan, s bucketSpan) []bucketSpan {
 		return spans
 	}
 	return append(spans, s)
-}
-
-// parts appends server sv's shard of a flat bucket array to dst[:0] as one
-// slice per span, aliasing flat.
-func (pl *shardPlan) parts(dst [][]float64, sv int, flat []float64) [][]float64 {
-	return spanParts(dst, pl.spans[sv], flat)
 }
 
 // spanParts appends flat's slice of every span to dst[:0], aliasing flat.

@@ -1,10 +1,8 @@
 package ps
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"dimboost/internal/compress"
 	"dimboost/internal/core"
@@ -35,9 +33,9 @@ const (
 	// OpPullSplit runs Algorithm 1 on the server's shard and returns the
 	// local best split — the server-side phase of two-phase split finding.
 	OpPullSplit
-	// OpPullHistShard returns the server's merged raw shard; used when
-	// two-phase split finding is disabled (ablation).
-	OpPullHistShard
+	// Op 8 is reserved: it pulled a node's merged shard for one-phase split
+	// finding, and a request carrying it is refused as an unknown op.
+	_
 	// OpPushSplitResult stores the global best split of a node.
 	OpPushSplitResult
 	// OpPullSplitResults returns the stored splits of a node set
@@ -75,8 +73,6 @@ func OpName(op uint8) string {
 		return "push_hist"
 	case OpPullSplit:
 		return "pull_split"
-	case OpPullHistShard:
-		return "pull_hist_shard"
 	case OpPushSplitResult:
 		return "push_split_result"
 	case OpPullSplitResults:
@@ -84,6 +80,10 @@ func OpName(op uint8) string {
 	}
 	return "unknown"
 }
+
+// ops lists the op codes in use, for the per-op metrics.
+var ops = []uint8{OpPushSketch, OpPullCandidates, OpPushSampled, OpPullSampled, OpNewTree,
+	OpPushHist, OpPullSplit, OpPushSplitResult, OpPullSplitResults}
 
 // mutatingOp reports whether an op changes server state and therefore needs
 // duplicate suppression. Pull ops are naturally idempotent (their caches
@@ -249,43 +249,12 @@ func readFeatureRecords(r *wire.Reader, part *Partition, sv int, record func(f i
 	return nil
 }
 
-// Per-vector histogram wire tags. Every gradient/hessian vector on the wire
-// leads with one of these, so push and pull payloads are self-describing.
-// Tag 3 is retired and refused like any unknown tag.
-const (
-	// VecFloat32 is the paper's "full precision" format: raw float32
-	// buckets, 4 bytes per statistic.
-	VecFloat32 uint8 = 0
-	// VecFixed is dense low-precision fixed point (§6.1).
-	VecFixed uint8 = 1
-	// VecFloat64 is raw float64 buckets — twice the paper's bytes, used by
-	// the ExactWire modes that need bit-level reproducibility.
-	VecFloat64 uint8 = 2
-	// VecDeferred is a deferred histogram's shard in touched space: the
-	// touched set, the deferred zero mass and the touched positions' buckets
-	// at any of the above widths (see deferred.go). Push only.
-	VecDeferred uint8 = 4
-
-	numVecTags = 5
-)
-
-// vecTags lists the vector tags in use.
-var vecTags = []uint8{VecFloat32, VecFixed, VecFloat64, VecDeferred}
-
-// vecName labels a vector tag for the per-encoding byte metrics.
-func vecName(tag uint8) string {
-	switch tag {
-	case VecFloat32:
-		return "float32"
-	case VecFixed:
-		return "fixed"
-	case VecFloat64:
-		return "float64"
-	case VecDeferred:
-		return "deferred"
-	}
-	return "unknown"
-}
+// VecDeferred tags a pushed histogram shard: a shard in touched space — the
+// touched set, the deferred zero mass and the touched positions' buckets (see
+// deferred.go) — the one form a histogram takes on the wire. Tags 0–2 (the
+// dense float32, fixed-point and float64 vectors) and 3 (sparse spans) are
+// retired and refused like any unknown tag.
+const VecDeferred uint8 = 4
 
 // ShapeError reports a payload whose declared geometry disagrees with the
 // receiver's expectation — typically a stale-partition client pushing or
@@ -301,10 +270,10 @@ func (e *ShapeError) Error() string {
 	return fmt.Sprintf("ps: %s has %d values, expected %d", e.What, e.Got, e.Want)
 }
 
-// vecEncoding is a negotiated histogram-vector encoding: the client states
-// it in pull requests (and applies it itself on pushes), the server honors
-// it when writing responses. The zero value means raw float32 — the wire
-// default matching the paper.
+// vecEncoding is a wire encoding: the client applies it to the buckets it
+// pushes, and states it in pull requests, where a fixed-point width asks for
+// compact split records. The zero value means raw float32 — the wire default
+// matching the paper.
 type vecEncoding struct {
 	bits  uint // fixed-point width; 0 = raw floats
 	exact bool // float64 instead of float32 wherever raw floats appear
@@ -349,170 +318,6 @@ func readEncoding(r *wire.Reader) (vecEncoding, error) {
 		return ev, fmt.Errorf("ps: exact and %d-bit response encoding are mutually exclusive", ev.bits)
 	}
 	return ev, nil
-}
-
-// denseVecSize predicts the on-wire size of a dense vector of n buckets
-// under the encoding (tag byte included).
-func denseVecSize(n int, ev vecEncoding) int {
-	switch {
-	case ev.bits != 0:
-		return 1 + 1 + 4 + 8 + 4 + (n*int(ev.bits)+7)/8
-	case ev.exact:
-		return 1 + 4 + 8*n
-	default:
-		return 1 + 4 + 4*n
-	}
-}
-
-// writeHistVector appends one gradient/hessian vector under the encoding.
-// The vector is the concatenation of parts — a pushed shard's planned spans,
-// or a single slice — and is encoded straight from them into w's buffer.
-// Fixed-point widths draw rounding from enc; raw widths never touch it, so a
-// nil enc is legal for exact/float32 encodings.
-func writeHistVector(w *wire.Writer, enc *compress.Encoder, ev vecEncoding, parts ...[]float64) error {
-	start := w.Len()
-	tag, err := writeHistVectorBody(w, enc, ev, parts)
-	if err != nil {
-		return err
-	}
-	vectorBytes(tag, dirEncode, int64(w.Len()-start))
-	return nil
-}
-
-func writeHistVectorBody(w *wire.Writer, enc *compress.Encoder, ev vecEncoding, parts [][]float64) (uint8, error) {
-	n := 0
-	for _, part := range parts {
-		n += len(part)
-	}
-	switch {
-	case ev.bits != 0:
-		if !compress.ValidWidth(ev.bits) {
-			return VecFixed, fmt.Errorf("%w: %d", compress.ErrBadWidth, ev.bits)
-		}
-		maxAbs, finite := compress.MaxAbs(parts...)
-		if !finite {
-			return VecFixed, compress.ErrNonFinite
-		}
-		size := compress.PackedSize(n, ev.bits)
-		w.Uint8(VecFixed)
-		w.Uint8(uint8(ev.bits))
-		w.Uint32(uint32(n))
-		w.Float64(maxAbs)
-		w.Uint32(uint32(size))
-		enc.Pack(w.Extend(size), ev.bits, maxAbs, parts...)
-		return VecFixed, nil
-	case ev.exact:
-		w.Uint8(VecFloat64)
-		w.Uint32(uint32(n))
-		for _, part := range parts {
-			for _, v := range part {
-				w.Float64(v)
-			}
-		}
-		return VecFloat64, nil
-	default:
-		w.Uint8(VecFloat32)
-		w.Uint32(uint32(n))
-		for _, part := range parts {
-			for _, v := range part {
-				w.Float32(float32(v))
-			}
-		}
-		return VecFloat32, nil
-	}
-}
-
-// histVector is one tagged vector parsed in place: every header field is
-// validated — width, geometry against the receiver's bucket count — but the
-// bucket data stays where it arrived, aliased from the message. A parsed
-// vector can no longer fail to decode, which is what lets a server check
-// both vectors of a push before merging either.
-type histVector struct {
-	tag   uint8
-	size  int                 // bytes on the wire, tag included
-	raw   []byte              // VecFloat32 / VecFloat64 element bytes
-	fixed compress.Compressed // VecFixed
-}
-
-// parseHistVector consumes one tagged vector of wantN buckets. what names
-// it for error messages. Hostile or stale-layout payloads yield typed
-// errors, never panics.
-func parseHistVector(r *wire.Reader, what string, wantN int) (histVector, error) {
-	start := r.Remaining()
-	v := histVector{tag: r.Uint8()}
-	if err := r.Err(); err != nil {
-		return v, err
-	}
-	switch v.tag {
-	case VecFloat32, VecFloat64:
-		n := int(r.Uint32())
-		if err := r.Err(); err != nil {
-			return v, err
-		}
-		if n != wantN {
-			return v, &ShapeError{What: what, Got: n, Want: wantN}
-		}
-		elem := 4
-		if v.tag == VecFloat64 {
-			elem = 8
-		}
-		v.raw = r.Raw(n * elem)
-	case VecFixed:
-		v.fixed.Bits = uint(r.Uint8())
-		v.fixed.N = int(r.Uint32())
-		v.fixed.MaxAbs = r.Float64()
-		v.fixed.Data = r.Raw(int(r.Uint32()))
-		if err := r.Err(); err != nil {
-			return v, err
-		}
-		if err := v.fixed.Validate(); err != nil {
-			return v, err
-		}
-		if v.fixed.N != wantN {
-			return v, &ShapeError{What: what, Got: v.fixed.N, Want: wantN}
-		}
-	case VecDeferred:
-		return v, fmt.Errorf("%w: %s is a deferred vector outside a deferred shard push", compress.ErrBadHeader, what)
-	default:
-		return v, fmt.Errorf("%w: %s has the unknown tag %d", compress.ErrBadHeader, what, v.tag)
-	}
-	v.size = start - r.Remaining()
-	return v, r.Err()
-}
-
-// addTo merges (adds) the vector into dst, which has the bucket count the
-// vector was parsed against, decoding directly out of the message bytes.
-func (v *histVector) addTo(dst []float64) error {
-	switch v.tag {
-	case VecFloat32:
-		for i := range dst {
-			dst[i] += float64(math.Float32frombits(binary.LittleEndian.Uint32(v.raw[4*i:])))
-		}
-	case VecFloat64:
-		for i := range dst {
-			dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(v.raw[8*i:]))
-		}
-	case VecFixed:
-		if err := compress.DecodeInto(dst, &v.fixed); err != nil {
-			return err
-		}
-	}
-	vectorBytes(v.tag, dirDecode, int64(v.size))
-	return nil
-}
-
-// readHistVector consumes one tagged vector into a fresh slice of wantN
-// values.
-func readHistVector(r *wire.Reader, what string, wantN int) ([]float64, error) {
-	v, err := parseHistVector(r, what, wantN)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([]float64, wantN)
-	if err := v.addTo(dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // Split-record layouts. Full records carry every statistic as float64;

@@ -17,12 +17,11 @@ import (
 	"dimboost/internal/wire"
 )
 
-// The reference push encoder: the per-feature scatter, the copy-per-stage
-// framing and the bit-at-a-time fixed-point packer the planned, in-place
-// path replaced, kept verbatim as the byte-identity oracle. Payloads are
-// part of the model's reproducibility (the stochastic rounder's stream
-// position decides every quantized bucket), so the fast path must produce
-// exactly these bytes.
+// The reference push encoder: the per-feature scatter, the field-by-field
+// framing and the bit-at-a-time fixed-point packer, kept as the
+// byte-identity oracle. Payloads are part of the model's reproducibility (the
+// stochastic rounder's stream position decides every quantized bucket), so
+// the planned, in-place path must produce exactly these bytes.
 
 // refShardArrays extracts a server's buckets feature by feature.
 func refShardArrays(part *Partition, sv int, hist *histogram.Histogram) (g, h []float64) {
@@ -52,57 +51,6 @@ func refPutBits(data []byte, i int, bits uint, v uint64) {
 		if shift != 0 && int(8-shift) < int(bits-b) {
 			data[byteIdx+1] |= chunk >> (8 - shift)
 		}
-	}
-}
-
-// refEncode is the stochastic fixed-point quantizer with per-value clamping.
-func refEncode(rng *rand.Rand, values []float64, bits uint) (maxAbs float64, data []byte) {
-	for _, v := range values {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	data = make([]byte, (len(values)*int(bits)+7)/8)
-	if maxAbs == 0 {
-		return
-	}
-	levels := float64(int64(1)<<(bits-1) - 1)
-	lo, hi := -(int64(1) << (bits - 1)), int64(1)<<(bits-1)-1
-	for i, v := range values {
-		t := v / maxAbs * levels
-		f := math.Floor(t)
-		q := int64(f)
-		if rng.Float64() < t-f {
-			q++
-		}
-		if q < lo {
-			q = lo
-		}
-		if q > hi {
-			q = hi
-		}
-		refPutBits(data, i, bits, uint64(q)&((1<<bits)-1))
-	}
-	return
-}
-
-// refWriteVector appends one tagged vector the way the old client did:
-// encode into temporaries and copy.
-func refWriteVector(w *wire.Writer, rng *rand.Rand, vs []float64, ev vecEncoding) {
-	switch {
-	case ev.bits != 0:
-		maxAbs, data := refEncode(rng, vs, ev.bits)
-		w.Uint8(VecFixed)
-		w.Uint8(uint8(ev.bits))
-		w.Uint32(uint32(len(vs)))
-		w.Float64(maxAbs)
-		w.Bytes32(data)
-	case ev.exact:
-		w.Uint8(VecFloat64)
-		w.Float64s(vs)
-	default:
-		w.Uint8(VecFloat32)
-		w.Float64sAs32(vs)
 	}
 }
 
@@ -191,14 +139,13 @@ var pushGeometries = []pushGeometry{
 }
 
 // TestPushPayloadsMatchReference: for every width × exact mode and every
-// shard geometry, each byte the client hands the transport for a
-// materialised histogram — envelope included — equals the reference
-// encoder's, across consecutive pushes (so the rounding stream stays in
-// step), and the pushed shards reassemble. The deferred arm pushes deferred
-// histograms over the same matrix: never more bytes than their materialised
-// form, and the same shards on the servers. The densities run from an empty
-// push (a worker with no rows in the node), whose touched set goes as gaps,
-// past the point where the bitmap is the smaller form.
+// shard geometry, each byte the client hands the transport — envelope
+// included — equals the reference encoder's, across consecutive pushes (so
+// the rounding stream stays in step): for a materialised histogram, every
+// position touched and its node totals as the mass; for a deferred one, its
+// touched set and mass. The densities run from an empty push (a worker with
+// no rows in the node), whose touched set goes as gaps, past the point where
+// the bitmap is the smaller form.
 func TestPushPayloadsMatchReference(t *testing.T) {
 	type mode struct {
 		bits  uint
@@ -225,91 +172,39 @@ func TestPushPayloadsMatchReference(t *testing.T) {
 	}
 }
 
+// checkPushIdentity pushes materialised histograms: their bytes are the
+// reference's, and on an exact wire the servers hold the pushed buckets bit
+// for bit, gaps included.
 func checkPushIdentity(t *testing.T, geo pushGeometry, bits uint, exact bool, density float64) {
-	const worker = 1
-	net := transport.NewMemNetwork()
-	defer net.Close()
-	part, err := NewPartition(geo.m, geo.servers, geo.nrang)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled := geo.sampled(part)
-	cands := shapedCands(geo.m)
-	names := make([]string, geo.servers)
-	servers := make([]*Server, geo.servers)
-	for i := range names {
-		names[i] = serverName(i)
-		ep, err := net.Endpoint(names[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = NewServer(i, part, 0.02)
-		for f := range cands {
-			servers[i].cands[int32(f)] = cands[f]
-		}
-		ep.Handle(servers[i].Handler())
-	}
-	ep, err := net.Endpoint(workerName(worker))
-	if err != nil {
-		t.Fatal(err)
-	}
-	capt := &capturingEndpoint{Endpoint: ep, sent: make(map[string][][]byte)}
-	c := NewClient(capt, part, names, worker)
-	c.Bits, c.Exact = bits, exact
-	if err := c.NewTree(sampled); err != nil {
-		t.Fatal(err)
-	}
-	layout, err := histogram.NewLayout(sampled, cands, geo.m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref := rand.New(rand.NewSource(worker + 1)) // NewClient's encoder seed
-	ev := vecEncoding{bits: bits, exact: exact}
+	c, capt, servers, layout := pushFleet(t, geo, bits, exact)
+	ref := rand.New(rand.NewSource(2)) // pushFleet's client is worker 1
+	width := vecEncoding{bits: bits, exact: exact}.spanBits()
 	hist := histogram.New(layout)
 	const pushes = 3
-	want := make(map[string][][]byte)
 	for node := 0; node < pushes; node++ {
 		fillHist(hist, int64(100*node+7), density)
 		seq0 := c.seq.Load()
 		if err := c.PushHistogram(node, hist); err != nil {
 			t.Fatal(err)
 		}
-		for sv := range names {
-			g, h := refShardArrays(part, sv, hist)
-			body := wire.NewWriter(64)
-			body.Int32(int32(node))
-			refWriteVector(body, ref, g, ev)
-			refWriteVector(body, ref, h, ev)
-			env := wire.NewWriter(envelopeSize + body.Len())
-			env.Int32(worker)
-			env.Uint64(seq0 + uint64(sv) + 1)
-			env.Raw(body.Bytes())
-			want[names[sv]] = append(want[names[sv]], env.Bytes())
-		}
-	}
-	for sv, name := range names {
-		if len(capt.sent[name]) != pushes {
-			t.Fatalf("server %d saw %d pushes, want %d", sv, len(capt.sent[name]), pushes)
-		}
-		for node := range want[name] {
-			if !bytes.Equal(capt.sent[name][node], want[name][node]) {
-				t.Fatalf("server %d node %d: %d payload bytes differ from the reference's %d",
-					sv, node, len(capt.sent[name][node]), len(want[name][node]))
+		for sv := range servers {
+			encode, _ := refDeferredShard(c.part, sv, hist, width)
+			want := wire.NewWriter(64)
+			want.Int32(1)
+			want.Uint64(seq0 + uint64(sv) + 1)
+			want.Int32(int32(node))
+			want.Raw(encode(ref))
+			if got := capt.sent[serverName(sv)][node]; !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("server %d node %d: %d payload bytes differ from the reference's %d", sv, node, len(got), want.Len())
 			}
 		}
-	}
-
-	// The same geometry serves the pull: on an exact wire the reassembled
-	// histogram is the pushed one, bucket for bucket, gaps included.
-	if exact {
-		got, err := c.PullHistogram(pushes-1, layout)
-		if err != nil {
-			t.Fatal(err)
+		if !exact {
+			continue
 		}
+		got := mergedHistogram(t, servers, layout, int32(node))
 		for i := range hist.G {
 			if math.Float64bits(got.G[i]) != math.Float64bits(hist.G[i]) || math.Float64bits(got.H[i]) != math.Float64bits(hist.H[i]) {
-				t.Fatalf("bucket %d: pulled (%v,%v), pushed (%v,%v)", i, got.G[i], got.H[i], hist.G[i], hist.H[i])
+				t.Fatalf("node %d bucket %d: held (%v,%v), pushed (%v,%v)", node, i, got.G[i], got.H[i], hist.G[i], hist.H[i])
 			}
 		}
 	}
@@ -357,14 +252,24 @@ func TestPartitionTableMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestNonFinitePushRejected: a NaN bucket has no fixed-point encoding; the
-// push fails on the client with the typed error instead of shipping garbage
-// levels.
+// TestNonFinitePushRejected: a NaN bucket has no fixed-point encoding, and a
+// mass that is not finite on the wire — NaN, or past float32 on the float32
+// wire — could not merge; each push fails on the client with the typed error
+// instead of shipping garbage.
 func TestNonFinitePushRejected(t *testing.T) {
 	pb := newPushBench(t, 50)
+	c := pb.fx.clients[0]
 	pb.hist.G[3] = math.NaN()
-	if err := pb.fx.clients[0].PushHistogram(0, pb.hist); !errors.Is(err, compress.ErrNonFinite) {
-		t.Fatalf("got %v, want ErrNonFinite", err)
+	if err := c.PushHistogram(0, pb.hist); !errors.Is(err, compress.ErrNonFinite) {
+		t.Fatalf("NaN bucket at 16 bits: got %v, want ErrNonFinite", err)
+	}
+	c.Bits = 0
+	for _, mass := range []float64{math.NaN(), 1e300} {
+		h := histogram.New(pb.hist.Layout)
+		h.SetDeferred(make([]uint64, (h.Layout.NumFeatures()+63)/64), mass, 1)
+		if err := c.PushHistogram(0, h); !errors.Is(err, compress.ErrNonFinite) {
+			t.Fatalf("mass %v on the float32 wire: got %v, want ErrNonFinite", mass, err)
+		}
 	}
 }
 
@@ -437,8 +342,9 @@ func fillDeferred(h *histogram.Histogram, seed int64, density float64) {
 	}
 }
 
-// refDeferredShard is the reference for server sv's shard of a deferred
-// push: the server's positions found feature by feature, every touched
+// refDeferredShard is the reference for server sv's shard of a push — every
+// position touched and the node totals as the mass when h is materialised:
+// the server's positions found feature by feature, every touched
 // bucket present unless its G and H are both +0 bit for bit, and encode
 // writing the two vectors field by field — the touched set as gaps when they
 // are smaller than its bitmap, the present buckets behind their bitmap when
@@ -510,6 +416,9 @@ func refDeferredShard(part *Partition, sv int, h *histogram.Histogram, width uin
 		return b
 	}
 	massG, massH := h.DeferredMass()
+	if !h.Deferred() {
+		massG, massH = h.FeatureTotals(0)
+	}
 	encode = func(rng *rand.Rand) []byte {
 		w := wire.NewWriter(64)
 		vector := func(vs []float64, mass float64, first bool) {
@@ -587,12 +496,10 @@ func refDeferredShard(part *Partition, sv int, h *histogram.Histogram, width uin
 }
 
 // checkDeferredPush pushes deferred histograms and their materialised forms
-// through two fleets. Every byte of every deferred push — envelope included,
-// deferred or, where that does not pay, materialised — equals the reference
-// encoders', across consecutive pushes; no push is larger than its
-// materialised form or than it would be with the touched bitmap and every
-// touched bucket; and the
-// servers hold what the materialised pushes leave.
+// through two fleets. Every byte of every push — envelope included — equals
+// the reference encoder's, across consecutive pushes; no deferred push is
+// larger than it would be with the touched bitmap and every touched bucket;
+// and the servers hold what the materialised pushes leave.
 func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact bool, density float64) {
 	cd, capD, srvD, layout := pushFleet(t, geo, bits, exact)
 	cm, capM, srvM, _ := pushFleet(t, geo, bits, exact)
@@ -602,8 +509,8 @@ func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact bool, de
 		}
 		return n
 	}
-	ref := rand.New(rand.NewSource(2)) // pushFleet's client is worker 1
-	ev := vecEncoding{bits: bits, exact: exact}
+	refD, refM := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2)) // pushFleet's client is worker 1
+	width := vecEncoding{bits: bits, exact: exact}.spanBits()
 	const pushes = 3
 	for node := 0; node < pushes; node++ {
 		h := histogram.New(layout)
@@ -620,26 +527,30 @@ func checkDeferredPush(t *testing.T, geo pushGeometry, bits uint, exact bool, de
 		}
 		before := 0
 		for sv := 0; sv < geo.servers; sv++ {
-			got := capD.sent[serverName(sv)][node]
-			want := wire.NewWriter(64)
-			want.Int32(1)
-			want.Uint64(seq0 + uint64(sv) + 1)
-			want.Int32(int32(node))
-			encode, unbitmapped := refDeferredShard(cd.part, sv, h, ev.spanBits())
+			encode, unbitmapped := refDeferredShard(cd.part, sv, h, width)
 			before += envelopeSize + 4 + unbitmapped
-			if got[envelopeSize+4] == VecDeferred {
-				want.Raw(encode(ref))
-			} else {
-				g, hs := refShardArrays(cd.part, sv, m)
-				refWriteVector(want, ref, g, ev)
-				refWriteVector(want, ref, hs, ev)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("node %d server %d: %d payload bytes differ from the reference's %d", node, sv, len(got), want.Len())
+			encodeM, _ := refDeferredShard(cm.part, sv, m, width)
+			for _, push := range []struct {
+				what   string
+				got    []byte
+				encode func(*rand.Rand) []byte
+				rng    *rand.Rand
+			}{
+				{"deferred", capD.sent[serverName(sv)][node], encode, refD},
+				{"materialised", capM.sent[serverName(sv)][node], encodeM, refM},
+			} {
+				want := wire.NewWriter(64)
+				want.Int32(1)
+				want.Uint64(seq0 + uint64(sv) + 1)
+				want.Int32(int32(node))
+				want.Raw(push.encode(push.rng))
+				if !bytes.Equal(push.got, want.Bytes()) {
+					t.Fatalf("node %d server %d: %d bytes of the %s push differ from the reference's %d", node, sv, len(push.got), push.what, want.Len())
+				}
 			}
 		}
-		if d, mat := sent(capD, node), sent(capM, node); d > mat || d > before {
-			t.Fatalf("node %d: the deferred push put %d bytes on the wire, its materialised form %d, with the touched bitmap and every touched bucket %d", node, d, mat, before)
+		if d := sent(capD, node); d > before {
+			t.Fatalf("node %d: the deferred push put %d bytes on the wire, with the touched bitmap and every touched bucket %d", node, d, before)
 		}
 		for sv := range srvD {
 			got, want := shardBits(t, srvD[sv], int32(node)), shardBits(t, srvM[sv], int32(node))

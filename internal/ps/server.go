@@ -62,12 +62,11 @@ type treeShards struct {
 }
 
 // nodeShard accumulates one node's histogram restricted to this server's
-// features, under the tree's shard layout. It starts deferred, and stays so
-// while deferred pushes merge into it over the union of their touched sets
-// (histogram.Histogram.Add); a materialised push materialises it. Float
-// addition is not associative, so worker shards are merged in ascending
-// worker id whatever order they arrive in: next is the frontier — every
-// worker below it is already in hist. A push from worker == next merges
+// features, under the tree's shard layout. It is deferred throughout: every
+// push is a deferred shard, merged over the union of the touched sets
+// (histogram.Histogram.Add). Float addition is not associative, so worker
+// shards are merged in ascending worker id whatever order they arrive in:
+// next is the frontier — every worker below it is already in hist. A push from worker == next merges
 // straight from the request and advances the frontier through any parked
 // successors; a push from beyond the frontier is parked as a copy of its wire
 // bytes (compressed size, not decoded size). A pull folds whatever is still
@@ -116,12 +115,6 @@ type DeriveError struct {
 func (e *DeriveError) Error() string {
 	return fmt.Sprintf("ps: cannot derive node %d: no histogram shard for node %d this tree", e.Node, e.Missing)
 }
-
-// serverEnc encodes pull responses. It rounds to nearest (no RNG), so it is
-// safe under concurrent handlers and — critically — a retried pull or a
-// pull from a different worker produces byte-identical responses; stochastic
-// rounding here would make training depend on request arrival order.
-var serverEnc = compress.NewDeterministicEncoder()
 
 // NewServer constructs a server for shard id under the partition.
 func NewServer(id int, part *Partition, sketchEps float64) *Server {
@@ -191,8 +184,6 @@ func (s *Server) Handler() transport.Handler {
 			resp, err = s.pushHist(worker, seq, r)
 		case OpPullSplit:
 			resp, err = s.pullSplit(r)
-		case OpPullHistShard:
-			resp, err = s.pullHistShard(r)
 		case OpPushSplitResult:
 			resp, err = s.pushSplitResult(r)
 		case OpPullSplitResults:
@@ -313,7 +304,7 @@ func (s *Server) pullCandidates(r *wire.Reader) (*wire.Writer, error) {
 }
 
 func (s *Server) pushSampled(r *wire.Reader) (*wire.Writer, error) {
-	feats, err := readFeatures(r, s.part.NumFeatures)
+	feats, err := readSampled(r, s.part.NumFeatures)
 	if err != nil {
 		return nil, err
 	}
@@ -331,18 +322,28 @@ func (s *Server) pullSampled() (*wire.Writer, error) {
 	return w, nil
 }
 
-// newTree resets per-tree state and builds the shard layout over
-// (owned ∩ sampled) features. The sampled list travels in the request so
-// NEW_TREE is a single round trip.
-func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
-	sampled, err := readFeatures(r, s.part.NumFeatures)
+// readSampled consumes a sampled feature list: strictly ascending ids in
+// [0, limit).
+func readSampled(r *wire.Reader, limit int) ([]int32, error) {
+	sampled, err := readFeatures(r, limit)
 	if err != nil {
 		return nil, err
 	}
 	for i, f := range sampled {
-		if f < 0 || int(f) >= s.part.NumFeatures || (i > 0 && f <= sampled[i-1]) {
+		if f < 0 || int(f) >= limit || (i > 0 && f <= sampled[i-1]) {
 			return nil, fmt.Errorf("bad sampled feature %d at position %d", f, i)
 		}
+	}
+	return sampled, nil
+}
+
+// newTree resets per-tree state and builds the shard layout over
+// (owned ∩ sampled) features. The sampled list travels in the request so
+// NEW_TREE is a single round trip.
+func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
+	sampled, err := readSampled(r, s.part.NumFeatures)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -425,9 +426,7 @@ func (s *Server) pushHist(worker int32, seq uint64, r *wire.Reader) (*wire.Write
 		n.parked[worker] = append([]byte(nil), body...)
 		return nil, nil
 	}
-	if err := n.add(&shard); err != nil {
-		return nil, err
-	}
+	n.add(shard)
 	n.next++
 	for ; n.parked[n.next] != nil; n.next++ {
 		if err := n.addParked(n.next); err != nil {
@@ -437,36 +436,18 @@ func (s *Server) pushHist(worker int32, seq uint64, r *wire.Reader) (*wire.Write
 	return nil, nil
 }
 
-// pushedShard is a parsed push body: two dense vectors, or a deferred shard.
-type pushedShard struct {
-	g, h     histVector
-	deferred *deferredShard
-}
-
-// quantized reports whether the push is a deferred shard of fixed-point
-// buckets. (A dense push materialises the shard, whose totals are then its
-// bucket sums at any width.)
-func (p *pushedShard) quantized() bool {
-	if p.deferred == nil {
-		return false
-	}
-	width := p.deferred.g.width
-	return width != compress.RawFloat32 && width != compress.RawFloat64
-}
-
-// parseShard parses a push body under the server's shard layout: exactly
-// two tagged vectors of its bucket count, or one deferred shard.
-func parseShard(body []byte, layout *histogram.Layout) (p pushedShard, err error) {
+// parseShard parses a push body under the server's shard layout: one
+// deferred shard and nothing after it.
+func parseShard(body []byte, layout *histogram.Layout) (*deferredShard, error) {
 	r := wire.NewReader(body)
-	if len(body) > 0 && body[0] == VecDeferred {
-		p.deferred, err = parseDeferredShard(r, layout)
-	} else if p.g, err = parseHistVector(r, "pushed g shard", layout.TotalBuckets); err == nil {
-		p.h, err = parseHistVector(r, "pushed h shard", layout.TotalBuckets)
+	d, err := parseDeferredShard(r, layout)
+	if err != nil {
+		return nil, err
 	}
-	if err == nil && r.Remaining() != 0 {
-		err = fmt.Errorf("%w: %d after the pushed shard", ErrTrailingBytes, r.Remaining())
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d after the pushed shard", ErrTrailingBytes, r.Remaining())
 	}
-	return
+	return d, nil
 }
 
 // current returns the current tree's histogram state (nil before NEW_TREE)
@@ -504,33 +485,25 @@ func (s *Server) nodeShard(node int32, t *treeShards) (*nodeShard, error) {
 	return n, nil
 }
 
-// add merges one parsed shard. A dense one decodes straight into the
-// materialised accumulator; a deferred one into pooled scratch, which
+// add merges one parsed shard: decoded into pooled scratch, which
 // histogram.Add then merges over the touched sets. Caller holds n.mu.
-func (n *nodeShard) add(p *pushedShard) error {
-	n.quantized = n.quantized || p.quantized()
-	if p.deferred == nil {
-		n.hist.Materialize()
-		if err := p.g.addTo(n.hist.G); err != nil {
-			return err
-		}
-		return p.h.addTo(n.hist.H)
-	}
+func (n *nodeShard) add(d *deferredShard) {
+	n.quantized = n.quantized || d.quantized()
 	in := n.tree.pool.Get()
 	defer n.tree.pool.Put(in)
-	p.deferred.fill(in)
+	d.fill(in)
 	n.hist.Add(in)
-	return nil
 }
 
 // addParked merges and releases a parked shard. Caller holds n.mu.
 func (n *nodeShard) addParked(worker int32) error {
-	p, err := parseShard(n.parked[worker], n.tree.layout)
+	d, err := parseShard(n.parked[worker], n.tree.layout)
 	if err != nil {
 		return err
 	}
 	delete(n.parked, worker)
-	return n.add(&p)
+	n.add(d)
+	return nil
 }
 
 // derive computes node's shard as parent − sibling from the two merged
@@ -661,11 +634,12 @@ func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 	}
 	err = sh.read(func(hist *histogram.Histogram) error {
 		// Every feature's buckets sum to the node totals (Algorithm 2
-		// invariant), so the shard alone recovers them — exactly as the
-		// dense wire's shard did, on the raw wires. Fixed-point buckets sum
-		// to the totals plus rounding noise, while a deferred shard's mass
-		// is the exact sum of every worker's rows; it is the total there,
-		// and the guard holds instead of failing on the noise.
+		// invariant), so the shard alone recovers them on the raw wires.
+		// Fixed-point buckets sum to the totals plus rounding noise, while
+		// the mass is the exact sum of every worker's rows; it is the total
+		// there, and the guard holds instead of failing on the noise. (Only
+		// a derivation whose sibling touched a position its parent did not
+		// ends materialised, without a mass; no trainer asks for one.)
 		totalG, totalH := hist.FeatureTotals(0)
 		if sh.quantized && hist.Deferred() {
 			totalG, totalH = hist.DeferredMass()
@@ -700,43 +674,11 @@ func (t *treeShards) materialised(h *histogram.Histogram, f func(*histogram.Hist
 	return f(m)
 }
 
-// pullHistShard returns the merged shard under the encoding the client
-// negotiated (two-phase disabled). The deterministic server encoder keeps
-// responses byte-identical across retries and across workers.
-func (s *Server) pullHistShard(r *wire.Reader) (*wire.Writer, error) {
-	node := r.Int32()
-	ev, err := readEncoding(r)
-	if err != nil {
-		return nil, err
-	}
-	sh, err := s.pullShard(node, r.Bool())
-	if err != nil {
-		return nil, err
-	}
-	if sh == nil {
-		w := wire.NewWriter(16)
-		if err := writeHistVector(w, serverEnc, ev); err != nil {
-			return nil, err
-		}
-		if err := writeHistVector(w, serverEnc, ev); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	var w *wire.Writer
-	err = sh.read(func(hist *histogram.Histogram) error {
-		// Pull payloads are the materialised shard's, as they always were.
-		return sh.tree.materialised(hist, func(m *histogram.Histogram) error {
-			w = wire.NewWriter(8 * m.Layout.TotalBuckets)
-			if err := writeHistVector(w, serverEnc, ev, m.G); err != nil {
-				return err
-			}
-			return writeHistVector(w, serverEnc, ev, m.H)
-		})
-	})
-	return w, err
-}
-
+// pushSplitResult stores a node's global split for SPLIT_TREE, where every
+// worker partitions its rows on it. A found split whose feature is not in the
+// tree's sample (ErrBadFeatureID), or whose value, gain or statistics are not
+// finite (compress.ErrNonFinite), is refused before it is stored: the first
+// would index past every worker's layout, the second split on NaN.
 func (s *Server) pushSplitResult(r *wire.Reader) (*wire.Writer, error) {
 	node := r.Int32()
 	rec, err := readSplitRecord(r)
@@ -748,6 +690,16 @@ func (s *Server) pushSplitResult(r *wire.Reader) (*wire.Writer, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if sp := rec.Split; sp.Found {
+		if _, sampled := slices.BinarySearch(s.sampled, sp.Feature); !sampled {
+			return nil, fmt.Errorf("%w: node %d splits on feature %d, not sampled this tree", ErrBadFeatureID, node, sp.Feature)
+		}
+		for _, v := range []float64{sp.Value, sp.Gain, sp.LeftG, sp.LeftH, sp.RightG, sp.RightH, rec.G, rec.H} {
+			if !finite(v) {
+				return nil, fmt.Errorf("%w: node %d split statistic %v", compress.ErrNonFinite, node, v)
+			}
+		}
+	}
 	s.splits[node] = rec
 	return nil, nil
 }

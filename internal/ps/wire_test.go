@@ -8,7 +8,6 @@ import (
 	"dimboost/internal/compress"
 	"dimboost/internal/dataset"
 	"dimboost/internal/histogram"
-	"dimboost/internal/wire"
 )
 
 // TestStalePartitionPushRejected is the regression for the decode path that
@@ -53,125 +52,46 @@ func TestStalePartitionPushRejected(t *testing.T) {
 	}
 }
 
-// TestHostileHistHeadersRejected drives raw crafted push bodies at the
-// server: undecodable widths, non-finite MaxAbs, short payloads. Every one
-// must come back as a typed error; before the header
-// admission check existed the bits=200 case reached the fixed-point decoder
-// at merge time.
-func TestHostileHistHeadersRejected(t *testing.T) {
-	const m = 20
-	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 100, NumFeatures: m, AvgNNZ: 6, Seed: 23, Zipf: 1.2})
-	fx := newFixture(t, m, 1, 1)
-	_, layout := buildDistributedHistograms(t, fx, d, 0)
-	buckets := 0
-	for _, f := range fx.part.FeaturesOf(0, layout.Features) {
-		lo, hi := layout.BucketRange(int(layout.Pos(f)))
-		buckets += hi - lo
-	}
-	c := fx.clients[0]
-
-	// goodF32 is a well-formed float32 h vector; the hostile g vector before
-	// it must already have been rejected.
-	goodF32 := func(w *wire.Writer) {
-		w.Uint8(VecFloat32)
-		w.Float64sAs32(make([]float64, buckets))
-	}
-	cases := []struct {
-		name  string
-		build func(w *wire.Writer)
-		want  error
-	}{
-		{"undecodable width", func(w *wire.Writer) {
-			w.Uint8(VecFixed)
-			w.Uint8(200) // would shift out of range in Decode
-			w.Uint32(uint32(buckets))
-			w.Float64(1.0)
-			w.Bytes32(make([]byte, buckets))
-			goodF32(w)
-		}, compress.ErrBadWidth},
-		{"NaN MaxAbs", func(w *wire.Writer) {
-			w.Uint8(VecFixed)
-			w.Uint8(8)
-			w.Uint32(uint32(buckets))
-			w.Float64(math.NaN())
-			w.Bytes32(make([]byte, buckets))
-			goodF32(w)
-		}, compress.ErrBadHeader},
-		{"data shorter than N", func(w *wire.Writer) {
-			w.Uint8(VecFixed)
-			w.Uint8(8)
-			w.Uint32(uint32(buckets))
-			w.Float64(1.0)
-			w.Bytes32(make([]byte, buckets/2))
-			goodF32(w)
-		}, compress.ErrSizeMismatch},
-	}
-	for _, tc := range cases {
-		w := c.newRequest(64)
-		w.Int32(0) // node
-		tc.build(w)
-		_, err := c.send(0, OpPushHist, w)
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
-		}
-	}
-}
-
 // sparseData generates a high-dimensional, mostly-empty workload.
 func sparseData(m int) *dataset.Dataset {
 	return dataset.Generate(dataset.SyntheticConfig{NumRows: 300, NumFeatures: m, AvgNNZ: 6, Seed: 31, Zipf: 1.4})
 }
 
-// TestExactPullBitIdentical: on the exact wire the whole loop — push, server
-// merge, pull — must reproduce the worker-side union to the bit, because
-// deferred pushes carry float64 verbatim and untouched buckets are exact
-// zeros plus the exact mass on both sides (invariant 18).
-func TestExactPullBitIdentical(t *testing.T) {
+// TestExactMergeBitIdentical: on the exact wire push and server merge must
+// reproduce the worker-side union to the bit, because deferred pushes carry
+// float64 verbatim and untouched buckets are exact zeros plus the exact mass
+// on both sides (invariant 18).
+func TestExactMergeBitIdentical(t *testing.T) {
 	const m, p, w = 200, 3, 2
 	fx := newFixture(t, m, p, w)
 	for _, c := range fx.clients {
 		c.Exact = true
 	}
 	union, layout := buildDistributedHistograms(t, fx, sparseData(m), 0)
-	perOpBefore, _ := WireBytes()
-	got, err := fx.clients[0].PullHistogram(0, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mergedHistogram(t, fx.servers, layout, 0)
 	for i := range union.G {
 		if math.Float64bits(got.G[i]) != math.Float64bits(union.G[i]) ||
 			math.Float64bits(got.H[i]) != math.Float64bits(union.H[i]) {
 			t.Fatalf("bucket %d: (%v,%v) != (%v,%v)", i, got.G[i], got.H[i], union.G[i], union.H[i])
 		}
 	}
-	// The per-op accounting must attribute the pull's response bytes.
-	perOpAfter, _ := WireBytes()
-	if perOpAfter["pull_hist_shard/out"] <= perOpBefore["pull_hist_shard/out"] {
-		t.Fatal("pull_hist_shard/out bytes did not grow")
-	}
 }
 
-// TestCompressedPullApproximates: fixed-point pushes and pulls stay within
-// the quantization error bound of the union, and buckets no row touched stay
-// exactly zero through the round trip.
-func TestCompressedPullApproximates(t *testing.T) {
+// TestCompressedMergeApproximates: fixed-point pushes merge within the
+// quantization error bound of the union, and buckets no row touched stay
+// exactly zero.
+func TestCompressedMergeApproximates(t *testing.T) {
 	const m, p, w = 200, 3, 2
 	fx := newFixture(t, m, p, w)
-	for _, c := range fx.clients {
-		c.PullBits = 8
-	}
 	union, layout := buildDistributedHistograms(t, fx, sparseData(m), 8)
-	got, err := fx.clients[0].PullHistogram(0, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mergedHistogram(t, fx.servers, layout, 0)
 	maxAbs := 0.0
 	for i := range union.G {
 		maxAbs = math.Max(maxAbs, math.Max(math.Abs(union.G[i]), math.Abs(union.H[i])))
 	}
-	// One 8-bit quantization per worker push plus one on the pull, each off
-	// by at most maxAbs/127; doubled for per-shard scale slack.
-	tol := 2 * float64(w+1) * maxAbs / 127
+	// One 8-bit quantization per worker push, each off by at most
+	// maxAbs/127; doubled for per-shard scale slack.
+	tol := 2 * float64(w) * maxAbs / 127
 	for i := range union.G {
 		if math.Abs(got.G[i]-union.G[i]) > tol || math.Abs(got.H[i]-union.H[i]) > tol {
 			t.Fatalf("bucket %d: (%v,%v) vs (%v,%v), tol %v", i, got.G[i], got.H[i], union.G[i], union.H[i], tol)
@@ -246,59 +166,44 @@ func TestBadPullEncodingRejected(t *testing.T) {
 	buildDistributedHistograms(t, fx, d, 0)
 	c := fx.clients[0]
 
-	w := c.newRequest(16)
-	w.Int32(0)
-	w.Uint8(3) // unsupported fixed-point width
-	w.Bool(false)
-	w.Bool(false)
-	if _, err := c.send(0, OpPullHistShard, w); !errors.Is(err, compress.ErrBadWidth) {
+	pull := func(bits uint8, exact bool) error {
+		w := c.newRequest(40)
+		w.Int32(0)
+		w.Float64(1.0)
+		w.Float64(0.0)
+		w.Float64(1e-4)
+		w.Uint8(bits)
+		w.Bool(exact)
+		w.Bool(false)
+		_, err := c.send(0, OpPullSplit, w)
+		return err
+	}
+	if err := pull(3, false); !errors.Is(err, compress.ErrBadWidth) { // unsupported fixed-point width
 		t.Fatalf("width 3: %v", err)
 	}
-
-	w = c.newRequest(16)
-	w.Int32(0)
-	w.Uint8(8)
-	w.Bool(true) // exact + 8-bit: contradictory
-	w.Bool(false)
-	if _, err := c.send(0, OpPullHistShard, w); err == nil {
+	if err := pull(8, true); err == nil { // exact + 8-bit: contradictory
 		t.Fatal("exact+compressed encoding accepted")
 	}
 }
 
-// TestVectorByteAccounting: the per-encoding byte counters must grow by
-// exactly the payload sizes that cross the codec, attributed to the encoding
-// actually chosen.
+// TestVectorByteAccounting: the byte counters grow by exactly the size of a
+// shard that crosses the codec, on encode and on decode.
 func TestVectorByteAccounting(t *testing.T) {
-	for _, tc := range []struct {
-		ev  vecEncoding
-		tag uint8
-	}{
-		{vecEncoding{exact: true}, VecFloat64},
-		{vecEncoding{}, VecFloat32},
-		{vecEncoding{bits: 8}, VecFixed},
-	} {
-		vs := []float64{0, 1.5, -2.25, 3}
+	fz := newDeferredFuzz(t)
+	h := histogram.New(fz.plan.layout)
+	fillDeferred(h, 3, 0.3)
+	for _, width := range fuzzWidths {
 		_, before := WireBytes()
-		w := wire.NewWriter(64)
-		if err := writeHistVector(w, compress.NewEncoder(1), tc.ev, vs); err != nil {
+		body := fz.body(t, 0, h, width)
+		d, err := parseShard(body, fz.servers[0])
+		if err != nil {
 			t.Fatal(err)
 		}
-		if w.Bytes()[0] != tc.tag {
-			t.Fatalf("%+v: encoded as tag %d, want %d", tc.ev, w.Bytes()[0], tc.tag)
-		}
-		if _, err := readHistVector(wire.NewReader(w.Bytes()), "v", len(vs)); err != nil {
-			t.Fatal(err)
-		}
+		d.fill(histogram.New(fz.servers[0]))
 		_, after := WireBytes()
-		name, n := vecName(tc.tag), int64(w.Len())
-		for _, dir := range []string{"/encode", "/decode"} {
-			if got := after[name+dir] - before[name+dir]; got != n {
-				t.Fatalf("%s%s grew %d, want %d", name, dir, got, n)
-			}
-		}
-		for _, other := range vecTags {
-			if o := vecName(other); o != name && after[o+"/encode"] != before[o+"/encode"] {
-				t.Fatalf("%s/encode grew on a %s write", o, name)
+		for _, dir := range []string{"deferred/encode", "deferred/decode"} {
+			if got := after[dir] - before[dir]; got != int64(len(body)) {
+				t.Fatalf("width %d: %s grew %d, want %d", width, dir, got, len(body))
 			}
 		}
 	}
