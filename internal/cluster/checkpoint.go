@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -10,7 +11,6 @@ import (
 
 	"dimboost/internal/core"
 	"dimboost/internal/loss"
-	"dimboost/internal/tree"
 	"dimboost/internal/wire"
 )
 
@@ -85,18 +85,13 @@ const (
 	checkpointMagic = "DBCK"
 	// Version 2 added the PullBits and sparse-wire fingerprint fields, version
 	// 3 the LearningRate, Lambda, Gamma, MinChildHessian and SketchEps ones;
-	// version 4 dropped the sparse-wire flag with the sparse vector form.
-	checkpointVersion = 4
+	// version 4 dropped the sparse-wire flag with the sparse vector form;
+	// version 5 holds the model as one block in core's model file format.
+	checkpointVersion = 5
 
-	// Wire bytes of a tree header (depth, node count), a node and an event:
-	// DecodeCheckpoint refuses a count the rest of the file cannot hold
-	// before allocating for it.
-	treeWireBytes  = 8
-	nodeWireBytes  = 30
+	// eventWireBytes is the size of an event: DecodeCheckpoint refuses an
+	// event count the rest of the file cannot hold before allocating for it.
 	eventWireBytes = 20
-	// maxCheckpointDepth is the tree depth bound core.Load and
-	// core.Config.Validate enforce.
-	maxCheckpointDepth = 24
 )
 
 // Encode serializes the checkpoint with the internal/wire codec.
@@ -120,21 +115,9 @@ func (c *Checkpoint) Encode() []byte {
 	w.Uint32(uint32(fp.PullBits))
 	w.Bool(fp.ExactWire)
 	w.Uint32(uint32(c.TreesDone))
-	w.Int32(int32(c.Model.Loss))
-	w.Float64(c.Model.BaseScore)
-	w.Uint32(uint32(len(c.Model.Trees)))
-	for _, t := range c.Model.Trees {
-		w.Uint32(uint32(t.MaxDepth))
-		w.Uint32(uint32(len(t.Nodes)))
-		for _, n := range t.Nodes {
-			w.Bool(n.Used)
-			w.Bool(n.Leaf)
-			w.Int32(n.Feature)
-			w.Float64(n.Value)
-			w.Float64(n.Gain)
-			w.Float64(n.Weight)
-		}
-	}
+	var model bytes.Buffer
+	c.Model.Save(&model) // a bytes.Buffer takes every write
+	w.Bytes32(model.Bytes())
 	w.Uint32(uint32(len(c.Events)))
 	for _, e := range c.Events {
 		w.Uint32(uint32(e.Tree))
@@ -144,18 +127,11 @@ func (c *Checkpoint) Encode() []byte {
 	return w.Bytes()
 }
 
-// DecodeCheckpoint parses a checkpoint written by Encode and validates the
-// embedded trees. It accepts only Encode's own bytes: a flag other than 0 or
-// 1, a count the file cannot hold or trailing bytes are refused, and so is
-// a tree deeper than core.Load accepts.
+// DecodeCheckpoint parses a checkpoint written by Encode; core.Load decodes
+// and validates its model. It accepts only Encode's own bytes: a flag other
+// than 0 or 1, a count the file cannot hold or trailing bytes are refused.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	r := wire.NewReader(data)
-	badFlag := false
-	flag := func() bool {
-		b := r.Uint8()
-		badFlag = badFlag || b > 1
-		return b == 1
-	}
 	if len(data) < 8 || string(data[:4]) != checkpointMagic {
 		return nil, fmt.Errorf("cluster: not a checkpoint (bad magic)")
 	}
@@ -177,59 +153,24 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Fingerprint.SketchEps = r.Float64()
 	c.Fingerprint.Bits = uint(r.Uint32())
 	c.Fingerprint.PullBits = uint(r.Uint32())
-	c.Fingerprint.ExactWire = flag()
+	exactWire := r.Uint8()
+	c.Fingerprint.ExactWire = exactWire == 1
 	c.TreesDone = int(r.Uint32())
-	c.Model = &core.Model{Loss: loss.Kind(r.Int32()), BaseScore: r.Float64()}
-	numTrees := int(r.Uint32())
+	model := r.Bytes32()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("cluster: decoding checkpoint: %w", r.Err())
 	}
 	// A model with an unknown loss panics when it is evaluated; core.Load
-	// refuses one in a model file the same way.
-	switch {
-	case !c.Fingerprint.Loss.Valid():
+	// refuses one in the model the same way.
+	if !c.Fingerprint.Loss.Valid() {
 		return nil, fmt.Errorf("cluster: checkpoint Fingerprint.Loss is unknown loss %v", c.Fingerprint.Loss)
-	case !c.Model.Loss.Valid():
-		return nil, fmt.Errorf("cluster: checkpoint Model.Loss is unknown loss %v", c.Model.Loss)
-	case c.Model.Loss != c.Fingerprint.Loss:
+	}
+	var err error
+	if c.Model, err = core.Load(bytes.NewReader(model)); err != nil {
+		return nil, fmt.Errorf("cluster: checkpoint model: %w", err)
+	}
+	if c.Model.Loss != c.Fingerprint.Loss {
 		return nil, fmt.Errorf("cluster: checkpoint Model.Loss %v differs from Fingerprint.Loss %v", c.Model.Loss, c.Fingerprint.Loss)
-	}
-	if numTrees > r.Remaining()/(treeWireBytes+nodeWireBytes) {
-		return nil, fmt.Errorf("cluster: checkpoint declares %d trees in %d bytes", numTrees, r.Remaining())
-	}
-	for i := 0; i < numTrees; i++ {
-		depth := int(r.Uint32())
-		numNodes := int(r.Uint32())
-		if r.Err() != nil {
-			return nil, fmt.Errorf("cluster: decoding checkpoint tree %d: %w", i, r.Err())
-		}
-		if depth < 1 || depth > maxCheckpointDepth {
-			return nil, fmt.Errorf("cluster: checkpoint tree %d has depth %d outside [1,%d]", i, depth, maxCheckpointDepth)
-		}
-		if numNodes != tree.MaxNodes(depth) {
-			return nil, fmt.Errorf("cluster: checkpoint tree %d has %d nodes for depth %d", i, numNodes, depth)
-		}
-		if numNodes > r.Remaining()/nodeWireBytes {
-			return nil, fmt.Errorf("cluster: checkpoint tree %d declares %d nodes in %d bytes", i, numNodes, r.Remaining())
-		}
-		t := &tree.Tree{MaxDepth: depth, Nodes: make([]tree.Node, numNodes)}
-		for j := range t.Nodes {
-			t.Nodes[j] = tree.Node{
-				Used:    flag(),
-				Leaf:    flag(),
-				Feature: r.Int32(),
-				Value:   r.Float64(),
-				Gain:    r.Float64(),
-				Weight:  r.Float64(),
-			}
-		}
-		if r.Err() != nil {
-			return nil, fmt.Errorf("cluster: decoding checkpoint tree %d: %w", i, r.Err())
-		}
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: checkpoint tree %d invalid: %w", i, err)
-		}
-		c.Model.Trees = append(c.Model.Trees, t)
 	}
 	numEvents := int(r.Uint32())
 	if r.Err() != nil {
@@ -250,7 +191,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("cluster: decoding checkpoint: %w", r.Err())
 	case r.Remaining() != 0:
 		return nil, fmt.Errorf("cluster: %d trailing bytes after the checkpoint", r.Remaining())
-	case badFlag:
+	case exactWire > 1:
 		return nil, fmt.Errorf("cluster: checkpoint flag byte is neither 0 nor 1")
 	}
 	if c.TreesDone != len(c.Model.Trees) {

@@ -37,6 +37,34 @@ func sameStructure(t *testing.T, a, b *Model) bool {
 	return true
 }
 
+// sameBits reports whether two models agree in every field, floats compared
+// by their bits.
+func sameBits(t *testing.T, a, b *Model) bool {
+	t.Helper()
+	if a.Loss != b.Loss || math.Float64bits(a.BaseScore) != math.Float64bits(b.BaseScore) || len(a.Trees) != len(b.Trees) {
+		t.Logf("header (%v, %v, %d trees) vs (%v, %v, %d trees)", a.Loss, a.BaseScore, len(a.Trees), b.Loss, b.BaseScore, len(b.Trees))
+		return false
+	}
+	for ti, ta := range a.Trees {
+		tb := b.Trees[ti]
+		if ta.MaxDepth != tb.MaxDepth || len(ta.Nodes) != len(tb.Nodes) {
+			t.Logf("tree %d: depth %d vs %d", ti, ta.MaxDepth, tb.MaxDepth)
+			return false
+		}
+		for ni, x := range ta.Nodes {
+			y := tb.Nodes[ni]
+			if x.Used != y.Used || x.Leaf != y.Leaf || x.Feature != y.Feature ||
+				math.Float64bits(x.Value) != math.Float64bits(y.Value) ||
+				math.Float64bits(x.Gain) != math.Float64bits(y.Gain) ||
+				math.Float64bits(x.Weight) != math.Float64bits(y.Weight) {
+				t.Logf("tree %d node %d: %+v vs %+v", ti, ni, x, y)
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.NumTrees = 8
@@ -272,8 +300,8 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Loss != model.Loss || len(back.Trees) != len(model.Trees) {
-		t.Fatal("round trip lost structure")
+	if !sameBits(t, model, back) {
+		t.Fatal("round trip changed the model")
 	}
 	for i := 0; i < d.NumRows(); i++ {
 		in := d.Row(i)
@@ -305,8 +333,8 @@ func TestModelFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Predict(d.Row(0)) != model.Predict(d.Row(0)) {
-		t.Fatal("file round trip changed predictions")
+	if !sameBits(t, model, back) {
+		t.Fatal("file round trip changed the model")
 	}
 	if _, err := LoadFile(path + ".missing"); err == nil {
 		t.Fatal("expected missing-file error")

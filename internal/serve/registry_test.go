@@ -12,8 +12,8 @@ import (
 	"dimboost/internal/tree"
 )
 
-// corruptModel returns a model whose tree fails validation, standing in
-// for a truncated or bit-rotted model file that still gob-decodes.
+// corruptModel returns a model whose tree fails validation. core.Load
+// refuses such a file, so it stands for a model built in memory.
 func corruptModel() *core.Model {
 	return &core.Model{Trees: []*tree.Tree{{MaxDepth: 2, Nodes: make([]tree.Node, 7)}}}
 }

@@ -827,6 +827,30 @@ func TestReloadRollback(t *testing.T) {
 	}
 }
 
+// TestReloadRefusesOldModelFile: a model file in the gob format of earlier
+// builds, reloaded through core.LoadFile as dimboost-serve reloads, is a 500
+// that never reaches the registry: version 1 keeps serving.
+func TestReloadRefusesOldModelFile(t *testing.T) {
+	m1, _ := trainedModel(t)
+	h := New(m1)
+	h.OnReload = func() (*core.Model, error) { return core.LoadFile("../core/testdata/model_gob_v1.bin") }
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/model/reload", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "not a model file") {
+		t.Fatalf("old-format reload: status %d, body %q; want 500 naming the file as not a model file", resp.StatusCode, body)
+	}
+	if cur, v := h.Registry().Current(); cur != m1 || v.ID != 1 || len(h.Registry().History()) != 1 {
+		t.Fatalf("after old-format reload: current v%d, history %+v; want m1 as v1 alone", v.ID, h.Registry().History())
+	}
+}
+
 // TestGracefulDrainInFlight runs a real http.Server through shutdown: an
 // in-flight slow /predict completes during the drain, a request arriving
 // after Shutdown is refused at the connection level, and /healthz reports
