@@ -341,20 +341,8 @@ func (c *Coalescer) run() {
 		model := c.source()
 		err := scoreBatch(model, ins, out, batch)
 
-		off := 0
-		for _, call := range batch {
-			k := len(call.ins)
-			if err == nil && call.err == nil {
-				copy(call.out, out[off:off+k])
-				call.model = model
-			} else if call.err == nil {
-				call.err = err
-			}
-			off += k
-			c.pending.Add(-int64(k))
-			call.done <- struct{}{}
-		}
-
+		// Record the flush before any caller is released, so a Stats read
+		// after Score returns sees it.
 		c.stats.batches.Add(1)
 		c.stats.requests.Add(int64(len(batch)))
 		c.stats.instances.Add(int64(n))
@@ -370,7 +358,19 @@ func (c *Coalescer) run() {
 		case "drain":
 			c.stats.drain.Add(1)
 		}
-		for i := range batch {
+
+		off := 0
+		for i, call := range batch {
+			k := len(call.ins)
+			if err == nil && call.err == nil {
+				copy(call.out, out[off:off+k])
+				call.model = model
+			} else if call.err == nil {
+				call.err = err
+			}
+			off += k
+			c.pending.Add(-int64(k))
+			call.done <- struct{}{}
 			batch[i] = nil
 		}
 	}
