@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dimboost/internal/compress"
@@ -136,19 +137,29 @@ func (wt *wireTree) run(t *testing.T, servers int, exact bool, order []int, defe
 		}
 		out.reads = append(out.reads, rec)
 	}
+	// A parent's shard is captured before its child is derived: the
+	// derivation takes the parent's buffer over and retires it.
+	captured := []int32{0, 1, 2, 5, 6}
+	out.shards = make([][]uint64, len(captured)*len(fx.servers))
+	capture := func(nodes ...int32) {
+		for _, node := range nodes {
+			k := slices.Index(captured, node)
+			for sv, srv := range fx.servers {
+				out.shards[sv*len(captured)+k] = shardBits(t, srv, node)
+			}
+		}
+	}
 	push(0)
 	read(0, false)
 	push(1)
 	read(1, false)
+	capture(0, 1)
 	read(2, true)
 	push(2)
 	read(5, false)
+	capture(2, 5)
 	read(6, true)
-	for _, srv := range fx.servers {
-		for _, node := range []int32{0, 1, 2, 5, 6} {
-			out.shards = append(out.shards, shardBits(t, srv, node))
-		}
-	}
+	capture(6)
 	if _, enc1 := WireBytes(); enc1["deferred/encode"] == enc0["deferred/encode"] {
 		t.Fatal("no push travelled deferred")
 	}
@@ -183,7 +194,9 @@ func permutations(n int) [][]int {
 // a derived one — exactly the shards the materialised pushes of the same
 // builds leave (every position touched, the node totals as the mass), bucket
 // for bucket once materialised, and every split pull answers the same in
-// every field. For 1–3 workers in every arrival order and 1–3 servers.
+// every field. For 1–3 workers in every arrival order and 1–3 servers. Each
+// parent's shard is compared as it stood before its child was derived from it
+// in place.
 func TestDeferredAndMaterialisedPushesAgree(t *testing.T) {
 	for workers := 1; workers <= 3; workers++ {
 		wt := newWireTree(t, workers)

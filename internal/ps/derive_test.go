@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"dimboost/internal/core"
 	"dimboost/internal/faultinject"
 	"dimboost/internal/histogram"
+	"dimboost/internal/obs"
 	"dimboost/internal/transport"
 )
 
@@ -220,14 +222,16 @@ func TestDerivedShardIsParentMinusSibling(t *testing.T) {
 
 // TestDerivedHistogramReassembles: the derived node's shards, reassembled
 // across the servers, are the reassembled parent − sibling, bucket for bucket.
+// The operands are reassembled before the derivation, which retires the
+// parent.
 func TestDerivedHistogramReassembles(t *testing.T) {
 	df := newDeriveFixture(t, 2, nil)
+	parent := mergedHistogram(t, df.fx.servers, df.layout, deriveParent)
+	sibling := mergedHistogram(t, df.fx.servers, df.layout, deriveBuilt)
 	if _, err := df.fx.clients[0].PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 	got := mergedHistogram(t, df.fx.servers, df.layout, deriveDerived)
-	parent := mergedHistogram(t, df.fx.servers, df.layout, deriveParent)
-	sibling := mergedHistogram(t, df.fx.servers, df.layout, deriveBuilt)
 	want := histogram.New(df.layout)
 	want.SetSub(parent, sibling)
 	for i := range want.G {
@@ -327,17 +331,20 @@ func TestDeriveWithoutOperandsIsTypedError(t *testing.T) {
 	}
 }
 
-// replyRecorder keeps a copy of every split-pull reply it forwards, in call
-// order.
+// replyRecorder keeps a copy of the last split-pull reply each server sent,
+// safe for the concurrent calls of one fan-out.
 type replyRecorder struct {
 	transport.Endpoint
-	replies [][]byte
+	mu   sync.Mutex
+	last map[string][]byte
 }
 
 func (e *replyRecorder) Call(to string, req transport.Message) (transport.Message, error) {
 	resp, err := e.Endpoint.Call(to, req)
 	if err == nil && req.Op == OpPullSplit {
-		e.replies = append(e.replies, append([]byte(nil), resp.Body...))
+		e.mu.Lock()
+		e.last[to] = append([]byte(nil), resp.Body...)
+		e.mu.Unlock()
 	}
 	return resp, err
 }
@@ -375,7 +382,7 @@ func TestPullOrderDoesNotChangeReplies(t *testing.T) {
 		if _, n := fx.servers[0].current(deriveBuilt); !n.hist.Deferred() {
 			t.Fatal("the built child's shard is not deferred: the fixture no longer pushes in touched space")
 		}
-		rec := &replyRecorder{Endpoint: fx.clients[0].ep}
+		rec := &replyRecorder{Endpoint: fx.clients[0].ep, last: map[string][]byte{}}
 		fx.clients[0].ep = rec
 		order := []int{deriveBuilt, deriveDerived}
 		if derivedFirst {
@@ -390,7 +397,7 @@ func TestPullOrderDoesNotChangeReplies(t *testing.T) {
 			if _, err := pull(node, 1.0, 0.0, 1e-6); err != nil {
 				t.Fatal(err)
 			}
-			out[node] = rec.replies[len(rec.replies)-1]
+			out[node] = rec.last[serverName(0)]
 		}
 		return out
 	}
@@ -399,5 +406,197 @@ func TestPullOrderDoesNotChangeReplies(t *testing.T) {
 		if !bytes.Equal(builtFirst[node], derivedFirst[node]) {
 			t.Errorf("node %d: the split reply depends on the pull order:\n built first   %x\n derived first %x", node, builtFirst[node], derivedFirst[node])
 		}
+	}
+}
+
+// TestStalePullOfDerivedFromNodeIsTypedError: deriving a node subtracts its
+// sibling from the parent's shard in place and retires the parent. A pull of
+// the parent that arrives afterwards gets a RetiredError naming the parent
+// and the child — never the child's buckets, which would split the parent on
+// another node's data — with or without the derive marker; a push for it is
+// still too late; and the parent's entry stays, so the next derive pull of the
+// child finds the installed shard.
+func TestStalePullOfDerivedFromNodeIsTypedError(t *testing.T) {
+	df := newDeriveFixture(t, 2, nil)
+	c := df.fx.clients[0]
+	want, err := c.PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re *RetiredError
+	for _, pull := range []func(int, float64, float64, float64) (core.Decision, error){c.PullSplit, c.PullDerivedSplit} {
+		got, err := pull(deriveParent, 1.0, 0.0, 1e-6)
+		if !errors.As(err, &re) || re.Node != deriveParent || re.Child != deriveDerived {
+			t.Fatalf("pull of the retired parent: %+v, %v; want a RetiredError naming nodes %d and %d", got, err, deriveParent, deriveDerived)
+		}
+	}
+	var repush *RepushError
+	if err := c.PushHistogram(deriveParent, histogram.New(df.layout)); !errors.As(err, &repush) {
+		t.Fatalf("push for the retired parent: %v, want a RepushError", err)
+	}
+	for _, srv := range df.fx.servers {
+		if _, n := srv.current(deriveParent); n == nil || n.hist != nil || n.child == nil {
+			t.Fatalf("server %d: the retired parent's entry is gone or still holds a histogram", srv.id)
+		}
+	}
+	m, _ := psMetrics()
+	derived0 := m.derived.Value()
+	if again, err := c.PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6); err != nil || again != want {
+		t.Fatalf("derive pull after the stale ones: %+v (%v), want %+v", again, err, want)
+	}
+	if n := m.derived.Value() - derived0; n != 0 {
+		t.Fatalf("a repeated derive pull derived %d shards again", n)
+	}
+}
+
+// TestRacingDerivePullsDeriveOnce: two workers send the derive pull of one
+// node at once. One of them subtracts in place and retires the parent; the
+// other must find the child through the retired parent or the installed
+// shard, never derive again from the consumed buffer. Every server's two
+// replies are byte-identical and each server counts one derivation. Run under
+// -race, the rounds also check the parent's lock covers the hand-over.
+func TestRacingDerivePullsDeriveOnce(t *testing.T) {
+	m, _ := psMetrics()
+	for round := 0; round < 50; round++ {
+		df := newDeriveFixture(t, 2, nil)
+		recs := make([]*replyRecorder, 2)
+		for w, c := range df.fx.clients {
+			recs[w] = &replyRecorder{Endpoint: c.ep, last: map[string][]byte{}}
+			c.ep = recs[w]
+		}
+		derived0 := m.derived.Value()
+		start := make(chan struct{})
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for w, c := range df.fx.clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[w] = c.PullDerivedSplit(deriveDerived, 1.0, 0.0, 1e-6)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d worker %d: %v", round, w, err)
+			}
+		}
+		for sv := range df.fx.servers {
+			a, b := recs[0].last[serverName(sv)], recs[1].last[serverName(sv)]
+			if a == nil || !bytes.Equal(a, b) {
+				t.Fatalf("round %d server %d: racing derive pulls answered differently:\n %x\n %x", round, sv, a, b)
+			}
+		}
+		if n := m.derived.Value() - derived0; n != int64(len(df.fx.servers)) {
+			t.Fatalf("round %d: %d shards derived by two racing pulls, want one per server", round, n)
+		}
+	}
+}
+
+// growFullTree drives one full tree through the fleet as the workers do:
+// per built layer every worker pushes each built node, then each node is
+// pulled — the built child plainly, its sibling with the derive marker.
+// depth counts levels, leaves included, so depth−1 layers are built.
+func growFullTree(t *testing.T, fx *psFixture, layout *histogram.Layout, sampled []int32, depth int, seed int64) {
+	t.Helper()
+	if err := fx.clients[0].NewTree(sampled); err != nil {
+		t.Fatal(err)
+	}
+	built, derived := []int{0}, []int(nil)
+	for d := 0; d < depth-1; d++ {
+		if d > 0 {
+			parents := append(built, derived...)
+			built, derived = nil, nil
+			for _, p := range parents {
+				built, derived = append(built, 2*p+1), append(derived, 2*p+2)
+			}
+		}
+		for _, node := range built {
+			for w, c := range fx.clients {
+				h := histogram.New(layout)
+				fillHist(h, seed+int64(1000*w+node), 0.5)
+				if err := c.PushHistogram(node, h); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		c := fx.clients[0]
+		for _, node := range built {
+			if _, err := c.PullSplit(node, 1.0, 0.0, 1e-6); err != nil {
+				t.Fatalf("layer %d node %d: %v", d, node, err)
+			}
+		}
+		for _, node := range derived {
+			if _, err := c.PullDerivedSplit(node, 1.0, 0.0, 1e-6); err != nil {
+				t.Fatalf("layer %d derived node %d: %v", d, node, err)
+			}
+		}
+	}
+}
+
+// counterValue reads one unlabelled counter of the default registry.
+func counterValue(name string) int64 {
+	for _, s := range obs.Default().Snapshot() {
+		if s.Name == name {
+			var v int64
+			for _, series := range s.Series {
+				v += series.Value
+			}
+			return v
+		}
+	}
+	return 0
+}
+
+// TestServerHoldsOneLayerOfShards pins the servers' histogram footprint: over
+// a two-tree, depth-6 run each server's pool allocates at most the widest
+// built layer's 2^(depth−2) node shards plus two scratch histograms, because
+// a derivation turns its parent's shard into the child's instead of taking a
+// fresh one. Keeping every node of the tree until NEW_TREE took 31. The
+// count is read as the histograms parked in each pool once a third NEW_TREE
+// has returned the second tree's shards; that every histogram the pools
+// allocated came back is checked against the pool-miss counter.
+func TestServerHoldsOneLayerOfShards(t *testing.T) {
+	const m, servers, workers, depth = 150, 2, 2, 6
+	fx := newFixture(t, m, servers, workers)
+	cands := shapedCands(m)
+	for _, srv := range fx.servers {
+		for f := range cands {
+			srv.cands[int32(f)] = cands[f]
+		}
+	}
+	sampled := histogram.AllFeatures(m)
+	layout, err := histogram.NewLayout(sampled, cands, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const misses = "dimboost_train_hist_pool_misses_total"
+	misses0 := counterValue(misses)
+	for tree := int64(0); tree < 2; tree++ {
+		growFullTree(t, fx, layout, sampled, depth, 100*tree)
+	}
+	pools := make([]*histogram.Pool, servers)
+	for sv, srv := range fx.servers {
+		pools[sv] = srv.tree.pool
+	}
+	if err := fx.clients[0].NewTree(sampled); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for sv, srv := range fx.servers {
+		if srv.tree.pool != pools[sv] {
+			t.Fatalf("server %d: NEW_TREE over the same sample replaced the pool", sv)
+		}
+		n := pools[sv].Idle()
+		t.Logf("server %d: %d histograms", sv, n)
+		total += n
+		if limit := 1<<(depth-2) + 2; n > limit {
+			t.Errorf("server %d: the pool allocated %d histograms over two depth-%d trees, want at most %d (one layer of shards and scratch)", sv, n, depth, limit)
+		}
+	}
+	if got := counterValue(misses) - misses0; got != int64(total) {
+		t.Fatalf("the pools allocated %d histograms and hold %d: one was dropped, so the count above undercounts", got, total)
 	}
 }

@@ -187,6 +187,9 @@ var (
 	// ErrTrailingBytes reports a request or reply body with bytes past its
 	// last field.
 	ErrTrailingBytes = errors.New("ps: trailing bytes")
+	// ErrSketchAfterProposal reports a sketch push to a server that already
+	// proposed its candidates and dropped its sketches.
+	ErrSketchAfterProposal = errors.New("ps: sketch pushed after candidates were proposed")
 )
 
 // recordFramingSize is the exact size of the count and the id deltas that

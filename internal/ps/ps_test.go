@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -211,6 +212,27 @@ func TestSketchPushPullEndToEnd(t *testing.T) {
 		}
 		if cands[f].Cuts[cands[f].ZeroBucket] != 0 {
 			t.Fatalf("feature %d lost its zero bucket", f)
+		}
+	}
+	// Proposal dropped the sketches: a later push is refused whole on every
+	// server (it was merged and then ignored for every proposed feature),
+	// and a later pull, at another k too, answers the first pull's
+	// candidates.
+	if err := fx.clients[1].PushSketches(whole); !errors.Is(err, ErrSketchAfterProposal) {
+		t.Fatalf("sketch push after proposal: %v, want ErrSketchAfterProposal", err)
+	}
+	for _, srv := range fx.servers {
+		if n := srv.NumSketches(); n != 0 {
+			t.Fatalf("server %d holds %d sketches after proposing candidates", srv.id, n)
+		}
+	}
+	again, err := fx.clients[2].PullCandidates(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := range cands {
+		if !slices.Equal(cands[f].Cuts, again[f].Cuts) || cands[f].ZeroBucket != again[f].ZeroBucket {
+			t.Fatalf("feature %d: candidates %v at the first pull, %v after a late push", f, cands[f], again[f])
 		}
 	}
 }

@@ -112,6 +112,55 @@ func BenchmarkPushHistogram(b *testing.B) {
 	}
 }
 
+// BenchmarkServerDerive measures one node's derivation on every server of
+// the push fixture: parent − sibling over the parent's touched set, in place,
+// the parent's buffer becoming the derived node's shard. Iteration i derives
+// the node nobody pushed below iteration i−1's, its sibling pushed off the
+// clock; NEW_TREE and a root push start every chain of derivedPerTree, off
+// the clock too. pool-gets/op counts the histograms the servers' pools handed
+// out during the timed derivations: 0, where taking a fresh shard per derived
+// node read one per server.
+func BenchmarkServerDerive(b *testing.B) {
+	pb := newPushBench(b, 100_000)
+	c := pb.fx.clients[0]
+	const derivedPerTree = 16
+	push := func(node int) {
+		if err := c.PushHistogram(node, pb.deferred); err != nil {
+			b.Fatal(err)
+		}
+	}
+	poolGets := func() int64 {
+		return counterValue("dimboost_train_hist_pool_hits_total") + counterValue("dimboost_train_hist_pool_misses_total")
+	}
+	var gets int64
+	parent := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%derivedPerTree == 0 {
+			pb.newTree(b)
+			push(0)
+			parent = 0
+		}
+		push(2*parent + 1)
+		node := int32(2*parent + 2)
+		gets0 := poolGets()
+		b.StartTimer()
+		for _, srv := range pb.fx.servers {
+			t, _ := srv.current(node)
+			if _, err := srv.derive(node, t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		gets += poolGets() - gets0
+		parent = int(node)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(gets)/float64(b.N), "pool-gets/op")
+}
+
 // TestPushAllocationsScaleWithServers guards the copy-free push path: once
 // the per-tree plan and the request buffers exist, a push (client and
 // servers together — the fixture runs both in process) allocates a small

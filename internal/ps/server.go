@@ -32,9 +32,11 @@ type Server struct {
 	// pendingSketches buffers per-worker sketch pushes; they merge in
 	// worker-id order at candidate proposal so the result is independent
 	// of push arrival order (GK merging is not order-commutative at the
-	// bit level).
+	// bit level). The first PULL_CANDIDATES proposes every buffered feature
+	// and drops the sketches (nil from then on): what later pulls answer is
+	// proposed, the sorted features with a sketch, and their cands.
 	pendingSketches map[int32]map[int32]*sketch.GK
-	sketches        map[int32]*sketch.GK
+	proposed        []int32
 	cands           map[int32]sketch.Candidates
 	sampled         []int32
 	// tree is the current tree's histogram state, nil before the first
@@ -52,6 +54,8 @@ type Server struct {
 // treeShards is one tree's histogram state on a server: the shard layout
 // (owned ∩ sampled features), the pool its node shards and push scratch come
 // from, and the node shards pushed or derived so far (guarded by Server.mu).
+// A node a derivation retired keeps its entry, without a histogram, so the
+// pool holds about one layer of shards, not the tree's.
 // NEW_TREE replaces it whole — keeping layout and pool when the sampled
 // features did not change, so a run over all features allocates its shards
 // once — and a request holding the old one finds itself overtaken.
@@ -70,11 +74,16 @@ type treeShards struct {
 // straight from the request and advances the frontier through any parked
 // successors; a push from beyond the frontier is parked as a copy of its wire
 // bytes (compressed size, not decoded size). A pull folds whatever is still
-// parked in ascending worker id and seals the node.
+// parked in ascending worker id and seals the node. Deriving a child from the
+// node retires it (Server.derive).
 type nodeShard struct {
-	mu     sync.Mutex
-	tree   *treeShards
-	hist   *histogram.Histogram // nil once NEW_TREE retired the node
+	mu   sync.Mutex
+	id   int32
+	tree *treeShards
+	// hist is nil once the node is retired: by NEW_TREE, or by the derivation
+	// of child, which took the buffer over.
+	hist   *histogram.Histogram
+	child  *nodeShard
 	next   int32
 	parked map[int32][]byte
 	// pushed records the request seq accepted from each worker, which tells
@@ -116,6 +125,20 @@ func (e *DeriveError) Error() string {
 	return fmt.Sprintf("ps: cannot derive node %d: no histogram shard for node %d this tree", e.Node, e.Missing)
 }
 
+// RetiredError rejects a pull of a node whose shard is gone: a derivation
+// subtracted the sibling from it in place, and its buffer is the derived
+// Child's shard now. The derivation is a node's last use in the protocol —
+// every pull of a layer ends before its FIND_SPLIT barrier — so only a stale
+// or misrouted pull gets here; answering it from the child would split the
+// node on another node's data.
+type RetiredError struct {
+	Node, Child int32
+}
+
+func (e *RetiredError) Error() string {
+	return fmt.Sprintf("ps: node %d was retired when node %d was derived from it", e.Node, e.Child)
+}
+
 // NewServer constructs a server for shard id under the partition.
 func NewServer(id int, part *Partition, sketchEps float64) *Server {
 	return &Server{
@@ -123,7 +146,6 @@ func NewServer(id int, part *Partition, sketchEps float64) *Server {
 		part:            part,
 		eps:             sketchEps,
 		pendingSketches: make(map[int32]map[int32]*sketch.GK),
-		sketches:        make(map[int32]*sketch.GK),
 		cands:           make(map[int32]sketch.Candidates),
 		splits:          make(map[int32]core.Decision),
 		applied:         make(map[int32]uint64),
@@ -217,7 +239,10 @@ func (s *Server) Handler() transport.Handler {
 // worker. The batch is all or nothing: a summary sketch.Restore's rules
 // reject (sketch.ErrInvalidSummary) or a bad feature id (ErrBadFeatureID) —
 // a repeated one included — fails the request before any feature of it
-// reaches candidate proposal.
+// reaches candidate proposal. A batch that arrives once candidates were
+// proposed is refused whole (ErrSketchAfterProposal): the sketches it would
+// merge into are gone, and the candidates workers already pulled cannot
+// change.
 func (s *Server) pushSketch(worker int32, r *wire.Reader) (*wire.Writer, error) {
 	batch, err := readSketchPush(r, s.part, s.id, s.eps)
 	if err != nil {
@@ -225,6 +250,9 @@ func (s *Server) pushSketch(worker int32, r *wire.Reader) (*wire.Writer, error) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.pendingSketches == nil {
+		return nil, ErrSketchAfterProposal
+	}
 	for _, p := range batch {
 		byWorker := s.pendingSketches[p.f]
 		if byWorker == nil {
@@ -253,53 +281,44 @@ func readSketchPush(r *wire.Reader, part *Partition, sv int, eps float64) ([]pus
 	return batch, err
 }
 
-// mergeSketches folds buffered per-worker sketches in worker-id order.
-// Caller holds s.mu.
-func (s *Server) mergeSketches() {
+// propose merges each feature's buffered sketches in worker-id order,
+// proposes its candidates, and drops the sketches. Caller holds s.mu.
+func (s *Server) propose(k int) {
+	feats := make([]int32, 0, len(s.pendingSketches))
 	for f, byWorker := range s.pendingSketches {
+		feats = append(feats, f)
 		workers := make([]int32, 0, len(byWorker))
 		for wk := range byWorker {
 			workers = append(workers, wk)
 		}
-		sort.Slice(workers, func(a, b int) bool { return workers[a] < workers[b] })
-		cur := s.sketches[f]
-		for _, wk := range workers {
-			if cur == nil {
-				cur = byWorker[wk]
-			} else {
-				cur.Merge(byWorker[wk])
-			}
+		slices.Sort(workers)
+		merged := byWorker[workers[0]]
+		for _, wk := range workers[1:] {
+			merged.Merge(byWorker[wk])
 		}
-		s.sketches[f] = cur
-		delete(s.pendingSketches, f)
+		s.cands[f] = sketch.Propose(merged, k)
 	}
+	slices.Sort(feats)
+	s.proposed, s.pendingSketches = feats, nil
 }
 
-// pullCandidates proposes (and caches) split candidates for this server's
-// features that have sketches.
+// pullCandidates answers with the split candidates of this server's features
+// that have sketches, proposed at the first pull: a later pull's k does not
+// change them.
 func (s *Server) pullCandidates(r *wire.Reader) (*wire.Writer, error) {
 	k := int(r.Uint32())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mergeSketches()
-	feats := make([]int32, 0, len(s.sketches))
-	for f := range s.sketches {
-		feats = append(feats, f)
+	if s.pendingSketches != nil {
+		s.propose(k)
 	}
-	sort.Slice(feats, func(a, b int) bool { return feats[a] < feats[b] })
-	cands := make([]sketch.Candidates, len(feats))
+	feats := s.proposed
 	size := recordFramingSize(feats)
-	for i, f := range feats {
-		c, ok := s.cands[f]
-		if !ok {
-			c = sketch.Propose(s.sketches[f], k)
-			s.cands[f] = c
-		}
-		cands[i] = c
-		size += c.WireSize()
+	for _, f := range feats {
+		size += s.cands[f].WireSize()
 	}
 	w := wire.NewWriter(size)
-	writeFeatureRecords(w, feats, func(i int) { cands[i].WriteWire(w) })
+	writeFeatureRecords(w, feats, func(i int) { s.cands[feats[i]].WriteWire(w) })
 	return w, nil
 }
 
@@ -474,6 +493,7 @@ func (s *Server) nodeShard(node int32, t *treeShards) (*nodeShard, error) {
 	n := t.nodes[node]
 	if n == nil {
 		n = &nodeShard{
+			id:     node,
 			tree:   t,
 			hist:   t.pool.Get(),
 			parked: make(map[int32][]byte),
@@ -512,10 +532,22 @@ func (n *nodeShard) addParked(worker int32) error {
 // shard, so a retried pull finds it like any pushed node and the next layer
 // finds its parent. The subtraction is histogram.SetSub, the trainer's own:
 // over the parent's touched set when both shards are deferred, bucket by
-// bucket otherwise — into a fresh shard, leaving both operands in the state
-// a concurrent pull of the sibling may be scanning. The sibling is read
-// under the parent's lock; nothing else holds two node locks, and this order
-// only ever goes down the tree, so it cannot cycle.
+// bucket otherwise — in place, so the parent's buffer becomes the node's and
+// the parent is retired, as the trainer turns a split node's histogram into
+// its derived child's. That is safe because the derivation is the parent's
+// last read: its layer's pulls all end before that layer's FIND_SPLIT
+// barrier, and the next layer's derivations start after its BUILD_HISTOGRAM
+// one. A server so holds one layer of shards, not the whole tree. The
+// sibling keeps its state and bits (SetSub changes only its target), so a
+// concurrent pull of it reads what it would have.
+//
+// The parent's lock is held from the subtraction to the retirement, and the
+// retired parent keeps a pointer to the child, so a racing or retried derive
+// pull that finds no installed shard finds the child there instead of
+// deriving again. The sibling is read under the parent's lock; nothing else
+// holds two node locks, and this order only ever goes down the tree, so it
+// cannot cycle. Server.mu is taken only once the parent's lock is released:
+// NEW_TREE takes node locks under it.
 func (s *Server) derive(node int32, t *treeShards) (*nodeShard, error) {
 	if node < 1 {
 		return nil, fmt.Errorf("node %d has no parent to be derived from", node)
@@ -534,36 +566,56 @@ func (s *Server) derive(node int32, t *treeShards) (*nodeShard, error) {
 	case overtaken:
 		return nil, fmt.Errorf("pull for node %d overtaken by NEW_TREE", node)
 	}
-	hist := t.pool.Get()
-	quantized := false
-	err := parent.read(func(ph *histogram.Histogram) error {
-		return sibling.read(func(sh *histogram.Histogram) error {
-			hist.SetSub(ph, sh)
-			quantized = parent.quantized || sibling.quantized
-			return nil
-		})
-	})
-	if err != nil {
-		t.pool.Put(hist)
-		return nil, err
+	n, derived, err := parent.deriveChild(node, sibling)
+	if err != nil || !derived {
+		return n, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tree != t {
-		t.pool.Put(hist)
+		// NEW_TREE retired the tree before the child was installed in it:
+		// retire the child as it would have.
+		n.mu.Lock()
+		t.pool.Put(n.hist)
+		n.hist = nil
+		n.mu.Unlock()
 		return nil, fmt.Errorf("pull for node %d overtaken by NEW_TREE", node)
 	}
-	if n := t.nodes[node]; n != nil {
-		// A concurrent pull derived it first: same operands, same bits.
-		t.pool.Put(hist)
-		return n, nil
+	if pushed := t.nodes[node]; pushed != nil {
+		// A push for the node raced its derivation. The pushed shard is what
+		// every later request finds, so it answers this one too.
+		return pushed, nil
 	}
-	n := &nodeShard{tree: t, hist: hist, sealed: true, pushed: map[int32]uint64{}, quantized: quantized}
 	t.nodes[node] = n
 	m, _ := psMetrics()
 	m.derived.Inc()
 	m.deriveSeconds.Observe(time.Since(start).Seconds())
 	return n, nil
+}
+
+// deriveChild turns p, the parent, into its child node = p − sibling in place
+// and retires p. derived is false when a racing or retried pull derived the
+// child first: n is that child, already handed out.
+func (p *nodeShard) deriveChild(node int32, sibling *nodeShard) (n *nodeShard, derived bool, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.child != nil && p.child.id == node {
+		return p.child, false, nil
+	}
+	ph, err := p.merged()
+	if err != nil {
+		return nil, false, err
+	}
+	err = sibling.read(func(sh *histogram.Histogram) error {
+		ph.SetSub(ph, sh)
+		n = &nodeShard{id: node, tree: p.tree, hist: ph, sealed: true, pushed: map[int32]uint64{}, quantized: p.quantized || sibling.quantized}
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	p.hist, p.child = nil, n
+	return n, true, nil
 }
 
 // pullShard resolves a pull's node shard, derived first when the pull asks
@@ -592,8 +644,21 @@ func (s *Server) pullShard(node int32, derive bool) (*nodeShard, error) {
 func (n *nodeShard) read(f func(h *histogram.Histogram) error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.hist == nil {
-		return errors.New("pull overtaken by NEW_TREE")
+	h, err := n.merged()
+	if err != nil {
+		return err
+	}
+	return f(h)
+}
+
+// merged seals the node and returns its histogram with every accepted push
+// folded in. Caller holds n.mu.
+func (n *nodeShard) merged() (*histogram.Histogram, error) {
+	switch {
+	case n.child != nil:
+		return nil, &RetiredError{Node: n.id, Child: n.child.id}
+	case n.hist == nil:
+		return nil, errors.New("pull overtaken by NEW_TREE")
 	}
 	n.sealed = true
 	workers := make([]int32, 0, len(n.parked))
@@ -603,10 +668,10 @@ func (n *nodeShard) read(f func(h *histogram.Histogram) error) error {
 	sort.Slice(workers, func(a, b int) bool { return workers[a] < workers[b] })
 	for _, wk := range workers {
 		if err := n.addParked(wk); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return f(n.hist)
+	return n.hist, nil
 }
 
 // pullSplit is the user-defined pull of §6.3: run Algorithm 1 over this
@@ -658,9 +723,9 @@ func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 }
 
 // materialised hands f h in materialised form without changing h: a deferred
-// shard is copied into pooled scratch and that is materialised. A pull never
+// shard is copied into pooled scratch and that is materialised. A scan never
 // changes the state of a shard — another pull of the same node, or a
-// derivation reading it as an operand, may be looking at it, and the state
+// derivation reading it as its sibling operand, may be looking at it, and the state
 // decides which totals a split pull reports — so every reply is a function of
 // the pushes alone, whatever order the pulls arrive in.
 func (t *treeShards) materialised(h *histogram.Histogram, f func(*histogram.Histogram) error) error {
@@ -723,13 +788,13 @@ func (s *Server) pullSplitResults(r *wire.Reader) (*wire.Writer, error) {
 	return w, nil
 }
 
-// NumSketches reports how many features this server holds sketches for
+// NumSketches reports how many features this server holds sketches for:
+// those pushed so far, until candidate proposal drops them all
 // (observability/tests).
 func (s *Server) NumSketches() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mergeSketches()
-	return len(s.sketches)
+	return len(s.pendingSketches)
 }
 
 // ShardFeatures returns the server's current shard feature list

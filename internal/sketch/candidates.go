@@ -53,7 +53,10 @@ func (c Candidates) Bucket(v float64) int {
 // left) and are never proposed by the split finder.
 func (c Candidates) SplitValue(k int) float64 { return c.Cuts[k] }
 
-// newCandidates sorts, deduplicates, and injects the zero cut.
+// newCandidates sorts, deduplicates, and injects the zero cut, in cuts'
+// array, and keeps an exact-length copy: a layout holds one cut list per
+// feature for the whole run, and deduplication often leaves a couple of cuts
+// of the k+1 proposed.
 func newCandidates(cuts []float64) Candidates {
 	cuts = append(cuts, 0)
 	sort.Float64s(cuts)
@@ -63,7 +66,8 @@ func newCandidates(cuts []float64) Candidates {
 			out = append(out, v)
 		}
 	}
-	c := Candidates{Cuts: out}
+	c := Candidates{Cuts: make([]float64, len(out))}
+	copy(c.Cuts, out)
 	c.ZeroBucket = c.Bucket(0)
 	return c
 }
@@ -83,7 +87,7 @@ func Propose(s *GK, k int) Candidates {
 	if s == nil || s.Count() == 0 {
 		return newCandidates(nil)
 	}
-	cuts := make([]float64, 0, k)
+	cuts := make([]float64, 0, k+1) // room for the zero cut
 	for i := 1; i <= k; i++ {
 		q, err := s.Query(float64(i) / float64(k))
 		if err != nil {

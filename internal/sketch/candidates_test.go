@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -179,4 +181,57 @@ func TestSetMergeMatchesUnion(t *testing.T) {
 			t.Errorf("feature %d: merged median %v outside IQR [%v,%v]", f, b, lo, hi)
 		}
 	}
+}
+
+// TestProposedCutsAreExactLength: a proposed cut list is stored at its own
+// length — a layout keeps one per feature for the whole run, and the k+1
+// slots proposal starts from mostly deduplicate away — and its cuts are the
+// sorted, deduplicated quantile queries plus the zero cut, as ever.
+func TestProposedCutsAreExactLength(t *testing.T) {
+	reference := func(query func(float64) (float64, error), k int) []float64 {
+		cuts := []float64{0}
+		for i := 1; i <= k; i++ {
+			q, err := query(float64(i) / float64(k))
+			if err != nil {
+				break
+			}
+			cuts = append(cuts, q)
+		}
+		slices.Sort(cuts)
+		return slices.Compact(cuts)
+	}
+	check := func(name string, c Candidates, want []float64) {
+		t.Helper()
+		if cap(c.Cuts) != len(c.Cuts) {
+			t.Errorf("%s: %d cuts in a capacity of %d", name, len(c.Cuts), cap(c.Cuts))
+		}
+		if !slices.Equal(c.Cuts, want) {
+			t.Errorf("%s: cuts %v, want %v", name, c.Cuts, want)
+		}
+		if c.ZeroBucket != c.Bucket(0) {
+			t.Errorf("%s: ZeroBucket %d, Bucket(0) %d", name, c.ZeroBucket, c.Bucket(0))
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, values := range []struct {
+		name string
+		draw func() float64
+	}{
+		{"three values", func() float64 { return float64(rng.Intn(3)) }},
+		{"continuous", rng.NormFloat64},
+		{"positive", func() float64 { return 1 + rng.Float64() }},
+	} {
+		s, ws := NewGK(0.02), NewWeightedGK(0.02)
+		for i := 0; i < 2000; i++ {
+			v := values.draw()
+			s.Insert(v)
+			ws.Insert(v, 0.5+rng.Float64())
+		}
+		for _, k := range []int{1, 4, 20, 39} {
+			name := fmt.Sprintf("%s, k=%d", values.name, k)
+			check(name, Propose(s, k), reference(s.Query, k))
+			check(name+", weighted", ProposeWeighted(ws, k), reference(ws.Query, k))
+		}
+	}
+	check("empty sketch", Propose(nil, 20), []float64{0})
 }

@@ -197,7 +197,7 @@ func ProposeWeighted(s *WeightedGK, k int) Candidates {
 	if s == nil || s.Weight() == 0 {
 		return newCandidates(nil)
 	}
-	cuts := make([]float64, 0, k)
+	cuts := make([]float64, 0, k+1) // room for the zero cut
 	for i := 1; i <= k; i++ {
 		q, err := s.Query(float64(i) / float64(k))
 		if err != nil {
