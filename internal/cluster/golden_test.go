@@ -43,11 +43,23 @@ func fmaFree() bool {
 	return level == "v1" || level == "v2"
 }
 
-// goldenRuns are the wire settings whose models TestGoldenModelHashes pins:
-// a 2×2 cluster at each push width — 0 (float32), 16, 8 — and on the exact
-// wire, plus one 3×2 run.
-func goldenRuns() map[string]Config {
-	runs := map[string]Config{}
+// goldenRun is one pinned model: a cluster setting and the number of
+// features its rows are declared at.
+type goldenRun struct {
+	cfg      Config
+	declared int
+}
+
+// goldenRuns are the settings whose models TestGoldenModelHashes pins: on the
+// rows as generated (3 000 features), a 2×2 cluster at each push width — 0
+// (float32), 16, 8 — and on the exact wire, plus one 3×2 run; and on the
+// same rows declared at 30 000 and at 300 000 features, 2×2 and 2×3 clusters
+// on the raw wires (float32 and exact). There every feature past the first
+// few thousand is in no row, so a server's first owned feature, or every one
+// it owns, can be one no row has: its node totals, on the raw wires the ones
+// every gain reads, are then the deferred mass alone.
+func goldenRuns() map[string]goldenRun {
+	runs := map[string]goldenRun{}
 	for _, w := range []struct {
 		name  string
 		bits  uint
@@ -56,12 +68,22 @@ func goldenRuns() map[string]Config {
 		cfg := smallCfg(2, 2)
 		cfg.NumTrees, cfg.MaxDepth = 3, 5
 		cfg.Bits, cfg.PullBits, cfg.ExactWire = w.bits, w.bits, w.exact
-		runs["2x2/"+w.name] = cfg
+		runs["2x2/"+w.name] = goldenRun{cfg, 3000}
 	}
 	cfg := smallCfg(3, 2)
 	cfg.NumTrees, cfg.MaxDepth = 3, 5
 	cfg.Bits, cfg.PullBits = 8, 8
-	runs["3x2/bits8"] = cfg
+	runs["3x2/bits8"] = goldenRun{cfg, 3000}
+	for _, declared := range []int{30_000, 300_000} {
+		for _, servers := range []int{2, 3} {
+			for _, wire := range []string{"float32", "exact"} {
+				cfg := smallCfg(2, servers)
+				cfg.NumTrees, cfg.MaxDepth = 3, 5
+				cfg.ExactWire = wire == "exact"
+				runs[fmt.Sprintf("%dk/2x%d/%s", declared/1000, servers, wire)] = goldenRun{cfg, declared}
+			}
+		}
+	}
 	return runs
 }
 
@@ -116,8 +138,10 @@ func TestGoldenModelHashes(t *testing.T) {
 	sort.Strings(names)
 	got := map[string]string{}
 	for _, name := range names {
-		cfg := runs[name]
-		res, err := Train(d, cfg)
+		run := runs[name]
+		declared := *d
+		declared.NumFeatures = run.declared
+		res, err := Train(&declared, run.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
