@@ -386,6 +386,34 @@ func BenchmarkTrainParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainDeclaredDimension trains one local model on fixed rows,
+// declared at 100K and at 2M features: what the declared dimension alone
+// costs, in time and in bytes allocated, with every feature past the rows'
+// 100K absent from them.
+func BenchmarkTrainDeclaredDimension(b *testing.B) {
+	d := benchData(b, 2000, 100_000, 50)
+	for _, m := range []struct {
+		name     string
+		features int
+	}{{"100K", 100_000}, {"2M", 2_000_000}} {
+		b.Run(m.name, func(b *testing.B) {
+			declared := *d
+			declared.NumFeatures = m.features
+			cfg := dimboost.DefaultConfig()
+			cfg.NumTrees = 5
+			cfg.MaxDepth = 5
+			cfg.Parallelism = 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dimboost.Train(&declared, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkDistributedTrain(b *testing.B) {
 	d := benchData(b, 2000, 10000, 50)
 	cfg := dimboost.DefaultClusterConfig(4, 4)

@@ -2,9 +2,12 @@ package baselines
 
 import (
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"dimboost/internal/cluster"
+	"dimboost/internal/comm"
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
 	"dimboost/internal/loss"
@@ -287,5 +290,31 @@ func TestRankHoldsOneHistogramAtATime(t *testing.T) {
 		if got := allocs.Value() - before; got != int64(w) {
 			t.Errorf("w=%d: the ranks allocated %d node histograms, want one each", w, got)
 		}
+	}
+}
+
+// TestMeshLayoutsCoverDeclaredFeatures: the mesh baselines stand in for the
+// compared systems, whose histograms hold a bucket for every sampled feature,
+// those no row has included. Rows declared at 20 times their features still
+// give a mesh rank a layout over every declared one.
+func TestMeshLayoutsCoverDeclaredFeatures(t *testing.T) {
+	train, _ := testData(t, 200, 83)
+	train.NumFeatures *= 20
+	cfg := testCfg()
+	cfg.NumTrees = 1
+	tr, err := core.NewTrainer(train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Candidates()
+	mw := &meshWorker{
+		opts:  Options{Core: cfg, System: XGBoostStyle, Workers: 1},
+		shard: train, mesh: comm.NewMesh(1), tr: tr, start: time.Now(), computeLock: &sync.Mutex{},
+	}
+	if err := mw.run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Layout().NumFeatures(); n != train.NumFeatures {
+		t.Fatalf("a mesh rank laid out %d of %d declared features", n, train.NumFeatures)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"dimboost/internal/dataset"
 	"dimboost/internal/histogram"
 	"dimboost/internal/loss"
+	"dimboost/internal/sketch"
 )
 
 // meshWorker is one rank of a mesh-based baseline trainer: core's tree
@@ -84,8 +85,11 @@ func (mw *meshWorker) run() error {
 }
 
 // Sample: every rank shares the seed, so the draws agree without
-// communication.
-func (mw *meshWorker) Sample(drawn []int32) ([]int32, error) { return drawn, nil }
+// communication. The layout covers every sampled feature, those no row has
+// included, as the compared systems' histograms do.
+func (mw *meshWorker) Sample(drawn []int32, _ []sketch.Candidates) ([]int32, error) {
+	return drawn, nil
+}
 
 func (mw *meshWorker) Derives() bool { return false }
 

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
 	"dimboost/internal/loss"
 	"dimboost/internal/ps"
+	"dimboost/internal/transport"
 )
 
 func testData(t *testing.T, rows int, seed int64) *dataset.Dataset {
@@ -256,5 +258,86 @@ func TestCompressedRunsAreDeterministic(t *testing.T) {
 	}
 	if aDeferred == 0 {
 		t.Fatal("no push travelled deferred")
+	}
+}
+
+// trainKeepingRoles is TrainOn over an in-memory network, returning the
+// servers and workers so a test can read their layouts once training ends.
+func trainKeepingRoles(t *testing.T, d *dataset.Dataset, cfg Config) ([]*ps.Server, []*worker) {
+	t.Helper()
+	net := transport.NewMemNetwork()
+	defer net.Close()
+	part, err := ps.NewPartition(d.NumFeatures, cfg.NumServers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]*ps.Server, cfg.NumServers)
+	for i := range servers {
+		ep, err := net.Endpoint(ServerName(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = ps.NewServer(i, part, cfg.ResolvedSketchEps())
+		ep.Handle(servers[i].Handler())
+	}
+	mep, err := net.Endpoint(MasterName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ServeMaster(mep, cfg.NumWorkers)
+	workers := make([]*worker, cfg.NumWorkers)
+	errs := make([]error, cfg.NumWorkers)
+	var wg sync.WaitGroup
+	for i, shard := range dataset.PartitionRows(d, cfg.NumWorkers) {
+		ep, err := net.Endpoint(WorkerName(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = newWorker(ep, i, shard, part, cfg)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = workers[i].run()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	return servers, workers
+}
+
+// TestClusterLayoutsIndependentOfDeclaredDimension: the same rows declared
+// at M and at 20·M features give every worker a layout of the same buckets
+// and the servers' shards the same number of positions: a feature no row
+// has gets no bucket on a worker and no position on a server.
+func TestClusterLayoutsIndependentOfDeclaredDimension(t *testing.T) {
+	const m = 2000
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 400, NumFeatures: m, AvgNNZ: 20, NoiseStd: 0.3, Zipf: 1.3, Seed: 41})
+	cfg := smallCfg(2, 2)
+	cfg.NumTrees, cfg.MaxDepth, cfg.Bits, cfg.PullBits = 2, 4, 16, 16
+	shape := func(declared int) (buckets []int, positions int) {
+		wide := *d
+		wide.NumFeatures = declared
+		servers, workers := trainKeepingRoles(t, &wide, cfg)
+		for _, wk := range workers {
+			buckets = append(buckets, wk.tr.Layout().TotalBuckets)
+		}
+		for _, srv := range servers {
+			positions += len(srv.ShardFeatures())
+		}
+		return buckets, positions
+	}
+	narrowBuckets, narrowPositions := shape(m)
+	wideBuckets, widePositions := shape(20 * m)
+	for i := range narrowBuckets {
+		if narrowBuckets[i] != wideBuckets[i] {
+			t.Errorf("worker %d: a layout of %d buckets at %d features, %d at %d", i, narrowBuckets[i], m, wideBuckets[i], 20*m)
+		}
+	}
+	if narrowPositions != widePositions {
+		t.Errorf("the servers' shards hold %d positions at %d features, %d at %d", narrowPositions, m, widePositions, 20*m)
 	}
 }

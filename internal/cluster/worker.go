@@ -229,8 +229,10 @@ func (wk *worker) saveCheckpoint(treesDone int) error {
 
 // Sample is NEW_TREE's feature sampling: the leader pushes its draw, and
 // every worker pulls it back once all have arrived. The other workers' draws
-// only keep their RNGs in step.
-func (wk *worker) Sample(drawn []int32) ([]int32, error) {
+// only keep their RNGs in step. The layout keeps the sampled features that
+// can split, as every server's shard layout does, so the positions of a
+// worker's histogram and of the servers' shards agree.
+func (wk *worker) Sample(drawn []int32, cands []sketch.Candidates) ([]int32, error) {
 	if wk.id == 0 {
 		if err := wk.client.NewTree(drawn); err != nil {
 			return nil, err
@@ -239,7 +241,11 @@ func (wk *worker) Sample(drawn []int32) ([]int32, error) {
 	if err := wk.barrier("NEW_TREE"); err != nil {
 		return nil, err
 	}
-	return wk.client.PullSampled()
+	sampled, err := wk.client.PullSampled()
+	if err != nil {
+		return nil, err
+	}
+	return histogram.Splittable(sampled, cands), nil
 }
 
 // Derives: every worker builds and pushes only the child of each split that

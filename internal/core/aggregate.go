@@ -6,6 +6,7 @@ import (
 
 	"dimboost/internal/histogram"
 	"dimboost/internal/parallel"
+	"dimboost/internal/sketch"
 	"dimboost/internal/tree"
 )
 
@@ -21,8 +22,11 @@ import (
 // the record to Times and to Done.
 type Aggregator interface {
 	// Sample agrees on the tree's feature sample, given this process's own
-	// draw of it.
-	Sample(drawn []int32) ([]int32, error)
+	// draw of it, and returns the features the tree's histograms lay out:
+	// those of the sample whose candidates cands (indexed by feature id)
+	// can split, histogram.Splittable, or the whole sample for a runtime
+	// that lays out every sampled feature.
+	Sample(drawn []int32, cands []sketch.Candidates) ([]int32, error)
 	// Derives reports whether a split node's children get one data pass,
 	// for the child Split.BuildLeft names, and the other child's histogram
 	// is the parent's minus it. Otherwise both children are built.
@@ -146,8 +150,12 @@ const (
 	_              uint = 64 - parallel.PosChunk
 )
 
-func (la *localAggregator) Sample(drawn []int32) ([]int32, error) { return drawn, nil }
-func (la *localAggregator) Derives() bool                         { return true }
+// Sample lays the tree out over the drawn features that can split.
+func (la *localAggregator) Sample(drawn []int32, cands []sketch.Candidates) ([]int32, error) {
+	return histogram.Splittable(drawn, cands), nil
+}
+
+func (la *localAggregator) Derives() bool { return true }
 
 // Built keeps a built histogram for FIND_SPLIT. A derived node's is its
 // parent's minus the built sibling, subtracted in place: a split node's

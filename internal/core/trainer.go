@@ -346,14 +346,15 @@ type treeData struct {
 	pool    *histogram.Pool
 }
 
-// treeData returns the tree's data: the feature sample agg agrees on, and the
-// rows quantized under its layout — every nonzero's bin id, reused by every
-// node of every layer for both histogram construction and splitting. With
-// every feature sampled and the candidates fixed, the layout — and with it
-// every bin id — is the same for every tree, so the first tree's serves the
-// run. Otherwise the previous tree's is released first.
+// treeData returns the tree's data: the layout over the features agg lays
+// out of the sample it agrees on, and the rows quantized under it — every
+// nonzero's bin id, reused by every node of every layer for both histogram
+// construction and splitting. With every feature sampled and the candidates
+// fixed, the layout — and with it every bin id — is the same for every tree,
+// so the first tree's serves the run. Otherwise the previous tree's is
+// released first.
 func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeData, error) {
-	sampled, err := agg.Sample(tr.SampleFeatures())
+	sampled, err := agg.Sample(tr.SampleFeatures(), cands)
 	if err != nil {
 		return nil, err
 	}
@@ -384,6 +385,15 @@ func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeDat
 		}
 	})
 	return td, cmp.Or(err, derr)
+}
+
+// Layout returns the histogram layout of the tree being grown, or of the last
+// tree GrowTree grew; nil before the first tree and once Train returns.
+func (tr *Trainer) Layout() *histogram.Layout {
+	if tr.td == nil {
+		return nil
+	}
+	return tr.td.layout
 }
 
 // closeTreeData releases the current tree data's spill file, if any.

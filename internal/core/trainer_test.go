@@ -405,3 +405,42 @@ func TestTrainDepthOneIsStump(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalTrainingIndependentOfDeclaredDimension: at σ = 1 a local model is
+// a function of the rows, not of the declared dimension. The same rows
+// declared at M and at 20·M features train bit-identical models over layouts
+// of the same buckets: a feature no row has gets none.
+func TestLocalTrainingIndependentOfDeclaredDimension(t *testing.T) {
+	const m = 2000
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 400, NumFeatures: m, AvgNNZ: 20, NoiseStd: 0.3, Zipf: 1.3, Seed: 41})
+	cfg := smallConfig()
+	cfg.NumTrees = 4
+	train := func(declared int) (*Model, int) {
+		wide := *d
+		wide.NumFeatures = declared
+		tr, err := NewTrainer(&wide, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buckets := -1
+		tr.OnTree = func(TreeEvent) {
+			if b := tr.Layout().TotalBuckets; buckets >= 0 && b != buckets {
+				t.Fatalf("M=%d: %d buckets in one tree's layout, %d in another's", declared, buckets, b)
+			}
+			buckets = tr.Layout().TotalBuckets
+		}
+		model, err := tr.Train()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return model, buckets
+	}
+	narrow, narrowBuckets := train(m)
+	wide, wideBuckets := train(20 * m)
+	if !sameBits(t, narrow, wide) {
+		t.Fatalf("the rows declared at %d and at %d features train different models", m, 20*m)
+	}
+	if narrowBuckets != wideBuckets {
+		t.Fatalf("layouts of %d buckets at %d features, %d at %d: absent features hold buckets", narrowBuckets, m, wideBuckets, 20*m)
+	}
+}

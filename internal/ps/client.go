@@ -157,8 +157,8 @@ func ownedSketches(set *sketch.Set, part *Partition, sv int) (feats []int32, gks
 }
 
 // PullCandidates fetches every server's candidates and assembles the full
-// per-feature table (PULL_SKETCH). Features without data get the trivial
-// zero-cut candidate set. A reply naming a feature outside the partition, out
+// per-feature table (PULL_SKETCH). Features without data share
+// sketch.ZeroCut. A reply naming a feature outside the partition, out
 // of ascending order or not owned by the replying server is refused with
 // ErrBadFeatureID, one whose cuts no proposal produces with
 // sketch.ErrInvalidCuts.
@@ -174,7 +174,7 @@ func (c *Client) PullCandidates(k int) ([]sketch.Candidates, error) {
 	}
 	out := make([]sketch.Candidates, c.part.NumFeatures)
 	for f := range out {
-		out[f] = sketch.FromCuts([]float64{0})
+		out[f] = sketch.ZeroCut()
 	}
 	for sv, resp := range resps {
 		if err := readCandidates(resp.Body, c.part, sv, out); err != nil {

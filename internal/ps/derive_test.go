@@ -20,8 +20,22 @@ import (
 // Every push body is captured on its way out.
 type deriveFixture struct {
 	fx       *psFixture
+	sampled  []int32
 	layout   *histogram.Layout
 	captured []*capturingEndpoint // per worker
+}
+
+// shardTotals are the node totals a raw-wire server reads off its deferred
+// shard h of a node, given the first sampled feature it owns: that feature's
+// buckets, or, when the feature can not split and so is not in h's layout,
+// 0 plus the deferred mass its one bucket would have held.
+func shardTotals(h *histogram.Histogram, first int32) (g, hs float64) {
+	p := h.Layout.Pos(first)
+	if p < 0 {
+		g, hs = h.DeferredMass()
+		return 0 + g, 0 + hs
+	}
+	return h.FeatureTotals(int(p))
 }
 
 const (
@@ -41,11 +55,8 @@ func newDeriveFixture(t *testing.T, workers int, wrap func(worker int, ep transp
 		}
 	}
 	sampled := everyKth(2)(fx.part)
-	layout, err := histogram.NewLayout(sampled, cands, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df := &deriveFixture{fx: fx, layout: layout}
+	layout := workerLayout(t, sampled, cands, m)
+	df := &deriveFixture{fx: fx, sampled: sampled, layout: layout}
 	for w, c := range fx.clients {
 		c.Exact = true
 		if wrap != nil {
@@ -189,8 +200,8 @@ func TestDerivedShardIsParentMinusSibling(t *testing.T) {
 					t.Fatalf("w=%d server %d bucket %d: derived %x, parent − sibling %x", workers, sv, i, bits[i], v)
 				}
 			}
+			tg, th := shardTotals(diff, df.fx.part.FeaturesOf(sv, df.sampled)[0])
 			diff.Materialize() // the full scan: the server's touched one must agree
-			tg, th := diff.FeatureTotals(0)
 			if s := core.FindSplit(diff, tg, th, 1.0, 0.0, 1e-6); s.Better(want) {
 				want = s
 			}
@@ -568,10 +579,7 @@ func TestServerHoldsOneLayerOfShards(t *testing.T) {
 		}
 	}
 	sampled := histogram.AllFeatures(m)
-	layout, err := histogram.NewLayout(sampled, cands, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	layout := workerLayout(t, sampled, cands, m)
 	const misses = "dimboost_train_hist_pool_misses_total"
 	misses0 := counterValue(misses)
 	for tree := int64(0); tree < 2; tree++ {

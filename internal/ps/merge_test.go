@@ -37,10 +37,7 @@ func newMergeFixture(t *testing.T, exact bool, wrap func(worker int, ep transpor
 		}
 	}
 	sampled := everyKth(2)(fx.part)
-	layout, err := histogram.NewLayout(sampled, cands, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	layout := workerLayout(t, sampled, cands, m)
 	mf := &mergeFixture{fx: fx, hists: make([][]*histogram.Histogram, mergeWorkers)}
 	for w, c := range fx.clients {
 		c.Bits, c.Exact = 8, exact

@@ -51,18 +51,28 @@ type Server struct {
 	applied map[int32]uint64
 }
 
-// treeShards is one tree's histogram state on a server: the shard layout
-// (owned ∩ sampled features), the pool its node shards and push scratch come
-// from, and the node shards pushed or derived so far (guarded by Server.mu).
-// A node a derivation retired keeps its entry, without a histogram, so the
-// pool holds about one layer of shards, not the tree's.
-// NEW_TREE replaces it whole — keeping layout and pool when the sampled
-// features did not change, so a run over all features allocates its shards
-// once — and a request holding the old one finds itself overtaken.
+// treeShards is one tree's histogram state on a server: the sample it was
+// laid out for, the shard layout (the owned sampled features that can split,
+// histogram.Splittable, as every worker's layout keeps them), the pool its
+// node shards and push scratch come from, and the node shards pushed or
+// derived so far (guarded by Server.mu). A node a derivation retired keeps
+// its entry, without a histogram, so the pool holds about one layer of
+// shards, not the tree's.
+// NEW_TREE replaces it whole — keeping layout and pool when the sample did
+// not change, so a run over all features allocates its shards once — and a
+// request holding the old one finds itself overtaken.
 type treeShards struct {
-	layout *histogram.Layout
-	pool   *histogram.Pool
-	nodes  map[int32]*nodeShard
+	sampled []int32
+	layout  *histogram.Layout
+	pool    *histogram.Pool
+	nodes   map[int32]*nodeShard
+	// massTotals says the first sampled feature the server owns was left out
+	// of the layout. Its one bucket held its node's whole mass, never a
+	// touched value, so the node totals a split pull reports are 0 plus the
+	// deferred mass, what FeatureTotals gave for it; a server whose owned
+	// sampled features all were left out answers them from zero-position
+	// shards.
+	massTotals bool
 }
 
 // nodeShard accumulates one node's histogram restricted to this server's
@@ -356,9 +366,9 @@ func readSampled(r *wire.Reader, limit int) ([]int32, error) {
 	return sampled, nil
 }
 
-// newTree resets per-tree state and builds the shard layout over
-// (owned ∩ sampled) features. The sampled list travels in the request so
-// NEW_TREE is a single round trip.
+// newTree resets per-tree state and builds the shard layout over the owned
+// sampled features that can split. The sampled list travels in the request
+// so NEW_TREE is a single round trip.
 func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
 	sampled, err := readSampled(r, s.part.NumFeatures)
 	if err != nil {
@@ -367,28 +377,25 @@ func (s *Server) newTree(r *wire.Reader) (*wire.Writer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sampled = sampled
-	mine := s.part.FeaturesOf(s.id, sampled)
-	next := &treeShards{nodes: make(map[int32]*nodeShard)}
-	if old := s.tree; old != nil && slices.Equal(old.layout.Features, mine) {
+	next := &treeShards{sampled: sampled, nodes: make(map[int32]*nodeShard)}
+	if old := s.tree; old != nil && slices.Equal(old.sampled, sampled) {
 		// A feature's candidates never change once proposed, so the same
-		// features make the same layout.
-		next.layout, next.pool = old.layout, old.pool
+		// sample makes the same layout.
+		next.layout, next.pool, next.massTotals = old.layout, old.pool, old.massTotals
 	} else {
+		// A feature without a sketch has no candidates here, and no bucket.
+		mine := s.part.FeaturesOf(s.id, sampled)
 		candsByFeature := make([]sketch.Candidates, s.part.NumFeatures)
 		for _, f := range mine {
-			c, ok := s.cands[f]
-			if !ok {
-				// feature never saw a nonzero value anywhere: single zero cut
-				c = sketch.Propose(nil, 1)
-				s.cands[f] = c
-			}
-			candsByFeature[f] = c
+			candsByFeature[f] = s.cands[f]
 		}
-		layout, err := histogram.NewLayout(mine, candsByFeature, s.part.NumFeatures)
+		kept := histogram.Splittable(mine, candsByFeature)
+		layout, err := histogram.NewLayout(kept, candsByFeature, s.part.NumFeatures)
 		if err != nil {
 			return nil, err
 		}
 		next.layout, next.pool = layout, histogram.NewPool(layout)
+		next.massTotals = len(mine) > 0 && (len(kept) == 0 || kept[0] != mine[0])
 	}
 	// Retire the finished tree's shards: a straggling push finds its node
 	// sealed, a straggling pull finds it empty, and the histograms go back to
@@ -623,7 +630,7 @@ func (p *nodeShard) deriveChild(node int32, sibling *nodeShard) (n *nodeShard, d
 // when this server owns no sampled feature and has nothing to answer from.
 func (s *Server) pullShard(node int32, derive bool) (*nodeShard, error) {
 	t, sh := s.current(node)
-	if t == nil || t.layout.NumFeatures() == 0 {
+	if t == nil || (t.layout.NumFeatures() == 0 && !t.massTotals) {
 		return nil, nil
 	}
 	if sh == nil && derive {
@@ -699,15 +706,22 @@ func (s *Server) pullSplit(r *wire.Reader) (*wire.Writer, error) {
 	}
 	err = sh.read(func(hist *histogram.Histogram) error {
 		// Every feature's buckets sum to the node totals (Algorithm 2
-		// invariant), so the shard alone recovers them on the raw wires.
-		// Fixed-point buckets sum to the totals plus rounding noise, while
-		// the mass is the exact sum of every worker's rows; it is the total
-		// there, and the guard holds instead of failing on the noise. (Only
-		// a derivation whose sibling touched a position its parent did not
-		// ends materialised, without a mass; no trainer asks for one.)
-		totalG, totalH := hist.FeatureTotals(0)
-		if sh.quantized && hist.Deferred() {
-			totalG, totalH = hist.DeferredMass()
+		// invariant), so the shard alone recovers them on the raw wires:
+		// from the first owned sampled feature's buckets, or, when that
+		// feature was left out of the layout, from the mass its one bucket
+		// held. Fixed-point buckets sum to the totals plus rounding noise,
+		// while the mass is the exact sum of every worker's rows; it is the
+		// total there, and the guard holds instead of failing on the noise.
+		// (Only a derivation whose sibling touched a position its parent did
+		// not ends materialised, without a mass; no trainer asks for one.)
+		var totalG, totalH float64
+		switch g, h := hist.DeferredMass(); {
+		case sh.quantized && hist.Deferred():
+			totalG, totalH = g, h
+		case sh.tree.massTotals:
+			totalG, totalH = 0+g, 0+h
+		default:
+			totalG, totalH = hist.FeatureTotals(0)
 		}
 		scan := func(h *histogram.Histogram) error {
 			split := core.FindSplit(h, totalG, totalH, lambda, gamma, minChild)

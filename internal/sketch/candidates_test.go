@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"dimboost/internal/dataset"
+	"dimboost/internal/parallel"
 )
 
 func TestCandidatesZeroCutAlwaysPresent(t *testing.T) {
@@ -108,14 +109,33 @@ func TestBucketMonotone(t *testing.T) {
 	}
 }
 
+// TestProposeEmpty: a feature without a value gets the zero cut alone, from
+// every proposal path, in the one array ZeroCut shares: its capacity is one,
+// so an append to it copies instead of writing into every feature's cuts.
 func TestProposeEmpty(t *testing.T) {
-	c := Propose(nil, 10)
-	if c.NumBuckets() != 1 || c.Cuts[0] != 0 {
-		t.Fatalf("empty propose = %v", c.Cuts)
+	shared := ZeroCut().Cuts
+	set := NewSet(3, 0.02)
+	set.Add(1, 2.5)
+	for name, c := range map[string]Candidates{
+		"Propose(nil)":           Propose(nil, 10),
+		"Propose(empty sketch)":  Propose(NewGK(0.1), 10),
+		"ProposeWeighted(nil)":   ProposeWeighted(nil, 10),
+		"ProposeWeighted(empty)": ProposeWeighted(NewWeightedGK(0.1), 10),
+		"Set.Candidates":         set.Candidates(10)[0],
+		"Set.CandidatesOn":       set.CandidatesOn(parallel.New(2), 10)[2],
+	} {
+		if c.NumBuckets() != 1 || c.Cuts[0] != 0 || c.ZeroBucket != 0 {
+			t.Errorf("%s: cuts %v, zero bucket %d, want the zero cut alone", name, c.Cuts, c.ZeroBucket)
+		}
+		if &c.Cuts[0] != &shared[0] {
+			t.Errorf("%s: the zero cut in an array of its own", name)
+		}
 	}
-	c2 := Propose(NewGK(0.1), 10)
-	if c2.NumBuckets() != 1 {
-		t.Fatalf("empty sketch propose = %v", c2.Cuts)
+	if len(shared) != 1 || cap(shared) != 1 {
+		t.Fatalf("shared zero cut has length %d, capacity %d, want 1 and 1", len(shared), cap(shared))
+	}
+	if grown := append(Propose(nil, 1).Cuts, 1); &grown[0] == &shared[0] || len(ZeroCut().Cuts) != 1 {
+		t.Fatal("an append to a zero-cut set wrote into the shared array")
 	}
 }
 

@@ -192,10 +192,11 @@ func (s *WeightedGK) Merge(other *WeightedGK) {
 }
 
 // ProposeWeighted extracts at most k cut points from the weighted sketch as
-// equal-weight quantiles, always including the zero cut.
+// equal-weight quantiles, always including the zero cut. An empty sketch
+// yields ZeroCut.
 func ProposeWeighted(s *WeightedGK, k int) Candidates {
 	if s == nil || s.Weight() == 0 {
-		return newCandidates(nil)
+		return zeroCut
 	}
 	cuts := make([]float64, 0, k+1) // room for the zero cut
 	for i := 1; i <= k; i++ {
