@@ -13,9 +13,13 @@ import (
 // ranges are contiguous in feature id and a layout's buckets follow its
 // ascending feature list, so the positions a server owns are a handful of
 // contiguous ranges of the worker's sampled positions — at most NumRanges in
-// total — and splitting a histogram's touched set among the servers needs no
-// per-feature lookup. A plan is built once per (partition, layout) and is
-// immutable.
+// total for a worker's layout — and splitting a histogram's touched set
+// among the servers needs no per-feature lookup. A server's shard holds only
+// the features that can split (histogram.Splittable), so a position whose
+// candidates can not is in no range: a histogram laid out over every
+// sampled feature, as the benchmark harness lays one out, pushes the shards
+// a worker's layout would. A plan is built once per (partition, layout) and
+// is immutable.
 type shardPlan struct {
 	layout *histogram.Layout
 	// pos[sv] lists server sv's sampled-position ranges in ascending order:
@@ -36,8 +40,12 @@ func newShardPlan(part *Partition, layout *histogram.Layout) *shardPlan {
 		npos:   make([]int, part.NumServers),
 	}
 	part.runs(layout.Features, func(sv, lo, hi int) {
-		pl.npos[sv] += hi - lo
-		pl.pos[sv] = appendSpan(pl.pos[sv], bucketSpan{lo, hi}) // neighbouring ranges on one server join
+		for p := lo; p < hi; p++ {
+			if layout.Cands[p].CanSplit() {
+				pl.npos[sv]++
+				pl.pos[sv] = appendSpan(pl.pos[sv], bucketSpan{p, p + 1}) // neighbouring positions and ranges on one server join
+			}
+		}
 	})
 	return pl
 }
