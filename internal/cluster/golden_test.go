@@ -18,6 +18,7 @@ import (
 
 	"dimboost/internal/core"
 	"dimboost/internal/dataset"
+	"dimboost/internal/ooc"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_models.txt from this build")
@@ -44,10 +45,13 @@ func fmaFree() bool {
 }
 
 // goldenRun is one pinned model: a cluster setting and the number of
-// features its rows are declared at.
+// features its rows are declared at. A local run trains core's
+// single-process trainer under cfg.Config instead, resident or, when ooc,
+// out of core at the smallest budget the source admits.
 type goldenRun struct {
-	cfg      Config
-	declared int
+	cfg        Config
+	declared   int
+	local, ooc bool
 }
 
 // goldenRuns are the settings whose models TestGoldenModelHashes pins: on the
@@ -68,23 +72,73 @@ func goldenRuns() map[string]goldenRun {
 		cfg := smallCfg(2, 2)
 		cfg.NumTrees, cfg.MaxDepth = 3, 5
 		cfg.Bits, cfg.PullBits, cfg.ExactWire = w.bits, w.bits, w.exact
-		runs["2x2/"+w.name] = goldenRun{cfg, 3000}
+		runs["2x2/"+w.name] = goldenRun{cfg: cfg, declared: 3000}
 	}
 	cfg := smallCfg(3, 2)
 	cfg.NumTrees, cfg.MaxDepth = 3, 5
 	cfg.Bits, cfg.PullBits = 8, 8
-	runs["3x2/bits8"] = goldenRun{cfg, 3000}
+	runs["3x2/bits8"] = goldenRun{cfg: cfg, declared: 3000}
 	for _, declared := range []int{30_000, 300_000} {
 		for _, servers := range []int{2, 3} {
 			for _, wire := range []string{"float32", "exact"} {
 				cfg := smallCfg(2, servers)
 				cfg.NumTrees, cfg.MaxDepth = 3, 5
 				cfg.ExactWire = wire == "exact"
-				runs[fmt.Sprintf("%dk/2x%d/%s", declared/1000, servers, wire)] = goldenRun{cfg, declared}
+				runs[fmt.Sprintf("%dk/2x%d/%s", declared/1000, servers, wire)] = goldenRun{cfg: cfg, declared: declared}
 			}
 		}
 	}
+	for name, mut := range map[string]func(*goldenRun){
+		"resident":   func(*goldenRun) {},
+		"minhess0":   func(r *goldenRun) { r.cfg.MinChildHessian = 0 },
+		"features50": func(r *goldenRun) { r.cfg.FeatureSampleRatio = 0.5 },
+		"rows50":     func(r *goldenRun) { r.cfg.InstanceSampleRatio = 0.5 },
+		"ooc":        func(r *goldenRun) { r.ooc = true },
+		"30k":        func(r *goldenRun) { r.declared = 30_000 },
+	} {
+		run := goldenRun{cfg: smallCfg(1, 1), declared: 3000, local: true}
+		run.cfg.NumTrees, run.cfg.MaxDepth = 3, 5
+		mut(&run)
+		runs["local/"+name] = run
+	}
 	return runs
+}
+
+// trainGolden trains run's model on d.
+func trainGolden(t *testing.T, d *dataset.Dataset, run goldenRun) (*core.Model, error) {
+	if !run.local {
+		res, err := Train(d, run.cfg)
+		if err != nil {
+			return nil, err
+		}
+		return res.Model, nil
+	}
+	if !run.ooc {
+		return core.Train(d, run.cfg.Config)
+	}
+	path := filepath.Join(t.TempDir(), "train.bin")
+	if err := dataset.WriteBinaryFile(path, d); err != nil {
+		return nil, err
+	}
+	opts := ooc.Options{ChunkRows: 64, Parallelism: run.cfg.Parallelism}
+	probe, err := ooc.Open(path, opts)
+	if err != nil {
+		return nil, err
+	}
+	opts.Budget = probe.MinBudget()
+	probe.Close()
+	src, err := ooc.Open(path, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	cfg := run.cfg.Config
+	cfg.MemoryBudget = opts.Budget
+	tr, err := core.NewTrainerFromSource(src, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Train()
 }
 
 // canonicalModel is the byte stream TestGoldenModelHashes hashes: the loss,
@@ -141,11 +195,11 @@ func TestGoldenModelHashes(t *testing.T) {
 		run := runs[name]
 		declared := *d
 		declared.NumFeatures = run.declared
-		res, err := Train(&declared, run.cfg)
+		model, err := trainGolden(t, &declared, run)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sum := sha256.Sum256(canonicalModel(res.Model))
+		sum := sha256.Sum256(canonicalModel(model))
 		got[name] = hex.EncodeToString(sum[:])
 	}
 	if *updateGolden {
