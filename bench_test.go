@@ -18,6 +18,7 @@ import (
 	"dimboost/internal/core"
 	"dimboost/internal/experiments"
 	"dimboost/internal/histogram"
+	"dimboost/internal/obs"
 	"dimboost/internal/sketch"
 )
 
@@ -363,10 +364,24 @@ func BenchmarkSingleMachineTrain(b *testing.B) {
 	}
 }
 
+// histPoolMisses is the number of histogram pool Gets that had to allocate
+// so far in this process.
+func histPoolMisses() int64 {
+	return obs.Default().Counter("dimboost_train_hist_pool_misses_total", "Histogram pool Gets that had to allocate.").Value()
+}
+
+// reportHists reports the node histograms each Train allocated since
+// before: its trainer's peak footprint, every histogram coming from one
+// fresh pool that recycles them (TestTrainerHoldsOneLayerOfParents).
+func reportHists(b *testing.B, before int64) {
+	b.ReportMetric(float64(histPoolMisses()-before)/float64(b.N), "hists/op")
+}
+
 // BenchmarkTrainParallel sweeps the shared pool size over the
 // BenchmarkSingleMachineTrain workload. The trained model is bit-identical
 // at every level (see TestModelIndependentOfParallelism); the sub-benchmarks
-// separate only up to the host's core count.
+// separate only up to the host's core count. Every node is one batch, so
+// no build takes partials and hists/op is the same at every level.
 func BenchmarkTrainParallel(b *testing.B) {
 	d := benchData(b, 2000, 10000, 50)
 	for _, p := range []int{1, 2, 4, 8} {
@@ -376,12 +391,14 @@ func BenchmarkTrainParallel(b *testing.B) {
 			cfg.MaxDepth = 5
 			cfg.Parallelism = p
 			b.ReportAllocs()
+			before := histPoolMisses()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := dimboost.Train(d, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
+			reportHists(b, before)
 		})
 	}
 }
@@ -404,12 +421,14 @@ func BenchmarkTrainDeclaredDimension(b *testing.B) {
 			cfg.MaxDepth = 5
 			cfg.Parallelism = 1
 			b.ReportAllocs()
+			before := histPoolMisses()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := dimboost.Train(&declared, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
+			reportHists(b, before)
 		})
 	}
 }

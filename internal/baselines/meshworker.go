@@ -96,7 +96,7 @@ func (mw *meshWorker) Derives() bool { return false }
 // Built aggregates the node's histogram across ranks as soon as it is
 // built, so a rank holds one at a time: the collectives copy it onto the
 // mesh.
-func (mw *meshWorker) Built(node int, h *histogram.Histogram, pool *histogram.Pool) error {
+func (mw *meshWorker) Built(_ core.LayerNode, h *histogram.Histogram, pool *histogram.Pool) error {
 	defer pool.Put(h)
 	rec, err := mw.aggregateAndSplit(len(mw.recs), h)
 	mw.recs = append(mw.recs, rec)

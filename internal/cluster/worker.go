@@ -256,12 +256,12 @@ func (wk *worker) Derives() bool { return true }
 // Built is BUILD_HISTOGRAM's push: the node's local histogram goes to the PS
 // as soon as it is built, and back into the pool once the synchronous push
 // returns. A derived node has nothing to push.
-func (wk *worker) Built(node int, h *histogram.Histogram, pool *histogram.Pool) error {
-	if h == nil {
+func (wk *worker) Built(nd core.LayerNode, h *histogram.Histogram, pool *histogram.Pool) error {
+	if nd.Derived {
 		return nil
 	}
 	defer pool.Put(h)
-	return wk.rpc(func() error { return wk.client.PushHistogram(node, h) })
+	return wk.rpc(func() error { return wk.client.PushHistogram(nd.Node, h) })
 }
 
 // Splits is FIND_SPLIT: the round-robin task scheduler (§6.2) assigns the

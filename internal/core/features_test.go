@@ -8,6 +8,7 @@ import (
 	"dimboost/internal/dataset"
 	"dimboost/internal/histogram"
 	"dimboost/internal/loss"
+	"dimboost/internal/obs"
 	"dimboost/internal/tree"
 )
 
@@ -84,6 +85,58 @@ func TestOneDataPassPerSplit(t *testing.T) {
 						kind, float, ti, got.rows, want.rows)
 				}
 			}
+		}
+	}
+}
+
+// TestTrainerHoldsOneLayerOfParents pins the trainer's histogram footprint:
+// each node is scanned as soon as its histogram exists and put back unless it
+// is a split parent of the next built layer, so at the deepest built layer of
+// a depth-D tree the trainer holds the 2^(D−3) split parents it has not yet
+// reached and the node in hand. Holding a whole layer until Splits took
+// 2^(D−2). The tree's fresh pool allocates at most 2^(D−3) + 1 histograms
+// (every node is one batch, so no build takes partials from it), and after
+// every tree each one is back in it.
+func TestTrainerHoldsOneLayerOfParents(t *testing.T) {
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 4000, NumFeatures: 200, AvgNNZ: 20, Seed: 107, Zipf: 1.1})
+	cfg := smallConfig()
+	cfg.NumTrees = 2
+	cfg.MaxDepth = 6
+	cfg.Parallelism = 2
+	cfg.BatchSize = d.NumRows()
+	tr, err := NewTrainer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := obs.Default().Counter("dimboost_train_hist_pool_misses_total", "Histogram pool Gets that had to allocate.")
+	before := misses.Value()
+	var allocated, idle []int64
+	tr.OnTree = func(TreeEvent) {
+		allocated = append(allocated, misses.Value()-before)
+		idle = append(idle, int64(tr.td.pool.Idle()))
+	}
+	model, err := tr.Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepest := cfg.MaxDepth - 2
+	width := 0
+	for i, nd := range model.Trees[0].Nodes {
+		if nd.Used && tree.Depth(i) == deepest {
+			width++
+		}
+	}
+	if width != 1<<deepest {
+		t.Fatalf("the deepest built layer has %d of %d nodes; grow the fixture", width, 1<<deepest)
+	}
+	t.Logf("the pool allocated %d histograms", allocated[len(allocated)-1])
+	if limit := int64(1<<(cfg.MaxDepth-3) + 1); allocated[len(allocated)-1] > limit {
+		t.Errorf("the pool allocated %d histograms over %d depth-%d trees, want at most %d (one layer of split parents and the node in hand)",
+			allocated[len(allocated)-1], cfg.NumTrees, cfg.MaxDepth, limit)
+	}
+	for i := range allocated {
+		if idle[i] != allocated[i] {
+			t.Errorf("after tree %d the pool allocated %d histograms and holds %d", i, allocated[i], idle[i])
 		}
 	}
 }

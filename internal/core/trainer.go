@@ -85,6 +85,9 @@ type Trainer struct {
 	// quantized rows and histogram pool.
 	grad, hess []float64
 	td         *treeData
+	// build is the build_hist span of the layer being built: the grower's
+	// node builds and the local aggregator's subtractions are its sections.
+	build phaseSpan
 
 	// OnTree, when set, is invoked after each completed tree.
 	OnTree func(TreeEvent)
@@ -406,52 +409,60 @@ func (tr *Trainer) closeTreeData() {
 
 // buildLayer gives every node a layer lists its data pass, into a deferred
 // histogram from the tree's pool, and hands each to agg as soon as it is
-// built: resident data builds node by node (each build fanning out over its
-// row batches), so an aggregator that lets go of each histogram in Built
-// holds one at a time. Out of core the layer's one-batch nodes share one walk
-// over the spill per pool worker (ooc.SpilledBinned.BuildLayer), and the
-// layer is handed over once it is built. Both fill every histogram with the
-// same bits. Deferred, the binned builds leave only what the node's rows
-// touched for FIND_SPLIT to scan and the pool to clear. A resident agg that is
-// a NodeBuilder builds each node itself. The derived nodes go to agg last.
-// Every build, and the derived nodes' handover (the local trainer subtracts
-// there), is a section of the layer's build_hist span, which it returns.
-func (tr *Trainer) buildLayer(td *treeData, layer []LayerNode, nodes []int, builds []ooc.NodeBuild, opts histogram.BuildOptions, agg Aggregator) (build phaseSpan, err error) {
+// built, its sibling right after it if that is derived: resident data builds
+// node by node (each build fanning out over its row batches), so an
+// aggregator that lets go of each histogram in Built holds one at a time,
+// and one that scans there holds only the split parents it has not reached.
+// Out of core the layer's one-batch nodes share one walk over the spill per
+// pool worker (ooc.SpilledBinned.BuildLayer) and are handed over in the same
+// order once built. Both fill every histogram with the same bits. Deferred,
+// the binned builds leave only what the node's rows touched for FIND_SPLIT to
+// scan and the pool to clear. A resident agg that is a NodeBuilder builds
+// each node itself. Every build is a section of the layer's build_hist span,
+// tr.build.
+func (tr *Trainer) buildLayer(td *treeData, layer []LayerNode, builds []ooc.NodeBuild, opts histogram.BuildOptions, agg Aggregator) error {
 	nb, own := agg.(NodeBuilder)
-	for i := range builds {
-		b := &builds[i]
-		b.H = td.pool.Get()
-		b.H.Defer()
-		if td.spilled != nil {
+	if td.spilled != nil {
+		for i := range builds {
+			builds[i].H = td.pool.Get()
+			builds[i].H.Defer()
+		}
+		tr.build.time(agg, "build_hist", func() { td.spilled.BuildLayer(tr.pool, builds, tr.grad, tr.hess, opts) })
+	}
+	k := 0
+	for i, nd := range layer {
+		if nd.Derived {
 			continue
 		}
-		build.time(agg, "build_hist", func() {
-			if own {
-				nb.BuildNode(b.H, b.Rows, tr.grad, tr.hess, opts)
-			} else {
-				histogram.BuildBinned(b.H, td.binned, b.Rows, tr.grad, tr.hess, opts)
+		b := &builds[k]
+		k++
+		if td.spilled == nil {
+			b.H = td.pool.Get()
+			b.H.Defer()
+			tr.build.time(agg, "build_hist", func() {
+				if own {
+					nb.BuildNode(b.H, b.Rows, tr.grad, tr.hess, opts)
+				} else {
+					histogram.BuildBinned(b.H, td.binned, b.Rows, tr.grad, tr.hess, opts)
+				}
+			})
+		}
+		if err := agg.Built(nd, b.H, td.pool); err != nil {
+			return err
+		}
+		// Both children of a split are listed, left first, when one is
+		// derived.
+		j, sib := i+1, nd.Node+1
+		if nd.Node%2 == 0 {
+			j, sib = i-1, nd.Node-1
+		}
+		if j >= 0 && j < len(layer) && layer[j].Node == sib && layer[j].Derived {
+			if err := agg.Built(layer[j], nil, td.pool); err != nil {
+				return err
 			}
-		})
-		if err := agg.Built(nodes[i], b.H, td.pool); err != nil {
-			return build, err
 		}
 	}
-	if td.spilled != nil {
-		build.time(agg, "build_hist", func() { td.spilled.BuildLayer(tr.pool, builds, tr.grad, tr.hess, opts) })
-		for i, b := range builds {
-			if err := agg.Built(nodes[i], b.H, td.pool); err != nil {
-				return build, err
-			}
-		}
-	}
-	build.time(agg, "build_hist", func() {
-		for _, nd := range layer {
-			if nd.Derived && err == nil {
-				err = agg.Built(nd.Node, nil, td.pool)
-			}
-		}
-	})
-	return build, err
+	return nil
 }
 
 // GrowTree grows the next tree over the trainer's rows — one shard of a
@@ -535,12 +546,10 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		BatchSize:   cfg.BatchSize,
 		Pool:        td.pool,
 	}
-	// Per-layer scratch: the nodes Splits decides, the data passes and the
-	// node of each, and out of core the splits classified in one walk over
-	// the spill.
+	// Per-layer scratch: the nodes Splits decides, their data passes, and
+	// out of core the splits classified in one walk over the spill.
 	var layer []LayerNode
 	var builds []ooc.NodeBuild
-	var built []int
 	var layerSplits []ooc.NodeSplit
 
 	for depth := 0; depth < cfg.MaxDepth && len(active) > 0; depth++ {
@@ -556,9 +565,9 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		}
 
 		// BUILD_HISTOGRAM: a data pass for every built node in node order,
-		// each handed to the aggregator as soon as it is built, then the
-		// derived ones.
-		layer, builds, built = layer[:0], builds[:0], built[:0]
+		// each handed to the aggregator as soon as it is built, and each
+		// derived node right after its sibling.
+		layer, builds = layer[:0], builds[:0]
 		for _, nd := range active {
 			if whole && !nd.Derived && idx.Count(nd.Node) == 0 {
 				leaf(nd) // no rows to split
@@ -568,14 +577,14 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 			if !nd.Derived {
 				rows := idx.Rows(nd.Node)
 				builds = append(builds, ooc.NodeBuild{Rows: rows})
-				built = append(built, nd.Node)
 				tr.BuiltHists++
 				tr.BuiltRows += len(rows)
 			}
 		}
-		build, err := tr.buildLayer(td, layer, built, builds, buildOpts, agg)
+		tr.build = phaseSpan{}
+		err := tr.buildLayer(td, layer, builds, buildOpts, agg)
 		if err == nil {
-			err = tr.record(agg, "build_hist", depth, build)
+			err = tr.record(agg, "build_hist", depth, tr.build)
 		}
 		if err != nil {
 			return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"dimboost/internal/cluster"
 	"dimboost/internal/core"
+	"dimboost/internal/dataset"
 	"dimboost/internal/simnet"
 	"dimboost/internal/tree"
 )
@@ -267,7 +268,8 @@ func TestTable6Quick(t *testing.T) {
 
 func TestFig13Quick(t *testing.T) {
 	skipUnderShort(t)
-	rows, err := Fig13(io.Discard, Scale(0.05))
+	scale := Scale(0.05)
+	rows, err := Fig13(io.Discard, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +277,24 @@ func TestFig13Quick(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	// per-worker compute shrinks as workers grow (rcv1 sweep, where data
-	// work dominates the per-node histogram floor even at test scale)
-	if rows[2].Compute >= rows[0].Compute {
-		t.Fatalf("rcv1 compute did not shrink: w=1 %v vs w=5 %v", rows[0].Compute, rows[2].Compute)
+	// work dominates the per-node histogram floor even at test scale). A
+	// run's compute is a per-phase maximum over its workers, so one stalled
+	// phase on one of five inflates it: each leg is the least of three
+	// trainings.
+	rcv1 := fig13Sets(scale)[0]
+	d := dataset.Generate(rcv1.gen)
+	least := func(row Fig13Row) time.Duration {
+		for i := 0; i < 2; i++ {
+			again, err := fig13Run(d, rcv1.name, row.Workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.Compute = min(row.Compute, again.Compute)
+		}
+		return row.Compute
+	}
+	if w1, w5 := least(rows[0]), least(rows[2]); w5 >= w1 {
+		t.Fatalf("rcv1 compute did not shrink: w=1 %v vs w=5 %v (least of three)", w1, w5)
 	}
 	for _, r := range rows {
 		if r.Compute <= 0 || r.Comm <= 0 {
