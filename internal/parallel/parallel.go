@@ -142,8 +142,7 @@ func (p *Pool) For(n, chunk int, fn func(lo, hi int)) {
 }
 
 // Tasks runs fn(task) for every task in [0, k): a chunk grid of size one,
-// for coarse-grained task lists such as (node × feature-range) split
-// finding.
+// for coarse-grained task lists such as the out-of-core chunk walks.
 func (p *Pool) Tasks(k int, fn func(task int)) {
 	p.ForChunks(k, 1, func(c, _, _ int) { fn(c) })
 }
