@@ -11,6 +11,7 @@ package dimboost_test
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"dimboost"
@@ -19,6 +20,7 @@ import (
 	"dimboost/internal/experiments"
 	"dimboost/internal/histogram"
 	"dimboost/internal/obs"
+	"dimboost/internal/ooc"
 	"dimboost/internal/sketch"
 )
 
@@ -395,6 +397,43 @@ func BenchmarkTrainParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := dimboost.Train(d, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportHists(b, before)
+		})
+	}
+}
+
+// BenchmarkTrainOutOfCore trains the BenchmarkTrainParallel workload from a
+// binary file through the out-of-core row source, at the source's minimum
+// budget: the same model (TestOutOfCoreBitIdentical), its rows and binned
+// mirror read back through bounded caches. A spilled layer builds all its
+// nodes in one walk and the tree's pool parks at most Workers+1 idle
+// histograms, so hists/op exceeds the resident run's.
+func BenchmarkTrainOutOfCore(b *testing.B) {
+	d := benchData(b, 2000, 10000, 50)
+	path := filepath.Join(b.TempDir(), "train.bin")
+	if err := dimboost.WriteBinaryFile(path, d); err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			src, err := ooc.Open(path, ooc.Options{Parallelism: p})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := dimboost.DefaultConfig()
+			cfg.NumTrees = 5
+			cfg.MaxDepth = 5
+			cfg.Parallelism = p
+			cfg.MemoryBudget = src.MinBudget()
+			src.Close()
+			b.ReportAllocs()
+			before := histPoolMisses()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dimboost.TrainOutOfCore(path, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -153,7 +153,7 @@ type floatAggregator struct {
 
 func (fa *floatAggregator) BuildNode(h *histogram.Histogram, rows []int32, grad, hess []float64, opts histogram.BuildOptions) {
 	histogram.BuildBatches(h, rows, opts, func(part *histogram.Histogram, batch []int32) {
-		fa.build(part, fa.tr.data, batch, grad, hess)
+		fa.build(part, fa.tr.rows.(residentRows).d, batch, grad, hess)
 	})
 }
 
@@ -172,7 +172,7 @@ func boostWith(t *testing.T, tr *Trainer, agg func(i int) Aggregator) *Model {
 	t.Helper()
 	tr.Candidates()
 	defer tr.closeTreeData()
-	preds := make([]float64, tr.numRows())
+	preds := make([]float64, tr.rows.NumRows())
 	model := &Model{Loss: tr.cfg.Loss}
 	for i := 0; i < tr.cfg.NumTrees; i++ {
 		tn, err := tr.growTree(agg(i), true, preds)

@@ -43,13 +43,26 @@ func TestOutOfCoreBitIdentical(t *testing.T) {
 	base.BatchSize = 1024
 	base.FeatureSampleRatio = 0.8
 
+	// The warm start is a model of the plain variant's first two trees:
+	// every row is scored through the row source before the first tree.
+	warmCfg := base
+	warmCfg.NumTrees = 2
+	warm, err := Train(train, warmCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	variants := []struct {
 		name   string
 		mut    func(*Config)
+		init   *Model
 		levels []int
 	}{
-		{"plain", func(c *Config) {}, []int{1, 2, 4}},
-		{"weighted", func(c *Config) { c.WeightedCandidates = true }, []int{1, 4}},
+		{"plain", func(c *Config) {}, nil, []int{1, 2, 4}},
+		{"weighted", func(c *Config) { c.WeightedCandidates = true }, nil, []int{1, 4}},
+		// Each sampled tree scores every row through the row source.
+		{"sampled", func(c *Config) { c.InstanceSampleRatio = 0.6 }, nil, []int{1, 2}},
+		{"warm", func(c *Config) {}, warm, []int{1, 2}},
 	}
 
 	for _, v := range variants {
@@ -57,7 +70,12 @@ func TestOutOfCoreBitIdentical(t *testing.T) {
 			cfg := base
 			v.mut(&cfg)
 			cfg.Parallelism = 1
-			want, err := Train(train, cfg)
+			mem, err := NewTrainer(train, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem.Init = v.init
+			want, err := mem.Train()
 			if err != nil {
 				t.Fatalf("in-memory train: %v", err)
 			}
@@ -80,6 +98,7 @@ func TestOutOfCoreBitIdentical(t *testing.T) {
 					src.Close()
 					t.Fatalf("P=%d: %v", p, err)
 				}
+				tr.Init = v.init
 				got, err := tr.Train()
 				if err != nil {
 					src.Close()
@@ -153,28 +172,6 @@ func TestOutOfCoreBitIdenticalAcrossChunkSizes(t *testing.T) {
 				t.Fatalf("P=%d chunk=%d: out-of-core model differs from in-memory model", p, chunkRows)
 			}
 		}
-	}
-}
-
-// TestOutOfCoreRejectsResidentOnlyModes pins the constructor contract:
-// instance sampling, which intrinsically requires a resident dataset, fails
-// fast.
-func TestOutOfCoreRejectsResidentOnlyModes(t *testing.T) {
-	train := dataset.Generate(dataset.SyntheticConfig{NumRows: 500, NumFeatures: 20, AvgNNZ: 5, Seed: 9})
-	path := filepath.Join(t.TempDir(), "train.bin")
-	if err := dataset.WriteBinaryFile(path, train); err != nil {
-		t.Fatal(err)
-	}
-	src, err := ooc.Open(path, ooc.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	cfg := DefaultConfig()
-	cfg.NumTrees = 1
-	cfg.InstanceSampleRatio = 0.5
-	if _, err := NewTrainerFromSource(src, cfg); err == nil {
-		t.Error("instance sampling out of core: want error, got nil")
 	}
 }
 

@@ -1,0 +1,117 @@
+package core
+
+import (
+	"slices"
+
+	"dimboost/internal/dataset"
+	"dimboost/internal/histogram"
+	"dimboost/internal/ooc"
+	"dimboost/internal/parallel"
+	"dimboost/internal/predict"
+)
+
+// rowSource is where the trainer's rows live: in memory (residentRows) or in
+// a chunked file read through a bounded cache (spilledRows). The trainer
+// reads its rows only through it and the binned mirror it quantizes them
+// into, so the grower has one data path whichever it is.
+type rowSource interface {
+	NumRows() int
+	NumFeatures() int
+	// Labels is the label column, indexed by row.
+	Labels() []float32
+	// ForRowRange walks rows [lo, hi) in ascending order, a sketch.Rows.
+	ForRowRange(lo, hi int, fn func(d *dataset.Dataset, base, rlo, rhi int))
+	// bin quantizes the rows under layout on pool's workers into the binned
+	// mirror of the trees grown under it, and returns the layout's histogram
+	// pool with it.
+	bin(layout *histogram.Layout, pool *parallel.Pool) (binnedRows, *histogram.Pool, error)
+	// Err is the sticky I/O error of a streaming pass, if any: a pass that
+	// fails records it and skips its work, and the trainer aborts at its next
+	// phase boundary instead of training on partial data.
+	Err() error
+}
+
+// binnedRows is a tree's binned mirror of the rows: every nonzero's bin id
+// under the tree's layout, read by every node of every layer for both
+// histogram construction and splitting.
+type binnedRows interface {
+	// build fills the histograms of the leading nodes, each a deferred one
+	// from opts.Pool, and returns how many it built. nb, when not nil, builds
+	// a resident node from the float rows instead.
+	build(pool *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder) int
+	// Classify writes every split's verdicts into mask, indexed by row, on
+	// pool's workers: mask[r] = bin(r, Pos) <= Bucket for every row r of
+	// every split, SplitPredicate's goLeft. A layer's splits hold disjoint
+	// rows.
+	Classify(pool *parallel.Pool, splits []ooc.NodeSplit, mask []bool)
+	Close() error
+}
+
+// residentRows are rows in memory.
+type residentRows struct{ d *dataset.Dataset }
+
+func (r residentRows) NumRows() int      { return r.d.NumRows() }
+func (r residentRows) NumFeatures() int  { return r.d.NumFeatures }
+func (r residentRows) Labels() []float32 { return r.d.Labels }
+func (r residentRows) Err() error        { return nil }
+
+func (r residentRows) ForRowRange(lo, hi int, fn func(*dataset.Dataset, int, int, int)) {
+	fn(r.d, 0, lo, hi)
+}
+
+func (r residentRows) bin(layout *histogram.Layout, pool *parallel.Pool) (binnedRows, *histogram.Pool, error) {
+	return residentBinned{histogram.NewBinned(r.d, layout, pool.Workers())}, histogram.NewPool(layout), nil
+}
+
+// residentBinned is the binned mirror in memory. It builds one node per
+// call, each fanning out over its row batches, so every node is handed over
+// before the next one is built.
+type residentBinned struct{ b *histogram.Binned }
+
+func (rb residentBinned) build(_ *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder) int {
+	nd := &nodes[0]
+	nd.H = opts.Pool.Get()
+	nd.H.Defer()
+	if nb != nil {
+		nb.BuildNode(nd.H, nd.Rows, grad, hess, opts)
+	} else {
+		histogram.BuildBinned(nd.H, rb.b, nd.Rows, grad, hess, opts)
+	}
+	return 1
+}
+
+// Classify fans the layer's rows out over the pool once: the splits' rows,
+// end to end, are one grid of row chunks.
+func (rb residentBinned) Classify(pool *parallel.Pool, splits []ooc.NodeSplit, mask []bool) {
+	ends := make([]int, len(splits)) // ends[i] counts the rows of splits[:i+1]
+	n := 0
+	for i, s := range splits {
+		n += len(s.Rows)
+		ends[i] = n
+	}
+	pool.For(n, parallel.RowChunk, func(lo, hi int) {
+		for i, _ := slices.BinarySearch(ends, lo+1); lo < hi; i++ {
+			s, start := splits[i], ends[i]-len(splits[i].Rows)
+			for _, r := range s.Rows[lo-start : min(hi, ends[i])-start] {
+				mask[r] = rb.b.Bin(int(r), s.Pos) <= s.Bucket
+			}
+			lo = min(hi, ends[i])
+		}
+	})
+}
+
+func (rb residentBinned) Close() error { return nil }
+
+// scoreInto scores every row into out with eng, one engine call per piece of
+// a row chunk the row source hands over; prediction is per-row pure, so the
+// scores are those of one batch call over all rows.
+func (tr *Trainer) scoreInto(eng *predict.Engine, out []float64) {
+	eng.Workers = 1
+	tr.pool.For(len(out), parallel.RowChunk, func(lo, hi int) {
+		tr.rows.ForRowRange(lo, hi, func(d *dataset.Dataset, base, rlo, rhi int) {
+			a, b := rlo-base, rhi-base
+			rows := dataset.Dataset{RowPtr: d.RowPtr[a : b+1], Indices: d.Indices, Values: d.Values, Labels: d.Labels[a:b], NumFeatures: d.NumFeatures}
+			eng.PredictBatchInto(&rows, out[rlo:rhi])
+		})
+	})
+}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"dimboost/internal/dataset"
 	"dimboost/internal/histogram"
+	"dimboost/internal/ooc"
+	"dimboost/internal/parallel"
 	"dimboost/internal/sketch"
 )
 
@@ -217,10 +220,12 @@ func TestLeafWeight(t *testing.T) {
 // every sampled feature the binned predicate must answer the float
 // comparison — over a uint8 mirror and a uint16 one (more than 256
 // buckets), with values on a cut, between cuts, above the last cut, below
-// the first, zero and negative.
+// the first, zero and negative — and so must the row mask the trainer
+// partitions by, as both binned mirrors, resident and spilled, classify it.
 func TestSplitPredicateMatchesFloatComparison(t *testing.T) {
 	const features = 5
 	sampled := []int32{0, 2, 3}
+	pool := parallel.New(2)
 	for _, numCuts := range []int{12, 400} {
 		// Cuts at every half from -numCuts/4, so one of them is 0 and every
 		// one is exact in float32.
@@ -253,14 +258,107 @@ func TestSplitPredicateMatchesFloatComparison(t *testing.T) {
 		if binned.Wide() != (numCuts > 256) {
 			t.Fatalf("%d cuts: Wide() = %v", numCuts, binned.Wide())
 		}
+		var mirrors []binnedRows
+		for _, rows := range mirrorsOf(t, d, 7) {
+			mirror, _, err := rows.bin(layout, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mirror.Close()
+			mirrors = append(mirrors, mirror)
+		}
+		all := make([]int32, d.NumRows())
+		for r := range all {
+			all[r] = int32(r)
+		}
+		mask := make([]bool, d.NumRows())
 		for _, f := range sampled {
 			for _, v := range cuts[:numCuts-1] {
-				goLeft := SplitPredicate(d, binned, layout, Split{Found: true, Feature: f, Value: v})
+				split := Split{Found: true, Feature: f, Value: v}
+				goLeft := SplitPredicate(d, binned, layout, split)
 				for r := 0; r < d.NumRows(); r++ {
 					x := d.Row(r).Feature(int(f))
 					if want := float64(x) <= v; goLeft(int32(r)) != want {
 						t.Fatalf("%d cuts: feature %d value %v split at %v: goLeft %v, want %v", numCuts, f, x, v, !want, want)
 					}
+				}
+				p, k := splitBin(layout, split)
+				for i, mirror := range mirrors {
+					// Every verdict starts wrong, so a row left unwritten fails.
+					for r := range mask {
+						mask[r] = float64(d.Row(r).Feature(int(f))) > v
+					}
+					mirror.Classify(pool, []ooc.NodeSplit{{Rows: all, Pos: p, Bucket: k}}, mask)
+					for r := range all {
+						x := d.Row(r).Feature(int(f))
+						if want := float64(x) <= v; mask[r] != want {
+							t.Fatalf("mirror %d, %d cuts: feature %d value %v split at %v: mask %v, want %v", i, numCuts, f, x, v, !want, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// mirrorsOf returns d's rows resident and spilled to a file in segments of
+// chunkRows rows, for the life of the test.
+func mirrorsOf(t *testing.T, d *dataset.Dataset, chunkRows int) []rowSource {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rows.bin")
+	if err := dataset.WriteBinaryFile(path, d); err != nil {
+		t.Fatal(err)
+	}
+	src, err := ooc.Open(path, ooc.Options{ChunkRows: chunkRows, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	return []rowSource{residentRows{d}, spilledRows{src}}
+}
+
+// TestMirrorsClassifyALayerLikeSplitPredicate: a layer's splits share one
+// row mask. For a layer of nodes over disjoint rows, spread across several
+// row chunks and many segments, with an empty node among them, the mask
+// both binned mirrors write is SplitPredicate's verdict row by row.
+func TestMirrorsClassifyALayerLikeSplitPredicate(t *testing.T) {
+	pool := parallel.New(2)
+	d, layout, _, _ := fixture(t, 3*parallel.RowChunk+100, 40, 8, 5)
+	binned := histogram.NewBinned(d, layout, 2)
+	const nodes = 5 // node 3 has no rows
+	splits := make([]ooc.NodeSplit, nodes)
+	preds := make([]func(int32) bool, nodes)
+	for r := 0; r < d.NumRows(); r++ {
+		i := r * 7 % (nodes - 1)
+		if i == 3 {
+			i = 4
+		}
+		splits[i].Rows = append(splits[i].Rows, int32(r))
+	}
+	for i := range splits {
+		p := int32(3*i + 1)
+		split := Split{Found: true, Feature: layout.Features[p], Value: layout.Cands[p].SplitValue(layout.Cands[p].NumBuckets() / 3)}
+		splits[i].Pos, splits[i].Bucket = splitBin(layout, split)
+		preds[i] = SplitPredicate(d, binned, layout, split)
+	}
+	for i, rows := range mirrorsOf(t, d, 100) {
+		mirror, _, err := rows.bin(layout, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every verdict starts wrong, so a row left unwritten fails.
+		mask := make([]bool, d.NumRows())
+		for j, s := range splits {
+			for _, r := range s.Rows {
+				mask[r] = !preds[j](r)
+			}
+		}
+		mirror.Classify(pool, splits, mask)
+		mirror.Close()
+		for j, s := range splits {
+			for _, r := range s.Rows {
+				if mask[r] != preds[j](r) {
+					t.Fatalf("mirror %d: node %d row %d: goLeft %v, SplitPredicate %v", i, j, r, mask[r], preds[j](r))
 				}
 			}
 		}

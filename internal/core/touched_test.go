@@ -393,3 +393,53 @@ func FuzzTouchedScanAgrees(f *testing.F) {
 		}
 	})
 }
+
+// TestScanMaterialisesWhenTheGuardFails arms TouchedScanExact in the local
+// aggregator's scan. The node's totals are (−1, 5) while its rows sum to
+// (−4, 4), as a shard's root that learns its totals from the aggregation
+// can see: the residue (3, 1) clears MinChildHessian, so the guard fails.
+// Every row holds feature 1 alone, above its last cut, so feature 1 offers
+// no split, and the best split of the full scan is untouched feature 0's
+// "everything left". A scan of the touched positions alone would find none.
+func TestScanMaterialisesWhenTheGuardFails(t *testing.T) {
+	cuts := sketch.FromCuts([]float64{-1, 0, 1})
+	layout, err := histogram.NewLayout([]int32{0, 1}, []sketch.Candidates{cuts, cuts}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bld := dataset.NewBuilder(2)
+	rows := []int32{0, 1, 2, 3}
+	for range rows {
+		if err := bld.Add([]int32{1}, []float32{5}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := bld.Build()
+	grad, hess := []float64{-1, -1, -1, -1}, []float64{1, 1, 1, 1}
+	h := histogram.New(layout)
+	h.Defer()
+	histogram.BuildBinned(h, histogram.NewBinned(d, layout, 1), rows, grad, hess, histogram.BuildOptions{Parallelism: 1})
+
+	cfg := smallConfig()
+	cfg.Lambda, cfg.Gamma, cfg.MinChildHessian = 1, 0, 0.5
+	nd := LayerNode{Node: 0, G: -1, H: 5}
+	if TouchedScanExact(h, nd.H, cfg.MinChildHessian) {
+		t.Fatal("the guard holds; the fixture has to fail it")
+	}
+	ref := h.Clone()
+	ref.Materialize()
+	want := fullScanReference(ref, nd.G, nd.H, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
+	if !want.Found || want.Feature != 0 {
+		t.Fatalf("the full scan chose %+v; the fixture needs untouched feature 0's split", want)
+	}
+
+	tr, err := NewTrainer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	la := &localAggregator{tr: tr, parents: map[int]*histogram.Histogram{}, decided: map[int]Decision{}}
+	la.scan(nd, h, histogram.NewPool(layout))
+	if got := la.decided[nd.Node].Split; !sameSplit(got, want) {
+		t.Fatalf("scan decided %+v, the full scan of the materialised histogram %+v", got, want)
+	}
+}

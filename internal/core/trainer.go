@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -60,21 +59,15 @@ type TreeEvent struct {
 // every parallelism value (DESIGN.md invariant 15).
 type Trainer struct {
 	cfg   Config
-	data  *dataset.Dataset
+	rows  rowSource
 	cands []sketch.Candidates
 	rng   *rand.Rand
 	pool  *parallel.Pool
 
-	// src is the disk-resident data path (out-of-core mode); exactly one of
-	// data/src is non-nil. labels is the resident label column of either
-	// path.
-	src    *ooc.Source
-	labels []float32
-
-	// splitMask is the out-of-core split scratch: per-row goLeft verdicts,
-	// precomputed for a whole layer in one walk over the spill so
-	// SplitStable's predicate never touches disk (one bool per row, part of
-	// the documented fixed working set).
+	// splitMask is the split scratch: per-row goLeft verdicts, classified
+	// for a whole layer before any node is partitioned, so SplitStable's
+	// predicate is an array read and out of core never touches disk (one
+	// bool per row, part of the documented fixed working set).
 	splitMask []bool
 
 	// predScratch is the reusable per-tree scoring buffer of the
@@ -119,15 +112,19 @@ type Trainer struct {
 // NewTrainer validates the configuration and prepares a trainer for the
 // dataset.
 func NewTrainer(d *dataset.Dataset, cfg Config) (*Trainer, error) {
+	return newTrainer(residentRows{d}, cfg)
+}
+
+// newTrainer validates the configuration and prepares a trainer for the rows.
+func newTrainer(rows rowSource, cfg Config) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Trainer{
-		cfg:    cfg,
-		data:   d,
-		labels: d.Labels,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		pool:   parallel.New(cfg.ResolvedParallelism()),
+		cfg:  cfg,
+		rows: rows,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		pool: parallel.New(cfg.ResolvedParallelism()),
 	}, nil
 }
 
@@ -139,8 +136,8 @@ func (tr *Trainer) Candidates() []sketch.Candidates {
 	if tr.cands == nil {
 		// A run-level phase of the local sink, which never fails.
 		_ = tr.Time(&localAggregator{tr: tr, t: -1}, "sketch", -1, func() {
-			set := sketch.NewSet(tr.numFeatures(), tr.cfg.ResolvedSketchEps())
-			set.AddRows(tr.pool, tr.numRows(), tr.rows())
+			set := sketch.NewSet(tr.rows.NumFeatures(), tr.cfg.ResolvedSketchEps())
+			set.AddRows(tr.pool, tr.rows.NumRows(), tr.rows.ForRowRange)
 			tr.cands = set.CandidatesOn(tr.pool, tr.cfg.NumCandidates)
 		})
 	}
@@ -154,7 +151,7 @@ func (tr *Trainer) SetCandidates(c []sketch.Candidates) { tr.cands = c }
 // SampleFeatures draws σM distinct features, sorted ascending. With σ == 1
 // it returns the identity.
 func (tr *Trainer) SampleFeatures() []int32 {
-	m := tr.numFeatures()
+	m := tr.rows.NumFeatures()
 	if tr.cfg.FeatureSampleRatio >= 1 {
 		return histogram.AllFeatures(m)
 	}
@@ -187,11 +184,11 @@ func (tr *Trainer) scoreEngine(trees []*tree.Tree, base float64) (*predict.Engin
 // Train runs the full boosting loop and returns the model.
 func (tr *Trainer) Train() (*Model, error) {
 	tr.Candidates()
-	if err := tr.srcErr(); err != nil {
+	if err := tr.rows.Err(); err != nil {
 		return nil, err
 	}
 	lf := loss.New(tr.cfg.Loss)
-	preds := make([]float64, tr.numRows())
+	preds := make([]float64, tr.rows.NumRows())
 	model := &Model{Loss: tr.cfg.Loss}
 	start := time.Now()
 
@@ -207,9 +204,7 @@ func (tr *Trainer) Train() (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling warm-start model: %w", err)
 		}
-		if err := tr.scoreTrainInto(eng, preds); err != nil {
-			return nil, err
-		}
+		tr.scoreInto(eng, preds)
 	}
 
 	// Early-stopping state.
@@ -246,11 +241,11 @@ func (tr *Trainer) Train() (*Model, error) {
 		if tr.OnTree != nil {
 			tr.OnTree(TreeEvent{
 				Tree:      t,
-				TrainLoss: loss.MeanLoss(lf, tr.labels, preds),
+				TrainLoss: loss.MeanLoss(lf, tr.rows.Labels(), preds),
 				Elapsed:   time.Since(start),
 			})
 		}
-		if err := tr.srcErr(); err != nil {
+		if err := tr.rows.Err(); err != nil {
 			return nil, err
 		}
 
@@ -292,14 +287,14 @@ func (tr *Trainer) Train() (*Model, error) {
 // chunk order, so the sketch content depends only on the grid, never on the
 // worker count.
 func (tr *Trainer) weightedCandidates(hess []float64) []sketch.Candidates {
-	m := tr.numFeatures()
-	n := tr.numRows()
+	m := tr.rows.NumFeatures()
+	n := tr.rows.NumRows()
 	eps := tr.cfg.ResolvedSketchEps()
 	sketches := make([]*sketch.WeightedGK, m)
 	// Out of core the sketch grid (parallel.SketchChunk) is coarser than the
 	// storage grid; walking a range chunk run by chunk run inserts the same
 	// values in the same order as one resident pass.
-	rows := tr.rows()
+	rows := tr.rows.ForRowRange
 	parallel.ReduceOrdered(tr.pool, n, parallel.SketchChunk,
 		func(_, lo, hi int) []*sketch.WeightedGK {
 			part := make([]*sketch.WeightedGK, m)
@@ -340,22 +335,19 @@ func (tr *Trainer) weightedCandidates(hess []float64) []sketch.Candidates {
 }
 
 // treeData is what the grower reads besides the gradients: the layout of the
-// sampled features, the quantized mirror of the rows under it (resident, or
-// spilled in out-of-core mode) and the histogram pool of that layout.
+// sampled features, the binned mirror of the rows under it and the histogram
+// pool of that layout.
 type treeData struct {
-	layout  *histogram.Layout
-	binned  *histogram.Binned
-	spilled *ooc.SpilledBinned
-	pool    *histogram.Pool
+	layout *histogram.Layout
+	mirror binnedRows
+	pool   *histogram.Pool
 }
 
 // treeData returns the tree's data: the layout over the features agg lays
-// out of the sample it agrees on, and the rows quantized under it — every
-// nonzero's bin id, reused by every node of every layer for both histogram
-// construction and splitting. With every feature sampled and the candidates
-// fixed, the layout — and with it every bin id — is the same for every tree,
-// so the first tree's serves the run. Otherwise the previous tree's is
-// released first.
+// out of the sample it agrees on, and the rows quantized under it. With
+// every feature sampled and the candidates fixed, the layout — and with it
+// every bin id — is the same for every tree, so the first tree's serves the
+// run. Otherwise the previous tree's is released first.
 func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeData, error) {
 	sampled, err := agg.Sample(tr.SampleFeatures(), cands)
 	if err != nil {
@@ -365,29 +357,17 @@ func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeDat
 		return tr.td, nil
 	}
 	tr.closeTreeData()
-	layout, err := histogram.NewLayout(sampled, cands, tr.numFeatures())
+	layout, err := histogram.NewLayout(sampled, cands, tr.rows.NumFeatures())
 	if err != nil {
 		return nil, err
 	}
-	td := &treeData{layout: layout, pool: histogram.NewPool(layout)}
-	if tr.src != nil {
-		// Under a memory budget, cap the free list at the partials one
-		// build holds at most (parallel.ReduceOrdered's window of
-		// Workers+1) so idle histograms from wide layers cannot pile up;
-		// recycling is allocation-only, so the cap cannot affect results.
-		td.pool = histogram.NewPoolCap(layout, tr.pool.Workers()+1)
+	td := &treeData{layout: layout}
+	derr := tr.Time(agg, "binning", -1, func() { td.mirror, td.pool, err = tr.rows.bin(layout, tr.pool) })
+	if err != nil {
+		return nil, err
 	}
 	tr.td = td
-	derr := tr.Time(agg, "binning", -1, func() {
-		if tr.src != nil {
-			// The mirror spills to a memory-mapped scratch file instead
-			// of materializing.
-			td.spilled, err = tr.src.BuildBinned(layout, tr.pool)
-		} else {
-			td.binned = histogram.NewBinned(tr.data, layout, tr.pool.Workers())
-		}
-	})
-	return td, cmp.Or(err, derr)
+	return td, derr
 }
 
 // Layout returns the histogram layout of the tree being grown, or of the last
@@ -399,57 +379,40 @@ func (tr *Trainer) Layout() *histogram.Layout {
 	return tr.td.layout
 }
 
-// closeTreeData releases the current tree data's spill file, if any.
+// closeTreeData releases the current tree data's mirror.
 func (tr *Trainer) closeTreeData() {
-	if tr.td != nil && tr.td.spilled != nil {
-		tr.td.spilled.Close()
+	if tr.td != nil {
+		tr.td.mirror.Close()
 	}
 	tr.td = nil
 }
 
 // buildLayer gives every node a layer lists its data pass, into a deferred
 // histogram from the tree's pool, and hands each to agg as soon as it is
-// built, its sibling right after it if that is derived: resident data builds
-// node by node (each build fanning out over its row batches), so an
-// aggregator that lets go of each histogram in Built holds one at a time,
-// and one that scans there holds only the split parents it has not reached.
-// Out of core the layer's one-batch nodes share one walk over the spill per
-// pool worker (ooc.SpilledBinned.BuildLayer) and are handed over in the same
-// order once built. Both fill every histogram with the same bits. Deferred,
-// the binned builds leave only what the node's rows touched for FIND_SPLIT to
-// scan and the pool to clear. A resident agg that is a NodeBuilder builds
-// each node itself. Every build is a section of the layer's build_hist span,
-// tr.build.
+// built, its sibling right after it if that is derived. The mirror builds as
+// many of the nodes left as it does in one go: a resident one a node at a
+// time (each build fanning out over its row batches), so an aggregator that
+// lets go of each histogram in Built holds one at a time, and one that scans
+// there holds only the split parents it has not reached; a spilled one the
+// rest of the layer in one walk over the spill per pool worker. Both fill
+// every histogram with the same bits. Deferred, the binned builds leave only
+// what the node's rows touched for FIND_SPLIT to scan and the pool to clear.
+// A resident mirror builds through agg when that is a NodeBuilder. Every
+// build is a section of the layer's build_hist span, tr.build.
 func (tr *Trainer) buildLayer(td *treeData, layer []LayerNode, builds []ooc.NodeBuild, opts histogram.BuildOptions, agg Aggregator) error {
-	nb, own := agg.(NodeBuilder)
-	if td.spilled != nil {
-		for i := range builds {
-			builds[i].H = td.pool.Get()
-			builds[i].H.Defer()
-		}
-		tr.build.time(agg, "build_hist", func() { td.spilled.BuildLayer(tr.pool, builds, tr.grad, tr.hess, opts) })
-	}
-	k := 0
+	nb, _ := agg.(NodeBuilder)
+	k, built := 0, 0
 	for i, nd := range layer {
 		if nd.Derived {
 			continue
 		}
-		b := &builds[k]
-		k++
-		if td.spilled == nil {
-			b.H = td.pool.Get()
-			b.H.Defer()
-			tr.build.time(agg, "build_hist", func() {
-				if own {
-					nb.BuildNode(b.H, b.Rows, tr.grad, tr.hess, opts)
-				} else {
-					histogram.BuildBinned(b.H, td.binned, b.Rows, tr.grad, tr.hess, opts)
-				}
-			})
+		if k == built {
+			tr.build.time(agg, "build_hist", func() { built += td.mirror.build(tr.pool, builds[k:], tr.grad, tr.hess, opts, nb) })
 		}
-		if err := agg.Built(nd, b.H, td.pool); err != nil {
+		if err := agg.Built(nd, builds[k].H, td.pool); err != nil {
 			return err
 		}
+		k++
 		// Both children of a split are listed, left first, when one is
 		// derived.
 		j, sib := i+1, nd.Node+1
@@ -481,16 +444,17 @@ func (tr *Trainer) GrowTree(agg Aggregator, preds []float64) (*tree.Tree, error)
 // derives nothing.
 func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.Tree, error) {
 	cfg := tr.cfg
-	n := tr.numRows()
+	n := tr.rows.NumRows()
 	if tr.grad == nil {
 		tr.grad, tr.hess = make([]float64, n), make([]float64, n)
 	}
 	grad, hess := tr.grad, tr.hess
 	lf := loss.New(cfg.Loss)
+	labels := tr.rows.Labels()
 	if err := tr.Time(agg, "gradients", -1, func() {
 		tr.pool.For(n, parallel.RowChunk, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				grad[i], hess[i] = lf.Gradients(float64(tr.labels[i]), preds[i])
+				grad[i], hess[i] = lf.Gradients(float64(labels[i]), preds[i])
 			}
 		})
 	}); err != nil {
@@ -547,10 +511,15 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		Pool:        td.pool,
 	}
 	// Per-layer scratch: the nodes Splits decides, their data passes, and
-	// out of core the splits classified in one walk over the spill.
+	// the splits the mirror classifies.
 	var layer []LayerNode
 	var builds []ooc.NodeBuild
-	var layerSplits []ooc.NodeSplit
+	var splits []ooc.NodeSplit
+	if tr.splitMask == nil {
+		tr.splitMask = make([]bool, n)
+	}
+	mask := tr.splitMask
+	goLeft := func(r int32) bool { return mask[r] }
 
 	for depth := 0; depth < cfg.MaxDepth && len(active) > 0; depth++ {
 		if depth == cfg.MaxDepth-1 {
@@ -600,29 +569,18 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 		// out over row chunks (stable concatenation, see Index.SplitStable).
 		var next []LayerNode
 		if err := tr.Time(agg, "split_tree", depth, func() {
-			var maskLeft func(int32) bool
-			if td.spilled != nil {
-				// Out of core, one walk over the spill writes every split
-				// node's verdicts into the row mask before any node is
-				// partitioned; the predicate is then a pure array read —
-				// identical to SplitPredicate on the resident binned matrix,
-				// and safe from every SplitStable worker.
-				layerSplits = layerSplits[:0]
-				for i, dec := range decisions {
-					if dec.Split.Found {
-						p := td.layout.Pos(dec.Split.Feature)
-						layerSplits = append(layerSplits, ooc.NodeSplit{
-							Rows: idx.Rows(layer[i].Node), Pos: p, Bucket: td.layout.Cands[p].Bucket(dec.Split.Value),
-						})
-					}
+			// The mirror writes every split node's verdicts into the row
+			// mask before any node is partitioned; goLeft is then an array
+			// read, safe from every SplitStable worker. Split values travel
+			// a wire as float64, so the bucket recovery stays exact.
+			splits = splits[:0]
+			for i, dec := range decisions {
+				if dec.Split.Found {
+					p, k := splitBin(td.layout, dec.Split)
+					splits = append(splits, ooc.NodeSplit{Rows: idx.Rows(layer[i].Node), Pos: p, Bucket: k})
 				}
-				if tr.splitMask == nil {
-					tr.splitMask = make([]bool, n)
-				}
-				td.spilled.Classify(tr.pool, layerSplits, tr.splitMask)
-				mask := tr.splitMask
-				maskLeft = func(r int32) bool { return mask[r] }
 			}
+			td.mirror.Classify(tr.pool, splits, mask)
 			for i, dec := range decisions {
 				nd, split := layer[i], dec.Split
 				if depth == 0 && !whole && dec.HasTotals {
@@ -633,12 +591,6 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 					continue
 				}
 				tn.SetSplit(nd.Node, split.Feature, split.Value, split.Gain)
-				goLeft := maskLeft
-				if td.spilled == nil {
-					// Split values travel a wire as float64, so the bin
-					// recovery inside SplitPredicate stays exact.
-					goLeft = SplitPredicate(tr.data, td.binned, td.layout, split)
-				}
 				idx.SplitStable(nd.Node, goLeft, tr.pool)
 				l, r := tree.Left(nd.Node), tree.Right(nd.Node)
 				// Below the root only one child of each split gets a data
@@ -658,7 +610,7 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 
 	// A streaming I/O failure inside a pool worker records sticky state and
 	// leaves partial accumulations behind; abort before using them.
-	if err := tr.srcErr(); err != nil {
+	if err := tr.rows.Err(); err != nil {
 		return nil, err
 	}
 
@@ -673,7 +625,7 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 			tr.predScratch = make([]float64, n)
 		}
 		scratch := tr.predScratch
-		eng.PredictBatchInto(tr.data, scratch)
+		tr.scoreInto(eng, scratch)
 		tr.pool.For(n, parallel.RowChunk, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				preds[i] += scratch[i]
@@ -700,19 +652,25 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 }
 
 // SplitPredicate returns the goLeft test of a split over d's rows quantized
-// as binned under layout. The float comparison v <= SplitValue(k) becomes
-// bin(v) <= k: the split value is always a cut, Candidates.Bucket recovers its
-// bucket index k exactly, and by the bucket semantics (bucket k holds values
-// <= Cuts[k], values above every cut land in the last, never-proposed bucket)
-// the two predicates partition rows identically. The returned predicate only
-// reads shared state and is safe for concurrent use (SplitStable calls it
-// from every pool worker).
+// as binned under layout: the rule every binned mirror classifies a split's
+// rows by. The float comparison v <= SplitValue(k) becomes bin(v) <= k: the
+// split value is always a cut, Candidates.Bucket recovers its bucket index k
+// exactly, and by the bucket semantics (bucket k holds values <= Cuts[k],
+// values above every cut land in the last, never-proposed bucket) the two
+// predicates partition rows identically. The returned predicate only reads
+// shared state and is safe for concurrent use.
 func SplitPredicate(d *dataset.Dataset, binned *histogram.Binned, layout *histogram.Layout, split Split) func(r int32) bool {
-	p := layout.Pos(split.Feature)
-	k := layout.Cands[p].Bucket(split.Value)
+	p, k := splitBin(layout, split)
 	return func(r int32) bool {
 		return binned.Bin(int(r), p) <= k
 	}
+}
+
+// splitBin returns a split's sampled position under layout and the bucket
+// its value closes: a row goes left when its bin there is at most that.
+func splitBin(layout *histogram.Layout, split Split) (int32, int) {
+	p := layout.Pos(split.Feature)
+	return p, layout.Cands[p].Bucket(split.Value)
 }
 
 // Train is the one-call convenience API: sketch, train, return the model.

@@ -1,14 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-
-	"dimboost/internal/dataset"
+	"dimboost/internal/histogram"
 	"dimboost/internal/ooc"
 	"dimboost/internal/parallel"
-	"dimboost/internal/predict"
-	"dimboost/internal/sketch"
 )
 
 // NewTrainerFromSource prepares a trainer over a disk-resident dataset: the
@@ -18,23 +13,8 @@ import (
 // and ordered reductions are identical to the in-memory path, so the trained
 // model is Float64bits-identical to NewTrainer on the same data — at any
 // parallelism and any budget admitted by ooc.Open.
-//
-// Instance sampling is rejected: its per-tree engine scoring of the full
-// dataset is a resident-data feature.
 func NewTrainerFromSource(src *ooc.Source, cfg Config) (*Trainer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.InstanceSampleRatio < 1 {
-		return nil, fmt.Errorf("core: out-of-core training does not support InstanceSampleRatio < 1")
-	}
-	return &Trainer{
-		cfg:    cfg,
-		src:    src,
-		labels: src.Labels(),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		pool:   parallel.New(cfg.ResolvedParallelism()),
-	}, nil
+	return newTrainer(spilledRows{src}, cfg)
 }
 
 // TrainOutOfCore trains from a chunked binary dataset file under
@@ -57,52 +37,33 @@ func TrainOutOfCore(path string, cfg Config) (*Model, error) {
 	return tr.Train()
 }
 
-// numRows returns the training row count of either data path.
-func (tr *Trainer) numRows() int {
-	if tr.src != nil {
-		return tr.src.NumRows()
+// spilledRows are rows in a chunked file: ooc.Source is every rowSource
+// method but bin.
+type spilledRows struct{ *ooc.Source }
+
+// bin spills the mirror to a memory-mapped scratch file instead of
+// materializing it. Under a memory budget the pool's free list is capped at
+// the partials one build holds at most (parallel.ReduceOrdered's window of
+// Workers+1), so idle histograms from wide layers cannot pile up; recycling
+// is allocation-only, so the cap cannot affect results.
+func (s spilledRows) bin(layout *histogram.Layout, pool *parallel.Pool) (binnedRows, *histogram.Pool, error) {
+	sb, err := s.BuildBinned(layout, pool)
+	if err != nil {
+		return nil, nil, err
 	}
-	return tr.data.NumRows()
+	return spilledBinned{sb}, histogram.NewPoolCap(layout, pool.Workers()+1), nil
 }
 
-// numFeatures returns the feature dimensionality of either data path.
-func (tr *Trainer) numFeatures() int {
-	if tr.src != nil {
-		return tr.src.NumFeatures()
-	}
-	return tr.data.NumFeatures
-}
+// spilledBinned is the binned mirror on disk: ooc.SpilledBinned classifies
+// a layer in one walk over the spill per pool worker, and builds the rest of
+// a layer in one more (BuildLayer).
+type spilledBinned struct{ *ooc.SpilledBinned }
 
-// rows walks the training rows of either data path in ascending order.
-func (tr *Trainer) rows() sketch.Rows {
-	if tr.src != nil {
-		return tr.src.ForRowRange
+func (s spilledBinned) build(pool *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, _ NodeBuilder) int {
+	for i := range nodes {
+		nodes[i].H = opts.Pool.Get()
+		nodes[i].H.Defer()
 	}
-	return sketch.Resident(tr.data)
-}
-
-// srcErr surfaces the out-of-core source's sticky I/O error, if any. The
-// training loop checks it at phase boundaries: streaming passes that hit an
-// I/O failure skip work and record here rather than panicking inside pool
-// workers, and the loop aborts instead of training on partial data.
-func (tr *Trainer) srcErr() error {
-	if tr.src == nil {
-		return nil
-	}
-	return tr.src.Err()
-}
-
-// scoreTrainInto scores every training row into out. In-memory this is one
-// batch call; out-of-core it streams chunks through the pool with the engine
-// in single-worker mode — prediction is per-row pure, so the chunked scores
-// are identical to the batch ones.
-func (tr *Trainer) scoreTrainInto(eng *predict.Engine, out []float64) error {
-	if tr.src == nil {
-		eng.PredictBatchInto(tr.data, out)
-		return nil
-	}
-	eng.Workers = 1
-	return tr.src.ForEachChunk(tr.pool, func(_, lo, hi int, d *dataset.Dataset) {
-		eng.PredictBatchInto(d, out[lo:hi])
-	})
+	s.BuildLayer(pool, nodes, grad, hess, opts)
+	return len(nodes)
 }

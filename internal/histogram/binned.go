@@ -62,9 +62,55 @@ func (b *Binned) Bin(r int, p int32) int {
 	return b.Layout.Cands[p].ZeroBucket
 }
 
-// maxNarrowBuckets is the largest per-feature bucket count representable in
-// a uint8 bin id.
-const maxNarrowBuckets = 256
+// WideBins reports whether bin ids under the layout escalate to uint16: some
+// sampled feature has more buckets than a uint8 tells apart.
+func (l *Layout) WideBins() bool {
+	for p := range l.Features {
+		if l.Cands[p].NumBuckets() > 256 {
+			return true
+		}
+	}
+	return false
+}
+
+// CountBins writes into rowPtr[r+1], for every row r of d in [lo, hi), how
+// many of its nonzeros the layout samples: a Binned's RowPtr before the
+// running sum.
+func CountBins(d *dataset.Dataset, l *Layout, rowPtr []int64, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		kept := int64(0)
+		for _, f := range d.Row(r).Indices {
+			if l.Pos(f) >= 0 {
+				kept++
+			}
+		}
+		rowPtr[r+1] = kept
+	}
+}
+
+// Fill quantizes every sampled nonzero of d's rows [lo, hi) into b, whose
+// RowPtr delimits them: its position and its bin id under b's layout.
+func (b *Binned) Fill(d *dataset.Dataset, lo, hi int) {
+	l, pos, bins8, bins16 := b.Layout, b.Pos, b.Bins8, b.Bins16
+	for r := lo; r < hi; r++ {
+		in := d.Row(r)
+		at := b.RowPtr[r]
+		for j, f := range in.Indices {
+			p := l.Pos(f)
+			if p < 0 {
+				continue
+			}
+			k := l.Cands[p].Bucket(float64(in.Values[j]))
+			pos[at] = p
+			if bins16 != nil {
+				bins16[at] = uint16(k)
+			} else {
+				bins8[at] = uint8(k)
+			}
+			at++
+		}
+	}
+}
 
 // NewBinned quantizes every sampled-feature nonzero of d into its histogram
 // bin under the layout, in parallel over row chunks (each row's entries are
@@ -75,60 +121,18 @@ const maxNarrowBuckets = 256
 func NewBinned(d *dataset.Dataset, l *Layout, parallelism int) *Binned {
 	n := d.NumRows()
 	b := &Binned{Layout: l, RowPtr: make([]int64, n+1)}
-	wide := false
-	for p := range l.Features {
-		if l.Cands[p].NumBuckets() > maxNarrowBuckets {
-			wide = true
-			break
-		}
-	}
-
 	pl := parallel.New(parallelism)
-
-	// Pass 1: count each row's sampled nonzeros into RowPtr[r+1].
-	pl.For(n, parallel.RowChunk, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			in := d.Row(r)
-			kept := int64(0)
-			for _, f := range in.Indices {
-				if l.Pos(f) >= 0 {
-					kept++
-				}
-			}
-			b.RowPtr[r+1] = kept
-		}
-	})
+	pl.For(n, parallel.RowChunk, func(lo, hi int) { CountBins(d, l, b.RowPtr, lo, hi) })
 	for r := 0; r < n; r++ {
 		b.RowPtr[r+1] += b.RowPtr[r]
 	}
-
-	// Pass 2: quantize into the flat arrays.
 	nnz := b.RowPtr[n]
 	b.Pos = make([]int32, nnz)
-	if wide {
+	if l.WideBins() {
 		b.Bins16 = make([]uint16, nnz)
 	} else {
 		b.Bins8 = make([]uint8, nnz)
 	}
-	pl.For(n, parallel.RowChunk, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			in := d.Row(r)
-			at := b.RowPtr[r]
-			for j, f := range in.Indices {
-				p := l.Pos(f)
-				if p < 0 {
-					continue
-				}
-				k := l.Cands[p].Bucket(float64(in.Values[j]))
-				b.Pos[at] = p
-				if wide {
-					b.Bins16[at] = uint16(k)
-				} else {
-					b.Bins8[at] = uint8(k)
-				}
-				at++
-			}
-		}
-	})
+	pl.For(n, parallel.RowChunk, func(lo, hi int) { b.Fill(d, lo, hi) })
 	return b
 }

@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"encoding/binary"
 	"os"
 	"unsafe"
 )
@@ -17,9 +16,10 @@ func alignPage(n int64) int64 {
 
 // The spill file is written in the process's native byte order and read back
 // by the same process within the same run (it is unlinked scratch, never an
-// interchange format), so mapped segments can be reinterpreted in place.
-// Offsets inside a segment keep natural alignment: int64s at 0, int32s after
-// (rows+1)×8, uint16s after nnz×4 — all fine on a page-aligned base.
+// interchange format), so segments are written from and read back into typed
+// views in place. Offsets inside a segment keep natural alignment: int64s at
+// 0, int32s after (rows+1)×8, uint16s after nnz×4 — all fine on a page or
+// an 8-byte aligned base.
 
 func castI64(b []byte, n int) []int64 {
 	if n == 0 {
@@ -42,47 +42,12 @@ func castU16(b []byte, n int) []uint16 {
 	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), n)
 }
 
-// Encode/decode helpers for the pread fallback (platforms without mmap) and
-// the segment writer. binary.NativeEndian matches the cast layout above.
-
-func putI64s(b []byte, src []int64) {
-	for i, v := range src {
-		binary.NativeEndian.PutUint64(b[i*8:], uint64(v))
+// alignedBytes returns n zeroed bytes on an 8-byte boundary (backed by
+// int64s), so a segment's sections can be typed views of them.
+func alignedBytes(n int64) []byte {
+	if n == 0 {
+		return []byte{}
 	}
-}
-
-func putI32s(b []byte, src []int32) {
-	for i, v := range src {
-		binary.NativeEndian.PutUint32(b[i*4:], uint32(v))
-	}
-}
-
-func putU16s(b []byte, src []uint16) {
-	for i, v := range src {
-		binary.NativeEndian.PutUint16(b[i*2:], v)
-	}
-}
-
-func getI64s(b []byte, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.NativeEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func getI32s(b []byte, n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.NativeEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-func getU16s(b []byte, n int) []uint16 {
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.NativeEndian.Uint16(b[i*2:])
-	}
-	return out
+	w := make([]int64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), n)
 }

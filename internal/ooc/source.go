@@ -210,30 +210,13 @@ func (s *Source) Err() error {
 	return nil
 }
 
-// ForEachChunk streams every chunk through the pool, calling fn with the
-// pinned chunk and its global row range. Chunks run concurrently; fn must
-// not retain d past its return. Failed chunk loads record a sticky error
-// (Err) and are skipped.
-func (s *Source) ForEachChunk(pool *parallel.Pool, fn func(c, lo, hi int, d *dataset.Dataset)) error {
-	pool.Tasks(s.NumChunks(), func(c int) {
-		d, release, err := s.Chunk(c)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		lo, hi := s.ChunkBounds(c)
-		fn(c, lo, hi, d)
-		release()
-	})
-	return s.Err()
-}
-
 // ForRowRange walks global rows [lo, hi) chunk run by chunk run, in
 // ascending order, pinning one chunk at a time: fn sees the pinned chunk,
 // its base row, and the global sub-range [rlo, rhi) it covers (local row =
-// global - base). It serves passes whose grid is not the storage grid — the
-// weighted sketch's parallel.SketchChunk rows, and the unweighted sketch's
-// per-worker walk over every row (it is a sketch.Rows). Safe for concurrent
+// global - base). It is the trainer's one row walk (a sketch.Rows), on any
+// grid: the weighted sketch's parallel.SketchChunk rows, the unweighted
+// sketch's per-worker walk over every row, and the scoring of every row in
+// parallel.RowChunk runs. Safe for concurrent
 // use from pool workers; each call pins at most one chunk at a time. Load
 // failures record a sticky error and stop the walk.
 func (s *Source) ForRowRange(lo, hi int, fn func(d *dataset.Dataset, base, rlo, rhi int)) {

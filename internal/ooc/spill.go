@@ -1,7 +1,6 @@
 package ooc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"slices"
@@ -65,9 +64,19 @@ func segBytes(rows int, nnz int64, wide bool) int64 {
 	return int64(rows+1)*8 + nnz*4 + nnz*w
 }
 
-// maxNarrowBuckets mirrors histogram.NewBinned's uint8/uint16 escalation
-// threshold.
-const maxNarrowBuckets = 256
+// segBinned views a segment's bytes, on a page or an 8-byte boundary, as
+// its chunk-local Binned.
+func segBinned(l *histogram.Layout, data []byte, rows int, nnz int64, wide bool) histogram.Binned {
+	posOff := int64(rows+1) * 8
+	binOff := posOff + nnz*4
+	b := histogram.Binned{Layout: l, RowPtr: castI64(data, rows+1), Pos: castI32(data[posOff:], int(nnz))}
+	if wide {
+		b.Bins16 = castU16(data[binOff:], int(nnz))
+	} else {
+		b.Bins8 = data[binOff : binOff+nnz]
+	}
+	return b
+}
 
 // BuildBinned quantizes the dataset under the layout and spills the result —
 // the out-of-core counterpart of histogram.NewBinned, run once per layout.
@@ -76,13 +85,7 @@ const maxNarrowBuckets = 256
 // chunk's precomputed offset, so the file content is independent of worker
 // count and schedule.
 func (s *Source) BuildBinned(l *histogram.Layout, pool *parallel.Pool) (*SpilledBinned, error) {
-	wide := false
-	for p := range l.Features {
-		if l.Cands[p].NumBuckets() > maxNarrowBuckets {
-			wide = true
-			break
-		}
-	}
+	wide := l.WideBins()
 	nc := s.NumChunks()
 	sb := &SpilledBinned{src: s, layout: l, wide: wide, segs: make([]segMeta, nc)}
 
@@ -116,7 +119,8 @@ func (s *Source) BuildBinned(l *histogram.Layout, pool *parallel.Pool) (*Spilled
 	// Encode buffers recycle through an explicit free list rather than a
 	// sync.Pool: at most one buffer per concurrent task ever exists, so the
 	// budget accounting (maxBound per buffer) is deterministic and bounded by
-	// the worker count regardless of GC or race-detector pool behavior.
+	// the worker count regardless of GC or race-detector pool behavior. Each
+	// is 8-byte aligned, so a segment's sections are typed views of it.
 	var (
 		bufMu   sync.Mutex
 		bufFree [][]byte
@@ -132,7 +136,7 @@ func (s *Source) BuildBinned(l *histogram.Layout, pool *parallel.Pool) (*Spilled
 		}
 		nBufs++
 		s.tr.Reserve(maxBound)
-		return make([]byte, maxBound)
+		return alignedBytes(maxBound)
 	}
 	putBuf := func(b []byte) {
 		bufMu.Lock()
@@ -150,42 +154,18 @@ func (s *Source) BuildBinned(l *histogram.Layout, pool *parallel.Pool) (*Spilled
 		buf := getBuf()
 		defer putBuf(buf)
 
+		// Quantize the chunk the way histogram.NewBinned does, straight into
+		// the segment's sections.
 		rows := d.NumRows()
-		rowPtrB := buf[: (rows+1)*8 : (rows+1)*8]
-		// Pass 1: count kept nonzeros per row straight into the rowPtr
-		// section (cumulative), exactly like histogram.NewBinned's pass 1.
-		binary.NativeEndian.PutUint64(rowPtrB, 0)
-		kept := int64(0)
+		rowPtr := castI64(buf, rows+1)
+		rowPtr[0] = 0
+		histogram.CountBins(d, l, rowPtr, 0, rows)
 		for r := 0; r < rows; r++ {
-			in := d.Row(r)
-			for _, ft := range in.Indices {
-				if l.Pos(ft) >= 0 {
-					kept++
-				}
-			}
-			binary.NativeEndian.PutUint64(rowPtrB[(r+1)*8:], uint64(kept))
+			rowPtr[r+1] += rowPtr[r]
 		}
-		// Pass 2: quantize into the pos and bin sections.
-		posOff := int64(rows+1) * 8
-		binOff := posOff + kept*4
-		at := int64(0)
-		for r := 0; r < rows; r++ {
-			in := d.Row(r)
-			for j, ft := range in.Indices {
-				p := l.Pos(ft)
-				if p < 0 {
-					continue
-				}
-				k := l.Cands[p].Bucket(float64(in.Values[j]))
-				binary.NativeEndian.PutUint32(buf[posOff+at*4:], uint32(p))
-				if wide {
-					binary.NativeEndian.PutUint16(buf[binOff+at*2:], uint16(k))
-				} else {
-					buf[binOff+at] = uint8(k)
-				}
-				at++
-			}
-		}
+		kept := rowPtr[rows]
+		bin := segBinned(l, buf, rows, kept, wide)
+		bin.Fill(d, 0, rows)
 		n := segBytes(rows, kept, wide)
 		if _, err := sb.f.WriteAt(buf[:n], offs[c]); err != nil {
 			s.fail(fmt.Errorf("ooc: writing spill segment %d: %w", c, err))
@@ -227,48 +207,21 @@ func (s *Source) BuildBinned(l *histogram.Layout, pool *parallel.Pool) (*Spilled
 	return sb, nil
 }
 
-// loadSeg materializes segment c: mmap where supported, pread + decode
-// otherwise. Both paths yield identical values.
+// loadSeg materializes segment c: mmap where supported, pread into an
+// 8-byte aligned buffer otherwise. Both are viewed in place.
 func (sb *SpilledBinned) loadSeg(c int) (*binnedSeg, error) {
 	m := sb.segs[c]
 	n := segBytes(m.rows, m.nnz, sb.wide)
-	posOff := int64(m.rows+1) * 8
-	binOff := posOff + m.nnz*4
 	if mmapSupported {
-		data, err := mmapAt(sb.f, m.off, n)
-		if err == nil {
-			seg := &binnedSeg{mapped: data}
-			seg.bin = histogram.Binned{
-				Layout: sb.layout,
-				RowPtr: castI64(data[:posOff], m.rows+1),
-				Pos:    castI32(data[posOff:binOff], int(m.nnz)),
-			}
-			if sb.wide {
-				seg.bin.Bins16 = castU16(data[binOff:], int(m.nnz))
-			} else {
-				seg.bin.Bins8 = data[binOff : binOff+m.nnz]
-			}
-			return seg, nil
+		if data, err := mmapAt(sb.f, m.off, n); err == nil {
+			return &binnedSeg{bin: segBinned(sb.layout, data, m.rows, m.nnz, sb.wide), mapped: data}, nil
 		}
 	}
-	buf := make([]byte, n)
-	if n > 0 {
-		if _, err := sb.f.ReadAt(buf, m.off); err != nil {
-			return nil, fmt.Errorf("ooc: reading spill segment %d: %w", c, err)
-		}
+	buf := alignedBytes(n)
+	if _, err := sb.f.ReadAt(buf, m.off); err != nil {
+		return nil, fmt.Errorf("ooc: reading spill segment %d: %w", c, err)
 	}
-	seg := &binnedSeg{}
-	seg.bin = histogram.Binned{
-		Layout: sb.layout,
-		RowPtr: getI64s(buf, m.rows+1),
-		Pos:    getI32s(buf[posOff:], int(m.nnz)),
-	}
-	if sb.wide {
-		seg.bin.Bins16 = getU16s(buf[binOff:], int(m.nnz))
-	} else {
-		seg.bin.Bins8 = append([]uint8(nil), buf[binOff:binOff+m.nnz]...)
-	}
-	return seg, nil
+	return &binnedSeg{bin: segBinned(sb.layout, buf, m.rows, m.nnz, sb.wide)}, nil
 }
 
 // Close evicts every resident segment (unmapping them) and deletes the
