@@ -382,8 +382,10 @@ func reportHists(b *testing.B, before int64) {
 // BenchmarkTrainParallel sweeps the shared pool size over the
 // BenchmarkSingleMachineTrain workload. The trained model is bit-identical
 // at every level (see TestModelIndependentOfParallelism); the sub-benchmarks
-// separate only up to the host's core count. Every node is one batch, so
-// no build takes partials and hists/op is the same at every level.
+// separate only up to the host's core count. Every node is one batch, so no
+// build takes partials, but a layer with at least as many pairs as workers
+// holds a node in hand per worker: hists/op grows by up to one per extra
+// worker (TestTrainerHoldsOneLayerOfParents).
 func BenchmarkTrainParallel(b *testing.B) {
 	d := benchData(b, 2000, 10000, 50)
 	for _, p := range []int{1, 2, 4, 8} {

@@ -21,8 +21,10 @@ import (
 // gradients. Each layer then hands every built node to Built as soon as its
 // build finishes, each derived node right after its built sibling, and asks
 // Splits for the decisions, in layer order; an aggregator may decide each
-// node inside Built. Every phase is timed in sections, each inside Compute,
-// and recorded once into Times and Done.
+// node inside Built. The local trainer's aggregator is a pairAggregator,
+// handed each built node and derived sibling in one call, pairs possibly
+// concurrently. Every phase is timed in sections, each inside Compute, and
+// recorded once into Times and Done.
 type Aggregator interface {
 	// Sample agrees on the tree's feature sample, given this process's own
 	// draw of it, and returns the features the tree's histograms lay out:
@@ -65,11 +67,16 @@ func (s *phaseSpan) time(agg Aggregator, phase string, f func()) {
 	agg.Compute(phase, func() {
 		start := time.Now()
 		f()
-		s.d += time.Since(start)
-		if s.start.IsZero() {
-			s.start = start
-		}
+		s.add(start, time.Since(start))
 	})
+}
+
+// add adds a section of d that began at start.
+func (s *phaseSpan) add(start time.Time, d time.Duration) {
+	s.d += d
+	if s.start.IsZero() {
+		s.start = start
+	}
 }
 
 // record, the one writer of Times, adds a finished phase to them (binning
@@ -126,33 +133,55 @@ type Decision struct {
 	HasTotals bool
 }
 
+// pairAggregator is an Aggregator whose hand-over may run concurrently for
+// distinct pairs of a layer, a pair being a built node and its derived
+// sibling, if any. The grower hands it each pair whole through builtPair,
+// never Built: when the layer has at least as many pairs as the trainer's
+// pool has workers (more than one), from one fork over the pairs, one task
+// each; otherwise one pair after another.
+type pairAggregator interface {
+	// builtPair takes over the histogram h of the built node nd and, when
+	// sib is not nil, derives the histogram of nd's sibling sib, and puts
+	// each back into pool once done with it.
+	builtPair(nd LayerNode, h *histogram.Histogram, sib *LayerNode, pool *histogram.Pool, pr pairRun) error
+}
+
+// pairRun is how a pair's hand-over runs: the pool it may fan out over (the
+// trainer's, or parallel.Serial inside a layer's fork) and the spans it
+// times its build_hist and find_split sections into.
+type pairRun struct {
+	run         *parallel.Pool
+	build, find *phaseSpan
+}
+
 // localAggregator aggregates nothing: the trainer holds every row, so a
 // node's histogram is already its global one. It finds each node's split as
 // soon as the node's histogram exists, and puts the histogram back unless the
 // node is a split parent of the next built layer. A derived child's histogram
 // is its parent's with the built sibling subtracted in place, so the trainer
-// holds one layer of split parents and the node in hand.
+// holds one layer of split parents and the nodes in hand.
 type localAggregator struct {
 	tr *Trainer
 	t  int
-	// parents holds the histogram of every split node of the last layer
-	// until its derived child takes it over, and of every split node of
-	// this one whose children are built.
-	parents map[int]*histogram.Histogram
-	// held is the last built node, not yet scanned: its sibling may be
-	// derived, and the subtraction reads it as built. The next hand-over
-	// or Splits says whether it is.
-	held     LayerNode
-	heldHist *histogram.Histogram
-	// decided is each scanned node's decision, find the layer's FIND_SPLIT
-	// sections.
-	decided map[int]Decision
-	find    phaseSpan
+	// parents holds, by node, the histogram of every split node of the last
+	// layer until its pair takes it over, and of every split node of this
+	// one whose children get built; decided holds each scanned node's
+	// decision until Splits. A pair reads and writes only its own nodes' and
+	// parent's slots, so distinct pairs can run concurrently.
+	parents []*histogram.Histogram
+	decided []Decision
 
-	// FIND_SPLIT scratch: a node's non-empty ScanWords and the best split
-	// of each.
+	// FIND_SPLIT scratch of a scan fanned out over the pool: a node's
+	// non-empty ScanWords and the best split of each.
 	words []int32
 	bests []Split
+}
+
+// newLocalAggregator returns the local aggregator of tree t, with a slot for
+// every node a tree can have.
+func newLocalAggregator(tr *Trainer, t int) *localAggregator {
+	n := tree.MaxNodes(tr.cfg.MaxDepth)
+	return &localAggregator{tr: tr, t: t, parents: make([]*histogram.Histogram, n), decided: make([]Decision, n)}
 }
 
 // findSplitChunk is the most ScanWords one FIND_SPLIT pool task takes; a
@@ -172,66 +201,68 @@ func (la *localAggregator) Sample(drawn []int32, cands []sketch.Candidates) ([]i
 
 func (la *localAggregator) Derives() bool { return true }
 
-// Built holds a built node until the next hand-over. A derived node's
-// histogram is its parent's minus the held sibling, subtracted in place
-// while both are as built; then the sibling is scanned, and the node.
-func (la *localAggregator) Built(nd LayerNode, h *histogram.Histogram, pool *histogram.Pool) error {
-	if la.parents == nil {
-		la.parents, la.decided = map[int]*histogram.Histogram{}, map[int]Decision{}
+// Built is never called: the grower hands a pairAggregator its nodes
+// through builtPair.
+func (la *localAggregator) Built(nd LayerNode, _ *histogram.Histogram, _ *histogram.Pool) error {
+	return fmt.Errorf("core: node %d handed over outside a pair", nd.Node)
+}
+
+// builtPair scans a built node and, if its sibling is derived, the sibling,
+// whose histogram is the parent's minus the built node's, subtracted in
+// place while both are as built. If the sibling is not derived, nothing
+// takes over the parent's histogram, which is put back.
+func (la *localAggregator) builtPair(nd LayerNode, h *histogram.Histogram, sib *LayerNode, pool *histogram.Pool, pr pairRun) error {
+	parent := tree.Parent(nd.Node)
+	var ph *histogram.Histogram
+	if nd.Node > 0 {
+		ph, la.parents[parent] = la.parents[parent], nil
 	}
-	if !nd.Derived {
-		la.flush(pool)
-		la.held, la.heldHist = nd, h
+	if sib == nil {
+		pool.Put(ph)
+		la.scan(nd, h, pool, pr)
 		return nil
 	}
-	sib, sh := la.held, la.heldHist
-	parent := tree.Parent(nd.Node)
-	ph := la.parents[parent]
-	if ph == nil || sh == nil || sib.Node != tree.Left(parent)+tree.Right(parent)-nd.Node {
-		return fmt.Errorf("core: derived node %d handed over without its parent and built sibling", nd.Node)
+	if ph == nil || sib.Node != tree.Left(parent)+tree.Right(parent)-nd.Node {
+		return fmt.Errorf("core: derived node %d handed over without its parent and built sibling", sib.Node)
 	}
-	la.heldHist = nil
-	delete(la.parents, parent)
-	la.tr.build.time(la, "build_hist", func() { ph.SetSub(ph, sh) })
-	la.tr.DerivedHists++
-	trainMetrics().subtraction.Inc()
-	la.scan(sib, sh, pool)
-	la.scan(nd, ph, pool)
+	pr.build.time(la, "build_hist", func() { ph.SetSub(ph, h) })
+	la.scan(nd, h, pool, pr)
+	la.scan(*sib, ph, pool, pr)
 	return nil
 }
 
-// flush scans the held node, whose sibling is not derived: nothing takes
-// over their parent's histogram, which is put back too.
-func (la *localAggregator) flush(pool *histogram.Pool) {
-	nd, h := la.held, la.heldHist
-	if h == nil {
-		return
-	}
-	la.heldHist = nil
-	if nd.Node > 0 {
-		parent := tree.Parent(nd.Node)
-		pool.Put(la.parents[parent])
-		delete(la.parents, parent)
-	}
-	la.scan(nd, h, pool)
-}
-
-// scan runs Algorithm 1 on node nd's histogram h, fanned out over the
-// PosChunk ranges the node touched; the partial bests fold in ascending
-// range order, so the chosen split is worker-count-independent. A range
+// scan runs Algorithm 1 on node nd's histogram h over the PosChunk ranges
+// the node touched, folding the ranges' best splits in ascending range
+// order: on pr.run when it has more than one worker, in tasks of ranges, and
+// range by range otherwise. Either way the chosen split is the same. A range
 // nothing touched has no candidate, so leaving it out of the fold changes
 // nothing — unless the guard says the full scan would be fooled, and then
 // the node is scanned in full. h lives on as the children's parent if the
 // node splits and they are not the last layer, which is never built.
-func (la *localAggregator) scan(nd LayerNode, h *histogram.Histogram, pool *histogram.Pool) {
-	tr, cfg := la.tr, la.tr.cfg
+func (la *localAggregator) scan(nd LayerNode, h *histogram.Histogram, pool *histogram.Pool, pr pairRun) {
+	cfg := la.tr.cfg
 	var split Split
-	la.find.time(la, "find_split", func() {
+	pr.find.time(la, "find_split", func() {
 		if !TouchedScanExact(h, nd.H, cfg.MinChildHessian) {
 			h.Materialize()
 		}
 		numPos := h.Layout.NumFeatures()
 		words := (numPos + parallel.PosChunk - 1) / parallel.PosChunk
+		best := func(w int) Split {
+			lo := w * parallel.PosChunk
+			return FindSplitRange(h, lo, min(lo+parallel.PosChunk, numPos), nd.G, nd.H, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
+		}
+		if pr.run.Workers() == 1 {
+			for w := 0; w < words; w++ {
+				if h.ScanWord(w) == 0 {
+					continue
+				}
+				if b := best(w); b.Better(split) {
+					split = b
+				}
+			}
+			return
+		}
 		la.words = la.words[:0]
 		for w := 0; w < words; w++ {
 			if h.ScanWord(w) != 0 {
@@ -241,12 +272,10 @@ func (la *localAggregator) scan(nd LayerNode, h *histogram.Histogram, pool *hist
 		ws := la.words
 		la.bests = slices.Grow(la.bests[:0], len(ws))[:len(ws)]
 		bests := la.bests
-		tasks := 2 * tr.pool.Workers()
-		tr.pool.For(len(ws), min(findSplitChunk, (len(ws)+tasks-1)/tasks), func(lo, hi int) {
+		tasks := 2 * pr.run.Workers()
+		pr.run.For(len(ws), min(findSplitChunk, (len(ws)+tasks-1)/tasks), func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				pLo := int(ws[j]) * parallel.PosChunk
-				pHi := min(pLo+parallel.PosChunk, numPos)
-				bests[j] = FindSplitRange(h, pLo, pHi, nd.G, nd.H, cfg.Lambda, cfg.Gamma, cfg.MinChildHessian)
+				bests[j] = best(int(ws[j]))
 			}
 		})
 		for _, b := range bests {
@@ -263,24 +292,26 @@ func (la *localAggregator) scan(nd LayerNode, h *histogram.Histogram, pool *hist
 	}
 }
 
-// Splits scans the held node and returns the layer's decisions in layer
-// order. The layer's find_split is the sum of its scans.
+// Splits returns the layer's decisions in layer order and counts its derived
+// nodes. The layer's find_split is the sum of its scans, or its share of a
+// node-parallel layer's wall time, and this last section.
 func (la *localAggregator) Splits(depth int, layer []LayerNode) ([]Decision, error) {
-	la.flush(la.tr.td.pool)
+	tr := la.tr
 	decisions := make([]Decision, len(layer))
 	var err error
-	la.find.time(la, "find_split", func() {
+	tr.find.time(la, "find_split", func() {
 		for i, nd := range layer {
-			var ok bool
-			if decisions[i], ok = la.decided[nd.Node]; !ok && err == nil {
+			decisions[i], la.decided[nd.Node] = la.decided[nd.Node], Decision{}
+			if !decisions[i].HasTotals && err == nil {
 				err = fmt.Errorf("core: layer node %d was never handed over", nd.Node)
 			}
+			if nd.Derived {
+				tr.DerivedHists++
+				trainMetrics().subtraction.Inc()
+			}
 		}
-		clear(la.decided)
 	})
-	find := la.find
-	la.find = phaseSpan{}
-	return decisions, cmp.Or(err, la.tr.record(la, "find_split", depth, find))
+	return decisions, cmp.Or(err, tr.record(la, "find_split", depth, tr.find))
 }
 
 func (la *localAggregator) Compute(_ string, f func()) { f() }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dimboost/internal/dataset"
@@ -93,51 +95,56 @@ func TestOneDataPassPerSplit(t *testing.T) {
 // each node is scanned as soon as its histogram exists and put back unless it
 // is a split parent of the next built layer, so at the deepest built layer of
 // a depth-D tree the trainer holds the 2^(D−3) split parents it has not yet
-// reached and the node in hand. Holding a whole layer until Splits took
-// 2^(D−2). The tree's fresh pool allocates at most 2^(D−3) + 1 histograms
-// (every node is one batch, so no build takes partials from it), and after
-// every tree each one is back in it.
+// reached and the nodes in hand, one per worker of a node-parallel layer.
+// Holding a whole layer until Splits took 2^(D−2). The tree's fresh pool
+// allocates at most 2^(D−3) + Workers histograms (every node is one batch,
+// so no build takes partials from it), and after every tree each one is back
+// in it.
 func TestTrainerHoldsOneLayerOfParents(t *testing.T) {
 	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 4000, NumFeatures: 200, AvgNNZ: 20, Seed: 107, Zipf: 1.1})
-	cfg := smallConfig()
-	cfg.NumTrees = 2
-	cfg.MaxDepth = 6
-	cfg.Parallelism = 2
-	cfg.BatchSize = d.NumRows()
-	tr, err := NewTrainer(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	misses := obs.Default().Counter("dimboost_train_hist_pool_misses_total", "Histogram pool Gets that had to allocate.")
-	before := misses.Value()
-	var allocated, idle []int64
-	tr.OnTree = func(TreeEvent) {
-		allocated = append(allocated, misses.Value()-before)
-		idle = append(idle, int64(tr.td.pool.Idle()))
-	}
-	model, err := tr.Train()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deepest := cfg.MaxDepth - 2
-	width := 0
-	for i, nd := range model.Trees[0].Nodes {
-		if nd.Used && tree.Depth(i) == deepest {
-			width++
-		}
-	}
-	if width != 1<<deepest {
-		t.Fatalf("the deepest built layer has %d of %d nodes; grow the fixture", width, 1<<deepest)
-	}
-	t.Logf("the pool allocated %d histograms", allocated[len(allocated)-1])
-	if limit := int64(1<<(cfg.MaxDepth-3) + 1); allocated[len(allocated)-1] > limit {
-		t.Errorf("the pool allocated %d histograms over %d depth-%d trees, want at most %d (one layer of split parents and the node in hand)",
-			allocated[len(allocated)-1], cfg.NumTrees, cfg.MaxDepth, limit)
-	}
-	for i := range allocated {
-		if idle[i] != allocated[i] {
-			t.Errorf("after tree %d the pool allocated %d histograms and holds %d", i, allocated[i], idle[i])
-		}
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.NumTrees = 2
+			cfg.MaxDepth = 6
+			cfg.Parallelism = p
+			cfg.BatchSize = d.NumRows()
+			tr, err := NewTrainer(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			misses := obs.Default().Counter("dimboost_train_hist_pool_misses_total", "Histogram pool Gets that had to allocate.")
+			before := misses.Value()
+			var allocated, idle []int64
+			tr.OnTree = func(TreeEvent) {
+				allocated = append(allocated, misses.Value()-before)
+				idle = append(idle, int64(tr.td.pool.Idle()))
+			}
+			model, err := tr.Train()
+			if err != nil {
+				t.Fatal(err)
+			}
+			deepest := cfg.MaxDepth - 2
+			width := 0
+			for i, nd := range model.Trees[0].Nodes {
+				if nd.Used && tree.Depth(i) == deepest {
+					width++
+				}
+			}
+			if width != 1<<deepest {
+				t.Fatalf("the deepest built layer has %d of %d nodes; grow the fixture", width, 1<<deepest)
+			}
+			t.Logf("the pool allocated %d histograms", allocated[len(allocated)-1])
+			if limit := int64(1<<(cfg.MaxDepth-3) + p); allocated[len(allocated)-1] > limit {
+				t.Errorf("the pool allocated %d histograms over %d depth-%d trees, want at most %d (one layer of split parents and a node in hand per worker)",
+					allocated[len(allocated)-1], cfg.NumTrees, cfg.MaxDepth, limit)
+			}
+			for i := range allocated {
+				if idle[i] != allocated[i] {
+					t.Errorf("after tree %d the pool allocated %d histograms and holds %d", i, allocated[i], idle[i])
+				}
+			}
+		})
 	}
 }
 
@@ -162,7 +169,7 @@ func (fa *floatAggregator) BuildNode(h *histogram.Histogram, rows []int32, grad,
 func trainFloat(t *testing.T, tr *Trainer, build func(*histogram.Histogram, *dataset.Dataset, []int32, []float64, []float64)) *Model {
 	t.Helper()
 	return boostWith(t, tr, func(i int) Aggregator {
-		return &floatAggregator{localAggregator{tr: tr, t: i}, build}
+		return &floatAggregator{*newLocalAggregator(tr, i), build}
 	})
 }
 
@@ -188,15 +195,15 @@ func boostWith(t *testing.T, tr *Trainer, agg func(i int) Aggregator) *Model {
 }
 
 // countingBuilder is the sparse float oracle counting what the grower asks
-// of a NodeBuilder.
+// of a NodeBuilder; a node-parallel layer asks from several workers at once.
 type countingBuilder struct {
 	floatAggregator
-	calls, rows int
+	calls, rows atomic.Int64
 }
 
 func (cb *countingBuilder) BuildNode(h *histogram.Histogram, rows []int32, grad, hess []float64, opts histogram.BuildOptions) {
-	cb.calls++
-	cb.rows += len(rows)
+	cb.calls.Add(1)
+	cb.rows.Add(int64(len(rows)))
 	cb.floatAggregator.BuildNode(h, rows, grad, hess, opts)
 }
 
@@ -216,14 +223,14 @@ func TestNodeBuilderBuildsEveryBuiltNode(t *testing.T) {
 	}
 	var builders []*countingBuilder
 	boostWith(t, tr, func(i int) Aggregator {
-		cb := &countingBuilder{floatAggregator: floatAggregator{localAggregator{tr: tr, t: i}, histogram.BuildSparse}}
+		cb := &countingBuilder{floatAggregator: floatAggregator{*newLocalAggregator(tr, i), histogram.BuildSparse}}
 		builders = append(builders, cb)
 		return cb
 	})
 	calls, rows := 0, 0
 	for _, cb := range builders {
-		calls += cb.calls
-		rows += cb.rows
+		calls += int(cb.calls.Load())
+		rows += int(cb.rows.Load())
 	}
 	if tr.DerivedHists == 0 {
 		t.Fatal("no histogram was derived; grow the fixture")

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"dimboost/internal/dataset"
+	"dimboost/internal/obs"
+	"dimboost/internal/tree"
 )
 
 // bitIdentical demands Float64bits equality on every threshold and leaf
@@ -67,27 +72,47 @@ func TestModelIndependentOfParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Rows holding feature 20 are all positive, so a node of such rows alone
+	// is pure and no real split of it gains. At MinChildHessian 0 it can
+	// split off an empty child on the rounding residue between its totals
+	// and its histogram; the other child is then built, not derived.
+	pure := labelOneWhere(train, 20)
+
 	variants := []struct {
 		name   string
 		mutate func(*Config)
 		setup  func(*Trainer)
+		// data replaces train when set. pairs, when set, is the fewest pairs
+		// the widest built layer must have, and emptyChild demands a pair
+		// with an empty child.
+		data       *dataset.Dataset
+		pairs      int
+		emptyChild bool
 	}{
-		{"default", func(c *Config) {}, nil},
-		{"instance-sampling", func(c *Config) { c.InstanceSampleRatio = 0.6 }, nil},
-		{"weighted-candidates", func(c *Config) { c.WeightedCandidates = true }, nil},
-		{"validation-early-stop", func(c *Config) { c.NumTrees = 6; c.EarlyStoppingRounds = 2 },
-			func(tr *Trainer) { tr.Validation = val }},
-		{"warm-start", func(c *Config) {},
-			func(tr *Trainer) { tr.Init = warmInit }},
+		{name: "default", mutate: func(c *Config) {}},
+		// Deep enough that built layers hold at least as many pairs as
+		// workers at every P, so they are grown node-parallel.
+		{name: "depth-6", mutate: func(c *Config) { c.MaxDepth = 6 }, pairs: 8},
+		{name: "depth-6-minhess0", mutate: func(c *Config) { c.MaxDepth = 6; c.MinChildHessian = 0 },
+			data: pure, pairs: 4, emptyChild: true},
+		{name: "instance-sampling", mutate: func(c *Config) { c.InstanceSampleRatio = 0.6 }},
+		{name: "weighted-candidates", mutate: func(c *Config) { c.WeightedCandidates = true }},
+		{name: "validation-early-stop", mutate: func(c *Config) { c.NumTrees = 6; c.EarlyStoppingRounds = 2 },
+			setup: func(tr *Trainer) { tr.Validation = val }},
+		{name: "warm-start", mutate: func(c *Config) {},
+			setup: func(tr *Trainer) { tr.Init = warmInit }},
 	}
 
+	workers := obs.Default().Gauge("dimboost_parallel_workers", "Worker bound of the most recently constructed training pool (resolved Config.Parallelism).")
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
+			data := cmp.Or(v.data, train)
+			cfg := base
+			v.mutate(&cfg)
 			trainAt := func(p int) *Model {
-				cfg := base
-				v.mutate(&cfg)
+				cfg := cfg
 				cfg.Parallelism = p
-				tr, err := NewTrainer(train, cfg)
+				tr, err := NewTrainer(data, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,9 +123,17 @@ func TestModelIndependentOfParallelism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// A node-parallel layer's one-worker builds are no
+				// training pool: the gauge still reads the trainer's.
+				if got := workers.Value(); got != int64(p) {
+					t.Fatalf("Parallelism=%d: the pool worker gauge reads %d", p, got)
+				}
 				return m
 			}
 			ref := trainAt(1)
+			if most, empty := pairStats(data, ref, cfg.MaxDepth); most < v.pairs || (v.emptyChild && empty == 0) {
+				t.Fatalf("the widest built layer has %d pairs and %d pairs have an empty child; grow the fixture", most, empty)
+			}
 			for _, p := range []int{2, 3, 4, 8} {
 				if got := trainAt(p); !bitIdentical(t, ref, got) {
 					t.Fatalf("Parallelism=%d: model differs in bits from Parallelism=1", p)
@@ -108,4 +141,75 @@ func TestModelIndependentOfParallelism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPhaseTimesFitTheWallClock: the pairs of a node-parallel layer overlap
+// on the pool's workers, and the layer's phases share its wall time instead
+// of summing their sections, so a P = 2 Train's phase times add up to no
+// more than its own wall time, split finding included.
+func TestPhaseTimesFitTheWallClock(t *testing.T) {
+	d := dataset.Generate(dataset.SyntheticConfig{NumRows: 20000, NumFeatures: 3000, AvgNNZ: 30, Seed: 53, Zipf: 1.1})
+	cfg := smallConfig()
+	cfg.NumTrees = 3
+	cfg.MaxDepth = 7
+	cfg.Parallelism = 2
+	tr, err := NewTrainer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := tr.Train(); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	t.Logf("Train %v, phases %+v", wall, tr.Times)
+	if tr.Times.FindSplit <= 0 {
+		t.Errorf("no split finding was timed: %+v", tr.Times)
+	}
+	if total := tr.Times.Total(); total > wall {
+		t.Errorf("the phases sum to %v, more than Train's %v", total, wall)
+	}
+}
+
+// labelOneWhere returns d with every row that holds feature f labelled 1.
+func labelOneWhere(d *dataset.Dataset, f int32) *dataset.Dataset {
+	b := dataset.NewBuilder(d.NumFeatures)
+	for i := 0; i < d.NumRows(); i++ {
+		r, y := d.Row(i), d.Labels[i]
+		if slices.Contains(r.Indices, f) {
+			y = 1
+		}
+		if err := b.Add(r.Indices, r.Values, y); err != nil {
+			panic(err)
+		}
+	}
+	return b.Build()
+}
+
+// pairStats reads the trees of a model of the given depth trained on d: the
+// most pairs any built layer had, and how many pairs had an empty child.
+func pairStats(d *dataset.Dataset, m *Model, depth int) (most, empty int) {
+	for _, tn := range m.Trees {
+		rowsIn := make([]int, len(tn.Nodes))
+		for i := 0; i < d.NumRows(); i++ {
+			for n := tn.PredictNode(d.Row(i)); ; n = tree.Parent(n) {
+				rowsIn[n]++
+				if n == 0 {
+					break
+				}
+			}
+		}
+		perLayer := make([]int, depth)
+		for n, nd := range tn.Nodes {
+			if !nd.Used || nd.Leaf || tree.Depth(n)+2 >= depth {
+				continue
+			}
+			perLayer[tree.Depth(n)+1]++
+			if rowsIn[tree.Left(n)] == 0 || rowsIn[tree.Right(n)] == 0 {
+				empty++
+			}
+		}
+		most = max(most, slices.Max(perLayer))
+	}
+	return most, empty
 }

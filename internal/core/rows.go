@@ -35,10 +35,15 @@ type rowSource interface {
 // under the tree's layout, read by every node of every layer for both
 // histogram construction and splitting.
 type binnedRows interface {
-	// build fills the histograms of the leading nodes, each a deferred one
-	// from opts.Pool, and returns how many it built. nb, when not nil, builds
-	// a resident node from the float rows instead.
-	build(pool *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder) int
+	// build fills the histogram of every node, each a deferred one from
+	// opts.Pool, on pool's workers. nb, when not nil, builds a resident node
+	// from the float rows instead.
+	build(pool *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder)
+	// oneWalk reports whether build reads the rows once however many nodes
+	// it builds, as the spill does: the grower then builds a layer in one
+	// call before any hand-over. Otherwise each node is built on its own,
+	// right before its pair is handed over.
+	oneWalk() bool
 	// Classify writes every split's verdicts into mask, indexed by row, on
 	// pool's workers: mask[r] = bin(r, Pos) <= Bucket for every row r of
 	// every split, SplitPredicate's goLeft. A layer's splits hold disjoint
@@ -63,22 +68,25 @@ func (r residentRows) bin(layout *histogram.Layout, pool *parallel.Pool) (binned
 	return residentBinned{histogram.NewBinned(r.d, layout, pool.Workers())}, histogram.NewPool(layout), nil
 }
 
-// residentBinned is the binned mirror in memory. It builds one node per
-// call, each fanning out over its row batches, so every node is handed over
-// before the next one is built.
+// residentBinned is the binned mirror in memory. It builds nodes one after
+// another, each fanning out over its row batches (opts.Parallelism), so the
+// grower builds each node right before its pair is handed over.
 type residentBinned struct{ b *histogram.Binned }
 
-func (rb residentBinned) build(_ *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder) int {
-	nd := &nodes[0]
-	nd.H = opts.Pool.Get()
-	nd.H.Defer()
-	if nb != nil {
-		nb.BuildNode(nd.H, nd.Rows, grad, hess, opts)
-	} else {
-		histogram.BuildBinned(nd.H, rb.b, nd.Rows, grad, hess, opts)
+func (rb residentBinned) build(_ *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder) {
+	for i := range nodes {
+		nd := &nodes[i]
+		nd.H = opts.Pool.Get()
+		nd.H.Defer()
+		if nb != nil {
+			nb.BuildNode(nd.H, nd.Rows, grad, hess, opts)
+		} else {
+			histogram.BuildBinned(nd.H, rb.b, nd.Rows, grad, hess, opts)
+		}
 	}
-	return 1
 }
+
+func (rb residentBinned) oneWalk() bool { return false }
 
 // Classify fans the layer's rows out over the pool once: the splits' rows,
 // end to end, are one grid of row chunks.

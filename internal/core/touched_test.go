@@ -437,8 +437,8 @@ func TestScanMaterialisesWhenTheGuardFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	la := &localAggregator{tr: tr, parents: map[int]*histogram.Histogram{}, decided: map[int]Decision{}}
-	la.scan(nd, h, histogram.NewPool(layout))
+	la := newLocalAggregator(tr, 0)
+	la.scan(nd, h, histogram.NewPool(layout), pairRun{tr.pool, &tr.build, &tr.find})
 	if got := la.decided[nd.Node].Split; !sameSplit(got, want) {
 		t.Fatalf("scan decided %+v, the full scan of the materialised histogram %+v", got, want)
 	}

@@ -78,9 +78,10 @@ type Trainer struct {
 	// quantized rows and histogram pool.
 	grad, hess []float64
 	td         *treeData
-	// build is the build_hist span of the layer being built: the grower's
-	// node builds and the local aggregator's subtractions are its sections.
-	build phaseSpan
+	// build and find are the build_hist and find_split spans of the layer
+	// being grown: the grower's node builds and the local aggregator's
+	// subtractions are build's sections, the local aggregator's scans find's.
+	build, find phaseSpan
 
 	// OnTree, when set, is invoked after each completed tree.
 	OnTree func(TreeEvent)
@@ -230,7 +231,7 @@ func (tr *Trainer) Train() (*Model, error) {
 	m := trainMetrics()
 	for t := 0; t < tr.cfg.NumTrees; t++ {
 		treeStart := time.Now()
-		tn, err := tr.growTree(&localAggregator{tr: tr, t: t}, true, preds)
+		tn, err := tr.growTree(newLocalAggregator(tr, t), true, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -388,44 +389,121 @@ func (tr *Trainer) closeTreeData() {
 }
 
 // buildLayer gives every node a layer lists its data pass, into a deferred
-// histogram from the tree's pool, and hands each to agg as soon as it is
-// built, its sibling right after it if that is derived. The mirror builds as
-// many of the nodes left as it does in one go: a resident one a node at a
-// time (each build fanning out over its row batches), so an aggregator that
-// lets go of each histogram in Built holds one at a time, and one that scans
-// there holds only the split parents it has not reached; a spilled one the
-// rest of the layer in one walk over the spill per pool worker. Both fill
+// histogram from the tree's pool, and hands the layer to agg a pair at a
+// time, in node order: each built node, then its sibling if that is derived.
+// A spilled mirror builds the whole layer in one walk over the spill per pool
+// worker before any hand-over; a resident one builds each node right before
+// its pair is handed over, through agg when that is a NodeBuilder. Both fill
 // every histogram with the same bits. Deferred, the binned builds leave only
 // what the node's rows touched for FIND_SPLIT to scan and the pool to clear.
-// A resident mirror builds through agg when that is a NodeBuilder. Every
-// build is a section of the layer's build_hist span, tr.build.
+//
+// A pairAggregator's layer with at least as many pairs as the pool has
+// workers (more than one) is node-parallel: the pool forks once, and each
+// task builds, derives and scans whole pairs, every build and scan serial
+// with the batch grid and fold it has when it fans out, so no bit changes.
+// Otherwise the pairs go one after another, each build and scan fanning out
+// over the pool, and an aggregator that lets go of each histogram on
+// hand-over holds one at a time. Every build is a section of the layer's
+// build_hist span, tr.build.
 func (tr *Trainer) buildLayer(td *treeData, layer []LayerNode, builds []ooc.NodeBuild, opts histogram.BuildOptions, agg Aggregator) error {
 	nb, _ := agg.(NodeBuilder)
-	k, built := 0, 0
+	walk := td.mirror.oneWalk()
+	if walk {
+		tr.build.time(agg, "build_hist", func() { td.mirror.build(tr.pool, builds, tr.grad, tr.hess, opts, nb) })
+	}
+	pairs := layerPairs(layer)
+	pa, _ := agg.(pairAggregator)
+	// handOver builds pair k's node, builds[k], unless the walk did, and
+	// hands the pair over.
+	handOver := func(k int, opts histogram.BuildOptions, pr pairRun) error {
+		if !walk {
+			pr.build.time(agg, "build_hist", func() { td.mirror.build(pr.run, builds[k:k+1], tr.grad, tr.hess, opts, nb) })
+		}
+		nd, h := layer[pairs[k].built], builds[k].H
+		var sib *LayerNode
+		if j := pairs[k].derived; j >= 0 {
+			sib = &layer[j]
+		}
+		if pa != nil {
+			return pa.builtPair(nd, h, sib, td.pool, pr)
+		}
+		if err := agg.Built(nd, h, td.pool); err != nil || sib == nil {
+			return err
+		}
+		return agg.Built(*sib, nil, td.pool)
+	}
+	workers := tr.pool.Workers()
+	if pa == nil || workers == 1 || len(pairs) < workers {
+		for k := range pairs {
+			if err := handOver(k, opts, pairRun{tr.pool, &tr.build, &tr.find}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	serial := opts
+	serial.Parallelism = 1
+	spans := make([]pairSpans, len(pairs))
+	errs := make([]error, len(pairs))
+	start := time.Now()
+	tr.pool.Tasks(len(pairs), func(k int) {
+		errs[k] = handOver(k, serial, pairRun{parallel.Serial(), &spans[k].build, &spans[k].find})
+	})
+	tr.shareWall(start, spans)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pairSpans are the build_hist and find_split sections of one pair of a
+// node-parallel layer.
+type pairSpans struct{ build, find phaseSpan }
+
+// shareWall records a node-parallel layer's fork, begun at start, into the
+// layer's spans. The pairs' sections overlap on the workers, so their sums
+// can exceed the fork's wall time: build_hist and find_split share that
+// instead, in proportion to their sums.
+func (tr *Trainer) shareWall(start time.Time, spans []pairSpans) {
+	wall := time.Since(start)
+	var b, f time.Duration
+	for _, s := range spans {
+		b, f = b+s.build.d, f+s.find.d
+	}
+	bw := wall
+	if b+f > 0 {
+		bw = time.Duration(float64(wall) * float64(b) / float64(b+f))
+	}
+	tr.build.add(start, bw)
+	tr.find.add(start, wall-bw)
+}
+
+// layerPair is one pair of a layer: the index of a built node in it and of
+// that node's derived sibling, or −1.
+type layerPair struct{ built, derived int }
+
+// layerPairs lists a layer's pairs in node order, the k-th pair's built node
+// being the layer's k-th one that is not derived.
+func layerPairs(layer []LayerNode) []layerPair {
+	var pairs []layerPair
 	for i, nd := range layer {
 		if nd.Derived {
 			continue
 		}
-		if k == built {
-			tr.build.time(agg, "build_hist", func() { built += td.mirror.build(tr.pool, builds[k:], tr.grad, tr.hess, opts, nb) })
-		}
-		if err := agg.Built(nd, builds[k].H, td.pool); err != nil {
-			return err
-		}
-		k++
 		// Both children of a split are listed, left first, when one is
 		// derived.
 		j, sib := i+1, nd.Node+1
 		if nd.Node%2 == 0 {
 			j, sib = i-1, nd.Node-1
 		}
-		if j >= 0 && j < len(layer) && layer[j].Node == sib && layer[j].Derived {
-			if err := agg.Built(layer[j], nil, td.pool); err != nil {
-				return err
-			}
+		if j < 0 || j >= len(layer) || layer[j].Node != sib || !layer[j].Derived {
+			j = -1
 		}
+		pairs = append(pairs, layerPair{i, j})
 	}
-	return nil
+	return pairs
 }
 
 // GrowTree grows the next tree over the trainer's rows — one shard of a
@@ -550,7 +628,7 @@ func (tr *Trainer) growTree(agg Aggregator, whole bool, preds []float64) (*tree.
 				tr.BuiltRows += len(rows)
 			}
 		}
-		tr.build = phaseSpan{}
+		tr.build, tr.find = phaseSpan{}, phaseSpan{}
 		err := tr.buildLayer(td, layer, builds, buildOpts, agg)
 		if err == nil {
 			err = tr.record(agg, "build_hist", depth, tr.build)

@@ -55,15 +55,16 @@ func (s spilledRows) bin(layout *histogram.Layout, pool *parallel.Pool) (binnedR
 }
 
 // spilledBinned is the binned mirror on disk: ooc.SpilledBinned classifies
-// a layer in one walk over the spill per pool worker, and builds the rest of
-// a layer in one more (BuildLayer).
+// a layer in one walk over the spill per pool worker, and builds a layer's
+// nodes in one more (BuildLayer).
 type spilledBinned struct{ *ooc.SpilledBinned }
 
-func (s spilledBinned) build(pool *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, _ NodeBuilder) int {
+func (s spilledBinned) build(pool *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, _ NodeBuilder) {
 	for i := range nodes {
 		nodes[i].H = opts.Pool.Get()
 		nodes[i].H.Defer()
 	}
 	s.BuildLayer(pool, nodes, grad, hess, opts)
-	return len(nodes)
 }
+
+func (s spilledBinned) oneWalk() bool { return true }

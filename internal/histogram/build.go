@@ -220,7 +220,13 @@ func BuildBatches(h *Histogram, rows []int32, opts BuildOptions, build func(part
 		return
 	}
 	deferred := h.deferred // the merges below may change it while batches build
-	p := parallel.New(opts.Parallelism)
+	// A one-worker build (P = 1, or a task of a node-parallel layer) runs on
+	// the caller's goroutine; it is no training pool, so it leaves the
+	// worker gauge New sets alone.
+	p := parallel.Serial()
+	if opts.Parallelism != 1 {
+		p = parallel.New(opts.Parallelism)
+	}
 	parallel.ReduceOrdered(p, len(rows), opts.batchSize(),
 		func(_, lo, hi int) *Histogram {
 			var part *Histogram

@@ -61,6 +61,14 @@ func New(workers int) *Pool {
 // Workers returns the pool's worker bound.
 func (p *Pool) Workers() int { return p.workers }
 
+// serial is the one-worker pool Serial returns.
+var serial = &Pool{workers: 1}
+
+// Serial returns a one-worker pool: its loops run inline on the caller's
+// goroutine in ascending chunk order. A task of a Tasks fork runs its inner
+// loops on it, so they do not fan out again. Unlike New it sets no gauge.
+func Serial() *Pool { return serial }
+
 // Grid returns the number of chunks covering [0, n) at the given chunk
 // size, and the normalized size. chunk values < 1 are treated as 1. The
 // grid is the chunk-source abstraction shared by every consumer of the
@@ -142,7 +150,9 @@ func (p *Pool) For(n, chunk int, fn func(lo, hi int)) {
 }
 
 // Tasks runs fn(task) for every task in [0, k): a chunk grid of size one,
-// for coarse-grained task lists such as the out-of-core chunk walks.
+// for coarse-grained task lists such as the out-of-core chunk walks and the
+// trainer's node-parallel layers (one task per pair of nodes). Tasks are
+// claimed in ascending order.
 func (p *Pool) Tasks(k int, fn func(task int)) {
 	p.ForChunks(k, 1, func(c, _, _ int) { fn(c) })
 }
