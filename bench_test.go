@@ -21,6 +21,7 @@ import (
 	"dimboost/internal/histogram"
 	"dimboost/internal/obs"
 	"dimboost/internal/ooc"
+	"dimboost/internal/parallel"
 	"dimboost/internal/sketch"
 )
 
@@ -174,6 +175,41 @@ func BenchmarkHistogramBuildBinned(b *testing.B) {
 		histogram.BuildSparseBinned(h, bn, rows, grad, hess)
 	}
 	b.ReportMetric(float64(bn.NNZ()), "nnz/op")
+}
+
+// BenchmarkHistogramBuildColumns builds BenchmarkHistogramBuildBinned's node
+// of every row from the column-major copy, the way the trainer builds a root:
+// one batch, its 64-position words fanned out over one and two workers.
+func BenchmarkHistogramBuildColumns(b *testing.B) {
+	d := benchData(b, 5000, 20000, 100)
+	set := sketch.NewSet(d.NumFeatures, 0.04)
+	set.AddDataset(d)
+	layout, err := histogram.NewLayout(histogram.AllFeatures(d.NumFeatures), set.Candidates(12), d.NumFeatures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grad := make([]float64, d.NumRows())
+	hess := make([]float64, d.NumRows())
+	for i := range grad {
+		grad[i] = float64(i % 3)
+		hess[i] = 0.3
+	}
+	bn := histogram.NewBinned(d, layout, 4)
+	cols := histogram.NewColumns(bn, parallel.New(4))
+	opts := histogram.BuildOptions{BatchSize: d.NumRows()}
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			pool := parallel.New(p)
+			h := histogram.New(layout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Reset()
+				cols.Build(h, grad, hess, opts, pool)
+			}
+			b.ReportMetric(float64(bn.NNZ()), "nnz/op")
+		})
+	}
 }
 
 // BenchmarkHistogramDeepNode is one deep-layer node of the resident trainer

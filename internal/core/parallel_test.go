@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dimboost/internal/dataset"
+	"dimboost/internal/histogram"
 	"dimboost/internal/obs"
 	"dimboost/internal/tree"
 )
@@ -83,13 +84,19 @@ func TestModelIndependentOfParallelism(t *testing.T) {
 		mutate func(*Config)
 		setup  func(*Trainer)
 		// data replaces train when set. pairs, when set, is the fewest pairs
-		// the widest built layer must have, and emptyChild demands a pair
-		// with an empty child.
+		// the widest built layer must have, emptyChild demands a pair with an
+		// empty child, and wide some feature with uint16 bin ids.
 		data       *dataset.Dataset
 		pairs      int
 		emptyChild bool
+		wide       bool
 	}{
 		{name: "default", mutate: func(c *Config) {}},
+		// The root, built from the column-major copy, as one batch and as
+		// batches of 2500, 2500 and a ragged 1000 rows.
+		{name: "root-one-batch", mutate: func(c *Config) { c.BatchSize = 6000 }},
+		{name: "root-ragged-batches", mutate: func(c *Config) { c.BatchSize = 2500 }},
+		{name: "uint16-bins", mutate: func(c *Config) { c.NumCandidates = 300 }, wide: true},
 		// Deep enough that built layers hold at least as many pairs as
 		// workers at every P, so they are grown node-parallel.
 		{name: "depth-6", mutate: func(c *Config) { c.MaxDepth = 6 }, pairs: 8},
@@ -134,6 +141,9 @@ func TestModelIndependentOfParallelism(t *testing.T) {
 			if most, empty := pairStats(data, ref, cfg.MaxDepth); most < v.pairs || (v.emptyChild && empty == 0) {
 				t.Fatalf("the widest built layer has %d pairs and %d pairs have an empty child; grow the fixture", most, empty)
 			}
+			if v.wide && !wideBins(t, data, cfg) {
+				t.Fatal("no feature has more than 256 buckets; grow the fixture")
+			}
 			for _, p := range []int{2, 3, 4, 8} {
 				if got := trainAt(p); !bitIdentical(t, ref, got) {
 					t.Fatalf("Parallelism=%d: model differs in bits from Parallelism=1", p)
@@ -169,6 +179,22 @@ func TestPhaseTimesFitTheWallClock(t *testing.T) {
 	if total := tr.Times.Total(); total > wall {
 		t.Errorf("the phases sum to %v, more than Train's %v", total, wall)
 	}
+}
+
+// wideBins reports whether the candidates a trainer proposes for d under cfg
+// need uint16 bin ids.
+func wideBins(t *testing.T, d *dataset.Dataset, cfg Config) bool {
+	t.Helper()
+	tr, err := NewTrainer(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := tr.Candidates()
+	layout, err := histogram.NewLayout(histogram.AllFeatures(d.NumFeatures), cands, d.NumFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return layout.WideBins()
 }
 
 // labelOneWhere returns d with every row that holds feature f labelled 1.

@@ -23,8 +23,10 @@ type rowSource interface {
 	ForRowRange(lo, hi int, fn func(d *dataset.Dataset, base, rlo, rhi int))
 	// bin quantizes the rows under layout on pool's workers into the binned
 	// mirror of the trees grown under it, and returns the layout's histogram
-	// pool with it.
-	bin(layout *histogram.Layout, pool *parallel.Pool) (binnedRows, *histogram.Pool, error)
+	// pool with it. columns says some node will hold every row (no row is
+	// sampled out of the tree): a resident mirror then also keeps the
+	// column-major copy such a node builds from.
+	bin(layout *histogram.Layout, pool *parallel.Pool, columns bool) (binnedRows, *histogram.Pool, error)
 	// Err is the sticky I/O error of a streaming pass, if any: a pass that
 	// fails records it and skips its work, and the trainer aborts at its next
 	// phase boundary instead of training on partial data.
@@ -64,23 +66,38 @@ func (r residentRows) ForRowRange(lo, hi int, fn func(*dataset.Dataset, int, int
 	fn(r.d, 0, lo, hi)
 }
 
-func (r residentRows) bin(layout *histogram.Layout, pool *parallel.Pool) (binnedRows, *histogram.Pool, error) {
-	return residentBinned{histogram.NewBinned(r.d, layout, pool.Workers())}, histogram.NewPool(layout), nil
+func (r residentRows) bin(layout *histogram.Layout, pool *parallel.Pool, columns bool) (binnedRows, *histogram.Pool, error) {
+	rb := residentBinned{b: histogram.NewBinned(r.d, layout, pool.Workers())}
+	if columns {
+		rb.cols = histogram.NewColumns(rb.b, pool)
+	}
+	return rb, histogram.NewPool(layout), nil
 }
 
-// residentBinned is the binned mirror in memory. It builds nodes one after
-// another, each fanning out over its row batches (opts.Parallelism), so the
-// grower builds each node right before its pair is handed over.
-type residentBinned struct{ b *histogram.Binned }
+// residentBinned is the binned mirror in memory, and when the trees sample
+// no rows its column-major copy. It builds nodes one after another, so the
+// grower builds each node right before its pair is handed over. A node that
+// holds every row — the root, on the local trainer and on each cluster
+// worker's shard — builds from the copy, its positions fanned out over the
+// pool it is given; any other fans out over its row batches
+// (opts.Parallelism).
+type residentBinned struct {
+	b    *histogram.Binned
+	cols *histogram.Columns
+}
 
-func (rb residentBinned) build(_ *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder) {
+func (rb residentBinned) build(pool *parallel.Pool, nodes []ooc.NodeBuild, grad, hess []float64, opts histogram.BuildOptions, nb NodeBuilder) {
 	for i := range nodes {
 		nd := &nodes[i]
 		nd.H = opts.Pool.Get()
 		nd.H.Defer()
-		if nb != nil {
+		switch {
+		case nb != nil:
 			nb.BuildNode(nd.H, nd.Rows, grad, hess, opts)
-		} else {
+		case rb.cols != nil && len(nd.Rows) == rb.cols.NumRows():
+			// A node's rows are ascending, so these are 0, 1, …, n−1.
+			rb.cols.Build(nd.H, grad, hess, opts, pool)
+		default:
 			histogram.BuildBinned(nd.H, rb.b, nd.Rows, grad, hess, opts)
 		}
 	}

@@ -260,7 +260,7 @@ func TestSplitPredicateMatchesFloatComparison(t *testing.T) {
 		}
 		var mirrors []binnedRows
 		for _, rows := range mirrorsOf(t, d, 7) {
-			mirror, _, err := rows.bin(layout, pool)
+			mirror, _, err := rows.bin(layout, pool, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,7 +342,7 @@ func TestMirrorsClassifyALayerLikeSplitPredicate(t *testing.T) {
 		preds[i] = SplitPredicate(d, binned, layout, split)
 	}
 	for i, rows := range mirrorsOf(t, d, 100) {
-		mirror, _, err := rows.bin(layout, pool)
+		mirror, _, err := rows.bin(layout, pool, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -363,7 +363,7 @@ func (tr *Trainer) treeData(cands []sketch.Candidates, agg Aggregator) (*treeDat
 		return nil, err
 	}
 	td := &treeData{layout: layout}
-	derr := tr.Time(agg, "binning", -1, func() { td.mirror, td.pool, err = tr.rows.bin(layout, tr.pool) })
+	derr := tr.Time(agg, "binning", -1, func() { td.mirror, td.pool, err = tr.rows.bin(layout, tr.pool, tr.cfg.InstanceSampleRatio >= 1) })
 	if err != nil {
 		return nil, err
 	}

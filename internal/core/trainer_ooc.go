@@ -46,7 +46,7 @@ type spilledRows struct{ *ooc.Source }
 // the partials one build holds at most (parallel.ReduceOrdered's window of
 // Workers+1), so idle histograms from wide layers cannot pile up; recycling
 // is allocation-only, so the cap cannot affect results.
-func (s spilledRows) bin(layout *histogram.Layout, pool *parallel.Pool) (binnedRows, *histogram.Pool, error) {
+func (s spilledRows) bin(layout *histogram.Layout, pool *parallel.Pool, _ bool) (binnedRows, *histogram.Pool, error) {
 	sb, err := s.BuildBinned(layout, pool)
 	if err != nil {
 		return nil, nil, err
